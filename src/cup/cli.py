@@ -21,7 +21,7 @@ from . import parser as ps
 from . import soundness as sd
 from . import terms as tm
 from . import trees as tr
-from .errors import CupError, ParseError, UniverseTooLarge
+from .errors import CupError, ParseError, UniverseTooLarge, UsageError
 from .formulas import Calculus
 
 EXIT_OK = 0
@@ -45,7 +45,12 @@ def _setting(args, name: str):
         return value
     env = os.environ.get(ENV.get(name, ""), "")
     if env:
-        return int(env) if name != "calculus" else env
+        if name == "calculus":
+            return env
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"{ENV[name]}={env!r} is not an integer") from None
     return DEFAULTS.get(name)
 
 

@@ -21,6 +21,7 @@ from .errors import (
     FlexibleAtomUnsupported,
     NotCoreFormula,
     ProofInvalid,
+    UsageError,
 )
 from .formulas import (
     Atom,
@@ -135,7 +136,7 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.depth_limit < 1:
-            raise ValueError("depth_limit must be >= 1")
+            raise UsageError(f"depth limit must be >= 1, got {self.depth_limit}")
 
 
 @dataclass
@@ -173,6 +174,8 @@ def _is_meta(name: str) -> bool:
 
 
 def resolve_term(t: Term, s: dict[str, Term]) -> Term:
+    if not s:
+        return t
     if isinstance(t, Var):
         seen = set()
         while isinstance(t, Var) and t.name in s:
@@ -238,28 +241,49 @@ def unify_first_order(a1: Term, a2: Term) -> Optional[tm.Substitution]:
     return [(n, resolve_term(v, s)) for n, v in s.items()]
 
 
-def _unfold_variants(t: Term, bound: int) -> list[Term]:
-    out = [tm.beta_normalize(t)]
-    for _ in range(bound):
-        if not tm.has_fix(out[-1]):
-            break
-        out.append(tm.fair_unfold(out[-1]))
-    return out
+def _rigid_clash(a: Term, b: Term) -> bool:
+    """Both spines have constant heads that differ in name or argument
+    count; neither resolution nor fix unfolding changes such a head."""
+    ha, aa = tm.spine(a)
+    hb, ab = tm.spine(b)
+    return isinstance(ha, Con) and isinstance(hb, Con) and (ha.name != hb.name or len(aa) != len(ab))
 
 
 def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> Optional[dict[str, Term]]:
     """Unify up to a bounded number of fix unfoldings on either side,
-    preferring the least-unfolded match."""
-    va = _unfold_variants(resolve_term(a, s), bound)
-    vb = _unfold_variants(resolve_term(b, s), bound)
-    pairs = sorted(
-        ((i, j) for i in range(len(va)) for j in range(len(vb))),
-        key=lambda ij: (ij[0] + ij[1], ij),
-    )
-    for i, j in pairs:
-        s1 = unify(va[i], vb[j], s)
-        if s1 is not None:
-            return s1
+    preferring the least-unfolded match.
+
+    Pairs (i, j) of i and j fair unfoldings are tried in (i + j, i, j)
+    order; each side's unfoldings are built only when a pair first needs
+    them, so a match stops the unfolding."""
+    if _rigid_clash(a, b):
+        return None
+    chains = ([tm.beta_normalize(resolve_term(a, s))], [tm.beta_normalize(resolve_term(b, s))])
+
+    def variant(side: int, k: int) -> Optional[Term]:
+        chain = chains[side]
+        if k < len(chain):
+            return chain[k]
+        if k > len(chain) or k > bound or not tm.has_fix(chain[-1]):
+            return None
+        chain.append(tm.fair_unfold(chain[-1]))
+        return chain[k]
+
+    for total in range(2 * bound + 1):
+        tried = False
+        for i in range(total + 1):
+            va = variant(0, i)
+            if va is None:
+                break
+            vb = variant(1, total - i)
+            if vb is not None:
+                tried = True
+                s1 = unify(va, vb, s)
+                if s1 is not None:
+                    return s1
+        if not tried:
+            # both chains have ended: no pair has a larger sum either
+            return None
     return None
 
 

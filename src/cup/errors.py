@@ -5,6 +5,11 @@ class CupError(Exception):
     """Base class for every error raised by this package."""
 
 
+class UsageError(CupError, ValueError):
+    """A bad setting or option value: an unknown calculus, a depth limit
+    below one, a non-integer numeric setting."""
+
+
 # --- terms ---------------------------------------------------------------
 
 class UnboundConstant(CupError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import terms as tm
-from .errors import IllTyped, NonHConvertibleClause
+from .errors import IllTyped, NonHConvertibleClause, UsageError
 from .terms import Con, Context, IOTA, O, Signature, SimpleType, Term, Var
 
 
@@ -36,7 +36,7 @@ class Calculus(enum.Enum):
         for c in Calculus:
             if c.value == name or c.value.removeprefix("co-") == name:
                 return c
-        raise ValueError(f"unknown calculus {name!r}")
+        raise UsageError(f"unknown calculus {name!r}; known: {', '.join(c.value for c in Calculus)}")
 
 
 ALL_CALCULI = frozenset(Calculus)

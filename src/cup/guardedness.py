@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import terms as tm
-from .errors import NotAnAtom, PreconditionViolated
+from .errors import CupError, NotAnAtom, PreconditionViolated
 from .terms import (
     Con,
     DIAMOND,
@@ -111,7 +111,7 @@ def is_guarded_full(sig: Signature, t: Term) -> bool:
         return False
     try:
         head_ty = tm.typecheck(sig, {}, head)
-    except Exception:
+    except CupError:
         return False
     if len(args) != len(tm.argument_types(head_ty)):
         return False

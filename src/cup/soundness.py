@@ -10,7 +10,7 @@ approximated model unchanged (conservative extension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import engine as eng
@@ -330,24 +330,7 @@ def merge_with_model(
     post-fixed point that covers the side body instances."""
     depth = cand.interpretation.depth
     seeds = tuple(cand.interpretation.reps.values()) + tuple(cand.side_atoms)
-    approx = tr.gfp_approx(
-        program,
-        depth,
-        tr.InstanceConfig(
-            term_size=cfg.term_size,
-            max_terms=cfg.max_terms,
-            include_fix_defs=cfg.include_fix_defs,
-            extra_terms=cfg.extra_terms,
-            seed_atoms=seeds,
-            seed_universe_atoms=cfg.seed_universe_atoms,
-            max_universe_atoms=cfg.max_universe_atoms,
-            max_atoms=cfg.max_atoms,
-            max_instances=cfg.max_instances,
-            unfold_bound=cfg.unfold_bound,
-            body_var_pool=cfg.body_var_pool,
-        ),
-        sig=sig,
-    )
+    approx = tr.gfp_approx(program, depth, replace(cfg, seed_atoms=seeds), sig=sig)
     atoms = cand.interpretation.atoms | approx.atoms
     reps = {**approx.reps, **cand.interpretation.reps}
     reps_all: dict[tr.Tree, tuple] = {}
@@ -446,19 +429,7 @@ def conservative_extension_check(
             raise BodyNotInModel(f"lemma instance {h} is not ground")
         seeds.append(h.head)
         seeds.extend(h.body)
-    seeded = tr.InstanceConfig(
-        term_size=cfg.term_size,
-        max_terms=cfg.max_terms,
-        include_fix_defs=cfg.include_fix_defs,
-        extra_terms=cfg.extra_terms,
-        seed_atoms=tuple(seeds),
-        seed_universe_atoms=cfg.seed_universe_atoms,
-        max_universe_atoms=cfg.max_universe_atoms,
-        max_atoms=cfg.max_atoms,
-        max_instances=cfg.max_instances,
-        unfold_bound=cfg.unfold_bound,
-        body_var_pool=cfg.body_var_pool,
-    )
+    seeded = replace(cfg, seed_atoms=tuple(seeds))
     base = tr.gfp_approx(program, depth, seeded)
     for h in lemma_instances:
         for b in h.body:

@@ -9,7 +9,7 @@ All values are immutable and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -92,31 +92,82 @@ def type_mentions(ty: SimpleType, base: Base) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# Every node computes its hash and whether it contains a fix subterm once,
+# from its children's cached values, so both cost O(1) however deep the term.
+# The cached fields take no part in equality or repr.  Build terms only
+# through these constructors.
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+    _fix: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+        object.__setattr__(self, "_fix", False)
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class Con:
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+    _fix: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+        object.__setattr__(self, "_fix", False)
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class App:
     fn: "Term"
     arg: "Term"
+    _hash: int = field(init=False, repr=False, compare=False)
+    _fix: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.fn, self.arg)))
+        object.__setattr__(self, "_fix", self.fn._fix or self.arg._fix)
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class Lam:
     var: str
     body: "Term"
+    _hash: int = field(init=False, repr=False, compare=False)
+    _fix: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.var, self.body)))
+        object.__setattr__(self, "_fix", self.body._fix)
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
 class Fix:
     body: "Term"  # must be a Lam for well-typed terms
+    _hash: int = field(init=False, repr=False, compare=False)
+    _fix: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.body,)))
+        object.__setattr__(self, "_fix", True)
+
+    def __hash__(self):
+        return self._hash
 
 
 Term = Var | Con | App | Lam | Fix
@@ -314,6 +365,8 @@ class Signature:
     """
 
     constants: tuple[tuple[str, SimpleType], ...] = ()
+    # is_first_order results for closed terms, keyed on (term, expected)
+    _fo_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     @staticmethod
     def of(mapping: dict[str, SimpleType]) -> "Signature":
@@ -495,14 +548,18 @@ def beta_normalize(t: Term) -> Term:
     """Normal form under beta-reduction; fix is treated as an opaque constant."""
     if isinstance(t, (Var, Con)):
         return t
-    if isinstance(t, Lam):
-        return Lam(t.var, beta_normalize(t.body))
-    if isinstance(t, Fix):
-        return Fix(beta_normalize(t.body))
+    if isinstance(t, (Lam, Fix)):
+        body = beta_normalize(t.body)
+        if body is t.body:
+            return t
+        return Lam(t.var, body) if isinstance(t, Lam) else Fix(body)
     fn = beta_normalize(t.fn)
     if isinstance(fn, Lam):
         return beta_normalize(subst1(fn.body, fn.var, t.arg))
-    return App(fn, beta_normalize(t.arg))
+    arg = beta_normalize(t.arg)
+    if fn is t.fn and arg is t.arg:
+        return t
+    return App(fn, arg)
 
 
 def _unfold(fx: Fix) -> Term:
@@ -536,7 +593,7 @@ def fixbeta_unfold(t: Term) -> Term:
 
 
 def has_fix(t: Term) -> bool:
-    return any(isinstance(u, Fix) for u in subterms(t))
+    return t._fix
 
 
 def fair_unfold(t: Term) -> Term:
@@ -657,6 +714,18 @@ def first_order_report(
 
 
 def is_first_order(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None) -> bool:
+    """Memoised on the signature for closed terms; only verdicts are
+    remembered, so an unbound name raises on every call."""
+    if ctx:
+        return _first_order_verdict(sig, ctx, t, expected)
+    key = (t, expected)
+    verdict = sig._fo_memo.get(key)
+    if verdict is None:
+        verdict = sig._fo_memo[key] = _first_order_verdict(sig, ctx, t, expected)
+    return verdict
+
+
+def _first_order_verdict(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType]) -> bool:
     try:
         return first_order_report(sig, ctx, t, expected).verdict
     except TypeMismatch:

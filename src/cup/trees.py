@@ -18,6 +18,7 @@ from . import engine as eng
 from . import formulas as fm
 from . import terms as tm
 from .errors import (
+    CupError,
     DepthUnreachable,
     NotFirstOrder,
     PreconditionViolated,
@@ -344,7 +345,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def _render_body(sig: Signature, b: Term, depth: int, bound: int) -> Optional[Tree]:
     try:
         return atom_to_tree(sig, b, depth, unfold_budget=max(bound, depth + 8))
-    except Exception:
+    except CupError:
         return None
 
 
@@ -387,24 +388,32 @@ def t_operator(
 # ---------------------------------------------------------------------------
 
 
-def _clause_with_metas(h: HClause, tag: int) -> tuple[Term, list[Term], list[str]]:
-    binding = {v: Var(f"?u{tag}{tm.FRESH_MARK}{i}") for i, v in enumerate(h.universals)}
-    subs = list(binding.items())
-    head = tm.beta_normalize(tm.substitute(h.head, subs))
-    body = [tm.beta_normalize(tm.substitute(b, subs)) for b in h.body]
-    return head, body, [binding[v].name for v in h.universals]
+RenamedClause = tuple[Term, list[Term], list[str]]
+
+
+def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
+    """(head, body, metavariable names) of each clause, its universals
+    renamed to metavariables that no two clauses share."""
+    out = []
+    for tag, h in enumerate(clauses):
+        binding = {v: Var(f"?u{tag}{tm.FRESH_MARK}{i}") for i, v in enumerate(h.universals)}
+        subs = list(binding.items())
+        head = tm.beta_normalize(tm.substitute(h.head, subs))
+        body = [tm.beta_normalize(tm.substitute(b, subs)) for b in h.body]
+        out.append((head, body, [binding[v].name for v in h.universals]))
+    return out
 
 
 def justifications(
     atom: Term,
-    clauses: list[HClause],
+    renamed: list[RenamedClause],
     pool: list[Term],
     cfg: InstanceConfig,
 ) -> Iterator[list[Term]]:
     """Bodies of clause instances whose head matches the atom, the few body
-    variables that the head leaves open enumerated over the pool."""
-    for tag, h in enumerate(clauses):
-        head, body, metas = _clause_with_metas(h, tag)
+    variables that the head leaves open enumerated over the pool; the
+    clauses come renamed by `_clauses_with_metas`."""
+    for head, body, metas in renamed:
         s = eng.unify_modulo(head, atom, {}, cfg.unfold_bound)
         if s is None:
             continue
@@ -437,9 +446,9 @@ def justify(
     """Some clause-instance body for this head with every body atom in the
     interpretation; None when no enumerated instance works."""
     sig = sig or program.signature
-    clauses = program.h_clauses() + list(extra_clauses)
+    renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
     pool = universe_terms(program, cfg, sig)
-    for body in justifications(atom, clauses, pool, cfg):
+    for body in justifications(atom, renamed, pool, cfg):
         trees = [_render_body(sig, b, interp.depth, cfg.unfold_bound) for b in body]
         if any(t is None for t in trees):
             continue
@@ -478,7 +487,7 @@ def gfp_approx(
     this resolution, so absence certifies non-membership over the
     enumerated universe."""
     sig = sig or program.signature
-    clauses = program.h_clauses() + list(extra_clauses)
+    renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
     pool = universe_terms(program, cfg, sig)
 
     nodes: dict[Tree, Term] = {}
@@ -510,7 +519,7 @@ def gfp_approx(
         reps_here.append(a)
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
-        for body in justifications(a, clauses, pool, cfg):
+        for body in justifications(a, renamed, pool, cfg):
             keys = []
             ok = True
             for b in body:

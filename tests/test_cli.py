@@ -47,6 +47,31 @@ class TestExitCodes:
     def test_unknown_flag_is_usage(self, capsys):
         assert run(["coprove", "--nope"]) == EXIT_USAGE
 
+    def test_unknown_calculus_is_usage(self, capsys):
+        code = run([
+            "coprove", "--calculus", "bogus", "--program", corpus("member.cup"),
+            "--goal", "member 0 [0|nil]",
+        ])
+        assert code == EXIT_USAGE
+        assert "unknown calculus" in capsys.readouterr().err
+
+    def test_zero_depth_is_usage(self, capsys):
+        code = run([
+            "coprove", "--calculus", "co-fohc", "--program", corpus("member.cup"),
+            "--goal", "member 0 [0|nil]", "--depth", "0",
+        ])
+        assert code == EXIT_USAGE
+        assert "depth limit" in capsys.readouterr().err
+
+    def test_non_integer_env_setting_is_usage(self, monkeypatch, capsys):
+        monkeypatch.setenv("CUP_DEPTH", "abc")
+        code = run([
+            "coprove", "--calculus", "co-fohc", "--program", corpus("member.cup"),
+            "--goal", "member 0 [0|nil]",
+        ])
+        assert code == EXIT_USAGE
+        assert "CUP_DEPTH" in capsys.readouterr().err
+
 
 class TestProofPipeline:
     def test_emitted_proofs_recheck(self, tmp_path, capsys):
