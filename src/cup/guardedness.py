@@ -88,7 +88,7 @@ def is_guarded_fixed_point(sig: Signature, t: Term) -> GuardReport:
             continue
         try:
             ok = tm.first_order_report(sig, ctx, a).verdict and tm.typecheck(sig, ctx, a) == IOTA
-        except Exception as exc:
+        except CupError as exc:
             violations.append((3, f"argument {a!r} cannot be typed: {exc}"))
             continue
         if not ok:
@@ -134,7 +134,7 @@ def _fold_candidates(sig: Signature, t: Term, bound: int) -> bool:
         try:
             if tm.is_first_order(sig, {}, u) and tm.typecheck(sig, {}, u) == IOTA:
                 pool.append(u)
-        except Exception:
+        except CupError:
             continue
     for fx in fixes:
         arity = len(tm.argument_types(tm.typecheck(sig, {}, fx)))

@@ -310,12 +310,12 @@ def verify_postfixed(
 ) -> tuple[bool, Optional[Term]]:
     """Is every member a consequence of members (I included in T(I)) at this
     resolution?  Returns the first counterexample atom otherwise."""
-    sig = sig or program.signature
+    g = tr.grounding(program, cfg, interp.depth, extra_clauses, sig)
     for tree in sorted(interp.atoms, key=tr.tree_to_text):
         reps = interp.representatives(tree)
         if not reps:
             return False, None
-        if all(tr.justify(rep, interp, program, cfg, extra_clauses, sig) is None for rep in reps):
+        if all(tr.justify(rep, interp, g) is None for rep in reps):
             return False, reps[0]
     return True, None
 

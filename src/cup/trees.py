@@ -35,6 +35,14 @@ STAR = "*"
 class Tree:
     label: str
     children: tuple["Tree", ...] = ()
+    # the structural hash, computed once; it takes no part in equality
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.label, self.children)))
+
+    def __hash__(self):
+        return self._hash
 
     def positions(self, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], str]]:
         yield prefix, self.label
@@ -404,21 +412,52 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
     return out
 
 
-def justifications(
-    atom: Term,
-    renamed: list[RenamedClause],
-    pool: list[Term],
+@dataclass
+class Grounding:
+    """What enumerating clause instances at one depth needs, built once per
+    `gfp_approx` or `verify_postfixed` call: the clauses renamed apart, the
+    term pool for body variables that a head leaves open, and the truncated
+    key of every atom rendered so far."""
+
+    sig: Signature
+    cfg: InstanceConfig
+    depth: int
+    renamed: list[RenamedClause]
+    pool: list[Term]
+    keys: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
+
+    def key(self, atom: Term) -> Optional[Tree]:
+        """The atom's truncated tree, None if it does not render; each
+        distinct term is rendered once."""
+        if atom not in self.keys:
+            self.keys[atom] = _render_body(self.sig, atom, self.depth, self.cfg.unfold_bound)
+        return self.keys[atom]
+
+
+def grounding(
+    program: Program,
     cfg: InstanceConfig,
-) -> Iterator[list[Term]]:
+    depth: int,
+    extra_clauses: tuple[HClause, ...] = (),
+    sig: Optional[Signature] = None,
+) -> Grounding:
+    """A grounding for the program's clauses and the extra ones, with an
+    empty render memo."""
+    sig = sig or program.signature
+    renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
+    return Grounding(sig, cfg, depth, renamed, universe_terms(program, cfg, sig))
+
+
+def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
     """Bodies of clause instances whose head matches the atom, the few body
-    variables that the head leaves open enumerated over the pool; the
-    clauses come renamed by `_clauses_with_metas`."""
-    for head, body, metas in renamed:
+    variables that the head leaves open enumerated over the pool."""
+    cfg = g.cfg
+    for head, body, metas in g.renamed:
         s = eng.unify_modulo(head, atom, {}, cfg.unfold_bound)
         if s is None:
             continue
         unbound = [m for m in metas if _has_unbound(Var(m), s)]
-        pools = [pool[: cfg.body_var_pool] for _ in unbound]
+        pools = [g.pool[: cfg.body_var_pool] for _ in unbound]
         combos = itertools.product(*pools) if unbound else iter([()])
         for combo in combos:
             s2 = dict(s)
@@ -435,21 +474,12 @@ def _has_unbound(v: Var, s: dict[str, Term]) -> bool:
     return any(n.startswith("?") for n in tm.free_vars(t))
 
 
-def justify(
-    atom: Term,
-    interp: Interpretation,
-    program: Program,
-    cfg: InstanceConfig,
-    extra_clauses: tuple[HClause, ...] = (),
-    sig: Optional[Signature] = None,
-) -> Optional[list[Term]]:
+def justify(atom: Term, interp: Interpretation, g: Grounding) -> Optional[list[Term]]:
     """Some clause-instance body for this head with every body atom in the
-    interpretation; None when no enumerated instance works."""
-    sig = sig or program.signature
-    renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
-    pool = universe_terms(program, cfg, sig)
-    for body in justifications(atom, renamed, pool, cfg):
-        trees = [_render_body(sig, b, interp.depth, cfg.unfold_bound) for b in body]
+    interpretation; None when no enumerated instance works.  The grounding
+    must be at the interpretation's depth."""
+    for body in justifications(atom, g):
+        trees = [g.key(b) for b in body]
         if any(t is None for t in trees):
             continue
         if all(t in interp.atoms for t in trees):
@@ -487,17 +517,19 @@ def gfp_approx(
     this resolution, so absence certifies non-membership over the
     enumerated universe."""
     sig = sig or program.signature
-    renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
-    pool = universe_terms(program, cfg, sig)
+    g = grounding(program, cfg, depth, extra_clauses, sig)
 
     nodes: dict[Tree, Term] = {}
     reps_seen: dict[Tree, list[Term]] = {}
+    # every term in some reps_seen list; a term's key is fixed, so a hit
+    # here is a hit in its own key's list
+    seen: set[Term] = set()
     derived_count: dict[Tree, int] = {}
     expansions: dict[Tree, list[list[Tree]]] = {}
     work: list[tuple[Term, bool]] = [(a, True) for a in _seed_atoms(program, cfg, sig)]
     while work:
         a, is_seed = work.pop()
-        key = _render_body(sig, a, depth, cfg.unfold_bound)
+        key = g.key(a)
         if key is None:
             continue
         # distinct atoms can truncate to the same key; their expansions are
@@ -505,7 +537,7 @@ def gfp_approx(
         # clause bodies are capped per key, since body chains can produce
         # unboundedly many terms behind one stabilized truncation.
         reps_here = reps_seen.setdefault(key, [])
-        if any(tm.alpha_eq(a, r) for r in reps_here):
+        if a in seen or any(tm.alpha_eq(a, r) for r in reps_here):
             continue
         if not is_seed and derived_count.get(key, 0) >= 4:
             continue
@@ -517,13 +549,14 @@ def gfp_approx(
             nodes[key] = a
             expansions[key] = []
         reps_here.append(a)
+        seen.add(a)
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
-        for body in justifications(a, renamed, pool, cfg):
+        for body in justifications(a, g):
             keys = []
             ok = True
             for b in body:
-                k = _render_body(sig, b, depth, cfg.unfold_bound)
+                k = g.key(b)
                 if k is None:
                     ok = False
                     break

@@ -1,17 +1,20 @@
-"""Differential tests of the kernel's cached facts and the lazy
-`unify_modulo` against straightforward reference code kept here.
+"""Differential tests of the kernel's cached facts, the lazy
+`unify_modulo` and the render memo of `gfp_approx` against straightforward
+reference code kept here.
 
 The term checks replay the seeded generator stream of the beta
 type-preservation property (seed 102), so they run on cases that suite
 already draws and leave the 10,000-case property budget unchanged.
 """
 
+import collections
 import random
 
 import pytest
 
 from cup import engine as eng
 from cup import parser as ps
+from cup import soundness as sd
 from cup import terms as tm
 from cup import trees as tr
 from cup.errors import CupError, TypeMismatch
@@ -202,3 +205,131 @@ def test_lazy_unify_modulo_matches_eager_in_search(monkeypatch, name, goal, calc
     assert any(s for _a, _b, s, _bound in calls)
     for a, b, s, bound in calls:
         assert eng.unify_modulo(a, b, s, bound) == unify_modulo_reference(a, b, s, bound), (a, b, s)
+
+
+# ---------------------------------------------------------------------------
+# gfp_approx
+# ---------------------------------------------------------------------------
+
+
+def test_cached_tree_hash_is_structural(bitstream_program, member_program):
+    # the value the dataclass-generated hash gives, so set orders stay put
+    def nodes(t):
+        yield t
+        for c in t.children:
+            yield from nodes(c)
+
+    trees = set()
+    for program in (bitstream_program, member_program):
+        trees |= tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms
+    assert trees
+    for t in trees:
+        rebuilt = tr.tree_from_text(tr.tree_to_text(t))
+        assert rebuilt == t and hash(rebuilt) == hash(t) and repr(rebuilt) == repr(t)
+        assert all(hash(u) == hash((u.label, u.children)) for u in nodes(t))
+
+
+def gfp_approx_reference(program, depth, cfg):
+    """The loop without a render memo: an atom is rendered again on every
+    visit, and a representative is skipped only after an alpha_eq scan."""
+    sig = program.signature
+    g = tr.grounding(program, cfg, depth)
+    nodes, reps_seen, derived_count, expansions = {}, {}, {}, {}
+    work = [(a, True) for a in tr._seed_atoms(program, cfg, sig)]
+    while work:
+        a, is_seed = work.pop()
+        key = tr._render_body(sig, a, depth, cfg.unfold_bound)
+        if key is None:
+            continue
+        reps_here = reps_seen.setdefault(key, [])
+        if any(tm.alpha_eq(a, r) for r in reps_here):
+            continue
+        if not is_seed and derived_count.get(key, 0) >= 4:
+            continue
+        if key not in nodes:
+            nodes[key] = a
+            expansions[key] = []
+        reps_here.append(a)
+        if not is_seed:
+            derived_count[key] = derived_count.get(key, 0) + 1
+        for body in tr.justifications(a, g):
+            keys = []
+            ok = True
+            for b in body:
+                k = tr._render_body(sig, b, depth, cfg.unfold_bound)
+                if k is None:
+                    ok = False
+                    break
+                keys.append(k)
+                work.append((b, False))
+            if ok:
+                expansions[key].append(keys)
+    alive = set(nodes)
+    changed = True
+    while changed:
+        changed = False
+        for key in list(alive):
+            if not any(all(k in alive for k in body) for body in expansions[key]):
+                alive.discard(key)
+                changed = True
+    return alive, {k: nodes[k] for k in alive}, {k: tuple(reps_seen[k]) for k in alive}
+
+
+GFP_SEEDS = [(name, goal) for name, goal, _depth in MODEL_CASES] + [("fibs", "fibs 0 0 [0|0]")]
+
+
+@pytest.mark.parametrize("name,goal", GFP_SEEDS)
+def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request):
+    # the default InstanceConfig plus one seeded atom, as `cup model --goal`
+    program = request.getfixturevalue(f"{name}_program")
+    cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
+    # justifications do not depend on the depth and are not under test here;
+    # sharing them between both loops and all depths keeps fibs affordable
+    bodies = {}
+    real_justifications = tr.justifications
+
+    def shared_justifications(atom, g):
+        if atom not in bodies:
+            bodies[atom] = list(real_justifications(atom, g))
+        return iter(bodies[atom])
+
+    rendered = []
+    real_render = tr._render_body
+
+    def counted_render(sig, atom, depth, bound):
+        rendered.append(atom)
+        return real_render(sig, atom, depth, bound)
+
+    monkeypatch.setattr(tr, "justifications", shared_justifications)
+    for depth in (2, 3, 4):
+        expected = gfp_approx_reference(program, depth, cfg)
+        rendered.clear()
+        with monkeypatch.context() as m:
+            m.setattr(tr, "_render_body", counted_render)
+            got = tr.gfp_approx(program, depth, cfg)
+        assert (set(got.atoms), got.reps, got.reps_all) == expected, (name, depth)
+        # each distinct term is rendered at most once per call
+        assert rendered and len(rendered) == len(set(rendered)), (name, depth)
+
+
+def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):
+    program, _goal, calc, res = regression_proofs["bitstream"]
+    cfg = tr.InstanceConfig()
+    cand = sd.build_candidate(res.tree, program, 2, 1, None, cfg, calc)
+    merged = sd.merge_with_model(cand, program, cfg)
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(tr, name)
+
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return run
+
+    for name in ("universe_terms", "justify"):
+        monkeypatch.setattr(tr, name, counted(name))
+    assert sd.verify_postfixed(merged, program, cfg) == (True, None)
+    assert calls["justify"] > 1
+    assert calls["universe_terms"] == 1
