@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Optional
 from . import formulas as fm
 from . import terms as tm
 from .errors import (
+    CupError,
     FlexibleAtomUnsupported,
     NotCoreFormula,
     ProofInvalid,
@@ -174,7 +175,7 @@ def _is_meta(name: str) -> bool:
 
 
 def resolve_term(t: Term, s: dict[str, Term]) -> Term:
-    if not s:
+    if s.keys().isdisjoint(tm.free_vars(t)):
         return t
     if isinstance(t, Var):
         seen = set()
@@ -196,8 +197,17 @@ def resolve_term(t: Term, s: dict[str, Term]) -> Term:
 
 
 def _occurs(name: str, t: Term, s: dict[str, Term]) -> bool:
-    t = resolve_term(t, s)
-    return any(isinstance(u, Var) and u.name == name for u in tm.subterms(t))
+    """Does `name`, which s leaves unbound, occur free in t once t is
+    resolved through s?"""
+    todo, seen = [t], set()
+    while todo:
+        for v in tm.free_vars(todo.pop()):
+            if v == name:
+                return True
+            if v in s and v not in seen:
+                seen.add(v)
+                todo.append(s[v])
+    return False
 
 
 def unify(a: Term, b: Term, s: dict[str, Term], is_var: Callable[[str], bool] = _is_meta) -> Optional[dict[str, Term]]:
@@ -241,12 +251,18 @@ def unify_first_order(a1: Term, a2: Term) -> Optional[tm.Substitution]:
     return [(n, resolve_term(v, s)) for n, v in s.items()]
 
 
-def _rigid_clash(a: Term, b: Term) -> bool:
-    """Both spines have constant heads that differ in name or argument
-    count; neither resolution nor fix unfolding changes such a head."""
+def _stable_clash(a: Term, b: Term) -> bool:
+    """Following constant-headed spines down from the root, both terms reach
+    a position whose constant heads differ in name or argument count.
+    Neither resolution nor fix unfolding changes such a position, so no
+    later unfolding of either side unifies."""
     ha, aa = tm.spine(a)
     hb, ab = tm.spine(b)
-    return isinstance(ha, Con) and isinstance(hb, Con) and (ha.name != hb.name or len(aa) != len(ab))
+    if not (isinstance(ha, Con) and isinstance(hb, Con)):
+        return False
+    if ha.name != hb.name or len(aa) != len(ab):
+        return True
+    return any(_stable_clash(x, y) for x, y in zip(aa, ab))
 
 
 def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> Optional[dict[str, Term]]:
@@ -255,18 +271,25 @@ def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> Optional[d
 
     Pairs (i, j) of i and j fair unfoldings are tried in (i + j, i, j)
     order; each side's unfoldings are built only when a pair first needs
-    them, so a match stops the unfolding."""
-    if _rigid_clash(a, b):
-        return None
+    them, so a match stops the unfolding.  A side's chain ends at an
+    unfolding that clashes with the other side's first variant: every later
+    one clashes with every variant of the other side."""
     chains = ([tm.beta_normalize(resolve_term(a, s))], [tm.beta_normalize(resolve_term(b, s))])
+    if _stable_clash(chains[0][0], chains[1][0]):
+        return None
+    ended = [False, False]
 
     def variant(side: int, k: int) -> Optional[Term]:
         chain = chains[side]
         if k < len(chain):
             return chain[k]
-        if k > len(chain) or k > bound or not tm.has_fix(chain[-1]):
+        if ended[side] or k > len(chain) or k > bound or not tm.has_fix(chain[-1]):
             return None
-        chain.append(tm.fair_unfold(chain[-1]))
+        nxt = tm.fair_unfold(chain[-1])
+        if _stable_clash(nxt, chains[1 - side][0]):
+            ended[side] = True
+            return None
+        chain.append(nxt)
         return chain[k]
 
     for total in range(2 * bound + 1):
@@ -450,6 +473,7 @@ def _smallest_closed_terms(sig: Signature, ty: tm.SimpleType, limit: int = 64) -
     ]
     for t, t_ty in frontier:
         by_ty.setdefault(t_ty, []).append(t)
+    seen = {tm.alpha_key(t) for t, _ty in frontier}
     for _round in range(3):
         new: list[tuple[Term, tm.SimpleType]] = []
         for name, cty in cons:
@@ -463,7 +487,8 @@ def _smallest_closed_terms(sig: Signature, ty: tm.SimpleType, limit: int = 64) -
                 new.append((tm.app(Con(name), *combo), tm.target_type(cty)))
         for t, t_ty in new:
             bucket = by_ty.setdefault(t_ty, [])
-            if len(bucket) < limit and not any(tm.alpha_eq(t, u) for u in bucket):
+            if len(bucket) < limit and tm.alpha_key(t) not in seen:
+                seen.add(tm.alpha_key(t))
                 bucket.append(t)
     return by_ty.get(ty, [])
 
@@ -595,7 +620,7 @@ def prove(program: Program, lemmas: Optional[LemmaStore], g: Formula, cfg: Searc
 def _grammar_ok(sig: Signature, f: Formula, role: str, calc: Calculus) -> bool:
     try:
         return calc in classify(sig, f, role)
-    except Exception:
+    except CupError:
         return False
 
 
@@ -793,7 +818,7 @@ def check(
 def _witness_ok(sig: Signature, w: Term, ty: tm.SimpleType, calculus: Calculus) -> tuple[bool, str]:
     try:
         wty = tm.typecheck(sig, {}, w)
-    except Exception as exc:
+    except CupError as exc:
         return False, f"witness {w!r} is not a closed well-typed term: {exc}"
     if wty != ty:
         return False, f"witness {w!r} has type {wty!r}, expected {ty!r}"
@@ -814,17 +839,19 @@ def witness_pool(seq: Sequent, program: Program, cfg: SearchConfig) -> list[Term
     (higher-order calculi only)."""
     sig = seq.signature
     out: list[Term] = []
+    seen: set[str] = set()
     unifier_bucket: list[Term] = []
 
     def push(t: Term) -> None:
         try:
             if tm.typecheck(sig, {}, t) != IOTA:
                 return
-        except Exception:
+        except CupError:
             return
         if not cfg.calculus.higher_order and not tm.is_first_order(sig, {}, t):
             return
-        if not any(tm.alpha_eq(t, u) for u in out):
+        if tm.alpha_key(t) not in seen:
+            seen.add(tm.alpha_key(t))
             out.append(t)
 
     goal_terms = [seq.goal.term] if isinstance(seq.goal, Atom) else []
@@ -878,7 +905,7 @@ def witness_pool(seq: Sequent, program: Program, cfg: SearchConfig) -> list[Term
         for _name, d in program.fix_definitions:
             try:
                 arity = len(tm.argument_types(tm.typecheck(sig, {}, d)))
-            except Exception:
+            except CupError:
                 continue
             if arity == 0:
                 push(d)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import terms as tm
-from .errors import IllTyped, NonHConvertibleClause, UsageError
+from .errors import CupError, IllTyped, NonHConvertibleClause, UsageError
 from .terms import Con, Context, IOTA, O, Signature, SimpleType, Term, Var
 
 
@@ -182,7 +182,7 @@ def _atom_kinds(sig: Signature, ctx: Context, t: Term) -> tuple[bool, bool, bool
     try:
         if tm.typecheck(sig, ctx, t) != O:
             return False, False, False
-    except Exception:
+    except CupError:
         return False, False, False
     if isinstance(head, Var):
         return True, False, False  # flexible
@@ -248,7 +248,7 @@ def classify(sig: Signature, f: Formula, role: str) -> frozenset[Calculus]:
     """The set of calculi whose clause/goal/core grammar generates f."""
     try:
         typecheck_formula(sig, {}, f)
-    except Exception as exc:
+    except CupError as exc:
         raise IllTyped(str(exc)) from exc
     check = {"clause": _clause_in, "goal": _goal_in, "core": _core_in}[role]
     return frozenset(c for c in Calculus if check(sig, {}, f, c))
@@ -328,7 +328,7 @@ def ground_instances(h: HClause, universe: list[Term], limit: Optional[int] = No
     count = 0
     seen: set[tuple] = set()
     for combo in itertools.product(universe, repeat=len(h.universals)):
-        key = tuple(_alpha_key(t) for t in combo)
+        key = tuple(tm.alpha_key(t) for t in combo)
         if key in seen:
             continue
         seen.add(key)
@@ -336,20 +336,6 @@ def ground_instances(h: HClause, universe: list[Term], limit: Optional[int] = No
         count += 1
         if limit is not None and count >= limit:
             return
-
-
-def _alpha_key(t: Term, env: Optional[dict[str, int]] = None, depth: int = 0):
-    """Hashable de Bruijn rendering used for alpha-aware deduplication."""
-    env = env or {}
-    if isinstance(t, Var):
-        return ("v", env.get(t.name, t.name))
-    if isinstance(t, Con):
-        return ("c", t.name)
-    if isinstance(t, tm.App):
-        return ("a", _alpha_key(t.fn, env, depth), _alpha_key(t.arg, env, depth))
-    if isinstance(t, tm.Lam):
-        return ("l", _alpha_key(t.body, {**env, t.var: depth}, depth + 1))
-    return ("f", _alpha_key(t.body, env, depth))
 
 
 # ---------------------------------------------------------------------------

@@ -262,11 +262,13 @@ def build_candidate(
         base_terms = _default_base(program, sig, eigens, cfg)
 
     atoms_c: list[Term] = [decide.sequent.goal.term]
+    seen = {tm.alpha_key(atoms_c[0])}
     if side is not None:
         for node in side.nodes():
             if isinstance(node.sequent.goal, fm.Atom):
                 t = node.sequent.goal.term
-                if not any(tm.alpha_eq(t, u) for u in atoms_c):
+                if tm.alpha_key(t) not in seen:
+                    seen.add(tm.alpha_key(t))
                     atoms_c.append(t)
 
     atom_trees: set[tr.Tree] = set()
@@ -336,8 +338,10 @@ def merge_with_model(
     reps_all: dict[tr.Tree, tuple] = {}
     for key in atoms:
         merged: list = list(approx.representatives(key))
+        seen = {tm.alpha_key(u) for u in merged}
         for t in cand.interpretation.representatives(key):
-            if not any(tm.alpha_eq(t, u) for u in merged):
+            if tm.alpha_key(t) not in seen:
+                seen.add(tm.alpha_key(t))
                 merged.append(t)
         reps_all[key] = tuple(merged)
     return tr.Interpretation(depth, frozenset(atoms), reps, reps_all)

@@ -92,83 +92,88 @@ def type_mentions(ty: SimpleType, base: Base) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# Every node computes its hash and whether it contains a fix subterm once,
-# from its children's cached values, so both cost O(1) however deep the term.
-# The cached fields take no part in equality or repr.  Build terms only
-# through these constructors.
+# Every node computes its hash, whether it contains a fix subterm, its free
+# variable names and whether it is beta-normal once, from its children's
+# cached values, so each costs O(1) however deep the term; the alpha key is
+# computed on first request.  The cached fields take no part in equality or
+# repr.  Build terms only through these constructors.
+
+_CLOSED: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
     _hash: int = field(init=False, repr=False, compare=False)
     _fix: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
-        object.__setattr__(self, "_fix", False)
+    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    _nf: bool = field(init=False, repr=False, compare=False)
+    _ak: Optional[str] = field(init=False, repr=False, compare=False)
 
     def __hash__(self):
         return self._hash
 
 
+def _facts(node: _Node, h: int, fix: bool, fv: frozenset[str], nf: bool) -> None:
+    # through object.__setattr__, as the node is frozen; reading __dict__
+    # instead would make every node carry a dict object of its own
+    object.__setattr__(node, "_hash", h)
+    object.__setattr__(node, "_fix", fix)
+    object.__setattr__(node, "_fv", fv)
+    object.__setattr__(node, "_nf", nf)
+    object.__setattr__(node, "_ak", None)
+
+
 @dataclass(frozen=True)
-class Con:
+class Var(_Node):
     name: str
-    _hash: int = field(init=False, repr=False, compare=False)
-    _fix: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
-        object.__setattr__(self, "_fix", False)
-
-    def __hash__(self):
-        return self._hash
+        _facts(self, hash((self.name,)), False, frozenset((self.name,)), True)
 
 
 @dataclass(frozen=True)
-class App:
+class Con(_Node):
+    name: str
+
+    def __post_init__(self):
+        _facts(self, hash((self.name,)), False, _CLOSED, True)
+
+
+@dataclass(frozen=True)
+class App(_Node):
     fn: "Term"
     arg: "Term"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _fix: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.fn, self.arg)))
-        object.__setattr__(self, "_fix", self.fn._fix or self.arg._fix)
-
-    def __hash__(self):
-        return self._hash
+        fn, arg = self.fn, self.arg
+        a, b = fn._fv, arg._fv
+        fv = a | b if a and b and a is not b else a or b
+        # an abstraction applied to an argument is a redex
+        _facts(self, hash((fn, arg)), fn._fix or arg._fix, fv, fn._nf and arg._nf and not isinstance(fn, Lam))
 
 
 @dataclass(frozen=True)
-class Lam:
+class Lam(_Node):
     var: str
     body: "Term"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _fix: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.var, self.body)))
-        object.__setattr__(self, "_fix", self.body._fix)
-
-    def __hash__(self):
-        return self._hash
+        body = self.body
+        fv = body._fv - {self.var} if self.var in body._fv else body._fv
+        _facts(self, hash((self.var, body)), body._fix, fv, body._nf)
 
 
 @dataclass(frozen=True)
-class Fix:
+class Fix(_Node):
     body: "Term"  # must be a Lam for well-typed terms
-    _hash: int = field(init=False, repr=False, compare=False)
-    _fix: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.body,)))
-        object.__setattr__(self, "_fix", True)
+        _facts(self, hash((self.body,)), True, self.body._fv, self.body._nf)
 
-    def __hash__(self):
-        return self._hash
 
+# @dataclass gives each class a structural hash of its own; use the cached one
+for _cls in (Var, Con, App, Lam, Fix):
+    _cls.__hash__ = _Node.__hash__
 
 Term = Var | Con | App | Lam | Fix
 
@@ -210,29 +215,8 @@ def subterms(t: Term) -> set[Term]:
     return out
 
 
-def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Con):
-        return set()
-    if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.var}
-    return free_vars(t.body)
-
-
-def all_names(t: Term) -> set[str]:
-    """Every variable name occurring in t, bound or free."""
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Con):
-        return set()
-    if isinstance(t, App):
-        return all_names(t.fn) | all_names(t.arg)
-    if isinstance(t, Lam):
-        return all_names(t.body) | {t.var}
-    return all_names(t.body)
+def free_vars(t: Term) -> frozenset[str]:
+    return t._fv
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -271,19 +255,17 @@ def rename_free(t: Term, old: str, new: str) -> Term:
 
 def subst1(t: Term, name: str, value: Term) -> Term:
     """Capture-avoiding substitution of `value` for free occurrences of `name`."""
-    if isinstance(t, Var):
-        return value if t.name == name else t
-    if isinstance(t, Con):
+    if name not in t._fv:
         return t
+    if isinstance(t, Var):
+        return value
     if isinstance(t, App):
         return App(subst1(t.fn, name, value), subst1(t.arg, name, value))
     if isinstance(t, Fix):
         return Fix(subst1(t.body, name, value))
-    # abstraction
-    if t.var == name:
-        return t
-    if t.var in free_vars(value) and name in free_vars(t.body):
-        avoid = free_vars(value) | free_vars(t.body) | {name}
+    # an abstraction whose body has `name` free
+    if t.var in value._fv:
+        avoid = value._fv | t.body._fv | {name}
         z = fresh_name(t.var, avoid)
         body = rename_free(t.body, t.var, z)
         return Lam(z, subst1(body, name, value))
@@ -324,6 +306,32 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
         return False
 
     return go(t1, t2, {}, {}, 0)
+
+
+def alpha_key(t: Term) -> str:
+    """A de Bruijn rendering of t, equal for two terms exactly when they are
+    alpha-equal; computed once per node."""
+    if t._ak is None:
+        object.__setattr__(t, "_ak", _de_bruijn(t, {}, 0))
+    return t._ak
+
+
+def _de_bruijn(t: Term, env: dict[str, int], depth: int) -> str:
+    # prefix notation; a name is written with its length, so no name can run
+    # into the next token.  A subterm with no variable bound here reads the
+    # same as on its own and shares that node's cached key.
+    if env and env.keys().isdisjoint(t._fv):
+        return alpha_key(t)
+    if isinstance(t, Var):
+        level = env.get(t.name)
+        return f"v{len(t.name)}:{t.name}" if level is None else f"b{depth - level};"
+    if isinstance(t, Con):
+        return f"c{len(t.name)}:{t.name}"
+    if isinstance(t, App):
+        return "@" + _de_bruijn(t.fn, env, depth) + _de_bruijn(t.arg, env, depth)
+    if isinstance(t, Lam):
+        return "l" + _de_bruijn(t.body, {**env, t.var: depth}, depth + 1)
+    return "f" + _de_bruijn(t.body, env, depth)
 
 
 def canonicalize(t: Term) -> Term:
@@ -546,7 +554,7 @@ def typed_subterm_judgments(
 
 def beta_normalize(t: Term) -> Term:
     """Normal form under beta-reduction; fix is treated as an opaque constant."""
-    if isinstance(t, (Var, Con)):
+    if t._nf:
         return t
     if isinstance(t, (Lam, Fix)):
         body = beta_normalize(t.body)
@@ -648,30 +656,29 @@ def _skeleton_conflict(a: Term, b: Term) -> bool:
     return any(_skeleton_conflict(x, y) for x, y in zip(aa, ab))
 
 
-def _unfold_chain(t: Term, bound: int) -> list[Term]:
-    chain = [t]
-    for _ in range(bound):
-        if not has_fix(chain[-1]):
-            break
-        chain.append(fair_unfold(chain[-1]))
-    return chain
-
-
 def fixbeta_equiv(t1: Term, t2: Term, bound: int = 8) -> str:
     """Three-valued bounded test for fix-beta equivalence.
 
     Equal if some pair of fair unfoldings (at most `bound` rounds per side)
     is alpha-equal; NotEqual if the most-determined unfoldings conflict on a
-    position both sides have fixed; Unknown otherwise.
+    position both sides have fixed; Unknown otherwise.  The second side is
+    unfolded only until one of its unfoldings meets the first side's.
     """
-    t1, t2 = beta_normalize(t1), beta_normalize(t2)
-    c1 = _unfold_chain(t1, bound)
-    c2 = _unfold_chain(t2, bound)
-    for a in c1:
-        for b in c2:
-            if alpha_eq(a, b):
-                return EQUAL
-    if _skeleton_conflict(c1[-1], c2[-1]):
+    last1 = beta_normalize(t1)
+    keys1 = {alpha_key(last1)}
+    for _ in range(bound):
+        if not has_fix(last1):
+            break
+        last1 = fair_unfold(last1)
+        keys1.add(alpha_key(last1))
+    last2 = beta_normalize(t2)
+    for k in range(bound + 1):
+        if alpha_key(last2) in keys1:
+            return EQUAL
+        if k == bound or not has_fix(last2):
+            break
+        last2 = fair_unfold(last2)
+    if _skeleton_conflict(last1, last2):
         return NOT_EQUAL
     return UNKNOWN
 

@@ -330,8 +330,10 @@ def universe_terms(program: Program, cfg: InstanceConfig, sig: Optional[Signatur
             for combo in itertools.product(fo_args[:8], repeat=arity):
                 extra.append(tm.beta_normalize(tm.app(d, *combo)))
         out.extend(extra)
+    seen = {tm.alpha_key(t) for t in out} if cfg.extra_terms else set()
     for t in cfg.extra_terms:
-        if not any(tm.alpha_eq(t, u) for u in out):
+        if tm.alpha_key(t) not in seen:
+            seen.add(tm.alpha_key(t))
             out.append(t)
     return out
 
@@ -521,9 +523,8 @@ def gfp_approx(
 
     nodes: dict[Tree, Term] = {}
     reps_seen: dict[Tree, list[Term]] = {}
-    # every term in some reps_seen list; a term's key is fixed, so a hit
-    # here is a hit in its own key's list
-    seen: set[Term] = set()
+    # (key, alpha key) of every term in some reps_seen list
+    seen: set[tuple[Tree, str]] = set()
     derived_count: dict[Tree, int] = {}
     expansions: dict[Tree, list[list[Tree]]] = {}
     work: list[tuple[Term, bool]] = [(a, True) for a in _seed_atoms(program, cfg, sig)]
@@ -537,7 +538,7 @@ def gfp_approx(
         # clause bodies are capped per key, since body chains can produce
         # unboundedly many terms behind one stabilized truncation.
         reps_here = reps_seen.setdefault(key, [])
-        if a in seen or any(tm.alpha_eq(a, r) for r in reps_here):
+        if (key, tm.alpha_key(a)) in seen:
             continue
         if not is_seed and derived_count.get(key, 0) >= 4:
             continue
@@ -549,7 +550,7 @@ def gfp_approx(
             nodes[key] = a
             expansions[key] = []
         reps_here.append(a)
-        seen.add(a)
+        seen.add((key, tm.alpha_key(a)))
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
         for body in justifications(a, g):

@@ -1,6 +1,6 @@
-"""Differential tests of the kernel's cached facts, the lazy
-`unify_modulo` and the render memo of `gfp_approx` against straightforward
-reference code kept here.
+"""Differential tests of the kernel's cached facts and alpha keys, the lazy
+`unify_modulo` and `fixbeta_equiv`, the occurs check and the render memo of
+`gfp_approx` against straightforward reference code kept here.
 
 The term checks replay the seeded generator stream of the beta
 type-preservation property (seed 102), so they run on cases that suite
@@ -13,6 +13,7 @@ import random
 import pytest
 
 from cup import engine as eng
+from cup import guardedness as gd
 from cup import parser as ps
 from cup import soundness as sd
 from cup import terms as tm
@@ -21,7 +22,7 @@ from cup.errors import CupError, TypeMismatch
 from cup.formulas import Calculus
 from cup.terms import IOTA, Con, Fix, Lam, Signature, Var
 
-from helpers import GEN_SIG, N_STR, Z_STR, C, V, A, gen_term, slist
+from helpers import GEN_SIG, N_STR, Z_STR, C, V, A, L, gen_term, rename_binders, slist
 from test_properties import CASES
 
 
@@ -68,6 +69,135 @@ def _rebuild(t):
     if isinstance(t, Lam):
         return Lam(t.var, _rebuild(t.body))
     return Fix(_rebuild(t.body))
+
+
+# ---------------------------------------------------------------------------
+# free variables, beta-normal flag, alpha keys
+# ---------------------------------------------------------------------------
+
+
+def free_vars_reference(t):
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Con):
+        return set()
+    if isinstance(t, tm.App):
+        return free_vars_reference(t.fn) | free_vars_reference(t.arg)
+    if isinstance(t, Lam):
+        return free_vars_reference(t.body) - {t.var}
+    return free_vars_reference(t.body)
+
+
+def replayed_subterms():
+    """Every subterm of the replayed terms, open ones included, in a fixed
+    order."""
+    out = {}
+    for t, _ty in replayed_terms():
+        for u in sorted(tm.subterms(t), key=repr):
+            out.setdefault(u, None)
+    return list(out)
+
+
+def test_cached_free_vars_match_a_walk():
+    subterms = replayed_subterms()
+    assert any(tm.free_vars(u) for u in subterms)
+    for u in subterms:
+        assert tm.free_vars(u) == free_vars_reference(u), u
+
+
+def test_beta_normal_flag_matches_normalisation():
+    subterms = replayed_subterms()
+    redexes = 0
+    for u in subterms:
+        redexes += not u._nf
+        assert u._nf == (tm.beta_normalize(u) == u), u
+    assert redexes > 0
+
+
+# binder shadowing, a constant and a variable of one name, and free and
+# bound occurrences of one name
+TRICKY_TERMS = [
+    L("x", L("x", V("x"))), L("x", L("y", V("x"))), L("y", L("x", V("x"))), L("y", L("x", V("y"))),
+    V("x"), C("x"), L("x", V("x")), L("x", C("x")), L("y", V("x")), L("x", V("y")),
+    A(L("x", V("x")), V("x")), A(L("y", V("y")), V("x")), A(L("x", V("x")), V("y")),
+    tm.Fix(L("x", V("x"))), tm.Fix(L("y", V("y"))), tm.Fix(L("y", V("x"))),
+    L("x", A(V("x"), L("x", V("x")))), L("z", A(V("z"), L("x", V("x")))), L("z", A(V("z"), L("x", V("z")))),
+    V("1:x"), V("1"), C("1:x"), A(V("1"), V(":x")),
+]
+
+
+def test_alpha_key_agrees_with_alpha_eq():
+    rng = random.Random(7)
+    subterms = replayed_subterms()
+    pool = subterms[::max(1, len(subterms) // 250)] + TRICKY_TERMS
+    pool += [rename_binders(rng, t) for t in pool]
+    assert len(pool) > 400
+    keys = [tm.alpha_key(t) for t in pool]
+    equal_pairs = 0
+    for i, a in enumerate(pool):
+        for j in range(i + 1, len(pool)):
+            same = tm.alpha_eq(a, pool[j])
+            equal_pairs += same and a != pool[j]
+            assert (keys[i] == keys[j]) == same, (a, pool[j])
+    # alpha-equal pairs that are not structurally equal
+    assert equal_pairs > 100
+
+
+# ---------------------------------------------------------------------------
+# resolution and the occurs check
+# ---------------------------------------------------------------------------
+
+
+def resolve_reference(t, s):
+    """Rebuilds every node, resolving variables through s."""
+    if isinstance(t, Var):
+        seen = set()
+        while isinstance(t, Var) and t.name in s:
+            if t.name in seen:
+                break
+            seen.add(t.name)
+            t = s[t.name]
+        return t if isinstance(t, Var) else resolve_reference(t, s)
+    if isinstance(t, Con):
+        return t
+    if isinstance(t, tm.App):
+        return tm.App(resolve_reference(t.fn, s), resolve_reference(t.arg, s))
+    if isinstance(t, Lam):
+        return Lam(t.var, resolve_reference(t.body, s))
+    return Fix(resolve_reference(t.body, s))
+
+
+def occurs_reference(name, t, s):
+    return any(isinstance(u, Var) and u.name == name for u in tm.subterms(resolve_reference(t, s)))
+
+
+def test_occurs_check_matches_resolve_then_scan():
+    # metavariables are never binders: the free variables of the replayed
+    # subterms become metavariables, and each substitution binds some of
+    # them, acyclically, as unification does
+    rng = random.Random(11)
+    pool = [tm.substitute(u, [(n, Var("?" + n)) for n in sorted(tm.free_vars(u))])
+            for u in replayed_subterms()[:1500]]
+    metas = sorted({n for u in pool for n in tm.free_vars(u)})
+    assert metas
+    hits = 0
+    for _case in range(300):
+        order = rng.sample(metas, len(metas))
+        s = {}
+        for i, m in enumerate(order[: rng.randrange(len(order))]):
+            later = set(order[i + 1:])
+            choices = [u for u in rng.sample(pool, 40) if tm.free_vars(u) <= later]
+            if choices:
+                s[m] = rng.choice(choices)
+        for t in rng.sample(pool, 20):
+            assert eng.resolve_term(t, s) == resolve_reference(t, s), (t, s)
+            for name in metas:
+                if name in s:
+                    continue
+                want = occurs_reference(name, t, s)
+                hits += want
+                assert eng._occurs(name, t, s) == want, (name, t, s)
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +295,40 @@ def test_lazy_unify_modulo_matches_eager_at_the_bound(k):
             assert eng.unify_modulo(atom, pattern, {}, bound) == unify_modulo_reference(atom, pattern, {}, bound)
 
 
+# (pattern, stream): the stream's k-th fair unfolding is the first to
+# clash with the pattern, for k = 1 and k = 2; the last pair matches after
+# two unfoldings
+ZEROS = A(N_STR, C("0"))
+CLASH_AFTER = [
+    (1, A(C("bitstream"), slist(C("1"), V("?t"))), A(C("bitstream"), ZEROS)),
+    (2, A(C("bitstream"), slist(V("?x"), C("1"), V("?t"))), A(C("bitstream"), ZEROS)),
+    (1, A(C("bitstream"), slist(V("?x"), C("1"), V("?t"))), A(C("bitstream"), slist(V("?y"), ZEROS))),
+    (2, A(C("eq"), V("?x"), slist(C("0"), C("1"), V("?t"))), A(C("eq"), C("0"), ZEROS)),
+    (None, A(C("bitstream"), slist(V("?x"), C("0"), V("?t"))), A(C("bitstream"), ZEROS)),
+]
+
+
+@pytest.mark.parametrize("k,pattern,stream", CLASH_AFTER)
+def test_unify_modulo_ends_a_chain_at_a_stable_clash(monkeypatch, k, pattern, stream):
+    unfolds = []
+    real = tm.fair_unfold
+
+    def counted(t):
+        unfolds.append(t)
+        return real(t)
+
+    for bound in (1, 2, 3, 8):
+        for a, b in ((pattern, stream), (stream, pattern)):
+            want = unify_modulo_reference(a, b, {}, bound)
+            assert (want is not None) == (k is None and bound >= 2), (a, b, bound)
+            unfolds.clear()
+            with monkeypatch.context() as m:
+                m.setattr(tm, "fair_unfold", counted)
+                assert eng.unify_modulo(a, b, {}, bound) == want, (a, b, bound)
+            # the stream is unfolded up to the clash, not up to the bound
+            assert len(unfolds) <= min(bound, k or 2), (a, b, bound)
+
+
 MODEL_CASES = [
     ("bitstream", "bitstream [0|1|n_str 0]", 3),
     ("from", "from (s 0) (fr_str (s 0))", 2),
@@ -205,6 +369,65 @@ def test_lazy_unify_modulo_matches_eager_in_search(monkeypatch, name, goal, calc
     assert any(s for _a, _b, s, _bound in calls)
     for a, b, s, bound in calls:
         assert eng.unify_modulo(a, b, s, bound) == unify_modulo_reference(a, b, s, bound), (a, b, s)
+
+
+# ---------------------------------------------------------------------------
+# fixbeta_equiv
+# ---------------------------------------------------------------------------
+
+
+def fixbeta_equiv_reference(t1, t2, bound):
+    """Build both chains, then compare every pair with alpha_eq."""
+
+    def chain(t):
+        out = [tm.beta_normalize(t)]
+        for _ in range(bound):
+            if not tm.has_fix(out[-1]):
+                break
+            out.append(tm.fair_unfold(out[-1]))
+        return out
+
+    c1, c2 = chain(t1), chain(t2)
+    if any(tm.alpha_eq(a, b) for a in c1 for b in c2):
+        return tm.EQUAL
+    if tm._skeleton_conflict(c1[-1], c2[-1]):
+        return tm.NOT_EQUAL
+    return tm.UNKNOWN
+
+
+def test_fixbeta_equiv_matches_reference_on_fold_candidates(monkeypatch, request):
+    # every fixbeta_equiv call of _fold_candidates on the gfp atoms of the
+    # model cases and on their first two unfoldings, which fold back
+    calls = []
+    real = tm.fixbeta_equiv
+
+    def record(t1, t2, bound=8):
+        calls.append((t1, t2, bound))
+        return real(t1, t2, bound)
+
+    monkeypatch.setattr(tm, "fixbeta_equiv", record)
+    for name, goal, depth in MODEL_CASES:
+        program = request.getfixturevalue(f"{name}_program")
+        cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
+        for reps in tr.gfp_approx(program, depth, cfg).reps_all.values():
+            for atom in reps:
+                for _ in range(3):
+                    gd.is_guarded_atom(program.signature, atom)
+                    if not tm.has_fix(atom):
+                        break
+                    atom = tm.fair_unfold(atom)
+    monkeypatch.undo()
+    # and pairs that stay undecided, or meet only after unfolding both
+    # sides, one of them up to the bound
+    zeros_twice = Fix(L("y", slist(C("0"), C("0"), Z_STR)))
+    for bound in range(4):
+        calls += [(Z_STR, ZEROS, bound), (Z_STR, zeros_twice, bound), (zeros_twice, Z_STR, bound)]
+    verdicts = collections.Counter()
+    for t1, t2, bound in calls:
+        want = fixbeta_equiv_reference(t1, t2, bound)
+        verdicts[want] += 1
+        assert tm.fixbeta_equiv(t1, t2, bound) == want, (t1, t2)
+    assert verdicts[tm.EQUAL] and verdicts[tm.NOT_EQUAL] and verdicts[tm.UNKNOWN], verdicts
 
 
 # ---------------------------------------------------------------------------
