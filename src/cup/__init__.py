@@ -17,7 +17,6 @@ from .engine import (
     promote_lemma,
     prove,
     unify_first_order,
-    witness_pool,
 )
 from .formulas import (
     Atom,
@@ -57,7 +56,6 @@ from .soundness import (
     build_candidate,
     collect_deltas,
     conservative_extension_check,
-    theta,
     verify_postfixed,
 )
 from .terms import (
@@ -84,7 +82,6 @@ from .trees import (
     member_of_model,
     t_operator,
     term_to_tree,
-    tree_substitute,
     truncate,
 )
 

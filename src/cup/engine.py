@@ -11,11 +11,9 @@ until a program-clause focus discharges it.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
-from . import formulas as fm
 from . import terms as tm
 from .errors import (
     CupError,
@@ -132,8 +130,6 @@ class SearchConfig:
     calculus: Calculus
     depth_limit: int = 32
     fixbeta_bound: int = 8
-    witness_pool_policy: str = "unifier-first"
-    clause_selection_order: str = "program"
 
     def __post_init__(self):
         if self.depth_limit < 1:
@@ -403,10 +399,7 @@ def _solve_goal(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iter
         raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {g.term!r}")
     rule = "decide<>" if gr else "decide"
     candidates = [e for e in seq.entries if not (gr and e.src != Src.ORIGINAL)]
-    if ctx.cfg.clause_selection_order == "program":
-        candidates.sort(key=lambda e: _DECIDE_ORDER[e.src])
-    else:
-        candidates.sort(key=lambda e: _DECIDE_ORDER[e.src], reverse=True)
+    candidates.sort(key=lambda e: _DECIDE_ORDER[e.src])
     for entry in candidates:
         child = seq.with_(focus=entry.formula)
         for t1, s1 in _solve_focus(ctx, child, depth - 1, s):
@@ -464,33 +457,23 @@ def _solve_focus(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Ite
 # ---------------------------------------------------------------------------
 
 
-def _smallest_closed_terms(sig: Signature, ty: tm.SimpleType, limit: int = 64) -> list[Term]:
-    """Closed first-order terms of the given type, smallest first."""
-    by_ty: dict[tm.SimpleType, list[Term]] = {}
+def _smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Optional[Term]:
+    """The smallest closed first-order term of the given type, if one is
+    built within three rounds of constructor application."""
     cons = sig.constructors()
-    frontier: list[tuple[Term, tm.SimpleType]] = [
-        (Con(n), t) for n, t in cons if isinstance(t, tm.Base)
-    ]
-    for t, t_ty in frontier:
-        by_ty.setdefault(t_ty, []).append(t)
-    seen = {tm.alpha_key(t) for t, _ty in frontier}
+    first: dict[tm.SimpleType, Term] = {}
+    for n, t in cons:
+        if isinstance(t, tm.Base):
+            first.setdefault(t, Con(n))
     for _round in range(3):
-        new: list[tuple[Term, tm.SimpleType]] = []
+        new: dict[tm.SimpleType, Term] = {}
         for name, cty in cons:
             args = tm.argument_types(cty)
-            if not args:
-                continue
-            pools = [by_ty.get(a, [])[:4] for a in args]
-            if any(not p for p in pools):
-                continue
-            for combo in itertools.product(*pools):
-                new.append((tm.app(Con(name), *combo), tm.target_type(cty)))
-        for t, t_ty in new:
-            bucket = by_ty.setdefault(t_ty, [])
-            if len(bucket) < limit and tm.alpha_key(t) not in seen:
-                seen.add(tm.alpha_key(t))
-                bucket.append(t)
-    return by_ty.get(ty, [])
+            if args and all(a in first for a in args):
+                new.setdefault(tm.target_type(cty), tm.app(Con(name), *(first[a] for a in args)))
+        for t_ty, t in new.items():
+            first.setdefault(t_ty, t)
+    return first.get(ty)
 
 
 def _resolve_formula(f: Formula, s: dict[str, Term]) -> Formula:
@@ -517,10 +500,10 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree
             dangling |= _unresolved_metas(node.sequent.goal.term, s)
     for name in sorted(dangling):
         ty = ctx.meta_types.get(name, IOTA)
-        pool = _smallest_closed_terms(ctx.program.signature, ty)
-        if not pool:
+        t = _smallest_closed_term(ctx.program.signature, ty)
+        if t is None:
             return None
-        s = {**s, name: pool[0]}
+        s = {**s, name: t}
 
     fo = not ctx.cfg.calculus.higher_order
 
@@ -828,94 +811,8 @@ def _witness_ok(sig: Signature, w: Term, ty: tm.SimpleType, calculus: Calculus) 
 
 
 # ---------------------------------------------------------------------------
-# Witness pool and lemma promotion
+# Lemma promotion
 # ---------------------------------------------------------------------------
-
-
-def witness_pool(seq: Sequent, program: Program, cfg: SearchConfig) -> list[Term]:
-    """Candidate witness terms for existential/universal instantiation,
-    unifier-produced bindings first (under the default policy), then
-    subterms, then fixed-point definitions applied to subterm arguments
-    (higher-order calculi only)."""
-    sig = seq.signature
-    out: list[Term] = []
-    seen: set[str] = set()
-    unifier_bucket: list[Term] = []
-
-    def push(t: Term) -> None:
-        try:
-            if tm.typecheck(sig, {}, t) != IOTA:
-                return
-        except CupError:
-            return
-        if not cfg.calculus.higher_order and not tm.is_first_order(sig, {}, t):
-            return
-        if tm.alpha_key(t) not in seen:
-            seen.add(tm.alpha_key(t))
-            out.append(t)
-
-    goal_terms = [seq.goal.term] if isinstance(seq.goal, Atom) else []
-    ch_formulas = [e.formula for e in seq.entries if e.src == Src.COHYP]
-
-    # (i) unifier-produced bindings from matching entry heads against the goal
-    if goal_terms:
-        goal = goal_terms[0]
-        for e in seq.entries:
-            f = e.formula
-            metas = 0
-            while True:
-                if isinstance(f, Forall):
-                    metas += 1
-                    f = formula_substitute(f.body, f.var, Var(f"{_META}p{metas}"))
-                elif isinstance(f, Impl):
-                    f = f.right
-                elif isinstance(f, Conj):
-                    f = f.left
-                else:
-                    break
-            if not isinstance(f, Atom):
-                continue
-            s = (
-                unify_modulo(f.term, goal, {}, cfg.fixbeta_bound)
-                if cfg.calculus.higher_order
-                else unify(f.term, goal, {})
-            )
-            if s:
-                for v in s.values():
-                    push(tm.beta_normalize(resolve_term(v, s)))
-        unifier_bucket = list(out)
-
-    # (ii) subterms of the goal and the coinductive hypothesis
-    seeds: list[Term] = []
-    for t in goal_terms:
-        seeds.extend(u for u in tm.subterms(t) if not isinstance(u, (Lam,)))
-    for f in ch_formulas:
-        g = f
-        while isinstance(g, (Forall, Exists)):
-            g = g.body
-        for sub in fm.conjuncts(g):
-            if isinstance(sub, Atom):
-                seeds.extend(tm.subterms(sub.term))
-    for t in seeds:
-        push(t)
-
-    # (iii) named fixed-point definitions applied to pool terms
-    if cfg.calculus.higher_order:
-        base_args = [t for t in out if tm.is_first_order(sig, {}, t)]
-        for _name, d in program.fix_definitions:
-            try:
-                arity = len(tm.argument_types(tm.typecheck(sig, {}, d)))
-            except CupError:
-                continue
-            if arity == 0:
-                push(d)
-                continue
-            for combo in itertools.product(base_args[:6], repeat=arity):
-                push(tm.beta_normalize(tm.app(d, *combo)))
-    if cfg.witness_pool_policy != "unifier-first":
-        rest = [t for t in out if all(t is not u for u in unifier_bucket)]
-        out = rest + unifier_bucket
-    return out
 
 
 def promote_lemma(

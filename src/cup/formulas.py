@@ -140,12 +140,6 @@ def formula_alpha_eq(f: Formula, g: Formula) -> bool:
     return False
 
 
-def conjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, Conj):
-        return conjuncts(f.left) + conjuncts(f.right)
-    return [f]
-
-
 def conjoin(fs: list[Formula]) -> Formula:
     if not fs:
         return TOP
@@ -176,32 +170,16 @@ def typecheck_formula(sig: Signature, ctx: Context, f: Formula) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _atom_kinds(sig: Signature, ctx: Context, t: Term) -> tuple[bool, bool, bool]:
-    """(is_atom, rigid, first_order) for a term expected to sit at atom position."""
-    head, _args = tm.spine(t)
-    try:
-        if tm.typecheck(sig, ctx, t) != O:
-            return False, False, False
-    except CupError:
-        return False, False, False
-    if isinstance(head, Var):
-        return True, False, False  # flexible
-    if not isinstance(head, Con):
-        return False, False, False
-    rigid = True
-    first_order = tm.is_first_order_atom(sig, ctx, t)
-    return True, rigid, first_order
-
-
 def _atom_admitted(sig: Signature, ctx: Context, t: Term, calc: Calculus, clause_side: bool) -> bool:
-    is_atom, rigid, first_order = _atom_kinds(sig, ctx, t)
-    if not is_atom:
+    """Does the calculus admit t, a term of type o (every caller type-checks
+    the whole formula first), as an atom on this side?"""
+    head, _args = tm.spine(t)
+    if isinstance(head, Var):
+        # flexible atoms: higher-order goals only
+        return calc.higher_order and not clause_side
+    if not isinstance(head, Con):
         return False
-    if not calc.higher_order:
-        return first_order
-    # higher-order: clause side (and core formulae) demand rigid atoms,
-    # goal side admits flexible atoms as well
-    return rigid if clause_side else True
+    return calc.higher_order or tm.is_first_order_atom(sig, ctx, t)
 
 
 def _clause_in(sig, ctx, f: Formula, calc: Calculus) -> bool:
@@ -370,6 +348,3 @@ class Program:
             typecheck_formula(self.signature, {}, c)
             if not _clause_in(self.signature, {}, c, Calculus.FOHC):
                 raise IllTyped(f"clause {c!r} is outside the first-order clause grammar")
-
-    def with_clauses(self, extra: list[Formula]) -> "Program":
-        return Program(self.signature, self.clauses + tuple(extra), self.fix_definitions)

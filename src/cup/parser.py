@@ -427,10 +427,10 @@ def _parse_program(text: str) -> Program:
         f = _resolve_clause(p, sig, fix_defs)
         p.eat(".")
         try:
-            fm.typecheck_formula(sig, {}, f)
-        except Exception as exc:
+            first_order = fm.Calculus.FOHC in fm.classify(sig, f, "clause")
+        except CupError as exc:
             raise SourceTypeError(f"ill-typed clause: {exc}", start.span) from exc
-        if not fm._clause_in(sig, {}, f, fm.Calculus.FOHC):
+        if not first_order:
             raise SourceTypeError("clause is outside the first-order clause grammar", start.span)
         clauses.append(f)
     prog = Program(Signature.of(sig_map), tuple(clauses), tuple(fix_defs.items()))
@@ -657,6 +657,16 @@ def _import_node(
     if not isinstance(doc, dict) or not required.issubset(doc):
         missing = required - set(doc) if isinstance(doc, dict) else required
         raise MalformedDocument(f"proof node missing fields: {sorted(missing)}")
+    for key in ("rule", "goal", "focus", "witness"):
+        if key in doc and not isinstance(doc[key], str):
+            raise MalformedDocument(f"proof node field {key!r} must be a string")
+    for key in ("signature_additions", "program_additions"):
+        if not isinstance(doc[key], list) or not all(isinstance(x, str) for x in doc[key]):
+            raise MalformedDocument(f"proof node field {key!r} must be a list of strings")
+    if not isinstance(doc["guarded"], bool):
+        raise MalformedDocument("proof node field 'guarded' must be a boolean")
+    if not isinstance(doc["children"], list):
+        raise MalformedDocument("proof node field 'children' must be a list")
     rule = doc["rule"]
     for s in doc["signature_additions"]:
         name, ty = _parse_sig_addition(s)
@@ -670,7 +680,7 @@ def _import_node(
     for s in doc["program_additions"]:
         try:
             f = parse_goal(s, shadow, allow_fresh=True, sig=sig)
-        except Exception as exc:
+        except CupError as exc:
             raise MalformedDocument(f"unparseable program addition {s!r}: {exc}") from exc
         entries = entries + (eng.Entry(f, src),)
     try:
@@ -679,11 +689,11 @@ def _import_node(
         witness = parse_term(doc["witness"], shadow, allow_fresh=True) if "witness" in doc else None
     except MalformedDocument:
         raise
-    except Exception as exc:
+    except CupError as exc:
         raise MalformedDocument(f"unparseable proof payload: {exc}") from exc
     if witness is not None:
         witness = tm.canonicalize(witness)
-    seq = eng.Sequent(sig, entries, focus, goal, mode, bool(doc["guarded"]))
+    seq = eng.Sequent(sig, entries, focus, goal, mode, doc["guarded"])
     child_mode = eng.PLAIN
     children = tuple(
         _import_node(c, program, sig, entries, child_mode, rule) for c in doc["children"]
@@ -712,9 +722,3 @@ def import_proof(document: str | dict, program: Program) -> eng.ProofTree:
     entries = tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
     mode = eng.COINDUCTIVE if doc.get("rule") == "co-fix" else eng.PLAIN
     return _import_node(doc, program, program.signature, entries, mode, None)
-
-
-def parse_term_with_sig(text: str, program: Program, sig: Signature) -> Term:
-    """Parse a term against an extended signature (eigenvariables included)."""
-    shadow = Program(sig, program.clauses, program.fix_definitions)
-    return parse_term(text, shadow, allow_fresh=True)

@@ -110,33 +110,17 @@ def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = 
 # ---------------------------------------------------------------------------
 
 
-def guarded_term_to_tree(sig: Signature, t: Term, depth: int) -> tr.Tree:
-    """Truncated tree of a first-order or guarded full term (eigenvariables
-    render as leaves)."""
-    if tm.is_first_order(sig, {}, t):
-        return tr.truncate(tr.term_to_tree(sig, t), depth)
-    budget = depth + 8
-    u = tm.beta_normalize(t)
-    from .guardedness import _snap_term  # shares the snapshot recursion
-
-    for _ in range(budget + 1):
-        snap = _snap_term(sig, u)
-        tree = tr.term_to_tree(sig, snap)
-        dmin = tr._diamond_min_depth(tree)
-        if dmin is None or dmin >= depth:
-            return tr.truncate(tree, depth)
-        u = tm.fair_unfold(u)
-    raise tr.DepthUnreachable(f"term {t!r} not determined to depth {depth}")
-
-
 def theta_term(
     w: ThetaIndex,
     deltas: list[DeltaRecord],
     eigens: list[str],
     base_terms: dict[str, Term],
 ) -> dict[str, Term]:
-    """Term-level form of the word-indexed substitution; the tree-level
-    `theta` is its rendering at a truncation depth."""
+    """The substitution indexed by the word w: the base terms for the empty
+    word, otherwise each eigenvariable bound to the corresponding recorded
+    binding with the shorter word's substitution put in for the
+    eigenvariables.  Rendering it at a truncation depth gives the
+    tree-level substitution."""
     for c in eigens:
         if c not in base_terms:
             raise MissingEigenvariableBinding(f"no base term for eigenvariable {c}")
@@ -152,36 +136,6 @@ def theta_term(
         for e in eigens:
             t = replace_con(t, e, prev[e])
         out[c] = tm.beta_normalize(t)
-    return out
-
-
-def theta(
-    w: ThetaIndex,
-    deltas: list[DeltaRecord],
-    eigens: list[str],
-    base: dict[str, tr.Tree],
-    depth: int,
-    sig: Signature,
-) -> dict[str, tr.Tree]:
-    """The substitution indexed by the word w: the base assignment for the
-    empty word, otherwise each eigenvariable bound to the tree of the
-    corresponding recorded binding with the shorter word's substitution
-    grafted in, truncated at the given depth."""
-    for c in eigens:
-        if c not in base:
-            raise MissingEigenvariableBinding(f"no base tree for eigenvariable {c}")
-    if not w:
-        return {c: tr.truncate(base[c], depth) for c in eigens}
-    prev = theta(w[:-1], deltas, eigens, base, depth, sig)
-    j = w[-1]
-    if not 1 <= j <= len(deltas):
-        raise MissingEigenvariableBinding(f"word index {j} has no delta record")
-    out: dict[str, tr.Tree] = {}
-    for c, (_x, l_term) in zip(eigens, deltas[j - 1].bindings):
-        tree = guarded_term_to_tree(sig, l_term, depth)
-        for e in eigens:
-            tree = tr.tree_substitute(tree, e, prev[e])
-        out[c] = tr.truncate(tree, depth)
     return out
 
 
@@ -228,7 +182,7 @@ class Candidate:
     word_budget: int
 
 
-def _default_base(program: Program, sig: Signature, eigens: list[str], cfg: tr.InstanceConfig) -> dict[str, Term]:
+def _default_base(program: Program, sig: Signature, eigens: list[str]) -> dict[str, Term]:
     if not eigens:
         return {}
     pool = tr.universe_terms(program, tr.InstanceConfig(term_size=2, include_fix_defs=False), sig)
@@ -243,14 +197,12 @@ def build_candidate(
     depth: int,
     word_budget: int,
     base_terms: Optional[dict[str, Term]] = None,
-    cfg: Optional[tr.InstanceConfig] = None,
     calculus: Calculus = Calculus.HOHH,
 ) -> Candidate:
     """Atoms of the root derivation's side subproof plus the coinductive
     conclusion, instantiated along every word up to the budget and rendered
     as depth-truncated trees; also the body instances that a supplied
     post-fixed point must cover."""
-    cfg = cfg or tr.InstanceConfig()
     h = _root_h_clause(proof)
     deltas = collect_deltas(proof, program, calculus)
     eigens = _root_eigens(proof, len(h.universals))
@@ -259,7 +211,7 @@ def build_candidate(
     # base signature; eigenvariables never reach the model side
     sig = program.signature
     if base_terms is None:
-        base_terms = _default_base(program, sig, eigens, cfg)
+        base_terms = _default_base(program, sig, eigens)
 
     atoms_c: list[Term] = [decide.sequent.goal.term]
     seen = {tm.alpha_key(atoms_c[0])}
@@ -385,7 +337,7 @@ def audit_proof(
 ) -> HarnessReport:
     """End-to-end audit: extract, construct, merge, verify."""
     cfg = cfg or tr.InstanceConfig()
-    cand = build_candidate(proof, program, depth, word_budget, base_terms, cfg, calculus)
+    cand = build_candidate(proof, program, depth, word_budget, base_terms, calculus)
     merged = merge_with_model(cand, program, cfg)
     ok, cex = verify_postfixed(merged, program, cfg)
     return HarnessReport(

@@ -6,6 +6,9 @@ import itertools
 import random
 
 from cup import terms as tm
+from cup import trees as tr
+from cup.errors import MissingEigenvariableBinding
+from cup.guardedness import _snap_term
 from cup.terms import App, Arrow, Con, Fix, IOTA, Lam, O, Signature, Var, fn_type
 
 V = Var
@@ -197,3 +200,54 @@ def gen_tree(rng: random.Random, depth: int):
         label = rng.choice(["a", "b"])
     kids = tuple(gen_tree(rng, depth - 1) for _ in range(arities[label]))
     return Tree(label, kids)
+
+
+# ---------------------------------------------------------------------------
+# Tree-level word-indexed substitution: the reference for `theta_term`
+# ---------------------------------------------------------------------------
+
+
+def tree_substitute(t, name: str, s):
+    """Graft s below every position labelled `name`."""
+    if t.label == name and not t.children:
+        return s
+    return tr.Tree(t.label, tuple(tree_substitute(c, name, s) for c in t.children))
+
+
+def guarded_term_to_tree(sig: Signature, t, depth: int):
+    """Truncated tree of a first-order or guarded full term (eigenvariables
+    render as leaves), by its own snapshot-and-unfold loop."""
+    if tm.is_first_order(sig, {}, t):
+        return tr.truncate(tr.term_to_tree(sig, t), depth)
+    budget = depth + 8
+    u = tm.beta_normalize(t)
+    for _ in range(budget + 1):
+        tree = tr.term_to_tree(sig, _snap_term(sig, u))
+        dmin = tr._diamond_min_depth(tree)
+        if dmin is None or dmin >= depth:
+            return tr.truncate(tree, depth)
+        u = tm.fair_unfold(u)
+    raise tr.DepthUnreachable(f"term {t!r} not determined to depth {depth}")
+
+
+def theta(w, deltas, eigens, base: dict, depth: int, sig: Signature) -> dict:
+    """The word-indexed substitution built on trees: the base trees for the
+    empty word, otherwise each eigenvariable bound to the tree of its
+    recorded binding with the shorter word's trees grafted in, truncated at
+    the given depth."""
+    for c in eigens:
+        if c not in base:
+            raise MissingEigenvariableBinding(f"no base tree for eigenvariable {c}")
+    if not w:
+        return {c: tr.truncate(base[c], depth) for c in eigens}
+    prev = theta(w[:-1], deltas, eigens, base, depth, sig)
+    j = w[-1]
+    if not 1 <= j <= len(deltas):
+        raise MissingEigenvariableBinding(f"word index {j} has no delta record")
+    out = {}
+    for c, (_x, l_term) in zip(eigens, deltas[j - 1].bindings):
+        tree = guarded_term_to_tree(sig, l_term, depth)
+        for e in eigens:
+            tree = tree_substitute(tree, e, prev[e])
+        out[c] = tr.truncate(tree, depth)
+    return out

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cup import cli
 from cup.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
 
@@ -108,6 +110,36 @@ class TestProofPipeline:
             "--proof", str(out),
         ])
         assert code == EXIT_FAIL
+
+    @pytest.mark.parametrize("field, value", [
+        ("children", 5),
+        ("signature_additions", [5]),
+        ("signature_additions", 5),
+        ("program_additions", [5]),
+        ("program_additions", "bit 0"),
+        ("rule", 5),
+        ("goal", ["bitstream z_str"]),
+        ("focus", None),
+        ("witness", 0),
+        ("guarded", "yes"),
+    ])
+    def test_malformed_field_is_usage(self, tmp_path, capsys, field, value):
+        out = tmp_path / "p.json"
+        run([
+            "coprove", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
+            "--goal", "bitstream z_str", "--emit-proof", str(out),
+        ])
+        doc = json.loads(out.read_text())
+        node = doc["children"][0]["children"][0]  # a forall-l<> step: it has a focus and a witness
+        node[field] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run([
+            "check-proof", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
+            "--proof", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_soundness_subcommand(self, tmp_path, capsys):
         out = tmp_path / "p.json"

@@ -1,6 +1,7 @@
 """Differential tests of the kernel's cached facts and alpha keys, the lazy
-`unify_modulo` and `fixbeta_equiv`, the occurs check and the render memo of
-`gfp_approx` against straightforward reference code kept here.
+`unify_modulo` and `fixbeta_equiv`, the occurs check, the render memo of
+`gfp_approx` and the smallest closed term of reification against
+straightforward reference code kept here.
 
 The term checks replay the seeded generator stream of the beta
 type-preservation property (seed 102), so they run on cases that suite
@@ -8,6 +9,7 @@ already draws and leave the 10,000-case property budget unchanged.
 """
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from cup import terms as tm
 from cup import trees as tr
 from cup.errors import CupError, TypeMismatch
 from cup.formulas import Calculus
-from cup.terms import IOTA, Con, Fix, Lam, Signature, Var
+from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
 from helpers import GEN_SIG, N_STR, Z_STR, C, V, A, L, gen_term, rename_binders, slist
 from test_properties import CASES
@@ -538,7 +540,7 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request)
 def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):
     program, _goal, calc, res = regression_proofs["bitstream"]
     cfg = tr.InstanceConfig()
-    cand = sd.build_candidate(res.tree, program, 2, 1, None, cfg, calc)
+    cand = sd.build_candidate(res.tree, program, 2, 1, None, calc)
     merged = sd.merge_with_model(cand, program, cfg)
     calls = collections.Counter()
 
@@ -556,3 +558,63 @@ def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):
     assert sd.verify_postfixed(merged, program, cfg) == (True, None)
     assert calls["justify"] > 1
     assert calls["universe_terms"] == 1
+
+
+def smallest_closed_terms_reference(sig, ty, limit=64):
+    """Closed first-order terms of the given type, smallest first: up to
+    `limit` a type over three rounds, each round applying every constructor
+    to the first four terms of each argument type."""
+    by_ty = {}
+    cons = sig.constructors()
+    frontier = [(Con(n), t) for n, t in cons if isinstance(t, tm.Base)]
+    for t, t_ty in frontier:
+        by_ty.setdefault(t_ty, []).append(t)
+    seen = {tm.alpha_key(t) for t, _ty in frontier}
+    for _round in range(3):
+        new = []
+        for name, cty in cons:
+            args = tm.argument_types(cty)
+            if not args:
+                continue
+            pools = [by_ty.get(a, [])[:4] for a in args]
+            if any(not p for p in pools):
+                continue
+            for combo in itertools.product(*pools):
+                new.append((tm.app(Con(name), *combo), tm.target_type(cty)))
+        for t, t_ty in new:
+            bucket = by_ty.setdefault(t_ty, [])
+            if len(bucket) < limit and tm.alpha_key(t) not in seen:
+                seen.add(tm.alpha_key(t))
+                bucket.append(t)
+    return by_ty.get(ty, [])
+
+
+BJ, BK, BL, BM = Base("j"), Base("k"), Base("l"), Base("m")
+HAND_MADE_SIGNATURES = [
+    # j has a term at once (two nullary candidates), i from round 1 (two
+    # constructor candidates), k from round 2, l from round 3; m would need
+    # a fourth round
+    Signature.of({
+        "a_pair": fn_type(IOTA, BJ, IOTA), "a_two": fn_type(BJ, BJ, IOTA), "b_wrap": fn_type(BJ, IOTA),
+        "c": BJ, "c2": BJ,
+        "d_up": fn_type(IOTA, BK), "e_up": fn_type(BK, BL), "f_up": fn_type(BL, BM),
+        "p": fn_type(IOTA, O),
+    }),
+    # no closed term of type i at all
+    Signature.of({"s": fn_type(IOTA, IOTA), "scons": fn_type(IOTA, IOTA, IOTA), "p": fn_type(IOTA, O)}),
+]
+
+
+def test_smallest_closed_term_is_the_first_of_the_reference_pool(
+        member_program, bitstream_program, from_program, comember_program, fibs_program):
+    cases = 0
+    for sig in [p.signature for p in (member_program, bitstream_program, from_program,
+                                      comember_program, fibs_program)] + HAND_MADE_SIGNATURES:
+        types = {IOTA}
+        for _name, ty in sig.constants:
+            types |= {ty, tm.target_type(ty), *tm.argument_types(ty)}
+        for ty in sorted(types, key=repr):
+            pool = smallest_closed_terms_reference(sig, ty)
+            assert eng._smallest_closed_term(sig, ty) == (pool[0] if pool else None), (sig, ty)
+            cases += 1
+    assert cases > 15

@@ -4,7 +4,7 @@ from cup import engine as eng
 from cup import formulas as fm
 from cup import parser as ps
 from cup import terms as tm
-from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_lemma, prove, unify_first_order, witness_pool
+from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_lemma, prove, unify_first_order
 from cup.errors import FlexibleAtomUnsupported, NotCoreFormula, ProofInvalid
 from cup.formulas import Atom, Calculus, HClause, TOP
 
@@ -247,43 +247,33 @@ class TestChecker:
                         assert Src.ORIGINAL in srcs
 
 
-class TestWitnessPool:
-    def test_unifier_bindings_for_bitstream(self, regression_proofs):
-        prog, goal, calc, _res = regression_proofs["bitstream"]
-        seq = eng.Sequent(
-            prog.signature,
-            tuple(eng.Entry(c, Src.ORIGINAL) for c in prog.clauses),
-            None,
-            goal,
-        )
-        pool = witness_pool(seq, prog, SearchConfig(calculus=calc))
-        assert any(tm.alpha_eq(t, C("0")) for t in pool)
-        assert any(tm.alpha_eq(t, A(N_STR, C("0"))) for t in pool)
+class TestSearchWitnesses:
+    """Search instantiates quantifiers through metavariables bound by
+    unification; the reified proof carries the resulting witnesses."""
 
-    def test_first_order_pool_never_contains_fix_terms(self, regression_proofs):
-        prog, goal, _calc, _res = regression_proofs["bitstream"]
-        seq = eng.Sequent(
-            prog.signature,
-            tuple(eng.Entry(c, Src.ORIGINAL) for c in prog.clauses),
-            None,
-            ps.parse_goal("bit 0", prog),
-        )
-        for calc in (Calculus.FOHC, Calculus.FOHH):
-            pool = witness_pool(seq, prog, SearchConfig(calculus=calc))
-            assert all(not tm.has_fix(t) for t in pool)
+    def test_bitstream_witnesses_come_from_unification(self, regression_proofs):
+        _prog, _goal, _calc, res = regression_proofs["bitstream"]
+        witnesses = [n.witness for n in res.tree.nodes() if n.witness is not None]
+        assert any(tm.alpha_eq(t, C("0")) for t in witnesses)
+        assert any(tm.alpha_eq(t, A(N_STR, C("0"))) for t in witnesses)
 
-    def test_ch_match_produces_successor_witness(self, regression_proofs):
-        prog, goal, calc, res = regression_proofs["from"]
+    def test_first_order_proofs_carry_no_fix_witness(self, regression_proofs):
+        for name in ("member67", "comember"):
+            _prog, _goal, calc, res = regression_proofs[name]
+            assert not calc.higher_order
+            witnesses = [n.witness for n in res.tree.nodes() if n.witness is not None]
+            assert witnesses, name
+            assert all(not tm.has_fix(t) for t in witnesses), name
+
+    def test_from_hypothesis_witness_is_successor(self, regression_proofs):
+        _prog, goal, _calc, res = regression_proofs["from"]
         eigen = res.tree.children[0].eigen
-        seq = eng.Sequent(
-            prog.signature.extend(eigen, tm.IOTA),
-            tuple(eng.Entry(c, Src.ORIGINAL) for c in prog.clauses) + (eng.Entry(goal, Src.COHYP),),
-            None,
-            ps.parse_goal(f"from (s {eigen}) (fr_str (s {eigen}))", prog, allow_fresh=True,
-                          sig=prog.signature.extend(eigen, tm.IOTA)),
-        )
-        pool = witness_pool(seq, prog, SearchConfig(calculus=calc))
-        assert any(tm.alpha_eq(t, A(C("s"), C(eigen))) for t in pool)
+        # the universal step that opens the focus on the coinductive hypothesis
+        uses = [
+            n for n in res.tree.nodes()
+            if n.rule == "forall-l" and fm.formula_alpha_eq(n.sequent.focus, goal)
+        ]
+        assert [n.witness for n in uses] == [A(C("s"), C(eigen))]
 
 
 class TestPromoteLemma:

@@ -86,6 +86,10 @@ class TestClassify:
     def test_flexible_atom_goal_higher_order_only(self):
         g = Exists("x", tm.fn_type(IOTA, tm.O), Atom(A(V("x"), C("0"))))
         assert classify(STREAM_SIG, g, "goal") == {HO, HH}
+        # clauses and core formulae need rigid atoms in every calculus
+        d = Forall("x", tm.fn_type(IOTA, tm.O), Atom(A(V("x"), C("0"))))
+        assert classify(STREAM_SIG, d, "clause") == set()
+        assert classify(STREAM_SIG, d, "core") == set()
 
     def test_ill_typed_rejected(self):
         with pytest.raises(fm.IllTyped):

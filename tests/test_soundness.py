@@ -12,13 +12,12 @@ from cup.soundness import (
     build_candidate,
     collect_deltas,
     conservative_extension_check,
-    theta,
     theta_term,
     verify_postfixed,
 )
 from cup.trees import InstanceConfig, Interpretation, leaf, tree_from_text
 
-from helpers import A, C, V, scons
+from helpers import A, C, V, scons, theta
 
 
 class TestCollectDeltas:
@@ -64,6 +63,13 @@ class TestCollectDeltas:
             collect_deltas(broken, prog, calc)
 
 
+def _bound_trees(sig, subst, depth):
+    """Each binding of a term-level substitution rendered at the depth.
+    `atom_to_tree` renders atoms, so a binding t is read off `from t 0` one
+    level down."""
+    return {c: tr.atom_to_tree(sig, A(C("from"), t, C("0")), depth + 1).children[0] for c, t in subst.items()}
+
+
 class TestTheta:
     def _from_setup(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["from"]
@@ -73,41 +79,37 @@ class TestTheta:
 
     def test_base_case(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
-        out = theta((), deltas, [eigen], {eigen: leaf("0")}, 4, prog.signature)
-        assert out == {eigen: leaf("0")}
+        out = theta_term((), deltas, [eigen], {eigen: C("0")})
+        assert out == {eigen: C("0")}
+        assert _bound_trees(prog.signature, out, 4) == {eigen: leaf("0")}
 
     def test_recursive_steps(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
-        sig = prog.signature.extend(eigen, tm.IOTA)
-        one = theta((1,), deltas, [eigen], {eigen: leaf("0")}, 4, sig)
-        assert one == {eigen: tree_from_text("s(0)")}
-        two = theta((1, 1), deltas, [eigen], {eigen: leaf("0")}, 4, sig)
-        assert two == {eigen: tree_from_text("s(s(0))")}
+        one = theta_term((1,), deltas, [eigen], {eigen: C("0")})
+        assert _bound_trees(prog.signature, one, 4) == {eigen: tree_from_text("s(0)")}
+        two = theta_term((1, 1), deltas, [eigen], {eigen: C("0")})
+        assert _bound_trees(prog.signature, two, 4) == {eigen: tree_from_text("s(s(0))")}
 
     def test_term_level_agrees_with_tree_level(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
         sig = prog.signature.extend(eigen, tm.IOTA)
         for word in ((), (1,), (1, 1), (1, 1, 1)):
             at_term = theta_term(word, deltas, [eigen], {eigen: C("0")})
-            rendered = {
-                c: tr.truncate(sd.guarded_term_to_tree(prog.signature, t, 5), 5)
-                for c, t in at_term.items()
-            }
             at_tree = theta(word, deltas, [eigen], {eigen: leaf("0")}, 5, sig)
-            assert rendered == at_tree
+            assert _bound_trees(prog.signature, at_term, 5) == at_tree
 
     def test_stability_under_depth_refinement(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
-        sig = prog.signature.extend(eigen, tm.IOTA)
+        out = theta_term((1, 1), deltas, [eigen], {eigen: C("0")})
         for n in (2, 3, 4):
-            fine = theta((1, 1), deltas, [eigen], {eigen: leaf("0")}, n + 1, sig)
-            coarse = theta((1, 1), deltas, [eigen], {eigen: leaf("0")}, n, sig)
+            fine = _bound_trees(prog.signature, out, n + 1)
+            coarse = _bound_trees(prog.signature, out, n)
             assert {c: tr.truncate(t, n) for c, t in fine.items()} == coarse
 
     def test_missing_base_binding(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
         with pytest.raises(sd.MissingEigenvariableBinding):
-            theta((), deltas, [eigen], {}, 4, prog.signature)
+            theta_term((), deltas, [eigen], {})
 
 
 class TestBuildCandidate:

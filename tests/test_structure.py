@@ -1,8 +1,9 @@
 """Structure checks on the package source.
 
 No module of `cup` uses another module's private names, either as
-`from .x import _y` or as `alias._y` on a `cup` module alias. The known
-exceptions are listed with the ROADMAP item that removes each.
+`from .x import _y` or as `alias._y` on a `cup` module alias. Every
+module-level function and class is mentioned somewhere in `cup` other
+than in its own body, apart from the listed helpers kept for tests.
 """
 
 import ast
@@ -12,12 +13,17 @@ import cup
 
 SRC = Path(cup.__file__).parent
 
-KNOWN = {
-    # ROADMAP item 5: the parser's clause grammar check goes public
-    ("parser", "formulas", "_clause_in"),
-    # ROADMAP item 3: one lazy renderer for guarded terms replaces both
-    ("soundness", "guardedness", "_snap_term"),
-    ("soundness", "trees", "_diamond_min_depth"),
+KNOWN: set[tuple[str, str, str]] = set()
+
+KEPT = {
+    # the installed path of a shipped corpus file, for tests that run the CLI
+    ("cli", "corpus_path"),
+    # builds the arrow types of hand-made signatures in tests
+    ("terms", "fn_type"),
+    # reads back `export_interpretation`, for the round-trip test
+    ("trees", "import_interpretation"),
+    # arity discipline of rendered trees; the renderer never builds a bad one
+    ("trees", "check_arities"),
 }
 
 
@@ -75,3 +81,46 @@ def test_scanner_sees_both_forms(tmp_path, monkeypatch):
     (tmp_path / "b.py").write_text("from . import b as self_alias\nz = self_alias._own\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert cross_module_private_uses() == {("a", "b", "_hidden"), ("a", "c", "_inner")}
+
+
+def unreferenced_definitions() -> set[tuple[str, str]]:
+    """(module, name) of every module-level def or class that no name,
+    attribute or import alias in `cup` mentions outside its own body."""
+    defined = set()
+    mentioned = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.add((path.stem, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    mentioned.add(name)
+    return {(mod, name) for mod, name in defined if name not in mentioned}
+
+
+def test_every_definition_is_used_beyond_the_kept():
+    # equality, not inclusion: a helper that gains a caller must leave the list
+    assert unreferenced_definitions() == KEPT
+
+
+def test_definition_scanner_sees_each_kind_of_mention(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text(
+        "import b\nfrom .c import by_import\n"
+        "def by_name(): pass\ndef by_attribute(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Unused: pass\n"
+        "x = by_name, b.by_attribute\n"
+    )
+    (tmp_path / "c.py").write_text("def by_import(): pass\n")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert unreferenced_definitions() == {("a", "recursive"), ("a", "Unused")}

@@ -23,11 +23,10 @@ from cup.trees import (
     t_operator,
     term_to_tree,
     tree_from_text,
-    tree_substitute,
     truncate,
 )
 
-from helpers import A, C, FR_STR, STREAM_SIG, Z_STR, scons, slist
+from helpers import A, C, FR_STR, STREAM_SIG, Z_STR, scons, slist, tree_substitute
 
 
 class TestTermToTree:
@@ -99,6 +98,8 @@ class TestTruncateDistance:
 
 
 class TestTreeSubstitute:
+    """The grafting step of the tree-level reference substitution in `helpers`."""
+
     def _open_stream(self, n):
         # the open infinite tree with scons spine and variable leftmost leaves
         out = STAR_LEAF
