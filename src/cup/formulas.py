@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from . import terms as tm
 from .errors import CupError, IllTyped, NonHConvertibleClause, UsageError
-from .terms import Con, Context, IOTA, O, Signature, SimpleType, Term, Var
+from .terms import App, Con, Context, IOTA, Lam, O, Signature, SimpleType, Term, Var
 
 
 class Calculus(enum.Enum):
@@ -122,22 +122,22 @@ def formula_substitute(f: Formula, name: str, value: Term) -> Formula:
     return type(f)(f.var, f.ty, formula_substitute(f.body, name, value))
 
 
+def _as_term(f: Formula) -> Term:
+    """f encoded as a term whose alpha key is f's: connectives become
+    constants whose names no signature can hold, and a quantifier becomes
+    its tag applied to a lambda, the binder's type part of the tag."""
+    if isinstance(f, Atom):
+        return f.term
+    if isinstance(f, Top):
+        return Con(" Top")
+    if isinstance(f, (Conj, Disj, Impl)):
+        return tm.app(Con(" " + type(f).__name__), _as_term(f.left), _as_term(f.right))
+    return App(Con(f" {type(f).__name__} {f.ty!r}"), Lam(f.var, _as_term(f.body)))
+
+
 def formula_alpha_eq(f: Formula, g: Formula) -> bool:
-    if isinstance(f, Atom) and isinstance(g, Atom):
-        return tm.alpha_eq(f.term, g.term)
-    if isinstance(f, Top) and isinstance(g, Top):
-        return True
-    if type(f) is type(g) and isinstance(f, (Conj, Disj, Impl)):
-        return formula_alpha_eq(f.left, g.left) and formula_alpha_eq(f.right, g.right)
-    if type(f) is type(g) and isinstance(f, (Forall, Exists)):
-        if f.ty != g.ty:
-            return False
-        z = tm.fresh_name(f.var, formula_free_vars(f.body) | formula_free_vars(g.body))
-        return formula_alpha_eq(
-            formula_substitute(f.body, f.var, Var(z)),
-            formula_substitute(g.body, g.var, Var(z)),
-        )
-    return False
+    """Identity modulo renaming of bound variables, for beta-normal atoms."""
+    return f is g or tm.alpha_key(_as_term(f)) == tm.alpha_key(_as_term(g))
 
 
 def conjoin(fs: list[Formula]) -> Formula:
@@ -341,10 +341,3 @@ class Program:
         for c in self.clauses:
             out.extend(to_h_clauses(c))
         return out
-
-    def validate(self) -> None:
-        self.signature.check_first_order()
-        for c in self.clauses:
-            typecheck_formula(self.signature, {}, c)
-            if not _clause_in(self.signature, {}, c, Calculus.FOHC):
-                raise IllTyped(f"clause {c!r} is outside the first-order clause grammar")

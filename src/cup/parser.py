@@ -432,10 +432,9 @@ def _parse_program(text: str) -> Program:
             raise SourceTypeError(f"ill-typed clause: {exc}", start.span) from exc
         if not first_order:
             raise SourceTypeError("clause is outside the first-order clause grammar", start.span)
-        clauses.append(f)
-    prog = Program(Signature.of(sig_map), tuple(clauses), tuple(fix_defs.items()))
-    prog.validate()
-    return prog
+        # after the type check, so beta-normalising terminates
+        clauses.append(_canon_formula(f))
+    return Program(Signature.of(sig_map), tuple(clauses), tuple(fix_defs.items()))
 
 
 def _parse_with(text: str, program: Program, production: str, allow_fresh: bool = False):

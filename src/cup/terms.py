@@ -284,28 +284,7 @@ def substitute(t: Term, subs: Substitution) -> Term:
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Syntactic identity modulo consistent renaming of bound variables."""
-
-    def go(a: Term, b: Term, env1: dict[str, int], env2: dict[str, int], depth: int) -> bool:
-        if isinstance(a, Var) and isinstance(b, Var):
-            i, j = env1.get(a.name), env2.get(b.name)
-            if i is None and j is None:
-                return a.name == b.name
-            return i == j
-        if isinstance(a, Con) and isinstance(b, Con):
-            return a.name == b.name
-        if isinstance(a, App) and isinstance(b, App):
-            return go(a.fn, b.fn, env1, env2, depth) and go(a.arg, b.arg, env1, env2, depth)
-        if isinstance(a, Lam) and isinstance(b, Lam):
-            e1 = dict(env1)
-            e2 = dict(env2)
-            e1[a.var] = depth
-            e2[b.var] = depth
-            return go(a.body, b.body, e1, e2, depth + 1)
-        if isinstance(a, Fix) and isinstance(b, Fix):
-            return go(a.body, b.body, env1, env2, depth)
-        return False
-
-    return go(t1, t2, {}, {}, 0)
+    return alpha_key(t1) == alpha_key(t2)
 
 
 def alpha_key(t: Term) -> str:

@@ -256,19 +256,23 @@ def import_interpretation(text: str) -> Interpretation:
 # ---------------------------------------------------------------------------
 
 
+# Caps on the enumeration: universe terms, atoms seeded from the universe,
+# ground instances per clause in `t_operator`, fix unfoldings per match, and
+# pool terms tried per body variable that a clause head leaves open.
+MAX_TERMS = 200
+MAX_UNIVERSE_ATOMS = 600
+MAX_INSTANCES = 20000
+UNFOLD_BOUND = 8
+BODY_VAR_POOL = 24
+
+
 @dataclass(frozen=True)
 class InstanceConfig:
     term_size: int = 3
-    max_terms: int = 200
     include_fix_defs: bool = True
     extra_terms: tuple[Term, ...] = ()
     seed_atoms: tuple[Term, ...] = ()
-    seed_universe_atoms: bool = True
-    max_universe_atoms: int = 600
     max_atoms: int = 4000
-    max_instances: int = 20000
-    unfold_bound: int = 8
-    body_var_pool: int = 24
 
 
 def universe_terms(program: Program, cfg: InstanceConfig, sig: Optional[Signature] = None) -> list[Term]:
@@ -300,8 +304,8 @@ def universe_terms(program: Program, cfg: InstanceConfig, sig: Optional[Signatur
     out: list[Term] = []
     for size in range(1, cfg.term_size + 1):
         out.extend(by_size.get(size, {}).get(IOTA, []))
-        if len(out) >= cfg.max_terms:
-            out = out[: cfg.max_terms]
+        if len(out) >= MAX_TERMS:
+            out = out[:MAX_TERMS]
             break
     if cfg.include_fix_defs:
         fo_args = [t for t in out if tm.is_first_order(sig, {}, t)]
@@ -336,9 +340,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _render_body(sig: Signature, b: Term, depth: int, bound: int) -> Optional[Tree]:
+def _render_body(sig: Signature, b: Term, depth: int) -> Optional[Tree]:
     try:
-        return atom_to_tree(sig, b, depth, unfold_budget=max(bound, depth + 8))
+        return atom_to_tree(sig, b, depth, unfold_budget=max(UNFOLD_BOUND, depth + 8))
     except CupError:
         return None
 
@@ -362,14 +366,14 @@ def t_operator(
         count = 0
         for inst in fm.ground_instances(h, uni):
             count += 1
-            if count > cfg.max_instances:
+            if count > MAX_INSTANCES:
                 break
-            body_trees = [_render_body(sig, b, depth, cfg.unfold_bound) for b in inst.body]
+            body_trees = [_render_body(sig, b, depth) for b in inst.body]
             if any(t is None for t in body_trees):
                 continue
             if any(t not in interp.atoms for t in body_trees):
                 continue
-            head_tree = _render_body(sig, inst.head, depth, cfg.unfold_bound)
+            head_tree = _render_body(sig, inst.head, depth)
             if head_tree is None:
                 continue
             atoms.add(head_tree)
@@ -406,7 +410,6 @@ class Grounding:
     key of every atom rendered so far."""
 
     sig: Signature
-    cfg: InstanceConfig
     depth: int
     renamed: list[RenamedClause]
     pool: list[Term]
@@ -416,7 +419,7 @@ class Grounding:
         """The atom's truncated tree, None if it does not render; each
         distinct term is rendered once."""
         if atom not in self.keys:
-            self.keys[atom] = _render_body(self.sig, atom, self.depth, self.cfg.unfold_bound)
+            self.keys[atom] = _render_body(self.sig, atom, self.depth)
         return self.keys[atom]
 
 
@@ -431,19 +434,18 @@ def grounding(
     empty render memo."""
     sig = sig or program.signature
     renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
-    return Grounding(sig, cfg, depth, renamed, universe_terms(program, cfg, sig))
+    return Grounding(sig, depth, renamed, universe_terms(program, cfg, sig))
 
 
 def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
     """Bodies of clause instances whose head matches the atom, the few body
     variables that the head leaves open enumerated over the pool."""
-    cfg = g.cfg
     for head, body, metas in g.renamed:
-        s = eng.unify_modulo(head, atom, {}, cfg.unfold_bound)
+        s = eng.unify_modulo(head, atom, {}, UNFOLD_BOUND)
         if s is None:
             continue
         unbound = [m for m in metas if _has_unbound(Var(m), s)]
-        pools = [g.pool[: cfg.body_var_pool] for _ in unbound]
+        pools = [g.pool[:BODY_VAR_POOL] for _ in unbound]
         combos = itertools.product(*pools) if unbound else iter([()])
         for combo in combos:
             s2 = dict(s)
@@ -475,19 +477,18 @@ def justify(atom: Term, interp: Interpretation, g: Grounding) -> Optional[list[T
 
 def _seed_atoms(program: Program, cfg: InstanceConfig, sig: Signature) -> list[Term]:
     seeds = list(cfg.seed_atoms)
-    if cfg.seed_universe_atoms:
-        uni = universe_terms(program, cfg, sig)
-        total = 0
-        for p in sig.predicates():
-            arity = len(tm.argument_types(sig.lookup(p)))
-            combos = itertools.product(uni, repeat=arity)
-            for combo in combos:
-                seeds.append(tm.app(Con(p), *combo))
-                total += 1
-                if total >= cfg.max_universe_atoms:
-                    break
-            if total >= cfg.max_universe_atoms:
+    uni = universe_terms(program, cfg, sig)
+    total = 0
+    for p in sig.predicates():
+        arity = len(tm.argument_types(sig.lookup(p)))
+        combos = itertools.product(uni, repeat=arity)
+        for combo in combos:
+            seeds.append(tm.app(Con(p), *combo))
+            total += 1
+            if total >= MAX_UNIVERSE_ATOMS:
                 break
+        if total >= MAX_UNIVERSE_ATOMS:
+            break
     return seeds
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from cup import formulas as fm
 from cup import terms as tm
 from cup import trees as tr
 from cup.errors import MissingEigenvariableBinding
@@ -80,6 +81,27 @@ def debruijn(t, env=()):
 
 def alpha_eq_oracle(t1, t2) -> bool:
     return debruijn(t1) == debruijn(t2)
+
+
+def formula_alpha_eq_reference(f, g) -> bool:
+    """Formula alpha-equivalence by renaming both binders to one fresh
+    variable through substitution, which also beta-normalises the atoms
+    under them: the reference for `formulas.formula_alpha_eq`."""
+    if isinstance(f, fm.Atom) and isinstance(g, fm.Atom):
+        return alpha_eq_oracle(f.term, g.term)
+    if isinstance(f, fm.Top) and isinstance(g, fm.Top):
+        return True
+    if type(f) is type(g) and isinstance(f, (fm.Conj, fm.Disj, fm.Impl)):
+        return formula_alpha_eq_reference(f.left, g.left) and formula_alpha_eq_reference(f.right, g.right)
+    if type(f) is type(g) and isinstance(f, (fm.Forall, fm.Exists)):
+        if f.ty != g.ty:
+            return False
+        z = tm.fresh_name(f.var, fm.formula_free_vars(f.body) | fm.formula_free_vars(g.body))
+        return formula_alpha_eq_reference(
+            fm.formula_substitute(f.body, f.var, Var(z)),
+            fm.formula_substitute(g.body, g.var, Var(z)),
+        )
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Differential tests of the kernel's cached facts and alpha keys, the lazy
+"""Differential tests of the kernel's cached facts, the alpha keys of terms
+and formulas, the lazy
 `unify_modulo` and `fixbeta_equiv`, the occurs check, the render memo of
 `gfp_approx` and the smallest closed term of reification against
 straightforward reference code kept here.
@@ -15,6 +16,7 @@ import random
 import pytest
 
 from cup import engine as eng
+from cup import formulas as fm
 from cup import guardedness as gd
 from cup import parser as ps
 from cup import soundness as sd
@@ -24,7 +26,9 @@ from cup.errors import CupError, TypeMismatch
 from cup.formulas import Calculus
 from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
-from helpers import GEN_SIG, N_STR, Z_STR, C, V, A, L, gen_term, rename_binders, slist
+from helpers import (
+    GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, formula_alpha_eq_reference, gen_term, rename_binders, slist,
+)
 from test_properties import CASES
 
 
@@ -128,7 +132,7 @@ TRICKY_TERMS = [
 ]
 
 
-def test_alpha_key_agrees_with_alpha_eq():
+def test_alpha_key_agrees_with_alpha_eq_oracle():
     rng = random.Random(7)
     subterms = replayed_subterms()
     pool = subterms[::max(1, len(subterms) // 250)] + TRICKY_TERMS
@@ -138,11 +142,92 @@ def test_alpha_key_agrees_with_alpha_eq():
     equal_pairs = 0
     for i, a in enumerate(pool):
         for j in range(i + 1, len(pool)):
-            same = tm.alpha_eq(a, pool[j])
+            same = alpha_eq_oracle(a, pool[j])
             equal_pairs += same and a != pool[j]
             assert (keys[i] == keys[j]) == same, (a, pool[j])
     # alpha-equal pairs that are not structurally equal
     assert equal_pairs > 100
+
+
+def _atom(*ts):
+    return fm.Atom(A(*ts))
+
+
+# shadowed binders, a variable and a constant of one name, Forall against
+# Exists, one body under binders of types i and o, Conj against Disj, and a
+# lambda inside an atom that reuses the formula binder's name
+TRICKY_FORMULAS = [
+    fm.Forall("x", IOTA, fm.Forall("x", IOTA, _atom(C("p"), V("x")))),
+    fm.Forall("x", IOTA, fm.Forall("y", IOTA, _atom(C("p"), V("y")))),
+    fm.Forall("y", IOTA, fm.Forall("x", IOTA, _atom(C("p"), V("y")))),
+    fm.Forall("x", IOTA, _atom(C("p"), V("x"))),
+    fm.Forall("x", IOTA, _atom(C("p"), C("x"))),
+    _atom(C("p"), V("x")),
+    _atom(C("p"), C("x")),
+    fm.Exists("x", IOTA, _atom(C("p"), V("x"))),
+    fm.Forall("x", O, _atom(C("p"), V("x"))),
+    fm.Exists("z", O, _atom(C("p"), V("z"))),
+    fm.Conj(_atom(C("p"), C("0")), _atom(C("p"), C("1"))),
+    fm.Disj(_atom(C("p"), C("0")), _atom(C("p"), C("1"))),
+    fm.Impl(_atom(C("p"), C("0")), _atom(C("p"), C("1"))),
+    fm.Conj(fm.TOP, _atom(C("p"), C("1"))),
+    fm.Forall("x", IOTA, _atom(C("q"), L("x", V("x")), V("x"))),
+    fm.Forall("y", IOTA, _atom(C("q"), L("x", V("x")), V("y"))),
+    fm.Forall("y", IOTA, _atom(C("q"), L("x", V("y")), V("y"))),
+    fm.Forall("x", IOTA, _atom(C("q"), L("y", V("x")), V("x"))),
+    fm.Forall("x", IOTA, _atom(C("q"), L("y", V("y")), V("x"))),
+    fm.Forall("x", IOTA, _atom(C("q"), tm.Fix(L("x", A(C("s"), V("x")))), V("x"))),
+]
+
+
+def rename_formula_binders(rng, f):
+    """An alpha-variant of f with its quantifier and lambda binders renamed."""
+    if isinstance(f, fm.Atom):
+        return fm.Atom(rename_binders(rng, f.term))
+    if isinstance(f, fm.Top):
+        return f
+    if isinstance(f, (fm.Conj, fm.Disj, fm.Impl)):
+        return type(f)(rename_formula_binders(rng, f.left), rename_formula_binders(rng, f.right))
+    fresh = f"r{rng.randrange(1000)}"
+    if fresh in fm.formula_free_vars(f.body):
+        fresh = fresh + "x"
+    body = fm.formula_substitute(f.body, f.var, Var(fresh))
+    return type(f)(fresh, f.ty, rename_formula_binders(rng, body))
+
+
+def test_formula_key_agrees_with_the_substitution_walk(regression_proofs):
+    found = []
+    for program, _goal, _calc, res in regression_proofs.values():
+        back = ps.import_proof(ps.export_proof(res.tree, program), program)
+        for tree in (res.tree, back):
+            for node in tree.nodes():
+                seq = node.sequent
+                found += [e.formula for e in seq.entries] + [seq.goal]
+                found += [seq.focus] if seq.focus is not None else []
+    rng = random.Random(11)
+    pool = list(dict.fromkeys(found + TRICKY_FORMULAS))
+    pool += [rename_formula_binders(rng, f) for f in pool]
+    assert len(pool) > 100
+
+    def atoms(f):
+        if isinstance(f, fm.Atom):
+            return [f.term]
+        if isinstance(f, fm.Top):
+            return []
+        if isinstance(f, (fm.Conj, fm.Disj, fm.Impl)):
+            return atoms(f.left) + atoms(f.right)
+        return atoms(f.body)
+
+    # the key does not beta-normalise; the parser and every rule keep atoms normal
+    assert all(tm.beta_normalize(a) == a for f in pool for a in atoms(f))
+    equal_pairs = 0
+    for i, f in enumerate(pool):
+        for g in pool[i + 1:]:
+            same = formula_alpha_eq_reference(f, g)
+            equal_pairs += same and f != g
+            assert fm.formula_alpha_eq(f, g) == same, (f, g)
+    # alpha-equal pairs that are not structurally equal
+    assert equal_pairs > 50
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +548,7 @@ def gfp_approx_reference(program, depth, cfg):
     work = [(a, True) for a in tr._seed_atoms(program, cfg, sig)]
     while work:
         a, is_seed = work.pop()
-        key = tr._render_body(sig, a, depth, cfg.unfold_bound)
+        key = tr._render_body(sig, a, depth)
         if key is None:
             continue
         reps_here = reps_seen.setdefault(key, [])
@@ -481,7 +566,7 @@ def gfp_approx_reference(program, depth, cfg):
             keys = []
             ok = True
             for b in body:
-                k = tr._render_body(sig, b, depth, cfg.unfold_bound)
+                k = tr._render_body(sig, b, depth)
                 if k is None:
                     ok = False
                     break
@@ -521,9 +606,9 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request)
     rendered = []
     real_render = tr._render_body
 
-    def counted_render(sig, atom, depth, bound):
+    def counted_render(sig, atom, depth):
         rendered.append(atom)
-        return real_render(sig, atom, depth, bound)
+        return real_render(sig, atom, depth)
 
     monkeypatch.setattr(tr, "justifications", shared_justifications)
     for depth in (2, 3, 4):

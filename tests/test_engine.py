@@ -79,6 +79,20 @@ class TestCoproveRegressions:
         ok, diag = check(res.tree, prog, calc)
         assert ok, diag
 
+    @pytest.mark.parametrize("clause", ["p ((\\y. y) c).", "p ((\\y. y) X)."])
+    def test_clause_with_a_redex_is_beta_normalised(self, clause):
+        # the parser beta-normalises the clause: first-order unification
+        # needs `p c`, and the checker's alpha key does not normalise
+        prog = ps.parse_program("const p : i -> o. const c : i.\n" + clause)
+        res = coprove(prog, ps.parse_goal("p c", prog), SearchConfig(calculus=Calculus.FOHC))
+        assert res.proved
+        ok, diag = check(res.tree, prog, Calculus.FOHC)
+        assert ok, diag
+        back = ps.import_proof(ps.export_proof(res.tree, prog), prog)
+        ok, diag = check(back, prog, Calculus.FOHC)
+        assert ok, diag
+        assert res.tree.equal(back)
+
     def test_atomic_hypothesis_never_applies(self, from_program):
         g = ps.parse_goal("from 0 (fr_str 0)", from_program)
         for depth in (4, 9, 17):

@@ -58,6 +58,11 @@ class TestParseProgram:
     def test_type_error_reported(self):
         with pytest.raises(SourceTypeError):
             ps.parse_program("const p : o. const q : o.\np q.")
+        # a clause is type-checked before it is beta-normalised, which
+        # would not terminate here
+        with pytest.raises(SourceTypeError) as exc:
+            ps.parse_program("const p : i -> o.\np ((\\x. x x) (\\x. x x)).")
+        assert exc.value.span is not None
 
     def test_guardedness_error(self):
         with pytest.raises(GuardednessError):

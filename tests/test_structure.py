@@ -3,7 +3,9 @@
 No module of `cup` uses another module's private names, either as
 `from .x import _y` or as `alias._y` on a `cup` module alias. Every
 module-level function and class is mentioned somewhere in `cup` other
-than in its own body, apart from the listed helpers kept for tests.
+than in its own body, apart from the listed helpers kept for tests. No
+handler in `cup` catches every exception, so only `CupError` subclasses
+become verdicts and any other exception surfaces.
 """
 
 import ast
@@ -124,3 +126,35 @@ def test_definition_scanner_sees_each_kind_of_mention(tmp_path, monkeypatch):
     (tmp_path / "c.py").write_text("def by_import(): pass\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert unreferenced_definitions() == {("a", "recursive"), ("a", "Unused")}
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers() -> set[tuple[str, int]]:
+    """(module, line) of every bare `except:` and every handler that names
+    `Exception` or `BaseException`, alone or in a tuple."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(isinstance(c, ast.Name) and c.id in BROAD for c in caught):
+                out.add((path.stem, node.lineno))
+    return out
+
+
+def test_no_handler_catches_everything():
+    assert broad_handlers() == set()
+
+
+def test_broad_handler_scanner_sees_each_form(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text(
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, BaseException) as e:\n    pass\n"
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert broad_handlers() == {("a", 3), ("a", 7), ("a", 11)}

@@ -174,6 +174,8 @@ class TestGfpApprox:
             out,
             InstanceConfig(term_size=2, extra_terms=tuple(a for t in out.reps.values() for a in [t])),
         )
+        # the paper's I <= T(I), through t_operator
+        assert out.atoms <= again.atoms
         # every member re-derives itself from members at this resolution
         from cup.soundness import verify_postfixed
 
