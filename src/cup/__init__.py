@@ -16,7 +16,6 @@ from .engine import (
     coprove,
     promote_lemma,
     prove,
-    unify_first_order,
 )
 from .formulas import (
     Atom,

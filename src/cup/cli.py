@@ -3,7 +3,8 @@
 Exit codes: 0 success / proof found / verified, 1 definite failure,
 2 inconclusive within the configured resource bounds, 3 usage or parse
 errors.  Defaults can be overridden by CUP_* environment variables;
-explicit flags take precedence.
+explicit flags take precedence.  Each subcommand takes only the flags it
+reads.
 """
 
 from __future__ import annotations
@@ -37,21 +38,27 @@ ENV = {
     "word_budget": "CUP_WORD_BUDGET",
     "calculus": "CUP_CALCULUS",
 }
+# bounds where a negative value would silently empty a search or a model
+NON_NEGATIVE = ("fixbeta_bound", "model_depth", "word_budget")
 
 
 def _setting(args, name: str):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    env = os.environ.get(ENV.get(name, ""), "")
-    if env:
+    value = getattr(args, name)
+    source = "--" + name.replace("_", "-")
+    if value is None:
+        env = os.environ.get(ENV[name], "")
+        if not env:
+            return DEFAULTS.get(name)
         if name == "calculus":
             return env
+        source = ENV[name]
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise UsageError(f"{ENV[name]}={env!r} is not an integer") from None
-    return DEFAULTS.get(name)
+    if name in NON_NEGATIVE and value < 0:
+        raise UsageError(f"{source} must be >= 0, got {value}")
+    return value
 
 
 def _load_program(path: str) -> fm.Program:
@@ -60,7 +67,7 @@ def _load_program(path: str) -> fm.Program:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=1))
     else:
         print(text)
@@ -81,22 +88,18 @@ def _search_config(args) -> eng.SearchConfig:
     )
 
 
-def _instance_config(extra_seeds=()) -> tr.InstanceConfig:
-    return tr.InstanceConfig(seed_atoms=tuple(extra_seeds))
-
-
 def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program) -> int:
     stats = {"nodes_expanded": outcome.stats.nodes, "max_depth": outcome.stats.max_depth}
     if outcome.proved:
         doc = ps.export_proof(outcome.tree, program)
-        if getattr(args, "emit_proof", None):
+        if args.emit_proof:
             with open(args.emit_proof, "w", encoding="utf-8") as fh:
                 fh.write(doc + "\n")
         payload = {"result": "proved", "stats": stats, "proof_nodes": outcome.tree.size()}
         text = f"proved ({outcome.tree.size()} nodes; {stats['nodes_expanded']} expansions)"
-        if getattr(args, "emit_proof", None):
+        if args.emit_proof:
             text += f"\nproof written to {args.emit_proof}"
-        elif not getattr(args, "json", False):
+        elif not args.json:
             text += "\n" + doc
         _emit(args, payload, text)
         return EXIT_OK
@@ -186,7 +189,7 @@ def cmd_model(args) -> int:
             raise CupError("model membership queries take a single atom")
         goal_atom = f.term
         seeds.append(goal_atom)
-    approx = tr.gfp_approx(program, depth, _instance_config(seeds))
+    approx = tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=tuple(seeds)))
     caveat = ("membership is evidence at this truncation depth over a bounded universe; "
               "absence certifies non-membership over that universe")
     if goal_atom is None:
@@ -310,21 +313,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cup", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, program=True, calculus=False, goal=False, proof=False):
+    # the settings a subcommand may take, by the name `_setting` reads
+    flags = {
+        "calculus": ("--calculus", {"help": "co-fohc | co-fohh | co-hohc | co-hohh"}),
+        "depth": ("--depth", {"type": int, "help": "search depth limit"}),
+        "fixbeta_bound": ("--fixbeta-bound", {"type": int, "help": "fix unfolding bound"}),
+        "model_depth": ("--model-depth", {"type": int, "help": "tree truncation depth"}),
+        "word_budget": ("--word-budget", {"type": int, "help": "candidate word budget"}),
+        "emit_proof": ("--emit-proof", {"help": "write the found proof document here"}),
+    }
+
+    def common(p, *settings, program=True, goal=False, proof=False):
         if program:
             p.add_argument("--program", required=True, help="path to a .cup program file")
-        if calculus:
-            p.add_argument("--calculus", help="co-fohc | co-fohh | co-hohc | co-hohh")
         if goal:
             p.add_argument("--goal", required=goal == "required", help="goal formula text")
         if proof:
             p.add_argument("--proof", required=True, help="path to a proof document")
-        p.add_argument("--depth", type=int, help="search depth limit")
-        p.add_argument("--fixbeta-bound", dest="fixbeta_bound", type=int, help="fix unfolding bound")
-        p.add_argument("--model-depth", dest="model_depth", type=int, help="tree truncation depth")
-        p.add_argument("--word-budget", dest="word_budget", type=int, help="candidate word budget")
-        p.add_argument("--emit-proof", dest="emit_proof", help="write the found proof document here")
+        for name in settings:
+            flag, kwargs = flags[name]
+            p.add_argument(flag, dest=name, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    search = ("calculus", "depth", "fixbeta_bound", "emit_proof")
 
     p = sub.add_parser("check-syntax", help="parse and validate a program")
     common(p)
@@ -336,28 +347,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("prove", help="uniform proof search")
-    common(p, calculus=True, goal="required")
+    common(p, *search, goal="required")
     p.add_argument("--use-lemma", action="append", help="proof document of a lemma to promote first")
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("coprove", help="coinductive proof search")
-    common(p, calculus=True, goal="required")
+    common(p, *search, goal="required")
     p.set_defaults(fn=cmd_coprove)
 
     p = sub.add_parser("check-proof", help="check a proof document")
-    common(p, calculus=True, proof=True)
+    common(p, "calculus", "fixbeta_bound", proof=True)
     p.set_defaults(fn=cmd_check_proof)
 
     p = sub.add_parser("model", help="greatest-fixed-point approximation and membership")
-    common(p, goal=True)
+    common(p, "model_depth", goal=True)
     p.set_defaults(fn=cmd_model)
 
     p = sub.add_parser("soundness", help="audit a coinductive proof against the model")
-    common(p, proof=True)
+    common(p, "model_depth", "word_budget", proof=True)
     p.set_defaults(fn=cmd_soundness)
 
     p = sub.add_parser("examples", help="list or run the shipped example corpus")
-    common(p, program=False)
+    common(p, "depth", program=False)
     p.add_argument("--list", action="store_true", help="list entries without running")
     p.add_argument("--run", action="store_true", help="run the corpus")
     p.add_argument("--name", help="restrict to one example")

@@ -206,11 +206,11 @@ def _occurs(name: str, t: Term, s: dict[str, Term]) -> bool:
     return False
 
 
-def unify(a: Term, b: Term, s: dict[str, Term], is_var: Callable[[str], bool] = _is_meta) -> Optional[dict[str, Term]]:
+def unify(a: Term, b: Term, s: dict[str, Term]) -> Optional[dict[str, Term]]:
     """First-order structural unification with occurs check.
 
-    Binders are compared rigidly (alpha-equality after resolution); variables
-    recognized by `is_var` unify, all other variables are rigid symbols.
+    Binders are compared rigidly (alpha-equality after resolution);
+    metavariables unify, all other variables are rigid symbols.
     """
     while isinstance(a, Var) and a.name in s:
         a = s[a.name]
@@ -218,33 +218,25 @@ def unify(a: Term, b: Term, s: dict[str, Term], is_var: Callable[[str], bool] = 
         b = s[b.name]
     if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
         return s
-    if isinstance(a, Var) and is_var(a.name):
+    if isinstance(a, Var) and _is_meta(a.name):
         if _occurs(a.name, b, s):
             return None
         return {**s, a.name: b}
-    if isinstance(b, Var) and is_var(b.name):
-        return unify(b, a, s, is_var)
+    if isinstance(b, Var) and _is_meta(b.name):
+        return unify(b, a, s)
     if isinstance(a, Var) or isinstance(b, Var):
         return None
     if isinstance(a, Con) and isinstance(b, Con):
         return s if a.name == b.name else None
     if isinstance(a, App) and isinstance(b, App):
-        s1 = unify(a.fn, b.fn, s, is_var)
+        s1 = unify(a.fn, b.fn, s)
         if s1 is None:
             return None
-        return unify(a.arg, b.arg, s1, is_var)
+        return unify(a.arg, b.arg, s1)
     if isinstance(a, (Lam, Fix)) and type(a) is type(b):
         ra, rb = resolve_term(a, s), resolve_term(b, s)
         return s if tm.alpha_eq(ra, rb) else None
     return None
-
-
-def unify_first_order(a1: Term, a2: Term) -> Optional[tm.Substitution]:
-    """Most general unifier of two first-order atoms (all variables unify)."""
-    s = unify(a1, a2, {}, is_var=lambda _n: True)
-    if s is None:
-        return None
-    return [(n, resolve_term(v, s)) for n, v in s.items()]
 
 
 def _stable_clash(a: Term, b: Term) -> bool:

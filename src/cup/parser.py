@@ -460,9 +460,7 @@ def parse_term(text: str, program: Program, allow_fresh: bool = False) -> Term:
     return t
 
 
-def parse_goal(text: str, program: Program, allow_fresh: bool = False, sig: Optional[Signature] = None) -> Formula:
-    if sig is not None:
-        program = Program(sig, program.clauses, program.fix_definitions)
+def parse_goal(text: str, program: Program, allow_fresh: bool = False) -> Formula:
     f = _parse_with(text, program, "formula", allow_fresh)
     f = _canon_formula(f)
     fm.typecheck_formula(program.signature, {}, f)
@@ -678,20 +676,18 @@ def _import_node(
     shadow = Program(sig, program.clauses, program.fix_definitions)
     for s in doc["program_additions"]:
         try:
-            f = parse_goal(s, shadow, allow_fresh=True, sig=sig)
+            f = parse_goal(s, shadow, allow_fresh=True)
         except CupError as exc:
             raise MalformedDocument(f"unparseable program addition {s!r}: {exc}") from exc
         entries = entries + (eng.Entry(f, src),)
     try:
-        goal = parse_goal(doc["goal"], shadow, allow_fresh=True, sig=sig)
-        focus = parse_goal(doc["focus"], shadow, allow_fresh=True, sig=sig) if "focus" in doc else None
+        goal = parse_goal(doc["goal"], shadow, allow_fresh=True)
+        focus = parse_goal(doc["focus"], shadow, allow_fresh=True) if "focus" in doc else None
         witness = parse_term(doc["witness"], shadow, allow_fresh=True) if "witness" in doc else None
     except MalformedDocument:
         raise
     except CupError as exc:
         raise MalformedDocument(f"unparseable proof payload: {exc}") from exc
-    if witness is not None:
-        witness = tm.canonicalize(witness)
     seq = eng.Sequent(sig, entries, focus, goal, mode, doc["guarded"])
     child_mode = eng.PLAIN
     children = tuple(

@@ -24,7 +24,7 @@ from .errors import (
     ProofInvalid,
 )
 from .formulas import Calculus, HClause, Program, formula_alpha_eq
-from .terms import App, Con, Fix, Lam, Signature, Term, Var
+from .terms import App, Con, Fix, Lam, Term, Var
 
 
 @dataclass(frozen=True)
@@ -176,16 +176,13 @@ def _guarded_segment(proof: eng.ProofTree) -> tuple[eng.ProofTree, Optional[eng.
 class Candidate:
     interpretation: tr.Interpretation
     side_atoms: list[Term]  # body instances that must come from a post-fixed point
-    eigens: list[str]
     deltas: list[DeltaRecord]
-    base_terms: dict[str, Term]
-    word_budget: int
 
 
-def _default_base(program: Program, sig: Signature, eigens: list[str]) -> dict[str, Term]:
+def _default_base(program: Program, eigens: list[str]) -> dict[str, Term]:
     if not eigens:
         return {}
-    pool = tr.universe_terms(program, tr.InstanceConfig(term_size=2, include_fix_defs=False), sig)
+    pool = [t for t in tr.universe_terms(program, tr.InstanceConfig(term_size=2)) if not tm.has_fix(t)]
     if not pool:
         raise MissingEigenvariableBinding("signature has no closed individual terms for the base substitution")
     return {c: pool[0] for c in eigens}
@@ -196,7 +193,6 @@ def build_candidate(
     program: Program,
     depth: int,
     word_budget: int,
-    base_terms: Optional[dict[str, Term]] = None,
     calculus: Calculus = Calculus.HOHH,
 ) -> Candidate:
     """Atoms of the root derivation's side subproof plus the coinductive
@@ -210,8 +206,7 @@ def build_candidate(
     # once the word substitutions are applied, every atom is closed over the
     # base signature; eigenvariables never reach the model side
     sig = program.signature
-    if base_terms is None:
-        base_terms = _default_base(program, sig, eigens)
+    base_terms = _default_base(program, eigens)
 
     atoms_c: list[Term] = [decide.sequent.goal.term]
     seen = {tm.alpha_key(atoms_c[0])}
@@ -224,7 +219,7 @@ def build_candidate(
                     atoms_c.append(t)
 
     atom_trees: set[tr.Tree] = set()
-    reps: dict[tr.Tree, Term] = {}
+    reps: dict[tr.Tree, tuple[Term, ...]] = {}
     for w in _words(len(deltas), word_budget):
         th = theta_term(w, deltas, eigens, base_terms)
         for a in atoms_c:
@@ -234,7 +229,7 @@ def build_candidate(
             inst = tm.beta_normalize(inst)
             tree = tr.atom_to_tree(sig, inst, depth)
             atom_trees.add(tree)
-            reps.setdefault(tree, inst)
+            reps.setdefault(tree, (inst,))
 
     th0 = theta_term((), deltas, eigens, base_terms)
     side_atoms: list[Term] = []
@@ -247,7 +242,7 @@ def build_candidate(
         side_atoms.append(tm.beta_normalize(inst))
 
     interp = tr.Interpretation(depth, frozenset(atom_trees), reps)
-    return Candidate(interp, side_atoms, eigens, deltas, base_terms, word_budget)
+    return Candidate(interp, side_atoms, deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +254,12 @@ def verify_postfixed(
     interp: tr.Interpretation,
     program: Program,
     cfg: tr.InstanceConfig,
-    extra_clauses: tuple[HClause, ...] = (),
-    sig: Optional[Signature] = None,
 ) -> tuple[bool, Optional[Term]]:
     """Is every member a consequence of members (I included in T(I)) at this
     resolution?  Returns the first counterexample atom otherwise."""
-    g = tr.grounding(program, cfg, interp.depth, extra_clauses, sig)
+    g = tr.grounding(program, cfg, interp.depth)
     for tree in sorted(interp.atoms, key=tr.tree_to_text):
-        reps = interp.representatives(tree)
+        reps = interp.reps.get(tree, ())
         if not reps:
             return False, None
         if all(tr.justify(rep, interp, g) is None for rep in reps):
@@ -274,29 +267,25 @@ def verify_postfixed(
     return True, None
 
 
-def merge_with_model(
-    cand: Candidate,
-    program: Program,
-    cfg: tr.InstanceConfig,
-    sig: Optional[Signature] = None,
-) -> tr.Interpretation:
+def merge_with_model(cand: Candidate, program: Program, cfg: tr.InstanceConfig) -> tr.Interpretation:
     """Union the candidate with the model approximation standing in for the
-    post-fixed point that covers the side body instances."""
+    post-fixed point that covers the side body instances.  Each member's
+    representatives are the approximation's, then the candidate's that are
+    not alpha-equal to one of them."""
     depth = cand.interpretation.depth
-    seeds = tuple(cand.interpretation.reps.values()) + tuple(cand.side_atoms)
-    approx = tr.gfp_approx(program, depth, replace(cfg, seed_atoms=seeds), sig=sig)
+    seeds = tuple(t for reps in cand.interpretation.reps.values() for t in reps) + tuple(cand.side_atoms)
+    approx = tr.gfp_approx(program, depth, replace(cfg, seed_atoms=seeds))
     atoms = cand.interpretation.atoms | approx.atoms
-    reps = {**approx.reps, **cand.interpretation.reps}
-    reps_all: dict[tr.Tree, tuple] = {}
+    reps: dict[tr.Tree, tuple[Term, ...]] = {}
     for key in atoms:
-        merged: list = list(approx.representatives(key))
+        merged = list(approx.reps.get(key, ()))
         seen = {tm.alpha_key(u) for u in merged}
-        for t in cand.interpretation.representatives(key):
+        for t in cand.interpretation.reps.get(key, ()):
             if tm.alpha_key(t) not in seen:
                 seen.add(tm.alpha_key(t))
                 merged.append(t)
-        reps_all[key] = tuple(merged)
-    return tr.Interpretation(depth, frozenset(atoms), reps, reps_all)
+        reps[key] = tuple(merged)
+    return tr.Interpretation(depth, frozenset(atoms), reps)
 
 
 @dataclass
@@ -331,13 +320,11 @@ def audit_proof(
     program: Program,
     depth: int,
     word_budget: int,
-    cfg: Optional[tr.InstanceConfig] = None,
     calculus: Calculus = Calculus.HOHH,
-    base_terms: Optional[dict[str, Term]] = None,
 ) -> HarnessReport:
     """End-to-end audit: extract, construct, merge, verify."""
-    cfg = cfg or tr.InstanceConfig()
-    cand = build_candidate(proof, program, depth, word_budget, base_terms, calculus)
+    cfg = tr.InstanceConfig()
+    cand = build_candidate(proof, program, depth, word_budget, calculus)
     merged = merge_with_model(cand, program, cfg)
     ok, cex = verify_postfixed(merged, program, cfg)
     return HarnessReport(
@@ -372,20 +359,18 @@ def conservative_extension_check(
     program: Program,
     lemma_instances: list[HClause],
     depth: int,
-    cfg: Optional[tr.InstanceConfig] = None,
 ) -> ExtensionReport:
     """Model approximations of the program and of the program extended with
     ground lemma instances must coincide at this resolution; instance bodies
     must already hold in the approximated model."""
-    cfg = cfg or tr.InstanceConfig()
     sig = program.signature
-    seeds = list(cfg.seed_atoms)
+    seeds: list[Term] = []
     for h in lemma_instances:
         if h.universals:
             raise BodyNotInModel(f"lemma instance {h} is not ground")
         seeds.append(h.head)
         seeds.extend(h.body)
-    seeded = replace(cfg, seed_atoms=tuple(seeds))
+    seeded = tr.InstanceConfig(seed_atoms=tuple(seeds))
     base = tr.gfp_approx(program, depth, seeded)
     for h in lemma_instances:
         for b in h.body:

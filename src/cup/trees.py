@@ -50,14 +50,6 @@ class Tree:
         for i, c in enumerate(self.children):
             yield from c.positions(prefix + (i,))
 
-    def at(self, pos: tuple[int, ...]) -> Optional[str]:
-        node = self
-        for i in pos:
-            if i >= len(node.children):
-                return None
-            node = node.children[i]
-        return node.label
-
     def height(self) -> int:
         if not self.children:
             return 0
@@ -180,16 +172,11 @@ def _diamond_min_depth(t: Tree) -> Optional[int]:
     return min(depths) if depths else None
 
 
-def guarded_atom_to_tree(
-    sig: Signature,
-    atom: Term,
-    depth: int,
-    unfold_budget: Optional[int] = None,
-) -> Tree:
+def guarded_atom_to_tree(sig: Signature, atom: Term, depth: int) -> Tree:
     """Unfold fairly until the snapshot tree is determined to the requested
     depth, then truncate.  Fairness here means every unfoldable position is
-    reduced once per round."""
-    budget = unfold_budget if unfold_budget is not None else depth + 8
+    reduced once per round; `depth + 8` rounds are allowed."""
+    budget = depth + 8
     t = tm.beta_normalize(atom)
     for _k in range(budget + 1):
         snap = snapshot(sig, t)
@@ -201,11 +188,11 @@ def guarded_atom_to_tree(
     raise DepthUnreachable(f"snapshot not determined to depth {depth} within {budget} unfold rounds")
 
 
-def atom_to_tree(sig: Signature, atom: Term, depth: int, unfold_budget: Optional[int] = None) -> Tree:
+def atom_to_tree(sig: Signature, atom: Term, depth: int) -> Tree:
     """Truncated tree of a first-order or guarded atom."""
     if tm.is_first_order_atom(sig, {}, atom):
         return truncate(term_to_tree(sig, atom), depth)
-    return guarded_atom_to_tree(sig, atom, depth, unfold_budget)
+    return guarded_atom_to_tree(sig, atom, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -219,23 +206,15 @@ class Interpretation:
     member is truncated at exactly `depth` (shallower finite atoms are
     stored exactly, which truncation already guarantees).
 
-    Distinct atoms may truncate to the same tree; `reps_all` keeps the
-    known term representatives behind each member."""
+    Distinct atoms may truncate to the same tree; `reps` keeps the known
+    term representatives behind each member."""
 
     depth: int
     atoms: frozenset[Tree]
-    reps: dict[Tree, Term] = field(default_factory=dict, compare=False, hash=False, repr=False)
-    reps_all: dict[Tree, tuple[Term, ...]] = field(default_factory=dict, compare=False, hash=False, repr=False)
+    reps: dict[Tree, tuple[Term, ...]] = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def __contains__(self, t: Tree) -> bool:
         return truncate(t, self.depth) in self.atoms
-
-    def representatives(self, t: Tree) -> tuple[Term, ...]:
-        if t in self.reps_all:
-            return self.reps_all[t]
-        if t in self.reps:
-            return (self.reps[t],)
-        return ()
 
 
 def export_interpretation(interp: Interpretation) -> str:
@@ -256,10 +235,12 @@ def import_interpretation(text: str) -> Interpretation:
 # ---------------------------------------------------------------------------
 
 
-# Caps on the enumeration: universe terms, atoms seeded from the universe,
-# ground instances per clause in `t_operator`, fix unfoldings per match, and
-# pool terms tried per body variable that a clause head leaves open.
+# Caps on the enumeration: universe terms, truncated atoms in `gfp_approx`,
+# atoms seeded from the universe, ground instances per clause in
+# `t_operator`, fix unfoldings per match, and pool terms tried per body
+# variable that a clause head leaves open.
 MAX_TERMS = 200
+MAX_ATOMS = 4000
 MAX_UNIVERSE_ATOMS = 600
 MAX_INSTANCES = 20000
 UNFOLD_BOUND = 8
@@ -269,17 +250,14 @@ BODY_VAR_POOL = 24
 @dataclass(frozen=True)
 class InstanceConfig:
     term_size: int = 3
-    include_fix_defs: bool = True
-    extra_terms: tuple[Term, ...] = ()
     seed_atoms: tuple[Term, ...] = ()
-    max_atoms: int = 4000
 
 
-def universe_terms(program: Program, cfg: InstanceConfig, sig: Optional[Signature] = None) -> list[Term]:
+def universe_terms(program: Program, cfg: InstanceConfig) -> list[Term]:
     """Closed terms of the individual type: first-order terms up to the
-    configured size, named fixed-point definitions applied to them, and any
-    caller-supplied extras."""
-    sig = sig or program.signature
+    configured size, then the named fixed-point definitions applied to
+    them."""
+    sig = program.signature
     by_size: dict[int, dict[tm.SimpleType, list[Term]]] = {}
     cons = sig.constructors()
     for size in range(1, cfg.term_size + 1):
@@ -307,22 +285,16 @@ def universe_terms(program: Program, cfg: InstanceConfig, sig: Optional[Signatur
         if len(out) >= MAX_TERMS:
             out = out[:MAX_TERMS]
             break
-    if cfg.include_fix_defs:
-        fo_args = [t for t in out if tm.is_first_order(sig, {}, t)]
-        extra: list[Term] = []
-        for _name, d in program.fix_definitions:
-            arity = len(tm.argument_types(tm.typecheck(sig, {}, d)))
-            if arity == 0:
-                extra.append(d)
-                continue
-            for combo in itertools.product(fo_args[:8], repeat=arity):
-                extra.append(tm.beta_normalize(tm.app(d, *combo)))
-        out.extend(extra)
-    seen = {tm.alpha_key(t) for t in out} if cfg.extra_terms else set()
-    for t in cfg.extra_terms:
-        if tm.alpha_key(t) not in seen:
-            seen.add(tm.alpha_key(t))
-            out.append(t)
+    fo_args = [t for t in out if tm.is_first_order(sig, {}, t)]
+    extra: list[Term] = []
+    for _name, d in program.fix_definitions:
+        arity = len(tm.argument_types(tm.typecheck(sig, {}, d)))
+        if arity == 0:
+            extra.append(d)
+            continue
+        for combo in itertools.product(fo_args[:8], repeat=arity):
+            extra.append(tm.beta_normalize(tm.app(d, *combo)))
+    out.extend(extra)
     return out
 
 
@@ -342,32 +314,20 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _render_body(sig: Signature, b: Term, depth: int) -> Optional[Tree]:
     try:
-        return atom_to_tree(sig, b, depth, unfold_budget=max(UNFOLD_BOUND, depth + 8))
+        return atom_to_tree(sig, b, depth)
     except CupError:
         return None
 
 
-def t_operator(
-    program: Program,
-    interp: Interpretation,
-    cfg: InstanceConfig,
-    extra_clauses: tuple[HClause, ...] = (),
-    sig: Optional[Signature] = None,
-) -> Interpretation:
+def t_operator(program: Program, interp: Interpretation, cfg: InstanceConfig) -> Interpretation:
     """Heads of all enumerated tree-form ground clause instances whose
     truncated bodies the interpretation contains."""
-    sig = sig or program.signature
-    clauses = program.h_clauses() + list(extra_clauses)
-    uni = universe_terms(program, cfg, sig)
+    sig = program.signature
+    uni = universe_terms(program, cfg)
     depth = interp.depth
     atoms: set[Tree] = set()
-    reps: dict[Tree, Term] = {}
-    for h in clauses:
-        count = 0
-        for inst in fm.ground_instances(h, uni):
-            count += 1
-            if count > MAX_INSTANCES:
-                break
+    for h in program.h_clauses():
+        for inst in fm.ground_instances(h, uni, MAX_INSTANCES):
             body_trees = [_render_body(sig, b, depth) for b in inst.body]
             if any(t is None for t in body_trees):
                 continue
@@ -377,8 +337,7 @@ def t_operator(
             if head_tree is None:
                 continue
             atoms.add(head_tree)
-            reps.setdefault(head_tree, inst.head)
-    return Interpretation(depth, frozenset(atoms), reps)
+    return Interpretation(depth, frozenset(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +387,11 @@ def grounding(
     cfg: InstanceConfig,
     depth: int,
     extra_clauses: tuple[HClause, ...] = (),
-    sig: Optional[Signature] = None,
 ) -> Grounding:
     """A grounding for the program's clauses and the extra ones, with an
     empty render memo."""
-    sig = sig or program.signature
     renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
-    return Grounding(sig, depth, renamed, universe_terms(program, cfg, sig))
+    return Grounding(program.signature, depth, renamed, universe_terms(program, cfg))
 
 
 def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
@@ -475,13 +432,13 @@ def justify(atom: Term, interp: Interpretation, g: Grounding) -> Optional[list[T
     return None
 
 
-def _seed_atoms(program: Program, cfg: InstanceConfig, sig: Signature) -> list[Term]:
+def _seed_atoms(cfg: InstanceConfig, g: Grounding) -> list[Term]:
+    """The configured seeds, then predicate atoms over the grounding's pool."""
     seeds = list(cfg.seed_atoms)
-    uni = universe_terms(program, cfg, sig)
     total = 0
-    for p in sig.predicates():
-        arity = len(tm.argument_types(sig.lookup(p)))
-        combos = itertools.product(uni, repeat=arity)
+    for p in g.sig.predicates():
+        arity = len(tm.argument_types(g.sig.lookup(p)))
+        combos = itertools.product(g.pool, repeat=arity)
         for combo in combos:
             seeds.append(tm.app(Con(p), *combo))
             total += 1
@@ -497,22 +454,19 @@ def gfp_approx(
     depth: int,
     cfg: InstanceConfig,
     extra_clauses: tuple[HClause, ...] = (),
-    sig: Optional[Signature] = None,
 ) -> Interpretation:
     """Downward iteration to a fixed point over the atom space reachable
     from the seeds; an over-approximation of the greatest fixed point at
     this resolution, so absence certifies non-membership over the
     enumerated universe."""
-    sig = sig or program.signature
-    g = grounding(program, cfg, depth, extra_clauses, sig)
+    g = grounding(program, cfg, depth, extra_clauses)
 
-    nodes: dict[Tree, Term] = {}
     reps_seen: dict[Tree, list[Term]] = {}
     # (key, alpha key) of every term in some reps_seen list
     seen: set[tuple[Tree, str]] = set()
     derived_count: dict[Tree, int] = {}
     expansions: dict[Tree, list[list[Tree]]] = {}
-    work: list[tuple[Term, bool]] = [(a, True) for a in _seed_atoms(program, cfg, sig)]
+    work: list[tuple[Term, bool]] = [(a, True) for a in _seed_atoms(cfg, g)]
     while work:
         a, is_seed = work.pop()
         key = g.key(a)
@@ -522,19 +476,18 @@ def gfp_approx(
         # unioned.  Seeds are always processed; atoms discovered through
         # clause bodies are capped per key, since body chains can produce
         # unboundedly many terms behind one stabilized truncation.
-        reps_here = reps_seen.setdefault(key, [])
         if (key, tm.alpha_key(a)) in seen:
             continue
         if not is_seed and derived_count.get(key, 0) >= 4:
             continue
-        if key not in nodes:
-            if len(nodes) >= cfg.max_atoms:
+        if key not in expansions:
+            if len(expansions) >= MAX_ATOMS:
                 raise UniverseTooLarge(
-                    f"atom space exceeded {cfg.max_atoms} truncated atoms; shrink the depth or the universe"
+                    f"atom space exceeded {MAX_ATOMS} truncated atoms; shrink the depth or the universe"
                 )
-            nodes[key] = a
+            reps_seen[key] = []
             expansions[key] = []
-        reps_here.append(a)
+        reps_seen[key].append(a)
         seen.add((key, tm.alpha_key(a)))
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
@@ -551,7 +504,7 @@ def gfp_approx(
             if ok:
                 expansions[key].append(keys)
 
-    alive = set(nodes)
+    alive = set(expansions)
     changed = True
     while changed:
         changed = False
@@ -559,12 +512,7 @@ def gfp_approx(
             if not any(all(k in alive for k in body) for body in expansions[key]):
                 alive.discard(key)
                 changed = True
-    return Interpretation(
-        depth,
-        frozenset(alive),
-        {k: nodes[k] for k in alive},
-        {k: tuple(reps_seen[k]) for k in alive},
-    )
+    return Interpretation(depth, frozenset(alive), {k: tuple(reps_seen[k]) for k in alive})
 
 
 IN_APPROX = "InApprox"

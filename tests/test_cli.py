@@ -75,6 +75,54 @@ class TestExitCodes:
         assert "CUP_DEPTH" in capsys.readouterr().err
 
 
+class TestSettingChecks:
+    """A negative bound and a flag the subcommand does not read are usage
+    errors, never a definite verdict."""
+
+    @pytest.fixture
+    def bitstream_proof(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code = run([
+            "coprove", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
+            "--goal", "bitstream [0|n_str 0]", "--emit-proof", str(out),
+        ])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        return str(out)
+
+    def test_negative_fixbeta_bound_in_search(self, capsys):
+        code = run([
+            "coprove", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
+            "--goal", "bitstream [0|n_str 0]", "--fixbeta-bound", "-1",
+        ])
+        assert code == EXIT_USAGE
+        assert "--fixbeta-bound must be >= 0" in capsys.readouterr().err
+
+    def test_negative_fixbeta_bound_in_check(self, bitstream_proof, capsys):
+        code = run([
+            "check-proof", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
+            "--proof", bitstream_proof, "--fixbeta-bound", "-1",
+        ])
+        assert code == EXIT_USAGE
+        assert "--fixbeta-bound must be >= 0" in capsys.readouterr().err
+
+    def test_negative_model_depth(self, capsys):
+        code = run(["model", "--program", corpus("bitstream.cup"), "--model-depth", "-1"])
+        assert code == EXIT_USAGE
+        assert "--model-depth must be >= 0" in capsys.readouterr().err
+
+    def test_negative_word_budget_from_env(self, bitstream_proof, monkeypatch, capsys):
+        monkeypatch.setenv("CUP_WORD_BUDGET", "-1")
+        code = run(["soundness", "--program", corpus("bitstream.cup"), "--proof", bitstream_proof])
+        assert code == EXIT_USAGE
+        assert "CUP_WORD_BUDGET must be >= 0" in capsys.readouterr().err
+
+    def test_flag_the_subcommand_does_not_read(self, capsys):
+        code = run(["model", "--program", corpus("bitstream.cup"), "--depth", "3"])
+        assert code == EXIT_USAGE
+        assert "--depth" in capsys.readouterr().err
+
+
 class TestProofPipeline:
     def test_emitted_proofs_recheck(self, tmp_path, capsys):
         cases = [

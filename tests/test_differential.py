@@ -464,7 +464,7 @@ def test_lazy_unify_modulo_matches_eager_in_search(monkeypatch, name, goal, calc
 
 
 def fixbeta_equiv_reference(t1, t2, bound):
-    """Build both chains, then compare every pair with alpha_eq."""
+    """Build both chains, then compare every pair with the alpha oracle."""
 
     def chain(t):
         out = [tm.beta_normalize(t)]
@@ -475,7 +475,7 @@ def fixbeta_equiv_reference(t1, t2, bound):
         return out
 
     c1, c2 = chain(t1), chain(t2)
-    if any(tm.alpha_eq(a, b) for a in c1 for b in c2):
+    if any(alpha_eq_oracle(a, b) for a in c1 for b in c2):
         return tm.EQUAL
     if tm._skeleton_conflict(c1[-1], c2[-1]):
         return tm.NOT_EQUAL
@@ -496,7 +496,7 @@ def test_fixbeta_equiv_matches_reference_on_fold_candidates(monkeypatch, request
     for name, goal, depth in MODEL_CASES:
         program = request.getfixturevalue(f"{name}_program")
         cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
-        for reps in tr.gfp_approx(program, depth, cfg).reps_all.values():
+        for reps in tr.gfp_approx(program, depth, cfg).reps.values():
             for atom in reps:
                 for _ in range(3):
                     gd.is_guarded_atom(program.signature, atom)
@@ -541,18 +541,19 @@ def test_cached_tree_hash_is_structural(bitstream_program, member_program):
 
 def gfp_approx_reference(program, depth, cfg):
     """The loop without a render memo: an atom is rendered again on every
-    visit, and a representative is skipped only after an alpha_eq scan."""
+    visit, and a representative is skipped only after a scan with the alpha
+    oracle."""
     sig = program.signature
     g = tr.grounding(program, cfg, depth)
     nodes, reps_seen, derived_count, expansions = {}, {}, {}, {}
-    work = [(a, True) for a in tr._seed_atoms(program, cfg, sig)]
+    work = [(a, True) for a in tr._seed_atoms(cfg, g)]
     while work:
         a, is_seed = work.pop()
         key = tr._render_body(sig, a, depth)
         if key is None:
             continue
         reps_here = reps_seen.setdefault(key, [])
-        if any(tm.alpha_eq(a, r) for r in reps_here):
+        if any(alpha_eq_oracle(a, r) for r in reps_here):
             continue
         if not is_seed and derived_count.get(key, 0) >= 4:
             continue
@@ -582,7 +583,7 @@ def gfp_approx_reference(program, depth, cfg):
             if not any(all(k in alive for k in body) for body in expansions[key]):
                 alive.discard(key)
                 changed = True
-    return alive, {k: nodes[k] for k in alive}, {k: tuple(reps_seen[k]) for k in alive}
+    return alive, {k: tuple(reps_seen[k]) for k in alive}
 
 
 GFP_SEEDS = [(name, goal) for name, goal, _depth in MODEL_CASES] + [("fibs", "fibs 0 0 [0|0]")]
@@ -617,7 +618,7 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request)
         with monkeypatch.context() as m:
             m.setattr(tr, "_render_body", counted_render)
             got = tr.gfp_approx(program, depth, cfg)
-        assert (set(got.atoms), got.reps, got.reps_all) == expected, (name, depth)
+        assert (set(got.atoms), got.reps) == expected, (name, depth)
         # each distinct term is rendered at most once per call
         assert rendered and len(rendered) == len(set(rendered)), (name, depth)
 
@@ -625,7 +626,7 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request)
 def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):
     program, _goal, calc, res = regression_proofs["bitstream"]
     cfg = tr.InstanceConfig()
-    cand = sd.build_candidate(res.tree, program, 2, 1, None, calc)
+    cand = sd.build_candidate(res.tree, program, 2, 1, calc)
     merged = sd.merge_with_model(cand, program, cfg)
     calls = collections.Counter()
 

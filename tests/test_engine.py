@@ -4,7 +4,7 @@ from cup import engine as eng
 from cup import formulas as fm
 from cup import parser as ps
 from cup import terms as tm
-from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_lemma, prove, unify_first_order
+from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_lemma, prove
 from cup.errors import FlexibleAtomUnsupported, NotCoreFormula, ProofInvalid
 from cup.formulas import Atom, Calculus, HClause, TOP
 
@@ -13,21 +13,6 @@ from helpers import A, C, N_STR, V, scons, slist
 
 def rules_of(tree):
     return [n.rule for n in tree.nodes()]
-
-
-class TestUnifyFirstOrder:
-    def test_member_pattern(self):
-        a1 = A(C("member"), V("x"), scons(V("y"), V("t")))
-        a2 = A(C("member"), C("0"), slist(C("0"), C("nil")))
-        s = dict(unify_first_order(a1, a2))
-        assert s == {"x": C("0"), "y": C("0"), "t": C("nil")}
-
-    def test_identical_atoms(self):
-        a = A(C("bit"), V("x"))
-        assert unify_first_order(a, a) == []
-
-    def test_occurs_check(self):
-        assert unify_first_order(A(C("bit"), V("x")), A(C("bit"), A(C("s"), V("x")))) is None
 
 
 class TestCoproveRegressions:

@@ -151,7 +151,7 @@ def Tree_p0():
 class TestVerifyPostfixed:
     def test_unsupported_atom_fails_with_counterexample(self):
         prog = ps.parse_program("const p : o.")
-        interp = Interpretation(1, frozenset({leaf("p")}), {leaf("p"): C("p")})
+        interp = Interpretation(1, frozenset({leaf("p")}), {leaf("p"): (C("p"),)})
         ok, cex = verify_postfixed(interp, prog, InstanceConfig())
         assert not ok and cex == C("p")
 

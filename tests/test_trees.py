@@ -70,9 +70,11 @@ class TestGuardedAtomToTree:
         out4 = guarded_atom_to_tree(STREAM_SIG, A(C("from"), C("0"), A(FR_STR, C("0"))), 4)
         assert out4 == tree_from_text("from(0,scons(0,scons(s(*),scons(*,*))))")
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        # an unfolding that makes no progress exhausts the depth + 8 rounds
+        monkeypatch.setattr(tm, "fair_unfold", lambda t: t)
         with pytest.raises(DepthUnreachable):
-            guarded_atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), depth=6, unfold_budget=2)
+            guarded_atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), depth=6)
 
 
 class TestTruncateDistance:
@@ -169,11 +171,7 @@ class TestGfpApprox:
     def test_fixed_point_property(self, bitstream_program):
         cfg = InstanceConfig(term_size=2)
         out = gfp_approx(bitstream_program, 3, cfg)
-        again = t_operator(
-            bitstream_program,
-            out,
-            InstanceConfig(term_size=2, extra_terms=tuple(a for t in out.reps.values() for a in [t])),
-        )
+        again = t_operator(bitstream_program, out, cfg)
         # the paper's I <= T(I), through t_operator
         assert out.atoms <= again.atoms
         # every member re-derives itself from members at this resolution
@@ -188,9 +186,10 @@ class TestGfpApprox:
         shallow = gfp_approx(bitstream_program, 3, cfg)
         assert {truncate(t, 3) for t in deep.atoms} <= shallow.atoms
 
-    def test_universe_cap(self, bitstream_program):
+    def test_universe_cap(self, bitstream_program, monkeypatch):
+        monkeypatch.setattr(tr, "MAX_ATOMS", 3)
         with pytest.raises(UniverseTooLarge):
-            gfp_approx(bitstream_program, 4, InstanceConfig(term_size=3, max_atoms=3))
+            gfp_approx(bitstream_program, 4, InstanceConfig(term_size=3))
 
 
 class TestMemberOfModel:
