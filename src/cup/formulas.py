@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import terms as tm
@@ -329,6 +329,9 @@ class Program:
     signature: Signature
     clauses: tuple[Formula, ...] = ()
     fix_definitions: tuple[tuple[str, Term], ...] = ()
+    # the state trees.gfp_approx reaches from the universe seeds, keyed on
+    # (depth, pool, extra clauses)
+    _gfp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def fix_def(self, name: str) -> Optional[Term]:
         for n, t in self.fix_definitions:

@@ -363,23 +363,38 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
 
 @dataclass
 class Grounding:
-    """What enumerating clause instances at one depth needs, built once per
-    `gfp_approx` or `verify_postfixed` call: the clauses renamed apart, the
-    term pool for body variables that a head leaves open, and the truncated
-    key of every atom rendered so far."""
+    """What enumerating clause instances at one depth needs: the clauses
+    renamed apart, the term pool for body variables that a head leaves
+    open, and the truncated key of every atom rendered so far, equal
+    subtrees of the keys one `Tree` object.  Each `gfp_approx` or
+    `verify_postfixed` call builds its own, so the render memo lasts one
+    call; `gfp_approx` keeps the universe it explored on the `Program`, and
+    the interning keeps the trees held there small."""
 
     sig: Signature
     depth: int
     renamed: list[RenamedClause]
     pool: list[Term]
     keys: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
+    trees: dict[Tree, Tree] = field(default_factory=dict, repr=False)
 
     def key(self, atom: Term) -> Optional[Tree]:
         """The atom's truncated tree, None if it does not render; each
         distinct term is rendered once."""
         if atom not in self.keys:
-            self.keys[atom] = _render_body(self.sig, atom, self.depth)
+            tree = _render_body(self.sig, atom, self.depth)
+            self.keys[atom] = tree if tree is None else self._intern(tree)
         return self.keys[atom]
+
+    def _intern(self, t: Tree) -> Tree:
+        """The one object standing for trees equal to t, its subtrees
+        interned as well."""
+        got = self.trees.get(t)
+        if got is None:
+            children = tuple(self._intern(c) for c in t.children)
+            got = t if all(a is b for a, b in zip(children, t.children)) else Tree(t.label, children)
+            self.trees[got] = got
+        return got
 
 
 def grounding(
@@ -432,41 +447,46 @@ def justify(atom: Term, interp: Interpretation, g: Grounding) -> Optional[list[T
     return None
 
 
-def _seed_atoms(cfg: InstanceConfig, g: Grounding) -> list[Term]:
-    """The configured seeds, then predicate atoms over the grounding's pool."""
-    seeds = list(cfg.seed_atoms)
-    total = 0
+def _universe_seeds(g: Grounding) -> list[Term]:
+    """Predicate atoms over the grounding's pool."""
+    seeds = []
     for p in g.sig.predicates():
+        head = Con(p)
         arity = len(tm.argument_types(g.sig.lookup(p)))
-        combos = itertools.product(g.pool, repeat=arity)
-        for combo in combos:
-            seeds.append(tm.app(Con(p), *combo))
-            total += 1
-            if total >= MAX_UNIVERSE_ATOMS:
-                break
-        if total >= MAX_UNIVERSE_ATOMS:
-            break
+        for combo in itertools.product(g.pool, repeat=arity):
+            seeds.append(tm.app(head, *combo))
+            if len(seeds) >= MAX_UNIVERSE_ATOMS:
+                return seeds
     return seeds
 
 
-def gfp_approx(
-    program: Program,
-    depth: int,
-    cfg: InstanceConfig,
-    extra_clauses: tuple[HClause, ...] = (),
-) -> Interpretation:
-    """Downward iteration to a fixed point over the atom space reachable
-    from the seeds; an over-approximation of the greatest fixed point at
-    this resolution, so absence certifies non-membership over the
-    enumerated universe."""
-    g = grounding(program, cfg, depth, extra_clauses)
+@dataclass
+class _Explored:
+    """The state of `gfp_approx`'s worklist: the representatives seen
+    behind each key, (key, alpha key) of each of them, the atoms reached
+    through clause bodies per key, and each key's body expansions."""
 
-    reps_seen: dict[Tree, list[Term]] = {}
-    # (key, alpha key) of every term in some reps_seen list
-    seen: set[tuple[Tree, str]] = set()
-    derived_count: dict[Tree, int] = {}
-    expansions: dict[Tree, list[list[Tree]]] = {}
-    work: list[tuple[Term, bool]] = [(a, True) for a in _seed_atoms(cfg, g)]
+    reps_seen: dict[Tree, list[Term]] = field(default_factory=dict)
+    seen: set[tuple[Tree, str]] = field(default_factory=set)
+    derived_count: dict[Tree, int] = field(default_factory=dict)
+    expansions: dict[Tree, list[list[Tree]]] = field(default_factory=dict)
+
+    def copy(self) -> "_Explored":
+        # a body's key list is never appended to once stored
+        return _Explored(
+            {k: list(v) for k, v in self.reps_seen.items()},
+            set(self.seen),
+            dict(self.derived_count),
+            {k: list(v) for k, v in self.expansions.items()},
+        )
+
+
+def _explore(state: _Explored, seeds: list[Term], g: Grounding) -> None:
+    """Run the worklist from the seeds until it is empty, last seed first,
+    each atom reached through a clause body pushed above the rest."""
+    work: list[tuple[Term, bool]] = [(a, True) for a in seeds]
+    reps_seen, seen = state.reps_seen, state.seen
+    derived_count, expansions = state.derived_count, state.expansions
     while work:
         a, is_seed = work.pop()
         key = g.key(a)
@@ -504,15 +524,46 @@ def gfp_approx(
             if ok:
                 expansions[key].append(keys)
 
-    alive = set(expansions)
+
+def gfp_approx(
+    program: Program,
+    depth: int,
+    cfg: InstanceConfig,
+    extra_clauses: tuple[HClause, ...] = (),
+) -> Interpretation:
+    """Downward iteration to a fixed point over the atom space reachable
+    from the seeds; an over-approximation of the greatest fixed point at
+    this resolution, so absence certifies non-membership over the
+    enumerated universe.
+
+    The worklist is a stack holding the configured seeds under the
+    universe seeds, the predicate atoms over the pool.  Every universe
+    seed, and every atom reached from one, is therefore handled before the
+    first configured seed, and the state at that point depends on the
+    program, the depth, the pool and the extra clauses only.  The program
+    keeps that state per (depth, pool, extra clauses); a call resumes from
+    a copy of it with its own seeds, which is the same computation as
+    running the whole stack.  A `UniverseTooLarge` raised while exploring
+    the universe leaves nothing behind, so every such call raises it."""
+    g = grounding(program, cfg, depth, extra_clauses)
+    memo_key = (depth, tuple(g.pool), extra_clauses)
+    explored = program._gfp_memo.get(memo_key)
+    if explored is None:
+        explored = _Explored()
+        _explore(explored, _universe_seeds(g), g)
+        program._gfp_memo[memo_key] = explored
+    state = explored.copy()
+    _explore(state, list(cfg.seed_atoms), g)
+
+    alive = set(state.expansions)
     changed = True
     while changed:
         changed = False
         for key in list(alive):
-            if not any(all(k in alive for k in body) for body in expansions[key]):
+            if not any(all(k in alive for k in body) for body in state.expansions[key]):
                 alive.discard(key)
                 changed = True
-    return Interpretation(depth, frozenset(alive), {k: tuple(reps_seen[k]) for k in alive})
+    return Interpretation(depth, frozenset(alive), {k: tuple(state.reps_seen[k]) for k in alive})
 
 
 IN_APPROX = "InApprox"

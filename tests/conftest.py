@@ -30,6 +30,16 @@ def _load(name: str):
     return ps.parse_program((CORPUS_DIR / name).read_text())
 
 
+@pytest.fixture
+def fresh_program():
+    """Parse a corpus program by name, for a test that watches or patches
+    `trees`, `engine` or `terms` around a model-side call: the session
+    programs keep the universes `gfp_approx` explored for earlier tests, so
+    the test would not see that work, and what it explored under a patch
+    would outlive it."""
+    return lambda name: _load(f"{name}.cup")
+
+
 @pytest.fixture(scope="session")
 def member67_program():
     return ps.parse_program(MEMBER_67)

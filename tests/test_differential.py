@@ -22,12 +22,13 @@ from cup import parser as ps
 from cup import soundness as sd
 from cup import terms as tm
 from cup import trees as tr
-from cup.errors import CupError, TypeMismatch
+from cup.errors import CupError, TypeMismatch, UniverseTooLarge
 from cup.formulas import Calculus
 from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
 from helpers import (
-    GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, formula_alpha_eq_reference, gen_term, rename_binders, slist,
+    GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, formula_alpha_eq_reference, gen_term,
+    rename_binders, slist,
 )
 from test_properties import CASES
 
@@ -425,8 +426,8 @@ MODEL_CASES = [
 
 
 @pytest.mark.parametrize("name,goal,depth", MODEL_CASES)
-def test_lazy_unify_modulo_matches_eager_on_gfp_atoms(monkeypatch, name, goal, depth, request):
-    program = request.getfixturevalue(f"{name}_program")
+def test_lazy_unify_modulo_matches_eager_on_gfp_atoms(monkeypatch, name, goal, depth, fresh_program):
+    program = fresh_program(name)
     atom = ps.parse_goal(goal, program).term
     cfg = tr.InstanceConfig(seed_atoms=(atom,))
     calls = _recorded_calls(monkeypatch, lambda: tr.gfp_approx(program, depth, cfg))
@@ -482,7 +483,7 @@ def fixbeta_equiv_reference(t1, t2, bound):
     return tm.UNKNOWN
 
 
-def test_fixbeta_equiv_matches_reference_on_fold_candidates(monkeypatch, request):
+def test_fixbeta_equiv_matches_reference_on_fold_candidates(monkeypatch, fresh_program):
     # every fixbeta_equiv call of _fold_candidates on the gfp atoms of the
     # model cases and on their first two unfoldings, which fold back
     calls = []
@@ -494,7 +495,7 @@ def test_fixbeta_equiv_matches_reference_on_fold_candidates(monkeypatch, request
 
     monkeypatch.setattr(tm, "fixbeta_equiv", record)
     for name, goal, depth in MODEL_CASES:
-        program = request.getfixturevalue(f"{name}_program")
+        program = fresh_program(name)
         cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
         for reps in tr.gfp_approx(program, depth, cfg).reps.values():
             for atom in reps:
@@ -541,19 +542,23 @@ def test_cached_tree_hash_is_structural(bitstream_program, member_program):
 
 def gfp_approx_reference(program, depth, cfg):
     """The loop without a render memo: an atom is rendered again on every
-    visit, and a representative is skipped only after a scan with the alpha
-    oracle."""
+    visit, and a representative is skipped only after a scan of the alpha
+    oracle's encodings of those seen behind its key."""
     sig = program.signature
     g = tr.grounding(program, cfg, depth)
-    nodes, reps_seen, derived_count, expansions = {}, {}, {}, {}
-    work = [(a, True) for a in tr._seed_atoms(cfg, g)]
+    nodes, reps_seen, codes_seen, derived_count, expansions = {}, {}, {}, {}, {}
+    # the configured seeds under the universe seeds, popped from the end
+    work = [(a, True) for a in list(cfg.seed_atoms) + tr._universe_seeds(g)]
     while work:
         a, is_seed = work.pop()
         key = tr._render_body(sig, a, depth)
         if key is None:
             continue
         reps_here = reps_seen.setdefault(key, [])
-        if any(alpha_eq_oracle(a, r) for r in reps_here):
+        # the encodings of reps_here, in its order
+        codes_here = codes_seen.setdefault(key, [])
+        code = debruijn(a)
+        if any(code == c for c in codes_here):
             continue
         if not is_seed and derived_count.get(key, 0) >= 4:
             continue
@@ -561,6 +566,7 @@ def gfp_approx_reference(program, depth, cfg):
             nodes[key] = a
             expansions[key] = []
         reps_here.append(a)
+        codes_here.append(code)
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
         for body in tr.justifications(a, g):
@@ -586,16 +592,10 @@ def gfp_approx_reference(program, depth, cfg):
     return alive, {k: tuple(reps_seen[k]) for k in alive}
 
 
-GFP_SEEDS = [(name, goal) for name, goal, _depth in MODEL_CASES] + [("fibs", "fibs 0 0 [0|0]")]
-
-
-@pytest.mark.parametrize("name,goal", GFP_SEEDS)
-def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request):
-    # the default InstanceConfig plus one seeded atom, as `cup model --goal`
-    program = request.getfixturevalue(f"{name}_program")
-    cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
-    # justifications do not depend on the depth and are not under test here;
-    # sharing them between both loops and all depths keeps fibs affordable
+def _share_justifications(monkeypatch):
+    """Patch `trees.justifications` to find each atom's bodies once: they do
+    not depend on the depth and are not under test here, and sharing them
+    between the loops and the depths keeps fibs affordable."""
     bodies = {}
     real_justifications = tr.justifications
 
@@ -604,6 +604,17 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request)
             bodies[atom] = list(real_justifications(atom, g))
         return iter(bodies[atom])
 
+    monkeypatch.setattr(tr, "justifications", shared_justifications)
+
+
+GFP_SEEDS = [(name, goal) for name, goal, _depth in MODEL_CASES] + [("fibs", "fibs 0 0 [0|0]")]
+
+
+@pytest.mark.parametrize("name,goal", GFP_SEEDS)
+def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, fresh_program):
+    # the default InstanceConfig plus one seeded atom, as `cup model --goal`
+    program = fresh_program(name)
+    cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
     rendered = []
     real_render = tr._render_body
 
@@ -611,7 +622,7 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request)
         rendered.append(atom)
         return real_render(sig, atom, depth)
 
-    monkeypatch.setattr(tr, "justifications", shared_justifications)
+    _share_justifications(monkeypatch)
     for depth in (2, 3, 4):
         expected = gfp_approx_reference(program, depth, cfg)
         rendered.clear()
@@ -621,6 +632,80 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, request)
         assert (set(got.atoms), got.reps) == expected, (name, depth)
         # each distinct term is rendered at most once per call
         assert rendered and len(rendered) == len(set(rendered)), (name, depth)
+
+
+# a second seed for each model case; the member one adds keys to those the
+# universe reaches: 23 atoms at depth 4, against 21 without it
+SECOND_SEEDS = {
+    "bitstream": "bitstream [1|0|z_str]",
+    "from": "from 0 (fr_str 0)",
+    "member": "member 0 [1|1|0|nil]",
+    "comember": "comember_bit (f 0) [1|0]",
+}
+
+
+def _listing(approx):
+    return set(approx.atoms), approx.reps
+
+
+@pytest.mark.parametrize("name,goal,_depth", MODEL_CASES)
+def test_gfp_approx_on_an_explored_universe_matches_fresh_and_reference(
+        monkeypatch, name, goal, _depth, fresh_program):
+    # one program across seeds A, B, A at each depth: the first call explores
+    # the universe, the next two resume from what it kept
+    _share_justifications(monkeypatch)
+    program = fresh_program(name)
+    seeds = {s: ps.parse_goal(s, program).term for s in (goal, SECOND_SEEDS[name])}
+    for depth in (2, 3, 4):
+        expected = {}
+        for s in (goal, SECOND_SEEDS[name], goal):
+            cfg = tr.InstanceConfig(seed_atoms=(seeds[s],))
+            got = _listing(tr.gfp_approx(program, depth, cfg))
+            if s not in expected:
+                assert got == _listing(tr.gfp_approx(fresh_program(name), depth, cfg)), (name, depth, s)
+                expected[s] = gfp_approx_reference(program, depth, cfg)
+            assert got == expected[s], (name, depth, s)
+
+
+def _snapshot(explored):
+    return (
+        {k: tuple(v) for k, v in explored.reps_seen.items()},
+        frozenset(explored.seen),
+        dict(explored.derived_count),
+        {k: tuple(tuple(body) for body in v) for k, v in explored.expansions.items()},
+    )
+
+
+def test_gfp_approx_leaves_the_explored_universe_unchanged(fresh_program):
+    program = fresh_program("member")
+    assert len(tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms) == 21
+    (explored,) = program._gfp_memo.values()
+    before = _snapshot(explored)
+    seed = ps.parse_goal(SECOND_SEEDS["member"], program).term
+    assert len(tr.gfp_approx(program, 4, tr.InstanceConfig(seed_atoms=(seed,))).atoms) == 23
+    assert len(tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms) == 21
+    assert list(program._gfp_memo.values()) == [explored]
+    assert _snapshot(explored) == before
+
+
+def test_universe_too_large_is_raised_on_every_call(fresh_program, monkeypatch):
+    program = fresh_program("bitstream")
+    monkeypatch.setattr(tr, "MAX_ATOMS", 3)
+    for _ in range(2):
+        with pytest.raises(UniverseTooLarge):
+            tr.gfp_approx(program, 4, tr.InstanceConfig())
+    assert not program._gfp_memo
+
+
+def test_conservative_extension_check_explores_the_extension_apart():
+    prog = ps.parse_program(open("src/cup/corpus/bitstream.cup").read() + "const s : i -> i.\n")
+    alien = fm.HClause((), (), ps.parse_goal("bit (s 0)", prog).term)
+    report = sd.conservative_extension_check(prog, [alien], 4)
+    assert not report.equal
+    assert len(prog._gfp_memo) == 2
+    assert {extra for _depth, _pool, extra in prog._gfp_memo} == {(), (alien,)}
+    # and the same report again, from what the first check explored
+    assert sd.conservative_extension_check(prog, [alien], 4) == report
 
 
 def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):

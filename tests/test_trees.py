@@ -186,10 +186,10 @@ class TestGfpApprox:
         shallow = gfp_approx(bitstream_program, 3, cfg)
         assert {truncate(t, 3) for t in deep.atoms} <= shallow.atoms
 
-    def test_universe_cap(self, bitstream_program, monkeypatch):
+    def test_universe_cap(self, fresh_program, monkeypatch):
         monkeypatch.setattr(tr, "MAX_ATOMS", 3)
         with pytest.raises(UniverseTooLarge):
-            gfp_approx(bitstream_program, 4, InstanceConfig(term_size=3))
+            gfp_approx(fresh_program("bitstream"), 4, InstanceConfig(term_size=3))
 
 
 class TestMemberOfModel:
