@@ -330,7 +330,7 @@ class Program:
     clauses: tuple[Formula, ...] = ()
     fix_definitions: tuple[tuple[str, Term], ...] = ()
     # the state trees.gfp_approx reaches from the universe seeds, keyed on
-    # (depth, pool, extra clauses)
+    # (depth, pool)
     _gfp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def fix_def(self, name: str) -> Optional[Term]:

@@ -541,19 +541,24 @@ def gfp_approx(
     seed, and every atom reached from one, is therefore handled before the
     first configured seed, and the state at that point depends on the
     program, the depth, the pool and the extra clauses only.  The program
-    keeps that state per (depth, pool, extra clauses); a call resumes from
-    a copy of it with its own seeds, which is the same computation as
-    running the whole stack.  A `UniverseTooLarge` raised while exploring
-    the universe leaves nothing behind, so every such call raises it."""
+    keeps that state per (depth, pool) for calls without extra clauses; a
+    call resumes from a copy of it with its own seeds, which is the same
+    computation as running the whole stack.  A call with extra clauses
+    checks one lemma extension, so it runs the whole stack and keeps
+    nothing.  A `UniverseTooLarge` raised while exploring the universe
+    leaves nothing behind, so every such call raises it."""
     g = grounding(program, cfg, depth, extra_clauses)
-    memo_key = (depth, tuple(g.pool), extra_clauses)
-    explored = program._gfp_memo.get(memo_key)
-    if explored is None:
-        explored = _Explored()
-        _explore(explored, _universe_seeds(g), g)
-        program._gfp_memo[memo_key] = explored
-    state = explored.copy()
-    _explore(state, list(cfg.seed_atoms), g)
+    if extra_clauses:
+        state = _Explored()
+        _explore(state, list(cfg.seed_atoms) + _universe_seeds(g), g)
+    else:
+        memo_key = (depth, tuple(g.pool))
+        if memo_key not in program._gfp_memo:
+            explored = _Explored()
+            _explore(explored, _universe_seeds(g), g)
+            program._gfp_memo[memo_key] = explored
+        state = program._gfp_memo[memo_key].copy()
+        _explore(state, list(cfg.seed_atoms), g)
 
     alive = set(state.expansions)
     changed = True

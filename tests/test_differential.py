@@ -697,17 +697,6 @@ def test_universe_too_large_is_raised_on_every_call(fresh_program, monkeypatch):
     assert not program._gfp_memo
 
 
-def test_conservative_extension_check_explores_the_extension_apart():
-    prog = ps.parse_program(open("src/cup/corpus/bitstream.cup").read() + "const s : i -> i.\n")
-    alien = fm.HClause((), (), ps.parse_goal("bit (s 0)", prog).term)
-    report = sd.conservative_extension_check(prog, [alien], 4)
-    assert not report.equal
-    assert len(prog._gfp_memo) == 2
-    assert {extra for _depth, _pool, extra in prog._gfp_memo} == {(), (alien,)}
-    # and the same report again, from what the first check explored
-    assert sd.conservative_extension_check(prog, [alien], 4) == report
-
-
 def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):
     program, _goal, calc, res = regression_proofs["bitstream"]
     cfg = tr.InstanceConfig()

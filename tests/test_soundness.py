@@ -191,6 +191,10 @@ class TestConservativeExtension:
         report = conservative_extension_check(prog, [HClause((), (), alien)], 4)
         assert not report.equal
         assert any(t.label == "bit" for t in report.only_in_extended)
+        # the program keeps the base universe only, and the same report
+        # comes back from it
+        assert [depth for depth, _pool in prog._gfp_memo] == [4]
+        assert conservative_extension_check(prog, [HClause((), (), alien)], 4) == report
 
     def test_body_must_hold(self, bitstream_program):
         bad = HClause((), (A(C("bit"), scons(C("0"), C("0"))),), A(C("bit"), C("0")))
