@@ -107,21 +107,19 @@ class ProofTree:
 
 
 def _sequent_equal(a: Sequent, b: Sequent) -> bool:
-    if a.signature.as_dict() != b.signature.as_dict():
-        return False
-    if len(a.entries) != len(b.entries):
-        return False
-    for x, y in zip(a.entries, b.entries):
-        if x.src != y.src or not formula_alpha_eq(x.formula, y.formula):
-            return False
-    if (a.focus is None) != (b.focus is None):
+    # the cheap fields and the formulas a rule changes first, so a wrong
+    # premise candidate fails before the entries are compared
+    if a.mode != b.mode or a.guarded != b.guarded or (a.focus is None) != (b.focus is None):
         return False
     if a.focus is not None and not formula_alpha_eq(a.focus, b.focus):
         return False
-    return (
-        formula_alpha_eq(a.goal, b.goal)
-        and a.mode == b.mode
-        and a.guarded == b.guarded
+    if not formula_alpha_eq(a.goal, b.goal) or len(a.entries) != len(b.entries):
+        return False
+    if a.signature.as_dict() != b.signature.as_dict():
+        return False
+    return all(
+        x.src == y.src and formula_alpha_eq(x.formula, y.formula)
+        for x, y in zip(a.entries, b.entries)
     )
 
 
@@ -299,6 +297,85 @@ def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> Optional[d
 
 
 # ---------------------------------------------------------------------------
+# The rules
+# ---------------------------------------------------------------------------
+
+# the rule names, (unguarded, guarded), by the goal's shape for the right
+# rules and by the focus's for the left rules; None where the guard forbids
+# the rule
+_RIGHT = {
+    Top: ("top-r", None), Conj: ("and-r", "and-r<>"), Disj: ("or-r", None),
+    Impl: ("imp-r", "imp-r<>"), Forall: ("forall-r", "forall-r<>"),
+    Exists: ("exists-r", None), Atom: ("decide", "decide<>"),
+}
+_LEFT = {
+    Atom: ("initial", "initial<>"), Conj: ("and-l", "and-l<>"),
+    Forall: ("forall-l", "forall-l<>"), Impl: ("imp-l", "imp-l<>"),
+}
+_NO_RULE = (None, None)
+
+
+def _rule(seq: Sequent) -> Optional[str]:
+    """The one rule that applies to the sequent: co-fix on a coinductive
+    sequent, else the left rule of the focus's shape (its goal must be an
+    atom), else the right rule of the goal's shape.  None when no rule
+    applies."""
+    if seq.mode == COINDUCTIVE:
+        return "co-fix"
+    if seq.focus is None:
+        return _RIGHT.get(type(seq.goal), _NO_RULE)[seq.guarded]
+    if not isinstance(seq.goal, Atom):
+        return None
+    return _LEFT.get(type(seq.focus), _NO_RULE)[seq.guarded]
+
+
+def _premises(
+    seq: Sequent, eigen: Optional[str] = None, witness: Optional[Term] = None
+) -> Iterator[tuple[Sequent, ...]]:
+    """Each premise tuple of `_rule(seq)`, in the order search tries them.
+    forall-r takes the eigenvariable, exists-r and forall-l the witness."""
+    rule = _rule(seq)
+    if rule is None:
+        return
+    g, d = seq.goal, seq.focus
+    if rule == "co-fix":
+        # the goal becomes the coinductive hypothesis and the guarded goal
+        yield (seq.with_(entries=seq.entries + (Entry(g, Src.COHYP),), mode=PLAIN, guarded=True),)
+    elif d is not None:
+        if isinstance(d, Atom):
+            yield ()
+        elif isinstance(d, Conj):
+            yield (seq.with_(focus=d.left),)
+            yield (seq.with_(focus=d.right),)
+        elif isinstance(d, Forall):
+            yield (seq.with_(focus=formula_substitute(d.body, d.var, witness)),)
+        else:
+            # imp-l: the focused premise first; the guard is dropped on both
+            yield seq.with_(focus=d.right, guarded=False), seq.with_(focus=None, goal=d.left, guarded=False)
+    elif isinstance(g, Top):
+        yield ()
+    elif isinstance(g, Conj):
+        yield seq.with_(goal=g.left), seq.with_(goal=g.right)
+    elif isinstance(g, Disj):
+        yield (seq.with_(goal=g.left),)
+        yield (seq.with_(goal=g.right),)
+    elif isinstance(g, Impl):
+        yield (seq.with_(entries=seq.entries + (Entry(g.left, Src.HYPOTHESIS),), goal=g.right),)
+    elif isinstance(g, Forall):
+        yield (seq.with_(
+            signature=seq.signature.extend(eigen, g.ty),
+            goal=formula_substitute(g.body, g.var, Con(eigen)),
+        ),)
+    elif isinstance(g, Exists):
+        yield (seq.with_(goal=formula_substitute(g.body, g.var, witness)),)
+    else:
+        # decide: the guarded form only on the original program
+        for e in sorted(seq.entries, key=lambda e: _DECIDE_ORDER[e.src]):
+            if not (seq.guarded and e.src != Src.ORIGINAL):
+                yield (seq.with_(focus=e.formula),)
+
+
+# ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
 
@@ -318,85 +395,9 @@ class _Ctx:
         return Var(name)
 
 
-def _atom_term(f: Formula) -> Term:
-    assert isinstance(f, Atom)
-    return f.term
-
-
 def _goal_atom_head(t: Term, s: dict[str, Term]) -> Term:
     head, _ = tm.spine(resolve_term(t, s))
     return head
-
-
-def _solve_goal(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[tuple[ProofTree, dict[str, Term]]]:
-    if depth <= 0:
-        ctx.cut = True
-        return
-    ctx.stats.nodes += 1
-    g = seq.goal
-    gr = seq.guarded
-    if isinstance(g, Top):
-        if not gr:
-            yield ProofTree(seq, "top-r"), s
-        return
-    if isinstance(g, Conj):
-        rule = "and-r<>" if gr else "and-r"
-        left = seq.with_(goal=g.left)
-        right = seq.with_(goal=g.right)
-        for t1, s1 in _solve_goal(ctx, left, depth - 1, s):
-            for t2, s2 in _solve_goal(ctx, right, depth - 1, s1):
-                yield ProofTree(seq, rule, children=(t1, t2)), s2
-        return
-    if isinstance(g, Disj):
-        if gr:
-            return
-        for branch in (g.left, g.right):
-            child = seq.with_(goal=branch)
-            for t1, s1 in _solve_goal(ctx, child, depth - 1, s):
-                yield ProofTree(seq, "or-r", children=(t1,)), s1
-        return
-    if isinstance(g, Impl):
-        rule = "imp-r<>" if gr else "imp-r"
-        child = seq.with_(
-            entries=seq.entries + (Entry(g.left, Src.HYPOTHESIS),),
-            goal=g.right,
-        )
-        for t1, s1 in _solve_goal(ctx, child, depth - 1, s):
-            yield ProofTree(seq, rule, children=(t1,)), s1
-        return
-    if isinstance(g, Forall):
-        rule = "forall-r<>" if gr else "forall-r"
-        eigen = ctx.supply.fresh(g.var)
-        child = seq.with_(
-            signature=seq.signature.extend(eigen, g.ty),
-            goal=formula_substitute(g.body, g.var, Con(eigen)),
-        )
-        for t1, s1 in _solve_goal(ctx, child, depth - 1, s):
-            yield ProofTree(seq, rule, eigen=eigen, children=(t1,)), s1
-        return
-    if isinstance(g, Exists):
-        if gr:
-            return
-        meta = ctx.fresh_meta(g.var, g.ty)
-        child = seq.with_(goal=formula_substitute(g.body, g.var, meta))
-        for t1, s1 in _solve_goal(ctx, child, depth - 1, s):
-            yield ProofTree(seq, "exists-r", witness=meta, children=(t1,)), s1
-        return
-    # atomic goal: DECIDE
-    assert isinstance(g, Atom)
-    head = _goal_atom_head(g.term, s)
-    if isinstance(head, Var) and not _is_meta(head.name):
-        raise FlexibleAtomUnsupported(f"flexible atom goal {g.term!r}")
-    if isinstance(head, Var):
-        raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {g.term!r}")
-    rule = "decide<>" if gr else "decide"
-    candidates = [e for e in seq.entries if not (gr and e.src != Src.ORIGINAL)]
-    candidates.sort(key=lambda e: _DECIDE_ORDER[e.src])
-    for entry in candidates:
-        child = seq.with_(focus=entry.formula)
-        for t1, s1 in _solve_focus(ctx, child, depth - 1, s):
-            yield ProofTree(seq, rule, children=(t1,)), s1
-    return
 
 
 def _initial_match(ctx: _Ctx, a_focus: Term, a_goal: Term, s: dict[str, Term]) -> Optional[dict[str, Term]]:
@@ -405,43 +406,47 @@ def _initial_match(ctx: _Ctx, a_focus: Term, a_goal: Term, s: dict[str, Term]) -
     return unify(a_focus, a_goal, s)
 
 
-def _solve_focus(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[tuple[ProofTree, dict[str, Term]]]:
+def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[tuple[ProofTree, dict[str, Term]]]:
+    """The proofs of seq within depth, with the substitution each needs.
+    Premises are solved here, not through a helper, so that a search level
+    costs one generator frame of the interpreter stack."""
     if depth <= 0:
         ctx.cut = True
         return
     ctx.stats.nodes += 1
-    d = seq.focus
-    gr = seq.guarded
-    goal_term = _atom_term(seq.goal)
-    if isinstance(d, Atom):
-        s1 = _initial_match(ctx, d.term, goal_term, s)
-        if s1 is not None:
-            yield ProofTree(seq, "initial<>" if gr else "initial"), s1
+    rule = _rule(seq)
+    if rule is None:
         return
-    if isinstance(d, Conj):
-        rule = "and-l<>" if gr else "and-l"
-        for side in (d.left, d.right):
-            child = seq.with_(focus=side)
-            for t1, s1 in _solve_focus(ctx, child, depth - 1, s):
-                yield ProofTree(seq, rule, children=(t1,)), s1
-        return
-    if isinstance(d, Forall):
-        rule = "forall-l<>" if gr else "forall-l"
-        meta = ctx.fresh_meta(d.var, d.ty)
-        child = seq.with_(focus=formula_substitute(d.body, d.var, meta))
-        for t1, s1 in _solve_focus(ctx, child, depth - 1, s):
-            yield ProofTree(seq, rule, witness=meta, children=(t1,)), s1
-        return
-    if isinstance(d, Impl):
-        rule = "imp-l<>" if gr else "imp-l"
-        # the focused premise is searched first; the guard is dropped on both
-        focused = seq.with_(focus=d.right, guarded=False)
-        for t1, s1 in _solve_focus(ctx, focused, depth - 1, s):
-            side = seq.with_(focus=None, goal=d.left, guarded=False)
-            for t2, s2 in _solve_goal(ctx, side, depth - 1, s1):
-                yield ProofTree(seq, rule, children=(t1, t2)), s2
-        return
-    return
+    g, d = seq.goal, seq.focus
+    eigen = witness = None
+    if d is not None:
+        if isinstance(d, Atom):
+            s1 = _initial_match(ctx, d.term, g.term, s)
+            if s1 is not None:
+                yield ProofTree(seq, rule), s1
+            return
+        if isinstance(d, Forall):
+            witness = ctx.fresh_meta(d.var, d.ty)
+    elif isinstance(g, Forall):
+        eigen = ctx.supply.fresh(g.var)
+    elif isinstance(g, Exists):
+        witness = ctx.fresh_meta(g.var, g.ty)
+    elif isinstance(g, Atom):
+        head = _goal_atom_head(g.term, s)
+        if isinstance(head, Var) and not _is_meta(head.name):
+            raise FlexibleAtomUnsupported(f"flexible atom goal {g.term!r}")
+        if isinstance(head, Var):
+            raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {g.term!r}")
+    for premises in _premises(seq, eigen, witness):
+        if not premises:
+            yield ProofTree(seq, rule), s
+            continue
+        for t1, s1 in _solve(ctx, premises[0], depth - 1, s):
+            if len(premises) == 1:
+                yield ProofTree(seq, rule, witness, eigen, (t1,)), s1
+                continue
+            for t2, s2 in _solve(ctx, premises[1], depth - 1, s1):
+                yield ProofTree(seq, rule, witness, eigen, (t1, t2)), s2
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +546,14 @@ def _search(ctx: _Ctx, root_child: Sequent, make_root: Callable[[ProofTree], Pro
     for bound in range(1, limit + 1):
         ctx.cut = False
         ctx.stats.max_depth = max(ctx.stats.max_depth, bound)
-        for tree, s in _solve_goal(ctx, root_child, bound, {}):
-            full = make_root(tree)
-            reified = _reify(ctx, full, s)
-            if reified is not None:
-                return SearchOutcome(reified, "proved", ctx.stats)
+        try:
+            for tree, s in _solve(ctx, root_child, bound, {}):
+                reified = _reify(ctx, make_root(tree), s)
+                if reified is not None:
+                    return SearchOutcome(reified, "proved", ctx.stats)
+        except RecursionError:
+            # the interpreter stack bounds the depth too
+            return SearchOutcome(None, "depth-exceeded", ctx.stats)
         if not ctx.cut:
             return SearchOutcome(None, "no-proof", ctx.stats)
     return SearchOutcome(None, "depth-exceeded", ctx.stats)
@@ -561,14 +569,7 @@ def coprove(program: Program, m: Formula, cfg: SearchConfig) -> SearchOutcome:
         raise NotCoreFormula(f"{m!r} is not a core formula of {cfg.calculus.value}")
     entries = _base_entries(program)
     root_seq = Sequent(program.signature, entries, None, m, COINDUCTIVE, False)
-    child_seq = Sequent(
-        program.signature,
-        entries + (Entry(m, Src.COHYP),),
-        None,
-        m,
-        PLAIN,
-        True,
-    )
+    (child_seq,) = next(_premises(root_seq))
     ctx = _Ctx(program, cfg, NameSupply(), SearchStats(), {})
 
     def make_root(child: ProofTree) -> ProofTree:
@@ -606,12 +607,16 @@ def check(
     fixbeta_bound: int = 8,
 ) -> tuple[bool, Optional[str]]:
     """Verify that every node instantiates exactly one rule with all side
-    conditions; returns (ok, first-failure diagnostic)."""
+    conditions; returns (ok, first-failure diagnostic).
+
+    The premises a rule allows come from `_premises`, as in search; the
+    side conditions, the INITIAL match and the grammar checks are the
+    checker's own."""
 
     def fail(path: str, msg: str) -> tuple[bool, str]:
         return False, f"{path}: {msg}"
 
-    def initial_ok(sig: Signature, focus: Term, goal: Term) -> bool:
+    def initial_ok(focus: Term, goal: Term) -> bool:
         if calculus.higher_order:
             return tm.fixbeta_equiv(focus, goal, fixbeta_bound) == tm.EQUAL
         return tm.alpha_eq(focus, goal)
@@ -622,27 +627,17 @@ def check(
         seq = node.sequent
         rule = node.rule
         kids = node.children
+        expected = _rule(seq)
 
-        if seq.mode == COINDUCTIVE:
+        if expected == "co-fix":
             if not is_root or rule != "co-fix":
                 return fail(path, "coinductive sequents may only appear at a co-fix root")
             if seq.guarded or seq.focus is not None:
                 return fail(path, "malformed coinductive root sequent")
-            if not _grammar_ok(seq.signature, seq.goal, "core", calculus):
-                return fail(path, f"coinductive goal is not a core formula of {calculus.value}")
-            if len(kids) != 1:
-                return fail(path, "co-fix takes exactly one premise")
-            child = kids[0].sequent
-            expected = seq.with_(
-                entries=seq.entries + (Entry(seq.goal, Src.COHYP),),
-                mode=PLAIN,
-                guarded=True,
-            )
-            if not _sequent_equal(child, expected):
-                return fail(path, "co-fix premise must add the goal as coinductive hypothesis and guard it")
-            return go(kids[0], path + ".0", False)
-        if rule == "co-fix":
-            return fail(path, "co-fix outside a coinductive root")
+        elif expected is None:
+            return fail(path, f"no rule applies to goal {seq.goal!r} with focus {seq.focus!r}")
+        elif rule != expected:
+            return fail(path, f"the sequent requires {expected}, not {rule}")
 
         if is_root:
             if len(seq.entries) < len(base):
@@ -654,132 +649,40 @@ def check(
                 if e.src == Src.ORIGINAL:
                     return fail(path, "unexpected extra original clause at the root")
 
-        guard_tag = "<>" if seq.guarded else ""
+        # side conditions
+        principal = seq.goal if seq.focus is None else seq.focus
+        if rule in ("forall-r", "forall-r<>"):
+            if node.eigen is None or node.eigen in seq.signature:
+                return fail(path, "forall-r eigenvariable missing or not fresh")
+        elif rule in ("exists-r", "forall-l", "forall-l<>"):
+            if node.witness is None:
+                return fail(path, f"{rule} needs a witness")
+            ok, msg = _witness_ok(seq.signature, node.witness, principal.ty, calculus)
+            if not ok:
+                return fail(path, msg)
+        elif rule in ("imp-r", "imp-r<>"):
+            if not _grammar_ok(seq.signature, principal.left, "clause", calculus):
+                return fail(path, "imp-r antecedent is not a program clause of the calculus")
+        elif rule in ("initial", "initial<>"):
+            if not initial_ok(principal.term, seq.goal.term):
+                rel = "fix-beta equal" if calculus.higher_order else "alpha-equal"
+                return fail(path, f"initial atoms are not {rel}")
 
-        if seq.focus is None:
-            g = seq.goal
-            if isinstance(g, Top):
-                if rule != "top-r" or kids or seq.guarded:
-                    return fail(path, "expected a top-r leaf on a true goal")
-                return True, None
-            if isinstance(g, Conj):
-                if rule != "and-r" + guard_tag or len(kids) != 2:
-                    return fail(path, f"conjunction goal requires and-r{guard_tag} with two premises")
-                for i, (kid, sub) in enumerate(zip(kids, (g.left, g.right))):
-                    if not _sequent_equal(kid.sequent, seq.with_(goal=sub)):
-                        return fail(path, f"and-r premise {i} mismatch")
-            elif isinstance(g, Disj):
-                if seq.guarded or rule != "or-r" or len(kids) != 1:
-                    return fail(path, "disjunction goal requires or-r with one premise")
-                k = kids[0].sequent
-                if not (
-                    _sequent_equal(k, seq.with_(goal=g.left))
-                    or _sequent_equal(k, seq.with_(goal=g.right))
-                ):
-                    return fail(path, "or-r premise is neither disjunct")
-            elif isinstance(g, Impl):
-                if rule != "imp-r" + guard_tag or len(kids) != 1:
-                    return fail(path, f"implication goal requires imp-r{guard_tag}")
-                expected = seq.with_(
-                    entries=seq.entries + (Entry(g.left, Src.HYPOTHESIS),),
-                    goal=g.right,
-                )
-                if not _sequent_equal(kids[0].sequent, expected):
-                    return fail(path, "imp-r premise must add the antecedent to the program")
-                if not _grammar_ok(seq.signature, g.left, "clause", calculus):
-                    return fail(path, "imp-r antecedent is not a program clause of the calculus")
-            elif isinstance(g, Forall):
-                if rule != "forall-r" + guard_tag or len(kids) != 1:
-                    return fail(path, f"universal goal requires forall-r{guard_tag}")
-                c = node.eigen
-                if c is None or c in seq.signature:
-                    return fail(path, "forall-r eigenvariable missing or not fresh")
-                expected = seq.with_(
-                    signature=seq.signature.extend(c, g.ty),
-                    goal=formula_substitute(g.body, g.var, Con(c)),
-                )
-                if not _sequent_equal(kids[0].sequent, expected):
-                    return fail(path, "forall-r premise mismatch")
-            elif isinstance(g, Exists):
-                if seq.guarded or rule != "exists-r" or len(kids) != 1:
-                    return fail(path, "existential goal requires exists-r")
-                w = node.witness
-                if w is None:
-                    return fail(path, "exists-r needs a witness")
-                ok, msg = _witness_ok(seq.signature, w, g.ty, calculus)
-                if not ok:
-                    return fail(path, msg)
-                if not _sequent_equal(kids[0].sequent, seq.with_(goal=formula_substitute(g.body, g.var, w))):
-                    return fail(path, "exists-r premise mismatch")
-            elif isinstance(g, Atom):
-                if rule != "decide" + guard_tag or len(kids) != 1:
-                    return fail(path, f"atomic goal requires decide{guard_tag}")
-                kid = kids[0].sequent
-                chosen = None
-                for e in seq.entries:
-                    if kid.focus is not None and formula_alpha_eq(e.formula, kid.focus):
-                        if seq.guarded and e.src != Src.ORIGINAL:
-                            continue
-                        chosen = e
-                        break
-                if chosen is None:
-                    extra = " from the original program" if seq.guarded else ""
-                    return fail(path, f"decide{guard_tag} focus is not a clause{extra}")
-                if not _sequent_equal(kid, seq.with_(focus=chosen.formula)):
-                    return fail(path, "decide premise mismatch")
-            else:
-                return fail(path, f"no rule for goal {g!r}")
-        else:
-            if not isinstance(seq.goal, Atom):
-                return fail(path, "focused sequents need an atomic goal")
-            d = seq.focus
-            if isinstance(d, Atom):
-                if rule != "initial" + guard_tag or kids:
-                    return fail(path, f"atomic focus requires initial{guard_tag} leaf")
-                if not initial_ok(seq.signature, d.term, seq.goal.term):
-                    rel = "fix-beta equal" if calculus.higher_order else "alpha-equal"
-                    return fail(path, f"initial atoms are not {rel}")
-            elif isinstance(d, Conj):
-                if rule != "and-l" + guard_tag or len(kids) != 1:
-                    return fail(path, f"conjunctive focus requires and-l{guard_tag}")
-                k = kids[0].sequent
-                if not (
-                    _sequent_equal(k, seq.with_(focus=d.left))
-                    or _sequent_equal(k, seq.with_(focus=d.right))
-                ):
-                    return fail(path, "and-l premise focuses neither conjunct")
-            elif isinstance(d, Forall):
-                if rule != "forall-l" + guard_tag or len(kids) != 1:
-                    return fail(path, f"universal focus requires forall-l{guard_tag}")
-                w = node.witness
-                if w is None:
-                    return fail(path, "forall-l needs a witness")
-                ok, msg = _witness_ok(seq.signature, w, d.ty, calculus)
-                if not ok:
-                    return fail(path, msg)
-                if not _sequent_equal(kids[0].sequent, seq.with_(focus=formula_substitute(d.body, d.var, w))):
-                    return fail(path, "forall-l premise mismatch")
-            elif isinstance(d, Impl):
-                if rule != "imp-l" + guard_tag or len(kids) != 2:
-                    return fail(path, f"implicative focus requires imp-l{guard_tag} with two premises")
-                left = seq.with_(focus=d.right, guarded=False)
-                right = seq.with_(focus=None, goal=d.left, guarded=False)
-                if not _sequent_equal(kids[0].sequent, left):
-                    return fail(path, "imp-l focused premise mismatch")
-                if not _sequent_equal(kids[1].sequent, right):
-                    return fail(path, "imp-l side premise mismatch")
-            else:
-                return fail(path, f"no left rule for focus {d!r}")
+        if not any(
+            len(premises) == len(kids) and all(map(_sequent_equal, (k.sequent for k in kids), premises))
+            for premises in _premises(seq, node.eigen, node.witness)
+        ):
+            msg = f"{rule} premises do not match the rule"
+            if rule == "decide<>":
+                msg += "; the guarded decide focuses only clauses of the original program"
+            return fail(path, msg)
 
         # formulas of this node must fit the calculus's grammars
         if seq.focus is not None and not _grammar_ok(seq.signature, seq.focus, "clause", calculus):
             return fail(path, f"focus is outside the clause grammar of {calculus.value}")
-        if seq.guarded:
-            ok_goal = _grammar_ok(seq.signature, seq.goal, "core", calculus)
-        else:
-            ok_goal = _grammar_ok(seq.signature, seq.goal, "goal", calculus)
-        if not ok_goal:
-            return fail(path, f"goal is outside the {calculus.value} grammar")
+        role = "core" if seq.guarded or expected == "co-fix" else "goal"
+        if not _grammar_ok(seq.signature, seq.goal, role, calculus):
+            return fail(path, f"goal is outside the {role} grammar of {calculus.value}")
 
         for i, kid in enumerate(kids):
             ok, msg = go(kid, f"{path}.{i}", False)

@@ -705,6 +705,13 @@ def _import_node(
 def import_proof(document: str | dict, program: Program) -> eng.ProofTree:
     """Rebuild a proof tree from its JSON document, replaying the recorded
     signature and program additions node by node."""
+    try:
+        return _import_proof(document, program)
+    except RecursionError:
+        raise MalformedDocument("proof document nested too deeply") from None
+
+
+def _import_proof(document: str | dict, program: Program) -> eng.ProofTree:
     if isinstance(document, str):
         try:
             doc = json.loads(document)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 from cup import formulas as fm
 from cup import terms as tm
@@ -273,3 +274,73 @@ def theta(w, deltas, eigens, base: dict, depth: int, sig: Signature) -> dict:
             tree = tree_substitute(tree, e, prev[e])
         out[c] = tr.truncate(tree, depth)
     return out
+
+
+def _other_closed_term(sig: Signature, w):
+    """A closed term of the witness's type other than the witness: a
+    constant of that type, or a unary constructor applied to the witness."""
+    ty = tm.typecheck(sig, {}, w)
+    candidates = [Con(n) for n, t in sig.constructors() if t == ty]
+    candidates += [A(Con(n), w) for n, t in sig.constructors() if t == fn_type(ty, ty)]
+    return next((c for c in candidates if not tm.alpha_eq(c, w)), None)
+
+
+def node_mutations(node):
+    """Copies of one proof node with one thing broken, each named: a goal
+    made `true`, the last entry dropped, the guard flipped, the rule renamed,
+    a premise dropped or duplicated, the witness replaced, the
+    eigenvariable cleared, the conjuncts of a conjunctive focus or goal
+    swapped.  Copies equal to the node are left out."""
+    seq = node.sequent
+    out = [
+        ("goal-true", replace(node, sequent=seq.with_(goal=fm.TOP))),
+        ("drop-entry", replace(node, sequent=seq.with_(entries=seq.entries[:-1]))),
+        ("flip-guard", replace(node, sequent=seq.with_(guarded=not seq.guarded))),
+        ("rename-tag", replace(node, rule=node.rule[:-2] if node.rule.endswith("<>") else node.rule + "<>")),
+        ("rename-top", replace(node, rule="top-r")),
+        ("clear-eigen", replace(node, eigen=None)),
+    ]
+    kids = node.children
+    for i in range(len(kids)):
+        out.append((f"drop-premise-{i}", replace(node, children=kids[:i] + kids[i + 1:])))
+        out.append((f"dup-premise-{i}", replace(node, children=kids[:i + 1] + kids[i:])))
+    if node.witness is not None:
+        other = _other_closed_term(seq.signature, node.witness)
+        if other is not None:
+            out.append(("other-witness", replace(node, witness=other)))
+    if isinstance(seq.focus, fm.Conj):
+        swapped = fm.Conj(seq.focus.right, seq.focus.left)
+        out.append(("swap-conj-focus", replace(node, sequent=seq.with_(focus=swapped))))
+    if isinstance(seq.goal, fm.Conj):
+        swapped = fm.Conj(seq.goal.right, seq.goal.left)
+        out.append(("swap-conj-goal", replace(node, sequent=seq.with_(goal=swapped))))
+    return [(name, m) for name, m in out if m != node]
+
+
+def proof_mutations(tree):
+    """(path, mutation name, mutated tree) for every node of the tree and
+    every mutation of `node_mutations`; a path is the child indices from
+    the root."""
+
+    def replace_at(t, path, new):
+        if not path:
+            return new
+        i = path[0]
+        return replace(t, children=t.children[:i] + (replace_at(t.children[i], path[1:], new),) + t.children[i + 1:])
+
+    def walk(t, path):
+        yield path, t
+        for i, c in enumerate(t.children):
+            yield from walk(c, path + (i,))
+
+    for path, node in walk(tree, ()):
+        for name, mutated in node_mutations(node):
+            yield path, name, replace_at(tree, path, mutated)
+
+
+def deep_document(depth: int) -> str:
+    """The text of a proof document whose root has a chain of `depth`
+    single-child nodes below it, built without recursion."""
+    node = '"signature_additions": [], "program_additions": [], "goal": "true", "guarded": false'
+    return ('{"rule": "and-r", ' + node + ', "children": [') * depth + \
+        '{"rule": "top-r", ' + node + ', "children": []}' + "]}" * depth

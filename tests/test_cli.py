@@ -5,6 +5,8 @@ import pytest
 from cup import cli
 from cup.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
 
+from helpers import deep_document
+
 
 def corpus(name):
     return cli.corpus_path(name)
@@ -188,6 +190,19 @@ class TestProofPipeline:
         ])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("subcommand", ["check-proof", "soundness", "prove"])
+    def test_deeply_nested_document_is_usage(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "deep.json"
+        out.write_text(deep_document(900))
+        reads = {
+            "check-proof": ["--calculus", "co-fohc", "--proof", str(out)],
+            "soundness": ["--proof", str(out)],
+            "prove": ["--calculus", "co-fohc", "--goal", "true", "--use-lemma", str(out)],
+        }
+        code = run([subcommand, "--program", corpus("member.cup")] + reads[subcommand])
+        assert code == EXIT_USAGE
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_soundness_subcommand(self, tmp_path, capsys):
         out = tmp_path / "p.json"

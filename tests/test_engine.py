@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from cup import cli
 from cup import engine as eng
 from cup import formulas as fm
 from cup import parser as ps
@@ -8,7 +11,7 @@ from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_le
 from cup.errors import FlexibleAtomUnsupported, NotCoreFormula, ProofInvalid
 from cup.formulas import Atom, Calculus, HClause, TOP
 
-from helpers import A, C, N_STR, V, scons, slist
+from helpers import A, C, N_STR, V, proof_mutations, scons, slist
 
 
 def rules_of(tree):
@@ -63,6 +66,65 @@ class TestCoproveRegressions:
         ]
         ok, diag = check(res.tree, prog, calc)
         assert ok, diag
+
+    # pre-order (rule, eigenvariable, witness) of each regression proof, with
+    # the search's node count and final bound: a change in search order or
+    # in the fresh names drawn shows here
+    SEARCH_GOLDEN = {
+        "member67": (76, 9, [
+            ("co-fix", None, None), ("decide<>", None, None), ("forall-l<>", None, "0"),
+            ("forall-l<>", None, "0"), ("forall-l<>", None, "nil"), ("imp-l<>", None, None),
+            ("initial", None, None), ("and-r", None, None), ("decide", None, None),
+            ("initial", None, None), ("decide", None, None), ("forall-l", None, "0"),
+            ("initial", None, None),
+        ]),
+        "bitstream": (47, 7, [
+            ("co-fix", None, None), ("decide<>", None, None), ("forall-l<>", None, "0"),
+            ("forall-l<>", None, "n_str 0"), ("imp-l<>", None, None), ("initial", None, None),
+            ("and-r", None, None), ("decide", None, None), ("initial", None, None),
+            ("decide", None, None), ("initial", None, None),
+        ]),
+        "from": (42, 8, [
+            ("co-fix", None, None), ("forall-r<>", "x#19", None), ("decide<>", None, None),
+            ("forall-l<>", None, "x#19"), ("forall-l<>", None, "fr_str (s x#19)"),
+            ("imp-l<>", None, None), ("initial", None, None), ("decide", None, None),
+            ("forall-l", None, "s x#19"), ("initial", None, None),
+        ]),
+        "comember": (331, 14, [
+            ("co-fix", None, None), ("forall-r<>", "y#154", None), ("forall-r<>", "s#155", None),
+            ("imp-r<>", None, None), ("decide<>", None, None), ("forall-l<>", None, "y#154"),
+            ("forall-l<>", None, "s#155"), ("imp-l<>", None, None), ("initial", None, None),
+            ("and-r", None, None), ("decide", None, None), ("forall-l", None, "y#154"),
+            ("forall-l", None, "f s#155"), ("imp-l", None, None), ("initial", None, None),
+            ("decide", None, None), ("initial", None, None), ("decide", None, None),
+            ("initial", None, None),
+        ]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN))
+    def test_search_output_pinned(self, regression_proofs, name):
+        prog, _g, _calc, res = regression_proofs[name]
+        nodes, max_depth, steps = self.SEARCH_GOLDEN[name]
+        assert [
+            (n.rule, n.eigen, None if n.witness is None else ps.pp_term(n.witness, prog))
+            for n in res.tree.nodes()
+        ] == steps
+        assert (res.stats.nodes, res.stats.max_depth) == (nodes, max_depth)
+
+    def test_search_deeper_than_the_stack_is_depth_exceeded(self, from_program):
+        # the interpreter stack bounds the search like the depth limit does
+        g = ps.parse_goal("from 0 (fr_str 0)", from_program)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            res = coprove(from_program, g, SearchConfig(calculus=Calculus.HOHC, depth_limit=2000))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert res.reason == "depth-exceeded"
+        assert 1 < res.stats.max_depth < 2000
 
     @pytest.mark.parametrize("clause", ["p ((\\y. y) c).", "p ((\\y. y) X)."])
     def test_clause_with_a_redex_is_beta_normalised(self, clause):
@@ -192,6 +254,32 @@ class TestChecker:
         nested = eng.ProofTree(res.tree.sequent, "co-fix", children=(res.tree,))
         ok, _ = check(nested, prog, calc)
         assert not ok
+
+    def test_root_entries_checked_at_both_root_kinds(self, member_program):
+        # a proof over member.cup plus `member X Y.` proves the false
+        # `member 1 [0|nil]`; checked against member.cup alone, the extra
+        # clause at the root must be refused, at a co-fix root as at a plain one
+        loose = ps.parse_program(open(cli.corpus_path("member.cup")).read() + "member X Y.\n")
+        g = ps.parse_goal("member 1 [0|nil]", loose)
+        cfg = SearchConfig(calculus=Calculus.FOHC)
+        for res in (coprove(loose, g, cfg), prove(loose, None, g, cfg)):
+            assert res.proved
+            assert check(res.tree, loose, Calculus.FOHC) == (True, None)
+            ok, diag = check(res.tree, member_program, Calculus.FOHC)
+            assert not ok and "extra original clause" in diag
+
+    def test_mutation_grid_rejected(self, regression_proofs):
+        # every node of every regression proof, broken one way at a time
+        kinds = set()
+        for name, (prog, _g, calc, res) in regression_proofs.items():
+            for path, mutation, tree in proof_mutations(res.tree):
+                ok, _diag = check(tree, prog, calc)
+                assert not ok, (name, path, mutation)
+                kinds.add(mutation.rstrip("-0123456789"))
+        assert kinds == {
+            "goal-true", "drop-entry", "flip-guard", "rename-tag", "rename-top", "clear-eigen",
+            "drop-premise", "dup-premise", "other-witness", "swap-conj-goal",
+        }
 
     def test_first_order_witness_restriction(self, regression_proofs):
         # a fix-term witness is rejected when checking in a first-order calculus

@@ -17,7 +17,7 @@ from cup.errors import (
 )
 from cup.formulas import Atom, Calculus, Exists, Forall
 
-from helpers import A, C, V, scons
+from helpers import A, C, V, deep_document, scons
 
 
 class TestParseProgram:
@@ -220,6 +220,19 @@ class TestProofDocuments:
     def test_missing_field_rejected(self, bitstream_program):
         with pytest.raises(MalformedDocument):
             ps.import_proof('{"rule": "co-fix"}', bitstream_program)
+
+    @pytest.mark.parametrize("as_text", [True, False])
+    def test_deeply_nested_document_is_malformed(self, bitstream_program, as_text):
+        # deeper than the interpreter stack, as JSON text and as a parsed
+        # dict; the dict's import may run out of stack inside a formula
+        # parse, which reports its own nesting error
+        doc = deep_document(2000)
+        if not as_text:
+            doc = json.loads(deep_document(0))
+            for _ in range(2000):
+                doc = {**doc, "rule": "and-r", "children": [doc]}
+        with pytest.raises(MalformedDocument, match="nested too deeply" if as_text else None):
+            ps.import_proof(doc, bitstream_program)
 
     def test_not_json_rejected(self, bitstream_program):
         with pytest.raises(MalformedDocument):
