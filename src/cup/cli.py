@@ -172,7 +172,16 @@ def cmd_check_proof(args) -> int:
         tree = ps.import_proof(fh.read(), program)
     ok, diag = eng.check(tree, program, _calculus(args), _setting(args, "fixbeta_bound"))
     if ok:
-        _emit(args, {"result": "valid", "nodes": tree.size()}, f"valid proof ({tree.size()} nodes)")
+        # the root's non-original entries are lemmas the document assumes
+        # and `check` takes as given: with any, the proof shows nothing alone
+        lemmas = [ps.pp_formula(e.formula, program) for e in tree.sequent.entries if e.src != eng.Src.ORIGINAL]
+        text = f"valid proof ({tree.size()} nodes)"
+        if lemmas:
+            _emit(args, {"result": "inconclusive", "nodes": tree.size(), "assumed_lemmas": lemmas},
+                  f"inconclusive: {text} assuming {len(lemmas)} unproven root lemma(s):\n"
+                  + "\n".join(f"  {f}" for f in lemmas))
+            return EXIT_INCONCLUSIVE
+        _emit(args, {"result": "valid", "nodes": tree.size()}, text)
         return EXIT_OK
     _emit(args, {"result": "invalid", "diagnostic": diag}, f"invalid proof: {diag}")
     return EXIT_FAIL

@@ -11,7 +11,7 @@ until a program-clause focus discharges it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import terms as tm
@@ -36,6 +36,7 @@ from .formulas import (
     Top,
     classify,
     formula_alpha_eq,
+    formula_key,
     formula_substitute,
 )
 from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var
@@ -55,6 +56,8 @@ class Src(enum.Enum):
 
 _DECIDE_ORDER = {Src.ORIGINAL: 0, Src.LEMMA: 1, Src.HYPOTHESIS: 2, Src.COHYP: 3}
 
+_SAME = object()  # a field `Sequent.with_` keeps
+
 
 @dataclass(frozen=True)
 class Entry:
@@ -71,8 +74,20 @@ class Sequent:
     mode: str = PLAIN
     guarded: bool = False
 
-    def with_(self, **kw) -> "Sequent":
-        return replace(self, **kw)
+    def with_(
+        self, signature=_SAME, entries=_SAME, focus=_SAME, goal=_SAME, mode=_SAME, guarded=_SAME
+    ) -> "Sequent":
+        """A copy with the given fields replaced, through the constructor:
+        `dataclasses.replace` costs about twice as much, and search makes a
+        copy per premise."""
+        return Sequent(
+            self.signature if signature is _SAME else signature,
+            self.entries if entries is _SAME else entries,
+            self.focus if focus is _SAME else focus,
+            self.goal if goal is _SAME else goal,
+            self.mode if mode is _SAME else mode,
+            self.guarded if guarded is _SAME else guarded,
+        )
 
 
 @dataclass(frozen=True)
@@ -115,7 +130,7 @@ def _sequent_equal(a: Sequent, b: Sequent) -> bool:
         return False
     if not formula_alpha_eq(a.goal, b.goal) or len(a.entries) != len(b.entries):
         return False
-    if a.signature.as_dict() != b.signature.as_dict():
+    if a.signature is not b.signature and a.signature.as_dict() != b.signature.as_dict():
         return False
     return all(
         x.src == y.src and formula_alpha_eq(x.formula, y.formula)
@@ -474,13 +489,19 @@ def _smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Optional[Term]:
 
 
 def _resolve_formula(f: Formula, s: dict[str, Term]) -> Formula:
+    """f under s, beta-normal; f itself when s changes nothing in it, so a
+    reified proof shares its unchanged formulas, and their cached keys,
+    across nodes."""
     if isinstance(f, Atom):
-        return Atom(tm.beta_normalize(resolve_term(f.term, s)))
+        t = tm.beta_normalize(resolve_term(f.term, s))
+        return f if t is f.term else Atom(t)
     if isinstance(f, Top):
         return f
     if isinstance(f, (Conj, Disj, Impl)):
-        return type(f)(_resolve_formula(f.left, s), _resolve_formula(f.right, s))
-    return type(f)(f.var, f.ty, _resolve_formula(f.body, s))
+        left, right = _resolve_formula(f.left, s), _resolve_formula(f.right, s)
+        return f if left is f.left and right is f.right else type(f)(left, right)
+    body = _resolve_formula(f.body, s)
+    return f if body is f.body else type(f)(f.var, f.ty, body)
 
 
 def _unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:
@@ -593,11 +614,19 @@ def prove(program: Program, lemmas: Optional[LemmaStore], g: Formula, cfg: Searc
 # ---------------------------------------------------------------------------
 
 
-def _grammar_ok(sig: Signature, f: Formula, role: str, calc: Calculus) -> bool:
-    try:
-        return calc in classify(sig, f, role)
-    except CupError:
-        return False
+def _grammar_ok(sig: Signature, f: Formula, role: str, calc: Calculus, memo: dict) -> bool:
+    """Is f in the calculus's grammar for the role?  The answer is kept in
+    memo under (f's alpha key, role, sig): classification does not depend
+    on the names of bound variables."""
+    key = (formula_key(f), role, sig)
+    ok = memo.get(key)
+    if ok is None:
+        try:
+            ok = calc in classify(sig, f, role)
+        except CupError:
+            ok = False
+        memo[key] = ok
+    return ok
 
 
 def check(
@@ -622,6 +651,8 @@ def check(
         return tm.alpha_eq(focus, goal)
 
     base = _base_entries(program)
+    # _grammar_ok's answers for this call's calculus
+    grammar: dict = {}
 
     def go(node: ProofTree, path: str, is_root: bool) -> tuple[bool, Optional[str]]:
         seq = node.sequent
@@ -661,7 +692,7 @@ def check(
             if not ok:
                 return fail(path, msg)
         elif rule in ("imp-r", "imp-r<>"):
-            if not _grammar_ok(seq.signature, principal.left, "clause", calculus):
+            if not _grammar_ok(seq.signature, principal.left, "clause", calculus, grammar):
                 return fail(path, "imp-r antecedent is not a program clause of the calculus")
         elif rule in ("initial", "initial<>"):
             if not initial_ok(principal.term, seq.goal.term):
@@ -678,10 +709,10 @@ def check(
             return fail(path, msg)
 
         # formulas of this node must fit the calculus's grammars
-        if seq.focus is not None and not _grammar_ok(seq.signature, seq.focus, "clause", calculus):
+        if seq.focus is not None and not _grammar_ok(seq.signature, seq.focus, "clause", calculus, grammar):
             return fail(path, f"focus is outside the clause grammar of {calculus.value}")
         role = "core" if seq.guarded or expected == "co-fix" else "goal"
-        if not _grammar_ok(seq.signature, seq.goal, role, calculus):
+        if not _grammar_ok(seq.signature, seq.goal, role, calculus, grammar):
             return fail(path, f"goal is outside the {role} grammar of {calculus.value}")
 
         for i, kid in enumerate(kids):

@@ -76,6 +76,10 @@ class GuardednessError(ParseError):
     pass
 
 
+class NestingTooDeep(ParseError):
+    """Input nested past the interpreter stack."""
+
+
 class MalformedDocument(CupError):
     pass
 

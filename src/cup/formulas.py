@@ -47,44 +47,55 @@ ALL_CALCULI = frozenset(Calculus)
 # ---------------------------------------------------------------------------
 
 
+# Every formula node caches its alpha key on first request, as term nodes do
+# (see `formula_key`).  The cached field takes no part in equality, hash or
+# repr; until the key is set it reads the class's default, so building a
+# node costs no more than before.
+
+
 @dataclass(frozen=True)
-class Atom:
+class _FNode:
+    _ak: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Atom(_FNode):
     term: Term
 
 
 @dataclass(frozen=True)
-class Top:
+class Top(_FNode):
     pass
 
 
 @dataclass(frozen=True)
-class Conj:
+class Conj(_FNode):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Disj:
+class Disj(_FNode):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Impl:
+class Impl(_FNode):
     # antecedent => consequent
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_FNode):
     var: str
     ty: SimpleType
     body: "Formula"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_FNode):
     var: str
     ty: SimpleType
     body: "Formula"
@@ -135,9 +146,16 @@ def _as_term(f: Formula) -> Term:
     return App(Con(f" {type(f).__name__} {f.ty!r}"), Lam(f.var, _as_term(f.body)))
 
 
+def formula_key(f: Formula) -> str:
+    """The alpha key of f encoded as a term; computed once per node."""
+    if f._ak is None:
+        object.__setattr__(f, "_ak", tm.alpha_key(_as_term(f)))
+    return f._ak
+
+
 def formula_alpha_eq(f: Formula, g: Formula) -> bool:
     """Identity modulo renaming of bound variables, for beta-normal atoms."""
-    return f is g or tm.alpha_key(_as_term(f)) == tm.alpha_key(_as_term(g))
+    return f is g or formula_key(f) == formula_key(g)
 
 
 def conjoin(fs: list[Formula]) -> Formula:

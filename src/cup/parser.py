@@ -20,6 +20,7 @@ from .errors import (
     CupError,
     GuardednessError,
     MalformedDocument,
+    NestingTooDeep,
     ParseError,
     SignatureMismatch,
     SourceTypeError,
@@ -372,7 +373,7 @@ def parse_program(text: str) -> Program:
     try:
         return _parse_program(text)
     except RecursionError:
-        raise ParseError("nesting too deep") from None
+        raise NestingTooDeep("nesting too deep") from None
 
 
 def _parse_program(text: str) -> Program:
@@ -447,7 +448,7 @@ def _parse_with(text: str, program: Program, production: str, allow_fresh: bool 
         else:
             out = res.formula(p.formula(), set())
     except RecursionError:
-        raise ParseError("nesting too deep") from None
+        raise NestingTooDeep("nesting too deep") from None
     t = p.peek()
     if t.kind != "eof" and t.text != ".":
         raise ParseError(f"trailing input {t.text!r}", t.span)
@@ -642,6 +643,23 @@ def _parse_sig_addition(s: str) -> tuple[str, tm.SimpleType]:
     return name, ty
 
 
+def _payload(memo: dict, parse, text: str, shadow: Program, what: str):
+    """parse(text, shadow) for `parse_goal` or `parse_term`, once per
+    (parse, text, signature) and import: memo keeps what each returned.  An
+    error is not kept, so it raises again each time, as a malformed
+    document naming `what` was parsed; nesting is left to `import_proof`."""
+    key = (parse, text, shadow.signature)
+    out = memo.get(key)
+    if out is None:
+        try:
+            out = memo[key] = parse(text, shadow, allow_fresh=True)
+        except NestingTooDeep:
+            raise
+        except CupError as exc:
+            raise MalformedDocument(f"unparseable {what}: {exc}") from exc
+    return out
+
+
 def _import_node(
     doc: dict,
     program: Program,
@@ -649,6 +667,7 @@ def _import_node(
     entries: tuple[eng.Entry, ...],
     mode: str,
     parent_rule: Optional[str],
+    memo: dict,
 ) -> eng.ProofTree:
     required = {"rule", "signature_additions", "program_additions", "goal", "guarded", "children"}
     if not isinstance(doc, dict) or not required.issubset(doc):
@@ -675,23 +694,14 @@ def _import_node(
     )
     shadow = Program(sig, program.clauses, program.fix_definitions)
     for s in doc["program_additions"]:
-        try:
-            f = parse_goal(s, shadow, allow_fresh=True)
-        except CupError as exc:
-            raise MalformedDocument(f"unparseable program addition {s!r}: {exc}") from exc
-        entries = entries + (eng.Entry(f, src),)
-    try:
-        goal = parse_goal(doc["goal"], shadow, allow_fresh=True)
-        focus = parse_goal(doc["focus"], shadow, allow_fresh=True) if "focus" in doc else None
-        witness = parse_term(doc["witness"], shadow, allow_fresh=True) if "witness" in doc else None
-    except MalformedDocument:
-        raise
-    except CupError as exc:
-        raise MalformedDocument(f"unparseable proof payload: {exc}") from exc
+        entries = entries + (eng.Entry(_payload(memo, parse_goal, s, shadow, f"program addition {s!r}"), src),)
+    goal = _payload(memo, parse_goal, doc["goal"], shadow, "proof payload")
+    focus = _payload(memo, parse_goal, doc["focus"], shadow, "proof payload") if "focus" in doc else None
+    witness = _payload(memo, parse_term, doc["witness"], shadow, "proof payload") if "witness" in doc else None
     seq = eng.Sequent(sig, entries, focus, goal, mode, doc["guarded"])
     child_mode = eng.PLAIN
     children = tuple(
-        _import_node(c, program, sig, entries, child_mode, rule) for c in doc["children"]
+        _import_node(c, program, sig, entries, child_mode, rule, memo) for c in doc["children"]
     )
     # the universal right rules own the eigenvariable their premise declares
     eigen = None
@@ -707,7 +717,9 @@ def import_proof(document: str | dict, program: Program) -> eng.ProofTree:
     signature and program additions node by node."""
     try:
         return _import_proof(document, program)
-    except RecursionError:
+    except (RecursionError, NestingTooDeep):
+        # the stack can run out in the import's own recursion or in a
+        # payload's parse, wherever the document's nesting has left it
         raise MalformedDocument("proof document nested too deeply") from None
 
 
@@ -723,4 +735,5 @@ def _import_proof(document: str | dict, program: Program) -> eng.ProofTree:
         raise MalformedDocument("proof document must be a JSON object")
     entries = tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
     mode = eng.COINDUCTIVE if doc.get("rule") == "co-fix" else eng.PLAIN
-    return _import_node(doc, program, program.signature, entries, mode, None)
+    # one parse per distinct payload text and signature (see `_payload`)
+    return _import_node(doc, program, program.signature, entries, mode, None, {})

@@ -317,23 +317,26 @@ def node_mutations(node):
     return [(name, m) for name, m in out if m != node]
 
 
+def proof_paths(t, path=()):
+    """(path, node) for every node of a proof tree; a path is the child
+    indices from the root."""
+    yield path, t
+    for i, c in enumerate(t.children):
+        yield from proof_paths(c, path + (i,))
+
+
+def replace_at(t, path, new):
+    """The proof tree t with the node at path replaced by new."""
+    if not path:
+        return new
+    i = path[0]
+    return replace(t, children=t.children[:i] + (replace_at(t.children[i], path[1:], new),) + t.children[i + 1:])
+
+
 def proof_mutations(tree):
     """(path, mutation name, mutated tree) for every node of the tree and
-    every mutation of `node_mutations`; a path is the child indices from
-    the root."""
-
-    def replace_at(t, path, new):
-        if not path:
-            return new
-        i = path[0]
-        return replace(t, children=t.children[:i] + (replace_at(t.children[i], path[1:], new),) + t.children[i + 1:])
-
-    def walk(t, path):
-        yield path, t
-        for i, c in enumerate(t.children):
-            yield from walk(c, path + (i,))
-
-    for path, node in walk(tree, ()):
+    every mutation of `node_mutations`."""
+    for path, node in proof_paths(tree):
         for name, mutated in node_mutations(node):
             yield path, name, replace_at(tree, path, mutated)
 

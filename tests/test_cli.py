@@ -3,7 +3,11 @@ import json
 import pytest
 
 from cup import cli
+from cup import engine as eng
+from cup import formulas as fm
+from cup import parser as ps
 from cup.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
+from cup.formulas import Calculus
 
 from helpers import deep_document
 
@@ -145,6 +149,39 @@ class TestProofPipeline:
                 "--proof", str(out),
             ])
             assert code == EXIT_OK, filename
+
+    def test_root_lemmas_are_listed_and_inconclusive(self, member_program, tmp_path, capsys):
+        # a proof of the false `member 1 [0|nil]` from the false root lemma
+        # `forall x. member x nil`: it checks, but only given the lemma
+        program = member_program
+        (lemma,) = fm.to_h_clauses(ps.parse_goal("forall x. member x nil", program))
+        store = eng.LemmaStore(((lemma, None),))  # no proof: the lemma is false
+        goal = ps.parse_goal("member 1 [0|nil]", program)
+        res = eng.prove(program, store, goal, eng.SearchConfig(calculus=Calculus.FOHC))
+        out = tmp_path / "p.json"
+        out.write_text(ps.export_proof(res.tree, program))
+        argv = ["check-proof", "--calculus", "co-fohc", "--program", corpus("member.cup"), "--proof", str(out)]
+        capsys.readouterr()
+        assert run(argv) == EXIT_INCONCLUSIVE
+        text = capsys.readouterr().out
+        assert text.startswith(f"inconclusive: valid proof ({res.tree.size()} nodes) assuming 1 unproven root lemma")
+        assert "  forall x. member x nil" in text.splitlines()
+        assert run(argv + ["--json"]) == EXIT_INCONCLUSIVE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"result": "inconclusive", "nodes": res.tree.size(), "assumed_lemmas": ["forall x. member x nil"]}
+
+    def test_lemma_free_proof_report_is_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        run([
+            "coprove", "--calculus", "co-fohc", "--program", corpus("member.cup"),
+            "--goal", "member 0 [0|nil]", "--emit-proof", str(out),
+        ])
+        argv = ["check-proof", "--calculus", "co-fohc", "--program", corpus("member.cup"), "--proof", str(out)]
+        capsys.readouterr()
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == "valid proof (5 nodes)\n"
+        assert run(argv + ["--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"result": "valid", "nodes": 5}
 
     def test_tampered_proof_fails_check(self, tmp_path, capsys):
         out = tmp_path / "p.json"

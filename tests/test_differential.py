@@ -1,7 +1,8 @@
 """Differential tests of the kernel's cached facts, the alpha keys of terms
 and formulas, the lazy
 `unify_modulo` and `fixbeta_equiv`, the occurs check, the render memo of
-`gfp_approx` and the smallest closed term of reification against
+`gfp_approx`, the smallest closed term of reification and the proof round
+trip's memos (formula keys, import parses, check's grammar answers) against
 straightforward reference code kept here.
 
 The term checks replay the seeded generator stream of the beta
@@ -10,8 +11,12 @@ already draws and leave the 10,000-case property budget unchanged.
 """
 
 import collections
+import contextlib
 import itertools
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,15 +27,19 @@ from cup import parser as ps
 from cup import soundness as sd
 from cup import terms as tm
 from cup import trees as tr
-from cup.errors import CupError, TypeMismatch, UniverseTooLarge
+from cup.errors import CupError, MalformedDocument, TypeMismatch, UniverseTooLarge
 from cup.formulas import Calculus
 from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
 from helpers import (
     GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, formula_alpha_eq_reference, gen_term,
-    rename_binders, slist,
+    proof_mutations, rename_binders, slist,
 )
 from test_properties import CASES
+
+# the benchmark's seeded search goals
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def replayed_terms():
@@ -778,3 +787,263 @@ def test_smallest_closed_term_is_the_first_of_the_reference_pool(
             assert eng._smallest_closed_term(sig, ty) == (pool[0] if pool else None), (sig, ty)
             cases += 1
     assert cases > 15
+
+
+# ---------------------------------------------------------------------------
+# the proof round trip's memos: formula keys, import parses, check grammar
+# ---------------------------------------------------------------------------
+
+
+def _rebuild_formula(f):
+    """A structurally equal copy of f made of new nodes, keys uncomputed."""
+    if isinstance(f, fm.Atom):
+        return fm.Atom(_rebuild(f.term))
+    if isinstance(f, fm.Top):
+        return fm.Top()
+    if isinstance(f, (fm.Conj, fm.Disj, fm.Impl)):
+        return type(f)(_rebuild_formula(f.left), _rebuild_formula(f.right))
+    return type(f)(f.var, f.ty, _rebuild_formula(f.body))
+
+
+def _sequent_formulas(tree):
+    for node in tree.nodes():
+        seq = node.sequent
+        yield from (e.formula for e in seq.entries)
+        yield seq.goal
+        if seq.focus is not None:
+            yield seq.focus
+
+
+def _search_goal_round_trips(seeds):
+    """(found proof, re-imported proof) for each proved goal of the four
+    blocks a benchmark search run draws for each seed."""
+    programs = workloads.load_programs()
+    seen = set()
+    for seed in seeds:
+        for goal in itertools.chain(*workloads.blocks("search", seed, 4)):
+            key = (goal.program, goal.text, goal.kind)
+            if goal.want != workloads.PROVED or key in seen:
+                continue
+            seen.add(key)
+            program = programs[goal.program]
+            f = ps.parse_goal(goal.text, program)
+            cfg = eng.SearchConfig(calculus=goal.calculus, depth_limit=goal.depth)
+            res = (eng.coprove(program, f, cfg) if goal.kind == "coprove"
+                   else eng.prove(program, eng.LemmaStore(), f, cfg))
+            back = ps.import_proof(ps.export_proof(res.tree, program), program)
+            assert eng.check(back, program, goal.calculus) == (True, None)
+            assert res.tree.equal(back)
+            yield res.tree, back
+
+
+def _shape(f):
+    """An alpha-invariant coarsening of a formula: its connectives and
+    binder types, and the constants of its atoms."""
+    if isinstance(f, fm.Atom):
+        return "a" + ",".join(sorted(u.name for u in tm.subterms(f.term) if isinstance(u, Con)))
+    if isinstance(f, fm.Top):
+        return "t"
+    if isinstance(f, (fm.Conj, fm.Disj, fm.Impl)):
+        return f"{type(f).__name__}({_shape(f.left)};{_shape(f.right)})"
+    return f"{type(f).__name__}[{f.ty!r}]({_shape(f.body)})"
+
+
+def test_cached_formula_keys_match_fresh_ones_and_the_reference():
+    objects = {}
+    for tree, back in _search_goal_round_trips((1, 2)):
+        for f in itertools.chain(_sequent_formulas(tree), _sequent_formulas(back)):
+            objects[id(f)] = f
+    formulas = list(objects.values())
+    # the keys the round trips cached, against keys of new copies
+    cached = [f for f in formulas if f._ak is not None]
+    assert len(cached) > 200
+    for f in cached:
+        fresh = _rebuild_formula(f)
+        assert fresh._ak is None
+        assert f._ak == fm.formula_key(fresh) == tm.alpha_key(fm._as_term(f))
+    rng = random.Random(12)
+    pool = list(dict.fromkeys(formulas))
+    pool += [rename_formula_binders(rng, f) for f in pool]
+    assert len(pool) > 150
+    # alpha-equal formulas share a shape, so only pairs of one shape can
+    # be equal; across shapes the keys must differ
+    by_shape = collections.defaultdict(list)
+    for f in pool:
+        by_shape[_shape(f)].append(f)
+    keys = {}
+    for shape, group in by_shape.items():
+        for f in group:
+            assert keys.setdefault(fm.formula_key(f), shape) == shape
+    equal_pairs = 0
+    for group in by_shape.values():
+        for i, f in enumerate(group):
+            for g in group[i + 1:]:
+                same = formula_alpha_eq_reference(f, g)
+                equal_pairs += same and f != g
+                assert (fm.formula_key(f) == fm.formula_key(g)) == same, (f, g)
+    assert equal_pairs > 50
+
+
+def test_reified_proofs_share_their_unchanged_formulas(regression_proofs):
+    for program, _goal, _calc, res in regression_proofs.values():
+        for node in res.tree.nodes():
+            entries = node.sequent.entries
+            assert all(e.formula is c for e, c in zip(entries, program.clauses))
+            # the co-fix root's goal is also the coinductive hypothesis
+            if node.sequent.mode == eng.PLAIN and len(entries) > len(program.clauses):
+                assert entries[len(program.clauses)].formula is res.tree.sequent.goal
+
+
+def _import_without_memo(monkeypatch, doc, program):
+    """The node-by-node import, every payload text parsed where it occurs:
+    each `_payload` call gets an empty memo of its own."""
+    real = ps._payload
+    with monkeypatch.context() as m:
+        m.setattr(ps, "_payload", lambda _memo, *args: real({}, *args))
+        return ps.import_proof(doc, program)
+
+
+def _import_both_ways(monkeypatch, doc, program):
+    """(memoised, memo-free) imports of doc: trees, or error type and text."""
+    out = []
+    for run in (lambda: ps.import_proof(doc, program), lambda: _import_without_memo(monkeypatch, doc, program)):
+        try:
+            out.append(run())
+        except CupError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_memoised_import_matches_the_memo_free_one(monkeypatch, regression_proofs):
+    documents = 0
+    for program, _goal, _calc, res in regression_proofs.values():
+        trees = [res.tree] + [t for _path, _name, t in proof_mutations(res.tree)]
+        for tree in trees:
+            doc = ps.export_proof(tree, program)
+            memoised, reference = _import_both_ways(monkeypatch, doc, program)
+            # structural equality: binder names, signatures and sources too
+            assert memoised == reference
+            documents += 1
+    assert documents > 300
+
+
+def _two_signature_document(second_type):
+    """A document that repeats the goal text `member k nil` under two
+    signatures, twice under each: k is declared as `i` in one branch and as
+    second_type in the other."""
+    def node(sig_add, children):
+        return {"rule": "decide", "signature_additions": sig_add, "program_additions": [],
+                "goal": "member k nil", "guarded": False, "children": children}
+    return {"rule": "and-r", "signature_additions": [], "program_additions": [],
+            "goal": "member 0 nil /\\ member 0 nil", "guarded": False,
+            "children": [node(["k : i"], [node([], [])]),
+                         node(["j : i", f"k : {second_type}"], [node([], [])])]}
+
+
+@pytest.mark.parametrize("second_type", ["i", "i -> i"])
+def test_memoised_import_keys_on_the_signature(monkeypatch, member_program, second_type):
+    doc = _two_signature_document(second_type)
+    memoised, reference = _import_both_ways(monkeypatch, doc, member_program)
+    assert memoised == reference
+    if second_type == "i":
+        assert isinstance(memoised, eng.ProofTree)
+    else:
+        # k : i -> i makes `member k nil` ill-typed in the second branch only
+        assert memoised[0] is MalformedDocument and "unparseable proof payload" in memoised[1]
+    parsed = []
+    real = ps._parse_with
+
+    def counting(text, program, production, allow_fresh=False):
+        parsed.append(text)
+        return real(text, program, production, allow_fresh)
+
+    monkeypatch.setattr(ps, "_parse_with", counting)
+    with pytest.raises(MalformedDocument) if second_type != "i" else contextlib.nullcontext():
+        ps.import_proof(doc, member_program)
+    # once per signature: the second branch's text is parsed anew, and
+    # its error is raised, not taken from the first branch's parse
+    assert parsed.count("member k nil") == 2
+
+
+def test_memoised_import_keys_on_what_is_parsed(monkeypatch, member_program):
+    # one text as a goal and as a witness: a formula, then a term
+    doc = {"rule": "exists-r", "signature_additions": [], "program_additions": [], "goal": "eq 0 0",
+           "guarded": False, "witness": "eq 0 0", "children": []}
+    memoised, reference = _import_both_ways(monkeypatch, doc, member_program)
+    assert memoised == reference
+    assert isinstance(memoised.sequent.goal, fm.Atom) and memoised.witness == A(C("eq"), C("0"), C("0"))
+
+
+def _grammar_checks(tree):
+    """(formula, role, signature) of every grammar check `check` makes on
+    a valid proof, node by node."""
+    for node in tree.nodes():
+        seq = node.sequent
+        if node.rule in ("imp-r", "imp-r<>"):
+            yield seq.goal.left, "clause", seq.signature
+        if seq.focus is not None:
+            yield seq.focus, "clause", seq.signature
+        yield seq.goal, "core" if seq.guarded or node.rule == "co-fix" else "goal", seq.signature
+
+
+def _document_nodes(doc):
+    yield doc
+    for c in doc["children"]:
+        yield from _document_nodes(c)
+
+
+def test_round_trip_parses_and_classifies_each_formula_once(monkeypatch, regression_proofs):
+    program, _goal, calc, res = regression_proofs["comember"]
+    doc = ps.export_proof(res.tree, program)
+    parsed, classified = [], []
+    real_parse, real_classify = ps._parse_with, eng.classify
+
+    def counting_parse(text, prog, production, allow_fresh=False):
+        parsed.append((production, text, prog.signature))
+        return real_parse(text, prog, production, allow_fresh)
+
+    def counting_classify(sig, f, role):
+        classified.append((fm.formula_key(f), role, sig))
+        return real_classify(sig, f, role)
+
+    monkeypatch.setattr(ps, "_parse_with", counting_parse)
+    monkeypatch.setattr(eng, "classify", counting_classify)
+    back = ps.import_proof(doc, program)
+    texts = set()
+    for node, tree_node in zip(_document_nodes(json.loads(doc)), back.nodes()):
+        sig = tree_node.sequent.signature
+        texts |= {("formula", s, sig) for s in node["program_additions"]}
+        texts |= {("formula", node[k], sig) for k in ("goal", "focus") if k in node}
+        texts |= {("term", node["witness"], sig)} if "witness" in node else set()
+    assert len(parsed) == len(set(parsed)) == len(texts)
+    assert set(parsed) == texts
+    assert eng.check(back, program, calc) == (True, None)
+    checks = [(fm.formula_key(f), role, sig) for f, role, sig in _grammar_checks(back)]
+    assert len(classified) == len(set(classified)) == len(set(checks)) < len(checks)
+    assert set(classified) == set(checks)
+
+
+def test_grammar_memo_keys_on_the_role_and_the_signature(monkeypatch, comember_program):
+    # `check` meets a formula in the core role before any goal-role use of
+    # it, and under a signature that types it before any other (a node's
+    # ancestors' goals contain its goal), so the role and the signature in
+    # the key are pinned here, on one memo: a disjunction is a goal but no
+    # core formula, and `bit k` is ill-typed once k is a function
+    sig = comember_program.signature
+    f = ps.parse_goal("bit 0 \\/ bit 1", comember_program)
+    g = fm.Atom(A(C("bit"), C("k")))
+    calls = []
+    memo = {}
+    real = eng.classify
+
+    def counting(s, h, role):
+        calls.append(role)
+        return real(s, h, role)
+
+    monkeypatch.setattr(eng, "classify", counting)
+    assert eng._grammar_ok(sig, f, "goal", Calculus.FOHH, memo)
+    assert not eng._grammar_ok(sig, _rebuild_formula(f), "core", Calculus.FOHH, memo)
+    assert eng._grammar_ok(sig, f, "goal", Calculus.FOHH, memo)
+    assert eng._grammar_ok(sig.extend("k", IOTA), g, "goal", Calculus.FOHH, memo)
+    assert not eng._grammar_ok(sig.extend("k", fn_type(IOTA, IOTA)), g, "goal", Calculus.FOHH, memo)
+    assert calls == ["goal", "core", "goal", "goal"]

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_le
 from cup.errors import FlexibleAtomUnsupported, NotCoreFormula, ProofInvalid
 from cup.formulas import Atom, Calculus, HClause, TOP
 
-from helpers import A, C, N_STR, V, proof_mutations, scons, slist
+from helpers import A, C, N_STR, V, proof_mutations, proof_paths, replace_at, scons, slist
 
 
 def rules_of(tree):
@@ -267,6 +268,21 @@ class TestChecker:
             assert check(res.tree, loose, Calculus.FOHC) == (True, None)
             ok, diag = check(res.tree, member_program, Calculus.FOHC)
             assert not ok and "extra original clause" in diag
+
+    def test_premise_with_another_signature_rejected(self, regression_proofs):
+        # every non-root node of every regression proof, its signature
+        # given one constant more than its premise has
+        cases = 0
+        for name, (prog, _g, calc, res) in regression_proofs.items():
+            for path, node in proof_paths(res.tree):
+                if not path:
+                    continue
+                seq = node.sequent
+                wider = replace(node, sequent=seq.with_(signature=seq.signature.extend("extra", tm.IOTA)))
+                ok, diag = check(replace_at(res.tree, path, wider), prog, calc)
+                assert not ok and "premises do not match" in diag, (name, path, diag)
+                cases += 1
+        assert cases > 40
 
     def test_mutation_grid_rejected(self, regression_proofs):
         # every node of every regression proof, broken one way at a time

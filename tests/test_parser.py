@@ -225,13 +225,33 @@ class TestProofDocuments:
     def test_deeply_nested_document_is_malformed(self, bitstream_program, as_text):
         # deeper than the interpreter stack, as JSON text and as a parsed
         # dict; the dict's import may run out of stack inside a formula
-        # parse, which reports its own nesting error
+        # parse, which reports the document's nesting too
         doc = deep_document(2000)
         if not as_text:
             doc = json.loads(deep_document(0))
             for _ in range(2000):
                 doc = {**doc, "rule": "and-r", "children": [doc]}
-        with pytest.raises(MalformedDocument, match="nested too deeply" if as_text else None):
+        with pytest.raises(MalformedDocument, match="nested too deeply"):
+            ps.import_proof(doc, bitstream_program)
+
+    def test_nesting_message_does_not_depend_on_where_the_stack_runs_out(self, bitstream_program):
+        # every node's goal is a text of its own, so the stack runs out
+        # inside a goal's parse; in the all-`true` chain above, every node
+        # after the first takes its goal from the import's memo, and the
+        # stack runs out between parses
+        for depth in range(1998, 2002):
+            doc = json.loads(deep_document(0))
+            for i in range(depth):
+                k = i % 7
+                goal = " " * i + "(" * k + "true" + ")" * k
+                doc = {**doc, "rule": "and-r", "goal": goal, "children": [doc]}
+            with pytest.raises(MalformedDocument, match="^proof document nested too deeply$"):
+                ps.import_proof(doc, bitstream_program)
+
+    def test_payload_nested_past_the_stack_is_malformed(self, bitstream_program):
+        doc = json.loads(deep_document(0))
+        doc["goal"] = "(" * 40000 + "true" + ")" * 40000
+        with pytest.raises(MalformedDocument, match="nested too deeply"):
             ps.import_proof(doc, bitstream_program)
 
     def test_not_json_rejected(self, bitstream_program):
