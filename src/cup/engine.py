@@ -44,8 +44,6 @@ from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var
 PLAIN = "plain"
 COINDUCTIVE = "coinductive"
 
-_META = "?"
-
 
 class Src(enum.Enum):
     ORIGINAL = "original"
@@ -179,10 +177,6 @@ class LemmaStore:
 # ---------------------------------------------------------------------------
 
 
-def _is_meta(name: str) -> bool:
-    return name.startswith(_META)
-
-
 def resolve_term(t: Term, s: dict[str, Term]) -> Term:
     if s.keys().isdisjoint(tm.free_vars(t)):
         return t
@@ -231,11 +225,11 @@ def unify(a: Term, b: Term, s: dict[str, Term]) -> Optional[dict[str, Term]]:
         b = s[b.name]
     if isinstance(a, Var) and isinstance(b, Var) and a.name == b.name:
         return s
-    if isinstance(a, Var) and _is_meta(a.name):
+    if isinstance(a, Var) and tm.is_meta(a.name):
         if _occurs(a.name, b, s):
             return None
         return {**s, a.name: b}
-    if isinstance(b, Var) and _is_meta(b.name):
+    if isinstance(b, Var) and tm.is_meta(b.name):
         return unify(b, a, s)
     if isinstance(a, Var) or isinstance(b, Var):
         return None
@@ -252,62 +246,18 @@ def unify(a: Term, b: Term, s: dict[str, Term]) -> Optional[dict[str, Term]]:
     return None
 
 
-def _stable_clash(a: Term, b: Term) -> bool:
-    """Following constant-headed spines down from the root, both terms reach
-    a position whose constant heads differ in name or argument count.
-    Neither resolution nor fix unfolding changes such a position, so no
-    later unfolding of either side unifies."""
-    ha, aa = tm.spine(a)
-    hb, ab = tm.spine(b)
-    if not (isinstance(ha, Con) and isinstance(hb, Con)):
-        return False
-    if ha.name != hb.name or len(aa) != len(ab):
-        return True
-    return any(_stable_clash(x, y) for x, y in zip(aa, ab))
-
-
 def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> Optional[dict[str, Term]]:
     """Unify up to a bounded number of fix unfoldings on either side,
-    preferring the least-unfolded match.
-
-    Pairs (i, j) of i and j fair unfoldings are tried in (i + j, i, j)
-    order; each side's unfoldings are built only when a pair first needs
-    them, so a match stops the unfolding.  A side's chain ends at an
-    unfolding that clashes with the other side's first variant: every later
-    one clashes with every variant of the other side."""
-    chains = ([tm.beta_normalize(resolve_term(a, s))], [tm.beta_normalize(resolve_term(b, s))])
-    if _stable_clash(chains[0][0], chains[1][0]):
-        return None
-    ended = [False, False]
-
-    def variant(side: int, k: int) -> Optional[Term]:
-        chain = chains[side]
-        if k < len(chain):
-            return chain[k]
-        if ended[side] or k > len(chain) or k > bound or not tm.has_fix(chain[-1]):
-            return None
-        nxt = tm.fair_unfold(chain[-1])
-        if _stable_clash(nxt, chains[1 - side][0]):
-            ended[side] = True
-            return None
-        chain.append(nxt)
-        return chain[k]
-
-    for total in range(2 * bound + 1):
-        tried = False
-        for i in range(total + 1):
-            va = variant(0, i)
-            if va is None:
-                break
-            vb = variant(1, total - i)
-            if vb is not None:
-                tried = True
-                s1 = unify(va, vb, s)
-                if s1 is not None:
-                    return s1
-        if not tried:
-            # both chains have ended: no pair has a larger sum either
-            return None
+    preferring the least-unfolded match: the first pair of
+    `tm.UnfoldingWalk` that unifies."""
+    a, b = tm.beta_normalize(resolve_term(a, s)), tm.beta_normalize(resolve_term(b, s))
+    if not (tm.has_fix(a) or tm.has_fix(b)):
+        # the walk's one pair, or none if they clash, which unify rejects
+        return unify(a, b, s)
+    for va, vb in tm.UnfoldingWalk(a, b, bound):
+        s1 = unify(va, vb, s)
+        if s1 is not None:
+            return s1
     return None
 
 
@@ -405,7 +355,7 @@ class _Ctx:
     cut: bool = False
 
     def fresh_meta(self, base: str, ty: tm.SimpleType) -> Var:
-        name = _META + self.supply.fresh(base)
+        name = tm.META + self.supply.fresh(base)
         self.meta_types[name] = ty
         return Var(name)
 
@@ -448,7 +398,7 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
         witness = ctx.fresh_meta(g.var, g.ty)
     elif isinstance(g, Atom):
         head = _goal_atom_head(g.term, s)
-        if isinstance(head, Var) and not _is_meta(head.name):
+        if isinstance(head, Var) and not tm.is_meta(head.name):
             raise FlexibleAtomUnsupported(f"flexible atom goal {g.term!r}")
         if isinstance(head, Var):
             raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {g.term!r}")
@@ -504,8 +454,8 @@ def _resolve_formula(f: Formula, s: dict[str, Term]) -> Formula:
     return f if body is f.body else type(f)(f.var, f.ty, body)
 
 
-def _unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:
-    return {n for n in tm.free_vars(resolve_term(t, s)) if _is_meta(n)}
+def unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:
+    return {n for n in tm.free_vars(resolve_term(t, s)) if tm.is_meta(n)}
 
 
 def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree]:
@@ -513,9 +463,9 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree
     dangling: set[str] = set()
     for node in tree.nodes():
         if node.witness is not None:
-            dangling |= _unresolved_metas(node.witness, s)
+            dangling |= unresolved_metas(node.witness, s)
         if isinstance(node.sequent.goal, Atom):
-            dangling |= _unresolved_metas(node.sequent.goal.term, s)
+            dangling |= unresolved_metas(node.sequent.goal.term, s)
     for name in sorted(dangling):
         ty = ctx.meta_types.get(name, IOTA)
         t = _smallest_closed_term(ctx.program.signature, ty)
@@ -535,7 +485,7 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree
         witness = None
         if node.witness is not None:
             witness = tm.beta_normalize(resolve_term(node.witness, s))
-            if any(_is_meta(n) for n in tm.free_vars(witness)):
+            if any(tm.is_meta(n) for n in tm.free_vars(witness)):
                 return None
             if fo and not tm.is_first_order(seq.signature, {}, witness):
                 return None

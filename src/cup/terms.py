@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     FixBodyNotAbstraction,
@@ -184,6 +184,14 @@ DIAMOND = "<>"
 # Prefix reserved for machine-generated names (fresh binders, eigenvariables,
 # search metavariables).  The lexer rejects it in source programs.
 FRESH_MARK = "#"
+
+# Prefix of search and grounding metavariables: the variables that unify
+# binds.  Every other variable is a rigid symbol.
+META = "?"
+
+
+def is_meta(name: str) -> bool:
+    return name.startswith(META)
 
 
 def app(*ts: Term) -> Term:
@@ -611,53 +619,96 @@ NOT_EQUAL = "NotEqual"
 UNKNOWN = "Unknown"
 
 
-def _skeleton_conflict(a: Term, b: Term) -> bool:
-    """True when the determined first-order skeletons of a and b disagree.
+def clash(a: Term, b: Term) -> bool:
+    """Do a and b have different heads or arities at a position that both
+    determine?
 
-    Positions headed by a fix subterm (or an unresolved binder pair) are
-    undetermined and never conflict; reduction cannot change a determined
-    constructor, so a conflict refutes fix-beta equivalence.
+    A position headed by a fix or a metavariable is undetermined; constants,
+    all other variables and abstractions are rigid.  Neither resolving a
+    metavariable nor unfolding a fix changes a determined head, so a clash
+    refutes fix-beta equivalence and every unifier of the two terms.
     """
     ha, aa = spine(a)
     hb, ab = spine(b)
-    if isinstance(ha, Fix) or isinstance(hb, Fix):
+    if _undetermined(ha) or _undetermined(hb):
         return False
-    if isinstance(ha, Lam) and isinstance(hb, Lam) and not aa and not ab:
+    if len(aa) != len(ab) or type(ha) is not type(hb):
+        return True
+    if isinstance(ha, Lam):
         # compare bodies under a shared fresh name
         z = fresh_name("v", free_vars(ha.body) | free_vars(hb.body))
-        return _skeleton_conflict(rename_free(ha.body, ha.var, z), rename_free(hb.body, hb.var, z))
-    if isinstance(ha, Lam) or isinstance(hb, Lam):
-        return True  # abstraction vs. rigid head: shapes can never meet
-    name_a = ha.name if isinstance(ha, (Var, Con)) else None
-    name_b = hb.name if isinstance(hb, (Var, Con)) else None
-    if type(ha) is not type(hb) or name_a != name_b or len(aa) != len(ab):
+        if clash(rename_free(ha.body, ha.var, z), rename_free(hb.body, hb.var, z)):
+            return True
+    elif ha.name != hb.name:
         return True
-    return any(_skeleton_conflict(x, y) for x, y in zip(aa, ab))
+    return any(clash(x, y) for x, y in zip(aa, ab))
+
+
+def _undetermined(head: Term) -> bool:
+    return isinstance(head, Fix) or (isinstance(head, Var) and is_meta(head.name))
+
+
+class UnfoldingWalk:
+    """The pairs of i and j fair unfoldings of two beta-normal terms, at
+    most `bound` per side, in (i + j, i, j) order.
+
+    Each unfolding is built when a pair first needs it, into `chains`.  A
+    side's chain ends at an unfolding with no fix, or at one that clashes
+    with the other side's first term, which sets `clashed`: a clash is
+    stable, so every later unfolding clashes with every term of the other
+    side.  Two first terms that clash give no pairs.
+    """
+
+    def __init__(self, a: Term, b: Term, bound: int):
+        self.chains = ([a], [b])
+        self._bound = bound
+        self.clashed = clash(a, b)
+        self._open = [True, True]
+
+    def _term(self, side: int, k: int) -> Optional[Term]:
+        chain = self.chains[side]
+        if k < len(chain):
+            return chain[k]
+        if k > len(chain) or k > self._bound or not self._open[side] or not has_fix(chain[-1]):
+            return None
+        nxt = fair_unfold(chain[-1])
+        if clash(nxt, self.chains[1 - side][0]):
+            self._open[side] = False
+            self.clashed = True
+            return None
+        chain.append(nxt)
+        return nxt
+
+    def __iter__(self) -> Iterator[tuple[Term, Term]]:
+        if self.clashed:
+            return
+        for total in range(2 * self._bound + 1):
+            tried = False
+            for i in range(total + 1):
+                a = self._term(0, i)
+                if a is None:
+                    break
+                b = self._term(1, total - i)
+                if b is not None:
+                    tried = True
+                    yield a, b
+            if not tried:
+                # both chains have ended: no pair has a larger sum either
+                return
 
 
 def fixbeta_equiv(t1: Term, t2: Term, bound: int = 8) -> str:
     """Three-valued bounded test for fix-beta equivalence.
 
-    Equal if some pair of fair unfoldings (at most `bound` rounds per side)
-    is alpha-equal; NotEqual if the most-determined unfoldings conflict on a
-    position both sides have fixed; Unknown otherwise.  The second side is
-    unfolded only until one of its unfoldings meets the first side's.
+    Equal if some pair of the unfolding walk is alpha-equal; NotEqual if a
+    clash ended the walk or the last unfoldings of the two sides clash;
+    Unknown otherwise.
     """
-    last1 = beta_normalize(t1)
-    keys1 = {alpha_key(last1)}
-    for _ in range(bound):
-        if not has_fix(last1):
-            break
-        last1 = fair_unfold(last1)
-        keys1.add(alpha_key(last1))
-    last2 = beta_normalize(t2)
-    for k in range(bound + 1):
-        if alpha_key(last2) in keys1:
+    walk = UnfoldingWalk(beta_normalize(t1), beta_normalize(t2), bound)
+    for a, b in walk:
+        if alpha_key(a) == alpha_key(b):
             return EQUAL
-        if k == bound or not has_fix(last2):
-            break
-        last2 = fair_unfold(last2)
-    if _skeleton_conflict(last1, last2):
+    if walk.clashed or clash(walk.chains[0][-1], walk.chains[1][-1]):
         return NOT_EQUAL
     return UNKNOWN
 

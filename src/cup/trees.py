@@ -353,7 +353,7 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
     renamed to metavariables that no two clauses share."""
     out = []
     for tag, h in enumerate(clauses):
-        binding = {v: Var(f"?u{tag}{tm.FRESH_MARK}{i}") for i, v in enumerate(h.universals)}
+        binding = {v: Var(f"{tm.META}u{tag}{tm.FRESH_MARK}{i}") for i, v in enumerate(h.universals)}
         subs = list(binding.items())
         head = tm.beta_normalize(tm.substitute(h.head, subs))
         body = [tm.beta_normalize(tm.substitute(b, subs)) for b in h.body]
@@ -416,7 +416,7 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
         s = eng.unify_modulo(head, atom, {}, UNFOLD_BOUND)
         if s is None:
             continue
-        unbound = [m for m in metas if _has_unbound(Var(m), s)]
+        unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]
         pools = [g.pool[:BODY_VAR_POOL] for _ in unbound]
         combos = itertools.product(*pools) if unbound else iter([()])
         for combo in combos:
@@ -424,14 +424,9 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
             for name, value in zip(unbound, combo):
                 s2[name] = value
             resolved = [tm.beta_normalize(eng.resolve_term(b, s2)) for b in body]
-            if any(n.startswith("?") for r in resolved for n in tm.free_vars(r)):
+            if any(tm.is_meta(n) for r in resolved for n in tm.free_vars(r)):
                 continue
             yield resolved
-
-
-def _has_unbound(v: Var, s: dict[str, Term]) -> bool:
-    t = eng.resolve_term(v, s)
-    return any(n.startswith("?") for n in tm.free_vars(t))
 
 
 def justify(atom: Term, interp: Interpretation, g: Grounding) -> Optional[list[Term]]:

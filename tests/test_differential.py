@@ -393,8 +393,8 @@ def test_lazy_unify_modulo_matches_eager_at_the_bound(k):
 
 
 # (pattern, stream): the stream's k-th fair unfolding is the first to
-# clash with the pattern, for k = 1 and k = 2; the last pair matches after
-# two unfoldings
+# clash with the pattern, for k = 1 and k = 2; the None pair matches after
+# two unfoldings; in the last pair the clash is with the rigid variable x
 ZEROS = A(N_STR, C("0"))
 CLASH_AFTER = [
     (1, A(C("bitstream"), slist(C("1"), V("?t"))), A(C("bitstream"), ZEROS)),
@@ -402,6 +402,7 @@ CLASH_AFTER = [
     (1, A(C("bitstream"), slist(V("?x"), C("1"), V("?t"))), A(C("bitstream"), slist(V("?y"), ZEROS))),
     (2, A(C("eq"), V("?x"), slist(C("0"), C("1"), V("?t"))), A(C("eq"), C("0"), ZEROS)),
     (None, A(C("bitstream"), slist(V("?x"), C("0"), V("?t"))), A(C("bitstream"), ZEROS)),
+    (1, A(C("bitstream"), slist(V("x"), V("?t"))), A(C("bitstream"), ZEROS)),
 ]
 
 
@@ -487,9 +488,23 @@ def fixbeta_equiv_reference(t1, t2, bound):
     c1, c2 = chain(t1), chain(t2)
     if any(alpha_eq_oracle(a, b) for a in c1 for b in c2):
         return tm.EQUAL
-    if tm._skeleton_conflict(c1[-1], c2[-1]):
+    if tm.clash(c1[-1], c2[-1]):
         return tm.NOT_EQUAL
     return tm.UNKNOWN
+
+
+def test_fixbeta_equiv_unfolds_only_as_far_as_a_match(monkeypatch):
+    # one unfolding of each side meets: z_str against its own first unfolding
+    unfolds = []
+    real = tm.fair_unfold
+
+    def counted(t):
+        unfolds.append(t)
+        return real(t)
+
+    monkeypatch.setattr(tm, "fair_unfold", counted)
+    assert tm.fixbeta_equiv(Z_STR, A(C("scons"), C("0"), Z_STR), 8) == tm.EQUAL
+    assert len(unfolds) <= 2
 
 
 def test_fixbeta_equiv_matches_reference_on_fold_candidates(monkeypatch, fresh_program):
