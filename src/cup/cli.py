@@ -267,13 +267,7 @@ CORPUS = {
 
 
 def corpus_path(name: str) -> str:
-    ref = resources.files("cup") / "corpus" / name
-    return str(ref)
-
-
-def load_corpus_program(name: str) -> fm.Program:
-    text = (resources.files("cup") / "corpus" / CORPUS[name]["file"]).read_text(encoding="utf-8")
-    return ps.parse_program(text)
+    return str(resources.files("cup") / "corpus" / name)
 
 
 def cmd_examples(args) -> int:
@@ -298,7 +292,7 @@ def cmd_examples(args) -> int:
     all_as_expected = True
     depth = _setting(args, "depth")
     for n in names:
-        program = load_corpus_program(n)
+        program = _load_program(corpus_path(CORPUS[n]["file"]))
         for kind, goal_text, calc, want in CORPUS[n]["runs"]:
             goal = ps.parse_goal(goal_text, program)
             cfg = eng.SearchConfig(calculus=calc, depth_limit=min(depth, 12) if want == "inconclusive" else depth)

@@ -38,6 +38,8 @@ from .formulas import (
     formula_alpha_eq,
     formula_key,
     formula_substitute,
+    in_fragment,
+    map_atoms,
 )
 from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var
 
@@ -360,11 +362,6 @@ class _Ctx:
         return Var(name)
 
 
-def _goal_atom_head(t: Term, s: dict[str, Term]) -> Term:
-    head, _ = tm.spine(resolve_term(t, s))
-    return head
-
-
 def _initial_match(ctx: _Ctx, a_focus: Term, a_goal: Term, s: dict[str, Term]) -> Optional[dict[str, Term]]:
     if ctx.cfg.calculus.higher_order:
         return unify_modulo(a_focus, a_goal, s, ctx.cfg.fixbeta_bound)
@@ -397,7 +394,7 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
     elif isinstance(g, Exists):
         witness = ctx.fresh_meta(g.var, g.ty)
     elif isinstance(g, Atom):
-        head = _goal_atom_head(g.term, s)
+        head, _args = tm.spine(resolve_term(g.term, s))
         if isinstance(head, Var) and not tm.is_meta(head.name):
             raise FlexibleAtomUnsupported(f"flexible atom goal {g.term!r}")
         if isinstance(head, Var):
@@ -442,16 +439,7 @@ def _resolve_formula(f: Formula, s: dict[str, Term]) -> Formula:
     """f under s, beta-normal; f itself when s changes nothing in it, so a
     reified proof shares its unchanged formulas, and their cached keys,
     across nodes."""
-    if isinstance(f, Atom):
-        t = tm.beta_normalize(resolve_term(f.term, s))
-        return f if t is f.term else Atom(t)
-    if isinstance(f, Top):
-        return f
-    if isinstance(f, (Conj, Disj, Impl)):
-        left, right = _resolve_formula(f.left, s), _resolve_formula(f.right, s)
-        return f if left is f.left and right is f.right else type(f)(left, right)
-    body = _resolve_formula(f.body, s)
-    return f if body is f.body else type(f)(f.var, f.ty, body)
+    return map_atoms(f, lambda t: tm.beta_normalize(resolve_term(t, s)))
 
 
 def unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:
@@ -566,13 +554,13 @@ def prove(program: Program, lemmas: Optional[LemmaStore], g: Formula, cfg: Searc
 
 def _grammar_ok(sig: Signature, f: Formula, role: str, calc: Calculus, memo: dict) -> bool:
     """Is f in the calculus's grammar for the role?  The answer is kept in
-    memo under (f's alpha key, role, sig): classification does not depend
-    on the names of bound variables."""
+    memo under (f's alpha key, role, sig): the grammars do not depend on
+    the names of bound variables."""
     key = (formula_key(f), role, sig)
     ok = memo.get(key)
     if ok is None:
         try:
-            ok = calc in classify(sig, f, role)
+            ok = in_fragment(sig, f, role, calc)
         except CupError:
             ok = False
         memo[key] = ok

@@ -133,6 +133,21 @@ def formula_substitute(f: Formula, name: str, value: Term) -> Formula:
     return type(f)(f.var, f.ty, formula_substitute(f.body, name, value))
 
 
+def map_atoms(f: Formula, fn) -> Formula:
+    """f with fn(t) for each atom's term t; f itself, and each part of it,
+    where fn changes nothing, so unchanged parts keep their cached keys."""
+    if isinstance(f, Atom):
+        t = fn(f.term)
+        return f if t is f.term else Atom(t)
+    if isinstance(f, Top):
+        return f
+    if isinstance(f, (Conj, Disj, Impl)):
+        left, right = map_atoms(f.left, fn), map_atoms(f.right, fn)
+        return f if left is f.left and right is f.right else type(f)(left, right)
+    body = map_atoms(f.body, fn)
+    return f if body is f.body else type(f)(f.var, f.ty, body)
+
+
 def _as_term(f: Formula) -> Term:
     """f encoded as a term whose alpha key is f's: connectives become
     constants whose names no signature can hold, and a quantifier becomes
@@ -167,8 +182,17 @@ def conjoin(fs: list[Formula]) -> Formula:
     return out
 
 
-def typecheck_formula(sig: Signature, ctx: Context, f: Formula) -> None:
-    """Every embedded atom must be a term of type o."""
+def typecheck_formula(sig: Signature, f: Formula) -> None:
+    """Every embedded atom of the closed formula f must be a term of type o.
+    Success is remembered on the signature under f's alpha key, so f is
+    checked once per signature; an error is raised again on every call."""
+    key = formula_key(f)
+    if key not in sig._memo:
+        _typecheck_formula(sig, {}, f)
+        sig._memo[key] = True
+
+
+def _typecheck_formula(sig: Signature, ctx: Context, f: Formula) -> None:
     if isinstance(f, Atom):
         ty = tm.typecheck(sig, ctx, f.term)
         if ty != O:
@@ -177,10 +201,10 @@ def typecheck_formula(sig: Signature, ctx: Context, f: Formula) -> None:
     if isinstance(f, Top):
         return
     if isinstance(f, (Conj, Disj, Impl)):
-        typecheck_formula(sig, ctx, f.left)
-        typecheck_formula(sig, ctx, f.right)
+        _typecheck_formula(sig, ctx, f.left)
+        _typecheck_formula(sig, ctx, f.right)
         return
-    typecheck_formula(sig, {**ctx, f.var: f.ty}, f.body)
+    _typecheck_formula(sig, {**ctx, f.var: f.ty}, f.body)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +264,23 @@ def _core_in(sig, ctx, f: Formula, calc: Calculus) -> bool:
     return False
 
 
-def classify(sig: Signature, f: Formula, role: str) -> frozenset[Calculus]:
-    """The set of calculi whose clause/goal/core grammar generates f."""
+_GRAMMARS = {"clause": _clause_in, "goal": _goal_in, "core": _core_in}
+
+
+def in_fragment(sig: Signature, f: Formula, role: str, calc: Calculus) -> bool:
+    """Does calc's clause/goal/core grammar generate the closed formula f?
+    f is type-checked first (once per signature, see `typecheck_formula`);
+    an ill-typed f raises IllTyped."""
     try:
-        typecheck_formula(sig, {}, f)
+        typecheck_formula(sig, f)
     except CupError as exc:
         raise IllTyped(str(exc)) from exc
-    check = {"clause": _clause_in, "goal": _goal_in, "core": _core_in}[role]
-    return frozenset(c for c in Calculus if check(sig, {}, f, c))
+    return _GRAMMARS[role](sig, {}, f, calc)
+
+
+def classify(sig: Signature, f: Formula, role: str) -> frozenset[Calculus]:
+    """The set of calculi whose clause/goal/core grammar generates f."""
+    return frozenset(c for c in Calculus if in_fragment(sig, f, role, c))
 
 
 # ---------------------------------------------------------------------------

@@ -428,13 +428,13 @@ def _parse_program(text: str) -> Program:
         f = _resolve_clause(p, sig, fix_defs)
         p.eat(".")
         try:
-            first_order = fm.Calculus.FOHC in fm.classify(sig, f, "clause")
+            first_order = fm.in_fragment(sig, f, "clause", fm.Calculus.FOHC)
         except CupError as exc:
             raise SourceTypeError(f"ill-typed clause: {exc}", start.span) from exc
         if not first_order:
             raise SourceTypeError("clause is outside the first-order clause grammar", start.span)
         # after the type check, so beta-normalising terminates
-        clauses.append(_canon_formula(f))
+        clauses.append(fm.map_atoms(f, tm.canonicalize))
     return Program(Signature.of(sig_map), tuple(clauses), tuple(fix_defs.items()))
 
 
@@ -462,20 +462,9 @@ def parse_term(text: str, program: Program, allow_fresh: bool = False) -> Term:
 
 
 def parse_goal(text: str, program: Program, allow_fresh: bool = False) -> Formula:
-    f = _parse_with(text, program, "formula", allow_fresh)
-    f = _canon_formula(f)
-    fm.typecheck_formula(program.signature, {}, f)
+    f = fm.map_atoms(_parse_with(text, program, "formula", allow_fresh), tm.canonicalize)
+    fm.typecheck_formula(program.signature, f)
     return f
-
-
-def _canon_formula(f: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(tm.canonicalize(f.term))
-    if isinstance(f, Top):
-        return f
-    if isinstance(f, (Conj, Disj, Impl)):
-        return type(f)(_canon_formula(f.left), _canon_formula(f.right))
-    return type(f)(f.var, f.ty, _canon_formula(f.body))
 
 
 # ---------------------------------------------------------------------------

@@ -298,27 +298,31 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 def alpha_key(t: Term) -> str:
     """A de Bruijn rendering of t, equal for two terms exactly when they are
     alpha-equal; computed once per node."""
-    if t._ak is None:
-        object.__setattr__(t, "_ak", _de_bruijn(t, {}, 0))
-    return t._ak
+    return _de_bruijn(t, {}, 0) if t._ak is None else t._ak
 
 
 def _de_bruijn(t: Term, env: dict[str, int], depth: int) -> str:
     # prefix notation; a name is written with its length, so no name can run
     # into the next token.  A subterm with no variable bound here reads the
-    # same as on its own and shares that node's cached key.
-    if env and env.keys().isdisjoint(t._fv):
-        return alpha_key(t)
+    # same as on its own: it shares that node's cached key, or computes and
+    # caches it, so a new node over keyed subterms costs that node only.
+    own = env.keys().isdisjoint(t._fv)
+    if own and t._ak is not None:
+        return t._ak
     if isinstance(t, Var):
         level = env.get(t.name)
         return f"v{len(t.name)}:{t.name}" if level is None else f"b{depth - level};"
     if isinstance(t, Con):
         return f"c{len(t.name)}:{t.name}"
     if isinstance(t, App):
-        return "@" + _de_bruijn(t.fn, env, depth) + _de_bruijn(t.arg, env, depth)
-    if isinstance(t, Lam):
-        return "l" + _de_bruijn(t.body, {**env, t.var: depth}, depth + 1)
-    return "f" + _de_bruijn(t.body, env, depth)
+        key = "@" + _de_bruijn(t.fn, env, depth) + _de_bruijn(t.arg, env, depth)
+    elif isinstance(t, Lam):
+        key = "l" + _de_bruijn(t.body, {**env, t.var: depth}, depth + 1)
+    else:
+        key = "f" + _de_bruijn(t.body, env, depth)
+    if own:
+        object.__setattr__(t, "_ak", key)
+    return key
 
 
 def canonicalize(t: Term) -> Term:
@@ -360,8 +364,21 @@ class Signature:
     """
 
     constants: tuple[tuple[str, SimpleType], ...] = ()
-    # is_first_order results for closed terms, keyed on (term, expected)
-    _fo_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    # built once: the types by name, the hash, and the memo of facts about
+    # closed terms and formulas, successes only: `is_first_order` verdicts
+    # under (term, expected), `typecheck` types under the term, and True
+    # under the `formulas.formula_key` of a formula that type-checks
+    _types: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_types", dict(self.constants))
+        object.__setattr__(self, "_hash", hash((self.constants,)))
+        object.__setattr__(self, "_memo", {})
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(mapping: dict[str, SimpleType]) -> "Signature":
@@ -371,10 +388,7 @@ class Signature:
         return dict(self.constants)
 
     def lookup(self, name: str) -> Optional[SimpleType]:
-        for n, ty in self.constants:
-            if n == name:
-                return ty
-        return None
+        return self._types.get(name)
 
     def __contains__(self, name: str) -> bool:
         return self.lookup(name) is not None
@@ -515,23 +529,27 @@ def _ground(ty: _InfType, where: Term) -> SimpleType:
 
 
 def typecheck(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None) -> SimpleType:
-    """Infer the unique simple type of t, or raise."""
+    """Infer the unique simple type of t, or raise.  The type of a closed
+    term is memoised on the signature; an error is not, so it is raised
+    again on every call."""
+    closed = not ctx and expected is None
+    ty = sig._memo.get(t) if closed else None
+    if ty is None:
+        inf, ty = _inferred(sig, ctx, t, expected)
+        ty = _ground(inf.resolve(ty), t)
+        if closed:
+            sig._memo[t] = ty
+    return ty
+
+
+def _inferred(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType]) -> tuple[_Infer, _InfType]:
+    """An inference over t, with t's type, unified with expected if given;
+    its judgments hold one per subterm occurrence, t's own last."""
     inf = _Infer(sig, ctx)
     ty = inf.infer(t, {})
     if expected is not None:
         inf.unify(ty, expected, t)
-    return _ground(inf.resolve(ty), t)
-
-
-def typed_subterm_judgments(
-    sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None
-) -> list[tuple[Term, SimpleType]]:
-    """One (occurrence, type) judgment per subterm occurrence of t."""
-    inf = _Infer(sig, ctx)
-    ty = inf.infer(t, {})
-    if expected is not None:
-        inf.unify(ty, expected, t)
-    return [(u, _ground(inf.resolve(ty), u)) for u, ty in inf.judgments]
+    return inf, ty
 
 
 # ---------------------------------------------------------------------------
@@ -729,12 +747,9 @@ def first_order_report(
 ) -> FirstOrderReport:
     """Check the five defining conditions of first-order terms, with
     a diagnostic naming each violated condition."""
-    judgments = typed_subterm_judgments(sig, ctx, t, expected)
-    whole = judgments[-1][1] if judgments else typecheck(sig, ctx, t, expected)
-    # the root judgment is the last one appended
-    for u, ty in judgments:
-        if u == t:
-            whole = ty
+    inf, _ty = _inferred(sig, ctx, t, expected)
+    judgments = [(u, _ground(inf.resolve(ty), u)) for u, ty in inf.judgments]
+    whole = judgments[-1][1]
     violations: list[tuple[int, str]] = []
     if type_order(whole) != 0:
         violations.append((1, f"term has functional type {whole!r}"))
@@ -753,22 +768,18 @@ def first_order_report(
 def is_first_order(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None) -> bool:
     """Memoised on the signature for closed terms; only verdicts are
     remembered, so an unbound name raises on every call."""
-    if ctx:
-        return _first_order_verdict(sig, ctx, t, expected)
-    key = (t, expected)
-    verdict = sig._fo_memo.get(key)
+    key = None if ctx else (t, expected)
+    verdict = sig._memo.get(key)
     if verdict is None:
-        verdict = sig._fo_memo[key] = _first_order_verdict(sig, ctx, t, expected)
+        try:
+            verdict = first_order_report(sig, ctx, t, expected).verdict
+        except TypeMismatch:
+            # underconstrained terms (a bare unapplied fix, say) have no
+            # unique type; they are never first order
+            verdict = False
+        if key is not None:
+            sig._memo[key] = verdict
     return verdict
-
-
-def _first_order_verdict(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType]) -> bool:
-    try:
-        return first_order_report(sig, ctx, t, expected).verdict
-    except TypeMismatch:
-        # underconstrained terms (a bare unapplied fix, say) have no unique
-        # type; they are never first order
-        return False
 
 
 def is_first_order_atom(sig: Signature, ctx: Context, t: Term) -> bool:

@@ -27,7 +27,7 @@ from cup import parser as ps
 from cup import soundness as sd
 from cup import terms as tm
 from cup import trees as tr
-from cup.errors import CupError, MalformedDocument, TypeMismatch, UniverseTooLarge
+from cup.errors import CupError, IllTyped, MalformedDocument, TypeMismatch, UniverseTooLarge
 from cup.formulas import Calculus
 from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
@@ -157,6 +157,41 @@ def test_alpha_key_agrees_with_alpha_eq_oracle():
             assert (keys[i] == keys[j]) == same, (a, pool[j])
     # alpha-equal pairs that are not structurally equal
     assert equal_pairs > 100
+
+
+def de_bruijn_walk(t, env=None, depth=0):
+    """The alpha key written top-down in one walk, reading and keeping no
+    cached key."""
+    env = env or {}
+    if isinstance(t, Var):
+        level = env.get(t.name)
+        return f"v{len(t.name)}:{t.name}" if level is None else f"b{depth - level};"
+    if isinstance(t, Con):
+        return f"c{len(t.name)}:{t.name}"
+    if isinstance(t, tm.App):
+        return "@" + de_bruijn_walk(t.fn, env, depth) + de_bruijn_walk(t.arg, env, depth)
+    if isinstance(t, Lam):
+        return "l" + de_bruijn_walk(t.body, {**env, t.var: depth}, depth + 1)
+    return "f" + de_bruijn_walk(t.body, env, depth)
+
+
+def test_alpha_keys_built_from_subterm_keys_match_the_top_down_walk():
+    keyed = 0
+    for u in replayed_subterms() + TRICKY_TERMS:
+        want = de_bruijn_walk(u)
+        # on new copies: keyed from the top, and keyed bottom-up, so that
+        # each node is keyed over subterms that already are
+        top_down, bottom_up = _rebuild(u), _rebuild(u)
+        assert tm.alpha_key(top_down) == want, u
+        for v in sorted(tm.subterms(bottom_up), key=lambda v: len(repr(v))):
+            assert tm.alpha_key(v) == de_bruijn_walk(v), v
+        assert tm.alpha_key(bottom_up) == want, u
+        # every key the top-down walk kept on a subterm is that subterm's own
+        for v in tm.subterms(top_down):
+            if v._ak is not None:
+                keyed += 1
+                assert v._ak == de_bruijn_walk(v), v
+    assert keyed > 1000
 
 
 def _atom(*ts):
@@ -829,8 +864,8 @@ def _sequent_formulas(tree):
             yield seq.focus
 
 
-def _search_goal_round_trips(seeds):
-    """(found proof, re-imported proof) for each proved goal of the four
+def _search_goal_proofs(seeds):
+    """(program, calculus, proof) for each distinct proved goal of the four
     blocks a benchmark search run draws for each seed."""
     programs = workloads.load_programs()
     seen = set()
@@ -845,10 +880,17 @@ def _search_goal_round_trips(seeds):
             cfg = eng.SearchConfig(calculus=goal.calculus, depth_limit=goal.depth)
             res = (eng.coprove(program, f, cfg) if goal.kind == "coprove"
                    else eng.prove(program, eng.LemmaStore(), f, cfg))
-            back = ps.import_proof(ps.export_proof(res.tree, program), program)
-            assert eng.check(back, program, goal.calculus) == (True, None)
-            assert res.tree.equal(back)
-            yield res.tree, back
+            yield program, goal.calculus, res.tree
+
+
+def _search_goal_round_trips(seeds):
+    """(found proof, re-imported proof) for each proved goal of the four
+    blocks a benchmark search run draws for each seed."""
+    for program, calc, tree in _search_goal_proofs(seeds):
+        back = ps.import_proof(ps.export_proof(tree, program), program)
+        assert eng.check(back, program, calc) == (True, None)
+        assert tree.equal(back)
+        yield tree, back
 
 
 def _shape(f):
@@ -1011,18 +1053,18 @@ def test_round_trip_parses_and_classifies_each_formula_once(monkeypatch, regress
     program, _goal, calc, res = regression_proofs["comember"]
     doc = ps.export_proof(res.tree, program)
     parsed, classified = [], []
-    real_parse, real_classify = ps._parse_with, eng.classify
+    real_parse, real_in_fragment = ps._parse_with, eng.in_fragment
 
     def counting_parse(text, prog, production, allow_fresh=False):
         parsed.append((production, text, prog.signature))
         return real_parse(text, prog, production, allow_fresh)
 
-    def counting_classify(sig, f, role):
+    def counting_in_fragment(sig, f, role, calc):
         classified.append((fm.formula_key(f), role, sig))
-        return real_classify(sig, f, role)
+        return real_in_fragment(sig, f, role, calc)
 
     monkeypatch.setattr(ps, "_parse_with", counting_parse)
-    monkeypatch.setattr(eng, "classify", counting_classify)
+    monkeypatch.setattr(eng, "in_fragment", counting_in_fragment)
     back = ps.import_proof(doc, program)
     texts = set()
     for node, tree_node in zip(_document_nodes(json.loads(doc)), back.nodes()):
@@ -1049,16 +1091,223 @@ def test_grammar_memo_keys_on_the_role_and_the_signature(monkeypatch, comember_p
     g = fm.Atom(A(C("bit"), C("k")))
     calls = []
     memo = {}
-    real = eng.classify
+    real = eng.in_fragment
 
-    def counting(s, h, role):
+    def counting(s, h, role, calc):
         calls.append(role)
-        return real(s, h, role)
+        return real(s, h, role, calc)
 
-    monkeypatch.setattr(eng, "classify", counting)
+    monkeypatch.setattr(eng, "in_fragment", counting)
     assert eng._grammar_ok(sig, f, "goal", Calculus.FOHH, memo)
     assert not eng._grammar_ok(sig, _rebuild_formula(f), "core", Calculus.FOHH, memo)
     assert eng._grammar_ok(sig, f, "goal", Calculus.FOHH, memo)
     assert eng._grammar_ok(sig.extend("k", IOTA), g, "goal", Calculus.FOHH, memo)
     assert not eng._grammar_ok(sig.extend("k", fn_type(IOTA, IOTA)), g, "goal", Calculus.FOHH, memo)
     assert calls == ["goal", "core", "goal", "goal"]
+
+
+# ---------------------------------------------------------------------------
+# the one-calculus grammar entry and the signature's memo
+# ---------------------------------------------------------------------------
+
+
+ROLES = ("clause", "goal", "core")
+
+
+def _outcome(run):
+    """What run returns, or the type and text of the CupError it raises."""
+    try:
+        return run()
+    except CupError as exc:
+        return type(exc), str(exc)
+
+
+def _cold(sig):
+    """An equal signature with nothing memoised."""
+    return Signature(sig.constants)
+
+
+def _node_formulas(seq):
+    yield from (e.formula for e in seq.entries)
+    yield seq.goal
+    if seq.focus is not None:
+        yield seq.focus
+
+
+def classify_reference(sig, f, role):
+    """One uncached type check of f, then every calculus's grammar: the
+    calculi, or the type and text of the error."""
+    try:
+        fm._typecheck_formula(sig, {}, f)
+    except CupError as exc:
+        return IllTyped, str(exc)
+    grammar = {"clause": fm._clause_in, "goal": fm._goal_in, "core": fm._core_in}[role]
+    return frozenset(c for c in Calculus if grammar(sig, {}, f, c))
+
+
+def test_in_fragment_agrees_with_classify(regression_proofs, comember_program):
+    # the regression proofs, the search goals' proofs and their mutation grids
+    proofs = [res.tree for _program, _goal, _calc, res in regression_proofs.values()]
+    proofs += [tree for _program, _calc, tree in _search_goal_proofs(range(1, 9))]
+    cases = {}
+    for proof in proofs:
+        for tree in [proof] + [t for _path, _name, t in proof_mutations(proof)]:
+            for node in tree.nodes():
+                sig = node.sequent.signature
+                for f in _node_formulas(node.sequent):
+                    cases.setdefault((fm.formula_key(f), sig), f)
+    # ill-typed, a flexible atom, and a formula of each role only
+    sig = comember_program.signature
+    p_of_0 = _atom(V("P"), C("0"))
+    hand = [
+        _atom(C("bit"), C("0"), C("0")), fm.Atom(C("0")), _atom(C("bit"), V("y")),
+        fm.Exists("P", fn_type(IOTA, O), p_of_0), fm.Forall("P", fn_type(IOTA, O), p_of_0),
+        ps.parse_goal("bit 0 \\/ bit 1", comember_program),
+        ps.parse_goal("forall x. bit x => bit x", comember_program),
+        ps.parse_goal("bit 0 => bit 1", comember_program),
+        ps.parse_goal("(bit 0 => bit 1) => bit 1", comember_program),
+        ps.parse_goal("exists x. bit x", comember_program),
+        ps.parse_goal("true", comember_program),
+    ]
+    for f in hand:
+        cases[(fm.formula_key(f), sig)] = f
+    seen = collections.Counter()
+    for (_key, sig), f in cases.items():
+        for role in ROLES:
+            # the reference on a cold signature; classify on a cold one and
+            # the entry on the warm one, where typing is memoised
+            want = classify_reference(_cold(sig), f, role)
+            assert _outcome(lambda: fm.classify(_cold(sig), f, role)) == want, (f, role)
+            for calc in Calculus:
+                got = _outcome(lambda: fm.in_fragment(sig, f, role, calc))
+                if isinstance(want, frozenset):
+                    assert got == (calc in want), (f, role, calc)
+                    seen[got] += 1
+                else:
+                    assert got == want, (f, role, calc)
+                    seen["raised"] += 1
+    assert len(cases) > 150 and seen[True] > 1000 and seen[False] > 500 and seen["raised"] > 20
+
+
+def test_an_ill_typed_formula_raises_on_every_call_with_one_message(comember_program):
+    sig = _cold(comember_program.signature)
+    bit_0 = ps.parse_goal("bit 0", comember_program)
+    for f in (_atom(C("bit"), C("0"), C("0")), fm.Conj(bit_0, fm.Atom(C("0"))),
+              fm.Forall("x", IOTA, _atom(C("bit"), V("y")))):
+        messages = set()
+        for _ in range(3):
+            for role in ROLES:
+                for calc in Calculus:
+                    with pytest.raises(IllTyped) as raised:
+                        fm.in_fragment(sig, f, role, calc)
+                    messages.add(str(raised.value))
+                with pytest.raises(IllTyped) as raised:
+                    fm.classify(sig, f, role)
+                messages.add(str(raised.value))
+        assert len(messages) == 1, (f, messages)
+        # errors are never kept
+        assert fm.formula_key(f) not in sig._memo
+    assert fm.in_fragment(sig, bit_0, "goal", Calculus.FOHC)
+
+
+def test_a_typing_kept_under_one_signature_is_not_used_under_another(comember_program):
+    # `bit k` is well typed with k : i and ill typed with k : i -> i, in
+    # either order of first use
+    sig = comember_program.signature
+    g, k = fm.Atom(A(C("bit"), C("k"))), C("k")
+    for first in (IOTA, fn_type(IOTA, IOTA)):
+        for ty in (first, fn_type(IOTA, IOTA) if first == IOTA else IOTA):
+            ext = sig.extend("k", ty)
+            for _ in range(2):
+                assert tm.typecheck(ext, {}, k) == ty
+                if ty == IOTA:
+                    assert fm.in_fragment(ext, g, "goal", Calculus.FOHH)
+                else:
+                    with pytest.raises(IllTyped):
+                        fm.in_fragment(ext, g, "goal", Calculus.FOHH)
+
+
+def test_one_round_trip_type_checks_each_formula_once_per_signature(monkeypatch):
+    # new programs, so that no signature has typed anything before
+    programs = workloads.load_programs()
+    for name, goal, calc, _size in workloads.REGRESSIONS:
+        program = programs[name]
+        res = eng.coprove(program, ps.parse_goal(goal, program), eng.SearchConfig(calculus=calc))
+        doc = ps.export_proof(res.tree, program)
+        checked, depth = [], [0]
+        real = fm._typecheck_formula
+
+        def counting(sig, ctx, f):
+            # the outermost call of one type check
+            if not depth[0]:
+                checked.append((fm.formula_key(f), sig))
+            depth[0] += 1
+            try:
+                return real(sig, ctx, f)
+            finally:
+                depth[0] -= 1
+
+        with monkeypatch.context() as m:
+            m.setattr(fm, "_typecheck_formula", counting)
+            back = ps.import_proof(doc, program)
+            imported = len(checked)
+            assert eng.check(back, program, calc) == (True, None)
+        assert imported > 0 and len(checked) == len(set(checked)), name
+        # check finds every formula the import typed
+        assert len(checked) == imported, name
+
+
+def _with_cold_signatures(tree):
+    """A copy of the proof whose sequents hold cold copies of their
+    signatures; a signature shared by two nodes stays shared."""
+    cold = {}
+
+    def go(node):
+        sig = node.sequent.signature
+        if id(sig) not in cold:
+            cold[id(sig)] = sig, _cold(sig)
+        seq = node.sequent.with_(signature=cold[id(sig)][1])
+        return eng.ProofTree(seq, node.rule, node.witness, node.eigen, tuple(go(c) for c in node.children))
+
+    return go(tree)
+
+
+def test_memo_state_does_not_change_a_verdict():
+    copies = 0
+    for program, calc, tree in _search_goal_proofs(range(1, 9)):
+        for _path, _name, mutated in proof_mutations(tree):
+            copies += 1
+            cold = _with_cold_signatures(mutated)
+            verdict = eng.check(cold, program, calc)
+            assert not verdict[0]
+            assert eng.check(cold, program, calc) == verdict
+            # the import has typed the payloads on its signatures already
+            back = ps.import_proof(ps.export_proof(mutated, program), program)
+            assert eng.check(back, program, calc) == eng.check(_with_cold_signatures(back), program, calc)
+    assert copies == 2591
+
+
+def test_signatures_compare_hash_and_look_up_by_their_constants(regression_proofs):
+    rng = random.Random(5)
+    sigs = [p.signature for p in workloads.load_programs().values()]
+    sigs += list({id(node.sequent.signature): node.sequent.signature
+                  for _program, _goal, _calc, res in regression_proofs.values()
+                  for node in res.tree.nodes()}.values())
+    extended = 0
+    for sig in sigs:
+        items = list(sig.constants)
+        extended += any(tm.FRESH_MARK in n for n, _ty in items)
+        shuffled = rng.sample(items, len(items))
+        chained = Signature()
+        for name, ty in shuffled:
+            chained = chained.extend(name, ty)
+        same = [Signature.of(dict(reversed(items))), Signature.of(dict(shuffled)), chained]
+        for other in same:
+            assert other == sig and hash(other) == hash(sig)
+        assert sig.extend("extra", IOTA) != sig
+        names = [n for n, _ty in items] + ["absent", "", items[0][0] + "x", "x" + tm.FRESH_MARK + "99"]
+        for name in names:
+            want = next((ty for n, ty in items if n == name), None)
+            for s in [sig] + same:
+                assert s.lookup(name) == want and (name in s) == (want is not None), name
+    assert extended >= 2

@@ -6,7 +6,8 @@ module-level function and class is mentioned somewhere in `cup` other
 than in its own body and the package's re-exports, apart from the listed
 names kept for tests. No handler in `cup` catches every exception, so
 only `CupError` subclasses become verdicts and any other exception
-surfaces.
+surfaces. No function in `cup` mutates a module-level dict, set or list:
+a memo lives on an object (`Signature`, `Program`), never in a global.
 """
 
 import ast
@@ -19,8 +20,6 @@ SRC = Path(cup.__file__).parent
 KNOWN: set[tuple[str, str, str]] = set()
 
 KEPT = {
-    # the installed path of a shipped corpus file, for tests that run the CLI
-    ("cli", "corpus_path"),
     # builds the arrow types of hand-made signatures in tests
     ("terms", "fn_type"),
     # reads back `export_interpretation`, for the round-trip test
@@ -175,3 +174,83 @@ def test_broad_handler_scanner_sees_each_form(tmp_path, monkeypatch):
     )
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert broad_handlers() == {("a", 3), ("a", 7), ("a", 11)}
+
+
+CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter"}
+MUTATORS = {"add", "append", "update", "setdefault", "extend", "insert", "pop", "clear", "remove", "discard"}
+
+
+def _is_container(value) -> bool:
+    if isinstance(value, CONTAINERS):
+        return True
+    func = value.func if isinstance(value, ast.Call) else None
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    return name in CONTAINER_CALLS
+
+
+def _mutated_names(func) -> set[str]:
+    """The global names a function body mutates: a subscript assigned,
+    augmented or deleted, or a mutating method called on the name."""
+    local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+    declared = set()
+    out = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Global):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            local.add(node.id)
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for t in targets:
+            if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name):
+                out.add(t.value.id)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Name)):
+            out.add(node.func.value.id)
+    return {n for n in out if n not in local or n in declared}
+
+
+def mutated_globals() -> set[tuple[str, str]]:
+    """(module, name) of every module-level dict, set or list in `cup`
+    that a function mutates."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        containers = set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None and _is_container(stmt.value):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                out |= {(path.stem, n) for n in _mutated_names(node) & containers}
+    return out
+
+
+def test_no_function_mutates_a_module_level_container():
+    assert mutated_globals() == set()
+
+
+def test_mutated_global_scanner_sees_each_form(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text(
+        "from collections import defaultdict\n"
+        "BY_KEY = {}\nSEEN = set()\nLOG: list = []\nBAGS = defaultdict(list)\nCACHE = dict()\n"
+        "READ = {'x': 1}\nSHADOWED = []\nFIXED = (1, 2)\nAT_IMPORT = []\nAT_IMPORT.append(0)\n"
+        "def f(k, v):\n    BY_KEY[k] = v\n    SEEN.add(k)\n    LOG.append(v)\n    return READ[k], FIXED[0]\n"
+        "def g(k):\n    BAGS.setdefault(k, []).append(k)\n    CACHE.update({k: k})\n"
+        "def h(k):\n    SHADOWED = []\n    SHADOWED.append(k)\n    return SHADOWED\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "MEMO = {}\nCOUNT = []\n"
+        "def f(MEMO):\n    MEMO['x'] = 1\n"
+        "def g():\n    global COUNT\n    COUNT = []\n    COUNT.append(1)\n"
+        "h = lambda k: COUNT.extend(k)\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert mutated_globals() == {
+        ("a", "BY_KEY"), ("a", "SEEN"), ("a", "LOG"), ("a", "BAGS"), ("a", "CACHE"), ("b", "COUNT"),
+    }
