@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Container, Optional
 
 from . import engine as eng
 from . import formulas as fm
@@ -37,7 +37,7 @@ from .formulas import (
     Top,
 )
 from .guardedness import is_guarded_fixed_point
-from .terms import App, Arrow, Base, Con, Fix, IOTA, Lam, O, Signature, Term, Var
+from .terms import App, Arrow, Base, Con, Fix, IOTA, Lam, Signature, Term, Var
 
 KEYWORDS = {"const", "def", "forall", "exists", "fix", "true"}
 
@@ -102,41 +102,26 @@ def tokenize(text: str, allow_fresh: bool = False) -> list[Token]:
     return toks
 
 
-# ---------------------------------------------------------------------------
-# Raw syntax (identifiers unresolved)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RIdent:
-    name: str
-    span: tuple
-
-
-@dataclass(frozen=True)
-class RApp:
-    fn: "RTerm"
-    arg: "RTerm"
-
-
-@dataclass(frozen=True)
-class RLam:
-    var: str
-    body: "RTerm"
-
-
-@dataclass(frozen=True)
-class RFix:
-    body: "RTerm"
-
-
-RTerm = RIdent | RApp | RLam | RFix
+# The binary connectives, loosest first; each is right-associative.  The
+# parser and `pp_formula` both read this table.
+_CONNECTIVES = ((Impl, "=>"), (Disj, "\\/"), (Conj, "/\\"))
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
+    """Recursive descent straight to `Term`s and `Formula`s.  Each
+    identifier is resolved as it is read: a bound variable, a fix
+    definition or a declared constant (one of `names`).  Any other name is
+    read as a variable and kept in `unknown`, in textual order, for
+    `resolved` to report once the production has parsed, so that a syntax
+    error anywhere in it is reported first."""
+
+    def __init__(self, toks: list[Token], names: Container[str], fix_defs: dict[str, Term]):
         self.toks = toks
         self.pos = 0
+        self.names = names
+        self.fix_defs = fix_defs
+        self.bound: frozenset[str] = frozenset()
+        self.unknown: list[tuple[str, tuple]] = []
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -162,6 +147,27 @@ class _Parser:
             raise ParseError(f"expected an identifier, found {t.text!r}", t.span)
         return self.next()
 
+    def name(self, text: str, span: tuple) -> Term:
+        if text in self.bound:
+            return Var(text)
+        if text in self.fix_defs:
+            return self.fix_defs[text]
+        if text in self.names:
+            return Con(text)
+        self.unknown.append((text, span))
+        return Var(text)
+
+    def resolved(self, implicit: bool) -> list[str]:
+        """Raise on the first unknown name or, for Prolog sugar (`implicit`),
+        on the first that is not capitalised.  Returns the capitalised
+        names, the clause's implicit universals, in order of first use, and
+        starts the next production with none."""
+        unknown, self.unknown = self.unknown, []
+        for text, span in unknown:
+            if not (implicit and text[0].isupper()):
+                raise SourceTypeError(f"unknown identifier {text!r}", span)
+        return list(dict.fromkeys(text for text, _ in unknown))
+
     # ---- types ----
 
     def type_(self) -> tm.SimpleType:
@@ -177,191 +183,143 @@ class _Parser:
             ty = self.type_()
             self.eat(")")
             return ty
-        t = self.ident()
-        return Base(t.text)
+        return Base(self.ident().text)
 
     # ---- terms ----
 
-    def term(self) -> RTerm:
+    def term(self) -> Term:
         if self.at("\\"):
-            tok = self.next()
+            self.next()
             var = self.ident().text
             self.eat(".")
-            return RLam(var, self.term())
+            outer = self.bound
+            self.bound = outer | {var}
+            body = self.term()
+            self.bound = outer
+            return Lam(var, body)
         if self.at("fix"):
             self.next()
-            return RFix(self.term())
+            return Fix(self.term())
         return self.term_app()
 
-    def term_app(self) -> RTerm:
+    def term_app(self) -> Term:
         t = self.term_atom()
-        while True:
-            nxt = self.peek()
-            if nxt.kind == "ident" or nxt.text in ("(", "["):
-                t = RApp(t, self.term_atom())
-            else:
-                return t
+        while self.peek().kind == "ident" or self.peek().text in ("(", "["):
+            t = App(t, self.term_atom())
+        return t
 
-    def term_atom(self) -> RTerm:
+    def term_atom(self) -> Term:
         t = self.peek()
         if t.kind == "ident":
             self.next()
-            return RIdent(t.text, t.span)
+            return self.name(t.text, t.span)
         if self.at("("):
             self.next()
             inner = self.term()
             self.eat(")")
             return inner
         if self.at("["):
-            span = self.next().span
+            self.next()
+            cons = self.name("scons", t.span)
             items = [self.term()]
             while self.at("|"):
                 self.next()
                 items.append(self.term())
             self.eat("]")
             if len(items) < 2:
-                raise ParseError("bracket sugar needs [head|tail]", span)
+                raise ParseError("bracket sugar needs [head|tail]", t.span)
             out = items[-1]
             for it in reversed(items[:-1]):
-                out = RApp(RApp(RIdent("scons", span), it), out)
+                out = App(App(cons, it), out)
             return out
         raise ParseError(f"expected a term, found {t.text!r}", t.span)
 
     # ---- formulas ----
 
-    def formula(self):
+    def formula(self) -> Formula:
         if self.at("forall") or self.at("exists"):
-            kw = self.next()
+            quant = Forall if self.next().text == "forall" else Exists
             names = [self.ident().text]
             while self.peek().kind == "ident":
-                names.append(self.ident().text)
+                names.append(self.next().text)
             self.eat(".")
-            body = self.formula()
-            ctor = "forall" if kw.text == "forall" else "exists"
-            return ("quant", ctor, names, body)
-        return self.impl()
+            outer = self.bound
+            self.bound = outer | set(names)
+            f = self.formula()
+            self.bound = outer
+            for n in reversed(names):
+                f = quant(n, IOTA, f)
+            return f
+        return self.binary(0)
 
-    def impl(self):
-        left = self.disj()
-        if self.at("=>"):
+    def binary(self, level: int) -> Formula:
+        left = self.binary(level + 1) if level + 1 < len(_CONNECTIVES) else self.formula_atom()
+        ctor, op = _CONNECTIVES[level]
+        if self.at(op):
             self.next()
-            return ("impl", left, self.impl())
+            return ctor(left, self.binary(level))
         return left
 
-    def disj(self):
-        left = self.conj()
-        if self.at("\\/"):
-            self.next()
-            return ("disj", left, self.disj())
-        return left
-
-    def conj(self):
-        left = self.formula_atom()
-        if self.at("/\\"):
-            self.next()
-            return ("conj", left, self.conj())
-        return left
-
-    def formula_atom(self):
+    def formula_atom(self) -> Formula:
         if self.at("true"):
             self.next()
-            return ("top",)
+            return fm.TOP
         if self.at("("):
-            save = self.pos
+            # a parenthesised formula, else a term: the failed attempt's
+            # position, binders and unknown names are dropped
+            pos, unknown, bound = self.pos, len(self.unknown), self.bound
             self.next()
             try:
                 inner = self.formula()
                 self.eat(")")
             except ParseError:
-                self.pos = save
-                return ("atom", self.term())
-            # parenthesized atom formulas also land here via ('atom', ...)
+                self.pos, self.bound = pos, bound
+                del self.unknown[unknown:]
+                return Atom(self.term())
             return inner
         if self.at("forall") or self.at("exists"):
             return self.formula()
-        return ("atom", self.term())
+        return Atom(self.term())
 
+    # ---- clauses ----
 
-# ---------------------------------------------------------------------------
-# Resolution: raw identifiers -> constants, fix definitions, variables
-# ---------------------------------------------------------------------------
+    def has_neck(self) -> bool:
+        """Does `:-` come before the dot that closes the clause?  A binder's
+        own dot, right after `\\ x` or after `forall`/`exists` and their
+        names, closes nothing."""
+        toks, i = self.toks, self.pos
+        while toks[i].kind != "eof" and toks[i].text != ".":
+            if toks[i].text == ":-":
+                return True
+            binder = toks[i].text
+            if binder in ("\\", "forall", "exists"):
+                j = i + 1
+                while toks[j].kind == "ident" and (binder != "\\" or j == i + 1):
+                    j += 1
+                if j > i + 1 and toks[j].text == ".":
+                    i = j
+            i += 1
+        return False
 
-
-class _Resolver:
-    def __init__(self, sig: Signature, fix_defs: dict[str, Term], implicit: bool):
-        self.sig = sig
-        self.fix_defs = fix_defs
-        self.implicit = implicit
-        self.collected: list[str] = []
-
-    def term(self, r: RTerm, bound: set[str]) -> Term:
-        if isinstance(r, RIdent):
-            if r.name in bound:
-                return Var(r.name)
-            if r.name in self.fix_defs:
-                return self.fix_defs[r.name]
-            if r.name in self.sig:
-                return Con(r.name)
-            if self.implicit and r.name[0].isupper():
-                if r.name not in self.collected:
-                    self.collected.append(r.name)
-                return Var(r.name)
-            raise SourceTypeError(f"unknown identifier {r.name!r}", r.span)
-        if isinstance(r, RApp):
-            return App(self.term(r.fn, bound), self.term(r.arg, bound))
-        if isinstance(r, RLam):
-            return Lam(r.var, self.term(r.body, bound | {r.var}))
-        return Fix(self.term(r.body, bound))
-
-    def formula(self, node, bound: set[str]) -> Formula:
-        kind = node[0]
-        if kind == "top":
-            return fm.TOP
-        if kind == "atom":
-            return Atom(self.term(node[1], bound))
-        if kind in ("conj", "disj", "impl"):
-            ctor = {"conj": Conj, "disj": Disj, "impl": Impl}[kind]
-            return ctor(self.formula(node[1], bound), self.formula(node[2], bound))
-        _, ctor, names, body = node
-        f = self.formula(body, bound | set(names))
-        cls = Forall if ctor == "forall" else Exists
-        for n in reversed(names):
-            f = cls(n, IOTA, f)
-        return f
-
-
-def _resolve_clause(p: _Parser, sig: Signature, fix_defs: dict[str, Term]) -> Formula:
-    """One clause: Prolog-style sugar when `:-` appears before the closing
-    dot or the clause is a bare atom; explicit formula syntax otherwise."""
-    # scan ahead for ':-' before the terminating '.'
-    has_neck = False
-    for t in p.toks[p.pos:]:
-        if t.text == "." or t.kind == "eof":
-            break
-        if t.text == ":-":
-            has_neck = True
-            break
-    res = _Resolver(sig, fix_defs, implicit=True)
-    if has_neck:
-        head_raw = p.term()
-        p.eat(":-")
-        body_raw = [p.term()]
-        while p.at(","):
-            p.next()
-            body_raw.append(p.term())
-        head = res.term(head_raw, set())
-        body = [res.term(b, set()) for b in body_raw]
-        f: Formula = Impl(fm.conjoin([Atom(b) for b in body]), Atom(head))
-    else:
-        node = p.formula()
-        if node[0] == "atom":
-            f = res.formula(node, set())
+    def clause(self) -> Formula:
+        """One clause, up to its closing dot: Prolog-style sugar when `:-`
+        comes before that dot or the clause is a bare atom, whose
+        capitalised unknown names are universally quantified; explicit
+        formula syntax otherwise."""
+        sugar = self.has_neck()
+        if sugar:
+            head = Atom(self.term())
+            self.eat(":-")
+            body = [Atom(self.term())]
+            while self.at(","):
+                self.next()
+                body.append(Atom(self.term()))
+            f: Formula = Impl(fm.conjoin(body), head)
         else:
-            strict = _Resolver(sig, fix_defs, implicit=False)
-            f = strict.formula(node, set())
-    for v in reversed(res.collected):
-        f = Forall(v, IOTA, f)
-    return f
+            f = self.formula()
+        for v in reversed(self.resolved(implicit=sugar or isinstance(f, Atom))):
+            f = Forall(v, IOTA, f)
+        return f
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +335,9 @@ def parse_program(text: str) -> Program:
 
 
 def _parse_program(text: str) -> Program:
-    toks = tokenize(text)
-    p = _Parser(toks)
     sig_map: dict[str, tm.SimpleType] = {}
     fix_defs: dict[str, Term] = {}
+    p = _Parser(tokenize(text), sig_map, fix_defs)
     clauses: list[Formula] = []
     while p.peek().kind != "eof":
         if p.at("const"):
@@ -403,11 +360,11 @@ def _parse_program(text: str) -> Program:
             name_tok = p.ident()
             name = name_tok.text
             p.eat("=")
-            raw = p.term()
+            body = p.term()
             p.eat(".")
+            p.resolved(implicit=False)
             sig = Signature.of(sig_map)
-            res = _Resolver(sig, fix_defs, implicit=False)
-            t = tm.canonicalize(res.term(raw, set()))
+            t = tm.canonicalize(body)
             report = is_guarded_fixed_point(sig, t)
             if not report.verdict:
                 raise GuardednessError(
@@ -424,9 +381,9 @@ def _parse_program(text: str) -> Program:
             fix_defs[name] = t
             continue
         start = p.peek()
-        sig = Signature.of(sig_map)
-        f = _resolve_clause(p, sig, fix_defs)
+        f = p.clause()
         p.eat(".")
+        sig = Signature.of(sig_map)
         try:
             first_order = fm.in_fragment(sig, f, "clause", fm.Calculus.FOHC)
         except CupError as exc:
@@ -439,30 +396,36 @@ def _parse_program(text: str) -> Program:
 
 
 def _parse_with(text: str, program: Program, production: str, allow_fresh: bool = False):
+    """A "term" or "formula" `production` spanning text, save one optional final dot."""
     try:
-        toks = tokenize(text, allow_fresh=allow_fresh)
-        p = _Parser(toks)
-        res = _Resolver(program.signature, dict(program.fix_definitions), implicit=False)
-        if production == "term":
-            out = res.term(p.term(), set())
-        else:
-            out = res.formula(p.formula(), set())
+        p = _Parser(tokenize(text, allow_fresh=allow_fresh), program.signature, dict(program.fix_definitions))
+        out = p.term() if production == "term" else p.formula()
     except RecursionError:
         raise NestingTooDeep("nesting too deep") from None
+    p.resolved(implicit=False)
+    if p.at("."):
+        p.next()
     t = p.peek()
-    if t.kind != "eof" and t.text != ".":
+    if t.kind != "eof":
         raise ParseError(f"trailing input {t.text!r}", t.span)
     return out
 
 
+# Both type-check before they beta-normalise, which need not terminate on
+# ill-typed input; the check of the normal form, which `check` looks up
+# later, is a memo hit when the text was already normal.
 def parse_term(text: str, program: Program, allow_fresh: bool = False) -> Term:
-    t = tm.canonicalize(_parse_with(text, program, "term", allow_fresh))
+    t = _parse_with(text, program, "term", allow_fresh)
+    tm.typecheck(program.signature, {}, t)
+    t = tm.canonicalize(t)
     tm.typecheck(program.signature, {}, t)
     return t
 
 
 def parse_goal(text: str, program: Program, allow_fresh: bool = False) -> Formula:
-    f = fm.map_atoms(_parse_with(text, program, "formula", allow_fresh), tm.canonicalize)
+    f = _parse_with(text, program, "formula", allow_fresh)
+    fm.typecheck_formula(program.signature, f)
+    f = fm.map_atoms(f, tm.canonicalize)
     fm.typecheck_formula(program.signature, f)
     return f
 
@@ -545,9 +508,6 @@ def pp_term(t: Term, program: Optional[Program] = None) -> str:
     return go(t, {})
 
 
-_PREC = {"impl": 1, "disj": 2, "conj": 3}
-
-
 def pp_formula(f: Formula, program: Optional[Program] = None) -> str:
     def go(g: Formula, prec: int) -> str:
         if isinstance(g, Top):
@@ -563,9 +523,10 @@ def pp_formula(f: Formula, program: Optional[Program] = None) -> str:
                 body = body.body
             s = f"{kw} {' '.join(names)}. {go(body, 0)}"
             return f"({s})" if prec > 0 else s
-        op, level = {"Conj": ("/\\", 3), "Disj": ("\\/", 2), "Impl": ("=>", 1)}[type(g).__name__]
-        s = f"{go(g.left, level + 1)} {op} {go(g.right, level)}"
-        return f"({s})" if prec > level else s
+        for level, (ctor, op) in enumerate(_CONNECTIVES, 1):
+            if isinstance(g, ctor):
+                s = f"{go(g.left, level + 1)} {op} {go(g.right, level)}"
+                return f"({s})" if prec > level else s
 
     return go(f, 0)
 
@@ -624,8 +585,7 @@ def _parse_sig_addition(s: str) -> tuple[str, tm.SimpleType]:
         raise MalformedDocument(f"bad signature addition {s!r}")
     name, tytext = s.split(":", 1)
     name = name.strip()
-    toks = tokenize(tytext.strip(), allow_fresh=True)
-    p = _Parser(toks)
+    p = _Parser(tokenize(tytext.strip(), allow_fresh=True), (), {})
     ty = p.type_()
     if p.peek().kind != "eof":
         raise MalformedDocument(f"bad type in signature addition {s!r}")

@@ -327,6 +327,15 @@ class TestClassifyAndExamples:
         payload = json.loads(capsys.readouterr().out)
         assert payload["fragments"] == ["co-hohh"]
 
+    def test_ill_typed_goal_with_a_looping_redex_is_usage(self, capsys):
+        # type-checked before it is beta-normalised, which would not terminate
+        code = run([
+            "classify", "--program", corpus("member.cup"),
+            "--goal", "member ((\\x. x x) (\\x. x x)) nil",
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: circular type constraint")
+
     def test_examples_run_all(self, capsys):
         code = run(["examples", "--run"])
         assert code == EXIT_OK

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -11,9 +12,11 @@ from cup.errors import (
     CupError,
     GuardednessError,
     MalformedDocument,
+    NestingTooDeep,
     ParseError,
     SignatureMismatch,
     SourceTypeError,
+    TypeMismatch,
 )
 from cup.formulas import Atom, Calculus, Exists, Forall
 
@@ -76,6 +79,16 @@ class TestParseProgram:
         with pytest.raises(ParseError):
             ps.parse_program("const x#1 : i.")
 
+    def test_sugar_head_may_hold_a_lambda(self):
+        # a binder's own dot does not close the clause, so `:-` after it
+        # still makes the clause Prolog sugar
+        base = "const c : i. const p : i -> o. const q : i -> o.\n"
+        sugar = ps.parse_program(base + "p ((\\y. y) X) :- q X.")
+        explicit = ps.parse_program(base + "forall X. q X => p X.")
+        assert fm.formula_alpha_eq(sugar.clauses[0], explicit.clauses[0])
+        fact = ps.parse_program(base + "p ((\\y. y) c).")
+        assert fact.clauses[0] == Atom(A(C("p"), C("c")))
+
     def test_clause_outside_first_order_grammar(self):
         text = (
             "const 0 : i. const scons : i -> i -> i. const bitstream : i -> o.\n"
@@ -107,6 +120,26 @@ class TestParseGoalTerm:
     def test_unknown_identifier(self, bitstream_program):
         with pytest.raises(SourceTypeError):
             ps.parse_goal("bitstream (qqq 0)", bitstream_program)
+
+    def test_text_may_end_with_one_dot_and_nothing_more(self, member_program):
+        prog = member_program
+        assert ps.parse_goal("member 0 nil.", prog) == ps.parse_goal("member 0 nil", prog)
+        assert ps.parse_term("0.", prog) == C("0")
+        for parse, text, span in [
+            (ps.parse_goal, "member 0 nil. junk (", (1, 15)),
+            (ps.parse_goal, "member 0 nil..", (1, 14)),
+            (ps.parse_term, "0. 0", (1, 4)),
+        ]:
+            with pytest.raises(ParseError, match="^trailing input") as exc:
+                parse(text, prog)
+            assert type(exc.value) is ParseError and exc.value.span == span, text
+
+    def test_goal_and_term_are_type_checked_before_they_are_normalised(self, member_program):
+        # beta-normalising these ill-typed texts would not terminate
+        with pytest.raises(TypeMismatch, match="circular type constraint"):
+            ps.parse_goal("member ((\\x. x x) (\\x. x x)) nil", member_program)
+        with pytest.raises(TypeMismatch, match="circular type constraint"):
+            ps.parse_term("(\\x. x x) (\\x. x x)", member_program)
 
 
 class TestPrettyRoundTrip:
@@ -254,6 +287,16 @@ class TestProofDocuments:
         with pytest.raises(MalformedDocument, match="nested too deeply"):
             ps.import_proof(doc, bitstream_program)
 
+    @pytest.mark.parametrize("payload, message", [
+        ("bit 0. junk", "trailing input 'junk'"),
+        ("bit ((\\x. x x) (\\x. x x))", "circular type constraint"),
+    ])
+    def test_bad_goal_payload_is_unparseable(self, bitstream_program, payload, message):
+        doc = json.loads(deep_document(0))
+        doc["goal"] = payload
+        with pytest.raises(MalformedDocument, match="^unparseable proof payload: .*" + re.escape(message)):
+            ps.import_proof(doc, bitstream_program)
+
     def test_not_json_rejected(self, bitstream_program):
         with pytest.raises(MalformedDocument):
             ps.import_proof("not json at all", bitstream_program)
@@ -280,3 +323,65 @@ class TestProofDocuments:
                 walk(c)
 
         walk(doc)
+
+
+HEAD = "const 0 : i. const scons : i -> i -> i. const p : i -> o.\n"
+DEEP = "(" * 40000 + "{}" + ")" * 40000
+
+# (entry point, text, error class, message, span): one or more rows for
+# each place tokenising, parsing or resolving a name raises.  A goal or
+# term is read over the member program.
+ERROR_ROWS = [
+    ("program", "const x#1 : i.", ParseError, "reserved marker '#' in identifier", (1, 8)),
+    ("goal", "member 0 nil #", ParseError, "reserved marker '#' in identifier", (1, 14)),
+    ("program", "const 0 : i.\np ~ 0.", ParseError, "unexpected character '~'", (2, 3)),
+    ("program", "const 0 i.", ParseError, "expected ':', found 'i'", (1, 9)),
+    ("program", HEAD + "forall x. p x", ParseError, "expected '.', found ''", (2, 14)),
+    ("program", HEAD + "p 0 :- p 0 :- p 0.", ParseError, "expected '.', found ':-'", (2, 12)),
+    ("program", "const : i.", ParseError, "expected an identifier, found ':'", (1, 7)),
+    ("program", HEAD + "forall . p 0.", ParseError, "expected an identifier, found '.'", (2, 8)),
+    ("program", HEAD + "p ().", ParseError, "expected a term, found ')'", (2, 4)),
+    ("program", HEAD + "p 0 :- .", ParseError, "expected a term, found '.'", (2, 8)),
+    ("goal", "member 0 [0]", ParseError, "bracket sugar needs [head|tail]", (1, 10)),
+    ("program", HEAD + "p [X] :- p X.", ParseError, "bracket sugar needs [head|tail]", (2, 3)),
+    # a lowercase name in sugar; a capitalised one in explicit syntax
+    ("program", HEAD + "p [X|T] :- p T, q X.", SourceTypeError, "unknown identifier 'q'", (2, 17)),
+    ("program", HEAD + "forall x. p X => p x.", SourceTypeError, "unknown identifier 'X'", (2, 13)),
+    # a syntax error later in the clause is reported first
+    ("program", HEAD + "p q :- p (.", ParseError, "expected a term, found '.'", (2, 11)),
+    ("program", HEAD + "def z = fix \\x. scons y x.", SourceTypeError, "unknown identifier 'y'", (2, 23)),
+    ("program", "const 0 : i.\ndef z = fix \\x. scons 0 x.", SourceTypeError, "unknown identifier 'scons'", (2, 17)),
+    # bracket sugar names `scons` at its `[`, before the items
+    ("program", "const 0 : i. const p : i -> o.\np [qqq|0].", SourceTypeError, "unknown identifier 'scons'", (2, 3)),
+    # read twice: in the failed attempt at `(formula)`, then as a term
+    ("goal", "((member qqq) 0) nil", SourceTypeError, "unknown identifier 'qqq'", (1, 10)),
+    ("goal", "member 0 nil )", ParseError, "trailing input ')'", (1, 14)),
+    ("term", "0 0 ]", ParseError, "trailing input ']'", (1, 5)),
+    ("program", "const 0 : i. const 0 : i.", ParseError, "'0' declared twice", (1, 20)),
+    ("program", HEAD + "def z = fix \\x. scons 0 x.\ndef z = fix \\x. scons 0 x.", ParseError,
+     "'z' declared twice", (3, 5)),
+    ("program", HEAD + "def p = fix \\x. scons 0 x.", ParseError, "'p' declared twice", (2, 5)),
+    ("program", HEAD + "def z = fix \\x. x.", GuardednessError,
+     "definition 'z' is not a guarded fixed point term: body head is not a constant", (2, 5)),
+    ("program", "const apply : (i -> i) -> i.", SourceTypeError, "constant apply has order 2 type (i -> i) -> i",
+     (1, 7)),
+    ("program", HEAD + "p p.", SourceTypeError,
+     "ill-typed clause: cannot match i with i -> o at App(fn=Con(name='p'), arg=Con(name='p'))", (2, 1)),
+    ("program", HEAD + "p (fix \\x. scons 0 x).", SourceTypeError, "clause is outside the first-order clause grammar",
+     (2, 1)),
+    ("program", HEAD + DEEP.format("p 0") + ".", NestingTooDeep, "nesting too deep", None),
+    ("goal", DEEP.format("true"), NestingTooDeep, "nesting too deep", None),
+    ("term", DEEP.format("0"), NestingTooDeep, "nesting too deep", None),
+]
+
+
+@pytest.mark.parametrize("entry, text, cls, message, span", ERROR_ROWS, ids=[r[3][:40] for r in ERROR_ROWS])
+def test_error_class_message_and_span(member_program, entry, text, cls, message, span):
+    parse = {
+        "program": ps.parse_program,
+        "goal": lambda t: ps.parse_goal(t, member_program),
+        "term": lambda t: ps.parse_term(t, member_program),
+    }[entry]
+    with pytest.raises(CupError) as exc:
+        parse(text)
+    assert (type(exc.value), str(exc.value), exc.value.span) == (cls, message, span)

@@ -2,11 +2,11 @@
 
 No module of `cup` uses another module's private names, either as
 `from .x import _y` or as `alias._y` on a `cup` module alias. Every
-module-level function and class is mentioned somewhere in `cup` other
-than in its own body and the package's re-exports, apart from the listed
-names kept for tests. No handler in `cup` catches every exception, so
-only `CupError` subclasses become verdicts and any other exception
-surfaces. No function in `cup` mutates a module-level dict, set or list:
+module-level function, class and assigned name is mentioned somewhere in
+`cup` other than in its own statement and the package's re-exports, apart
+from the listed names kept for tests. No handler in `cup` catches every
+exception, so only `CupError` subclasses become verdicts and any other
+exception surfaces. No function in `cup` mutates a module-level dict, set or list:
 a memo lives on an object (`Signature`, `Program`), never in a global.
 """
 
@@ -38,6 +38,9 @@ KEPT = {
     # the paper's conservative-extension check for lemma instances, part of
     # the acceptance gate
     ("soundness", "conservative_extension_check"),
+    # every calculus, the fragment table's answer for a formula in all of
+    # them; the acceptance gate imports it
+    ("formulas", "ALL_CALCULI"),
 }
 
 
@@ -97,20 +100,27 @@ def test_scanner_sees_both_forms(tmp_path, monkeypatch):
     assert cross_module_private_uses() == {("a", "b", "_hidden"), ("a", "c", "_inner")}
 
 
+def _own_names(stmt) -> set[str]:
+    """The names a module-level statement defines: a def's or class's name,
+    or the plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
 def unreferenced_definitions() -> set[tuple[str, str]]:
-    """(module, name) of every module-level def or class that no name,
-    attribute or import alias in `cup` mentions outside its own body; a
-    re-export in `__init__.py` is not a use."""
+    """(module, name) of every module-level def, class or assigned name
+    that no name, attribute or import alias in `cup` mentions outside its
+    own statement; a re-export in `__init__.py` is not a use."""
     defined = set()
     mentioned = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = stmt.name
-                defined.add((path.stem, own))
+            own = _own_names(stmt)
+            defined |= {(path.stem, name) for name in own}
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -120,7 +130,7 @@ def unreferenced_definitions() -> set[tuple[str, str]]:
                     name = node.name
                 else:
                     continue
-                if name != own:
+                if name not in own:
                     mentioned.add(name)
     return {(mod, name) for mod, name in defined if name not in mentioned}
 
@@ -137,11 +147,15 @@ def test_definition_scanner_sees_each_kind_of_mention(tmp_path, monkeypatch):
         "def recursive(n): return recursive(n - 1)\n"
         "class Unused: pass\n"
         "x = by_name, b.by_attribute\n"
+        "TABLE = {1: 2}\nSELF: dict = {'k': SELF}\nPAIR, COUNT = (), len(TABLE)\n"
     )
     (tmp_path / "c.py").write_text("def by_import(): pass\ndef only_reexported(): pass\n")
     (tmp_path / "__init__.py").write_text("from .c import only_reexported\n")
     monkeypatch.setitem(globals(), "SRC", tmp_path)
-    assert unreferenced_definitions() == {("a", "recursive"), ("a", "Unused"), ("c", "only_reexported")}
+    assert unreferenced_definitions() == {
+        ("a", "recursive"), ("a", "Unused"), ("a", "x"), ("a", "SELF"), ("a", "PAIR"), ("a", "COUNT"),
+        ("c", "only_reexported"),
+    }
 
 
 BROAD = {"Exception", "BaseException"}
