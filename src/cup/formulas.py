@@ -375,14 +375,13 @@ def ground_instances(h: HClause, universe: list[Term], limit: Optional[int] = No
 @dataclass(frozen=True)
 class Program:
     """A first-order signature, an ordered list of clause formulae, and named
-    guarded fixed-point definitions available as witnesses."""
+    guarded fixed-point definitions available as witnesses.  It keeps the
+    term universe `trees.gfp_approx` explored, a `trees._Universe` per pool."""
 
     signature: Signature
     clauses: tuple[Formula, ...] = ()
     fix_definitions: tuple[tuple[str, Term], ...] = ()
-    # the state trees.gfp_approx reaches from the universe seeds, keyed on
-    # (depth, pool)
-    _gfp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _universes: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def fix_def(self, name: str) -> Optional[Term]:
         for n, t in self.fix_definitions:

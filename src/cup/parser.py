@@ -397,11 +397,8 @@ def _parse_program(text: str) -> Program:
 
 def _parse_with(text: str, program: Program, production: str, allow_fresh: bool = False):
     """A "term" or "formula" `production` spanning text, save one optional final dot."""
-    try:
-        p = _Parser(tokenize(text, allow_fresh=allow_fresh), program.signature, dict(program.fix_definitions))
-        out = p.term() if production == "term" else p.formula()
-    except RecursionError:
-        raise NestingTooDeep("nesting too deep") from None
+    p = _Parser(tokenize(text, allow_fresh=allow_fresh), program.signature, dict(program.fix_definitions))
+    out = p.term() if production == "term" else p.formula()
     p.resolved(implicit=False)
     if p.at("."):
         p.next()
@@ -412,22 +409,28 @@ def _parse_with(text: str, program: Program, production: str, allow_fresh: bool 
 
 
 # Both type-check before they beta-normalise, which need not terminate on
-# ill-typed input; the check of the normal form, which `check` looks up
-# later, is a memo hit when the text was already normal.
+# ill-typed input; the check of the normal form, which `check` looks up later,
+# is a memo hit if the text was normal.  Any step may exhaust the stack.
 def parse_term(text: str, program: Program, allow_fresh: bool = False) -> Term:
-    t = _parse_with(text, program, "term", allow_fresh)
-    tm.typecheck(program.signature, {}, t)
-    t = tm.canonicalize(t)
-    tm.typecheck(program.signature, {}, t)
-    return t
+    try:
+        t = _parse_with(text, program, "term", allow_fresh)
+        tm.typecheck(program.signature, {}, t)
+        t = tm.canonicalize(t)
+        tm.typecheck(program.signature, {}, t)
+        return t
+    except RecursionError:
+        raise NestingTooDeep("nesting too deep") from None
 
 
 def parse_goal(text: str, program: Program, allow_fresh: bool = False) -> Formula:
-    f = _parse_with(text, program, "formula", allow_fresh)
-    fm.typecheck_formula(program.signature, f)
-    f = fm.map_atoms(f, tm.canonicalize)
-    fm.typecheck_formula(program.signature, f)
-    return f
+    try:
+        f = _parse_with(text, program, "formula", allow_fresh)
+        fm.typecheck_formula(program.signature, f)
+        f = fm.map_atoms(f, tm.canonicalize)
+        fm.typecheck_formula(program.signature, f)
+        return f
+    except RecursionError:
+        raise NestingTooDeep("nesting too deep") from None
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,8 @@ def _de_bruijn(t: Term, env: dict[str, int], depth: int) -> str:
 def canonicalize(t: Term) -> Term:
     """Beta-normalize and rename binders so no binder shadows another name.
 
-    Applied at module boundaries so later stages may compare structurally.
+    Applied at module boundaries so later stages may compare structurally;
+    a canonical term comes back itself.
     """
     t = beta_normalize(t)
     used = set(free_vars(t))
@@ -337,15 +338,17 @@ def canonicalize(t: Term) -> Term:
         if isinstance(u, (Var, Con)):
             return u
         if isinstance(u, App):
-            return App(go(u.fn), go(u.arg))
+            fn, arg = go(u.fn), go(u.arg)
+            return u if fn is u.fn and arg is u.arg else App(fn, arg)
         if isinstance(u, Fix):
-            return Fix(go(u.body))
+            body = go(u.body)
+            return u if body is u.body else Fix(body)
         name = u.var
         if name in used or FRESH_MARK in name:
             name = fresh_name(u.var, used)
         used.add(name)
-        body = rename_free(u.body, u.var, name) if name != u.var else u.body
-        return Lam(name, go(body))
+        body = go(rename_free(u.body, u.var, name) if name != u.var else u.body)
+        return u if name == u.var and body is u.body else Lam(name, body)
 
     return go(t)
 

@@ -368,8 +368,8 @@ class Grounding:
     open, and the truncated key of every atom rendered so far, equal
     subtrees of the keys one `Tree` object.  Each `gfp_approx` or
     `verify_postfixed` call builds its own, so the render memo lasts one
-    call; `gfp_approx` keeps the universe it explored on the `Program`, and
-    the interning keeps the trees held there small."""
+    call, as a key depends on the depth; the interning keeps the trees
+    that `gfp_approx` keeps on the `Program` (`_Universe`) small."""
 
     sig: Signature
     depth: int
@@ -476,9 +476,9 @@ class _Explored:
         )
 
 
-def _explore(state: _Explored, seeds: list[Term], g: Grounding) -> None:
+def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
     """Run the worklist from the seeds until it is empty, last seed first,
-    each atom reached through a clause body pushed above the rest."""
+    each atom reached through a body in `bodies(atom, g)` pushed on top."""
     work: list[tuple[Term, bool]] = [(a, True) for a in seeds]
     reps_seen, seen = state.reps_seen, state.seen
     derived_count, expansions = state.derived_count, state.expansions
@@ -506,7 +506,7 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding) -> None:
         seen.add((key, tm.alpha_key(a)))
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
-        for body in justifications(a, g):
+        for body in bodies(a, g):
             keys = []
             ok = True
             for b in body:
@@ -518,6 +518,27 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding) -> None:
                 work.append((b, False))
             if ok:
                 expansions[key].append(keys)
+
+
+@dataclass
+class _Universe:
+    """What `gfp_approx` keeps on a `Program` per term pool: its seeds, one
+    object per distinct seed or body atom (`atoms`), each such atom's
+    clause-instance bodies, which no depth changes, and each depth's state."""
+
+    seeds: list[Term]
+    atoms: dict[Term, Term] = field(default_factory=dict, repr=False)
+    bodies: dict[Term, tuple[tuple[Term, ...], ...]] = field(default_factory=dict, repr=False)
+    explored: dict[int, _Explored] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.seeds = [self.atoms.setdefault(a, a) for a in self.seeds]
+
+    def bodies_of(self, atom: Term, g: Grounding) -> tuple[tuple[Term, ...], ...]:
+        if atom not in self.bodies:
+            intern = self.atoms.setdefault
+            self.bodies[atom] = tuple(tuple(intern(b, b) for b in body) for body in justifications(atom, g))
+        return self.bodies[atom]
 
 
 def gfp_approx(
@@ -535,25 +556,29 @@ def gfp_approx(
     universe seeds, the predicate atoms over the pool.  Every universe
     seed, and every atom reached from one, is therefore handled before the
     first configured seed, and the state at that point depends on the
-    program, the depth, the pool and the extra clauses only.  The program
-    keeps that state per (depth, pool) for calls without extra clauses; a
-    call resumes from a copy of it with its own seeds, which is the same
-    computation as running the whole stack.  A call with extra clauses
-    checks one lemma extension, so it runs the whole stack and keeps
-    nothing.  A `UniverseTooLarge` raised while exploring the universe
-    leaves nothing behind, so every such call raises it."""
+    program, the depth, the pool and the extra clauses only.  Without extra
+    clauses, the program keeps it per depth in a `_Universe` per pool, with
+    bodies all depths share; a call resumes from a copy of it with its own
+    seeds, kept nowhere: the same computation as running the whole stack.
+    With extra clauses, a call checks one lemma extension, so it runs the
+    whole stack and keeps nothing.  A `UniverseTooLarge` raised while
+    exploring the universe keeps nothing, so every such call raises it."""
     g = grounding(program, cfg, depth, extra_clauses)
     if extra_clauses:
         state = _Explored()
-        _explore(state, list(cfg.seed_atoms) + _universe_seeds(g), g)
+        _explore(state, list(cfg.seed_atoms) + _universe_seeds(g), g, justifications)
     else:
-        memo_key = (depth, tuple(g.pool))
-        if memo_key not in program._gfp_memo:
-            explored = _Explored()
-            _explore(explored, _universe_seeds(g), g)
-            program._gfp_memo[memo_key] = explored
-        state = program._gfp_memo[memo_key].copy()
-        _explore(state, list(cfg.seed_atoms), g)
+        pool = tuple(g.pool)
+        uni = program._universes.get(pool) or _Universe(_universe_seeds(g))
+        if depth not in uni.explored:
+            # explored on a copy, kept once complete: a depth that raises
+            # UniverseTooLarge keeps nothing
+            uni = _Universe(uni.seeds, dict(uni.atoms), dict(uni.bodies), dict(uni.explored))
+            uni.explored[depth] = _Explored()
+            _explore(uni.explored[depth], uni.seeds, g, uni.bodies_of)
+            program._universes[pool] = uni
+        state = uni.explored[depth].copy()
+        _explore(state, list(cfg.seed_atoms), g, justifications)
 
     alive = set(state.expansions)
     changed = True

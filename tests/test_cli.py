@@ -336,6 +336,16 @@ class TestClassifyAndExamples:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: circular type constraint")
 
+    def test_goal_nested_past_the_stack_is_usage(self, capsys):
+        lams = "\\x. " * 400
+        code = run([
+            "classify", "--program", corpus("from.cup"),
+            "--goal", f"from (s ({lams}0)) (fr_str 0)",
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: nesting too deep\n" and "Traceback" not in err
+
     def test_examples_run_all(self, capsys):
         code = run(["examples", "--run"])
         assert code == EXIT_OK

@@ -735,16 +735,30 @@ def _snapshot(explored):
     )
 
 
+def _universe_snapshot(uni):
+    return (
+        {d: _snapshot(explored) for d, explored in uni.explored.items()},
+        list(uni.seeds),
+        list(uni.atoms.items()),
+        list(uni.bodies.items()),
+    )
+
+
 def test_gfp_approx_leaves_the_explored_universe_unchanged(fresh_program):
     program = fresh_program("member")
     assert len(tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms) == 21
-    (explored,) = program._gfp_memo.values()
-    before = _snapshot(explored)
+    (uni,) = program._universes.values()
+    (explored,) = uni.explored.values()
+    assert list(uni.explored) == [4]
+    before = _universe_snapshot(uni)
     seed = ps.parse_goal(SECOND_SEEDS["member"], program).term
     assert len(tr.gfp_approx(program, 4, tr.InstanceConfig(seed_atoms=(seed,))).atoms) == 23
     assert len(tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms) == 21
-    assert list(program._gfp_memo.values()) == [explored]
-    assert _snapshot(explored) == before
+    (kept,) = program._universes.values()
+    assert kept is uni and list(uni.explored.items()) == [(4, explored)]
+    # the seeded call neither read nor filled the universe's bodies
+    assert _universe_snapshot(uni) == before
+    assert seed not in uni.atoms
 
 
 def test_universe_too_large_is_raised_on_every_call(fresh_program, monkeypatch):
@@ -753,7 +767,99 @@ def test_universe_too_large_is_raised_on_every_call(fresh_program, monkeypatch):
     for _ in range(2):
         with pytest.raises(UniverseTooLarge):
             tr.gfp_approx(program, 4, tr.InstanceConfig())
-    assert not program._gfp_memo
+    assert not program._universes
+
+
+def test_a_depth_too_large_leaves_the_kept_universe_as_it_was(fresh_program, monkeypatch):
+    # from's universe meets atoms at depth 6 that it does not at depth 2;
+    # one key fewer than depth 6 needs makes it run out after meeting them
+    deep = fresh_program("from")
+    tr.gfp_approx(deep, 6, tr.InstanceConfig())
+    (deep_uni,) = deep._universes.values()
+    program = fresh_program("from")
+    tr.gfp_approx(program, 2, tr.InstanceConfig())
+    (uni,) = program._universes.values()
+    before = _universe_snapshot(uni)
+    monkeypatch.setattr(tr, "MAX_ATOMS", len(deep_uni.explored[6].expansions) - 1)
+    added = []
+    real_bodies_of = tr._Universe.bodies_of
+
+    def watched_bodies_of(self, atom, g):
+        added.append(atom not in self.bodies)
+        return real_bodies_of(self, atom, g)
+
+    monkeypatch.setattr(tr._Universe, "bodies_of", watched_bodies_of)
+    for _ in range(2):
+        with pytest.raises(UniverseTooLarge):
+            tr.gfp_approx(program, 6, tr.InstanceConfig())
+    assert any(added)
+    assert _universe_snapshot(uni) == before
+
+
+# the depths each corpus program's universe is explored at: from and
+# comember cost the most per depth
+SHARED_DEPTHS = {"member": (2, 3, 4, 5, 6), "bitstream": (2, 3, 4, 5, 6), "from": (2, 3), "comember": (2, 3)}
+
+
+def _outputs(approx, atom, sig):
+    reps = {tr.tree_to_text(k): [tm.alpha_key(r) for r in v] for k, v in approx.reps.items()}
+    verdict = None if atom is None else tr.member_of_model(atom, approx, sig)
+    return tr.export_interpretation(approx), reps, verdict
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_DEPTHS))
+def test_one_universe_across_depths_matches_a_fresh_program_per_depth(name, fresh_program):
+    # the model block's queries on this program, asked at every depth
+    queries = [q.atom for block in workloads.blocks("model", 1, 2) for q in block if q.program == name]
+    depths = list(SHARED_DEPTHS[name])
+    random.Random(f"shared-universe:{name}").shuffle(depths)
+    shared = fresh_program(name)
+    for depth in depths:
+        fresh = fresh_program(name)
+        for text in [None] + queries:
+            atom = None if text is None else ps.parse_goal(text, shared).term
+            cfg = tr.InstanceConfig(seed_atoms=() if atom is None else (atom,))
+            got = _outputs(tr.gfp_approx(shared, depth, cfg), atom, shared.signature)
+            want = _outputs(tr.gfp_approx(fresh, depth, cfg), atom, fresh.signature)
+            assert got == want, (name, depth, text)
+    (uni,) = shared._universes.values()
+    assert sorted(uni.explored) == sorted(depths)
+
+
+def test_each_universe_atom_is_justified_once_across_depths(fresh_program, monkeypatch):
+    program = fresh_program("member")
+    calls = collections.Counter()
+    real_justifications = tr.justifications
+
+    def counted(atom, g):
+        calls[atom] += 1
+        return real_justifications(atom, g)
+
+    monkeypatch.setattr(tr, "justifications", counted)
+    for depth in (2, 3, 4, 5, 6):
+        tr.gfp_approx(program, depth, tr.InstanceConfig())
+    (uni,) = program._universes.values()
+    assert set(calls) == set(uni.bodies)
+    assert set(calls.values()) == {1}
+    # a fresh program per depth justifies the shared atoms again
+    calls.clear()
+    for depth in (2, 3, 4, 5, 6):
+        tr.gfp_approx(fresh_program("member"), depth, tr.InstanceConfig())
+    assert sum(calls.values()) > len(uni.bodies)
+
+
+@pytest.mark.parametrize("name", ["member", "bitstream"])
+def test_stored_bodies_are_interned_and_equal_a_fresh_recomputation(name, fresh_program):
+    program = fresh_program(name)
+    for depth in (2, 4):
+        tr.gfp_approx(program, depth, tr.InstanceConfig())
+    (uni,) = program._universes.values()
+    assert all(uni.atoms[a] is a for a in uni.seeds)
+    g = tr.grounding(program, tr.InstanceConfig(), 3)
+    for atom, bodies in uni.bodies.items():
+        assert uni.atoms[atom] is atom
+        assert all(uni.atoms[b] is b for body in bodies for b in body), atom
+        assert bodies == tuple(tuple(body) for body in tr.justifications(atom, g)), atom
 
 
 def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):

@@ -141,6 +141,21 @@ class TestParseGoalTerm:
         with pytest.raises(TypeMismatch, match="circular type constraint"):
             ps.parse_term("(\\x. x x) (\\x. x x)", member_program)
 
+    def test_a_parsed_goal_is_its_own_canonical_form(self, from_program, member_program):
+        for f in (ps.parse_goal("forall x. from x (fr_str x)", from_program),
+                  ps.parse_goal("member ((\\x. x) 0) [0|nil]", member_program)):
+            assert fm.map_atoms(f, tm.canonicalize) is f
+
+    @pytest.mark.parametrize("binders", [330, 400, 500])
+    def test_nesting_past_the_stack_after_the_parse_is_nesting_too_deep(self, from_program, binders):
+        # the text parses, but the stack runs out in the type check, the
+        # normalisation or the type error's message
+        lams = "\\x. " * binders
+        with pytest.raises(NestingTooDeep, match="^nesting too deep$"):
+            ps.parse_term(f"({lams}0) 0", from_program)
+        with pytest.raises(NestingTooDeep, match="^nesting too deep$"):
+            ps.parse_goal(f"from (s ({lams}0)) (fr_str 0)", from_program)
+
 
 class TestPrettyRoundTrip:
     def test_clause_round_trip(self, member_program, bitstream_program, from_program, comember_program, fibs_program):
