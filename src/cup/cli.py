@@ -125,7 +125,7 @@ def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program) -> int
 def cmd_check_syntax(args) -> int:
     program = _load_program(args.program)
     payload = {
-        "constants": {n: ps.pp_type(t) for n, t in program.signature.constants},
+        "constants": {n: repr(t) for n, t in program.signature.constants},
         "fix_definitions": [n for n, _ in program.fix_definitions],
         "clauses": [ps.pp_formula(c, program) for c in program.clauses],
     }

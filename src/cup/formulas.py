@@ -196,7 +196,7 @@ def _typecheck_formula(sig: Signature, ctx: Context, f: Formula) -> None:
     if isinstance(f, Atom):
         ty = tm.typecheck(sig, ctx, f.term)
         if ty != O:
-            raise IllTyped(f"atom {f.term!r} has type {ty!r}, expected o")
+            raise IllTyped(f"atom {tm.brief(f.term)} has type {ty!r}, expected o")
         return
     if isinstance(f, Top):
         return

@@ -438,15 +438,6 @@ def parse_goal(text: str, program: Program, allow_fresh: bool = False) -> Formul
 # ---------------------------------------------------------------------------
 
 
-def pp_type(ty: tm.SimpleType) -> str:
-    if isinstance(ty, Base):
-        return ty.name
-    left = pp_type(ty.arg)
-    if isinstance(ty.arg, Arrow):
-        left = f"({left})"
-    return f"{left} -> {pp_type(ty.res)}"
-
-
 def _match_fix_def(t: Term, program: Optional[Program]) -> Optional[str]:
     if program is None or not isinstance(t, Fix):
         return None
@@ -553,7 +544,7 @@ def _sequent_additions(
     psig = parent.sequent.signature.as_dict()
     pprog = parent.sequent.entries
     sig_add = [
-        f"{n} : {pp_type(ty)}"
+        f"{n} : {ty!r}"
         for n, ty in node.sequent.signature.constants
         if n not in psig
     ]

@@ -42,8 +42,7 @@ class Arrow:
     res: "SimpleType"
 
     def __repr__(self):
-        left = f"({self.arg!r})" if isinstance(self.arg, Arrow) else repr(self.arg)
-        return f"{left} -> {self.res!r}"
+        return brief(self, float("inf"))
 
 
 SimpleType = Base | Arrow
@@ -472,7 +471,7 @@ class _Infer:
             return
         if isinstance(a, _TMeta):
             if self._occurs(a.ident, b):
-                raise TypeMismatch(f"circular type constraint at {where!r}")
+                raise TypeMismatch(f"circular type constraint at {brief(where)}")
             self.sol[a.ident] = b
             return
         if isinstance(b, _TMeta):
@@ -482,7 +481,7 @@ class _Infer:
             self.unify(a.arg, b.arg, where)
             self.unify(a.res, b.res, where)
             return
-        raise TypeMismatch(f"cannot match {a!r} with {b!r} at {where!r}")
+        raise TypeMismatch(f"cannot match {brief(a)} with {brief(b)} at {brief(where)}")
 
     def infer(self, t: Term, env: dict[str, _InfType]) -> _InfType:
         if isinstance(t, Con):
@@ -515,7 +514,7 @@ class _Infer:
             return ty
         # fix
         if not isinstance(t.body, Lam):
-            raise FixBodyNotAbstraction(f"fix body must be an abstraction: {t.body!r}")
+            raise FixBodyNotAbstraction(f"fix body must be an abstraction: {brief(t.body)}")
         ty = self.meta()
         body = self.infer(t.body.body, {**env, t.body.var: ty})
         self.unify(ty, body, t)
@@ -523,9 +522,26 @@ class _Infer:
         return ty
 
 
+def brief(x: Term | _InfType, cap: float = 60) -> str:
+    """A term in source syntax, or a type, cut after `cap` characters."""
+    out, todo = "", [x]
+    while todo and len(out) <= cap:
+        u = todo.pop()
+        if isinstance(u, App):
+            arg = [u.arg] if isinstance(u.arg, (Var, Con)) else [")", u.arg, "("]
+            todo += arg + [" "] + ([u.fn] if isinstance(u.fn, (Var, Con, App)) else [")", u.fn, "("])
+        elif isinstance(u, Arrow):
+            todo += [u.res, " -> "] + ([")", u.arg, "("] if isinstance(u.arg, Arrow) else [u.arg])
+        elif isinstance(u, (Lam, Fix)):
+            todo += [u.body, f"\\{u.var}. " if isinstance(u, Lam) else "fix "]
+        else:
+            out += u if isinstance(u, str) else f"?{u.ident}" if isinstance(u, _TMeta) else u.name
+    return out if len(out) <= cap else out[:cap] + "..."
+
+
 def _ground(ty: _InfType, where: Term) -> SimpleType:
     if isinstance(ty, _TMeta):
-        raise TypeMismatch(f"ambiguous type for {where!r}; add context or apply the term")
+        raise TypeMismatch(f"ambiguous type for {brief(where)}; add context or apply the term")
     if isinstance(ty, Arrow):
         return Arrow(_ground(ty.arg, where), _ground(ty.res, where))
     return ty
@@ -642,13 +658,26 @@ UNKNOWN = "Unknown"
 
 def clash(a: Term, b: Term) -> bool:
     """Do a and b have different heads or arities at a position that both
-    determine?
+    determine, or does a metavariable meet clashing counterparts there?
 
     A position headed by a fix or a metavariable is undetermined; constants,
-    all other variables and abstractions are rigid.  Neither resolving a
-    metavariable nor unfolding a fix changes a determined head, so a clash
-    refutes fix-beta equivalence and every unifier of the two terms.
+    all other variables and abstractions are rigid.  Outside abstraction
+    bodies, a metavariable's first occurrence on either side binds it to its
+    counterpart on the other; each later counterpart is compared with that
+    binding, binding nothing.  Every unifier makes all counterparts of a
+    metavariable equal, and no substitution or fair unfolding changes a head
+    at a determined position: a clash refutes every unifier of a and b, and
+    of their unfoldings, and so their fix-beta equivalence.
     """
+    return _clash(a, b, {})
+
+
+def _clash(a: Term, b: Term, first: Optional[dict[str, Term]]) -> bool:
+    # `first` holds each metavariable's first counterpart; None binds nothing
+    for x, y in ((a, b), (b, a)) if first is not None else ():
+        if isinstance(x, Var) and is_meta(x.name) and first.setdefault(x.name, y) is not y:
+            if _clash(first[x.name], y, None):
+                return True
     ha, aa = spine(a)
     hb, ab = spine(b)
     if _undetermined(ha) or _undetermined(hb):
@@ -658,11 +687,11 @@ def clash(a: Term, b: Term) -> bool:
     if isinstance(ha, Lam):
         # compare bodies under a shared fresh name
         z = fresh_name("v", free_vars(ha.body) | free_vars(hb.body))
-        if clash(rename_free(ha.body, ha.var, z), rename_free(hb.body, hb.var, z)):
+        if _clash(rename_free(ha.body, ha.var, z), rename_free(hb.body, hb.var, z), None):
             return True
     elif ha.name != hb.name:
         return True
-    return any(clash(x, y) for x, y in zip(aa, ab))
+    return any(_clash(x, y, first) for x, y in zip(aa, ab))
 
 
 def _undetermined(head: Term) -> bool:
@@ -675,9 +704,9 @@ class UnfoldingWalk:
 
     Each unfolding is built when a pair first needs it, into `chains`.  A
     side's chain ends at an unfolding with no fix, or at one that clashes
-    with the other side's first term, which sets `clashed`: a clash is
-    stable, so every later unfolding clashes with every term of the other
-    side.  Two first terms that clash give no pairs.
+    with the other side's first term, which sets `clashed`: a clash refutes
+    every later pair too (see `clash`); the bound never sets it.  Two first
+    terms that clash give no pairs.
     """
 
     def __init__(self, a: Term, b: Term, bound: int):

@@ -336,8 +336,22 @@ class TestClassifyAndExamples:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: circular type constraint")
 
+    def test_type_error_prints_the_term_briefly(self, capsys):
+        # the offending term in source syntax and the type metavariables as
+        # ?n, cut to a length that does not grow with the term
+        for n in (12, 200):
+            lams = "\\x. " * n
+            code = run([
+                "classify", "--program", corpus("from.cup"),
+                "--goal", f"from (s ({lams}0)) (fr_str 0)",
+            ])
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot match i with ?1 -> ?2 -> ") and " at s (\\x. \\x. " in err, err
+            assert len(err) < 200 and "App(" not in err and "_TMeta" not in err, err
+
     def test_goal_nested_past_the_stack_is_usage(self, capsys):
-        lams = "\\x. " * 400
+        lams = "\\x. " * 2000
         code = run([
             "classify", "--program", corpus("from.cup"),
             "--goal", f"from (s ({lams}0)) (fr_str 0)",

@@ -32,7 +32,7 @@ from cup.formulas import Calculus
 from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
 from helpers import (
-    GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, formula_alpha_eq_reference, gen_term,
+    FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, formula_alpha_eq_reference, gen_term,
     proof_mutations, rename_binders, slist,
 )
 from test_properties import CASES
@@ -460,6 +460,93 @@ def test_unify_modulo_ends_a_chain_at_a_stable_clash(monkeypatch, k, pattern, st
                 assert eng.unify_modulo(a, b, {}, bound) == want, (a, b, bound)
             # the stream is unfolded up to the clash, not up to the bound
             assert len(unfolds) <= min(bound, k or 2), (a, b, bound)
+
+
+def _heads(program):
+    """The program's clause heads, as `gfp_approx` matches them: universals
+    renamed to metavariables."""
+    return [head for head, _body, _metas in tr._clauses_with_metas(program.h_clauses())]
+
+
+def test_nonlinear_heads_match_eager_and_fail_after_one_unfolding(monkeypatch, from_program, fibs_program):
+    # the head's two occurrences of a metavariable meet counterparts that
+    # differ after one unfolding of the atom, or agree (the matching cases)
+    (from_head,) = _heads(from_program)
+    add_head = _heads(fibs_program)[0]
+    assert add_head == A(C("add"), C("0"), V("?u0#0"), V("?u0#0"))
+
+    def atom(program, text):
+        return ps.parse_goal(text, program).term
+
+    cases = [
+        (from_head, atom(from_program, "from 0 (fr_str (s 0))"), {}),
+        (from_head, atom(from_program, "from (s 0) (fr_str 0)"), {}),
+        (from_head, atom(from_program, "from 0 (fr_str 0)"), {}),
+        (from_head, atom(from_program, "from (s 0) (fr_str (s 0))"), {}),
+        (A(C("eq"), V("?x"), V("?x")), A(C("eq"), Z_STR, A(N_STR, C("1"))), {}),
+        (add_head, atom(fibs_program, "add 0 (fib_str 0 (s 0)) 0"), {}),
+        (add_head, atom(fibs_program, "add 0 (s 0) (fib_str 0 (s 0))"), {}),
+        (add_head, atom(fibs_program, "add 0 (fib_str 0 (s 0)) (fib_str (s 0) 0)"), {}),
+        # metavariables on both sides, the atom's partly bound, as search
+        # passes them
+        (from_head, A(C("from"), V("?k"), A(FR_STR, V("?m"))), {"?k": C("0"), "?m": A(C("s"), V("?n"))}),
+        (from_head, A(C("from"), V("?k"), A(FR_STR, V("?m"))), {"?k": V("?m"), "?m": A(C("s"), V("?n"))}),
+    ]
+    unfolds, unifies = [], []
+    real_unfold, real_unify = tm.fair_unfold, eng.unify
+
+    def counted_unfold(t):
+        unfolds.append(t)
+        return real_unfold(t)
+
+    def counted_unify(a, b, s):
+        # the nesting of the call: 0 for unify_modulo's own, more for
+        # unify's recursion, which goes through the patched name too
+        unifies.append(nesting[0])
+        nesting[0] += 1
+        try:
+            return real_unify(a, b, s)
+        finally:
+            nesting[0] -= 1
+
+    nesting = [0]
+    outcomes = collections.Counter()
+    for head, atom, s in cases:
+        for bound in (1, 2, 3, 8):
+            for a, b in ((head, atom), (atom, head)):
+                want = unify_modulo_reference(a, b, s, bound)
+                unfolds.clear()
+                unifies.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(tm, "fair_unfold", counted_unfold)
+                    m.setattr(eng, "unify", counted_unify)
+                    assert eng.unify_modulo(a, b, s, bound) == want, (a, b, s, bound)
+                outcomes[want is not None] += 1
+                if want is None:
+                    assert len(unfolds) <= 1 and unifies.count(0) <= 1, (a, b, s, bound, unifies.count(0))
+    assert outcomes == {False: 56, True: 24}, outcomes
+
+
+WALK_PROGRAM = """
+const 0 : i. const 1 : i. const scons : i -> i -> i.
+const p : i -> o. const q : i -> i -> o.
+def z_str = fix \\x. scons 0 x.
+p [0|0|0|0|0|0|0|0|0|0|X].
+q X [X|Y].
+"""
+
+
+def test_unfolding_walk_tells_a_clash_from_the_bound():
+    # the p atom would match only past the bound, so only the bound ends its
+    # walk; the q atom's second argument starts with 0, not 1, after one
+    # unfolding, which is a clash
+    program = ps.parse_program(WALK_PROGRAM)
+    p_head, q_head = _heads(program)
+    for head, goal, pairs, clashed in ((p_head, "p z_str", 9, False), (q_head, "q 1 z_str", 1, True)):
+        atom = ps.parse_goal(goal, program).term
+        for a, b in ((head, atom), (atom, head)):
+            walk = tm.UnfoldingWalk(a, b, 8)
+            assert (len(list(walk)), walk.clashed) == (pairs, clashed), (goal, a)
 
 
 MODEL_CASES = [

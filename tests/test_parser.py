@@ -146,14 +146,27 @@ class TestParseGoalTerm:
                   ps.parse_goal("member ((\\x. x) 0) [0|nil]", member_program)):
             assert fm.map_atoms(f, tm.canonicalize) is f
 
+    @pytest.mark.parametrize("doublings", [11, 12, 14])
+    def test_nesting_past_the_stack_after_the_parse_is_nesting_too_deep(self, from_program, doublings):
+        # the text parses, but its normal form applies s 2^doublings times,
+        # so the stack runs out in the normalisation or the type check
+        twice = "(\\f. \\x. f (f x))"
+        t = "s"
+        for _ in range(doublings):
+            t = f"({twice} {t})"
+        with pytest.raises(NestingTooDeep, match="^nesting too deep$"):
+            ps.parse_term(f"{t} 0", from_program)
+        with pytest.raises(NestingTooDeep, match="^nesting too deep$"):
+            ps.parse_goal(f"from ({t} 0) (fr_str 0)", from_program)
+
     @pytest.mark.parametrize("binders", [330, 400, 500])
-    def test_nesting_past_the_stack_after_the_parse_is_nesting_too_deep(self, from_program, binders):
-        # the text parses, but the stack runs out in the type check, the
-        # normalisation or the type error's message
+    def test_a_deep_ill_typed_text_is_a_brief_type_error(self, from_program, binders):
+        # its message prints the term cut short, so it does not run out of
+        # stack as the dataclass repr did
         lams = "\\x. " * binders
-        with pytest.raises(NestingTooDeep, match="^nesting too deep$"):
+        with pytest.raises(TypeMismatch, match=r"^ambiguous type for \(\\x\. \\x\. .{0,60}; add context"):
             ps.parse_term(f"({lams}0) 0", from_program)
-        with pytest.raises(NestingTooDeep, match="^nesting too deep$"):
+        with pytest.raises(TypeMismatch, match=r"^cannot match i with \?1 -> \?2 -> .{0,60} at s \(\\x\. .{0,60}$"):
             ps.parse_goal(f"from (s ({lams}0)) (fr_str 0)", from_program)
 
 
@@ -381,7 +394,7 @@ ERROR_ROWS = [
     ("program", "const apply : (i -> i) -> i.", SourceTypeError, "constant apply has order 2 type (i -> i) -> i",
      (1, 7)),
     ("program", HEAD + "p p.", SourceTypeError,
-     "ill-typed clause: cannot match i with i -> o at App(fn=Con(name='p'), arg=Con(name='p'))", (2, 1)),
+     "ill-typed clause: cannot match i with i -> o at p p", (2, 1)),
     ("program", HEAD + "p (fix \\x. scons 0 x).", SourceTypeError, "clause is outside the first-order clause grammar",
      (2, 1)),
     ("program", HEAD + DEEP.format("p 0") + ".", NestingTooDeep, "nesting too deep", None),

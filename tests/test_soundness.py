@@ -207,7 +207,27 @@ class TestConservativeExtension:
             conservative_extension_check(bitstream_program, [h], 3)
 
 
+# the acceptance grid's audit sizes: for each regression proof and depth 2-6,
+# the candidate sizes at word budgets 0-3 and the merged size
+AUDIT_GRID = {
+    "member67": [((2, 2, 2, 2), 5)] + [((2, 2, 2, 2), 10)] * 4,
+    "bitstream": [((2, 2, 2, 2), 3)] + [((2, 2, 2, 2), 4)] * 4,
+    "from": [((2, 2, 2, 2), 3), ((2, 3, 3, 3), 5), ((2, 3, 4, 4), 7), ((2, 3, 4, 5), 9), ((2, 3, 4, 5), 11)],
+    "comember": [((3, 3, 3, 3), 14), ((3, 4, 4, 4), 26), ((3, 4, 5, 5), 38), ((3, 4, 5, 6), 50), ((3, 4, 5, 6), 62)],
+}
+
+
 class TestHarnessReport:
+    def test_acceptance_grid_sizes(self, regression_proofs):
+        got, want = {}, {}
+        for name, (prog, _g, calc, res) in regression_proofs.items():
+            for depth, (candidates, merged) in zip(range(2, 7), AUDIT_GRID[name]):
+                for budget in range(4):
+                    report = audit_proof(res.tree, prog, depth, budget, calculus=calc)
+                    got[name, depth, budget] = (report.candidate_size, report.merged_size, report.verified)
+                    want[name, depth, budget] = (candidates[budget], merged, True)
+        assert len(got) == 80 and got == want
+
     def test_report_shape(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["from"]
         report = audit_proof(res.tree, prog, 4, 2, calculus=calc)

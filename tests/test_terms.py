@@ -207,6 +207,33 @@ class TestFixbetaEquiv:
             assert tm.fixbeta_equiv(t, t, 2) == EQUAL
 
 
+class TestClash:
+    def test_rigid_heads(self):
+        assert tm.clash(A(C("eq"), C("0"), V("x")), A(C("eq"), C("0"), V("y")))
+        assert not tm.clash(A(C("eq"), C("0"), V("?x")), A(C("eq"), C("0"), C("1")))
+        assert not tm.clash(A(C("eq"), Z_STR, C("1")), A(C("eq"), C("0"), C("1")))
+
+    def test_a_metavariable_meets_its_counterparts(self):
+        eq_xx = A(C("eq"), V("?x"), V("?x"))
+        assert tm.clash(eq_xx, A(C("eq"), C("0"), C("1")))
+        assert tm.clash(A(C("eq"), C("0"), C("1")), eq_xx)
+        assert not tm.clash(eq_xx, A(C("eq"), C("0"), C("0")))
+        # on both sides: ?x is 1 in the first place and 0 in the second
+        assert tm.clash(A(C("eq"), V("?x"), C("0")), A(C("eq"), C("1"), V("?x")))
+
+    def test_counterparts_compare_with_undetermined_positions(self):
+        # a metavariable or a fix in a counterpart clashes with nothing
+        eq_xx = A(C("eq"), V("?x"), V("?x"))
+        assert not tm.clash(eq_xx, A(C("eq"), scons(C("0"), V("?y")), scons(V("?z"), C("1"))))
+        assert not tm.clash(eq_xx, A(C("eq"), Z_STR, scons(C("1"), C("nil"))))
+        assert tm.clash(eq_xx, A(C("eq"), scons(C("0"), Z_STR), scons(C("1"), Z_STR)))
+
+    def test_nothing_is_bound_under_an_abstraction(self):
+        # the counterparts there may mention the bound variable
+        eq_xx = L("y", A(C("eq"), V("?x"), V("?x")))
+        assert not tm.clash(eq_xx, L("y", A(C("eq"), C("0"), C("1"))))
+
+
 class TestFirstOrder:
     def test_ground_constructor_term(self):
         assert tm.is_first_order(STREAM_SIG, {}, scons(C("0"), C("nil")))
