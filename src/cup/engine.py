@@ -396,9 +396,9 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
     elif isinstance(g, Atom):
         head, _args = tm.spine(resolve_term(g.term, s))
         if isinstance(head, Var) and not tm.is_meta(head.name):
-            raise FlexibleAtomUnsupported(f"flexible atom goal {g.term!r}")
+            raise FlexibleAtomUnsupported(f"flexible atom goal {tm.brief(g.term)}")
         if isinstance(head, Var):
-            raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {g.term!r}")
+            raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {tm.brief(g.term)}")
     for premises in _premises(seq, eigen, witness):
         if not premises:
             yield ProofTree(seq, rule), s
@@ -666,11 +666,11 @@ def _witness_ok(sig: Signature, w: Term, ty: tm.SimpleType, calculus: Calculus) 
     try:
         wty = tm.typecheck(sig, {}, w)
     except CupError as exc:
-        return False, f"witness {w!r} is not a closed well-typed term: {exc}"
+        return False, f"witness {tm.brief(w)} is not a closed well-typed term: {exc}"
     if wty != ty:
-        return False, f"witness {w!r} has type {wty!r}, expected {ty!r}"
+        return False, f"witness {tm.brief(w)} has type {wty!r}, expected {ty!r}"
     if not calculus.higher_order and not tm.is_first_order(sig, {}, w):
-        return False, f"witness {w!r} is not first order (required in {calculus.value})"
+        return False, f"witness {tm.brief(w)} is not first order (required in {calculus.value})"
     return True, ""
 
 

@@ -159,12 +159,12 @@ def atom_parts(sig: Signature, t: Term) -> tuple[str, list[Term]]:
     """Head predicate name and argument list of a rigid atom."""
     head, args = tm.spine(t)
     if not isinstance(head, Con):
-        raise NotAnAtom(f"{t!r} is not a rigid atom")
+        raise NotAnAtom(f"{tm.brief(t)} is not a rigid atom")
     ty = sig.lookup(head.name)
     if ty is None or tm.target_type(ty) != tm.O:
         raise NotAnAtom(f"{head.name} is not a predicate")
     if len(args) != len(tm.argument_types(ty)):
-        raise NotAnAtom(f"{head.name} is not fully applied in {t!r}")
+        raise NotAnAtom(f"{head.name} is not fully applied in {tm.brief(t)}")
     return head.name, args
 
 
@@ -185,7 +185,7 @@ def _snap_term(sig: Signature, t: Term) -> Term:
     head, args = tm.spine(t)
     if isinstance(head, Con) and args:
         return tm.app(head, *[_snap_term(sig, a) for a in args])
-    raise PreconditionViolated(f"cannot take a snapshot of {t!r}")
+    raise PreconditionViolated(f"cannot take a snapshot of {tm.brief(t)}")
 
 
 def snapshot(sig: Signature, atom: Term) -> Term:

@@ -375,7 +375,7 @@ def conservative_extension_check(
     for h in lemma_instances:
         for b in h.body:
             if tr.member_of_model(b, base, sig) != tr.IN_APPROX:
-                raise BodyNotInModel(f"lemma instance body {b!r} is not in the approximated model")
+                raise BodyNotInModel(f"lemma instance body {tm.brief(b)} is not in the approximated model")
     extended = tr.gfp_approx(program, depth, seeded, extra_clauses=tuple(lemma_instances))
     return ExtensionReport(
         equal=base.atoms == extended.atoms,

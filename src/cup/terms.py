@@ -638,7 +638,7 @@ def fair_unfold(t: Term) -> Term:
     def go(u: Term) -> Term:
         if isinstance(u, Fix):
             return _unfold(u)
-        if isinstance(u, (Var, Con)):
+        if not u._fix:
             return u
         if isinstance(u, Lam):
             return Lam(u.var, go(u.body))

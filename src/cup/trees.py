@@ -27,7 +27,7 @@ from .formulas import HClause, Program
 # is_guarded_atom has no caller here; perfbench/tracing.py patches it under
 # this module's name
 from .guardedness import is_guarded_atom, snapshot
-from .terms import Con, DIAMOND, IOTA, Signature, Term, Var
+from .terms import Con, DIAMOND, Fix, IOTA, Signature, Term, Var
 
 STAR = "*"
 
@@ -49,11 +49,6 @@ class Tree:
         yield prefix, self.label
         for i, c in enumerate(self.children):
             yield from c.positions(prefix + (i,))
-
-    def height(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(c.height() for c in self.children)
 
     def __repr__(self):
         return tree_to_text(self)
@@ -128,7 +123,7 @@ def term_to_tree(sig: Signature, t: Term) -> Tree:
         return leaf(head.name)
     if isinstance(head, Con):
         return Tree(head.name, tuple(term_to_tree(sig, a) for a in args))
-    raise NotFirstOrder(f"{t!r} is not a first-order term")
+    raise NotFirstOrder(f"{tm.brief(t)} is not a first-order term")
 
 
 def truncate(t: Tree, n: int) -> Tree:
@@ -167,25 +162,30 @@ def distance(t1: Tree, t2: Tree) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _diamond_min_depth(t: Tree) -> Optional[int]:
-    depths = [len(pos) for pos, label in t.positions() if label == DIAMOND]
-    return min(depths) if depths else None
-
-
 def guarded_atom_to_tree(sig: Signature, atom: Term, depth: int) -> Tree:
-    """Unfold fairly until the snapshot tree is determined to the requested
-    depth, then truncate.  Fairness here means every unfoldable position is
-    reduced once per round; `depth + 8` rounds are allowed."""
-    budget = depth + 8
+    """The atom's tree truncated at `depth`, built top-down in one walk.
+
+    One snapshot of the β-normal atom checks every argument, wherever it
+    sits, and that check covers every later unfolding: a guarded fixed
+    point applied to first-order arguments unfolds to exactly one
+    constructor over first-order arguments and one new guarded call.  So
+    the walk unfolds a fix-headed position once, only above the cut, and
+    emits `*` at the cut; `DepthUnreachable` means an unfolding exposed
+    no constructor head."""
     t = tm.beta_normalize(atom)
-    for _k in range(budget + 1):
-        snap = snapshot(sig, t)
-        tree = term_to_tree(sig, snap)
-        dmin = _diamond_min_depth(tree)
-        if dmin is None or dmin >= depth:
-            return truncate(tree, depth)
-        t = tm.fair_unfold(t)
-    raise DepthUnreachable(f"snapshot not determined to depth {depth} within {budget} unfold rounds")
+    snapshot(sig, t)
+
+    def walk(u: Term, d: int) -> Tree:
+        if d >= depth:
+            return STAR_LEAF
+        head, args = tm.spine(u)
+        if isinstance(head, Fix):
+            head, args = tm.spine(tm.fair_unfold(u))
+            if not isinstance(head, Con):
+                raise DepthUnreachable(f"unfolding {tm.brief(u)} exposes no constructor")
+        return Tree(head.name, tuple(walk(a, d + 1) for a in args))
+
+    return walk(t, 0)
 
 
 def atom_to_tree(sig: Signature, atom: Term, depth: int) -> Tree:

@@ -237,6 +237,18 @@ def tree_substitute(t, name: str, s):
     return tr.Tree(t.label, tuple(tree_substitute(c, name, s) for c in t.children))
 
 
+def tree_height(t) -> int:
+    """Length of the longest root-to-leaf path of a tree."""
+    return 1 + max(tree_height(c) for c in t.children) if t.children else 0
+
+
+def diamond_min_depth(t):
+    """Depth of the shallowest snapshot placeholder in a tree, None if it has
+    none."""
+    depths = [len(pos) for pos, label in t.positions() if label == tm.DIAMOND]
+    return min(depths) if depths else None
+
+
 def guarded_term_to_tree(sig: Signature, t, depth: int):
     """Truncated tree of a first-order or guarded full term (eigenvariables
     render as leaves), by its own snapshot-and-unfold loop."""
@@ -246,7 +258,7 @@ def guarded_term_to_tree(sig: Signature, t, depth: int):
     u = tm.beta_normalize(t)
     for _ in range(budget + 1):
         tree = tr.term_to_tree(sig, _snap_term(sig, u))
-        dmin = tr._diamond_min_depth(tree)
+        dmin = diamond_min_depth(tree)
         if dmin is None or dmin >= depth:
             return tr.truncate(tree, depth)
         u = tm.fair_unfold(u)

@@ -316,6 +316,13 @@ class TestModel:
         assert code in (EXIT_OK, EXIT_FAIL)
         assert "evidence" in out
 
+    def test_unsnapshotable_goal_names_its_term_in_source_syntax(self, capsys):
+        code = run(["model", "--program", corpus("from.cup"), "--goal", "from 0 (fix \\x. x)"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "fix \\x. x" in err
+        assert "Fix(body=" not in err
+
 
 class TestClassifyAndExamples:
     def test_classify_json(self, capsys):

@@ -1,8 +1,8 @@
 """Differential tests of the kernel's cached facts, the alpha keys of terms
-and formulas, the lazy
-`unify_modulo` and `fixbeta_equiv`, the occurs check, the render memo of
-`gfp_approx`, the smallest closed term of reification and the proof round
-trip's memos (formula keys, import parses, check's grammar answers) against
+and formulas, the lazy `unify_modulo` and `fixbeta_equiv`, the occurs check,
+the one-walk renderer of guarded atoms, the render memo of `gfp_approx`, the
+smallest closed term of reification and the proof round trip's memos
+(formula keys, import parses, check's grammar answers) against
 straightforward reference code kept here.
 
 The term checks replay the seeded generator stream of the beta
@@ -33,7 +33,7 @@ from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
 from helpers import (
     FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, formula_alpha_eq_reference, gen_term,
-    proof_mutations, rename_binders, slist,
+    guarded_term_to_tree, proof_mutations, rename_binders, slist,
 )
 from test_properties import CASES
 
@@ -547,6 +547,55 @@ def test_unfolding_walk_tells_a_clash_from_the_bound():
         for a, b in ((head, atom), (atom, head)):
             walk = tm.UnfoldingWalk(a, b, 8)
             assert (len(list(walk)), walk.clashed) == (pairs, clashed), (goal, a)
+
+
+TWO_STREAMS = """
+const 0 : i. const scons : i -> i -> i. const eq : i -> i -> o.
+def z_str = fix \\x. scons 0 x.
+eq X X.
+"""
+RENDER_CASES = [
+    ("bitstream", "bitstream z_str"),
+    ("bitstream", "bitstream (n_str 0)"),
+    ("bitstream", "bitstream [0|1|1|z_str]"),
+    ("bitstream", "bitstream [1|0|n_str 1]"),
+    ("from", "from 0 (fr_str 0)"),
+    ("from", "from (s 0) [s 0|s (s 0)|fr_str (s (s (s 0)))]"),
+    ("fibs", "fibs 0 (s 0) (fib_str 0 0)"),
+    ("fibs", "fibs 0 (s 0) [0|s 0|s 0|s (s 0)|s (s (s 0))|fib_str 0 0]"),
+    ("two_streams", "eq z_str (scons 0 z_str)"),
+]
+
+
+def _render_program(name, request):
+    if name == "two_streams":
+        return ps.parse_program(TWO_STREAMS)
+    return request.getfixturevalue(f"{name}_program")
+
+
+@pytest.mark.parametrize("name,goal", RENDER_CASES)
+def test_one_walk_renderer_matches_the_round_based_reference(name, goal, request):
+    program = _render_program(name, request)
+    sig = program.signature
+    atom = ps.parse_goal(goal, program).term
+    for depth in range(9):
+        got = tr.guarded_atom_to_tree(sig, atom, depth)
+        assert got == guarded_term_to_tree(sig, atom, depth), (goal, depth)
+
+
+def test_one_walk_renderer_raises_as_the_reference_does(bitstream_program):
+    sig = bitstream_program.signature
+    higher = Signature.of({"q": fn_type(fn_type(IOTA, IOTA), O)})
+    cases = [
+        (sig, ps.parse_goal("bitstream (fix \\x. x)", bitstream_program).term, 3),
+        # the unguarded stream sits below the cut, yet the check sees it
+        (sig, ps.parse_goal("bitstream [0|0|0|0|0|fix \\x. x]", bitstream_program).term, 2),
+        (higher, A(C("q"), L("x", V("x"))), 2),
+    ]
+    for s, atom, depth in cases:
+        got = _outcome(lambda: tr.guarded_atom_to_tree(s, atom, depth))
+        want = _outcome(lambda: guarded_term_to_tree(s, atom, depth))
+        assert isinstance(got, tuple) and got[0] is want[0], (tm.brief(atom), got, want)
 
 
 MODEL_CASES = [

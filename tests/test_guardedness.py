@@ -8,7 +8,7 @@ from cup import trees as tr
 from cup.errors import NotAnAtom, PreconditionViolated
 from cup.terms import Con, DIAMOND, Fix
 
-from helpers import A, C, FR_STR, L, N_STR, STREAM_SIG, V, Z_STR, scons, slist
+from helpers import A, C, FR_STR, L, N_STR, STREAM_SIG, V, Z_STR, diamond_min_depth, scons, slist
 
 
 class TestGuardedFixedPoint:
@@ -142,7 +142,7 @@ class TestSnapshotConvergence:
                 while True:
                     snap = gd.snapshot(STREAM_SIG, t)
                     tree = tr.term_to_tree(STREAM_SIG, snap)
-                    dmin = tr._diamond_min_depth(tree)
+                    dmin = diamond_min_depth(tree)
                     if dmin is None or dmin >= depth:
                         via_single = tr.truncate(tree, depth)
                         break

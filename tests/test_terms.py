@@ -25,7 +25,7 @@ from cup.terms import (
     fn_type,
 )
 
-from helpers import A, C, FR_STR, L, N_STR, STREAM_SIG, V, Z_STR, alpha_eq_oracle, gen_term, scons
+from helpers import A, C, FR_STR, L, N_STR, STREAM_SIG, V, Z_STR, alpha_eq_oracle, gen_term, scons, tree_height
 
 
 class TestTypeOrder:
@@ -290,6 +290,6 @@ class TestSnapshotGrowth:
             last_height = -1
             for _ in range(8):
                 tree = term_to_tree(sig, snapshot(sig, t))
-                assert tree.height() > last_height
-                last_height = tree.height()
+                assert tree_height(tree) > last_height
+                last_height = tree_height(tree)
                 t = tm.fixbeta_unfold(t)

@@ -71,7 +71,7 @@ class TestGuardedAtomToTree:
         assert out4 == tree_from_text("from(0,scons(0,scons(s(*),scons(*,*))))")
 
     def test_budget_exhaustion(self, monkeypatch):
-        # an unfolding that makes no progress exhausts the depth + 8 rounds
+        # an unfolding that exposes no constructor head cannot be rendered
         monkeypatch.setattr(tm, "fair_unfold", lambda t: t)
         with pytest.raises(DepthUnreachable):
             guarded_atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), depth=6)
