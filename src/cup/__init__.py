@@ -75,9 +75,9 @@ from .trees import (
     InstanceConfig,
     Interpretation,
     Tree,
+    atom_to_tree,
     distance,
     gfp_approx,
-    guarded_atom_to_tree,
     member_of_model,
     t_operator,
     term_to_tree,

@@ -48,6 +48,13 @@ def is_guarded_fixed_point(sig: Signature, t: Term) -> GuardReport:
     The accepted shape is fix \\x. \\y1..ym. f L1..Lk (x N1..Nm) Lk+1..Lr
     with exactly one self-application among the constructor's arguments.
     """
+    report = sig._memo.get((t, GuardReport))
+    if report is None:
+        report = sig._memo[t, GuardReport] = _guard_report(sig, t)
+    return report
+
+
+def _guard_report(sig: Signature, t: Term) -> GuardReport:
     if not isinstance(t, Fix) or not isinstance(t.body, Lam):
         return GuardReport.bad(("full-term shape", "not of the form fix \\x. ..."))
     x = t.body.var
@@ -84,15 +91,15 @@ def is_guarded_fixed_point(sig: Signature, t: Term) -> GuardReport:
     mentioned: set[str] = set()
     for a in plain_args + recursive_args:
         if x in tm.free_vars(a):
-            violations.append((4, f"recursion variable occurs inside argument {a!r}"))
+            violations.append((4, f"recursion variable occurs inside argument {tm.brief(a)}"))
             continue
         try:
             ok = tm.first_order_report(sig, ctx, a).verdict and tm.typecheck(sig, ctx, a) == IOTA
         except CupError as exc:
-            violations.append((3, f"argument {a!r} cannot be typed: {exc}"))
+            violations.append((3, f"argument {tm.brief(a)} cannot be typed: {exc}"))
             continue
         if not ok:
-            violations.append((3, f"argument {a!r} is not a first-order term of type i"))
+            violations.append((3, f"argument {tm.brief(a)} is not a first-order term of type i"))
         mentioned |= tm.free_vars(a)
     if mentioned != set(params):
         violations.append((4, f"free variables {sorted(mentioned)} differ from parameters {params}"))

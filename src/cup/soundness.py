@@ -220,6 +220,7 @@ def build_candidate(
 
     atom_trees: set[tr.Tree] = set()
     reps: dict[tr.Tree, tuple[Term, ...]] = {}
+    memo: dict = {}
     for w in _words(len(deltas), word_budget):
         th = theta_term(w, deltas, eigens, base_terms)
         for a in atoms_c:
@@ -227,7 +228,7 @@ def build_candidate(
             for e in eigens:
                 inst = replace_con(inst, e, th[e])
             inst = tm.beta_normalize(inst)
-            tree = tr.atom_to_tree(sig, inst, depth)
+            tree = tr.atom_to_tree(sig, inst, depth, memo)
             atom_trees.add(tree)
             reps.setdefault(tree, (inst,))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import (
@@ -369,7 +370,8 @@ class Signature:
     # built once: the types by name, the hash, and the memo of facts about
     # closed terms and formulas, successes only: `is_first_order` verdicts
     # under (term, expected), `typecheck` types under the term, and True
-    # under the `formulas.formula_key` of a formula that type-checks
+    # under the `formulas.formula_key` of a formula that type-checks; and
+    # `guardedness.is_guarded_fixed_point` reports under (term, GuardReport)
     _types: dict = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
@@ -399,12 +401,12 @@ class Signature:
         return Signature.of({**self.as_dict(), name: ty})
 
     def is_first_order_predicate(self, name: str) -> bool:
-        ty = self.lookup(name)
-        if ty is None:
-            return False
-        if target_type(ty) != O or type_order(ty) > 1:
-            return False
-        return all(not type_mentions(a, O) for a in argument_types(ty))
+        return name in self._first_order_predicates
+
+    @cached_property
+    def _first_order_predicates(self) -> frozenset[str]:
+        return frozenset(n for n, ty in self.constants if target_type(ty) == O and type_order(ty) <= 1
+                         and not any(type_mentions(a, O) for a in argument_types(ty)))
 
     def predicates(self) -> list[str]:
         return [n for n, ty in self.constants if target_type(ty) == O]

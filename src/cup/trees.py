@@ -158,41 +158,44 @@ def distance(t1: Tree, t2: Tree) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Guarded atoms -> truncated trees
+# Atoms -> truncated trees
 # ---------------------------------------------------------------------------
 
 
-def guarded_atom_to_tree(sig: Signature, atom: Term, depth: int) -> Tree:
-    """The atom's tree truncated at `depth`, built top-down in one walk.
+def atom_to_tree(sig: Signature, atom: Term, depth: int, memo: Optional[dict] = None) -> Tree:
+    """Truncated tree of a first-order or guarded atom, built top-down in
+    one walk that emits `*` at the cut.
 
-    One snapshot of the β-normal atom checks every argument, wherever it
-    sits, and that check covers every later unfolding: a guarded fixed
-    point applied to first-order arguments unfolds to exactly one
-    constructor over first-order arguments and one new guarded call.  So
-    the walk unfolds a fix-headed position once, only above the cut, and
-    emits `*` at the cut; `DepthUnreachable` means an unfolding exposed
-    no constructor head."""
-    t = tm.beta_normalize(atom)
-    snapshot(sig, t)
-
-    def walk(u: Term, d: int) -> Tree:
-        if d >= depth:
-            return STAR_LEAF
-        head, args = tm.spine(u)
-        if isinstance(head, Fix):
-            head, args = tm.spine(tm.fair_unfold(u))
-            if not isinstance(head, Con):
-                raise DepthUnreachable(f"unfolding {tm.brief(u)} exposes no constructor")
-        return Tree(head.name, tuple(walk(a, d + 1) for a in args))
-
-    return walk(t, 0)
-
-
-def atom_to_tree(sig: Signature, atom: Term, depth: int) -> Tree:
-    """Truncated tree of a first-order or guarded atom."""
-    if tm.is_first_order_atom(sig, {}, atom):
+    A guarded atom is β-normalised and checked by one snapshot, which
+    covers every later unfolding: a guarded fixed point applied to
+    first-order arguments unfolds to one constructor over first-order
+    arguments and one new guarded call.  So the walk unfolds a fix-headed
+    position once, only above the cut; `DepthUnreachable` means an
+    unfolding exposed no constructor head.  A first-order atom that is not
+    β-normal raises `NotFirstOrder`, as in `term_to_tree`.  `memo` maps
+    (subterm, remaining depth) to its tree and each tree to its one copy."""
+    if not tm.is_first_order_atom(sig, {}, atom):
+        atom = tm.beta_normalize(atom)
+        snapshot(sig, atom)
+    elif tm.beta_normalize(atom) is not atom:
         return truncate(term_to_tree(sig, atom), depth)
-    return guarded_atom_to_tree(sig, atom, depth)
+    memo = {} if memo is None else memo
+
+    def walk(u: Term, n: int) -> Tree:
+        if n <= 0:
+            return STAR_LEAF
+        tree = memo.get((u, n))
+        if tree is None:
+            head, args = tm.spine(u)
+            if isinstance(head, Fix):
+                head, args = tm.spine(tm.fair_unfold(u))
+                if not isinstance(head, Con):
+                    raise DepthUnreachable(f"unfolding {tm.brief(u)} exposes no constructor")
+            tree = Tree(head.name, tuple(walk(a, n - 1) for a in args))
+            tree = memo[u, n] = memo.setdefault(tree, tree)
+        return tree
+
+    return walk(atom, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +315,9 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _render_body(sig: Signature, b: Term, depth: int) -> Optional[Tree]:
+def _render_body(sig: Signature, b: Term, depth: int, memo: Optional[dict] = None) -> Optional[Tree]:
     try:
-        return atom_to_tree(sig, b, depth)
+        return atom_to_tree(sig, b, depth, memo)
     except CupError:
         return None
 
@@ -364,37 +367,38 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
 @dataclass
 class Grounding:
     """What enumerating clause instances at one depth needs: the clauses
-    renamed apart, the term pool for body variables that a head leaves
-    open, and the truncated key of every atom rendered so far, equal
-    subtrees of the keys one `Tree` object.  Each `gfp_approx` or
-    `verify_postfixed` call builds its own, so the render memo lasts one
-    call, as a key depends on the depth; the interning keeps the trees
-    that `gfp_approx` keeps on the `Program` (`_Universe`) small."""
+    renamed apart and, per predicate, those that can match it; the term
+    pool for body variables that a head leaves open; and the truncated key
+    of every atom rendered so far, with `atom_to_tree`'s memo behind them.
+    Each `gfp_approx` or `verify_postfixed` call builds its own, so the
+    memos last one call, as a tree depends on the depth; the interning
+    keeps the trees that `gfp_approx` keeps on the `Program` small."""
 
     sig: Signature
     depth: int
     renamed: list[RenamedClause]
     pool: list[Term]
     keys: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
-    trees: dict[Tree, Tree] = field(default_factory=dict, repr=False)
+    memo: dict = field(default_factory=dict, repr=False)
+    by_head: dict[Con, list[RenamedClause]] = field(default_factory=dict, repr=False)
 
     def key(self, atom: Term) -> Optional[Tree]:
         """The atom's truncated tree, None if it does not render; each
         distinct term is rendered once."""
         if atom not in self.keys:
-            tree = _render_body(self.sig, atom, self.depth)
-            self.keys[atom] = tree if tree is None else self._intern(tree)
+            self.keys[atom] = _render_body(self.sig, atom, self.depth, self.memo)
         return self.keys[atom]
 
-    def _intern(self, t: Tree) -> Tree:
-        """The one object standing for trees equal to t, its subtrees
-        interned as well."""
-        got = self.trees.get(t)
-        if got is None:
-            children = tuple(self._intern(c) for c in t.children)
-            got = t if all(a is b for a, b in zip(children, t.children)) else Tree(t.label, children)
-            self.trees[got] = got
-        return got
+    def clauses(self, atom: Term) -> list[RenamedClause]:
+        """The renamed clauses, in order, that can match the atom: all of
+        them when its head is not a constant, else those whose head is that
+        constant or not a constant."""
+        head = tm.spine(atom)[0]
+        if not isinstance(head, Con):
+            return self.renamed
+        if head not in self.by_head:
+            self.by_head[head] = [c for c in self.renamed if not isinstance(h := tm.spine(c[0])[0], Con) or h == head]
+        return self.by_head[head]
 
 
 def grounding(
@@ -412,7 +416,7 @@ def grounding(
 def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
     """Bodies of clause instances whose head matches the atom, the few body
     variables that the head leaves open enumerated over the pool."""
-    for head, body, metas in g.renamed:
+    for head, body, metas in g.clauses(atom):
         s = eng.unify_modulo(head, atom, {}, UNFOLD_BOUND)
         if s is None:
             continue

@@ -323,6 +323,16 @@ class TestModel:
         assert "fix \\x. x" in err
         assert "Fix(body=" not in err
 
+    def test_unguarded_definition_names_its_argument_in_source_syntax(self, tmp_path, capsys):
+        text = open(corpus("bitstream.cup")).read() + "const s : i -> i.\n"
+        prog = tmp_path / "bad.cup"
+        prog.write_text(text + "def bad = fix \\f. \\n. scons (s (f n)) (f n).\n")
+        code = run(["model", "--program", str(prog), "--model-depth", "2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "recursion variable occurs inside argument s (f n)" in err
+        assert "App(fn=" not in err
+
 
 class TestClassifyAndExamples:
     def test_classify_json(self, capsys):

@@ -579,7 +579,7 @@ def test_one_walk_renderer_matches_the_round_based_reference(name, goal, request
     sig = program.signature
     atom = ps.parse_goal(goal, program).term
     for depth in range(9):
-        got = tr.guarded_atom_to_tree(sig, atom, depth)
+        got = tr.atom_to_tree(sig, atom, depth)
         assert got == guarded_term_to_tree(sig, atom, depth), (goal, depth)
 
 
@@ -593,9 +593,91 @@ def test_one_walk_renderer_raises_as_the_reference_does(bitstream_program):
         (higher, A(C("q"), L("x", V("x"))), 2),
     ]
     for s, atom, depth in cases:
-        got = _outcome(lambda: tr.guarded_atom_to_tree(s, atom, depth))
+        got = _outcome(lambda: tr.atom_to_tree(s, atom, depth))
         want = _outcome(lambda: guarded_term_to_tree(s, atom, depth))
         assert isinstance(got, tuple) and got[0] is want[0], (tm.brief(atom), got, want)
+
+
+CORPUS = ("bitstream", "comember", "fibs", "from", "member")
+# `s 0` sits at node depth 1 and, once `fr_str (s 0)` unfolds, at node depth
+# 2: one call meets it at two remaining depths
+TWO_DEPTHS_GOAL = {"from": "from (s 0) (fr_str (s 0))"}
+
+
+def _argumentwise_reference(sig):
+    """The round-based reference on atoms, each argument's tree found once
+    per remaining depth: a fair unfolding of an atom unfolds every argument
+    in step, so its tree is its arguments' trees under its predicate.  An
+    atom without a snapshot gets the whole-atom reference's error."""
+    refs = {}
+
+    def reference(atom, depth):
+        if tm.is_first_order_atom(sig, {}, atom):
+            return tr.truncate(tr.term_to_tree(sig, atom), depth)
+        t = tm.beta_normalize(atom)
+        try:
+            gd.snapshot(sig, t)
+        except CupError:
+            return _outcome(lambda: guarded_term_to_tree(sig, atom, depth))
+        if depth == 0:
+            return tr.STAR_LEAF
+        head, args = tm.spine(t)
+        for a in args:
+            if (a, depth - 1) not in refs:
+                refs[a, depth - 1] = guarded_term_to_tree(sig, a, depth - 1)
+        return tr.Tree(head.name, tuple(refs[a, depth - 1] for a in args))
+
+    return reference
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_memoised_walk_matches_the_references_on_universe_atoms(name, fresh_program):
+    # one memo per depth across all the atoms, as a grounding shares it
+    program = fresh_program(name)
+    sig = program.signature
+    reference = _argumentwise_reference(sig)
+    atoms = tr._universe_seeds(tr.grounding(program, tr.InstanceConfig(), 0))
+    if name in TWO_DEPTHS_GOAL:
+        atoms = [ps.parse_goal(TWO_DEPTHS_GOAL[name], program).term] + atoms
+    for depth in range(9):
+        memo = {}
+        for atom in atoms:
+            got = _outcome(lambda: tr.atom_to_tree(sig, atom, depth, memo))
+            assert got == reference(atom, depth), (tm.brief(atom), depth)
+        if name in TWO_DEPTHS_GOAL and depth >= 3:
+            s0 = A(C("s"), C("0"))
+            assert {k[1] for k in memo if isinstance(k, tuple) and k[0] == s0} >= {depth - 1, depth - 2}
+        if name == "from":
+            # the argument-wise reference agrees with the whole-atom one
+            for atom in atoms:
+                assert reference(atom, depth) == _outcome(lambda: guarded_term_to_tree(sig, atom, depth))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_justifications_unify_an_atom_only_with_its_own_predicate(monkeypatch, name, fresh_program):
+    program = fresh_program(name)
+    g = tr.grounding(program, tr.InstanceConfig(), 3)
+    heads = [tm.spine(head)[0] for head, _body, _metas in g.renamed]
+    calls = []
+    real_unify_modulo = eng.unify_modulo
+
+    def counted_unify_modulo(head, atom, *rest):
+        calls.append(tm.spine(head)[0])
+        return real_unify_modulo(head, atom, *rest)
+
+    monkeypatch.setattr(eng, "unify_modulo", counted_unify_modulo)
+    # a flexible atom falls back to every clause
+    atoms = tr._universe_seeds(g) + [A(V("P"), C("0"))]
+    for atom in atoms:
+        head = tm.spine(atom)[0]
+        calls.clear()
+        got = list(tr.justifications(atom, g))
+        own = [h for h in heads if h == head] if isinstance(head, Con) else heads
+        assert calls == own, tm.brief(atom)
+        # the same bodies, in the same order, as trying every clause
+        with monkeypatch.context() as m:
+            m.setattr(g, "clauses", lambda _atom: g.renamed)
+            assert list(tr.justifications(atom, g)) == got, tm.brief(atom)
 
 
 MODEL_CASES = [
@@ -813,9 +895,9 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, fresh_pr
     rendered = []
     real_render = tr._render_body
 
-    def counted_render(sig, atom, depth):
+    def counted_render(sig, atom, depth, memo=None):
         rendered.append(atom)
-        return real_render(sig, atom, depth)
+        return real_render(sig, atom, depth, memo)
 
     _share_justifications(monkeypatch)
     for depth in (2, 3, 4):

@@ -137,7 +137,7 @@ class TestSnapshotConvergence:
             A(C("from"), C("0"), A(FR_STR, C("0"))),
         ):
             for depth in range(1, 6):
-                via_fair = tr.guarded_atom_to_tree(STREAM_SIG, atom, depth)
+                via_fair = tr.atom_to_tree(STREAM_SIG, atom, depth)
                 t = atom
                 while True:
                     snap = gd.snapshot(STREAM_SIG, t)
@@ -159,6 +159,6 @@ class TestTreeSharing:
         for a1, a2 in pairs:
             assert tm.fixbeta_equiv(a1, a2, 8) == tm.EQUAL
             for depth in range(1, 7):
-                assert tr.guarded_atom_to_tree(STREAM_SIG, a1, depth) == tr.guarded_atom_to_tree(
+                assert tr.atom_to_tree(STREAM_SIG, a1, depth) == tr.atom_to_tree(
                     STREAM_SIG, a2, depth
                 )

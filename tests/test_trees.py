@@ -13,10 +13,10 @@ from cup.trees import (
     Interpretation,
     STAR_LEAF,
     Tree,
+    atom_to_tree,
     distance,
     export_interpretation,
     gfp_approx,
-    guarded_atom_to_tree,
     import_interpretation,
     leaf,
     member_of_model,
@@ -53,28 +53,28 @@ class TestTermToTree:
 
 class TestGuardedAtomToTree:
     def test_zero_stream_depth_three(self):
-        out = guarded_atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), 3)
+        out = atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), 3)
         assert out == tree_from_text("bitstream(scons(0,scons(*,*)))")
 
     def test_first_order_atom_is_exact(self):
         atom = A(C("member"), C("0"), slist(C("0"), C("nil")))
         for depth in (3, 5, 9):
-            out = guarded_atom_to_tree(STREAM_SIG, atom, depth)
+            out = atom_to_tree(STREAM_SIG, atom, depth)
             assert out == term_to_tree(STREAM_SIG, atom)
             assert all(label != tr.STAR for _pos, label in out.positions())
 
     def test_from_depth_three(self):
-        out = guarded_atom_to_tree(STREAM_SIG, A(C("from"), C("0"), A(FR_STR, C("0"))), 3)
+        out = atom_to_tree(STREAM_SIG, A(C("from"), C("0"), A(FR_STR, C("0"))), 3)
         assert out == tree_from_text("from(0,scons(0,scons(*,*)))")
         # the depth-4 rendering pins the successor element
-        out4 = guarded_atom_to_tree(STREAM_SIG, A(C("from"), C("0"), A(FR_STR, C("0"))), 4)
+        out4 = atom_to_tree(STREAM_SIG, A(C("from"), C("0"), A(FR_STR, C("0"))), 4)
         assert out4 == tree_from_text("from(0,scons(0,scons(s(*),scons(*,*))))")
 
     def test_budget_exhaustion(self, monkeypatch):
         # an unfolding that exposes no constructor head cannot be rendered
         monkeypatch.setattr(tm, "fair_unfold", lambda t: t)
         with pytest.raises(DepthUnreachable):
-            guarded_atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), depth=6)
+            atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), depth=6)
 
 
 class TestTruncateDistance:
@@ -87,8 +87,8 @@ class TestTruncateDistance:
         assert distance(t, t) == 0
 
     def test_first_difference_at_depth(self):
-        deep = guarded_atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), 4)
-        shallow = guarded_atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), 2)
+        deep = atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), 4)
+        shallow = atom_to_tree(STREAM_SIG, A(C("bitstream"), Z_STR), 2)
         # both depth-2 truncations agree (all depth-2 positions are cut);
         # the first disagreement appears when truncating at 3
         assert distance(deep, shallow) == Fraction(1, 2**3)
