@@ -257,7 +257,8 @@ def verify_postfixed(
     cfg: tr.InstanceConfig,
 ) -> tuple[bool, Optional[Term]]:
     """Is every member a consequence of members (I included in T(I)) at this
-    resolution?  Returns the first counterexample atom otherwise."""
+    resolution?  Returns the first counterexample atom otherwise.  The
+    grounding reads the bodies and keys that `gfp_approx` kept for the pool."""
     g = tr.grounding(program, cfg, interp.depth)
     for tree in sorted(interp.atoms, key=tr.tree_to_text):
         reps = interp.reps.get(tree, ())

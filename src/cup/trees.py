@@ -368,11 +368,12 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
 class Grounding:
     """What enumerating clause instances at one depth needs: the clauses
     renamed apart and, per predicate, those that can match it; the term
-    pool for body variables that a head leaves open; and the truncated key
-    of every atom rendered so far, with `atom_to_tree`'s memo behind them.
-    Each `gfp_approx` or `verify_postfixed` call builds its own, so the
-    memos last one call, as a tree depends on the depth; the interning
-    keeps the trees that `gfp_approx` keeps on the `Program` small."""
+    pool for body variables that a head leaves open; the bodies and this
+    depth's keys (`kept`) that the program keeps for the pool, if any; and
+    the truncated key of every other atom rendered so far, with
+    `atom_to_tree`'s memo behind them.  Those two are the grounding's own,
+    so nothing a call renders outlives it unless `gfp_approx` keeps the
+    keys of a newly explored depth, which the memo's interning keeps small."""
 
     sig: Signature
     depth: int
@@ -381,13 +382,16 @@ class Grounding:
     keys: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
     memo: dict = field(default_factory=dict, repr=False)
     by_head: dict[Con, list[RenamedClause]] = field(default_factory=dict, repr=False)
+    kept: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
+    bodies: dict[Term, tuple[tuple[Term, ...], ...]] = field(default_factory=dict, repr=False)
 
     def key(self, atom: Term) -> Optional[Tree]:
         """The atom's truncated tree, None if it does not render; each
-        distinct term is rendered once."""
-        if atom not in self.keys:
-            self.keys[atom] = _render_body(self.sig, atom, self.depth, self.memo)
-        return self.keys[atom]
+        distinct term is rendered once, and a kept one not at all."""
+        keys = self.kept if atom in self.kept else self.keys
+        if atom not in keys:
+            keys[atom] = _render_body(self.sig, atom, self.depth, self.memo)
+        return keys[atom]
 
     def clauses(self, atom: Term) -> list[RenamedClause]:
         """The renamed clauses, in order, that can match the atom: all of
@@ -407,27 +411,30 @@ def grounding(
     depth: int,
     extra_clauses: tuple[HClause, ...] = (),
 ) -> Grounding:
-    """A grounding for the program's clauses and the extra ones, with an
-    empty render memo."""
-    renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
-    return Grounding(program.signature, depth, renamed, universe_terms(program, cfg))
+    """A grounding for the program's clauses and the extra ones.  Without
+    extra clauses it reads what the program keeps for the pool, if
+    anything; it renders into its own empty keys and memo."""
+    pool = universe_terms(program, cfg)
+    uni = None if extra_clauses else program._universes.get(tuple(pool))
+    if uni is None:
+        renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
+        return Grounding(program.signature, depth, renamed, pool)
+    return Grounding(program.signature, depth, uni.renamed, pool, kept=uni.keys.get(depth, {}), bodies=uni.bodies)
 
 
 def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
     """Bodies of clause instances whose head matches the atom, the few body
-    variables that the head leaves open enumerated over the pool."""
+    variables that the head leaves open enumerated over the pool: a body is
+    resolved once per match, and then only those variables per pool value."""
     for head, body, metas in g.clauses(atom):
         s = eng.unify_modulo(head, atom, {}, UNFOLD_BOUND)
         if s is None:
             continue
         unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]
-        pools = [g.pool[:BODY_VAR_POOL] for _ in unbound]
-        combos = itertools.product(*pools) if unbound else iter([()])
-        for combo in combos:
-            s2 = dict(s)
-            for name, value in zip(unbound, combo):
-                s2[name] = value
-            resolved = [tm.beta_normalize(eng.resolve_term(b, s2)) for b in body]
+        partial = [eng.resolve_term(b, {k: v for k, v in s.items() if k not in unbound}) for b in body]
+        for combo in itertools.product(g.pool[:BODY_VAR_POOL], repeat=len(unbound)):
+            values = dict(zip(unbound, combo))
+            resolved = [tm.beta_normalize(eng.resolve_term(b, values)) for b in partial]
             if any(tm.is_meta(n) for r in resolved for n in tm.free_vars(r)):
                 continue
             yield resolved
@@ -435,14 +442,18 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
 
 def justify(atom: Term, interp: Interpretation, g: Grounding) -> Optional[list[Term]]:
     """Some clause-instance body for this head with every body atom in the
-    interpretation; None when no enumerated instance works.  The grounding
-    must be at the interpretation's depth."""
-    for body in justifications(atom, g):
+    interpretation; None when no enumerated instance works.  The bodies
+    that the grounding holds for the atom are read, not enumerated again.
+    The grounding must be at the interpretation's depth."""
+    if g.depth != interp.depth:
+        raise ValueError(f"a grounding at depth {g.depth} cannot justify at depth {interp.depth}")
+    bodies = g.bodies.get(atom)
+    for body in justifications(atom, g) if bodies is None else bodies:
         trees = [g.key(b) for b in body]
         if any(t is None for t in trees):
             continue
         if all(t in interp.atoms for t in trees):
-            return body
+            return list(body)
     return None
 
 
@@ -526,14 +537,18 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
 
 @dataclass
 class _Universe:
-    """What `gfp_approx` keeps on a `Program` per term pool: its seeds, one
-    object per distinct seed or body atom (`atoms`), each such atom's
-    clause-instance bodies, which no depth changes, and each depth's state."""
+    """What `gfp_approx` keeps on a `Program` per term pool: its seeds, the
+    clauses renamed apart, one object per distinct seed or body atom
+    (`atoms`), each such atom's clause-instance bodies, which no depth
+    changes, and per explored depth its state and the key of every atom
+    that exploring it rendered."""
 
     seeds: list[Term]
+    renamed: list[RenamedClause]
     atoms: dict[Term, Term] = field(default_factory=dict, repr=False)
     bodies: dict[Term, tuple[tuple[Term, ...], ...]] = field(default_factory=dict, repr=False)
     explored: dict[int, _Explored] = field(default_factory=dict)
+    keys: dict[int, dict[Term, Optional[Tree]]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.seeds = [self.atoms.setdefault(a, a) for a in self.seeds]
@@ -561,9 +576,10 @@ def gfp_approx(
     seed, and every atom reached from one, is therefore handled before the
     first configured seed, and the state at that point depends on the
     program, the depth, the pool and the extra clauses only.  Without extra
-    clauses, the program keeps it per depth in a `_Universe` per pool, with
-    bodies all depths share; a call resumes from a copy of it with its own
-    seeds, kept nowhere: the same computation as running the whole stack.
+    clauses, the program keeps it per depth, with the keys it rendered, in a
+    `_Universe` per pool, with renamed clauses and bodies all depths share;
+    a call resumes from a copy of it with its own seeds and keys, kept
+    nowhere: the same computation as running the whole stack.
     With extra clauses, a call checks one lemma extension, so it runs the
     whole stack and keeps nothing.  A `UniverseTooLarge` raised while
     exploring the universe keeps nothing, so every such call raises it."""
@@ -573,14 +589,17 @@ def gfp_approx(
         _explore(state, list(cfg.seed_atoms) + _universe_seeds(g), g, justifications)
     else:
         pool = tuple(g.pool)
-        uni = program._universes.get(pool) or _Universe(_universe_seeds(g))
+        uni = program._universes.get(pool) or _Universe(_universe_seeds(g), g.renamed)
         if depth not in uni.explored:
             # explored on a copy, kept once complete: a depth that raises
             # UniverseTooLarge keeps nothing
-            uni = _Universe(uni.seeds, dict(uni.atoms), dict(uni.bodies), dict(uni.explored))
-            uni.explored[depth] = _Explored()
-            _explore(uni.explored[depth], uni.seeds, g, uni.bodies_of)
+            uni = _Universe(uni.seeds, uni.renamed, dict(uni.atoms), dict(uni.bodies), dict(uni.explored), dict(uni.keys))
+            explored = _Explored()
+            _explore(explored, uni.seeds, g, uni.bodies_of)
+            uni.explored[depth], uni.keys[depth] = explored, g.keys
             program._universes[pool] = uni
+            # the call's own atoms are rendered into keys that it drops
+            g.kept, g.keys = g.keys, {}
         state = uni.explored[depth].copy()
         _explore(state, list(cfg.seed_atoms), g, justifications)
 

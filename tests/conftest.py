@@ -32,12 +32,12 @@ def _load(name: str):
 
 @pytest.fixture
 def fresh_program():
-    """Parse a corpus program by name, for a test that watches or patches
-    `trees`, `engine` or `terms` around a model-side call: the session
-    programs keep the universes `gfp_approx` explored for earlier tests, so
-    the test would not see that work, and what it explored under a patch
-    would outlive it."""
-    return lambda name: _load(f"{name}.cup")
+    """Parse a corpus program, or member67, by name, for a test that watches
+    or patches `trees`, `engine` or `terms` around a model-side call: the
+    session programs keep the universes `gfp_approx` explored for earlier
+    tests, so the test would not see that work, and what it explored under
+    a patch would outlive it."""
+    return lambda name: ps.parse_program(MEMBER_67) if name == "member67" else _load(f"{name}.cup")
 
 
 @pytest.fixture(scope="session")

@@ -680,6 +680,45 @@ def test_justifications_unify_an_atom_only_with_its_own_predicate(monkeypatch, n
             assert list(tr.justifications(atom, g)) == got, tm.brief(atom)
 
 
+def justifications_reference(atom, g):
+    """(body, whether the head left a body variable open) of each clause
+    instance, each body resolved from the clause under the head's
+    substitution with the open variables bound to one pool combination."""
+    for head, body, metas in g.clauses(atom):
+        s = eng.unify_modulo(head, atom, {}, tr.UNFOLD_BOUND)
+        if s is None:
+            continue
+        unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]
+        for combo in itertools.product(*[g.pool[:tr.BODY_VAR_POOL] for _ in unbound]):
+            s2 = {**s, **dict(zip(unbound, combo))}
+            resolved = [tm.beta_normalize(eng.resolve_term(b, s2)) for b in body]
+            if not any(tm.is_meta(n) for r in resolved for n in tm.free_vars(r)):
+                yield resolved, bool(unbound)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_justifications_match_the_per_combination_resolution(name, fresh_program):
+    # every atom the universe justified at depth 2, in the order found, then
+    # the gfp seeds: the fibs universe seeds are all `add` atoms, so in fibs
+    # only the gfp seed leaves a body variable open
+    program = fresh_program(name)
+    tr.gfp_approx(program, 2, tr.InstanceConfig())
+    (uni,) = program._universes.values()
+    g = tr.grounding(program, tr.InstanceConfig(), 2)
+    seeds = [ps.parse_goal(goal, program).term for n, goal in GFP_SEEDS if n == name]
+    opened = collections.Counter()
+    for atom in list(uni.bodies) + seeds:
+        want = list(justifications_reference(atom, g))
+        assert list(tr.justifications(atom, g)) == [body for body, _open in want], tm.brief(atom)
+        if atom in uni.bodies:
+            assert uni.bodies[atom] == tuple(tuple(body) for body, _open in want), tm.brief(atom)
+        opened.update(open_ for _body, open_ in want)
+    assert bool(opened[True]) == (name in ("comember", "fibs"))
+    if name == "comember":
+        # the universe's 1 304 bodies and the seed's one
+        assert (opened[True], opened.total()) == (1000, 1305)
+
+
 MODEL_CASES = [
     ("bitstream", "bitstream [0|1|n_str 0]", 3),
     ("from", "from (s 0) (fr_str (s 0))", 2),
@@ -959,6 +998,8 @@ def _universe_snapshot(uni):
         list(uni.seeds),
         list(uni.atoms.items()),
         list(uni.bodies.items()),
+        {d: list(keys.items()) for d, keys in uni.keys.items()},
+        list(uni.renamed),
     )
 
 
@@ -1011,6 +1052,8 @@ def test_a_depth_too_large_leaves_the_kept_universe_as_it_was(fresh_program, mon
         with pytest.raises(UniverseTooLarge):
             tr.gfp_approx(program, 6, tr.InstanceConfig())
     assert any(added)
+    (kept,) = program._universes.values()
+    assert kept is uni and list(uni.keys) == [2]
     assert _universe_snapshot(uni) == before
 
 
@@ -1101,6 +1144,78 @@ def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):
     assert sd.verify_postfixed(merged, program, cfg) == (True, None)
     assert calls["justify"] > 1
     assert calls["universe_terms"] == 1
+
+
+def _counted(monkeypatch, name, counts, at=0):
+    """Patch `trees.<name>` to record its positional argument `at` in
+    `counts`."""
+    real = getattr(tr, name)
+
+    def run(*args):
+        counts.append(args[at])
+        return real(*args)
+
+    monkeypatch.setattr(tr, name, run)
+
+
+@pytest.mark.parametrize("name,goal,depth", MODEL_CASES)
+def test_a_warm_gfp_approx_renders_only_what_the_depth_did_not_keep(monkeypatch, name, goal, depth, fresh_program):
+    texts = [goal, SECOND_SEEDS[name]] + [g for n, g in RENDER_CASES if n == name]
+    # a cold call with a seed the universe does not reach keeps what one
+    # without seeds does
+    program, plain = fresh_program(name), fresh_program(name)
+    tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=(ps.parse_goal(texts[-1], program).term,)))
+    tr.gfp_approx(plain, depth, tr.InstanceConfig())
+    (uni,), (plain_uni,) = program._universes.values(), plain._universes.values()
+    before = _universe_snapshot(uni)
+    assert before == _universe_snapshot(plain_uni)
+    rendered = []
+    for text in texts:
+        seed = ps.parse_goal(text, program).term
+        cfg = tr.InstanceConfig(seed_atoms=(seed,))
+        with monkeypatch.context() as m:
+            _counted(m, "_render_body", rendered, at=1)
+            got = _listing(tr.gfp_approx(program, depth, cfg))
+        assert got == _listing(tr.gfp_approx(fresh_program(name), depth, cfg)), text
+    assert rendered and not set(rendered) & uni.keys[depth].keys()
+    assert _universe_snapshot(uni) == before
+
+
+@pytest.mark.parametrize("name", ["member67", "bitstream", "from", "comember"])
+def test_verify_postfixed_reads_the_universe_gfp_approx_kept(monkeypatch, name, regression_proofs, fresh_program):
+    _session_program, _goal, calc, res = regression_proofs[name]
+    program, cfg, depth = fresh_program(name), tr.InstanceConfig(), 3
+    merged = sd.merge_with_model(sd.build_candidate(res.tree, program, depth, 2, calc), program, cfg)
+    (uni,) = program._universes.values()
+    rendered, justified = [], []
+    _counted(monkeypatch, "_render_body", rendered, at=1)
+    _counted(monkeypatch, "justifications", justified)
+    assert sd.verify_postfixed(merged, program, cfg) == (True, None)
+    assert not set(rendered) & uni.keys[depth].keys()
+    assert not set(justified) & uni.bodies.keys()
+    # the universe's own atoms are among the representatives justified
+    assert {r for reps in merged.reps.values() for r in reps} & uni.bodies.keys()
+
+
+def test_verify_postfixed_on_kept_state_matches_a_program_that_kept_nothing(regression_proofs, fresh_program):
+    # the acceptance grid on the session programs, whose kept universes grow
+    # from cell to cell, against a program parsed for the cell alone; the
+    # bare candidates give counterexamples
+    cfg = tr.InstanceConfig()
+    verdicts = collections.Counter()
+    for name, (program, _goal, calc, res) in regression_proofs.items():
+        for depth in range(2, 7):
+            for budget in range(4):
+                cand = sd.build_candidate(res.tree, program, depth, budget, calc)
+                merged = sd.merge_with_model(cand, program, cfg)
+                for interp in (merged, cand.interpretation):
+                    cold = fresh_program(name)
+                    got = sd.verify_postfixed(interp, program, cfg)
+                    want = sd.verify_postfixed(interp, cold, cfg)
+                    assert (got[0], repr(got[1])) == (want[0], repr(want[1])), (name, depth, budget)
+                    assert not cold._universes
+                    verdicts[interp is merged, got[0]] += 1
+    assert verdicts[True, True] == 80 and verdicts[False, False] > 0
 
 
 def smallest_closed_terms_reference(sig, ty, limit=64):

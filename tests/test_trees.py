@@ -186,6 +186,14 @@ class TestGfpApprox:
         shallow = gfp_approx(bitstream_program, 3, cfg)
         assert {truncate(t, 3) for t in deep.atoms} <= shallow.atoms
 
+    def test_justify_refuses_a_grounding_at_another_depth(self, member_program):
+        atom = ps.parse_goal("member 0 [0|nil]", member_program).term
+        g = tr.grounding(member_program, InstanceConfig(), 2)
+        with pytest.raises(ValueError, match="depth 2 cannot justify at depth 3"):
+            tr.justify(atom, Interpretation(3, frozenset()), g)
+        # the fact member X [X|T] justifies it with an empty body
+        assert tr.justify(atom, Interpretation(2, frozenset()), g) == []
+
     def test_universe_cap(self, fresh_program, monkeypatch):
         monkeypatch.setattr(tr, "MAX_ATOMS", 3)
         with pytest.raises(UniverseTooLarge):
