@@ -375,8 +375,8 @@ def ground_instances(h: HClause, universe: list[Term], limit: Optional[int] = No
 @dataclass(frozen=True)
 class Program:
     """A first-order signature, an ordered list of clause formulae, and named
-    guarded fixed-point definitions available as witnesses.  It keeps the
-    term universe `trees.gfp_approx` explored, a `trees._Universe` per pool."""
+    guarded fixed-point definitions available as witnesses; it keeps a
+    `trees._Universe` per term size that `trees.gfp_approx` explored."""
 
     signature: Signature
     clauses: tuple[Formula, ...] = ()

@@ -258,7 +258,7 @@ def verify_postfixed(
 ) -> tuple[bool, Optional[Term]]:
     """Is every member a consequence of members (I included in T(I)) at this
     resolution?  Returns the first counterexample atom otherwise.  The
-    grounding reads the bodies and keys that `gfp_approx` kept for the pool."""
+    grounding reads what `gfp_approx` kept for the term size."""
     g = tr.grounding(program, cfg, interp.depth)
     for tree in sorted(interp.atoms, key=tr.tree_to_text):
         reps = interp.reps.get(tree, ())
@@ -378,7 +378,9 @@ def conservative_extension_check(
         for b in h.body:
             if tr.member_of_model(b, base, sig) != tr.IN_APPROX:
                 raise BodyNotInModel(f"lemma instance body {tm.brief(b)} is not in the approximated model")
-    extended = tr.gfp_approx(program, depth, seeded, extra_clauses=tuple(lemma_instances))
+    # explored as its own program, whose universe is dropped with it
+    lemmas = tuple(h.to_formula() for h in lemma_instances)
+    extended = tr.gfp_approx(replace(program, clauses=program.clauses + lemmas), depth, seeded)
     return ExtensionReport(
         equal=base.atoms == extended.atoms,
         only_in_original=base.atoms - extended.atoms,

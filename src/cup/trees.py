@@ -10,7 +10,7 @@ the family of its depth truncations, with `*` leaves marking the cut.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -259,7 +259,11 @@ class InstanceConfig:
 def universe_terms(program: Program, cfg: InstanceConfig) -> list[Term]:
     """Closed terms of the individual type: first-order terms up to the
     configured size, then the named fixed-point definitions applied to
-    them."""
+    them.  The pool a program keeps for the term size, if any, is returned
+    as it is: callers never change it."""
+    uni = program._universes.get(cfg.term_size)
+    if uni is not None:
+        return uni.pool
     sig = program.signature
     by_size: dict[int, dict[tm.SimpleType, list[Term]]] = {}
     cons = sig.constructors()
@@ -369,7 +373,7 @@ class Grounding:
     """What enumerating clause instances at one depth needs: the clauses
     renamed apart and, per predicate, those that can match it; the term
     pool for body variables that a head leaves open; the bodies and this
-    depth's keys (`kept`) that the program keeps for the pool, if any; and
+    depth's keys (`kept`) the program keeps for the term size, if any; and
     the truncated key of every other atom rendered so far, with
     `atom_to_tree`'s memo behind them.  Those two are the grounding's own,
     so nothing a call renders outlives it unless `gfp_approx` keeps the
@@ -405,20 +409,14 @@ class Grounding:
         return self.by_head[head]
 
 
-def grounding(
-    program: Program,
-    cfg: InstanceConfig,
-    depth: int,
-    extra_clauses: tuple[HClause, ...] = (),
-) -> Grounding:
-    """A grounding for the program's clauses and the extra ones.  Without
-    extra clauses it reads what the program keeps for the pool, if
-    anything; it renders into its own empty keys and memo."""
+def grounding(program: Program, cfg: InstanceConfig, depth: int) -> Grounding:
+    """A grounding for the program's clauses.  It reads what the program
+    keeps for the term size, if anything, the pool included; it renders
+    into its own empty keys and memo."""
     pool = universe_terms(program, cfg)
-    uni = None if extra_clauses else program._universes.get(tuple(pool))
+    uni = program._universes.get(cfg.term_size)
     if uni is None:
-        renamed = _clauses_with_metas(program.h_clauses() + list(extra_clauses))
-        return Grounding(program.signature, depth, renamed, pool)
+        return Grounding(program.signature, depth, _clauses_with_metas(program.h_clauses()), pool)
     return Grounding(program.signature, depth, uni.renamed, pool, kept=uni.keys.get(depth, {}), bodies=uni.bodies)
 
 
@@ -537,12 +535,13 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
 
 @dataclass
 class _Universe:
-    """What `gfp_approx` keeps on a `Program` per term pool: its seeds, the
-    clauses renamed apart, one object per distinct seed or body atom
-    (`atoms`), each such atom's clause-instance bodies, which no depth
-    changes, and per explored depth its state and the key of every atom
-    that exploring it rendered."""
+    """What `gfp_approx` keeps on a `Program` per term size: the term pool,
+    its seeds, the clauses renamed apart, one object per distinct seed or
+    body atom (`atoms`), each such atom's clause-instance bodies, which no
+    depth changes, and per explored depth its state and the key of every
+    atom that exploring it rendered."""
 
+    pool: list[Term]
     seeds: list[Term]
     renamed: list[RenamedClause]
     atoms: dict[Term, Term] = field(default_factory=dict, repr=False)
@@ -560,12 +559,7 @@ class _Universe:
         return self.bodies[atom]
 
 
-def gfp_approx(
-    program: Program,
-    depth: int,
-    cfg: InstanceConfig,
-    extra_clauses: tuple[HClause, ...] = (),
-) -> Interpretation:
+def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretation:
     """Downward iteration to a fixed point over the atom space reachable
     from the seeds; an over-approximation of the greatest fixed point at
     this resolution, so absence certifies non-membership over the
@@ -575,33 +569,26 @@ def gfp_approx(
     universe seeds, the predicate atoms over the pool.  Every universe
     seed, and every atom reached from one, is therefore handled before the
     first configured seed, and the state at that point depends on the
-    program, the depth, the pool and the extra clauses only.  Without extra
-    clauses, the program keeps it per depth, with the keys it rendered, in a
-    `_Universe` per pool, with renamed clauses and bodies all depths share;
-    a call resumes from a copy of it with its own seeds and keys, kept
-    nowhere: the same computation as running the whole stack.
-    With extra clauses, a call checks one lemma extension, so it runs the
-    whole stack and keeps nothing.  A `UniverseTooLarge` raised while
-    exploring the universe keeps nothing, so every such call raises it."""
-    g = grounding(program, cfg, depth, extra_clauses)
-    if extra_clauses:
-        state = _Explored()
-        _explore(state, list(cfg.seed_atoms) + _universe_seeds(g), g, justifications)
-    else:
-        pool = tuple(g.pool)
-        uni = program._universes.get(pool) or _Universe(_universe_seeds(g), g.renamed)
-        if depth not in uni.explored:
-            # explored on a copy, kept once complete: a depth that raises
-            # UniverseTooLarge keeps nothing
-            uni = _Universe(uni.seeds, uni.renamed, dict(uni.atoms), dict(uni.bodies), dict(uni.explored), dict(uni.keys))
-            explored = _Explored()
-            _explore(explored, uni.seeds, g, uni.bodies_of)
-            uni.explored[depth], uni.keys[depth] = explored, g.keys
-            program._universes[pool] = uni
-            # the call's own atoms are rendered into keys that it drops
-            g.kept, g.keys = g.keys, {}
-        state = uni.explored[depth].copy()
-        _explore(state, list(cfg.seed_atoms), g, justifications)
+    program, the depth and the term size only.  The program keeps it per
+    depth, with the keys it rendered, in a `_Universe` per term size, with
+    the pool, renamed clauses and bodies all depths share; a call resumes
+    from a copy of it with its own seeds and keys, kept nowhere: the same
+    computation as running the whole stack.  A depth whose exploration
+    raises `UniverseTooLarge` keeps nothing, so every such call raises it."""
+    g = grounding(program, cfg, depth)
+    uni = program._universes.get(cfg.term_size) or _Universe(g.pool, _universe_seeds(g), g.renamed)
+    if depth not in uni.explored:
+        # explored on a copy, kept once complete: a depth that raises
+        # UniverseTooLarge keeps nothing
+        uni = replace(uni, atoms=dict(uni.atoms), bodies=dict(uni.bodies), explored=dict(uni.explored), keys=dict(uni.keys))
+        explored = _Explored()
+        _explore(explored, uni.seeds, g, uni.bodies_of)
+        uni.explored[depth], uni.keys[depth] = explored, g.keys
+        program._universes[cfg.term_size] = uni
+        # the call's own atoms are rendered into keys that it drops
+        g.kept, g.keys = g.keys, {}
+    state = uni.explored[depth].copy()
+    _explore(state, list(cfg.seed_atoms), g, justifications)
 
     alive = set(state.expansions)
     changed = True

@@ -12,6 +12,7 @@ already draws and leave the 10,000-case property budget unchanged.
 
 import collections
 import contextlib
+import dataclasses
 import itertools
 import json
 import random
@@ -37,8 +38,9 @@ from helpers import (
 )
 from test_properties import CASES
 
-# the benchmark's seeded search goals
+# the benchmark's seeded goals and its layer tracer
 sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -696,6 +698,13 @@ def justifications_reference(atom, g):
                 yield resolved, bool(unbound)
 
 
+def kept_universe(program, term_size=3):
+    """The one universe the program keeps, which must be that of the term
+    size."""
+    assert list(program._universes) == [term_size]
+    return program._universes[term_size]
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_justifications_match_the_per_combination_resolution(name, fresh_program):
     # every atom the universe justified at depth 2, in the order found, then
@@ -703,7 +712,7 @@ def test_justifications_match_the_per_combination_resolution(name, fresh_program
     # only the gfp seed leaves a body variable open
     program = fresh_program(name)
     tr.gfp_approx(program, 2, tr.InstanceConfig())
-    (uni,) = program._universes.values()
+    uni = kept_universe(program)
     g = tr.grounding(program, tr.InstanceConfig(), 2)
     seeds = [ps.parse_goal(goal, program).term for n, goal in GFP_SEEDS if n == name]
     opened = collections.Counter()
@@ -995,6 +1004,7 @@ def _snapshot(explored):
 def _universe_snapshot(uni):
     return (
         {d: _snapshot(explored) for d, explored in uni.explored.items()},
+        list(uni.pool),
         list(uni.seeds),
         list(uni.atoms.items()),
         list(uni.bodies.items()),
@@ -1006,14 +1016,14 @@ def _universe_snapshot(uni):
 def test_gfp_approx_leaves_the_explored_universe_unchanged(fresh_program):
     program = fresh_program("member")
     assert len(tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms) == 21
-    (uni,) = program._universes.values()
+    uni = kept_universe(program)
     (explored,) = uni.explored.values()
     assert list(uni.explored) == [4]
     before = _universe_snapshot(uni)
     seed = ps.parse_goal(SECOND_SEEDS["member"], program).term
     assert len(tr.gfp_approx(program, 4, tr.InstanceConfig(seed_atoms=(seed,))).atoms) == 23
     assert len(tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms) == 21
-    (kept,) = program._universes.values()
+    kept = kept_universe(program)
     assert kept is uni and list(uni.explored.items()) == [(4, explored)]
     # the seeded call neither read nor filled the universe's bodies
     assert _universe_snapshot(uni) == before
@@ -1034,10 +1044,10 @@ def test_a_depth_too_large_leaves_the_kept_universe_as_it_was(fresh_program, mon
     # one key fewer than depth 6 needs makes it run out after meeting them
     deep = fresh_program("from")
     tr.gfp_approx(deep, 6, tr.InstanceConfig())
-    (deep_uni,) = deep._universes.values()
+    deep_uni = kept_universe(deep)
     program = fresh_program("from")
     tr.gfp_approx(program, 2, tr.InstanceConfig())
-    (uni,) = program._universes.values()
+    uni = kept_universe(program)
     before = _universe_snapshot(uni)
     monkeypatch.setattr(tr, "MAX_ATOMS", len(deep_uni.explored[6].expansions) - 1)
     added = []
@@ -1052,7 +1062,7 @@ def test_a_depth_too_large_leaves_the_kept_universe_as_it_was(fresh_program, mon
         with pytest.raises(UniverseTooLarge):
             tr.gfp_approx(program, 6, tr.InstanceConfig())
     assert any(added)
-    (kept,) = program._universes.values()
+    kept = kept_universe(program)
     assert kept is uni and list(uni.keys) == [2]
     assert _universe_snapshot(uni) == before
 
@@ -1083,7 +1093,7 @@ def test_one_universe_across_depths_matches_a_fresh_program_per_depth(name, fres
             got = _outputs(tr.gfp_approx(shared, depth, cfg), atom, shared.signature)
             want = _outputs(tr.gfp_approx(fresh, depth, cfg), atom, fresh.signature)
             assert got == want, (name, depth, text)
-    (uni,) = shared._universes.values()
+    uni = kept_universe(shared)
     assert sorted(uni.explored) == sorted(depths)
 
 
@@ -1099,7 +1109,7 @@ def test_each_universe_atom_is_justified_once_across_depths(fresh_program, monke
     monkeypatch.setattr(tr, "justifications", counted)
     for depth in (2, 3, 4, 5, 6):
         tr.gfp_approx(program, depth, tr.InstanceConfig())
-    (uni,) = program._universes.values()
+    uni = kept_universe(program)
     assert set(calls) == set(uni.bodies)
     assert set(calls.values()) == {1}
     # a fresh program per depth justifies the shared atoms again
@@ -1114,7 +1124,7 @@ def test_stored_bodies_are_interned_and_equal_a_fresh_recomputation(name, fresh_
     program = fresh_program(name)
     for depth in (2, 4):
         tr.gfp_approx(program, depth, tr.InstanceConfig())
-    (uni,) = program._universes.values()
+    uni = kept_universe(program)
     assert all(uni.atoms[a] is a for a in uni.seeds)
     g = tr.grounding(program, tr.InstanceConfig(), 3)
     for atom, bodies in uni.bodies.items():
@@ -1166,7 +1176,7 @@ def test_a_warm_gfp_approx_renders_only_what_the_depth_did_not_keep(monkeypatch,
     program, plain = fresh_program(name), fresh_program(name)
     tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=(ps.parse_goal(texts[-1], program).term,)))
     tr.gfp_approx(plain, depth, tr.InstanceConfig())
-    (uni,), (plain_uni,) = program._universes.values(), plain._universes.values()
+    uni, plain_uni = kept_universe(program), kept_universe(plain)
     before = _universe_snapshot(uni)
     assert before == _universe_snapshot(plain_uni)
     rendered = []
@@ -1186,7 +1196,7 @@ def test_verify_postfixed_reads_the_universe_gfp_approx_kept(monkeypatch, name, 
     _session_program, _goal, calc, res = regression_proofs[name]
     program, cfg, depth = fresh_program(name), tr.InstanceConfig(), 3
     merged = sd.merge_with_model(sd.build_candidate(res.tree, program, depth, 2, calc), program, cfg)
-    (uni,) = program._universes.values()
+    uni = kept_universe(program)
     rendered, justified = [], []
     _counted(monkeypatch, "_render_body", rendered, at=1)
     _counted(monkeypatch, "justifications", justified)
@@ -1216,6 +1226,81 @@ def test_verify_postfixed_on_kept_state_matches_a_program_that_kept_nothing(regr
                     assert not cold._universes
                     verdicts[interp is merged, got[0]] += 1
     assert verdicts[True, True] == 80 and verdicts[False, False] > 0
+
+
+# TestConservativeExtension's lemma instances, each against its program, and
+# (equal, only_in_original, only_in_extended) of the report at depths 2-5,
+# pinned from the exploration that took the lemma instances as extra clauses
+BITSTREAM_TEXT = (Path(__file__).parent.parent / "src" / "cup" / "corpus" / "bitstream.cup").read_text()
+EXTENSIONS = {
+    "bitstream": (lambda fresh: fresh("bitstream"), ["bitstream [0|n_str 0]"], [(True, [], [])] * 4),
+    "from": (lambda fresh: fresh("from"), ["from 0 (fr_str 0)", "from (s 0) (fr_str (s 0))"], [(True, [], [])] * 4),
+    "alien": (lambda fresh: ps.parse_program(BITSTREAM_TEXT + "const s : i -> i.\n"), ["bit (s 0)"], [
+        (False, [], ["bit(s(*))"]),
+        (False, [], ["bit(s(0))", "bitstream(scons(s(*),scons(*,*)))"]),
+        (False, [], ["bit(s(0))", "bitstream(scons(s(0),scons(s(*),scons(*,*))))"]),
+        (False, [], ["bit(s(0))", "bitstream(scons(s(0),scons(s(0),scons(s(*),scons(*,*)))))"]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_a_lemma_extension_matches_the_reference_and_keeps_nothing_on_the_program(name, fresh_program):
+    load, texts, reports = EXTENSIONS[name]
+    program, plain = load(fresh_program), load(fresh_program)
+    lemmas = [fm.HClause((), (), ps.parse_goal(text, program).term) for text in texts]
+    cfg = tr.InstanceConfig(seed_atoms=tuple(h.head for h in lemmas))
+    for depth, want in zip(range(2, 6), reports):
+        report = sd.conservative_extension_check(program, lemmas, depth)
+        got = report.equal, *(sorted(map(tr.tree_to_text, ts)) for ts in (report.only_in_original, report.only_in_extended))
+        assert got == want, depth
+        # the extended program the check explores, cold and then warm
+        extended = dataclasses.replace(program, clauses=program.clauses + tuple(h.to_formula() for h in lemmas))
+        expected = gfp_approx_reference(extended, depth, cfg)
+        assert _listing(tr.gfp_approx(extended, depth, cfg)) == expected, depth
+        assert _listing(tr.gfp_approx(extended, depth, cfg)) == expected, depth
+        tr.gfp_approx(plain, depth, cfg)
+    # the program keeps what the original model's calls alone keep
+    assert _universe_snapshot(kept_universe(program)) == _universe_snapshot(kept_universe(plain))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_a_kept_pool_is_the_pool_of_its_term_size(name, fresh_program, monkeypatch):
+    # both t_operator calls enumerate the pool in one order, so a lower
+    # instance cap cuts them alike; it keeps fibs' 30-term pool affordable
+    monkeypatch.setattr(tr, "MAX_INSTANCES", 1000)
+    program = fresh_program(name)
+    for size in (3, 2):
+        cfg, cold = tr.InstanceConfig(term_size=size), fresh_program(name)
+        want = [tm.alpha_key(t) for t in tr.universe_terms(cold, cfg)]
+        assert not cold._universes
+        # at size 2, the program keeps the universe of size 3 only
+        assert [tm.alpha_key(t) for t in tr.universe_terms(program, cfg)] == want
+        approx = tr.gfp_approx(program, 2, cfg)
+        assert tr.universe_terms(program, cfg) is program._universes[size].pool
+        assert [tm.alpha_key(t) for t in tr.universe_terms(program, cfg)] == want
+        assert tr.t_operator(program, approx, cfg) == tr.t_operator(cold, approx, cfg)
+        assert not cold._universes
+    assert sorted(program._universes) == [2, 3]
+
+
+def test_the_benchmark_tracer_sees_the_pool_lookups_of_warm_calls(fresh_program):
+    # perfbench/selftest.py wants nonzero trees.universe_terms calls on the
+    # warm traced model and audit rounds: grounding must call it through the
+    # module global that the tracer patches, on every call
+    program, cfg = fresh_program("bitstream"), tr.InstanceConfig()
+    tr.gfp_approx(program, 3, cfg)
+    tracer = tracing.Tracer()
+    tracer.install()
+    patched = list(tracer._saved)
+    try:
+        approx = tr.gfp_approx(program, 3, cfg)
+        assert sd.verify_postfixed(approx, program, cfg) == (True, None)
+    finally:
+        tracer.uninstall()
+    calls = dict(zip(tracer.names, tracer.calls))
+    assert calls["trees.universe_terms"] > 0 and calls["trees.justify"] > 0
+    assert patched and all(getattr(obj, attr) is value for obj, attr, value in patched)
 
 
 def smallest_closed_terms_reference(sig, ty, limit=64):

@@ -193,7 +193,7 @@ class TestConservativeExtension:
         assert any(t.label == "bit" for t in report.only_in_extended)
         # the program keeps the base universe only, and the same report
         # comes back from it
-        assert [depth for uni in prog._universes.values() for depth in uni.explored] == [4]
+        assert list(prog._universes) == [3] and list(prog._universes[3].explored) == [4]
         assert conservative_extension_check(prog, [HClause((), (), alien)], 4) == report
 
     def test_body_must_hold(self, bitstream_program):
