@@ -328,23 +328,16 @@ def _render_body(sig: Signature, b: Term, depth: int, memo: Optional[dict] = Non
 
 def t_operator(program: Program, interp: Interpretation, cfg: InstanceConfig) -> Interpretation:
     """Heads of all enumerated tree-form ground clause instances whose
-    truncated bodies the interpretation contains."""
-    sig = program.signature
-    uni = universe_terms(program, cfg)
-    depth = interp.depth
+    truncated bodies the interpretation contains.  The instances range
+    over the pool; their atoms render through one grounding at the
+    interpretation's depth, so each distinct atom is rendered once."""
+    g = grounding(program, cfg, interp.depth)
     atoms: set[Tree] = set()
     for h in program.h_clauses():
-        for inst in fm.ground_instances(h, uni, MAX_INSTANCES):
-            body_trees = [_render_body(sig, b, depth) for b in inst.body]
-            if any(t is None for t in body_trees):
-                continue
-            if any(t not in interp.atoms for t in body_trees):
-                continue
-            head_tree = _render_body(sig, inst.head, depth)
-            if head_tree is None:
-                continue
-            atoms.add(head_tree)
-    return Interpretation(depth, frozenset(atoms))
+        for inst in fm.ground_instances(h, g.uni.pool, MAX_INSTANCES):
+            if all(g.key(b) in interp.atoms for b in inst.body) and (head := g.key(inst.head)) is not None:
+                atoms.add(head)
+    return Interpretation(interp.depth, frozenset(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -369,33 +362,23 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
 
 
 @dataclass
-class Grounding:
-    """What enumerating clause instances at one depth needs: the clauses
-    renamed apart and, per predicate, those that can match it; the term
-    pool for body variables that a head leaves open; the bodies and this
-    depth's keys (`kept`) the program keeps for the term size, if any; and
-    the truncated key of every other atom rendered so far, with
-    `atom_to_tree`'s memo behind them.  Those two are the grounding's own,
-    so nothing a call renders outlives it unless `gfp_approx` keeps the
-    keys of a newly explored depth, which the memo's interning keeps small."""
+class _Universe:
+    """What every call at one term size shares: the term pool, the clauses
+    renamed apart and, per predicate constant, those that can match it
+    (`by_head`); once `gfp_approx` explores a depth, which keeps the
+    universe on the `Program`, also its seeds, one object per distinct seed
+    or body atom (`atoms`), each such atom's clause-instance bodies, which
+    no depth changes, and per explored depth its state and the key of every
+    atom that exploring it rendered."""
 
-    sig: Signature
-    depth: int
-    renamed: list[RenamedClause]
     pool: list[Term]
-    keys: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
-    memo: dict = field(default_factory=dict, repr=False)
+    renamed: list[RenamedClause]
     by_head: dict[Con, list[RenamedClause]] = field(default_factory=dict, repr=False)
-    kept: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
+    seeds: list[Term] = field(default_factory=list, repr=False)
+    atoms: dict[Term, Term] = field(default_factory=dict, repr=False)
     bodies: dict[Term, tuple[tuple[Term, ...], ...]] = field(default_factory=dict, repr=False)
-
-    def key(self, atom: Term) -> Optional[Tree]:
-        """The atom's truncated tree, None if it does not render; each
-        distinct term is rendered once, and a kept one not at all."""
-        keys = self.kept if atom in self.kept else self.keys
-        if atom not in keys:
-            keys[atom] = _render_body(self.sig, atom, self.depth, self.memo)
-        return keys[atom]
+    explored: dict[int, _Explored] = field(default_factory=dict)
+    keys: dict[int, dict[Term, Optional[Tree]]] = field(default_factory=dict, repr=False)
 
     def clauses(self, atom: Term) -> list[RenamedClause]:
         """The renamed clauses, in order, that can match the atom: all of
@@ -408,29 +391,58 @@ class Grounding:
             self.by_head[head] = [c for c in self.renamed if not isinstance(h := tm.spine(c[0])[0], Con) or h == head]
         return self.by_head[head]
 
+    def bodies_of(self, atom: Term, g: Grounding) -> tuple[tuple[Term, ...], ...]:
+        if atom not in self.bodies:
+            intern = self.atoms.setdefault
+            self.bodies[atom] = tuple(tuple(intern(b, b) for b in body) for body in justifications(atom, g))
+        return self.bodies[atom]
+
+
+@dataclass
+class Grounding:
+    """One depth's view of a universe: the truncated key of every atom it
+    rendered (`keys`), with `atom_to_tree`'s memo behind them, and the keys
+    the universe keeps for the depth (`kept`), which it reads and never
+    renders again.  Its keys and memo are its own, so nothing a call
+    renders outlives it unless `gfp_approx` keeps the keys of a newly
+    explored depth, which the memo's interning keeps small."""
+
+    sig: Signature
+    depth: int
+    uni: _Universe
+    keys: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
+    memo: dict = field(default_factory=dict, repr=False)
+    kept: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
+
+    def key(self, atom: Term) -> Optional[Tree]:
+        """The atom's truncated tree, None if it does not render; each
+        distinct term is rendered once, and a kept one not at all."""
+        keys = self.kept if atom in self.kept else self.keys
+        if atom not in keys:
+            keys[atom] = _render_body(self.sig, atom, self.depth, self.memo)
+        return keys[atom]
+
 
 def grounding(program: Program, cfg: InstanceConfig, depth: int) -> Grounding:
-    """A grounding for the program's clauses.  It reads what the program
-    keeps for the term size, if anything, the pool included; it renders
-    into its own empty keys and memo."""
+    """A grounding at the depth over the universe the program keeps for
+    the term size, reading the keys it keeps for the depth, or else over a
+    new universe that nothing keeps; the only place a universe is built."""
     pool = universe_terms(program, cfg)
-    uni = program._universes.get(cfg.term_size)
-    if uni is None:
-        return Grounding(program.signature, depth, _clauses_with_metas(program.h_clauses()), pool)
-    return Grounding(program.signature, depth, uni.renamed, pool, kept=uni.keys.get(depth, {}), bodies=uni.bodies)
+    uni = program._universes.get(cfg.term_size) or _Universe(pool, _clauses_with_metas(program.h_clauses()))
+    return Grounding(program.signature, depth, uni, kept=uni.keys.get(depth, {}))
 
 
 def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
     """Bodies of clause instances whose head matches the atom, the few body
     variables that the head leaves open enumerated over the pool: a body is
     resolved once per match, and then only those variables per pool value."""
-    for head, body, metas in g.clauses(atom):
+    for head, body, metas in g.uni.clauses(atom):
         s = eng.unify_modulo(head, atom, {}, UNFOLD_BOUND)
         if s is None:
             continue
         unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]
         partial = [eng.resolve_term(b, {k: v for k, v in s.items() if k not in unbound}) for b in body]
-        for combo in itertools.product(g.pool[:BODY_VAR_POOL], repeat=len(unbound)):
+        for combo in itertools.product(g.uni.pool[:BODY_VAR_POOL], repeat=len(unbound)):
             values = dict(zip(unbound, combo))
             resolved = [tm.beta_normalize(eng.resolve_term(b, values)) for b in partial]
             if any(tm.is_meta(n) for r in resolved for n in tm.free_vars(r)):
@@ -441,16 +453,15 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
 def justify(atom: Term, interp: Interpretation, g: Grounding) -> Optional[list[Term]]:
     """Some clause-instance body for this head with every body atom in the
     interpretation; None when no enumerated instance works.  The bodies
-    that the grounding holds for the atom are read, not enumerated again.
-    The grounding must be at the interpretation's depth."""
+    that the universe holds for the atom are read, not enumerated again,
+    and a body is rendered only up to its first atom outside the
+    interpretation.  The grounding must be at the interpretation's depth."""
     if g.depth != interp.depth:
         raise ValueError(f"a grounding at depth {g.depth} cannot justify at depth {interp.depth}")
-    bodies = g.bodies.get(atom)
+    bodies = g.uni.bodies.get(atom)
     for body in justifications(atom, g) if bodies is None else bodies:
-        trees = [g.key(b) for b in body]
-        if any(t is None for t in trees):
-            continue
-        if all(t in interp.atoms for t in trees):
+        # an atom that does not render has the key None, never a member
+        if all(g.key(b) in interp.atoms for b in body):
             return list(body)
     return None
 
@@ -461,7 +472,7 @@ def _universe_seeds(g: Grounding) -> list[Term]:
     for p in g.sig.predicates():
         head = Con(p)
         arity = len(tm.argument_types(g.sig.lookup(p)))
-        for combo in itertools.product(g.pool, repeat=arity):
+        for combo in itertools.product(g.uni.pool, repeat=arity):
             seeds.append(tm.app(head, *combo))
             if len(seeds) >= MAX_UNIVERSE_ATOMS:
                 return seeds
@@ -470,20 +481,18 @@ def _universe_seeds(g: Grounding) -> list[Term]:
 
 @dataclass
 class _Explored:
-    """The state of `gfp_approx`'s worklist: the representatives seen
-    behind each key, (key, alpha key) of each of them, the atoms reached
-    through clause bodies per key, and each key's body expansions."""
+    """The state of `gfp_approx`'s worklist: per key, its representatives
+    by alpha key in the order seen; the atoms reached through clause bodies
+    per key; and each key's body expansions."""
 
-    reps_seen: dict[Tree, list[Term]] = field(default_factory=dict)
-    seen: set[tuple[Tree, str]] = field(default_factory=set)
+    reps: dict[Tree, dict[str, Term]] = field(default_factory=dict)
     derived_count: dict[Tree, int] = field(default_factory=dict)
     expansions: dict[Tree, list[list[Tree]]] = field(default_factory=dict)
 
     def copy(self) -> "_Explored":
         # a body's key list is never appended to once stored
         return _Explored(
-            {k: list(v) for k, v in self.reps_seen.items()},
-            set(self.seen),
+            {k: dict(v) for k, v in self.reps.items()},
             dict(self.derived_count),
             {k: list(v) for k, v in self.expansions.items()},
         )
@@ -493,8 +502,7 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
     """Run the worklist from the seeds until it is empty, last seed first,
     each atom reached through a body in `bodies(atom, g)` pushed on top."""
     work: list[tuple[Term, bool]] = [(a, True) for a in seeds]
-    reps_seen, seen = state.reps_seen, state.seen
-    derived_count, expansions = state.derived_count, state.expansions
+    reps, derived_count, expansions = state.reps, state.derived_count, state.expansions
     while work:
         a, is_seed = work.pop()
         key = g.key(a)
@@ -504,7 +512,8 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
         # unioned.  Seeds are always processed; atoms discovered through
         # clause bodies are capped per key, since body chains can produce
         # unboundedly many terms behind one stabilized truncation.
-        if (key, tm.alpha_key(a)) in seen:
+        alpha = tm.alpha_key(a)
+        if alpha in reps.get(key, ()):
             continue
         if not is_seed and derived_count.get(key, 0) >= 4:
             continue
@@ -513,10 +522,9 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
                 raise UniverseTooLarge(
                     f"atom space exceeded {MAX_ATOMS} truncated atoms; shrink the depth or the universe"
                 )
-            reps_seen[key] = []
+            reps[key] = {}
             expansions[key] = []
-        reps_seen[key].append(a)
-        seen.add((key, tm.alpha_key(a)))
+        reps[key][alpha] = a
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
         for body in bodies(a, g):
@@ -533,32 +541,6 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
                 expansions[key].append(keys)
 
 
-@dataclass
-class _Universe:
-    """What `gfp_approx` keeps on a `Program` per term size: the term pool,
-    its seeds, the clauses renamed apart, one object per distinct seed or
-    body atom (`atoms`), each such atom's clause-instance bodies, which no
-    depth changes, and per explored depth its state and the key of every
-    atom that exploring it rendered."""
-
-    pool: list[Term]
-    seeds: list[Term]
-    renamed: list[RenamedClause]
-    atoms: dict[Term, Term] = field(default_factory=dict, repr=False)
-    bodies: dict[Term, tuple[tuple[Term, ...], ...]] = field(default_factory=dict, repr=False)
-    explored: dict[int, _Explored] = field(default_factory=dict)
-    keys: dict[int, dict[Term, Optional[Tree]]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.seeds = [self.atoms.setdefault(a, a) for a in self.seeds]
-
-    def bodies_of(self, atom: Term, g: Grounding) -> tuple[tuple[Term, ...], ...]:
-        if atom not in self.bodies:
-            intern = self.atoms.setdefault
-            self.bodies[atom] = tuple(tuple(intern(b, b) for b in body) for body in justifications(atom, g))
-        return self.bodies[atom]
-
-
 def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretation:
     """Downward iteration to a fixed point over the atom space reachable
     from the seeds; an over-approximation of the greatest fixed point at
@@ -569,36 +551,34 @@ def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretat
     universe seeds, the predicate atoms over the pool.  Every universe
     seed, and every atom reached from one, is therefore handled before the
     first configured seed, and the state at that point depends on the
-    program, the depth and the term size only.  The program keeps it per
-    depth, with the keys it rendered, in a `_Universe` per term size, with
-    the pool, renamed clauses and bodies all depths share; a call resumes
-    from a copy of it with its own seeds and keys, kept nowhere: the same
-    computation as running the whole stack.  A depth whose exploration
-    raises `UniverseTooLarge` keeps nothing, so every such call raises it."""
+    program, the depth and the term size only.  The universe keeps it per
+    depth, with the keys it rendered, the first explored depth computing
+    the universe seeds, and the program keeps the universe per term size;
+    a call resumes from a copy of the state with its own seeds and keys,
+    kept nowhere: the same computation as running the whole stack.  A
+    depth whose exploration raises `UniverseTooLarge` keeps nothing, so
+    every such call raises it.  Each pass then drops every key that has
+    no body with all its keys alive, until a pass drops none."""
     g = grounding(program, cfg, depth)
-    uni = program._universes.get(cfg.term_size) or _Universe(g.pool, _universe_seeds(g), g.renamed)
-    if depth not in uni.explored:
+    if depth not in g.uni.explored:
         # explored on a copy, kept once complete: a depth that raises
         # UniverseTooLarge keeps nothing
-        uni = replace(uni, atoms=dict(uni.atoms), bodies=dict(uni.bodies), explored=dict(uni.explored), keys=dict(uni.keys))
+        uni = g.uni = replace(g.uni, atoms=dict(g.uni.atoms), bodies=dict(g.uni.bodies),
+                              explored=dict(g.uni.explored), keys=dict(g.uni.keys))
+        if not uni.explored:
+            uni.seeds = [uni.atoms.setdefault(a, a) for a in _universe_seeds(g)]
         explored = _Explored()
         _explore(explored, uni.seeds, g, uni.bodies_of)
         uni.explored[depth], uni.keys[depth] = explored, g.keys
         program._universes[cfg.term_size] = uni
         # the call's own atoms are rendered into keys that it drops
         g.kept, g.keys = g.keys, {}
-    state = uni.explored[depth].copy()
+    state = g.uni.explored[depth].copy()
     _explore(state, list(cfg.seed_atoms), g, justifications)
-
     alive = set(state.expansions)
-    changed = True
-    while changed:
-        changed = False
-        for key in list(alive):
-            if not any(all(k in alive for k in body) for body in state.expansions[key]):
-                alive.discard(key)
-                changed = True
-    return Interpretation(depth, frozenset(alive), {k: tuple(state.reps_seen[k]) for k in alive})
+    while dead := [k for k in alive if not any(alive.issuperset(b) for b in state.expansions[k])]:
+        alive.difference_update(dead)
+    return Interpretation(depth, frozenset(alive), {k: tuple(state.reps[k].values()) for k in alive})
 
 
 IN_APPROX = "InApprox"

@@ -659,7 +659,7 @@ def test_memoised_walk_matches_the_references_on_universe_atoms(name, fresh_prog
 def test_justifications_unify_an_atom_only_with_its_own_predicate(monkeypatch, name, fresh_program):
     program = fresh_program(name)
     g = tr.grounding(program, tr.InstanceConfig(), 3)
-    heads = [tm.spine(head)[0] for head, _body, _metas in g.renamed]
+    heads = [tm.spine(head)[0] for head, _body, _metas in g.uni.renamed]
     calls = []
     real_unify_modulo = eng.unify_modulo
 
@@ -678,7 +678,7 @@ def test_justifications_unify_an_atom_only_with_its_own_predicate(monkeypatch, n
         assert calls == own, tm.brief(atom)
         # the same bodies, in the same order, as trying every clause
         with monkeypatch.context() as m:
-            m.setattr(g, "clauses", lambda _atom: g.renamed)
+            m.setattr(g.uni, "clauses", lambda _atom: g.uni.renamed)
             assert list(tr.justifications(atom, g)) == got, tm.brief(atom)
 
 
@@ -686,12 +686,12 @@ def justifications_reference(atom, g):
     """(body, whether the head left a body variable open) of each clause
     instance, each body resolved from the clause under the head's
     substitution with the open variables bound to one pool combination."""
-    for head, body, metas in g.clauses(atom):
+    for head, body, metas in g.uni.clauses(atom):
         s = eng.unify_modulo(head, atom, {}, tr.UNFOLD_BOUND)
         if s is None:
             continue
         unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]
-        for combo in itertools.product(*[g.pool[:tr.BODY_VAR_POOL] for _ in unbound]):
+        for combo in itertools.product(*[g.uni.pool[:tr.BODY_VAR_POOL] for _ in unbound]):
             s2 = {**s, **dict(zip(unbound, combo))}
             resolved = [tm.beta_normalize(eng.resolve_term(b, s2)) for b in body]
             if not any(tm.is_meta(n) for r in resolved for n in tm.free_vars(r)):
@@ -959,6 +959,40 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, fresh_pr
         assert rendered and len(rendered) == len(set(rendered)), (name, depth)
 
 
+# a dead chain that whole-pass elimination drops one link per pass (t has
+# no clause, so t dies first, then r, q and p), a cycle that stays alive, and
+# a key k with one dead body and one live one
+ELIMINATION_TEXT = """
+const 0 : i.
+const s : i -> i.
+const p : i -> o.
+const q : i -> o.
+const r : i -> o.
+const t : i -> o.
+const c : i -> o.
+const k : i -> o.
+p X :- q X.
+q X :- r X.
+r X :- t X.
+c X :- c X.
+k X :- t X.
+k X :- c X.
+"""
+
+
+def test_whole_pass_elimination_matches_the_in_place_loop_beyond_the_corpus():
+    program = ps.parse_program(ELIMINATION_TEXT)
+    cfg = tr.InstanceConfig()
+    for depth in (2, 3, 4):
+        got = tr.gfp_approx(program, depth, cfg)
+        assert _listing(got) == gfp_approx_reference(program, depth, cfg), depth
+        if depth == 2:
+            assert tr.export_interpretation(got) == "depth 2\nc(0)\nc(s(*))\nk(0)\nk(s(*))\n"
+    assert tr.export_interpretation(got).splitlines()[1:] == [
+        f"{p}({t})" for p in "ck" for t in ("0", "s(0)", "s(s(0))")
+    ]
+
+
 # a second seed for each model case; the member one adds keys to those the
 # universe reaches: 23 atoms at depth 4, against 21 without it
 SECOND_SEEDS = {
@@ -994,8 +1028,7 @@ def test_gfp_approx_on_an_explored_universe_matches_fresh_and_reference(
 
 def _snapshot(explored):
     return (
-        {k: tuple(v) for k, v in explored.reps_seen.items()},
-        frozenset(explored.seen),
+        {k: tuple(v.items()) for k, v in explored.reps.items()},
         dict(explored.derived_count),
         {k: tuple(tuple(body) for body in v) for k, v in explored.expansions.items()},
     )
@@ -1282,6 +1315,36 @@ def test_a_kept_pool_is_the_pool_of_its_term_size(name, fresh_program, monkeypat
         assert tr.t_operator(program, approx, cfg) == tr.t_operator(cold, approx, cfg)
         assert not cold._universes
     assert sorted(program._universes) == [2, 3]
+
+
+def t_operator_reference(program, interp, cfg):
+    """T with no grounding: every atom of every instance rendered anew."""
+    atoms = set()
+    for h in program.h_clauses():
+        for inst in fm.ground_instances(h, tr.universe_terms(program, cfg), tr.MAX_INSTANCES):
+            trees = [tr._render_body(program.signature, b, interp.depth) for b in inst.body + (inst.head,)]
+            if None not in trees and all(t in interp.atoms for t in trees[:-1]):
+                atoms.add(trees[-1])
+    return tr.Interpretation(interp.depth, frozenset(atoms))
+
+
+@pytest.mark.parametrize("name", ["bitstream", "from", "member"])
+def test_t_operator_renders_each_distinct_atom_at_most_once_per_call(name, fresh_program, monkeypatch):
+    # on a cold program every atom is rendered; on the program whose model
+    # it is, only those the depth did not keep.  Comember's instances cost
+    # seconds per call; test_a_kept_pool_is_the_pool_of_its_term_size
+    # compares its warm and cold T
+    program, cfg = fresh_program(name), tr.InstanceConfig()
+    for depth in (2, 3):
+        approx = tr.gfp_approx(program, depth, cfg)
+        want = t_operator_reference(program, approx, cfg)
+        for target in (fresh_program(name), program):
+            rendered = []
+            with monkeypatch.context() as m:
+                _counted(m, "_render_body", rendered, at=1)
+                assert tr.t_operator(target, approx, cfg) == want, (name, depth)
+            assert rendered and len(rendered) == len(set(rendered)), (name, depth)
+        assert not set(rendered) & program._universes[3].keys[depth].keys()
 
 
 def test_the_benchmark_tracer_sees_the_pool_lookups_of_warm_calls(fresh_program):
