@@ -30,7 +30,7 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-DEFAULTS = {"depth": 32, "fixbeta_bound": 8, "model_depth": 4, "word_budget": 3}
+DEFAULTS = {"depth": 32, "fixbeta_bound": tm.UNFOLD_BOUND, "model_depth": 4, "word_budget": 3}
 ENV = {
     "depth": "CUP_DEPTH",
     "fixbeta_bound": "CUP_FIXBETA_BOUND",
@@ -154,6 +154,7 @@ def cmd_coprove(args) -> int:
 def cmd_prove(args) -> int:
     program = _load_program(args.program)
     goal = ps.parse_goal(args.goal, program)
+    config = _search_config(args)
     store = eng.LemmaStore()
     for path in args.use_lemma or []:
         with open(path, "r", encoding="utf-8") as fh:
@@ -161,8 +162,8 @@ def cmd_prove(args) -> int:
         hs = fm.to_h_clauses(proof.sequent.goal)
         if len(hs) != 1:
             raise CupError(f"lemma proof in {path} is not H-shaped")
-        store = eng.promote_lemma(program, hs[0], proof, store)
-    outcome = eng.prove(program, store, goal, _search_config(args))
+        store = eng.promote_lemma(program, hs[0], proof, store, config.fixbeta_bound)
+    outcome = eng.prove(program, store, goal, config)
     return _report_search(args, outcome, program)
 
 

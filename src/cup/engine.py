@@ -142,7 +142,7 @@ def _sequent_equal(a: Sequent, b: Sequent) -> bool:
 class SearchConfig:
     calculus: Calculus
     depth_limit: int = 32
-    fixbeta_bound: int = 8
+    fixbeta_bound: int = tm.UNFOLD_BOUND
 
     def __post_init__(self):
         if self.depth_limit < 1:
@@ -571,7 +571,7 @@ def check(
     tree: ProofTree,
     program: Program,
     calculus: Calculus,
-    fixbeta_bound: int = 8,
+    fixbeta_bound: int = tm.UNFOLD_BOUND,
 ) -> tuple[bool, Optional[str]]:
     """Verify that every node instantiates exactly one rule with all side
     conditions; returns (ok, first-failure diagnostic).
@@ -684,10 +684,12 @@ def promote_lemma(
     lemma: HClause,
     proof: ProofTree,
     store: LemmaStore,
+    fixbeta_bound: int = tm.UNFOLD_BOUND,
 ) -> LemmaStore:
-    """Record a coinductively proven lemma; DECIDE may use it afterwards,
-    the guarded DECIDE never does."""
-    ok, diag = check(proof, program, Calculus.HOHH)
+    """Record a coinductively proven lemma, checked in co-hohh at the
+    fix unfolding bound; DECIDE may use it afterwards, the guarded DECIDE
+    never does."""
+    ok, diag = check(proof, program, Calculus.HOHH, fixbeta_bound)
     if not ok:
         raise ProofInvalid(f"lemma proof does not check: {diag}")
     if proof.sequent.mode != COINDUCTIVE:

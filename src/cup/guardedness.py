@@ -127,7 +127,7 @@ def is_guarded_full(sig: Signature, t: Term) -> bool:
     )
 
 
-def _fold_candidates(sig: Signature, t: Term, bound: int) -> bool:
+def _fold_candidates(sig: Signature, t: Term) -> bool:
     """Bounded search for a directly guarded full term fix-beta-equal to t."""
     fixes = [u for u in tm.subterms(t) if isinstance(u, Fix) and is_guarded_fixed_point(sig, u).verdict]
     if not fixes:
@@ -147,19 +147,19 @@ def _fold_candidates(sig: Signature, t: Term, bound: int) -> bool:
         arity = len(tm.argument_types(tm.typecheck(sig, {}, fx)))
         for combo in itertools.product(pool, repeat=arity):
             cand = tm.app(fx, *combo)
-            if tm.fixbeta_equiv(t, cand, bound) == EQUAL:
+            if tm.fixbeta_equiv(t, cand, tm.UNFOLD_BOUND) == EQUAL:
                 return True
     return False
 
 
-def is_guarded_full_ext(sig: Signature, t: Term, bound: int = 8) -> bool:
+def is_guarded_full_ext(sig: Signature, t: Term) -> bool:
     """Guarded full, possibly after folding back a bounded number of
     fix unfoldings (the fix-beta-equivalence allowance on guarded atoms)."""
     if is_guarded_full(sig, t):
         return True
     if not tm.has_fix(t):
         return False
-    return _fold_candidates(sig, t, bound)
+    return _fold_candidates(sig, t)
 
 
 def atom_parts(sig: Signature, t: Term) -> tuple[str, list[Term]]:
@@ -175,13 +175,13 @@ def atom_parts(sig: Signature, t: Term) -> tuple[str, list[Term]]:
     return head.name, args
 
 
-def is_guarded_atom(sig: Signature, t: Term, bound: int = 8) -> bool:
+def is_guarded_atom(sig: Signature, t: Term) -> bool:
     """Rigid atom with first-order predicate head whose arguments are all
     guarded full terms, possibly up to bounded fix-beta equivalence."""
     name, args = atom_parts(sig, t)
     if not sig.is_first_order_predicate(name):
         return False
-    return all(is_guarded_full_ext(sig, a, bound) for a in args)
+    return all(is_guarded_full_ext(sig, a) for a in args)
 
 
 def _snap_term(sig: Signature, t: Term) -> Term:

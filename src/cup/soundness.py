@@ -40,18 +40,18 @@ class DeltaRecord:
 ThetaIndex = tuple[int, ...]
 
 
-def replace_con(t: Term, name: str, value: Term) -> Term:
-    """Substitute a term for a constant; eigenvariables are constants that
-    the model construction treats as free variables."""
+def replace_cons(t: Term, values: dict[str, Term]) -> Term:
+    """Substitute terms for constants in one walk; eigenvariables are
+    constants that the model construction treats as free variables."""
     if isinstance(t, Con):
-        return value if t.name == name else t
-    if isinstance(t, Var):
+        return values.get(t.name, t)
+    if isinstance(t, Var) or not values:
         return t
     if isinstance(t, App):
-        return App(replace_con(t.fn, name, value), replace_con(t.arg, name, value))
+        return App(replace_cons(t.fn, values), replace_cons(t.arg, values))
     if isinstance(t, Lam):
-        return Lam(t.var, replace_con(t.body, name, value))
-    return Fix(replace_con(t.body, name, value))
+        return Lam(t.var, replace_cons(t.body, values))
+    return Fix(replace_cons(t.body, values))
 
 
 def _root_h_clause(proof: eng.ProofTree) -> HClause:
@@ -61,17 +61,6 @@ def _root_h_clause(proof: eng.ProofTree) -> HClause:
     if len(hs) != 1:
         raise NotHShapedRoot(f"coinductive goal splits into {len(hs)} H-formulae, expected exactly one")
     return hs[0]
-
-
-def _root_eigens(proof: eng.ProofTree, m: int) -> list[str]:
-    eigens: list[str] = []
-    node = proof.children[0] if proof.children else None
-    while node is not None and node.rule in ("forall-r<>", "forall-r") and len(eigens) < m:
-        eigens.append(node.eigen)
-        node = node.children[0] if node.children else None
-    if len(eigens) != m:
-        raise NotHShapedRoot(f"expected {m} universal steps at the root, found {len(eigens)}")
-    return eigens
 
 
 def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = Calculus.HOHH) -> list[DeltaRecord]:
@@ -89,10 +78,7 @@ def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = 
         focus = node.children[0].sequent.focus
         if focus is None or not formula_alpha_eq(focus, ch):
             continue
-        entry_srcs = [
-            e.src for e in node.sequent.entries if formula_alpha_eq(e.formula, focus)
-        ]
-        if eng.Src.COHYP not in entry_srcs:
+        if not any(e.src == eng.Src.COHYP and formula_alpha_eq(e.formula, focus) for e in node.sequent.entries):
             continue
         witnesses: list[Term] = []
         cur = node.children[0]
@@ -130,13 +116,7 @@ def theta_term(
     j = w[-1]
     if not 1 <= j <= len(deltas):
         raise MissingEigenvariableBinding(f"word index {j} has no delta record")
-    out: dict[str, Term] = {}
-    for c, (_x, l_term) in zip(eigens, deltas[j - 1].bindings):
-        t = l_term
-        for e in eigens:
-            t = replace_con(t, e, prev[e])
-        out[c] = tm.beta_normalize(t)
-    return out
+    return {c: tm.beta_normalize(replace_cons(l_term, prev)) for c, (_x, l_term) in zip(eigens, deltas[j - 1].bindings)}
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +133,17 @@ def _words(s: int, budget: int) -> list[ThetaIndex]:
     return out
 
 
-def _guarded_segment(proof: eng.ProofTree) -> tuple[eng.ProofTree, Optional[eng.ProofTree]]:
-    """The guarded DECIDE node of the root derivation and, for rule-shaped
-    clauses, the side subproof of its implication step (None for facts)."""
+def _guarded_segment(proof: eng.ProofTree, m: int) -> tuple[list[str], eng.ProofTree, Optional[eng.ProofTree]]:
+    """The eigenvariables of the root derivation's m leading universal
+    steps, its guarded DECIDE node and, for rule-shaped clauses, the side
+    subproof of its implication step (None for facts)."""
+    eigens: list[str] = []
     node = proof.children[0]
+    while node.rule == "forall-r<>" and len(eigens) < m:
+        eigens.append(node.eigen)
+        node = node.children[0]
+    if len(eigens) != m:
+        raise NotHShapedRoot(f"expected {m} universal steps at the root, found {len(eigens)}")
     while node.rule in ("forall-r<>", "imp-r<>"):
         node = node.children[0]
     if node.rule != "decide<>":
@@ -166,9 +153,9 @@ def _guarded_segment(proof: eng.ProofTree) -> tuple[eng.ProofTree, Optional[eng.
     while node.rule in ("forall-l<>", "and-l<>"):
         node = node.children[0]
     if node.rule == "initial<>":
-        return decide, None
+        return eigens, decide, None
     if node.rule == "imp-l<>":
-        return decide, node.children[1]
+        return eigens, decide, node.children[1]
     raise NotHShapedRoot(f"unexpected rule {node.rule} under the guarded focus")
 
 
@@ -201,46 +188,33 @@ def build_candidate(
     post-fixed point must cover."""
     h = _root_h_clause(proof)
     deltas = collect_deltas(proof, program, calculus)
-    eigens = _root_eigens(proof, len(h.universals))
-    decide, side = _guarded_segment(proof)
+    eigens, decide, side = _guarded_segment(proof, len(h.universals))
     # once the word substitutions are applied, every atom is closed over the
     # base signature; eigenvariables never reach the model side
     sig = program.signature
     base_terms = _default_base(program, eigens)
 
-    atoms_c: list[Term] = [decide.sequent.goal.term]
-    seen = {tm.alpha_key(atoms_c[0])}
+    # one atom per alpha key, the guarded goal's first
+    goal = decide.sequent.goal.term
+    atoms_c = {tm.alpha_key(goal): goal}
     if side is not None:
         for node in side.nodes():
             if isinstance(node.sequent.goal, fm.Atom):
-                t = node.sequent.goal.term
-                if tm.alpha_key(t) not in seen:
-                    seen.add(tm.alpha_key(t))
-                    atoms_c.append(t)
+                atoms_c.setdefault(tm.alpha_key(node.sequent.goal.term), node.sequent.goal.term)
 
     atom_trees: set[tr.Tree] = set()
     reps: dict[tr.Tree, tuple[Term, ...]] = {}
     memo: dict = {}
     for w in _words(len(deltas), word_budget):
         th = theta_term(w, deltas, eigens, base_terms)
-        for a in atoms_c:
-            inst = a
-            for e in eigens:
-                inst = replace_con(inst, e, th[e])
-            inst = tm.beta_normalize(inst)
+        for a in atoms_c.values():
+            inst = tm.beta_normalize(replace_cons(a, th))
             tree = tr.atom_to_tree(sig, inst, depth, memo)
             atom_trees.add(tree)
             reps.setdefault(tree, (inst,))
 
-    th0 = theta_term((), deltas, eigens, base_terms)
-    side_atoms: list[Term] = []
-    for b in h.body:
-        inst = b
-        for x, c in zip(h.universals, eigens):
-            inst = tm.subst1(inst, x, Con(c))
-        for e in eigens:
-            inst = replace_con(inst, e, th0[e])
-        side_atoms.append(tm.beta_normalize(inst))
+    base = [(x, base_terms[c]) for x, c in zip(h.universals, eigens)]
+    side_atoms = [tm.beta_normalize(tm.substitute(b, base)) for b in h.body]
 
     interp = tr.Interpretation(depth, frozenset(atom_trees), reps)
     return Candidate(interp, side_atoms, deltas)
@@ -271,23 +245,16 @@ def verify_postfixed(
 
 def merge_with_model(cand: Candidate, program: Program, cfg: tr.InstanceConfig) -> tr.Interpretation:
     """Union the candidate with the model approximation standing in for the
-    post-fixed point that covers the side body instances.  Each member's
-    representatives are the approximation's, then the candidate's that are
-    not alpha-equal to one of them."""
-    depth = cand.interpretation.depth
-    seeds = tuple(t for reps in cand.interpretation.reps.values() for t in reps) + tuple(cand.side_atoms)
-    approx = tr.gfp_approx(program, depth, replace(cfg, seed_atoms=seeds))
-    atoms = cand.interpretation.atoms | approx.atoms
-    reps: dict[tr.Tree, tuple[Term, ...]] = {}
-    for key in atoms:
-        merged = list(approx.reps.get(key, ()))
-        seen = {tm.alpha_key(u) for u in merged}
-        for t in cand.interpretation.reps.get(key, ()):
-            if tm.alpha_key(t) not in seen:
-                seen.add(tm.alpha_key(t))
-                merged.append(t)
-        reps[key] = tuple(merged)
-    return tr.Interpretation(depth, frozenset(atoms), reps)
+    post-fixed point that covers the side body instances.  A member keeps
+    the approximation's representatives where the approximation keeps it,
+    else the candidate's.  No candidate representative is lost: the
+    approximation is seeded with every one, and `gfp_approx`'s worklist
+    skips a seed only when an alpha-equal atom is already listed under its
+    key, so a key the approximation keeps lists each of them."""
+    interp = cand.interpretation
+    seeds = tuple(t for reps in interp.reps.values() for t in reps) + tuple(cand.side_atoms)
+    approx = tr.gfp_approx(program, interp.depth, replace(cfg, seed_atoms=seeds))
+    return tr.Interpretation(interp.depth, interp.atoms | approx.atoms, {**interp.reps, **approx.reps})
 
 
 @dataclass

@@ -653,6 +653,10 @@ def fair_unfold(t: Term) -> Term:
 # Bounded fix-beta equivalence
 # ---------------------------------------------------------------------------
 
+# Fix unfoldings per side that a bounded match tries: the one default of
+# every such bound, `--fixbeta-bound` included.
+UNFOLD_BOUND = 8
+
 EQUAL = "Equal"
 NOT_EQUAL = "NotEqual"
 UNKNOWN = "Unknown"
@@ -749,7 +753,7 @@ class UnfoldingWalk:
                 return
 
 
-def fixbeta_equiv(t1: Term, t2: Term, bound: int = 8) -> str:
+def fixbeta_equiv(t1: Term, t2: Term, bound: int = UNFOLD_BOUND) -> str:
     """Three-valued bounded test for fix-beta equivalence.
 
     Equal if some pair of the unfolding walk is alpha-equal; NotEqual if a

@@ -216,9 +216,6 @@ class Interpretation:
     atoms: frozenset[Tree]
     reps: dict[Tree, tuple[Term, ...]] = field(default_factory=dict, compare=False, hash=False, repr=False)
 
-    def __contains__(self, t: Tree) -> bool:
-        return truncate(t, self.depth) in self.atoms
-
 
 def export_interpretation(interp: Interpretation) -> str:
     lines = sorted(tree_to_text(t) for t in interp.atoms)
@@ -240,13 +237,12 @@ def import_interpretation(text: str) -> Interpretation:
 
 # Caps on the enumeration: universe terms, truncated atoms in `gfp_approx`,
 # atoms seeded from the universe, ground instances per clause in
-# `t_operator`, fix unfoldings per match, and pool terms tried per body
-# variable that a clause head leaves open.
+# `t_operator`, and pool terms tried per body variable that a clause head
+# leaves open.
 MAX_TERMS = 200
 MAX_ATOMS = 4000
 MAX_UNIVERSE_ATOMS = 600
 MAX_INSTANCES = 20000
-UNFOLD_BOUND = 8
 BODY_VAR_POOL = 24
 
 
@@ -437,7 +433,7 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
     variables that the head leaves open enumerated over the pool: a body is
     resolved once per match, and then only those variables per pool value."""
     for head, body, metas in g.uni.clauses(atom):
-        s = eng.unify_modulo(head, atom, {}, UNFOLD_BOUND)
+        s = eng.unify_modulo(head, atom, {}, tm.UNFOLD_BOUND)
         if s is None:
             continue
         unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]

@@ -269,6 +269,24 @@ class TestProofPipeline:
         ])
         assert code == EXIT_OK
 
+    def test_prove_checks_a_lemma_at_the_fixbeta_bound(self, tmp_path, capsys):
+        # the lemma's initial step matches only past 8 unfoldings
+        prog = tmp_path / "pz.cup"
+        prog.write_text(
+            "const 0 : i. const scons : i -> i -> i. const p : i -> o.\n"
+            "def z_str = fix \\x. scons 0 x.\n"
+            "p [0|0|0|0|0|0|0|0|0|0|X].\n"
+        )
+        lemma = tmp_path / "pz.json"
+        search = ["--calculus", "co-hohh", "--program", str(prog), "--goal", "p z_str"]
+        assert run(["coprove", *search, "--fixbeta-bound", "12", "--emit-proof", str(lemma)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["prove", *search, "--use-lemma", str(lemma), "--fixbeta-bound", "12", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["result"] == "proved" and payload["proof_nodes"] == 2
+        assert run(["prove", *search, "--use-lemma", str(lemma), "--fixbeta-bound", "8"]) == EXIT_USAGE
+        assert "lemma proof does not check: root.0.0.0: initial atoms are not fix-beta equal" in capsys.readouterr().err
+
 
 class TestModel:
     def test_membership_evidence(self, capsys):

@@ -687,7 +687,7 @@ def justifications_reference(atom, g):
     instance, each body resolved from the clause under the head's
     substitution with the open variables bound to one pool combination."""
     for head, body, metas in g.uni.clauses(atom):
-        s = eng.unify_modulo(head, atom, {}, tr.UNFOLD_BOUND)
+        s = eng.unify_modulo(head, atom, {}, tm.UNFOLD_BOUND)
         if s is None:
             continue
         unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]
@@ -1259,6 +1259,48 @@ def test_verify_postfixed_on_kept_state_matches_a_program_that_kept_nothing(regr
                     assert not cold._universes
                     verdicts[interp is merged, got[0]] += 1
     assert verdicts[True, True] == 80 and verdicts[False, False] > 0
+
+
+def merge_with_model_reference(cand, program, cfg):
+    """The merge as a loop over the members: the approximation's
+    representatives, then the candidate's not alpha-equal to one of them."""
+    depth = cand.interpretation.depth
+    seeds = tuple(t for reps in cand.interpretation.reps.values() for t in reps) + tuple(cand.side_atoms)
+    approx = tr.gfp_approx(program, depth, dataclasses.replace(cfg, seed_atoms=seeds))
+    atoms = cand.interpretation.atoms | approx.atoms
+    reps = {}
+    for key in atoms:
+        merged = list(approx.reps.get(key, ()))
+        seen = {tm.alpha_key(u) for u in merged}
+        for t in cand.interpretation.reps.get(key, ()):
+            if tm.alpha_key(t) not in seen:
+                seen.add(tm.alpha_key(t))
+                merged.append(t)
+        reps[key] = tuple(merged)
+    return tr.Interpretation(depth, frozenset(atoms), reps), approx
+
+
+def test_merge_takes_the_representatives_the_seeded_approximation_lists(regression_proofs):
+    # on the acceptance grid, every candidate representative of a key the
+    # approximation keeps is listed there, so the merge matches the loop
+    cfg = tr.InstanceConfig()
+    kept = 0
+    for name, (program, _goal, calc, res) in regression_proofs.items():
+        for depth in range(2, 7):
+            for budget in range(4):
+                cand = sd.build_candidate(res.tree, program, depth, budget, calc)
+                want, approx = merge_with_model_reference(cand, program, cfg)
+                for key, reps in cand.interpretation.reps.items():
+                    if key in approx.atoms:
+                        kept += 1
+                        listed = {tm.alpha_key(u) for u in approx.reps[key]}
+                        assert {tm.alpha_key(t) for t in reps} <= listed, (name, depth, budget, key)
+                got = sd.merge_with_model(cand, program, cfg)
+                assert got.depth == want.depth and got.atoms == want.atoms, (name, depth, budget)
+                assert got.reps.keys() == want.reps.keys(), (name, depth, budget)
+                for key, reps in want.reps.items():
+                    assert list(map(repr, got.reps[key])) == list(map(repr, reps)), (name, depth, budget, key)
+    assert kept > 0
 
 
 # TestConservativeExtension's lemma instances, each against its program, and
