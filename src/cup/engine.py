@@ -41,7 +41,7 @@ from .formulas import (
     in_fragment,
     map_atoms,
 )
-from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var
+from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var, frozen_slots
 
 PLAIN = "plain"
 COINDUCTIVE = "coinductive"
@@ -59,13 +59,13 @@ _DECIDE_ORDER = {Src.ORIGINAL: 0, Src.LEMMA: 1, Src.HYPOTHESIS: 2, Src.COHYP: 3}
 _SAME = object()  # a field `Sequent.with_` keeps
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Entry:
     formula: Formula
     src: Src
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Sequent:
     signature: Signature
     entries: tuple[Entry, ...]
@@ -90,7 +90,7 @@ class Sequent:
         )
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class ProofTree:
     sequent: Sequent
     rule: str

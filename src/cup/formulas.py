@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from . import terms as tm
 from .errors import CupError, IllTyped, NonHConvertibleClause, UsageError
-from .terms import App, Con, Context, IOTA, Lam, O, Signature, SimpleType, Term, Var
+from .terms import App, Con, Context, IOTA, Lam, O, Signature, SimpleType, Term, Var, frozen_slots
 
 
 class Calculus(enum.Enum):
@@ -49,52 +49,51 @@ ALL_CALCULI = frozenset(Calculus)
 
 # Every formula node caches its alpha key on first request, as term nodes do
 # (see `formula_key`).  The cached field takes no part in equality, hash or
-# repr; until the key is set it reads the class's default, so building a
-# node costs no more than before.
+# repr; the constructor sets it to None with the node's own fields.
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class _FNode:
     _ak: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Atom(_FNode):
     term: Term
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Top(_FNode):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Conj(_FNode):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Disj(_FNode):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Impl(_FNode):
     # antecedent => consequent
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Forall(_FNode):
     var: str
     ty: SimpleType
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Exists(_FNode):
     var: str
     ty: SimpleType

@@ -65,11 +65,15 @@ def _root_h_clause(proof: eng.ProofTree) -> HClause:
 
 def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = Calculus.HOHH) -> list[DeltaRecord]:
     """One record per DECIDE on the coinductive hypothesis, bindings read
-    off the universal-instantiation chain at that site."""
+    off the universal-instantiation chain at that site.  Once the proof
+    checks, the root derivation's shape is checked before any use, so a
+    root whose universals are not all leading is blamed for that
+    (`NotHShapedRoot`), not the uses under it."""
     ok, diag = eng.check(proof, program, calculus)
     if not ok:
         raise ProofInvalid(f"proof does not check: {diag}")
     h = _root_h_clause(proof)
+    _guarded_segment(proof, len(h.universals))
     ch = proof.sequent.goal
     records: list[DeltaRecord] = []
     for node in proof.nodes():

@@ -9,7 +9,7 @@ All values are immutable and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Iterator, Optional
 
@@ -23,11 +23,44 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+
+def frozen_slots(cls):
+    """`cls` as a frozen dataclass with slots, so its instances carry no
+    `__dict__`, built in one step: unless `cls` writes its own `__init__`,
+    the one made here sets every field, an init=False one to its default,
+    through the slot setters (see `_slot_setters`), where a frozen
+    dataclass's own calls `object.__setattr__` once per field by name."""
+    own = "__init__" in cls.__dict__
+    cls = dataclass(frozen=True, slots=True)(cls)
+    if not own:
+        ns, params, body = {}, [], []
+        for i, f in enumerate(fields(cls)):
+            ns[f"set{i}"], ns[f"d{i}"] = getattr(cls, f.name).__set__, f.default
+            if f.init:
+                params.append(f.name if f.default is MISSING else f"{f.name}=d{i}")
+            if f.init or f.default is not MISSING:
+                body.append(f"set{i}(self, {f.name if f.init else f'd{i}'})")
+        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), ns)
+        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = ns["__init__"]
+    return cls
+
+
+def _slot_setters(cls) -> tuple:
+    """The setters of the slots `cls` itself declares, in order: each
+    writes its field in one call, past a frozen class's `__setattr__`."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+# ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Base:
     """A type variable such as o or i (the individual type)."""
 
@@ -37,7 +70,7 @@ class Base:
         return self.name
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Arrow:
     arg: "SimpleType"
     res: "SimpleType"
@@ -96,12 +129,13 @@ def type_mentions(ty: SimpleType, base: Base) -> bool:
 # variable names and whether it is beta-normal once, from its children's
 # cached values, so each costs O(1) however deep the term; the alpha key is
 # computed on first request.  The cached fields take no part in equality or
-# repr.  Build terms only through these constructors.
+# repr.  Each constructor sets the node's fields and facts through the slot
+# setters, in the one call; build terms only through these constructors.
 
 _CLOSED: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class _Node:
     _hash: int = field(init=False, repr=False, compare=False)
     _fix: bool = field(init=False, repr=False, compare=False)
@@ -113,63 +147,83 @@ class _Node:
         return self._hash
 
 
-def _facts(node: _Node, h: int, fix: bool, fv: frozenset[str], nf: bool) -> None:
-    # through object.__setattr__, as the node is frozen; reading __dict__
-    # instead would make every node carry a dict object of its own
-    object.__setattr__(node, "_hash", h)
-    object.__setattr__(node, "_fix", fix)
-    object.__setattr__(node, "_fv", fv)
-    object.__setattr__(node, "_nf", nf)
-    object.__setattr__(node, "_ak", None)
+_HASH, _FIX, _FV, _NF, _AK = _slot_setters(_Node)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Var(_Node):
     name: str
 
-    def __post_init__(self):
-        _facts(self, hash((self.name,)), False, frozenset((self.name,)), True)
+    def __init__(self, name: str):
+        _VAR_NAME(self, name)
+        _HASH(self, hash((name,)))
+        _FIX(self, False)
+        _FV(self, frozenset((name,)))
+        _NF(self, True)
+        _AK(self, None)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Con(_Node):
     name: str
 
-    def __post_init__(self):
-        _facts(self, hash((self.name,)), False, _CLOSED, True)
+    def __init__(self, name: str):
+        _CON_NAME(self, name)
+        _HASH(self, hash((name,)))
+        _FIX(self, False)
+        _FV(self, _CLOSED)
+        _NF(self, True)
+        _AK(self, None)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class App(_Node):
     fn: "Term"
     arg: "Term"
 
-    def __post_init__(self):
-        fn, arg = self.fn, self.arg
+    def __init__(self, fn: "Term", arg: "Term"):
         a, b = fn._fv, arg._fv
-        fv = a | b if a and b and a is not b else a or b
+        _APP_FN(self, fn)
+        _APP_ARG(self, arg)
+        _HASH(self, hash((fn, arg)))
+        _FIX(self, fn._fix or arg._fix)
+        _FV(self, a | b if a and b and a is not b else a or b)
         # an abstraction applied to an argument is a redex
-        _facts(self, hash((fn, arg)), fn._fix or arg._fix, fv, fn._nf and arg._nf and not isinstance(fn, Lam))
+        _NF(self, fn._nf and arg._nf and not isinstance(fn, Lam))
+        _AK(self, None)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Lam(_Node):
     var: str
     body: "Term"
 
-    def __post_init__(self):
-        body = self.body
-        fv = body._fv - {self.var} if self.var in body._fv else body._fv
-        _facts(self, hash((self.var, body)), body._fix, fv, body._nf)
+    def __init__(self, var: str, body: "Term"):
+        _LAM_VAR(self, var)
+        _LAM_BODY(self, body)
+        _HASH(self, hash((var, body)))
+        _FIX(self, body._fix)
+        _FV(self, body._fv - {var} if var in body._fv else body._fv)
+        _NF(self, body._nf)
+        _AK(self, None)
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class Fix(_Node):
     body: "Term"  # must be a Lam for well-typed terms
 
-    def __post_init__(self):
-        _facts(self, hash((self.body,)), True, self.body._fv, self.body._nf)
+    def __init__(self, body: "Term"):
+        _FIX_BODY(self, body)
+        _HASH(self, hash((body,)))
+        _FIX(self, True)
+        _FV(self, body._fv)
+        _NF(self, body._nf)
+        _AK(self, None)
 
+
+# the setters of each node's own fields, which its constructor calls
+(_VAR_NAME,), (_CON_NAME,), (_APP_FN, _APP_ARG), (_LAM_VAR, _LAM_BODY), (_FIX_BODY,) = map(
+    _slot_setters, (Var, Con, App, Lam, Fix))
 
 # @dataclass gives each class a structural hash of its own; use the cached one
 for _cls in (Var, Con, App, Lam, Fix):
@@ -321,7 +375,7 @@ def _de_bruijn(t: Term, env: dict[str, int], depth: int) -> str:
     else:
         key = "f" + _de_bruijn(t.body, env, depth)
     if own:
-        object.__setattr__(t, "_ak", key)
+        _AK(t, key)
     return key
 
 
@@ -432,7 +486,7 @@ Context = dict[str, SimpleType]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen_slots
 class _TMeta:
     ident: int
 
@@ -453,10 +507,12 @@ class _Infer:
         return _TMeta(self.next_meta)
 
     def resolve(self, ty: _InfType) -> _InfType:
+        """ty with every solved unknown put in; ty itself where none is."""
         while isinstance(ty, _TMeta) and ty.ident in self.sol:
             ty = self.sol[ty.ident]
         if isinstance(ty, Arrow):
-            return Arrow(self.resolve(ty.arg), self.resolve(ty.res))
+            arg, res = self.resolve(ty.arg), self.resolve(ty.res)
+            return ty if arg is ty.arg and res is ty.res else Arrow(arg, res)
         return ty
 
     def _occurs(self, ident: int, ty: _InfType) -> bool:

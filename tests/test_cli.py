@@ -257,6 +257,21 @@ class TestProofPipeline:
         assert payload["verified"] is True
         assert payload["coinductive_hypothesis_uses"] == 1
 
+    def test_soundness_blames_a_root_whose_universals_are_not_all_leading(self, tmp_path, capsys):
+        # the proof checks, and its hypothesis use stops at the implication
+        # before the second universal: the root's shape is at fault
+        out = tmp_path / "p.json"
+        assert run([
+            "coprove", "--calculus", "co-fohh", "--program", corpus("comember.cup"),
+            "--goal", "forall y. bit y => forall s. comember_bit y s", "--emit-proof", str(out),
+        ]) == EXIT_OK
+        check = ["check-proof", "--calculus", "co-fohh", "--program", corpus("comember.cup"), "--proof", str(out)]
+        assert run(check) == EXIT_OK
+        capsys.readouterr()
+        code = run(["soundness", "--program", corpus("comember.cup"), "--proof", str(out)])
+        assert code == EXIT_USAGE
+        assert "expected 2 universal steps at the root, found 1" in capsys.readouterr().err
+
     def test_prove_with_lemma_file(self, tmp_path, capsys):
         lemma = tmp_path / "lemma.json"
         run([

@@ -375,6 +375,52 @@ def test_memoised_first_order_agrees_with_report():
 
 
 # ---------------------------------------------------------------------------
+# type resolution
+# ---------------------------------------------------------------------------
+
+
+def type_resolve_reference(inf, ty):
+    """Resolves solved type unknowns, rebuilding every arrow."""
+    while isinstance(ty, tm._TMeta) and ty.ident in inf.sol:
+        ty = inf.sol[ty.ident]
+    if isinstance(ty, tm.Arrow):
+        return tm.Arrow(type_resolve_reference(inf, ty.arg), type_resolve_reference(inf, ty.res))
+    return ty
+
+
+def _atoms_in_context(f, ctx):
+    """(context, term) for every atom of the formula f, the context holding
+    the types of the quantifiers above it."""
+    if isinstance(f, fm.Atom):
+        yield ctx, f.term
+    elif isinstance(f, (fm.Conj, fm.Disj, fm.Impl)):
+        yield from _atoms_in_context(f.left, ctx)
+        yield from _atoms_in_context(f.right, ctx)
+    elif isinstance(f, (fm.Forall, fm.Exists)):
+        yield from _atoms_in_context(f.body, {**ctx, f.var: f.ty})
+
+
+def test_resolve_keeps_every_inferred_type_and_returns_an_unchanged_one_itself():
+    # the replayed stream, and every clause atom and fixed-point definition
+    # of the corpus
+    cases = [(GEN_SIG, {}, t) for t, _ty in replayed_terms()]
+    for name in CORPUS:
+        program = ps.parse_program((Path(ps.__file__).parent / "corpus" / f"{name}.cup").read_text())
+        sig = program.signature
+        cases += [(sig, ctx, t) for c in program.clauses for ctx, t in _atoms_in_context(c, {})]
+        cases += [(sig, {}, t) for _n, t in program.fix_definitions]
+    kept = 0
+    for sig, ctx, t in cases:
+        inf, _ty = tm._inferred(sig, ctx, t, None)
+        for u, ty in inf.judgments:
+            got, want = inf.resolve(ty), type_resolve_reference(inf, ty)
+            assert got == want, (tm.brief(u), got, want)
+            assert (got is ty) == (want == ty), (tm.brief(u), ty)
+            kept += got is ty and isinstance(ty, tm.Arrow)
+    assert kept > 0
+
+
+# ---------------------------------------------------------------------------
 # unify_modulo
 # ---------------------------------------------------------------------------
 

@@ -8,9 +8,12 @@ from the listed names kept for tests. No handler in `cup` catches every
 exception, so only `CupError` subclasses become verdicts and any other
 exception surfaces. No function in `cup` mutates a module-level dict, set or list:
 a memo lives on an object (`Signature`, `Program`), never in a global.
+Every value the kernel builds per step is slotted: it carries no
+`__dict__` of its own.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import cup
@@ -268,3 +271,22 @@ def test_mutated_global_scanner_sees_each_form(tmp_path, monkeypatch):
     assert mutated_globals() == {
         ("a", "BY_KEY"), ("a", "SEEN"), ("a", "LOG"), ("a", "BAGS"), ("a", "CACHE"), ("b", "COUNT"),
     }
+
+
+# the values the kernel builds per step, by module; a class that lost
+# `slots=True` would give each of them a dict of its own again
+SLOTTED = {
+    "terms": ("Base", "Arrow", "_TMeta", "_Node", "Var", "Con", "App", "Lam", "Fix"),
+    "formulas": ("_FNode", "Atom", "Top", "Conj", "Disj", "Impl", "Forall", "Exists"),
+    "engine": ("Entry", "Sequent", "ProofTree"),
+}
+
+
+def test_kernel_values_declare_slots_and_have_no_instance_dict():
+    for mod, names in SLOTTED.items():
+        for name in names:
+            cls = getattr(importlib.import_module(f"cup.{mod}"), name)
+            assert "__slots__" in vars(cls), (mod, name)
+            # a layout with no dict: no instance of cls, or of a subclass
+            # with slots, has a __dict__
+            assert cls.__dictoffset__ == 0, (mod, name)

@@ -1,7 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
+from cup import engine as eng
+from cup import formulas as fm
 from cup import terms as tm
 from cup.errors import (
     FixBodyNotAbstraction,
@@ -293,3 +296,86 @@ class TestSnapshotGrowth:
                 assert tree_height(tree) > last_height
                 last_height = tree_height(tree)
                 t = tm.fixbeta_unfold(t)
+
+
+# ---------------------------------------------------------------------------
+# The value contract: frozen, slotted, equality, repr and hash as before
+# ---------------------------------------------------------------------------
+
+_ENTRY = eng.Entry(fm.Atom(C("p")), eng.Src.LEMMA)
+_SEQ = eng.Sequent(Signature(), (_ENTRY,), None, fm.TOP)
+
+# (value, its repr, the tuple whose hash is its hash); one per class that
+# the kernel builds per step
+VALUES = [
+    (IOTA, "i", ("i",)),
+    (Arrow(IOTA, O), "i -> o", (IOTA, O)),
+    (tm._TMeta(3), "_TMeta(ident=3)", (3,)),
+    (V("x"), "Var(name='x')", ("x",)),
+    (C("s"), "Con(name='s')", ("s",)),
+    (A(C("s"), V("x")), "App(fn=Con(name='s'), arg=Var(name='x'))", (C("s"), V("x"))),
+    (L("x", V("x")), "Lam(var='x', body=Var(name='x'))", ("x", V("x"))),
+    (Fix(L("x", V("x"))), "Fix(body=Lam(var='x', body=Var(name='x')))", (L("x", V("x")),)),
+    (fm.Atom(C("p")), "Atom(term=Con(name='p'))", (C("p"),)),
+    (fm.TOP, "Top()", ()),
+    (fm.Conj(fm.TOP, fm.TOP), "Conj(left=Top(), right=Top())", (fm.TOP, fm.TOP)),
+    (fm.Disj(fm.TOP, fm.TOP), "Disj(left=Top(), right=Top())", (fm.TOP, fm.TOP)),
+    (fm.Impl(fm.TOP, fm.TOP), "Impl(left=Top(), right=Top())", (fm.TOP, fm.TOP)),
+    (fm.Forall("x", IOTA, fm.TOP), "Forall(var='x', ty=i, body=Top())", ("x", IOTA, fm.TOP)),
+    (fm.Exists("x", IOTA, fm.TOP), "Exists(var='x', ty=i, body=Top())", ("x", IOTA, fm.TOP)),
+    (_ENTRY, "Entry(formula=Atom(term=Con(name='p')), src=<Src.LEMMA: 'lemma'>)", (fm.Atom(C("p")), eng.Src.LEMMA)),
+    (_SEQ, "Sequent(signature=Signature(constants=()), entries=(" + repr(_ENTRY) + ",), focus=None, goal=Top(), "
+     "mode='plain', guarded=False)", (Signature(), (_ENTRY,), None, fm.TOP, eng.PLAIN, False)),
+    (eng.ProofTree(_SEQ, "top-r"), f"ProofTree(sequent={_SEQ!r}, rule='top-r', witness=None, eigen=None, children=())",
+     (_SEQ, "top-r", None, None, ())),
+]
+
+
+def _rebuilt(v):
+    """An equal copy of v built again through its constructor."""
+    return type(v)(*(getattr(v, f.name) for f in dataclasses.fields(v) if f.init))
+
+
+@pytest.mark.parametrize("value, text, parts", VALUES, ids=[type(v).__name__ for v, _, _ in VALUES])
+class TestValueContract:
+    def test_repr_equality_and_hash_are_pinned(self, value, text, parts):
+        assert repr(value) == text
+        copy = _rebuilt(value)
+        assert copy == value and copy is not value
+        assert value != fm.Atom(C("other")) and value != parts
+        # the hash of the fields, so no set order moves
+        assert hash(value) == hash(parts) == hash(copy)
+
+    def test_every_field_is_frozen_and_there_is_no_instance_dict(self, value, text, parts):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+        assert not hasattr(value, "__dict__")
+
+
+def test_term_hashes_are_pinned():
+    f, a = C("f"), A(C("s"), V("n"))
+    assert hash(A(f, a)) == hash((f, a))
+    assert hash(V("n")) == hash(("n",))
+    assert hash(L("n", a)) == hash(("n", a)) and hash(Fix(L("n", a))) == hash((L("n", a),))
+
+
+def test_alpha_keys_are_filled_on_first_request():
+    t = L("x", A(C("s"), V("x")))
+    assert t._ak is None and t.body._ak is None
+    key = tm.alpha_key(t)
+    assert t._ak == key == "l@c1:sb1;"
+    f = fm.Forall("x", IOTA, fm.Atom(A(C("p"), V("x"))))
+    assert f._ak is None
+    assert fm.formula_key(f) == f._ak is not None
+
+
+def test_resolve_returns_a_type_with_nothing_to_resolve_itself():
+    inf = tm._Infer(STREAM_SIG, {})
+    ty = fn_type(IOTA, fn_type(IOTA, IOTA), IOTA)
+    assert inf.resolve(ty) is ty
+    m = inf.meta()
+    inf.sol[m.ident] = IOTA
+    partly = Arrow(fn_type(IOTA, IOTA), m)
+    got = inf.resolve(partly)
+    assert got == fn_type(fn_type(IOTA, IOTA), IOTA) and got.arg is partly.arg
