@@ -132,7 +132,7 @@ def _sequent_equal(a: Sequent, b: Sequent) -> bool:
         return False
     if a.signature is not b.signature and a.signature.as_dict() != b.signature.as_dict():
         return False
-    return all(
+    return a.entries is b.entries or all(
         x.src == y.src and formula_alpha_eq(x.formula, y.formula)
         for x, y in zip(a.entries, b.entries)
     )
@@ -435,13 +435,6 @@ def _smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Optional[Term]:
     return first.get(ty)
 
 
-def _resolve_formula(f: Formula, s: dict[str, Term]) -> Formula:
-    """f under s, beta-normal; f itself when s changes nothing in it, so a
-    reified proof shares its unchanged formulas, and their cached keys,
-    across nodes."""
-    return map_atoms(f, lambda t: tm.beta_normalize(resolve_term(t, s)))
-
-
 def unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:
     return {n for n in tm.free_vars(resolve_term(t, s)) if tm.is_meta(n)}
 
@@ -462,13 +455,31 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree
         s = {**s, name: t}
 
     fo = not ctx.cfg.calculus.higher_order
+    # the tree shares formulas and entries tuples across nodes: each
+    # distinct one, by identity, is resolved once, and comes back itself
+    # when s changes nothing in it, with its cached keys
+    formulas: dict[int, Formula] = {}
+    tuples: dict[int, tuple[Entry, ...]] = {}
+
+    def formula(f: Formula) -> Formula:
+        out = formulas.get(id(f))
+        if out is None:
+            out = formulas[id(f)] = map_atoms(f, lambda t: tm.beta_normalize(resolve_term(t, s)))
+        return out
+
+    def entries(es: tuple[Entry, ...]) -> tuple[Entry, ...]:
+        out = tuples.get(id(es))
+        if out is None:
+            new = tuple(e if (f := formula(e.formula)) is e.formula else Entry(f, e.src) for e in es)
+            out = tuples[id(es)] = es if all(a is b for a, b in zip(new, es)) else new
+        return out
 
     def go(node: ProofTree) -> Optional[ProofTree]:
         seq = node.sequent
         new_seq = seq.with_(
-            entries=tuple(Entry(_resolve_formula(e.formula, s), e.src) for e in seq.entries),
-            focus=None if seq.focus is None else _resolve_formula(seq.focus, s),
-            goal=_resolve_formula(seq.goal, s),
+            entries=entries(seq.entries),
+            focus=None if seq.focus is None else formula(seq.focus),
+            goal=formula(seq.goal),
         )
         witness = None
         if node.witness is not None:

@@ -116,20 +116,25 @@ def formula_free_vars(f: Formula) -> set[str]:
 
 
 def formula_substitute(f: Formula, name: str, value: Term) -> Formula:
-    """Capture-avoiding substitution of a term for a free formula variable."""
+    """Capture-avoiding substitution of a term for a free formula variable,
+    atoms beta-normalised; f itself, and each part of it, where nothing
+    changes, so unchanged parts keep their cached keys."""
     if isinstance(f, Atom):
-        return Atom(tm.beta_normalize(tm.subst1(f.term, name, value)))
+        t = tm.beta_normalize(tm.subst1(f.term, name, value))
+        return f if t is f.term else Atom(t)
     if isinstance(f, Top):
         return f
     if isinstance(f, (Conj, Disj, Impl)):
-        return type(f)(formula_substitute(f.left, name, value), formula_substitute(f.right, name, value))
+        left, right = formula_substitute(f.left, name, value), formula_substitute(f.right, name, value)
+        return f if left is f.left and right is f.right else type(f)(left, right)
     if f.var == name:
         return f
     if f.var in tm.free_vars(value) and name in formula_free_vars(f.body):
         z = tm.fresh_name(f.var, tm.free_vars(value) | formula_free_vars(f.body) | {name})
         body = formula_substitute(f.body, f.var, Var(z))
         return type(f)(z, f.ty, formula_substitute(body, name, value))
-    return type(f)(f.var, f.ty, formula_substitute(f.body, name, value))
+    body = formula_substitute(f.body, name, value)
+    return f if body is f.body else type(f)(f.var, f.ty, body)
 
 
 def map_atoms(f: Formula, fn) -> Formula:

@@ -10,7 +10,8 @@ universally quantified).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from json.encoder import encode_basestring_ascii
 from typing import Container, Optional
 
 from . import engine as eng
@@ -44,7 +45,7 @@ KEYWORDS = {"const", "def", "forall", "exists", "fix", "true"}
 _PUNCT = ["->", "=>", ":-", "/\\", "\\/", "(", ")", "[", "]", "|", ".", ":", ",", "=", "\\"]
 
 
-@dataclass(frozen=True)
+@tm.frozen_slots
 class Token:
     kind: str  # 'ident', 'punct', 'keyword', 'eof'
     text: str
@@ -56,49 +57,40 @@ class Token:
         return (self.line, self.col)
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
+def _lexer(ident: str) -> re.Pattern:
+    """One token, newline or stretch of blanks or `%` comment per match; a
+    character no token starts with is `bad`.  `[\\w']` is `str.isalnum`
+    plus `_'`, and `[^\\S\\n]` is `str.isspace` but for the newline."""
+    punct = "|".join(map(re.escape, _PUNCT))
+    return re.compile(rf"(?P<nl>\n)|[^\S\n]+|%[^\n]*|(?P<ident>{ident}+)|(?P<punct>{punct})|(?P<bad>.)", re.S)
+
+
+# by `allow_fresh`: identifiers take the fresh mark only where it is allowed
+_LEXERS = (_lexer(r"[\w']"), _lexer(rf"[\w'{re.escape(tm.FRESH_MARK)}]"))
 
 
 def tokenize(text: str, allow_fresh: bool = False) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, start = 1, 0  # the current line and the offset it starts at
+    for m in _LEXERS[allow_fresh].finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
+        if kind == "nl":
+            line, start = line + 1, m.end()
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == tm.FRESH_MARK and not allow_fresh:
-            raise ParseError(f"reserved marker {tm.FRESH_MARK!r} in identifier", (line, col))
-        if _is_ident_char(ch) or ch == tm.FRESH_MARK:
-            j = i
-            while j < n and (_is_ident_char(text[j]) or (allow_fresh and text[j] == tm.FRESH_MARK)):
-                j += 1
-            word = text[i:j]
+        word, col = m.group(), m.start() - start + 1
+        if kind == "ident":
             toks.append(Token("keyword" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+        elif kind == "punct":
+            toks.append(Token("punct", word, line, col))
+        elif word == tm.FRESH_MARK:
+            raise ParseError(f"reserved marker {tm.FRESH_MARK!r} in identifier", (line, col))
         else:
-            raise ParseError(f"unexpected character {ch!r}", (line, col))
-    toks.append(Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {word!r}", (line, col))
+    # a comment leaves the column where it starts: on the last line, at its `%`
+    end = text.find("%", start)
+    toks.append(Token("eof", "", line, (len(text) if end < 0 else end) - start + 1))
     return toks
 
 
@@ -530,48 +522,68 @@ def pp_formula(f: Formula, program: Optional[Program] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sequent_additions(
-    node: eng.ProofTree, parent: Optional[eng.ProofTree], program: Optional[Program]
-) -> tuple[list[str], list[str]]:
-    if parent is None:
-        # the root sequent carries the base signature and program; only
-        # non-original entries (promoted lemmas) count as additions
-        return [], [
-            pp_formula(e.formula, program)
-            for e in node.sequent.entries
-            if e.src != eng.Src.ORIGINAL
-        ]
-    psig = parent.sequent.signature.as_dict()
-    pprog = parent.sequent.entries
-    sig_add = [
-        f"{n} : {ty!r}"
-        for n, ty in node.sequent.signature.constants
-        if n not in psig
-    ]
-    prog_add = [pp_formula(e.formula, program) for e in node.sequent.entries[len(pprog):]]
-    return sig_add, prog_add
-
-
-def _export_node(node: eng.ProofTree, parent: Optional[eng.ProofTree], program: Optional[Program]) -> dict:
-    sig_add, prog_add = _sequent_additions(node, parent, program)
-    out: dict = {
-        "rule": node.rule,
-        "signature_additions": sig_add,
-        "program_additions": prog_add,
-        "goal": pp_formula(node.sequent.goal, program),
-        "guarded": node.sequent.guarded,
-        "children": [_export_node(c, node, program) for c in node.children],
-    }
-    if node.sequent.focus is not None:
-        out["focus"] = pp_formula(node.sequent.focus, program)
-    if node.witness is not None:
-        out["witness"] = pp_term(node.witness, program)
-    return out
-
-
 def export_proof(tree: eng.ProofTree, program: Optional[Program] = None) -> str:
-    """Serialize a proof tree to its JSON document form."""
-    return json.dumps(_export_node(tree, None, program), indent=1)
+    """Serialize a proof tree to its JSON document form: the text
+    `json.dumps(..., indent=1)` gives for one object per node whose keys
+    are rule, signature_additions, program_additions, goal, guarded,
+    children, then focus and witness where present.  A node's additions
+    are what its sequent adds to its parent's; at the root they are the
+    entries not from the program.  The text is written in one pass with
+    its own stack, so a proof of any depth exports, and each formula
+    object is printed once."""
+    printed: dict[int, str] = {}
+
+    def text(f: Formula) -> str:
+        s = printed.get(id(f))
+        if s is None:
+            s = printed[id(f)] = encode_basestring_ascii(pp_formula(f, program))
+        return s
+
+    out: list[str] = []
+    todo: list = [(tree, None, 0)]  # text to write, or (node, parent, indent) to expand
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent, level = item
+        seq = node.sequent
+        if parent is None:
+            sig_add = []
+            prog_add = [text(e.formula) for e in seq.entries if e.src != eng.Src.ORIGINAL]
+        else:
+            psig = parent.sequent.signature
+            sig_add = [] if seq.signature is psig else [
+                encode_basestring_ascii(f"{n} : {ty!r}") for n, ty in seq.signature.constants if n not in psig
+            ]
+            prog_add = [text(e.formula) for e in seq.entries[len(parent.sequent.entries):]]
+        pad = "\n" + " " * (level + 1)  # a key's line; a list item's is one deeper
+        kids = node.children
+        out.append(
+            f'{{{pad}"rule": {encode_basestring_ascii(node.rule)},'
+            f'{pad}"signature_additions": {_json_list(sig_add, pad)},'
+            f'{pad}"program_additions": {_json_list(prog_add, pad)},'
+            f'{pad}"goal": {text(seq.goal)},{pad}"guarded": {"true" if seq.guarded else "false"},'
+            f'{pad}"children": {"[" if kids else "[]"}'
+        )
+        tail = pad + "]" if kids else ""
+        if seq.focus is not None:
+            tail += f',{pad}"focus": {text(seq.focus)}'
+        if node.witness is not None:
+            tail += f',{pad}"witness": {encode_basestring_ascii(pp_term(node.witness, program))}'
+        todo.append(tail + pad[:-1] + "}")
+        for i in reversed(range(len(kids))):
+            todo += ((kids[i], node, level + 2), ("," if i else "") + pad + " ")
+    return "".join(out)
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list of encoded items, as `json.dumps` lays it out at indent
+    1 after a key on the line `pad` begins."""
+    if not items:
+        return "[]"
+    inner = pad + " "
+    return f"[{inner}{(',' + inner).join(items)}{pad}]"
 
 
 def _parse_sig_addition(s: str) -> tuple[str, tm.SimpleType]:

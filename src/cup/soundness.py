@@ -69,11 +69,20 @@ def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = 
     checks, the root derivation's shape is checked before any use, so a
     root whose universals are not all leading is blamed for that
     (`NotHShapedRoot`), not the uses under it."""
+    return _walk_root(proof, program, calculus)[2]
+
+
+def _walk_root(
+    proof: eng.ProofTree, program: Program, calculus: Calculus, h: Optional[HClause] = None
+) -> tuple[HClause, tuple[list[str], eng.ProofTree, Optional[eng.ProofTree]], list[DeltaRecord]]:
+    """`collect_deltas` with what it finds on the way: the root's H-clause
+    (`h` when the caller split the root already) and its guarded segment."""
     ok, diag = eng.check(proof, program, calculus)
     if not ok:
         raise ProofInvalid(f"proof does not check: {diag}")
-    h = _root_h_clause(proof)
-    _guarded_segment(proof, len(h.universals))
+    if h is None:
+        h = _root_h_clause(proof)
+    segment = _guarded_segment(proof, len(h.universals))
     ch = proof.sequent.goal
     records: list[DeltaRecord] = []
     for node in proof.nodes():
@@ -92,7 +101,7 @@ def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = 
         if len(witnesses) != len(h.universals):
             raise ProofInvalid("coinductive hypothesis use does not instantiate every universal")
         records.append(DeltaRecord(len(records) + 1, tuple(zip(h.universals, witnesses))))
-    return records
+    return h, segment, records
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +199,9 @@ def build_candidate(
     conclusion, instantiated along every word up to the budget and rendered
     as depth-truncated trees; also the body instances that a supplied
     post-fixed point must cover."""
-    h = _root_h_clause(proof)
-    deltas = collect_deltas(proof, program, calculus)
-    eigens, decide, side = _guarded_segment(proof, len(h.universals))
+    # one walk; it fails on the root's clause, then the check, then the
+    # root derivation, then a hypothesis use
+    h, (eigens, decide, side), deltas = _walk_root(proof, program, calculus, _root_h_clause(proof))
     # once the word substitutions are applied, every atom is closed over the
     # base signature; eigenvariables never reach the model side
     sig = program.signature

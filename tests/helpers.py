@@ -6,10 +6,12 @@ import itertools
 import random
 from dataclasses import replace
 
+from cup import engine as eng
 from cup import formulas as fm
+from cup import parser as ps
 from cup import terms as tm
 from cup import trees as tr
-from cup.errors import MissingEigenvariableBinding
+from cup.errors import MissingEigenvariableBinding, ParseError
 from cup.guardedness import _snap_term
 from cup.terms import App, Arrow, Con, Fix, IOTA, Lam, O, Signature, Var, fn_type
 
@@ -359,3 +361,86 @@ def deep_document(depth: int) -> str:
     node = '"signature_additions": [], "program_additions": [], "goal": "true", "guarded": false'
     return ('{"rule": "and-r", ' + node + ', "children": [') * depth + \
         '{"rule": "top-r", ' + node + ', "children": []}' + "]}" * depth
+
+
+# ---------------------------------------------------------------------------
+# the proof round trip's references: a per-character lexer, the node dicts
+# ---------------------------------------------------------------------------
+
+PUNCT = ["->", "=>", ":-", "/\\", "\\/", "(", ")", "[", "]", "|", ".", ":", ",", "=", "\\"]
+
+
+def tokenize_reference(text: str, allow_fresh: bool = False) -> list[tuple]:
+    """The lexer as a loop over characters: (kind, text, line, col) per
+    token.  A `%` comment runs to the end of its line and leaves the column
+    where it starts."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def ident_char(ch):
+        return ch.isalnum() or ch in "_'"
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == tm.FRESH_MARK and not allow_fresh:
+            raise ParseError(f"reserved marker {tm.FRESH_MARK!r} in identifier", (line, col))
+        if ident_char(ch) or ch == tm.FRESH_MARK:
+            j = i
+            while j < n and (ident_char(text[j]) or (allow_fresh and text[j] == tm.FRESH_MARK)):
+                j += 1
+            word = text[i:j]
+            toks.append(("keyword" if word in ps.KEYWORDS else "ident", word, line, col))
+            col += j - i
+            i = j
+            continue
+        for p in PUNCT:
+            if text.startswith(p, i):
+                toks.append(("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", (line, col))
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def export_dict_reference(node, parent=None, program=None) -> dict:
+    """One proof node as the dict whose `json.dumps(..., indent=1)` is its
+    document: what its sequent adds to its parent's, its formulas printed
+    where they occur, the children in order."""
+    seq = node.sequent
+    if parent is None:
+        sig_add = []
+        prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries if e.src != eng.Src.ORIGINAL]
+    else:
+        psig = parent.sequent.signature.as_dict()
+        sig_add = [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in psig]
+        prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries[len(parent.sequent.entries):]]
+    out = {
+        "rule": node.rule,
+        "signature_additions": sig_add,
+        "program_additions": prog_add,
+        "goal": ps.pp_formula(seq.goal, program),
+        "guarded": seq.guarded,
+        "children": [export_dict_reference(c, node, program) for c in node.children],
+    }
+    if seq.focus is not None:
+        out["focus"] = ps.pp_formula(seq.focus, program)
+    if node.witness is not None:
+        out["witness"] = ps.pp_term(node.witness, program)
+    return out

@@ -241,6 +241,23 @@ class TestProofPipeline:
         assert code == EXIT_USAGE
         assert "nested too deeply" in capsys.readouterr().err
 
+    def test_a_deep_proof_is_written_and_read_back_as_nested_too_deeply(self, tmp_path, capsys):
+        # a 722-node proof 541 nodes deep: its document is written whole,
+        # and `json.loads` needs two levels per node to read it back
+        prog = tmp_path / "nat.cup"
+        prog.write_text("const 0 : i. const s : i -> i. const nat : i -> o. nat 0. nat (s X) :- nat X.\n")
+        out = tmp_path / "deep.json"
+        goal = "nat " + "(s " * 180 + "0" + ")" * 180
+        code = run(["prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", goal,
+                    "--depth", "5000", "--emit-proof", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("proved (722 nodes;")
+        text = out.read_text()
+        assert text.startswith('{\n "rule": "decide",') and text.endswith("\n}\n")
+        code = run(["check-proof", "--calculus", "co-fohc", "--program", str(prog), "--proof", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: proof document nested too deeply\n"
+
     def test_soundness_subcommand(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         run([

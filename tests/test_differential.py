@@ -1,9 +1,9 @@
 """Differential tests of the kernel's cached facts, the alpha keys of terms
 and formulas, the lazy `unify_modulo` and `fixbeta_equiv`, the occurs check,
 the one-walk renderer of guarded atoms, the render memo of `gfp_approx`, the
-smallest closed term of reification and the proof round trip's memos
-(formula keys, import parses, check's grammar answers) against
-straightforward reference code kept here.
+smallest closed term of reification, the proof round trip's memos
+(formula keys, import parses, check's grammar answers) and its writer
+against straightforward reference code kept here or in `helpers`.
 
 The term checks replay the seeded generator stream of the beta
 type-preservation property (seed 102), so they run on cases that suite
@@ -33,8 +33,8 @@ from cup.formulas import Calculus
 from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
 from helpers import (
-    FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, formula_alpha_eq_reference, gen_term,
-    guarded_term_to_tree, proof_mutations, rename_binders, slist,
+    FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, export_dict_reference,
+    formula_alpha_eq_reference, gen_term, guarded_term_to_tree, proof_mutations, rename_binders, slist,
 )
 from test_properties import CASES
 
@@ -1624,6 +1624,60 @@ def test_reified_proofs_share_their_unchanged_formulas(regression_proofs):
             # the co-fix root's goal is also the coinductive hypothesis
             if node.sequent.mode == eng.PLAIN and len(entries) > len(program.clauses):
                 assert entries[len(program.clauses)].formula is res.tree.sequent.goal
+
+
+def test_a_reified_proof_shares_each_unchanged_entries_tuple_with_its_parent(regression_proofs):
+    trees = [res.tree for _program, _goal, _calc, res in regression_proofs.values()]
+    trees += [tree for _program, _calc, tree in _search_goal_proofs((1, 2))]
+    shared = 0
+    for tree in trees:
+        for node in tree.nodes():
+            for kid in node.children:
+                # rules only ever add entries: a premise with as many as
+                # its conclusion has the same ones
+                if len(kid.sequent.entries) == len(node.sequent.entries):
+                    assert kid.sequent.entries == node.sequent.entries
+                    assert kid.sequent.entries is node.sequent.entries
+                    shared += 1
+    assert shared > 300
+
+
+def _dumped(tree, program):
+    return json.dumps(export_dict_reference(tree, None, program), indent=1)
+
+
+def test_the_writer_gives_json_dumps_of_the_node_dicts(regression_proofs):
+    documents = 0
+    for program, _goal, _calc, res in regression_proofs.values():
+        for tree in [res.tree] + [t for _path, _name, t in proof_mutations(res.tree)]:
+            assert ps.export_proof(tree, program) == _dumped(tree, program)
+            documents += 1
+    # the benchmark's goals: the regression proofs, every corpus example
+    # and the seeded families
+    for program, _calc, tree in _search_goal_proofs((1, 2, 3)):
+        assert ps.export_proof(tree, program) == _dumped(tree, program)
+        documents += 1
+    assert documents > 400
+
+
+def test_the_writer_escapes_strings_as_json_dumps_does():
+    # names and a rule only a hand-built tree has: quotes, backslashes,
+    # control characters, letters past ASCII and past the basic plane
+    sig = Signature.of({"n\u00e4t": IOTA, "p\u2028": fn_type(IOTA, O), 'q"\\': O})
+    goal = fm.Atom(A(C("p\u2028"), C("n\u00e4t")))
+    hyp = fm.Atom(C('q"\\'))
+    root_entries = (eng.Entry(goal, eng.Src.ORIGINAL), eng.Entry(hyp, eng.Src.LEMMA))
+    kid_sig = sig.extend("\u00e9\U0001f600", IOTA)
+    kid = eng.ProofTree(
+        eng.Sequent(kid_sig, root_entries + (eng.Entry(hyp, eng.Src.HYPOTHESIS),), goal, hyp, eng.PLAIN, True),
+        "leaf\t\x01", witness=C("w\u20ac"),
+    )
+    root = eng.ProofTree(eng.Sequent(sig, root_entries, None, goal), 'r"\\\U0001f600', children=(kid, kid))
+    doc = ps.export_proof(root)
+    assert doc == _dumped(root, None) and doc.isascii()
+    for escaped in ("\\u00e4", "\\u2028", '\\"\\\\', "\\ud83d\\ude00", "\\t\\u0001", "\\u20ac"):
+        assert escaped in doc, escaped
+    assert json.loads(doc)["children"][1]["signature_additions"] == ["\u00e9\U0001f600 : i"]
 
 
 def _import_without_memo(monkeypatch, doc, program):

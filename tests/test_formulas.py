@@ -236,3 +236,48 @@ class TestGroundInstances:
         variant_b = tm.Fix(tm.Lam("g", tm.Lam("m", scons(V("m"), A(V("g"), V("m"))))))
         out = list(ground_instances(h, [variant_a, A(variant_b, C("0"))]))
         assert len(out) == 1
+
+
+def _parts(f):
+    yield f
+    if isinstance(f, (Conj, Disj, Impl)):
+        yield from _parts(f.left)
+        yield from _parts(f.right)
+    elif isinstance(f, (Forall, Exists)):
+        yield from _parts(f.body)
+
+
+def test_substitution_returns_each_part_the_variable_is_not_free_in_itself(
+    member_program, bitstream_program, from_program, comember_program, fibs_program
+):
+    kept = 0
+    for program in (member_program, bitstream_program, from_program, comember_program, fibs_program):
+        for clause in program.clauses:
+            # a closed clause, and a variable bound in it
+            assert fm.formula_substitute(clause, "x", C("0")) is clause
+            f = clause
+            while isinstance(f, Forall):
+                assert fm.formula_substitute(f, f.var, C("0")) is f
+                out = fm.formula_substitute(f.body, f.var, C("0"))
+                assert out == fm.formula_substitute(_rebuilt(f.body), f.var, C("0"))
+                # the value is closed, so no binder is renamed and the
+                # parts line up
+                for part, new in zip(_parts(f.body), _parts(out)):
+                    if f.var not in fm.formula_free_vars(part):
+                        assert new is part
+                        kept += 1
+                    else:
+                        assert new is not part
+                f = f.body
+    assert kept > 8
+
+
+def _rebuilt(f):
+    """f built again from its fields, so nothing in it is shared with f."""
+    if isinstance(f, Atom):
+        return Atom(f.term)
+    if isinstance(f, Top):
+        return Top()
+    if isinstance(f, (Conj, Disj, Impl)):
+        return type(f)(_rebuilt(f.left), _rebuilt(f.right))
+    return type(f)(f.var, f.ty, _rebuilt(f.body))

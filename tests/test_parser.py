@@ -1,6 +1,8 @@
+import array
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -20,7 +22,7 @@ from cup.errors import (
 )
 from cup.formulas import Atom, Calculus, Exists, Forall
 
-from helpers import A, C, V, deep_document, scons
+from helpers import PUNCT, A, C, V, deep_document, scons, tokenize_reference
 
 
 class TestParseProgram:
@@ -413,3 +415,65 @@ def test_error_class_message_and_span(member_program, entry, text, cls, message,
     with pytest.raises(CupError) as exc:
         parse(text)
     assert (type(exc.value), str(exc.value), exc.value.span) == (cls, message, span)
+
+
+# ---------------------------------------------------------------------------
+# the lexer against the per-character reference
+# ---------------------------------------------------------------------------
+
+
+def _lexed(lex, text, allow_fresh):
+    """The tokens as tuples, or the error's text and span."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) if isinstance(t, ps.Token) else t for t in lex(text, allow_fresh)]
+    except ParseError as exc:
+        return str(exc), exc.span
+
+
+# letters, digits and blanks beyond ASCII (`\u0663` is a digit, `\x1c`,
+# `\x85`, `\xa0` and `\u2003` are blanks), the fresh mark, comments, every
+# punctuation mark and characters no token takes
+LEX_PIECES = (
+    list("aZ0_'#%\t\r\n .~$") + ["\u00e9", "\u00f1", "\u0663", "\x1c", "\x85", "\xa0", "\u2003", "\u20ac"]
+    + ["% c", "x#1", "forall", "fix", "true", "const"] + PUNCT
+)
+
+
+def test_the_lexer_matches_the_per_character_reference():
+    rng = random.Random(2323)
+    for _ in range(12000):
+        text = "".join(rng.choice(LEX_PIECES) for _ in range(rng.randrange(12)))
+        # a comment that runs to the end of the input leaves the column at its `%`
+        text += rng.choice(["", "", "%", "% c", " %", "\n%"])
+        for allow_fresh in (False, True):
+            assert _lexed(ps.tokenize, text, allow_fresh) == _lexed(tokenize_reference, text, allow_fresh), (
+                text, allow_fresh)
+
+
+def test_a_token_keeps_its_span_and_the_eof_after_a_comment_sits_at_the_percent():
+    toks = ps.tokenize("p x. % note\n q  % end")
+    assert [t.span for t in toks] == [(1, 1), (1, 3), (1, 4), (2, 2), (2, 5)]
+    assert toks[-1] == ps.Token("eof", "", 2, 5)
+
+
+def test_the_lexer_classes_match_the_str_predicates_on_every_code_point():
+    # every code point but the newline, each on a line of its own; the
+    # surrogates too, which `str` holds as they are
+    codes = array.array("I", (x for c in range(sys.maxunicode + 1) if c != 10 for x in (c, 10)))
+    text = codes.tobytes().decode(f"utf-32-{sys.byteorder[0]}e", "surrogatepass")
+    single = {p for p in PUNCT if len(p) == 1}
+    # one match per character and one per newline
+    kinds = {af: [m.lastgroup for m in ps._LEXERS[af].finditer(text)] for af in (False, True)}
+    for af, got in kinds.items():
+        assert len(got) == len(text) and set(got[1::2]) == {"nl"}, af
+    wrong = []
+    for ch, plain, fresh in zip(text[::2], kinds[False][::2], kinds[True][::2]):
+        if ch.isalnum() or ch in "_'":
+            want = "ident"
+        elif ch.isspace() or ch == "%":
+            want = None  # a blank or a comment, no token
+        else:
+            want = "punct" if ch in single else "bad"
+        if plain != want or fresh != ("ident" if ch == tm.FRESH_MARK else want):
+            wrong.append(ch)
+    assert wrong == []

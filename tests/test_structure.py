@@ -44,6 +44,9 @@ KEPT = {
     # every calculus, the fragment table's answer for a formula in all of
     # them; the acceptance gate imports it
     ("formulas", "ALL_CALCULI"),
+    # the paper's Delta records on their own; `build_candidate` takes them
+    # with the root clause and segment from the one walk both share
+    ("soundness", "collect_deltas"),
 }
 
 
@@ -279,6 +282,7 @@ SLOTTED = {
     "terms": ("Base", "Arrow", "_TMeta", "_Node", "Var", "Con", "App", "Lam", "Fix"),
     "formulas": ("_FNode", "Atom", "Top", "Conj", "Disj", "Impl", "Forall", "Exists"),
     "engine": ("Entry", "Sequent", "ProofTree"),
+    "parser": ("Token",),
 }
 
 
