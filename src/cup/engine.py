@@ -36,7 +36,6 @@ from .formulas import (
     Top,
     classify,
     formula_alpha_eq,
-    formula_key,
     formula_substitute,
     in_fragment,
     map_atoms,
@@ -130,7 +129,7 @@ def _sequent_equal(a: Sequent, b: Sequent) -> bool:
         return False
     if not formula_alpha_eq(a.goal, b.goal) or len(a.entries) != len(b.entries):
         return False
-    if a.signature is not b.signature and a.signature.as_dict() != b.signature.as_dict():
+    if a.signature != b.signature:
         return False
     return a.entries is b.entries or all(
         x.src == y.src and formula_alpha_eq(x.formula, y.formula)
@@ -563,19 +562,12 @@ def prove(program: Program, lemmas: Optional[LemmaStore], g: Formula, cfg: Searc
 # ---------------------------------------------------------------------------
 
 
-def _grammar_ok(sig: Signature, f: Formula, role: str, calc: Calculus, memo: dict) -> bool:
-    """Is f in the calculus's grammar for the role?  The answer is kept in
-    memo under (f's alpha key, role, sig): the grammars do not depend on
-    the names of bound variables."""
-    key = (formula_key(f), role, sig)
-    ok = memo.get(key)
-    if ok is None:
-        try:
-            ok = in_fragment(sig, f, role, calc)
-        except CupError:
-            ok = False
-        memo[key] = ok
-    return ok
+def _grammar_ok(sig: Signature, f: Formula, role: str, calc: Calculus) -> bool:
+    """Is f in the calculus's grammar for the role?  An ill-typed f is not."""
+    try:
+        return in_fragment(sig, f, role, calc)
+    except CupError:
+        return False
 
 
 def check(
@@ -600,8 +592,6 @@ def check(
         return tm.alpha_eq(focus, goal)
 
     base = _base_entries(program)
-    # _grammar_ok's answers for this call's calculus
-    grammar: dict = {}
 
     def go(node: ProofTree, path: str, is_root: bool) -> tuple[bool, Optional[str]]:
         seq = node.sequent
@@ -641,7 +631,7 @@ def check(
             if not ok:
                 return fail(path, msg)
         elif rule in ("imp-r", "imp-r<>"):
-            if not _grammar_ok(seq.signature, principal.left, "clause", calculus, grammar):
+            if not _grammar_ok(seq.signature, principal.left, "clause", calculus):
                 return fail(path, "imp-r antecedent is not a program clause of the calculus")
         elif rule in ("initial", "initial<>"):
             if not initial_ok(principal.term, seq.goal.term):
@@ -658,10 +648,10 @@ def check(
             return fail(path, msg)
 
         # formulas of this node must fit the calculus's grammars
-        if seq.focus is not None and not _grammar_ok(seq.signature, seq.focus, "clause", calculus, grammar):
+        if seq.focus is not None and not _grammar_ok(seq.signature, seq.focus, "clause", calculus):
             return fail(path, f"focus is outside the clause grammar of {calculus.value}")
         role = "core" if seq.guarded or expected == "co-fix" else "goal"
-        if not _grammar_ok(seq.signature, seq.goal, role, calculus, grammar):
+        if not _grammar_ok(seq.signature, seq.goal, role, calculus):
             return fail(path, f"goal is outside the {role} grammar of {calculus.value}")
 
         for i, kid in enumerate(kids):

@@ -273,13 +273,18 @@ _GRAMMARS = {"clause": _clause_in, "goal": _goal_in, "core": _core_in}
 
 def in_fragment(sig: Signature, f: Formula, role: str, calc: Calculus) -> bool:
     """Does calc's clause/goal/core grammar generate the closed formula f?
-    f is type-checked first (once per signature, see `typecheck_formula`);
-    an ill-typed f raises IllTyped."""
-    try:
-        typecheck_formula(sig, f)
-    except CupError as exc:
-        raise IllTyped(str(exc)) from exc
-    return _GRAMMARS[role](sig, {}, f, calc)
+    f is type-checked first, and the answer is remembered on the signature
+    under f's alpha key, the role and calc; an ill-typed f raises IllTyped
+    on every call."""
+    key = (formula_key(f), role, calc)
+    ok = sig._memo.get(key)
+    if ok is None:
+        try:
+            typecheck_formula(sig, f)
+        except CupError as exc:
+            raise IllTyped(str(exc)) from exc
+        ok = sig._memo[key] = _GRAMMARS[role](sig, {}, f, calc)
+    return ok
 
 
 def classify(sig: Signature, f: Formula, role: str) -> frozenset[Calculus]:

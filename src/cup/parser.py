@@ -661,8 +661,7 @@ def _import_node(
     # the universal right rules own the eigenvariable their premise declares
     eigen = None
     if rule in ("forall-r", "forall-r<>") and children:
-        parent_names = set(sig.as_dict())
-        new = [n for n, _ in children[0].sequent.signature.constants if n not in parent_names]
+        new = [n for n, _ in children[0].sequent.signature.constants if n not in sig]
         eigen = new[0] if new else None
     return eng.ProofTree(seq, rule, witness, eigen, children)
 

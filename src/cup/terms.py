@@ -423,9 +423,12 @@ class Signature:
     constants: tuple[tuple[str, SimpleType], ...] = ()
     # built once: the types by name, the hash, and the memo of facts about
     # closed terms and formulas, successes only: `is_first_order` verdicts
-    # under (term, expected), `typecheck` types under the term, and True
-    # under the `formulas.formula_key` of a formula that type-checks; and
-    # `guardedness.is_guarded_fixed_point` reports under (term, GuardReport)
+    # under (term, expected), `typecheck` types under the term, True under
+    # the `formulas.formula_key` of a formula that type-checks,
+    # `formulas.in_fragment` answers under (key, role, calculus), and
+    # `guardedness.is_guarded_fixed_point` reports under (term, GuardReport);
+    # and the children `extend` made, under (name, type), whose str first
+    # part no other pair key has
     _types: dict = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
@@ -442,9 +445,6 @@ class Signature:
     def of(mapping: dict[str, SimpleType]) -> "Signature":
         return Signature(tuple(sorted(mapping.items())))
 
-    def as_dict(self) -> dict[str, SimpleType]:
-        return dict(self.constants)
-
     def lookup(self, name: str) -> Optional[SimpleType]:
         return self._types.get(name)
 
@@ -452,7 +452,11 @@ class Signature:
         return self.lookup(name) is not None
 
     def extend(self, name: str, ty: SimpleType) -> "Signature":
-        return Signature.of({**self.as_dict(), name: ty})
+        """The one child per (name, ty), so equal extensions share a memo."""
+        child = self._memo.get((name, ty))
+        if child is None:
+            child = self._memo[name, ty] = Signature.of({**self._types, name: ty})
+        return child
 
     def is_first_order_predicate(self, name: str) -> bool:
         return name in self._first_order_predicates

@@ -428,7 +428,7 @@ def export_dict_reference(node, parent=None, program=None) -> dict:
         sig_add = []
         prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries if e.src != eng.Src.ORIGINAL]
     else:
-        psig = parent.sequent.signature.as_dict()
+        psig = parent.sequent.signature
         sig_add = [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in psig]
         prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries[len(parent.sequent.entries):]]
     out = {

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from cup import cli
 from cup import engine as eng
 from cup import formulas as fm
 from cup import guardedness as gd
@@ -362,7 +363,7 @@ def test_memoised_first_order_agrees_with_report():
     extra = [(Fix(Lam("x", Var("x"))), None), (Var("y"), None), (Var("y"), IOTA),
              (Con("0"), IOTA), (Con("0"), tm.fn_type(IOTA, IOTA)), (Con("scons"), None)]
     raised = 0
-    for sig in (Signature.of(GEN_SIG.as_dict()), small):
+    for sig in (Signature.of(dict(GEN_SIG.constants)), small):
         for t, ty in replayed_terms() + extra:
             for expected in (None, ty):
                 want = first_order_reference(sig, t, expected)
@@ -1580,6 +1581,32 @@ def _shape(f):
     return f"{type(f).__name__}[{f.ty!r}]({_shape(f.body)})"
 
 
+def test_a_reimported_proof_holds_the_signatures_of_the_found_one():
+    extended = 0
+    for tree, back in _search_goal_round_trips((1, 2)):
+        for node, again in zip(tree.nodes(), back.nodes()):
+            assert again.sequent.signature is node.sequent.signature
+            extended += node.rule in ("forall-r", "forall-r<>")
+    assert extended > 5
+
+
+def _interned(sig):
+    """How many extensions sig and its interned children hold."""
+    kids = [v for v in sig._memo.values() if isinstance(v, Signature)]
+    return len(kids) + sum(map(_interned, kids))
+
+
+def test_a_second_search_round_interns_no_extension():
+    programs = workloads.load_programs()
+    goals = list(itertools.chain(*workloads.blocks("search", 7, 4)))
+    counts = []
+    for _round in range(2):
+        for goal in goals:
+            workloads.run_goal(programs, goal)
+        counts.append(sum(_interned(p.signature) for p in programs.values()))
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
 def test_cached_formula_keys_match_fresh_ones_and_the_reference():
     objects = {}
     for tree, back in _search_goal_round_trips((1, 2)):
@@ -1778,22 +1805,31 @@ def _document_nodes(doc):
         yield from _document_nodes(c)
 
 
+def _count_grammars(monkeypatch, calls, entry):
+    """Patch the grammars' entries so that each top-level use appends
+    entry(sig, f, role, calc) to calls."""
+    for role, grammar in fm._GRAMMARS.items():
+        def counting(sig, ctx, f, calc, role=role, grammar=grammar):
+            calls.append(entry(sig, f, role, calc))
+            return grammar(sig, ctx, f, calc)
+
+        monkeypatch.setitem(fm._GRAMMARS, role, counting)
+
+
 def test_round_trip_parses_and_classifies_each_formula_once(monkeypatch, regression_proofs):
-    program, _goal, calc, res = regression_proofs["comember"]
+    _program, _goal, calc, res = regression_proofs["comember"]
+    # a new program, whose signatures have classified nothing yet
+    program = workloads.load_programs()["comember"]
     doc = ps.export_proof(res.tree, program)
     parsed, classified = [], []
-    real_parse, real_in_fragment = ps._parse_with, eng.in_fragment
+    real_parse = ps._parse_with
 
     def counting_parse(text, prog, production, allow_fresh=False):
         parsed.append((production, text, prog.signature))
         return real_parse(text, prog, production, allow_fresh)
 
-    def counting_in_fragment(sig, f, role, calc):
-        classified.append((fm.formula_key(f), role, sig))
-        return real_in_fragment(sig, f, role, calc)
-
     monkeypatch.setattr(ps, "_parse_with", counting_parse)
-    monkeypatch.setattr(eng, "in_fragment", counting_in_fragment)
+    _count_grammars(monkeypatch, classified, lambda sig, f, role, _calc: (fm.formula_key(f), role, sig))
     back = ps.import_proof(doc, program)
     texts = set()
     for node, tree_node in zip(_document_nodes(json.loads(doc)), back.nodes()):
@@ -1810,29 +1846,22 @@ def test_round_trip_parses_and_classifies_each_formula_once(monkeypatch, regress
 
 
 def test_grammar_memo_keys_on_the_role_and_the_signature(monkeypatch, comember_program):
-    # `check` meets a formula in the core role before any goal-role use of
-    # it, and under a signature that types it before any other (a node's
-    # ancestors' goals contain its goal), so the role and the signature in
-    # the key are pinned here, on one memo: a disjunction is a goal but no
-    # core formula, and `bit k` is ill-typed once k is a function
-    sig = comember_program.signature
+    # a disjunction is a goal but no core formula, and `bit k` is ill-typed
+    # once k is a function; the calculus is in the key too
+    sig = _cold(comember_program.signature)
     f = ps.parse_goal("bit 0 \\/ bit 1", comember_program)
     g = fm.Atom(A(C("bit"), C("k")))
     calls = []
-    memo = {}
-    real = eng.in_fragment
-
-    def counting(s, h, role, calc):
-        calls.append(role)
-        return real(s, h, role, calc)
-
-    monkeypatch.setattr(eng, "in_fragment", counting)
-    assert eng._grammar_ok(sig, f, "goal", Calculus.FOHH, memo)
-    assert not eng._grammar_ok(sig, _rebuild_formula(f), "core", Calculus.FOHH, memo)
-    assert eng._grammar_ok(sig, f, "goal", Calculus.FOHH, memo)
-    assert eng._grammar_ok(sig.extend("k", IOTA), g, "goal", Calculus.FOHH, memo)
-    assert not eng._grammar_ok(sig.extend("k", fn_type(IOTA, IOTA)), g, "goal", Calculus.FOHH, memo)
-    assert calls == ["goal", "core", "goal", "goal"]
+    _count_grammars(monkeypatch, calls, lambda _sig, _f, role, calc: (role, calc))
+    fohh = Calculus.FOHH
+    assert eng._grammar_ok(sig, f, "goal", fohh)
+    assert not eng._grammar_ok(sig, _rebuild_formula(f), "core", fohh)
+    assert eng._grammar_ok(sig, f, "goal", fohh)
+    assert eng._grammar_ok(sig, f, "goal", Calculus.FOHC)
+    for _ in range(2):
+        assert eng._grammar_ok(sig.extend("k", IOTA), g, "goal", fohh)
+        assert not eng._grammar_ok(sig.extend("k", fn_type(IOTA, IOTA)), g, "goal", fohh)
+    assert calls == [("goal", fohh), ("core", fohh), ("goal", Calculus.FOHC), ("goal", fohh)]
 
 
 # ---------------------------------------------------------------------------
@@ -1900,14 +1929,21 @@ def test_in_fragment_agrees_with_classify(regression_proofs, comember_program):
     ]
     for f in hand:
         cases[(fm.formula_key(f), sig)] = f
+    # every clause and goal of the corpus, on new programs
+    programs = workloads.load_programs()
+    corpus = [(p.signature, c) for p in programs.values() for c in p.clauses]
+    corpus += [(programs[name].signature, ps.parse_goal(text, programs[name]))
+               for name, entry in cli.CORPUS.items() for _kind, text, _calc, _want in entry["runs"]]
+    for sig, f in corpus:
+        cases.setdefault((fm.formula_key(f), sig), f)
     seen = collections.Counter()
     for (_key, sig), f in cases.items():
         for role in ROLES:
             # the reference on a cold signature; classify on a cold one and
-            # the entry on the warm one, where typing is memoised
+            # the entry twice on the warm one, the second answer from its memo
             want = classify_reference(_cold(sig), f, role)
             assert _outcome(lambda: fm.classify(_cold(sig), f, role)) == want, (f, role)
-            for calc in Calculus:
+            for calc, _ in itertools.product(Calculus, range(2)):
                 got = _outcome(lambda: fm.in_fragment(sig, f, role, calc))
                 if isinstance(want, frozenset):
                     assert got == (calc in want), (f, role, calc)
@@ -1934,8 +1970,9 @@ def test_an_ill_typed_formula_raises_on_every_call_with_one_message(comember_pro
                     fm.classify(sig, f, role)
                 messages.add(str(raised.value))
         assert len(messages) == 1, (f, messages)
-        # errors are never kept
+        # errors are never kept, nor a grammar answer for an ill-typed formula
         assert fm.formula_key(f) not in sig._memo
+        assert not any((fm.formula_key(f), role, calc) in sig._memo for role in ROLES for calc in Calculus)
     assert fm.in_fragment(sig, bit_0, "goal", Calculus.FOHC)
 
 
@@ -2034,6 +2071,11 @@ def test_signatures_compare_hash_and_look_up_by_their_constants(regression_proof
         for other in same:
             assert other == sig and hash(other) == hash(sig)
         assert sig.extend("extra", IOTA) != sig
+        # one child per extension, equal to and hashed as a new signature
+        extra = Signature.of({**dict(items), "extra": IOTA})
+        assert sig.extend("extra", IOTA) is sig.extend("extra", IOTA)
+        assert sig.extend("extra", IOTA) == extra and hash(sig.extend("extra", IOTA)) == hash(extra)
+        assert sig.extend("extra", O) is not sig.extend("extra", IOTA)
         names = [n for n, _ty in items] + ["absent", "", items[0][0] + "x", "x" + tm.FRESH_MARK + "99"]
         for name in names:
             want = next((ty for n, ty in items if n == name), None)
