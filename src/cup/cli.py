@@ -219,7 +219,7 @@ def cmd_soundness(args) -> int:
     depth = _setting(args, "model_depth")
     budget = _setting(args, "word_budget")
     report = sd.audit_proof(proof, program, depth, budget)
-    payload = report.to_dict()
+    payload = report.to_dict(program)
     lines = [
         f"coinductive hypothesis uses: {report.uses}",
         f"depth {report.depth}, word budget {report.word_budget}",

@@ -535,7 +535,7 @@ def coprove(program: Program, m: Formula, cfg: SearchConfig) -> SearchOutcome:
     program as coinductive hypothesis and re-appears as the guarded goal.
     """
     if cfg.calculus not in classify(program.signature, m, "core"):
-        raise NotCoreFormula(f"{m!r} is not a core formula of {cfg.calculus.value}")
+        raise NotCoreFormula(f"the goal is not a core formula of {cfg.calculus.value}")
     entries = _base_entries(program)
     root_seq = Sequent(program.signature, entries, None, m, COINDUCTIVE, False)
     (child_seq,) = next(_premises(root_seq))
@@ -550,7 +550,7 @@ def coprove(program: Program, m: Formula, cfg: SearchConfig) -> SearchOutcome:
 def prove(program: Program, lemmas: Optional[LemmaStore], g: Formula, cfg: SearchConfig) -> SearchOutcome:
     """Uniform proof search for a goal over the program plus proven lemmas."""
     if cfg.calculus not in classify(program.signature, g, "goal"):
-        raise NotCoreFormula(f"{g!r} is not a goal formula of {cfg.calculus.value}")
+        raise NotCoreFormula(f"the goal is not a goal formula of {cfg.calculus.value}")
     entries = _base_entries(program, lemmas)
     root_seq = Sequent(program.signature, entries, None, g, PLAIN, False)
     ctx = _Ctx(program, cfg, NameSupply(), SearchStats(), {})
@@ -605,7 +605,7 @@ def check(
             if seq.guarded or seq.focus is not None:
                 return fail(path, "malformed coinductive root sequent")
         elif expected is None:
-            return fail(path, f"no rule applies to goal {seq.goal!r} with focus {seq.focus!r}")
+            return fail(path, f"no rule applies to the {'guarded' if seq.focus is None else 'focused'} sequent")
         elif rule != expected:
             return fail(path, f"the sequent requires {expected}, not {rule}")
 

@@ -321,7 +321,7 @@ def _flatten_goal(g: Formula) -> list[Term]:
         return [g.term]
     if isinstance(g, Conj):
         return _flatten_goal(g.left) + _flatten_goal(g.right)
-    raise NonHConvertibleClause(f"clause body {g!r} is not a conjunction of atoms")
+    raise NonHConvertibleClause("clause body is not a conjunction of atoms")
 
 
 def to_h_clauses(d: Formula) -> list[HClause]:
@@ -344,7 +344,7 @@ def to_h_clauses(d: Formula) -> list[HClause]:
                 fbody = formula_substitute(fbody, var, Var(z))
                 var = z
             return go(fbody, universals + [var], body)
-        raise NonHConvertibleClause(f"{f!r} is not in the clause grammar")
+        raise NonHConvertibleClause("formula is not in the clause grammar")
 
     return go(d, [], [])
 

@@ -11,18 +11,14 @@ approximated model unchanged (conservative extension).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import engine as eng
 from . import formulas as fm
+from . import parser as ps
 from . import terms as tm
 from . import trees as tr
-from .errors import (
-    BodyNotInModel,
-    MissingEigenvariableBinding,
-    NotHShapedRoot,
-    ProofInvalid,
-)
+from .errors import BodyNotInModel, MissingEigenvariableBinding, NotHShapedRoot, ProofInvalid
 from .formulas import Calculus, HClause, Program, formula_alpha_eq
 from .terms import App, Con, Fix, Lam, Term, Var
 
@@ -33,11 +29,7 @@ class DeltaRecord:
     universal of the hypothesis bound to a guarded full term (which may
     mention eigenvariables)."""
 
-    index: int
     bindings: tuple[tuple[str, Term], ...]
-
-
-ThetaIndex = tuple[int, ...]
 
 
 def replace_cons(t: Term, values: dict[str, Term]) -> Term:
@@ -65,23 +57,22 @@ def _root_h_clause(proof: eng.ProofTree) -> HClause:
 
 def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = Calculus.HOHH) -> list[DeltaRecord]:
     """One record per DECIDE on the coinductive hypothesis, bindings read
-    off the universal-instantiation chain at that site.  Once the proof
-    checks, the root derivation's shape is checked before any use, so a
-    root whose universals are not all leading is blamed for that
-    (`NotHShapedRoot`), not the uses under it."""
+    off the universal-instantiation chain at that site."""
     return _walk_root(proof, program, calculus)[2]
 
 
 def _walk_root(
-    proof: eng.ProofTree, program: Program, calculus: Calculus, h: Optional[HClause] = None
+    proof: eng.ProofTree, program: Program, calculus: Calculus
 ) -> tuple[HClause, tuple[list[str], eng.ProofTree, Optional[eng.ProofTree]], list[DeltaRecord]]:
     """`collect_deltas` with what it finds on the way: the root's H-clause
-    (`h` when the caller split the root already) and its guarded segment."""
+    and its guarded segment.  It fails on the root's clause, then the check,
+    then the root derivation, then a hypothesis use, so a checked root
+    whose universals are not all leading is blamed for that
+    (`NotHShapedRoot`), not the uses under it."""
+    h = _root_h_clause(proof)
     ok, diag = eng.check(proof, program, calculus)
     if not ok:
         raise ProofInvalid(f"proof does not check: {diag}")
-    if h is None:
-        h = _root_h_clause(proof)
     segment = _guarded_segment(proof, len(h.universals))
     ch = proof.sequent.goal
     records: list[DeltaRecord] = []
@@ -100,7 +91,7 @@ def _walk_root(
             cur = cur.children[0]
         if len(witnesses) != len(h.universals):
             raise ProofInvalid("coinductive hypothesis use does not instantiate every universal")
-        records.append(DeltaRecord(len(records) + 1, tuple(zip(h.universals, witnesses))))
+        records.append(DeltaRecord(tuple(zip(h.universals, witnesses))))
     return h, segment, records
 
 
@@ -109,41 +100,29 @@ def _walk_root(
 # ---------------------------------------------------------------------------
 
 
-def theta_term(
-    w: ThetaIndex,
-    deltas: list[DeltaRecord],
-    eigens: list[str],
-    base_terms: dict[str, Term],
-) -> dict[str, Term]:
-    """The substitution indexed by the word w: the base terms for the empty
-    word, otherwise each eigenvariable bound to the corresponding recorded
-    binding with the shorter word's substitution put in for the
-    eigenvariables.  Rendering it at a truncation depth gives the
+def _thetas(
+    deltas: list[DeltaRecord], eigens: list[str], base: dict[str, Term], budget: int
+) -> Iterator[tuple[tuple[int, ...], dict[str, Term]]]:
+    """Each word over the record numbers 1..len(deltas), up to the budget in
+    length and shortest first, with the substitution it indexes: the base
+    terms for the empty word; for the word wj, each eigenvariable bound to
+    record j's binding with w's substitution put in for the eigenvariables,
+    built once from w's.  Rendering one at a truncation depth gives the
     tree-level substitution."""
-    for c in eigens:
-        if c not in base_terms:
-            raise MissingEigenvariableBinding(f"no base term for eigenvariable {c}")
-    if not w:
-        return {c: base_terms[c] for c in eigens}
-    prev = theta_term(w[:-1], deltas, eigens, base_terms)
-    j = w[-1]
-    if not 1 <= j <= len(deltas):
-        raise MissingEigenvariableBinding(f"word index {j} has no delta record")
-    return {c: tm.beta_normalize(replace_cons(l_term, prev)) for c, (_x, l_term) in zip(eigens, deltas[j - 1].bindings)}
+    level = [((), base)]
+    yield from level
+    for _ in range(budget):
+        level = [
+            (w + (j,), {c: tm.beta_normalize(replace_cons(t, th)) for c, (_x, t) in zip(eigens, d.bindings)})
+            for w, th in level
+            for j, d in enumerate(deltas, 1)
+        ]
+        yield from level
 
 
 # ---------------------------------------------------------------------------
 # Candidate post-fixed point
 # ---------------------------------------------------------------------------
-
-
-def _words(s: int, budget: int) -> list[ThetaIndex]:
-    out: list[ThetaIndex] = [()]
-    frontier: list[ThetaIndex] = [()]
-    for _ in range(budget):
-        frontier = [w + (j,) for w in frontier for j in range(1, s + 1)]
-        out.extend(frontier)
-    return out
 
 
 def _guarded_segment(proof: eng.ProofTree, m: int) -> tuple[list[str], eng.ProofTree, Optional[eng.ProofTree]]:
@@ -175,7 +154,7 @@ def _guarded_segment(proof: eng.ProofTree, m: int) -> tuple[list[str], eng.Proof
 @dataclass
 class Candidate:
     interpretation: tr.Interpretation
-    side_atoms: list[Term]  # body instances that must come from a post-fixed point
+    side_atoms: tuple[Term, ...]  # body instances that must come from a post-fixed point
     deltas: list[DeltaRecord]
 
 
@@ -199,13 +178,11 @@ def build_candidate(
     conclusion, instantiated along every word up to the budget and rendered
     as depth-truncated trees; also the body instances that a supplied
     post-fixed point must cover."""
-    # one walk; it fails on the root's clause, then the check, then the
-    # root derivation, then a hypothesis use
-    h, (eigens, decide, side), deltas = _walk_root(proof, program, calculus, _root_h_clause(proof))
+    h, (eigens, decide, side), deltas = _walk_root(proof, program, calculus)
     # once the word substitutions are applied, every atom is closed over the
     # base signature; eigenvariables never reach the model side
     sig = program.signature
-    base_terms = _default_base(program, eigens)
+    base = _default_base(program, eigens)
 
     # one atom per alpha key, the guarded goal's first
     goal = decide.sequent.goal.term
@@ -215,22 +192,15 @@ def build_candidate(
             if isinstance(node.sequent.goal, fm.Atom):
                 atoms_c.setdefault(tm.alpha_key(node.sequent.goal.term), node.sequent.goal.term)
 
-    atom_trees: set[tr.Tree] = set()
     reps: dict[tr.Tree, tuple[Term, ...]] = {}
     memo: dict = {}
-    for w in _words(len(deltas), word_budget):
-        th = theta_term(w, deltas, eigens, base_terms)
+    for _w, th in _thetas(deltas, eigens, base, word_budget):
         for a in atoms_c.values():
             inst = tm.beta_normalize(replace_cons(a, th))
-            tree = tr.atom_to_tree(sig, inst, depth, memo)
-            atom_trees.add(tree)
-            reps.setdefault(tree, (inst,))
+            reps.setdefault(tr.atom_to_tree(sig, inst, depth, memo), (inst,))
 
-    base = [(x, base_terms[c]) for x, c in zip(h.universals, eigens)]
-    side_atoms = [tm.beta_normalize(tm.substitute(b, base)) for b in h.body]
-
-    interp = tr.Interpretation(depth, frozenset(atom_trees), reps)
-    return Candidate(interp, side_atoms, deltas)
+    side_atoms = fm.h_substitute(h, {x: base[c] for x, c in zip(h.universals, eigens)}).body
+    return Candidate(tr.Interpretation(depth, frozenset(reps), reps), side_atoms, deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +235,7 @@ def merge_with_model(cand: Candidate, program: Program, cfg: tr.InstanceConfig) 
     skips a seed only when an alpha-equal atom is already listed under its
     key, so a key the approximation keeps lists each of them."""
     interp = cand.interpretation
-    seeds = tuple(t for reps in interp.reps.values() for t in reps) + tuple(cand.side_atoms)
+    seeds = tuple(t for reps in interp.reps.values() for t in reps) + cand.side_atoms
     approx = tr.gfp_approx(program, interp.depth, replace(cfg, seed_atoms=seeds))
     return tr.Interpretation(interp.depth, interp.atoms | approx.atoms, {**interp.reps, **approx.reps})
 
@@ -281,17 +251,19 @@ class HarnessReport:
     candidate_size: int
     merged_size: int
 
-    def to_dict(self) -> dict:
+    def to_dict(self, program: Program) -> dict:
+        """The report with its terms in source syntax, as `pp_term` prints
+        them for the program."""
         return {
             "coinductive_hypothesis_uses": self.uses,
             "deltas": [
-                {"index": d.index, "bindings": [[x, repr(t)] for x, t in d.bindings]}
-                for d in self.deltas
+                {"index": i, "bindings": [[x, ps.pp_term(t, program)] for x, t in d.bindings]}
+                for i, d in enumerate(self.deltas, 1)
             ],
             "depth": self.depth,
             "word_budget": self.word_budget,
             "verified": self.verified,
-            "counterexample": None if self.counterexample is None else repr(self.counterexample),
+            "counterexample": None if self.counterexample is None else ps.pp_term(self.counterexample, program),
             "candidate_size": self.candidate_size,
             "merged_size": self.merged_size,
         }

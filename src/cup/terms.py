@@ -658,7 +658,7 @@ def beta_normalize(t: Term) -> Term:
 
 def _unfold(fx: Fix) -> Term:
     if not isinstance(fx.body, Lam):
-        raise FixBodyNotAbstraction(repr(fx))
+        raise FixBodyNotAbstraction(f"fix body is not an abstraction: {brief(fx)}")
     return subst1(fx.body.body, fx.body.var, fx)
 
 
@@ -682,7 +682,7 @@ def fixbeta_unfold(t: Term) -> Term:
     """One fix unfolding at the leftmost-outermost redex, then beta-normalize."""
     u = _unfold_leftmost(t)
     if u is None:
-        raise NoFixRedex(f"no fix subterm in {t!r}")
+        raise NoFixRedex(f"no fix subterm in {brief(t)}")
     return beta_normalize(u)
 
 
@@ -834,33 +834,20 @@ def fixbeta_equiv(t1: Term, t2: Term, bound: int = UNFOLD_BOUND) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FirstOrderReport:
-    verdict: bool
-    violations: tuple[tuple[int, str], ...] = ()
-
-
-def first_order_report(
-    sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None
-) -> FirstOrderReport:
-    """Check the five defining conditions of first-order terms, with
-    a diagnostic naming each violated condition."""
+def first_order(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None) -> bool:
+    """The five defining conditions of first-order terms: a base type for
+    the term, order 0 or 1 for its constants, base types for its variables,
+    no subterm of type o and no fixed point subterm.  Every judgment is
+    grounded before any is tested."""
     inf, _ty = _inferred(sig, ctx, t, expected)
     judgments = [(u, _ground(inf.resolve(ty), u)) for u, ty in inf.judgments]
-    whole = judgments[-1][1]
-    violations: list[tuple[int, str]] = []
-    if type_order(whole) != 0:
-        violations.append((1, f"term has functional type {whole!r}"))
-    for u, ty in judgments:
-        if isinstance(u, Con) and type_order(ty) not in (0, 1):
-            violations.append((2, f"constant {u.name} has order-{type_order(ty)} type"))
-        if isinstance(u, Var) and type_order(ty) != 0:
-            violations.append((3, f"variable {u.name} has functional type {ty!r}"))
-        if ty == O:
-            violations.append((4, f"subterm {u!r} has type o"))
-        if isinstance(u, Fix):
-            violations.append((5, "contains a fixed point subterm"))
-    return FirstOrderReport(not violations, tuple(violations))
+    return type_order(judgments[-1][1]) == 0 and not any(
+        isinstance(u, Fix)
+        or ty == O
+        or (isinstance(u, Con) and type_order(ty) > 1)
+        or (isinstance(u, Var) and type_order(ty) > 0)
+        for u, ty in judgments
+    )
 
 
 def is_first_order(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None) -> bool:
@@ -870,7 +857,7 @@ def is_first_order(sig: Signature, ctx: Context, t: Term, expected: Optional[Sim
     verdict = sig._memo.get(key)
     if verdict is None:
         try:
-            verdict = first_order_report(sig, ctx, t, expected).verdict
+            verdict = first_order(sig, ctx, t, expected)
         except TypeMismatch:
             # underconstrained terms (a bare unapplied fix, say) have no
             # unique type; they are never first order

@@ -341,7 +341,7 @@ def t_operator(program: Program, interp: Interpretation, cfg: InstanceConfig) ->
 # ---------------------------------------------------------------------------
 
 
-RenamedClause = tuple[Term, list[Term], list[str]]
+RenamedClause = tuple[Term, tuple[Term, ...], list[str]]
 
 
 def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
@@ -349,11 +349,9 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
     renamed to metavariables that no two clauses share."""
     out = []
     for tag, h in enumerate(clauses):
-        binding = {v: Var(f"{tm.META}u{tag}{tm.FRESH_MARK}{i}") for i, v in enumerate(h.universals)}
-        subs = list(binding.items())
-        head = tm.beta_normalize(tm.substitute(h.head, subs))
-        body = [tm.beta_normalize(tm.substitute(b, subs)) for b in h.body]
-        out.append((head, body, [binding[v].name for v in h.universals]))
+        metas = [f"{tm.META}u{tag}{tm.FRESH_MARK}{i}" for i in range(len(h.universals))]
+        renamed = fm.h_substitute(h, {v: Var(m) for v, m in zip(h.universals, metas)})
+        out.append((renamed.head, renamed.body, metas))
     return out
 
 

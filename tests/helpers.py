@@ -228,7 +228,7 @@ def gen_tree(rng: random.Random, depth: int):
 
 
 # ---------------------------------------------------------------------------
-# Tree-level word-indexed substitution: the reference for `theta_term`
+# Tree-level word-indexed substitution: the reference for `soundness._thetas`
 # ---------------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from cup import cli
 from cup import engine as eng
 from cup import formulas as fm
 from cup import parser as ps
+from cup import trees as tr
 from cup.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
 from cup.formulas import Calculus
 
@@ -463,3 +464,95 @@ class TestEnvironmentOverrides:
             "--goal", "forall x. from x (fr_str x)",
         ])
         assert code == EXIT_OK
+
+
+class TestSourceSyntaxInOutput:
+    """Terms print as the text output prints them, and formulas are left
+    out of messages, never shown as dataclass reprs."""
+
+    def test_soundness_json_bindings(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run([
+            "coprove", "--calculus", "co-hohh", "--program", corpus("from.cup"),
+            "--goal", "forall x. from x (fr_str x)", "--emit-proof", str(out),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["soundness", "--program", corpus("from.cup"), "--proof", str(out), "--json"]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "(name=" not in text
+        ((x, bound),) = json.loads(text)["deltas"][0]["bindings"]
+        assert x == "x" and bound.startswith("s x")
+
+    @pytest.mark.parametrize("command, goal", [("coprove", "bit 0 \\/ bit 1"), ("prove", "forall x. bit x")])
+    def test_goal_outside_the_calculus(self, capsys, command, goal):
+        code = run([command, "--calculus", "co-fohc", "--program", corpus("bitstream.cup"), "--goal", goal])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: the goal is not a ") and err.endswith(" formula of co-fohc\n")
+        assert "(name=" not in err
+
+    def test_focus_over_a_conjunction_goal(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        out.write_text(json.dumps({
+            "rule": "initial", "signature_additions": [], "program_additions": [],
+            "goal": "bit 0 /\\ bit 1", "focus": "bit 0", "guarded": False, "children": [],
+        }))
+        code = run(["check-proof", "--calculus", "co-fohc", "--program", corpus("bitstream.cup"), "--proof", str(out)])
+        assert code == EXIT_FAIL
+        text = capsys.readouterr().out
+        assert text == "invalid proof: root: no rule applies to the focused sequent\n"
+
+    def test_lemma_outside_the_clause_grammar(self, tmp_path, capsys):
+        lemma = tmp_path / "lemma.json"
+        argv = ["prove", "--calculus", "co-fohc", "--program", corpus("member.cup")]
+        assert run(argv + ["--goal", "exists x. true", "--emit-proof", str(lemma)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(argv + ["--goal", "true", "--use-lemma", str(lemma)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: formula is not in the clause grammar\n"
+
+
+class TestRarePaths:
+    def test_check_syntax_summary(self, capsys):
+        assert run(["check-syntax", "--program", corpus("member.cup")]) == EXIT_OK
+        assert capsys.readouterr().out == "ok: 4 clauses, 0 fix definitions, 6 constants\n"
+
+    def test_universe_too_large_is_inconclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(tr, "MAX_ATOMS", 3)
+        assert run(["model", "--program", corpus("bitstream.cup"), "--model-depth", "4"]) == EXIT_INCONCLUSIVE
+        assert capsys.readouterr().err.startswith("inconclusive: ")
+
+    def test_model_goal_must_be_an_atom(self, capsys):
+        code = run(["model", "--program", corpus("member.cup"), "--goal", "member 0 nil /\\ true"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: model membership queries take a single atom\n"
+
+    def test_unknown_example_is_usage(self, capsys):
+        assert run(["examples", "--name", "bogus"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: unknown example 'bogus'")
+
+    def test_search_without_a_calculus_is_usage(self, monkeypatch, capsys):
+        monkeypatch.delenv("CUP_CALCULUS", raising=False)
+        assert run(["coprove", "--program", corpus("member.cup"), "--goal", "member 0 [0|nil]"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --calculus is required (or set CUP_CALCULUS)\n"
+
+
+class TestDanglingWitness:
+    """A witness that no rule constrains is filled with the smallest closed
+    term of its type, and without one the proof is dropped."""
+
+    def test_filled_with_the_smallest_closed_term(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code = run([
+            "prove", "--calculus", "co-fohc", "--program", corpus("member.cup"),
+            "--goal", "exists x. true", "--emit-proof", str(out),
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("proved (2 nodes;")
+        assert json.loads(out.read_text())["witness"] == "0"
+
+    def test_no_closed_term_means_no_proof(self, tmp_path, capsys):
+        prog = tmp_path / "nobase.cup"
+        prog.write_text("const s : i -> i. const p : i -> o. p X :- p (s X).\n")
+        code = run(["prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", "exists x. true"])
+        assert code == EXIT_FAIL
+        assert capsys.readouterr().out == "no proof: the finite search space is exhausted\n"

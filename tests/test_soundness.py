@@ -12,7 +12,6 @@ from cup.soundness import (
     build_candidate,
     collect_deltas,
     conservative_extension_check,
-    theta_term,
     verify_postfixed,
 )
 from cup.trees import InstanceConfig, Interpretation, leaf, tree_from_text
@@ -70,6 +69,11 @@ def _bound_trees(sig, subst, depth):
     return {c: tr.atom_to_tree(sig, A(C("from"), t, C("0")), depth + 1).children[0] for c, t in subst.items()}
 
 
+def theta_for(word, deltas, eigens, base):
+    """The substitution that `_thetas` yields with the word."""
+    return dict(sd._thetas(deltas, eigens, base, len(word)))[word]
+
+
 class TestTheta:
     def _from_setup(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["from"]
@@ -79,37 +83,45 @@ class TestTheta:
 
     def test_base_case(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
-        out = theta_term((), deltas, [eigen], {eigen: C("0")})
+        out = theta_for((), deltas, [eigen], {eigen: C("0")})
         assert out == {eigen: C("0")}
         assert _bound_trees(prog.signature, out, 4) == {eigen: leaf("0")}
 
     def test_recursive_steps(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
-        one = theta_term((1,), deltas, [eigen], {eigen: C("0")})
+        one = theta_for((1,), deltas, [eigen], {eigen: C("0")})
         assert _bound_trees(prog.signature, one, 4) == {eigen: tree_from_text("s(0)")}
-        two = theta_term((1, 1), deltas, [eigen], {eigen: C("0")})
+        two = theta_for((1, 1), deltas, [eigen], {eigen: C("0")})
         assert _bound_trees(prog.signature, two, 4) == {eigen: tree_from_text("s(s(0))")}
 
     def test_term_level_agrees_with_tree_level(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
         sig = prog.signature.extend(eigen, tm.IOTA)
         for word in ((), (1,), (1, 1), (1, 1, 1)):
-            at_term = theta_term(word, deltas, [eigen], {eigen: C("0")})
+            at_term = theta_for(word, deltas, [eigen], {eigen: C("0")})
             at_tree = theta(word, deltas, [eigen], {eigen: leaf("0")}, 5, sig)
             assert _bound_trees(prog.signature, at_term, 5) == at_tree
 
     def test_stability_under_depth_refinement(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
-        out = theta_term((1, 1), deltas, [eigen], {eigen: C("0")})
+        out = theta_for((1, 1), deltas, [eigen], {eigen: C("0")})
         for n in (2, 3, 4):
             fine = _bound_trees(prog.signature, out, n + 1)
             coarse = _bound_trees(prog.signature, out, n)
             assert {c: tr.truncate(t, n) for c, t in fine.items()} == coarse
 
-    def test_missing_base_binding(self, regression_proofs):
+    def test_words_come_shortest_first_each_from_its_prefix(self, regression_proofs):
         prog, res, deltas, eigen = self._from_setup(regression_proofs)
-        with pytest.raises(sd.MissingEigenvariableBinding):
-            theta_term((), deltas, [eigen], {})
+        ((x, _bound),) = deltas[0].bindings
+        # record 1 steps the start value once, record 2 twice
+        twice = sd.DeltaRecord(((x, A(C("s"), A(C("s"), C(eigen)))),))
+        pairs = list(sd._thetas([deltas[0], twice], [eigen], {eigen: C("0")}, 2))
+        assert [w for w, _th in pairs] == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
+        for w, th in pairs:
+            want = C("0")
+            for _ in range(sum(w)):
+                want = A(C("s"), want)
+            assert th == {eigen: want}, w
 
 
 class TestBuildCandidate:
@@ -231,8 +243,15 @@ class TestHarnessReport:
     def test_report_shape(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["from"]
         report = audit_proof(res.tree, prog, 4, 2, calculus=calc)
-        data = report.to_dict()
+        data = report.to_dict(prog)
         assert data["verified"] is True
+        # terms in source syntax
+        eigen = res.tree.children[0].eigen
+        assert data["deltas"] == [{"index": 1, "bindings": [["x", f"s {eigen}"]]}]
         assert data["coinductive_hypothesis_uses"] == 1
         assert data["word_budget"] == 2
         assert data["counterexample"] is None
+
+    def test_counterexample_in_source_syntax(self, from_program):
+        report = sd.HarnessReport(0, [], 2, 0, False, A(C("from"), A(C("s"), C("0")), C("0")), 1, 1)
+        assert report.to_dict(from_program)["counterexample"] == "from (s 0) 0"
