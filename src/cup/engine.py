@@ -415,7 +415,7 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
 # ---------------------------------------------------------------------------
 
 
-def _smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Optional[Term]:
+def smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Optional[Term]:
     """The smallest closed first-order term of the given type, if one is
     built within three rounds of constructor application."""
     cons = sig.constructors()
@@ -448,7 +448,7 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree
             dangling |= unresolved_metas(node.sequent.goal.term, s)
     for name in sorted(dangling):
         ty = ctx.meta_types.get(name, IOTA)
-        t = _smallest_closed_term(ctx.program.signature, ty)
+        t = smallest_closed_term(ctx.program.signature, ty)
         if t is None:
             return None
         s = {**s, name: t}

@@ -23,15 +23,11 @@ from .terms import (
 
 @dataclass(frozen=True)
 class GuardReport:
-    verdict: bool
     violations: tuple[tuple[object, str], ...] = ()
 
-    @staticmethod
-    def bad(*violations: tuple[object, str]) -> "GuardReport":
-        return GuardReport(False, tuple(violations))
-
-
-GOOD = GuardReport(True)
+    @property
+    def verdict(self) -> bool:
+        return not self.violations
 
 
 def _peel_lams(t: Term) -> tuple[list[str], Term]:
@@ -50,28 +46,30 @@ def is_guarded_fixed_point(sig: Signature, t: Term) -> GuardReport:
     """
     report = sig._memo.get((t, GuardReport))
     if report is None:
-        report = sig._memo[t, GuardReport] = _guard_report(sig, t)
+        report = sig._memo[t, GuardReport] = GuardReport(tuple(_violations(sig, t)))
     return report
 
 
-def _guard_report(sig: Signature, t: Term) -> GuardReport:
+def _violations(sig: Signature, t: Term) -> list[tuple[object, str]]:
     if not isinstance(t, Fix) or not isinstance(t.body, Lam):
-        return GuardReport.bad(("full-term shape", "not of the form fix \\x. ..."))
+        return [("full-term shape", "not of the form fix \\x. ...")]
     x = t.body.var
     params, core = _peel_lams(t.body.body)
     head, args = tm.spine(core)
     if not isinstance(head, Con):
-        return GuardReport.bad((2, "body head is not a constant"))
+        return [(2, "body head is not a constant")]
     head_ty = sig.lookup(head.name)
     if head_ty is None:
-        return GuardReport.bad((2, f"unknown constant {head.name}"))
+        return [(2, f"unknown constant {head.name}")]
     arg_tys = tm.argument_types(head_ty)
     if tm.target_type(head_ty) != IOTA or any(a != IOTA for a in arg_tys):
-        return GuardReport.bad((2, f"constructor {head.name} is not of type i -> ... -> i"))
+        return [(2, f"constructor {head.name} is not of type i -> ... -> i")]
     if len(args) != len(arg_tys):
-        return GuardReport.bad((2, f"constructor {head.name} is not fully applied"))
+        return [(2, f"constructor {head.name} is not fully applied")]
+    if len({x, *params}) <= len(params):
+        # a shadowed binder never occurs, so no renaming could make it guarded
+        return [(4, f"binder names repeat in {[x, *params]}")]
 
-    violations: list[tuple[object, str]] = []
     self_calls = []
     plain_args = []
     for a in args:
@@ -81,9 +79,9 @@ def _guard_report(sig: Signature, t: Term) -> GuardReport:
         else:
             plain_args.append(a)
     if len(self_calls) != 1:
-        violations.append((2, f"expected exactly one self-application, found {len(self_calls)}"))
-        return GuardReport.bad(*violations)
+        return [(2, f"expected exactly one self-application, found {len(self_calls)}")]
     recursive_args = self_calls[0]
+    violations: list[tuple[object, str]] = []
     if len(recursive_args) != len(params):
         violations.append((1, "self-application arity differs from the parameter count"))
 
@@ -103,9 +101,7 @@ def _guard_report(sig: Signature, t: Term) -> GuardReport:
         mentioned |= tm.free_vars(a)
     if mentioned != set(params):
         violations.append((4, f"free variables {sorted(mentioned)} differ from parameters {params}"))
-    if violations:
-        return GuardReport.bad(*violations)
-    return GOOD
+    return violations
 
 
 def is_guarded_full(sig: Signature, t: Term) -> bool:
@@ -116,33 +112,18 @@ def is_guarded_full(sig: Signature, t: Term) -> bool:
     head, args = tm.spine(t)
     if not isinstance(head, Fix) or not is_guarded_fixed_point(sig, head).verdict:
         return False
-    try:
-        head_ty = tm.typecheck(sig, {}, head)
-    except CupError:
-        return False
-    if len(args) != len(tm.argument_types(head_ty)):
-        return False
-    return all(
-        tm.is_first_order(sig, {}, a) and tm.typecheck(sig, {}, a) == IOTA for a in args
+    return len(args) == len(tm.argument_types(tm.typecheck(sig, {}, head))) and all(
+        tm.is_first_order(sig, {}, a, expected=IOTA) for a in args
     )
 
 
 def _fold_candidates(sig: Signature, t: Term) -> bool:
     """Bounded search for a directly guarded full term fix-beta-equal to t."""
-    fixes = [u for u in tm.subterms(t) if isinstance(u, Fix) and is_guarded_fixed_point(sig, u).verdict]
+    subs = tm.subterms(t)
+    fixes = [u for u in subs if isinstance(u, Fix) and is_guarded_fixed_point(sig, u).verdict]
     if not fixes:
         return False
-    pool = []
-    seen = set()
-    for u in tm.subterms(t):
-        if u in seen or isinstance(u, (Lam, Fix)):
-            continue
-        seen.add(u)
-        try:
-            if tm.is_first_order(sig, {}, u) and tm.typecheck(sig, {}, u) == IOTA:
-                pool.append(u)
-        except CupError:
-            continue
+    pool = [u for u in subs if not tm.free_vars(u) and tm.is_first_order(sig, {}, u, expected=IOTA)]
     for fx in fixes:
         arity = len(tm.argument_types(tm.typecheck(sig, {}, fx)))
         for combo in itertools.product(pool, repeat=arity):

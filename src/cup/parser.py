@@ -356,21 +356,27 @@ def _parse_program(text: str) -> Program:
             p.eat(".")
             p.resolved(implicit=False)
             sig = Signature.of(sig_map)
-            t = tm.canonicalize(body)
-            report = is_guarded_fixed_point(sig, t)
+            # only a body that type-checks is beta-normalised, which then
+            # terminates; an ill-typed one is still checked for guardedness
+            type_error = None
+            try:
+                tm.typecheck(sig, {}, body)
+            except CupError as exc:
+                type_error = exc
+            else:
+                body = tm.beta_normalize(body)
+            report = is_guarded_fixed_point(sig, body)
             if not report.verdict:
                 raise GuardednessError(
                     f"definition {name!r} is not a guarded fixed point term: "
                     + "; ".join(msg for _, msg in report.violations),
                     name_tok.span,
                 )
-            try:
-                tm.typecheck(sig, {}, t)
-            except CupError as exc:
-                raise SourceTypeError(str(exc), name_tok.span) from exc
+            if type_error is not None:
+                raise SourceTypeError(str(type_error), name_tok.span) from type_error
             if name in sig_map or name in fix_defs:
                 raise ParseError(f"{name!r} declared twice", name_tok.span)
-            fix_defs[name] = t
+            fix_defs[name] = body
             continue
         start = p.peek()
         f = p.clause()
@@ -383,7 +389,7 @@ def _parse_program(text: str) -> Program:
         if not first_order:
             raise SourceTypeError("clause is outside the first-order clause grammar", start.span)
         # after the type check, so beta-normalising terminates
-        clauses.append(fm.map_atoms(f, tm.canonicalize))
+        clauses.append(fm.map_atoms(f, tm.beta_normalize))
     return Program(Signature.of(sig_map), tuple(clauses), tuple(fix_defs.items()))
 
 
@@ -401,15 +407,13 @@ def _parse_with(text: str, program: Program, production: str, allow_fresh: bool 
 
 
 # Both type-check before they beta-normalise, which need not terminate on
-# ill-typed input; the check of the normal form, which `check` looks up later,
-# is a memo hit if the text was normal.  Any step may exhaust the stack.
+# ill-typed input; by subject reduction the normal form types too.  Any step
+# may exhaust the stack.
 def parse_term(text: str, program: Program, allow_fresh: bool = False) -> Term:
     try:
         t = _parse_with(text, program, "term", allow_fresh)
         tm.typecheck(program.signature, {}, t)
-        t = tm.canonicalize(t)
-        tm.typecheck(program.signature, {}, t)
-        return t
+        return tm.beta_normalize(t)
     except RecursionError:
         raise NestingTooDeep("nesting too deep") from None
 
@@ -418,9 +422,7 @@ def parse_goal(text: str, program: Program, allow_fresh: bool = False) -> Formul
     try:
         f = _parse_with(text, program, "formula", allow_fresh)
         fm.typecheck_formula(program.signature, f)
-        f = fm.map_atoms(f, tm.canonicalize)
-        fm.typecheck_formula(program.signature, f)
-        return f
+        return fm.map_atoms(f, tm.beta_normalize)
     except RecursionError:
         raise NestingTooDeep("nesting too deep") from None
 

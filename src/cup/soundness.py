@@ -161,10 +161,10 @@ class Candidate:
 def _default_base(program: Program, eigens: list[str]) -> dict[str, Term]:
     if not eigens:
         return {}
-    pool = [t for t in tr.universe_terms(program, tr.InstanceConfig(term_size=2)) if not tm.has_fix(t)]
-    if not pool:
+    t = eng.smallest_closed_term(program.signature, tm.IOTA)
+    if t is None:
         raise MissingEigenvariableBinding("signature has no closed individual terms for the base substitution")
-    return {c: pool[0] for c in eigens}
+    return {c: t for c in eigens}
 
 
 def build_candidate(

@@ -283,7 +283,7 @@ def free_vars(t: Term) -> frozenset[str]:
 
 def fresh_name(base: str, avoid: set[str]) -> str:
     base = base.split(FRESH_MARK, 1)[0] or "x"
-    if base not in avoid and FRESH_MARK not in base:
+    if base not in avoid:
         return base
     for n in itertools.count(1):
         cand = f"{base}{FRESH_MARK}{n}"
@@ -295,14 +295,13 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 class NameSupply:
     """Per-session monotone counter for eigenvariables and metavariables."""
 
-    def __init__(self, prefix: str = ""):
-        self._prefix = prefix
+    def __init__(self):
         self._next = 0
 
     def fresh(self, base: str) -> str:
         self._next += 1
         base = base.split(FRESH_MARK, 1)[0] or "c"
-        return f"{self._prefix}{base}{FRESH_MARK}{self._next}"
+        return f"{base}{FRESH_MARK}{self._next}"
 
 
 # ---------------------------------------------------------------------------
@@ -377,34 +376,6 @@ def _de_bruijn(t: Term, env: dict[str, int], depth: int) -> str:
     if own:
         _AK(t, key)
     return key
-
-
-def canonicalize(t: Term) -> Term:
-    """Beta-normalize and rename binders so no binder shadows another name.
-
-    Applied at module boundaries so later stages may compare structurally;
-    a canonical term comes back itself.
-    """
-    t = beta_normalize(t)
-    used = set(free_vars(t))
-
-    def go(u: Term) -> Term:
-        if isinstance(u, (Var, Con)):
-            return u
-        if isinstance(u, App):
-            fn, arg = go(u.fn), go(u.arg)
-            return u if fn is u.fn and arg is u.arg else App(fn, arg)
-        if isinstance(u, Fix):
-            body = go(u.body)
-            return u if body is u.body else Fix(body)
-        name = u.var
-        if name in used or FRESH_MARK in name:
-            name = fresh_name(u.var, used)
-        used.add(name)
-        body = go(rename_free(u.body, u.var, name) if name != u.var else u.body)
-        return u if name == u.var and body is u.body else Lam(name, body)
-
-    return go(t)
 
 
 # ---------------------------------------------------------------------------

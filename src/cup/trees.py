@@ -288,14 +288,13 @@ def universe_terms(program: Program, cfg: InstanceConfig) -> list[Term]:
         if len(out) >= MAX_TERMS:
             out = out[:MAX_TERMS]
             break
-    fo_args = [t for t in out if tm.is_first_order(sig, {}, t)]
     extra: list[Term] = []
     for _name, d in program.fix_definitions:
         arity = len(tm.argument_types(tm.typecheck(sig, {}, d)))
         if arity == 0:
             extra.append(d)
             continue
-        for combo in itertools.product(fo_args[:8], repeat=arity):
+        for combo in itertools.product(out[:8], repeat=arity):
             extra.append(tm.beta_normalize(tm.app(d, *combo)))
     out.extend(extra)
     return out

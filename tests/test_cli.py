@@ -556,3 +556,99 @@ class TestDanglingWitness:
         code = run(["prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", "exists x. true"])
         assert code == EXIT_FAIL
         assert capsys.readouterr().out == "no proof: the finite search space is exhausted\n"
+
+
+def _doc_nodes(doc):
+    yield doc
+    for child in doc["children"]:
+        yield from _doc_nodes(child)
+
+
+def _node(rule, goal, children=(), **fields):
+    return {"rule": rule, "signature_additions": [], "program_additions": [], "goal": goal,
+            "guarded": False, "children": list(children), **fields}
+
+
+class TestCheckerDiagnostics:
+    """Each checker failure that no found proof reaches, through a tampered
+    or hand-written proof document."""
+
+    def check(self, tmp_path, capsys, doc, calculus, program):
+        out = tmp_path / "t.json"
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["check-proof", "--calculus", calculus, "--program", corpus(program), "--proof", str(out)])
+        return code, capsys.readouterr().out
+
+    def member_proof(self, tmp_path, capsys):
+        # decide, forall-l with witness 0, forall-l with witness nil, initial
+        out = tmp_path / "p.json"
+        assert run(["prove", "--calculus", "co-fohc", "--program", corpus("member.cup"),
+                    "--goal", "member 0 [0|nil]", "--emit-proof", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["children"][0]["rule"] == "forall-l" and doc["children"][0]["witness"] == "0"
+        return doc
+
+    @pytest.mark.parametrize("witness, diagnostic", [
+        (None, "forall-l needs a witness"),
+        ("scons 0", "witness scons 0 has type i -> i, expected i"),
+        ("fix \\x. [0|x]", "witness fix \\x. scons 0 x is not first order (required in co-fohc)"),
+    ], ids=["missing", "another-type", "fixed-point"])
+    def test_a_bad_witness(self, tmp_path, capsys, witness, diagnostic):
+        doc = self.member_proof(tmp_path, capsys)
+        node = doc["children"][0]
+        del node["witness"]
+        if witness is not None:
+            node["witness"] = witness
+        assert self.check(tmp_path, capsys, doc, "co-fohc", "member.cup") == (
+            EXIT_FAIL, f"invalid proof: root.0: {diagnostic}\n")
+
+    def test_an_imp_r_antecedent_outside_the_clause_grammar(self, tmp_path, capsys):
+        doc = _node("imp-r", "bit 0 \\/ bit 1 => bit 0")
+        assert self.check(tmp_path, capsys, doc, "co-fohh", "comember.cup") == (
+            EXIT_FAIL, "invalid proof: root: imp-r antecedent is not a program clause of the calculus\n")
+
+    def test_a_focus_outside_the_clause_grammar(self, tmp_path, capsys):
+        # a root lemma entry whose antecedent is an implication, focused
+        # with the premises imp-l asks for; co-fohc clause bodies have none
+        clause = "(bit 1 => bit 0) => bit 0"
+        imp_l = _node("imp-l", "bit 0", [_node("initial", "bit 0", focus="bit 0"), _node("initial", "bit 1 => bit 0")],
+                      focus=clause)
+        doc = _node("decide", "bit 0", [imp_l], program_additions=[clause])
+        assert self.check(tmp_path, capsys, doc, "co-fohc", "comember.cup") == (
+            EXIT_FAIL, "invalid proof: root.0: focus is outside the clause grammar of co-fohc\n")
+
+    def test_a_lemma_proof_must_be_coinductive(self, tmp_path, capsys):
+        lemma = tmp_path / "lemma.json"
+        argv = ["prove", "--calculus", "co-fohc", "--program", corpus("comember.cup")]
+        assert run(argv + ["--goal", "bit 0", "--emit-proof", str(lemma)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(argv + ["--goal", "bit 1", "--use-lemma", str(lemma)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: lemma proof must be a coinductive proof\n"
+
+    def test_a_conjunction_in_a_consequent_is_focused_by_and_l(self, tmp_path, capsys):
+        prog = tmp_path / "andl.cup"
+        prog.write_text("const 0 : i. const p : i -> o. const q : i -> o. const r : i -> o.\n"
+                        "forall x. p x => (q x /\\ r x).\np 0.\n")
+        out = tmp_path / "p.json"
+        argv = ["--calculus", "co-fohc", "--program", str(prog)]
+        assert run(["prove", *argv, "--goal", "r 0", "--emit-proof", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("proved (7 nodes;")
+        rules = [n["rule"] for n in _doc_nodes(json.loads(out.read_text()))]
+        assert rules == ["decide", "forall-l", "imp-l", "and-l", "initial", "decide", "initial"]
+        assert run(["check-proof", *argv, "--proof", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "valid proof (7 nodes)\n"
+
+
+class TestAuditWithoutABaseTerm:
+    def test_no_closed_individual_term_is_usage(self, tmp_path, capsys):
+        prog = tmp_path / "nobase.cup"
+        prog.write_text("const s : i -> i. const p : i -> o. p X :- p (s X).\n")
+        out = tmp_path / "p.json"
+        code = run(["coprove", "--calculus", "co-fohh", "--program", str(prog), "--goal", "forall x. p x",
+                    "--emit-proof", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("proved (9 nodes;")
+        assert run(["soundness", "--program", str(prog), "--proof", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: signature has no closed individual terms for the base substitution\n")

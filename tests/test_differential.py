@@ -1510,7 +1510,7 @@ def test_smallest_closed_term_is_the_first_of_the_reference_pool(
             types |= {ty, tm.target_type(ty), *tm.argument_types(ty)}
         for ty in sorted(types, key=repr):
             pool = smallest_closed_terms_reference(sig, ty)
-            assert eng._smallest_closed_term(sig, ty) == (pool[0] if pool else None), (sig, ty)
+            assert eng.smallest_closed_term(sig, ty) == (pool[0] if pool else None), (sig, ty)
             cases += 1
     assert cases > 15
 

@@ -349,6 +349,50 @@ class TestChecker:
                         ]
                         assert Src.ORIGINAL in srcs
 
+    def member_proof(self, member_program):
+        # decide, forall-l with witness 0, forall-l with witness nil, initial
+        goal = ps.parse_goal("member 0 [0|nil]", member_program)
+        res = prove(member_program, None, goal, SearchConfig(calculus=Calculus.FOHC))
+        assert rules_of(res.tree) == ["decide", "forall-l", "forall-l", "initial"]
+        return res.tree
+
+    def test_root_entries_out_of_program_order(self, member_program):
+        # only the root's entries are swapped: no document can say this, as
+        # an imported root always holds the program's clauses in order
+        tree = self.member_proof(member_program)
+        e = tree.sequent.entries
+        swapped = replace(tree, sequent=tree.sequent.with_(entries=(e[1], e[0], *e[2:])))
+        assert check(swapped, member_program, Calculus.FOHC) == (
+            False, "root: root program entries differ from the program")
+
+    def test_a_witness_that_is_not_closed(self, member_program):
+        # an imported witness is parsed and type-checked, so none is open
+        tree = self.member_proof(member_program)
+        node = tree.children[0]
+        open_witness = replace_at(tree, (0,), replace(node, witness=V("y")))
+        assert check(open_witness, member_program, Calculus.FOHC) == (
+            False, "root.0: witness y is not a closed well-typed term: variable y has no declared type")
+
+
+class TestProofTreeEqual:
+    def test_each_field_tells_two_nodes_apart(self, member_program):
+        goal = ps.parse_goal("member 0 [0|nil]", member_program)
+        node = prove(member_program, None, goal, SearchConfig(calculus=Calculus.FOHC)).tree.children[0]
+        assert node.rule == "forall-l" and node.witness == C("0") and node.eigen is None
+        no_witness = replace(node, witness=None)
+        others = {
+            "rule": replace(node, rule="exists-r"),
+            "eigen": replace(node, eigen="c#1"),
+            "no witness": no_witness,
+            "another witness": replace(node, witness=C("1")),
+            "sequent": replace(node, sequent=node.sequent.with_(guarded=True)),
+            "children": replace(node, children=()),
+        }
+        assert node.equal(replace(node))
+        for field, other in others.items():
+            assert not node.equal(other), field
+        assert not no_witness.equal(node)
+
 
 class TestSearchWitnesses:
     """Search instantiates quantifiers through metavariables bound by

@@ -232,7 +232,7 @@ class TestGroundInstances:
 
     def test_alpha_deduplication(self):
         h = HClause(("x",), (), A(C("bit"), V("x")))
-        variant_a = tm.canonicalize(A(N_STR, C("0")))
+        variant_a = tm.beta_normalize(A(N_STR, C("0")))
         variant_b = tm.Fix(tm.Lam("g", tm.Lam("m", scons(V("m"), A(V("g"), V("m"))))))
         out = list(ground_instances(h, [variant_a, A(variant_b, C("0"))]))
         assert len(out) == 1

@@ -52,7 +52,7 @@ class TestGuardedFull:
         assert gd.is_guarded_full(STREAM_SIG, A(FR_STR, A(C("s"), C("0"))))
 
     def test_normalization_then_first_order(self):
-        t = tm.canonicalize(A(L("x", V("x")), C("0")))
+        t = tm.beta_normalize(A(L("x", V("x")), C("0")))
         assert gd.is_guarded_full(STREAM_SIG, t)
 
     def test_partially_unfolded_needs_extension(self):

@@ -22,7 +22,7 @@ from cup.errors import (
 )
 from cup.formulas import Atom, Calculus, Exists, Forall
 
-from helpers import PUNCT, A, C, V, deep_document, scons, tokenize_reference
+from helpers import PUNCT, A, C, L, V, deep_document, scons, tokenize_reference
 
 
 class TestParseProgram:
@@ -146,7 +146,8 @@ class TestParseGoalTerm:
     def test_a_parsed_goal_is_its_own_canonical_form(self, from_program, member_program):
         for f in (ps.parse_goal("forall x. from x (fr_str x)", from_program),
                   ps.parse_goal("member ((\\x. x) 0) [0|nil]", member_program)):
-            assert fm.map_atoms(f, tm.canonicalize) is f
+            # atoms come back beta-normal, so normalising again changes nothing
+            assert fm.map_atoms(f, tm.beta_normalize) is f
 
     @pytest.mark.parametrize("doublings", [11, 12, 14])
     def test_nesting_past_the_stack_after_the_parse_is_nesting_too_deep(self, from_program, doublings):
@@ -415,6 +416,49 @@ def test_error_class_message_and_span(member_program, entry, text, cls, message,
     with pytest.raises(CupError) as exc:
         parse(text)
     assert (type(exc.value), str(exc.value), exc.value.span) == (cls, message, span)
+
+
+NOT_GUARDED = "definition {!r} is not a guarded fixed point term: "
+
+# (id, definition, error class, message): each guardedness violation and
+# each type error a definition can raise, read after HEAD, so every span
+# is the definition's name at (2, 5)
+DEFINITION_ROWS = [
+    ("self-application-arity", "def d = fix \\x. \\y. scons y x.", GuardednessError,
+     NOT_GUARDED.format("d") + "self-application arity differs from the parameter count"),
+    ("not-fully-applied", "def d = fix \\x. scons x.", GuardednessError,
+     NOT_GUARDED.format("d") + "constructor scons is not fully applied"),
+    ("head-not-a-constructor", "def d = fix \\x. p x.", GuardednessError,
+     NOT_GUARDED.format("d") + "constructor p is not of type i -> ... -> i"),
+    ("untypable-argument", "def d = fix \\x. scons (0 0) x.", GuardednessError,
+     NOT_GUARDED.format("d") + "argument 0 0 cannot be typed: cannot match i with i -> ?1 at 0 0"),
+    ("non-first-order-argument", "def d = fix \\x. scons (fix \\y. scons 0 y) x.", GuardednessError,
+     NOT_GUARDED.format("d") + "argument fix \\y. scons 0 y is not a first-order term of type i"),
+    ("not-a-fixed-point", "def d = 0.", GuardednessError, NOT_GUARDED.format("d") + "not of the form fix \\x. ..."),
+    # a shadowed parameter never occurs: no renaming of the binders is guarded
+    ("repeated-binder", "def d = fix \\x. \\y. \\y. scons y (x y y).", GuardednessError,
+     NOT_GUARDED.format("d") + "binder names repeat in ['x', 'y', 'y']"),
+    ("ambiguous-type", "def z = fix \\x. \\y. scons 0 (x y).", SourceTypeError,
+     "ambiguous type for fix \\x. \\y. scons 0 (x y); add context or apply the term"),
+    # ill-typed bodies whose beta-normalisation would not terminate: they
+    # are checked for guardedness but never normalised
+    ("omega", "def bad = (\\x. x x) (\\x. x x).", GuardednessError,
+     NOT_GUARDED.format("bad") + "not of the form fix \\x. ..."),
+    ("omega-under-fix", "def bad = fix \\s. (\\x. x x) (\\x. x x).", GuardednessError,
+     NOT_GUARDED.format("bad") + "body head is not a constant"),
+]
+
+
+@pytest.mark.parametrize("text, cls, message", [r[1:] for r in DEFINITION_ROWS], ids=[r[0] for r in DEFINITION_ROWS])
+def test_a_definition_error_names_the_definition(text, cls, message):
+    with pytest.raises(CupError) as exc:
+        ps.parse_program(HEAD + text)
+    assert (type(exc.value), str(exc.value), exc.value.span) == (cls, message, (2, 5))
+
+
+def test_a_definition_that_types_is_normalised_before_the_guardedness_check():
+    program = ps.parse_program(HEAD + "def d = fix \\x. (\\u. scons 0 u) x.")
+    assert program.fix_definitions == (("d", tm.Fix(L("x", scons(C("0"), V("x"))))),)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import dataclasses
-import random
 
 import pytest
 
@@ -21,14 +20,13 @@ from cup.terms import (
     App,
     Fix,
     IOTA,
-    Lam,
     NOT_EQUAL,
     O,
     Signature,
     fn_type,
 )
 
-from helpers import A, C, FR_STR, L, N_STR, STREAM_SIG, V, Z_STR, alpha_eq_oracle, gen_term, scons, tree_height
+from helpers import A, C, FR_STR, L, N_STR, STREAM_SIG, V, Z_STR, alpha_eq_oracle, scons, tree_height
 
 
 class TestTypeOrder:
@@ -128,43 +126,6 @@ class TestBetaNormalize:
     def test_two_step(self):
         t = A(L("x", L("y", A(C("member"), V("x"), V("y")))), C("0"), C("nil"))
         assert tm.beta_normalize(t) == A(C("member"), C("0"), C("nil"))
-
-
-def _mark_first_binder(t):
-    """t with its first binder in pre-order renamed to a machine name that
-    no canonical term holds; None when t binds nothing."""
-    if isinstance(t, Lam):
-        name = t.var + tm.FRESH_MARK + "x"
-        return Lam(name, tm.rename_free(t.body, t.var, name))
-    if isinstance(t, Fix):
-        body = _mark_first_binder(t.body)
-        return None if body is None else Fix(body)
-    if isinstance(t, App):
-        fn = _mark_first_binder(t.fn)
-        if fn is not None:
-            return App(fn, t.arg)
-        arg = _mark_first_binder(t.arg)
-        return None if arg is None else App(t.fn, arg)
-    return None
-
-
-class TestCanonicalize:
-    def test_a_canonical_term_comes_back_itself(self):
-        rng = random.Random("canonicalize")
-        renamed = 0
-        for _ in range(400):
-            ty = rng.choice([IOTA, fn_type(IOTA, IOTA), fn_type(IOTA, IOTA, IOTA)])
-            t = tm.canonicalize(gen_term(rng, ty, {}, 4))
-            assert tm.canonicalize(t) is t, t
-            variant = _mark_first_binder(t)
-            if variant is None:
-                continue
-            # a machine-named binder is renamed, so a new term comes back
-            back = tm.canonicalize(variant)
-            assert back is not variant and back != variant and tm.alpha_eq(back, t), t
-            assert tm.canonicalize(back) is back
-            renamed += 1
-        assert renamed > 100
 
 
 class TestFixbetaUnfold:
