@@ -112,7 +112,12 @@ def is_guarded_full(sig: Signature, t: Term) -> bool:
     head, args = tm.spine(t)
     if not isinstance(head, Fix) or not is_guarded_fixed_point(sig, head).verdict:
         return False
-    return len(args) == len(tm.argument_types(tm.typecheck(sig, {}, head))) and all(
+    try:
+        # a guarded fixed point may still have an ambiguous type
+        head_ty = tm.typecheck(sig, {}, head)
+    except CupError:
+        return False
+    return len(args) == len(tm.argument_types(head_ty)) and all(
         tm.is_first_order(sig, {}, a, expected=IOTA) for a in args
     )
 

@@ -357,14 +357,13 @@ def _parse_program(text: str) -> Program:
             p.resolved(implicit=False)
             sig = Signature.of(sig_map)
             # only a body that type-checks is beta-normalised, which then
-            # terminates; an ill-typed one is still checked for guardedness
-            type_error = None
+            # terminates; the normal form is checked again, since a vanished
+            # argument may have been all that fixed a binder's type
             try:
                 tm.typecheck(sig, {}, body)
-            except CupError as exc:
-                type_error = exc
-            else:
                 body = tm.beta_normalize(body)
+            except CupError:
+                pass
             report = is_guarded_fixed_point(sig, body)
             if not report.verdict:
                 raise GuardednessError(
@@ -372,8 +371,10 @@ def _parse_program(text: str) -> Program:
                     + "; ".join(msg for _, msg in report.violations),
                     name_tok.span,
                 )
-            if type_error is not None:
-                raise SourceTypeError(str(type_error), name_tok.span) from type_error
+            try:
+                tm.typecheck(sig, {}, body)
+            except CupError as exc:
+                raise SourceTypeError(str(exc), name_tok.span) from exc
             if name in sig_map or name in fix_defs:
                 raise ParseError(f"{name!r} declared twice", name_tok.span)
             fix_defs[name] = body
@@ -407,13 +408,17 @@ def _parse_with(text: str, program: Program, production: str, allow_fresh: bool 
 
 
 # Both type-check before they beta-normalise, which need not terminate on
-# ill-typed input; by subject reduction the normal form types too.  Any step
-# may exhaust the stack.
+# ill-typed input.  A term's normal form keeps its type but may lose the
+# argument that made the type unique, so it is checked again, a memo hit if
+# the text was normal; an atom's type is o either way.  Any step may exhaust
+# the stack.
 def parse_term(text: str, program: Program, allow_fresh: bool = False) -> Term:
     try:
         t = _parse_with(text, program, "term", allow_fresh)
         tm.typecheck(program.signature, {}, t)
-        return tm.beta_normalize(t)
+        t = tm.beta_normalize(t)
+        tm.typecheck(program.signature, {}, t)
+        return t
     except RecursionError:
         raise NestingTooDeep("nesting too deep") from None
 

@@ -55,6 +55,11 @@ class TestGuardedFull:
         t = tm.beta_normalize(A(L("x", V("x")), C("0")))
         assert gd.is_guarded_full(STREAM_SIG, t)
 
+    def test_an_ambiguously_typed_fixed_point_is_not_guarded_full(self):
+        # guarded, but y's type is fixed by nothing
+        t = A(Fix(L("x", L("y", scons(C("0"), A(V("x"), V("y")))))), C("0"))
+        assert not gd.is_guarded_full(STREAM_SIG, t)
+
     def test_partially_unfolded_needs_extension(self):
         t = scons(C("0"), A(N_STR, C("0")))
         assert not gd.is_guarded_full(STREAM_SIG, t)

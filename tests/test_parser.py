@@ -143,6 +143,11 @@ class TestParseGoalTerm:
         with pytest.raises(TypeMismatch, match="circular type constraint"):
             ps.parse_term("(\\x. x x) (\\x. x x)", member_program)
 
+    def test_a_term_whose_normal_form_has_an_ambiguous_type_is_refused(self, bitstream_program):
+        # the vanishing argument scons 0 a alone fixes a : i
+        with pytest.raises(TypeMismatch, match=r"^ambiguous type for fix \\x\. x;"):
+            ps.parse_term("(\\a. (\\p. \\q. p) a (scons 0 a)) (fix \\x. x)", bitstream_program)
+
     def test_a_parsed_goal_is_its_own_canonical_form(self, from_program, member_program):
         for f in (ps.parse_goal("forall x. from x (fr_str x)", from_program),
                   ps.parse_goal("member ((\\x. x) 0) [0|nil]", member_program)):
@@ -439,6 +444,9 @@ DEFINITION_ROWS = [
     ("repeated-binder", "def d = fix \\x. \\y. \\y. scons y (x y y).", GuardednessError,
      NOT_GUARDED.format("d") + "binder names repeat in ['x', 'y', 'y']"),
     ("ambiguous-type", "def z = fix \\x. \\y. scons 0 (x y).", SourceTypeError,
+     "ambiguous type for fix \\x. \\y. scons 0 (x y); add context or apply the term"),
+    # the vanishing argument alone fixes y : i, so only the normal form is ambiguous
+    ("ambiguous-normal-form", "def z = fix \\x. \\y. (\\q. scons 0 (x y)) (scons 0 y).", SourceTypeError,
      "ambiguous type for fix \\x. \\y. scons 0 (x y); add context or apply the term"),
     # ill-typed bodies whose beta-normalisation would not terminate: they
     # are checked for guardedness but never normalised
