@@ -30,47 +30,58 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-DEFAULTS = {"depth": 32, "fixbeta_bound": tm.UNFOLD_BOUND, "model_depth": 4, "word_budget": 3}
-ENV = {
-    "depth": "CUP_DEPTH",
-    "fixbeta_bound": "CUP_FIXBETA_BOUND",
-    "model_depth": "CUP_MODEL_DEPTH",
-    "word_budget": "CUP_WORD_BUDGET",
-    "calculus": "CUP_CALCULUS",
+# flag, environment variable, default (an int default makes an int setting),
+# least value and help; SearchConfig checks the depth's least, 1, itself
+SETTINGS = {
+    "calculus": ("--calculus", "CUP_CALCULUS", None, None, "co-fohc | co-fohh | co-hohc | co-hohh"),
+    "depth": ("--depth", "CUP_DEPTH", 32, None, "search depth limit"),
+    "fixbeta_bound": ("--fixbeta-bound", "CUP_FIXBETA_BOUND", tm.UNFOLD_BOUND, 0, "fix unfolding bound"),
+    "model_depth": ("--model-depth", "CUP_MODEL_DEPTH", 4, 0, "tree truncation depth"),
+    "word_budget": ("--word-budget", "CUP_WORD_BUDGET", 3, 0, "candidate word budget"),
+    "emit_proof": ("--emit-proof", None, None, None, "write the found proof document here"),
 }
-# bounds where a negative value would silently empty a search or a model
-NON_NEGATIVE = ("fixbeta_bound", "model_depth", "word_budget")
 
 
 def _setting(args, name: str):
-    value = getattr(args, name)
-    source = "--" + name.replace("_", "-")
+    flag, var, default, least, _help = SETTINGS[name]
+    value, source = getattr(args, name), flag
     if value is None:
-        env = os.environ.get(ENV[name], "")
+        env = os.environ.get(var, "") if var else ""
         if not env:
-            return DEFAULTS.get(name)
-        if name == "calculus":
+            return default
+        if not isinstance(default, int):
             return env
-        source = ENV[name]
+        source = var
         try:
             value = int(env)
         except ValueError:
-            raise UsageError(f"{ENV[name]}={env!r} is not an integer") from None
-    if name in NON_NEGATIVE and value < 0:
-        raise UsageError(f"{source} must be >= 0, got {value}")
+            raise UsageError(f"{var}={env!r} is not an integer") from None
+    if least is not None and value < least:
+        raise UsageError(f"{source} must be >= {least}, got {value}")
     return value
 
 
-def _load_program(path: str) -> fm.Program:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ps.parse_program(fh.read())
+def _file(path: str, text: Optional[str] = None) -> Optional[str]:
+    """Read the file an option names, or write text to it: a usage error if
+    it cannot be opened or its text is not UTF-8."""
+    try:
+        with open(path, "r" if text is None else "w", encoding="utf-8") as fh:
+            if text is None:
+                return fh.read()
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+    except UnicodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=1) if args.json else text, flush=True)
+    except BrokenPipeError:
+        # the reader closed early: the exit code stands, and what the
+        # interpreter flushes at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _calculus(args) -> Calculus:
@@ -81,24 +92,20 @@ def _calculus(args) -> Calculus:
 
 
 def _search_config(args) -> eng.SearchConfig:
-    return eng.SearchConfig(
-        calculus=_calculus(args),
-        depth_limit=_setting(args, "depth"),
-        fixbeta_bound=_setting(args, "fixbeta_bound"),
-    )
+    return eng.SearchConfig(_calculus(args), _setting(args, "depth"), _setting(args, "fixbeta_bound"))
 
 
 def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program) -> int:
     stats = {"nodes_expanded": outcome.stats.nodes, "max_depth": outcome.stats.max_depth}
     if outcome.proved:
         doc = ps.export_proof(outcome.tree, program)
-        if args.emit_proof:
-            with open(args.emit_proof, "w", encoding="utf-8") as fh:
-                fh.write(doc + "\n")
+        emit = _setting(args, "emit_proof")
+        if emit:
+            _file(emit, doc + "\n")
         payload = {"result": "proved", "stats": stats, "proof_nodes": outcome.tree.size()}
         text = f"proved ({outcome.tree.size()} nodes; {stats['nodes_expanded']} expansions)"
-        if args.emit_proof:
-            text += f"\nproof written to {args.emit_proof}"
+        if emit:
+            text += f"\nproof written to {emit}"
         elif not args.json:
             text += "\n" + doc
         _emit(args, payload, text)
@@ -123,7 +130,7 @@ def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program) -> int
 
 
 def cmd_check_syntax(args) -> int:
-    program = _load_program(args.program)
+    program = ps.parse_program(_file(args.program))
     payload = {
         "constants": {n: repr(t) for n, t in program.signature.constants},
         "fix_definitions": [n for n, _ in program.fix_definitions],
@@ -136,7 +143,7 @@ def cmd_check_syntax(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    program = _load_program(args.program)
+    program = ps.parse_program(_file(args.program))
     f = ps.parse_goal(args.goal, program)
     members = fm.classify(program.signature, f, args.role)
     names = sorted(c.value for c in members)
@@ -145,20 +152,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_coprove(args) -> int:
-    program = _load_program(args.program)
+    program = ps.parse_program(_file(args.program))
     goal = ps.parse_goal(args.goal, program)
     outcome = eng.coprove(program, goal, _search_config(args))
     return _report_search(args, outcome, program)
 
 
 def cmd_prove(args) -> int:
-    program = _load_program(args.program)
+    program = ps.parse_program(_file(args.program))
     goal = ps.parse_goal(args.goal, program)
     config = _search_config(args)
     store = eng.LemmaStore()
     for path in args.use_lemma or []:
-        with open(path, "r", encoding="utf-8") as fh:
-            proof = ps.import_proof(fh.read(), program)
+        proof = ps.import_proof(_file(path), program)
         hs = fm.to_h_clauses(proof.sequent.goal)
         if len(hs) != 1:
             raise CupError(f"lemma proof in {path} is not H-shaped")
@@ -168,9 +174,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
-    program = _load_program(args.program)
-    with open(args.proof, "r", encoding="utf-8") as fh:
-        tree = ps.import_proof(fh.read(), program)
+    program = ps.parse_program(_file(args.program))
+    tree = ps.import_proof(_file(args.proof), program)
     ok, diag = eng.check(tree, program, _calculus(args), _setting(args, "fixbeta_bound"))
     if ok:
         # the root's non-original entries are lemmas the document assumes
@@ -189,17 +194,16 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_model(args) -> int:
-    program = _load_program(args.program)
+    program = ps.parse_program(_file(args.program))
     depth = _setting(args, "model_depth")
-    seeds = []
     goal_atom: Optional[tm.Term] = None
     if args.goal:
         f = ps.parse_goal(args.goal, program)
         if not isinstance(f, fm.Atom):
             raise CupError("model membership queries take a single atom")
         goal_atom = f.term
-        seeds.append(goal_atom)
-    approx = tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=tuple(seeds)))
+    seeds = () if goal_atom is None else (goal_atom,)
+    approx = tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=seeds))
     caveat = ("membership is evidence at this truncation depth over a bounded universe; "
               "absence certifies non-membership over that universe")
     if goal_atom is None:
@@ -213,12 +217,9 @@ def cmd_model(args) -> int:
 
 
 def cmd_soundness(args) -> int:
-    program = _load_program(args.program)
-    with open(args.proof, "r", encoding="utf-8") as fh:
-        proof = ps.import_proof(fh.read(), program)
-    depth = _setting(args, "model_depth")
-    budget = _setting(args, "word_budget")
-    report = sd.audit_proof(proof, program, depth, budget)
+    program = ps.parse_program(_file(args.program))
+    proof = ps.import_proof(_file(args.proof), program)
+    report = sd.audit_proof(proof, program, _setting(args, "model_depth"), _setting(args, "word_budget"))
     payload = report.to_dict(program)
     lines = [
         f"coinductive hypothesis uses: {report.uses}",
@@ -290,24 +291,21 @@ def cmd_examples(args) -> int:
         _emit(args, payload, text)
         return EXIT_OK
     results = {}
-    all_as_expected = True
     depth = _setting(args, "depth")
     for n in names:
-        program = _load_program(corpus_path(CORPUS[n]["file"]))
+        program = ps.parse_program(_file(corpus_path(CORPUS[n]["file"])))
         for kind, goal_text, calc, want in CORPUS[n]["runs"]:
             goal = ps.parse_goal(goal_text, program)
             cfg = eng.SearchConfig(calculus=calc, depth_limit=min(depth, 12) if want == "inconclusive" else depth)
             outcome = eng.coprove(program, goal, cfg)
             got = {"proved": "proved", "depth-exceeded": "inconclusive", "no-proof": "no-proof"}[outcome.reason]
-            ok = got == want
-            all_as_expected &= ok
-            results[f"{n}: {kind} {goal_text}"] = {"expected": want, "got": got, "ok": ok}
+            results[f"{n}: {kind} {goal_text}"] = {"expected": want, "got": got, "ok": got == want}
     text = "\n".join(
         f"[{'PASS' if v['ok'] else 'FAIL'}] {k} -> {v['got']} (expected {v['expected']})"
         for k, v in results.items()
     )
     _emit(args, results, text)
-    return EXIT_OK if all_as_expected else EXIT_FAIL
+    return EXIT_OK if all(v["ok"] for v in results.values()) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +315,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cup", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    # the settings a subcommand may take, by the name `_setting` reads
-    flags = {
-        "calculus": ("--calculus", {"help": "co-fohc | co-fohh | co-hohc | co-hohh"}),
-        "depth": ("--depth", {"type": int, "help": "search depth limit"}),
-        "fixbeta_bound": ("--fixbeta-bound", {"type": int, "help": "fix unfolding bound"}),
-        "model_depth": ("--model-depth", {"type": int, "help": "tree truncation depth"}),
-        "word_budget": ("--word-budget", {"type": int, "help": "candidate word budget"}),
-        "emit_proof": ("--emit-proof", {"help": "write the found proof document here"}),
-    }
-
     def common(p, *settings, program=True, goal=False, proof=False):
         if program:
             p.add_argument("--program", required=True, help="path to a .cup program file")
@@ -335,8 +323,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         if proof:
             p.add_argument("--proof", required=True, help="path to a proof document")
         for name in settings:
-            flag, kwargs = flags[name]
-            p.add_argument(flag, dest=name, **kwargs)
+            flag, _var, default, _least, help_ = SETTINGS[name]
+            p.add_argument(flag, dest=name, type=int if isinstance(default, int) else None, help=help_)
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     search = ("calculus", "depth", "fixbeta_bound", "emit_proof")
@@ -380,12 +368,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    top = build_arg_parser()
+def _parse(argv: Optional[list[str]]):
+    """The options, or the exit code of argparse's exit: 0 after --help, 3 on a bad flag."""
     try:
-        args = top.parse_args(argv)
+        return build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    if isinstance(args := _parse(argv), int):
+        return args
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -395,7 +388,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UniverseTooLarge as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (CupError, OSError, json.JSONDecodeError) as exc:
+    except CupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

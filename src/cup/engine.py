@@ -182,15 +182,8 @@ def resolve_term(t: Term, s: dict[str, Term]) -> Term:
     if s.keys().isdisjoint(tm.free_vars(t)):
         return t
     if isinstance(t, Var):
-        seen = set()
-        while isinstance(t, Var) and t.name in s:
-            if t.name in seen:
-                break
-            seen.add(t.name)
-            t = s[t.name]
-        if isinstance(t, Var):
-            return t
-        return resolve_term(t, s)
+        # bound, by the test above; unify's occurs check keeps s acyclic
+        return resolve_term(s[t.name], s)
     if isinstance(t, Con):
         return t
     if isinstance(t, App):
@@ -416,22 +409,23 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
 
 
 def smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Optional[Term]:
-    """The smallest closed first-order term of the given type, if one is
-    built within three rounds of constructor application."""
+    """The smallest closed first-order term of the given type, if any:
+    rounds of constructor application run until one adds no new type."""
     cons = sig.constructors()
     first: dict[tm.SimpleType, Term] = {}
     for n, t in cons:
         if isinstance(t, tm.Base):
             first.setdefault(t, Con(n))
-    for _round in range(3):
+    while True:
         new: dict[tm.SimpleType, Term] = {}
         for name, cty in cons:
             args = tm.argument_types(cty)
             if args and all(a in first for a in args):
                 new.setdefault(tm.target_type(cty), tm.app(Con(name), *(first[a] for a in args)))
+        if new.keys() <= first.keys():
+            return first.get(ty)
         for t_ty, t in new.items():
             first.setdefault(t_ty, t)
-    return first.get(ty)
 
 
 def unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:

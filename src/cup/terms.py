@@ -740,42 +740,40 @@ class UnfoldingWalk:
     most `bound` per side, in (i + j, i, j) order.
 
     Each unfolding is built when a pair first needs it, into `chains`.  A
-    side's chain ends at an unfolding with no fix, or at one that clashes
-    with the other side's first term, which sets `clashed`: a clash refutes
-    every later pair too (see `clash`); the bound never sets it.  Two first
-    terms that clash give no pairs.
+    side's chain ends at an unfolding with no fix.  The walk ends at an
+    unfolding that clashes with the other side's first term, which sets
+    `clashed`: a clash refutes every later pair too (see `clash`); the
+    bound never sets it.  Two first terms that clash give no pairs.
     """
 
     def __init__(self, a: Term, b: Term, bound: int):
         self.chains = ([a], [b])
         self._bound = bound
         self.clashed = clash(a, b)
-        self._open = [True, True]
 
     def _term(self, side: int, k: int) -> Optional[Term]:
         chain = self.chains[side]
         if k < len(chain):
             return chain[k]
-        if k > len(chain) or k > self._bound or not self._open[side] or not has_fix(chain[-1]):
+        if k > len(chain) or k > self._bound or not has_fix(chain[-1]):
             return None
         nxt = fair_unfold(chain[-1])
-        if clash(nxt, self.chains[1 - side][0]):
-            self._open[side] = False
-            self.clashed = True
+        self.clashed = clash(nxt, self.chains[1 - side][0])
+        if self.clashed:
             return None
         chain.append(nxt)
         return nxt
 
     def __iter__(self) -> Iterator[tuple[Term, Term]]:
-        if self.clashed:
-            return
         for total in range(2 * self._bound + 1):
             tried = False
             for i in range(total + 1):
                 a = self._term(0, i)
+                b = None if a is None else self._term(1, total - i)
+                if self.clashed:
+                    return
                 if a is None:
                     break
-                b = self._term(1, total - i)
                 if b is not None:
                     tried = True
                     yield a, b

@@ -272,13 +272,8 @@ def universe_terms(program: Program, cfg: InstanceConfig) -> list[Term]:
                 if size == 1:
                     layer.setdefault(target, []).append(Con(name))
                 continue
-            budget = size - 1
-            if budget < len(args):
-                continue
-            for split in _compositions(budget, len(args)):
+            for split in _compositions(size - 1, len(args)):
                 pools = [by_size.get(s, {}).get(a, []) for s, a in zip(split, args)]
-                if any(not p for p in pools):
-                    continue
                 for combo in itertools.product(*pools):
                     layer.setdefault(target, []).append(tm.app(Con(name), *combo))
         by_size[size] = layer

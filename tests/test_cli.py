@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from cup import formulas as fm
 from cup import parser as ps
 from cup import trees as tr
 from cup.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
+from cup.errors import UsageError
 from cup.formulas import Calculus
 
 from helpers import deep_document
@@ -40,6 +45,14 @@ class TestExitCodes:
             "--goal", "from 0 (fr_str 0)", "--depth", "10",
         ])
         assert code == EXIT_INCONCLUSIVE
+
+    def test_a_witness_four_constructors_deep(self, tmp_path, capsys):
+        prog = tmp_path / "chain.cup"
+        prog.write_text("const ca : a. const fb : a -> b. const fc : b -> c. const fd : c -> d. "
+                        "const fi : d -> i. const p : o. p.\n")
+        code = run(["prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", "exists x. true"])
+        assert code == EXIT_OK
+        assert '"witness": "fi (fd (fc (fb ca)))"' in capsys.readouterr().out
 
     def test_prove_definite_failure(self, tmp_path, capsys):
         prog = tmp_path / "tiny.cup"
@@ -128,6 +141,38 @@ class TestSettingChecks:
         code = run(["model", "--program", corpus("bitstream.cup"), "--depth", "3"])
         assert code == EXIT_USAGE
         assert "--depth" in capsys.readouterr().err
+
+    # a subcommand that takes the setting, with the options it requires
+    TAKES = {
+        "calculus": ["check-proof", "--program", "p", "--proof", "q"],
+        "depth": ["examples"],
+        "fixbeta_bound": ["check-proof", "--program", "p", "--proof", "q"],
+        "model_depth": ["model", "--program", "p"],
+        "word_budget": ["soundness", "--program", "p", "--proof", "q"],
+        "emit_proof": ["coprove", "--program", "p", "--goal", "g"],
+    }
+
+    @pytest.mark.parametrize("name", list(cli.SETTINGS))
+    def test_a_flag_beats_its_variable_which_beats_the_default(self, name, monkeypatch):
+        flag, var, default, least, _help = cli.SETTINGS[name]
+        for other in cli.SETTINGS.values():
+            if other[1]:
+                monkeypatch.delenv(other[1], raising=False)
+        parse = cli.build_arg_parser().parse_args
+        given, from_env = {"calculus": ("co-hohh", "co-fohc"), "emit_proof": ("p.json", None)}.get(name, ("7", "5"))
+        typed = int if isinstance(default, int) else str
+        plain = parse(self.TAKES[name])
+        assert cli._setting(plain, name) == default
+        if var:
+            monkeypatch.setenv(var, from_env)
+            assert cli._setting(plain, name) == typed(from_env)
+        assert cli._setting(parse(self.TAKES[name] + [flag, given]), name) == typed(given)
+        if least is not None:
+            with pytest.raises(UsageError, match=f"^{flag} must be >= {least}, got {least - 1}$"):
+                cli._setting(parse(self.TAKES[name] + [flag, str(least - 1)]), name)
+            monkeypatch.setenv(var, str(least - 1))
+            with pytest.raises(UsageError, match=f"^{var} must be >= {least}, got {least - 1}$"):
+                cli._setting(plain, name)
 
 
 class TestProofPipeline:
@@ -439,6 +484,55 @@ class TestClassifyAndExamples:
         out = capsys.readouterr().out
         for name in ("member", "bitstream", "from", "comember", "fibs"):
             assert name in out
+
+
+AND_L = "const 0 : i. const p : i -> o. const q : i -> o. const r : i -> o. forall x. p x => (q x /\\ r x). p 0.\n"
+
+
+class TestFilesAndStreams:
+    """An option's file that cannot be opened or read as UTF-8 text is a
+    usage error; a reader that closes the output early changes no exit
+    code."""
+
+    @pytest.fixture
+    def missing(self, tmp_path):
+        path = str(tmp_path / "nodir" / "x.json")
+        with pytest.raises(OSError) as exc:
+            open(path)
+        return path, f"error: {exc.value}\n"
+
+    @pytest.mark.parametrize("reads", [
+        lambda path: ["check-syntax", "--program", path],
+        lambda path: ["check-proof", "--calculus", "co-fohc", "--program", corpus("member.cup"), "--proof", path],
+        lambda path: ["coprove", "--calculus", "co-fohc", "--program", corpus("member.cup"),
+                      "--goal", "member 0 [0|nil]", "--emit-proof", path],
+    ], ids=["program", "proof", "emit-proof"])
+    def test_a_file_that_cannot_be_opened_is_usage(self, missing, reads, capsys):
+        path, message = missing
+        assert run(reads(path)) == EXIT_USAGE
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("reads", [
+        lambda path: ["check-syntax", "--program", path],
+        lambda path: ["check-proof", "--calculus", "co-fohc", "--program", corpus("member.cup"), "--proof", path],
+    ], ids=["program", "proof"])
+    def test_a_file_that_is_not_utf8_is_usage(self, tmp_path, reads, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfeconst p : o.")
+        assert run(reads(str(path))) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "can't decode" in err
+
+    def test_a_closed_output_keeps_the_exit_code(self, tmp_path):
+        prog = tmp_path / "andl.cup"
+        prog.write_text(AND_L)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cup.cli", "prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", "q 0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (EXIT_OK, b"")
 
 
 class TestEnvironmentOverrides:

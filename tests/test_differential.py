@@ -1457,15 +1457,17 @@ def test_the_benchmark_tracer_sees_the_pool_lookups_of_warm_calls(fresh_program)
 
 def smallest_closed_terms_reference(sig, ty, limit=64):
     """Closed first-order terms of the given type, smallest first: up to
-    `limit` a type over three rounds, each round applying every constructor
-    to the first four terms of each argument type."""
+    `limit` a type, in rounds until one adds no term, each round applying
+    every constructor to the first four terms of each argument type."""
     by_ty = {}
     cons = sig.constructors()
     frontier = [(Con(n), t) for n, t in cons if isinstance(t, tm.Base)]
     for t, t_ty in frontier:
         by_ty.setdefault(t_ty, []).append(t)
     seen = {tm.alpha_key(t) for t, _ty in frontier}
-    for _round in range(3):
+    grew = True
+    while grew:
+        grew = False
         new = []
         for name, cty in cons:
             args = tm.argument_types(cty)
@@ -1481,14 +1483,15 @@ def smallest_closed_terms_reference(sig, ty, limit=64):
             if len(bucket) < limit and tm.alpha_key(t) not in seen:
                 seen.add(tm.alpha_key(t))
                 bucket.append(t)
+                grew = True
     return by_ty.get(ty, [])
 
 
 BJ, BK, BL, BM = Base("j"), Base("k"), Base("l"), Base("m")
 HAND_MADE_SIGNATURES = [
     # j has a term at once (two nullary candidates), i from round 1 (two
-    # constructor candidates), k from round 2, l from round 3; m would need
-    # a fourth round
+    # constructor candidates), k from round 2, l from round 3 and m from
+    # round 4
     Signature.of({
         "a_pair": fn_type(IOTA, BJ, IOTA), "a_two": fn_type(BJ, BJ, IOTA), "b_wrap": fn_type(BJ, IOTA),
         "c": BJ, "c2": BJ,

@@ -6,7 +6,9 @@ module-level function, class and assigned name is mentioned somewhere in
 `cup` other than in its own statement and the package's re-exports, apart
 from the listed names kept for tests. No handler in `cup` catches every
 exception, so only `CupError` subclasses become verdicts and any other
-exception surfaces. No function in `cup` mutates a module-level dict, set or list:
+exception surfaces; `cli.main` catches only `CupError` subclasses, and every
+file an option names is opened in the CLI's one file helper. No function in
+`cup` mutates a module-level dict, set or list:
 a memo lives on an object (`Signature`, `Program`), never in a global.
 Every value the kernel builds per step is slotted: it carries no
 `__dict__` of its own.
@@ -17,6 +19,8 @@ import importlib
 from pathlib import Path
 
 import cup
+from cup import errors
+from cup.errors import CupError
 
 SRC = Path(cup.__file__).parent
 
@@ -167,6 +171,14 @@ def test_definition_scanner_sees_each_kind_of_mention(tmp_path, monkeypatch):
 BROAD = {"Exception", "BaseException"}
 
 
+def _caught(handler: ast.ExceptHandler) -> list:
+    """The exceptions a handler names, one per name in a tuple; none for a
+    bare `except:`."""
+    if handler.type is None:
+        return []
+    return handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+
+
 def broad_handlers() -> set[tuple[str, int]]:
     """(module, line) of every bare `except:` and every handler that names
     `Exception` or `BaseException`, alone or in a tuple."""
@@ -175,8 +187,7 @@ def broad_handlers() -> set[tuple[str, int]]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.ExceptHandler):
                 continue
-            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            if node.type is None or any(isinstance(c, ast.Name) and c.id in BROAD for c in caught):
+            if node.type is None or any(isinstance(c, ast.Name) and c.id in BROAD for c in _caught(node)):
                 out.add((path.stem, node.lineno))
     return out
 
@@ -194,6 +205,69 @@ def test_broad_handler_scanner_sees_each_form(tmp_path, monkeypatch):
     )
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert broad_handlers() == {("a", 3), ("a", 7), ("a", 11)}
+
+
+def handled_in(module: str, function: str) -> list[str]:
+    """The source text of each exception a handler in the module-level
+    function catches, one per name in a tuple, '' for a bare `except:`."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    (func,) = [s for s in tree.body if isinstance(s, ast.FunctionDef) and s.name == function]
+    out = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.ExceptHandler):
+            out += [ast.unparse(c) for c in _caught(node)] or [""]
+    return out
+
+
+def test_the_cli_turns_only_cup_errors_into_exit_codes():
+    names = handled_in("cli", "main")
+    classes = [getattr(errors, n, None) for n in names]
+    assert names and all(isinstance(c, type) and issubclass(c, CupError) for c in classes), names
+
+
+def test_handler_scanner_sees_each_form(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text(
+        "def main():\n"
+        "    try:\n        pass\n    except ParseError:\n        pass\n"
+        "    except (CupError, json.JSONDecodeError) as e:\n        pass\n"
+        "    except:\n        pass\n"
+        "def other():\n    try:\n        pass\n    except OSError:\n        pass\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert handled_in("a", "main") == ["ParseError", "CupError", "json.JSONDecodeError", ""]
+
+
+def open_calls() -> set[tuple[str, str]]:
+    """(module, function) of every call of the builtin `open` in `cup`, by
+    the innermost function around it, '' at module level."""
+    out = set()
+
+    def visit(node, module: str, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
+                out.add((module, where))
+            visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return out
+
+
+def test_files_are_opened_only_in_the_cli_file_helper():
+    assert open_calls() == {("cli", "_file")}
+
+
+def test_open_scanner_sees_each_place(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text(
+        "TEXT = open('x').read()\n"
+        "def outer():\n    def inner():\n        return open('y')\n    return [open(p) for p in 'z']\n"
+        "def descriptor():\n    return os.open('w', 0), path.open()\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert open_calls() == {("a", ""), ("a", "inner"), ("a", "outer")}
 
 
 CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
