@@ -13,15 +13,12 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 from typing import Optional
 
 from . import engine as eng
 from . import formulas as fm
 from . import parser as ps
-from . import soundness as sd
 from . import terms as tm
-from . import trees as tr
 from .errors import CupError, ParseError, UniverseTooLarge, UsageError
 from .formulas import Calculus
 
@@ -34,7 +31,7 @@ EXIT_USAGE = 3
 # least value and help; SearchConfig checks the depth's least, 1, itself
 SETTINGS = {
     "calculus": ("--calculus", "CUP_CALCULUS", None, None, "co-fohc | co-fohh | co-hohc | co-hohh"),
-    "depth": ("--depth", "CUP_DEPTH", 32, None, "search depth limit"),
+    "depth": ("--depth", "CUP_DEPTH", eng.DEPTH_LIMIT, None, "search depth limit"),
     "fixbeta_bound": ("--fixbeta-bound", "CUP_FIXBETA_BOUND", tm.UNFOLD_BOUND, 0, "fix unfolding bound"),
     "model_depth": ("--model-depth", "CUP_MODEL_DEPTH", 4, 0, "tree truncation depth"),
     "word_budget": ("--word-budget", "CUP_WORD_BUDGET", 3, 0, "candidate word budget"),
@@ -194,6 +191,8 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_model(args) -> int:
+    from . import trees as tr
+
     program = ps.parse_program(_file(args.program))
     depth = _setting(args, "model_depth")
     goal_atom: Optional[tm.Term] = None
@@ -217,6 +216,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_soundness(args) -> int:
+    from . import soundness as sd
+
     program = ps.parse_program(_file(args.program))
     proof = ps.import_proof(_file(args.proof), program)
     report = sd.audit_proof(proof, program, _setting(args, "model_depth"), _setting(args, "word_budget"))
@@ -269,7 +270,7 @@ CORPUS = {
 
 
 def corpus_path(name: str) -> str:
-    return str(resources.files("cup") / "corpus" / name)
+    return os.path.join(os.path.dirname(__file__), "corpus", name)
 
 
 def cmd_examples(args) -> int:
@@ -296,8 +297,8 @@ def cmd_examples(args) -> int:
         program = ps.parse_program(_file(corpus_path(CORPUS[n]["file"])))
         for kind, goal_text, calc, want in CORPUS[n]["runs"]:
             goal = ps.parse_goal(goal_text, program)
-            cfg = eng.SearchConfig(calculus=calc, depth_limit=min(depth, 12) if want == "inconclusive" else depth)
-            outcome = eng.coprove(program, goal, cfg)
+            limit = min(depth, eng.INCONCLUSIVE_DEPTH_LIMIT) if want == "inconclusive" else depth
+            outcome = eng.coprove(program, goal, eng.SearchConfig(calc, limit))
             got = {"proved": "proved", "depth-exceeded": "inconclusive", "no-proof": "no-proof"}[outcome.reason]
             results[f"{n}: {kind} {goal_text}"] = {"expected": want, "got": got, "ok": got == want}
     text = "\n".join(

@@ -11,7 +11,6 @@ until a program-clause focus discharges it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import terms as tm
@@ -40,7 +39,13 @@ from .formulas import (
     in_fragment,
     map_atoms,
 )
-from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var, frozen_slots
+from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var, record
+
+# the search depth limit when none is given, and the one at which the
+# CLI's corpus runs the goals it expects to be inconclusive: deep enough
+# to reach the bound, shallow enough to reach it fast
+DEPTH_LIMIT = 32
+INCONCLUSIVE_DEPTH_LIMIT = 12
 
 PLAIN = "plain"
 COINDUCTIVE = "coinductive"
@@ -58,13 +63,13 @@ _DECIDE_ORDER = {Src.ORIGINAL: 0, Src.LEMMA: 1, Src.HYPOTHESIS: 2, Src.COHYP: 3}
 _SAME = object()  # a field `Sequent.with_` keeps
 
 
-@frozen_slots
+@record(slots=True)
 class Entry:
     formula: Formula
     src: Src
 
 
-@frozen_slots
+@record(slots=True)
 class Sequent:
     signature: Signature
     entries: tuple[Entry, ...]
@@ -77,7 +82,7 @@ class Sequent:
         self, signature=_SAME, entries=_SAME, focus=_SAME, goal=_SAME, mode=_SAME, guarded=_SAME
     ) -> "Sequent":
         """A copy with the given fields replaced, through the constructor:
-        `dataclasses.replace` costs about twice as much, and search makes a
+        `terms.replace` costs about 2.5 times as much, and search makes a
         copy per premise."""
         return Sequent(
             self.signature if signature is _SAME else signature,
@@ -89,7 +94,7 @@ class Sequent:
         )
 
 
-@frozen_slots
+@record(slots=True)
 class ProofTree:
     sequent: Sequent
     rule: str
@@ -137,10 +142,10 @@ def _sequent_equal(a: Sequent, b: Sequent) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SearchConfig:
     calculus: Calculus
-    depth_limit: int = 32
+    depth_limit: int = DEPTH_LIMIT
     fixbeta_bound: int = tm.UNFOLD_BOUND
 
     def __post_init__(self):
@@ -148,13 +153,13 @@ class SearchConfig:
             raise UsageError(f"depth limit must be >= 1, got {self.depth_limit}")
 
 
-@dataclass
+@record(frozen=False)
 class SearchStats:
     nodes: int = 0
     max_depth: int = 0
 
 
-@dataclass
+@record(frozen=False)
 class SearchOutcome:
     tree: Optional[ProofTree]
     reason: str  # "proved" | "no-proof" | "depth-exceeded"
@@ -165,7 +170,7 @@ class SearchOutcome:
         return self.tree is not None
 
 
-@dataclass(frozen=True)
+@record
 class LemmaStore:
     entries: tuple[tuple[HClause, ProofTree], ...] = ()
 
@@ -339,7 +344,7 @@ def _premises(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class _Ctx:
     program: Program
     cfg: SearchConfig

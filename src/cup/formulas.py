@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import terms as tm
 from .errors import CupError, IllTyped, NonHConvertibleClause, UsageError
-from .terms import App, Con, Context, IOTA, Lam, O, Signature, SimpleType, Term, Var, frozen_slots
+from .terms import App, Con, Context, IOTA, Lam, O, Signature, SimpleType, Term, Var, field, record
 
 
 class Calculus(enum.Enum):
@@ -52,48 +51,48 @@ ALL_CALCULI = frozenset(Calculus)
 # repr; the constructor sets it to None with the node's own fields.
 
 
-@frozen_slots
+@record(slots=True)
 class _FNode:
     _ak: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
 
-@frozen_slots
+@record(slots=True)
 class Atom(_FNode):
     term: Term
 
 
-@frozen_slots
+@record(slots=True)
 class Top(_FNode):
     pass
 
 
-@frozen_slots
+@record(slots=True)
 class Conj(_FNode):
     left: "Formula"
     right: "Formula"
 
 
-@frozen_slots
+@record(slots=True)
 class Disj(_FNode):
     left: "Formula"
     right: "Formula"
 
 
-@frozen_slots
+@record(slots=True)
 class Impl(_FNode):
     # antecedent => consequent
     left: "Formula"
     right: "Formula"
 
 
-@frozen_slots
+@record(slots=True)
 class Forall(_FNode):
     var: str
     ty: SimpleType
     body: "Formula"
 
 
-@frozen_slots
+@record(slots=True)
 class Exists(_FNode):
     var: str
     ty: SimpleType
@@ -297,7 +296,7 @@ def classify(sig: Signature, f: Formula, role: str) -> frozenset[Calculus]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class HClause:
     """forall x1..xm (A1 /\\ ... /\\ An => A) with atomic body and head."""
 
@@ -381,7 +380,7 @@ def ground_instances(h: HClause, universe: list[Term], limit: Optional[int] = No
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     """A first-order signature, an ordered list of clause formulae, and named
     guarded fixed-point definitions available as witnesses; it keeps a
@@ -390,7 +389,7 @@ class Program:
     signature: Signature
     clauses: tuple[Formula, ...] = ()
     fix_definitions: tuple[tuple[str, Term], ...] = ()
-    _universes: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _universes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def fix_def(self, name: str) -> Optional[Term]:
         for n, t in self.fix_definitions:

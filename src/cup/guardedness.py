@@ -4,7 +4,6 @@ guarded atoms, and the snapshot map onto first-order atoms."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import terms as tm
 from .errors import CupError, NotAnAtom, PreconditionViolated
@@ -18,10 +17,11 @@ from .terms import (
     Signature,
     Term,
     Var,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class GuardReport:
     violations: tuple[tuple[object, str], ...] = ()
 

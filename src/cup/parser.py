@@ -45,7 +45,7 @@ KEYWORDS = {"const", "def", "forall", "exists", "fix", "true"}
 _PUNCT = ["->", "=>", ":-", "/\\", "\\/", "(", ")", "[", "]", "|", ".", ":", ",", "=", "\\"]
 
 
-@tm.frozen_slots
+@tm.record(slots=True)
 class Token:
     kind: str  # 'ident', 'punct', 'keyword', 'eof'
     text: str

@@ -10,7 +10,6 @@ approximated model unchanged (conservative extension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from . import engine as eng
@@ -20,10 +19,10 @@ from . import terms as tm
 from . import trees as tr
 from .errors import BodyNotInModel, MissingEigenvariableBinding, NotHShapedRoot, ProofInvalid
 from .formulas import Calculus, HClause, Program, formula_alpha_eq
-from .terms import App, Con, Fix, Lam, Term, Var
+from .terms import App, Con, Fix, Lam, Term, Var, record, replace
 
 
-@dataclass(frozen=True)
+@record
 class DeltaRecord:
     """Substitution recorded at one coinductive-hypothesis use: each
     universal of the hypothesis bound to a guarded full term (which may
@@ -151,7 +150,7 @@ def _guarded_segment(proof: eng.ProofTree, m: int) -> tuple[list[str], eng.Proof
     raise NotHShapedRoot(f"unexpected rule {node.rule} under the guarded focus")
 
 
-@dataclass
+@record(frozen=False)
 class Candidate:
     interpretation: tr.Interpretation
     side_atoms: tuple[Term, ...]  # body instances that must come from a post-fixed point
@@ -240,7 +239,7 @@ def merge_with_model(cand: Candidate, program: Program, cfg: tr.InstanceConfig) 
     return tr.Interpretation(interp.depth, interp.atoms | approx.atoms, {**interp.reps, **approx.reps})
 
 
-@dataclass
+@record(frozen=False)
 class HarnessReport:
     uses: int
     deltas: list[DeltaRecord]
@@ -298,7 +297,7 @@ def audit_proof(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record(frozen=False)
 class ExtensionReport:
     equal: bool
     only_in_original: frozenset

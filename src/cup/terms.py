@@ -9,7 +9,6 @@ All values are immutable and safe to share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Iterator, Optional
 
@@ -27,26 +26,112 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-def frozen_slots(cls):
-    """`cls` as a frozen dataclass with slots, so its instances carry no
-    `__dict__`, built in one step: unless `cls` writes its own `__init__`,
-    the one made here sets every field, an init=False one to its default,
-    through the slot setters (see `_slot_setters`), where a frozen
-    dataclass's own calls `object.__setattr__` once per field by name."""
-    own = "__init__" in cls.__dict__
-    cls = dataclass(frozen=True, slots=True)(cls)
-    if not own:
-        ns, params, body = {}, [], []
-        for i, f in enumerate(fields(cls)):
-            ns[f"set{i}"], ns[f"d{i}"] = getattr(cls, f.name).__set__, f.default
-            if f.init:
-                params.append(f.name if f.default is MISSING else f"{f.name}=d{i}")
-            if f.init or f.default is not MISSING:
-                body.append(f"set{i}(self, {f.name if f.init else f'd{i}'})")
-        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), ns)
-        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = ns["__init__"]
+_NONE = object()  # a field with no default
+
+
+class field:
+    """A field declared in the body of a class that `record` builds: its
+    default or default factory, and whether `__init__`, the repr and `==`
+    take it; the hash takes the fields `==` takes."""
+
+    __slots__ = ("default", "factory", "init", "repr", "compare")
+
+    def __init__(self, default=_NONE, default_factory=None, init=True, repr=True, compare=True):
+        self.default, self.factory, self.init, self.repr, self.compare = default, default_factory, init, repr, compare
+
+
+class FrozenInstanceError(AttributeError):
+    """A write to a field of a frozen record."""
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record_reduce(self):
+    # a copy or an unpickled frozen record is built again through `__init__`
+    return type(self), tuple(getattr(self, n) for n, f in self._fields.items() if f.init)
+
+
+def _record_repr(self):
+    shown = (f"{n}={getattr(self, n)!r}" for n, f in self._fields.items() if f.repr)
+    return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+def record(cls=None, *, frozen=True, slots=False):
+    """`cls` as a record of the fields its annotations declare, after those
+    of the record it extends, each with its plain default or as a `field`.
+    What `cls` does not write itself it gets: an `__init__` that sets every
+    field, an init=False one only to its default, then calls
+    `__post_init__` if there is one; a repr of the repr=True fields; `==`
+    on the compare=True fields.  A frozen record refuses every write past
+    `__init__`, and its hash is that of those fields, or its `_hash` field
+    if it declares one; a mutable one is unhashable.  With slots, its own
+    fields are its slots, which a frozen `__init__` writes through their
+    setters.  The per-class methods, run per step, are compiled in one
+    `exec` as `dataclasses` would write them; the rest is shared."""
+    if cls is None:
+        return lambda c: record(c, frozen=frozen, slots=slots)
+    fields, own = dict(getattr(cls, "_fields", ())), dict(vars(cls))
+    mine = {n: own.pop(n, _NONE) for n in own.get("__annotations__", ())}
+    fields.update((n, f if isinstance(f, field) else field(f)) for n, f in mine.items())
+    if slots:
+        own = {k: v for k, v in own.items() if k not in ("__dict__", "__weakref__")}
+        own.update(__slots__=tuple(mine), __qualname__=cls.__qualname__)
+        cls = type(cls)(cls.__name__, cls.__bases__, own)
+    else:  # a plain default stays a class attribute, a `field` does not
+        for n in [n for n, declared in mine.items() if isinstance(declared, field)]:
+            delattr(cls, n)
+    ns, params, body, src = {"_NONE": _NONE, "_set": object.__setattr__}, [], [], []
+    for i, (n, f) in enumerate(fields.items()):
+        ns[f"d{i}"], ns[f"f{i}"] = f.default, f.factory
+        if f.init:
+            params.append(f"{n}=_NONE" if f.factory else n if f.default is _NONE else f"{n}=d{i}")
+        if f.factory:
+            value = f"f{i}() if {n} is _NONE else {n}" if f.init else f"f{i}()"
+        elif f.init or f.default is not _NONE:
+            value = n if f.init else f"d{i}"
+        else:
+            continue
+        if slots and frozen:
+            ns[f"s{i}"] = getattr(cls, n).__set__
+            body.append(f"s{i}(self, {value})")
+        else:
+            body.append(f"_set(self, {n!r}, {value})" if frozen else f"self.{n} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    if "__init__" not in own:
+        src.append(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]))
+    compared = [n for n, f in fields.items() if f.compare]
+    left, right = (f"({''.join(f'{side}.{n},' for n in compared)})" for side in ("self", "other"))
+    if "__eq__" not in own:
+        src.append("def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+                   f"        return {left}=={right}\n    return NotImplemented")
+    if frozen and "__hash__" not in own:
+        src.append(f"def __hash__(self):\n    return {'self._hash' if '_hash' in fields else f'hash({left})'}")
+    made = {}
+    exec("\n".join(src), ns, made)
+    for n, fn in made.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{n}"
+        setattr(cls, n, fn)
+    if "__repr__" not in own:
+        cls.__repr__ = _record_repr
+    if frozen:
+        cls.__setattr__, cls.__delattr__, cls.__reduce__ = _frozen_setattr, _frozen_delattr, _record_reduce
+    elif "__hash__" not in own:
+        cls.__hash__ = None
+    cls._fields = fields
     return cls
+
+
+def replace(rec, **changes):
+    """A copy of a record with the given fields changed, built through its
+    `__init__`, which takes no init=False field."""
+    return type(rec)(**{n: getattr(rec, n) for n, f in rec._fields.items() if f.init} | changes)
 
 
 def _slot_setters(cls) -> tuple:
@@ -60,7 +145,7 @@ def _slot_setters(cls) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@frozen_slots
+@record(slots=True)
 class Base:
     """A type variable such as o or i (the individual type)."""
 
@@ -70,7 +155,7 @@ class Base:
         return self.name
 
 
-@frozen_slots
+@record(slots=True)
 class Arrow:
     arg: "SimpleType"
     res: "SimpleType"
@@ -135,7 +220,7 @@ def type_mentions(ty: SimpleType, base: Base) -> bool:
 _CLOSED: frozenset[str] = frozenset()
 
 
-@frozen_slots
+@record(slots=True)
 class _Node:
     _hash: int = field(init=False, repr=False, compare=False)
     _fix: bool = field(init=False, repr=False, compare=False)
@@ -143,14 +228,11 @@ class _Node:
     _nf: bool = field(init=False, repr=False, compare=False)
     _ak: Optional[str] = field(init=False, repr=False, compare=False)
 
-    def __hash__(self):
-        return self._hash
-
 
 _HASH, _FIX, _FV, _NF, _AK = _slot_setters(_Node)
 
 
-@frozen_slots
+@record(slots=True)
 class Var(_Node):
     name: str
 
@@ -163,7 +245,7 @@ class Var(_Node):
         _AK(self, None)
 
 
-@frozen_slots
+@record(slots=True)
 class Con(_Node):
     name: str
 
@@ -176,7 +258,7 @@ class Con(_Node):
         _AK(self, None)
 
 
-@frozen_slots
+@record(slots=True)
 class App(_Node):
     fn: "Term"
     arg: "Term"
@@ -193,7 +275,7 @@ class App(_Node):
         _AK(self, None)
 
 
-@frozen_slots
+@record(slots=True)
 class Lam(_Node):
     var: str
     body: "Term"
@@ -208,7 +290,7 @@ class Lam(_Node):
         _AK(self, None)
 
 
-@frozen_slots
+@record(slots=True)
 class Fix(_Node):
     body: "Term"  # must be a Lam for well-typed terms
 
@@ -224,10 +306,6 @@ class Fix(_Node):
 # the setters of each node's own fields, which its constructor calls
 (_VAR_NAME,), (_CON_NAME,), (_APP_FN, _APP_ARG), (_LAM_VAR, _LAM_BODY), (_FIX_BODY,) = map(
     _slot_setters, (Var, Con, App, Lam, Fix))
-
-# @dataclass gives each class a structural hash of its own; use the cached one
-for _cls in (Var, Con, App, Lam, Fix):
-    _cls.__hash__ = _Node.__hash__
 
 Term = Var | Con | App | Lam | Fix
 
@@ -383,7 +461,7 @@ def _de_bruijn(t: Term, env: dict[str, int], depth: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """Finite map from constant names to simple types.
 
@@ -408,9 +486,6 @@ class Signature:
         object.__setattr__(self, "_types", dict(self.constants))
         object.__setattr__(self, "_hash", hash((self.constants,)))
         object.__setattr__(self, "_memo", {})
-
-    def __hash__(self):
-        return self._hash
 
     @staticmethod
     def of(mapping: dict[str, SimpleType]) -> "Signature":
@@ -461,7 +536,7 @@ Context = dict[str, SimpleType]
 # ---------------------------------------------------------------------------
 
 
-@frozen_slots
+@record(slots=True)
 class _TMeta:
     ident: int
 

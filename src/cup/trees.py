@@ -10,8 +10,6 @@ the family of its depth truncations, with `*` leaves marking the cut.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from . import engine as eng
@@ -27,12 +25,12 @@ from .formulas import HClause, Program
 # is_guarded_atom has no caller here; perfbench/tracing.py patches it under
 # this module's name
 from .guardedness import is_guarded_atom, snapshot
-from .terms import Con, DIAMOND, Fix, IOTA, Signature, Term, Var
+from .terms import Con, DIAMOND, Fix, IOTA, Signature, Term, Var, field, record, replace
 
 STAR = "*"
 
 
-@dataclass(frozen=True)
+@record
 class Tree:
     label: str
     children: tuple["Tree", ...] = ()
@@ -41,9 +39,6 @@ class Tree:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.label, self.children)))
-
-    def __hash__(self):
-        return self._hash
 
     def positions(self, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], str]]:
         yield prefix, self.label
@@ -151,6 +146,8 @@ def _gamma(a: Tree, b: Tree, d: int) -> Optional[int]:
 
 def distance(t1: Tree, t2: Tree) -> Fraction:
     """Ultrametric tree distance 2^-gamma, 0 for equal trees."""
+    from fractions import Fraction
+
     g = _gamma(t1, t2, 0)
     if g is None:
         return Fraction(0)
@@ -203,7 +200,7 @@ def atom_to_tree(sig: Signature, atom: Term, depth: int, memo: Optional[dict] = 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Interpretation:
     """A depth-bounded description of a set of closed tree-atoms: every
     member is truncated at exactly `depth` (shallower finite atoms are
@@ -214,7 +211,7 @@ class Interpretation:
 
     depth: int
     atoms: frozenset[Tree]
-    reps: dict[Tree, tuple[Term, ...]] = field(default_factory=dict, compare=False, hash=False, repr=False)
+    reps: dict[Tree, tuple[Term, ...]] = field(default_factory=dict, compare=False, repr=False)
 
 
 def export_interpretation(interp: Interpretation) -> str:
@@ -246,7 +243,7 @@ MAX_INSTANCES = 20000
 BODY_VAR_POOL = 24
 
 
-@dataclass(frozen=True)
+@record
 class InstanceConfig:
     term_size: int = 3
     seed_atoms: tuple[Term, ...] = ()
@@ -349,7 +346,7 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
     return out
 
 
-@dataclass
+@record(frozen=False)
 class _Universe:
     """What every call at one term size shares: the term pool, the clauses
     renamed apart and, per predicate constant, those that can match it
@@ -386,7 +383,7 @@ class _Universe:
         return self.bodies[atom]
 
 
-@dataclass
+@record(frozen=False)
 class Grounding:
     """One depth's view of a universe: the truncated key of every atom it
     rendered (`keys`), with `atom_to_tree`'s memo behind them, and the keys
@@ -467,7 +464,7 @@ def _universe_seeds(g: Grounding) -> list[Term]:
     return seeds
 
 
-@dataclass
+@record(frozen=False)
 class _Explored:
     """The state of `gfp_approx`'s worklist: per key, its representatives
     by alpha key in the order seen; the atoms reached through clause bodies

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 from cup import engine as eng
 from cup import formulas as fm
@@ -13,7 +12,7 @@ from cup import terms as tm
 from cup import trees as tr
 from cup.errors import MissingEigenvariableBinding, ParseError
 from cup.guardedness import _snap_term
-from cup.terms import App, Arrow, Con, Fix, IOTA, Lam, O, Signature, Var, fn_type
+from cup.terms import App, Arrow, Con, Fix, IOTA, Lam, O, Signature, Var, fn_type, replace
 
 V = Var
 C = Con

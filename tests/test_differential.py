@@ -12,7 +12,6 @@ already draws and leave the 10,000-case property budget unchanged.
 
 import collections
 import contextlib
-import dataclasses
 import itertools
 import json
 import random
@@ -1313,7 +1312,7 @@ def merge_with_model_reference(cand, program, cfg):
     representatives, then the candidate's not alpha-equal to one of them."""
     depth = cand.interpretation.depth
     seeds = tuple(t for reps in cand.interpretation.reps.values() for t in reps) + tuple(cand.side_atoms)
-    approx = tr.gfp_approx(program, depth, dataclasses.replace(cfg, seed_atoms=seeds))
+    approx = tr.gfp_approx(program, depth, tm.replace(cfg, seed_atoms=seeds))
     atoms = cand.interpretation.atoms | approx.atoms
     reps = {}
     for key in atoms:
@@ -1377,7 +1376,7 @@ def test_a_lemma_extension_matches_the_reference_and_keeps_nothing_on_the_progra
         got = report.equal, *(sorted(map(tr.tree_to_text, ts)) for ts in (report.only_in_original, report.only_in_extended))
         assert got == want, depth
         # the extended program the check explores, cold and then warm
-        extended = dataclasses.replace(program, clauses=program.clauses + tuple(h.to_formula() for h in lemmas))
+        extended = tm.replace(program, clauses=program.clauses + tuple(h.to_formula() for h in lemmas))
         expected = gfp_approx_reference(extended, depth, cfg)
         assert _listing(tr.gfp_approx(extended, depth, cfg)) == expected, depth
         assert _listing(tr.gfp_approx(extended, depth, cfg)) == expected, depth

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -11,6 +10,7 @@ from cup import terms as tm
 from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_lemma, prove
 from cup.errors import FlexibleAtomUnsupported, NotCoreFormula, ProofInvalid
 from cup.formulas import Atom, Calculus, HClause, TOP
+from cup.terms import replace
 
 from helpers import A, C, N_STR, V, proof_mutations, proof_paths, replace_at, scons, slist
 

@@ -11,12 +11,19 @@ file an option names is opened in the CLI's one file helper. No function in
 `cup` mutates a module-level dict, set or list:
 a memo lives on an object (`Signature`, `Program`), never in a global.
 Every value the kernel builds per step is slotted: it carries no
-`__dict__` of its own.
+`__dict__` of its own. Every name the package exports resolves on first
+use, and starting the CLI loads neither `dataclasses` nor the layers only
+`model` and `soundness` run.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cup
 from cup import errors
@@ -368,3 +375,56 @@ def test_kernel_values_declare_slots_and_have_no_instance_dict():
             # a layout with no dict: no instance of cls, or of a subclass
             # with slots, has a __dict__
             assert cls.__dictoffset__ == 0, (mod, name)
+
+
+# every name the package exported when `cup/__init__` imported them all,
+# by module; each must still come through `from cup import <name>`
+EXPORTED = {
+    "engine": ("LemmaStore", "ProofTree", "SearchConfig", "SearchOutcome", "Sequent", "check", "coprove",
+               "promote_lemma", "prove"),
+    "formulas": ("Atom", "Calculus", "Conj", "Disj", "Exists", "Forall", "Formula", "HClause", "Impl", "Program",
+                 "Top", "classify", "ground_instances", "to_h_clauses"),
+    "guardedness": ("GuardReport", "is_guarded_atom", "is_guarded_fixed_point", "is_guarded_full", "snapshot"),
+    "parser": ("export_proof", "import_proof", "parse_goal", "parse_program", "parse_term", "pp_formula",
+               "pp_term"),
+    "soundness": ("DeltaRecord", "audit_proof", "build_candidate", "collect_deltas", "conservative_extension_check",
+                  "verify_postfixed"),
+    "terms": ("Signature", "Term", "alpha_eq", "beta_normalize", "fixbeta_equiv", "fixbeta_unfold", "free_vars",
+              "is_first_order", "substitute", "subterms", "typecheck", "type_order"),
+    "trees": ("InstanceConfig", "Interpretation", "Tree", "atom_to_tree", "distance", "gfp_approx",
+              "member_of_model", "t_operator", "term_to_tree", "truncate"),
+}
+
+
+def test_every_exported_name_resolves_to_its_module_s_object():
+    for mod, names in EXPORTED.items():
+        module = importlib.import_module(f"cup.{mod}")
+        for name in names:
+            scope: dict = {}
+            exec(f"from cup import {name}", scope)
+            assert scope[name] is getattr(module, name), (mod, name)
+    with pytest.raises(AttributeError, match="^module 'cup' has no attribute 'no_such_name'$"):
+        cup.no_such_name
+
+
+# what starting the CLI must not load: the class builders `cup` no longer
+# uses, the corpus lookup, the tree metric's numbers, and the layers only
+# `model` and `soundness` run
+NOT_AT_START = ("dataclasses", "inspect", "importlib.resources", "fractions", "cup.trees", "cup.soundness")
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The modules of NOT_AT_START that a fresh interpreter without `site`
+    has loaded after running the code."""
+    probe = f"import sys\n{code}\nprint(' '.join(m for m in {NOT_AT_START!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, text=True, timeout=60, check=True)
+    return set(out.stdout.split())
+
+
+def test_starting_the_cli_loads_only_what_a_subcommand_runs():
+    assert _loaded_after("import cup.cli") == set()
+    # the positive control: the first use of an exported name loads its
+    # module, and a submodule's name, no attribute of the package, imports it
+    assert _loaded_after("import cup.cli, cup\ncup.gfp_approx\nfrom cup import soundness") == {
+        "cup.trees", "cup.soundness"}

@@ -1,10 +1,15 @@
-import dataclasses
+import pickle
+from copy import copy as shallow_copy
 
 import pytest
 
 from cup import engine as eng
 from cup import formulas as fm
+from cup import guardedness as gd
+from cup import parser as ps
+from cup import soundness as sd
 from cup import terms as tm
+from cup import trees as tr
 from cup.errors import (
     FixBodyNotAbstraction,
     NoFixRedex,
@@ -262,7 +267,7 @@ _ENTRY = eng.Entry(fm.Atom(C("p")), eng.Src.LEMMA)
 _SEQ = eng.Sequent(Signature(), (_ENTRY,), None, fm.TOP)
 
 # (value, its repr, the tuple whose hash is its hash); one per class that
-# the kernel builds per step
+# the kernel builds per step, each slotted
 VALUES = [
     (IOTA, "i", ("i",)),
     (Arrow(IOTA, O), "i -> o", (IOTA, O)),
@@ -284,29 +289,117 @@ VALUES = [
      "mode='plain', guarded=False)", (Signature(), (_ENTRY,), None, fm.TOP, eng.PLAIN, False)),
     (eng.ProofTree(_SEQ, "top-r"), f"ProofTree(sequent={_SEQ!r}, rule='top-r', witness=None, eigen=None, children=())",
      (_SEQ, "top-r", None, None, ())),
+    (ps.Token("ident", "x", 1, 2), "Token(kind='ident', text='x', line=1, col=2)", ("ident", "x", 1, 2)),
 ]
 
+_STREAM = tr.Tree("a", (tr.Tree("b"),))
+_INTERP = tr.Interpretation(2, frozenset({tr.Tree("b")}))
 
-def _rebuilt(v):
-    """An equal copy of v built again through its constructor."""
-    return type(v)(*(getattr(v, f.name) for f in dataclasses.fields(v) if f.init))
+# the frozen values that keep an instance dict, as VALUES
+FROZEN_VALUES = [
+    (Signature((("c", IOTA),)), "Signature(constants=(('c', i),))", ((("c", IOTA),),)),
+    (fm.HClause(("X",), (V("X"),), C("p")), "HClause(universals=('X',), body=(Var(name='X'),), head=Con(name='p'))",
+     (("X",), (V("X"),), C("p"))),
+    (fm.Program(Signature()), "Program(signature=Signature(constants=()), clauses=(), fix_definitions=())",
+     (Signature(), (), ())),
+    (eng.SearchConfig(fm.Calculus.FOHC),
+     "SearchConfig(calculus=<Calculus.FOHC: 'co-fohc'>, depth_limit=32, fixbeta_bound=8)",
+     (fm.Calculus.FOHC, 32, 8)),
+    (eng.LemmaStore(), "LemmaStore(entries=())", ((),)),
+    (gd.GuardReport(((1, "x"),)), "GuardReport(violations=((1, 'x'),))", (((1, "x"),),)),
+    (sd.DeltaRecord((("x", C("0")),)), "DeltaRecord(bindings=(('x', Con(name='0')),))", ((("x", C("0")),),)),
+    (_STREAM, "a(b)", ("a", (tr.Tree("b"),))),
+    (_INTERP, "Interpretation(depth=2, atoms=frozenset({b}))", (2, frozenset({tr.Tree("b")}))),
+    (tr.InstanceConfig(), "InstanceConfig(term_size=3, seed_atoms=())", (3, ())),
+]
+
+_SUPPLY = tm.NameSupply()
+_UNIVERSE = tr._Universe([C("0")], [])
+
+# (mutable record, its repr)
+RECORDS = [
+    (eng.SearchStats(3, 2), "SearchStats(nodes=3, max_depth=2)"),
+    (eng.SearchOutcome(None, "no-proof", eng.SearchStats()),
+     "SearchOutcome(tree=None, reason='no-proof', stats=SearchStats(nodes=0, max_depth=0))"),
+    (eng._Ctx(fm.Program(Signature()), eng.SearchConfig(fm.Calculus.FOHC), _SUPPLY, eng.SearchStats(), {}),
+     f"_Ctx(program={fm.Program(Signature())!r}, cfg={eng.SearchConfig(fm.Calculus.FOHC)!r}, supply={_SUPPLY!r}, "
+     "stats=SearchStats(nodes=0, max_depth=0), meta_types={}, cut=False)"),
+    (sd.Candidate(_INTERP, (C("p"),), []),
+     f"Candidate(interpretation={_INTERP!r}, side_atoms=(Con(name='p'),), deltas=[])"),
+    (sd.HarnessReport(1, [], 2, 0, True, None, 3, 4),
+     "HarnessReport(uses=1, deltas=[], depth=2, word_budget=0, verified=True, counterexample=None, "
+     "candidate_size=3, merged_size=4)"),
+    (sd.ExtensionReport(True, frozenset(), frozenset(), 3),
+     "ExtensionReport(equal=True, only_in_original=frozenset(), only_in_extended=frozenset(), depth=3)"),
+    (_UNIVERSE, "_Universe(pool=[Con(name='0')], renamed=[], explored={})"),
+    (tr.Grounding(Signature(), 2, _UNIVERSE), f"Grounding(sig=Signature(constants=()), depth=2, uni={_UNIVERSE!r})"),
+    (tr._Explored(), "_Explored(reps={}, derived_count={}, expansions={})"),
+]
+
+def _assert_pinned(value, text, parts):
+    assert repr(value) == text
+    copy = tm.replace(value)
+    assert copy == value and copy is not value
+    assert pickle.loads(pickle.dumps(value)) == value == shallow_copy(value)
+    assert value != fm.Atom(C("other")) and value != parts
+    # the hash of the fields, so no set order moves
+    assert hash(value) == hash(parts) == hash(copy)
+
+
+def _assert_frozen(value, text):
+    """Every write or deletion of a field raises the builder's error and
+    leaves the value as it was."""
+    for name in type(value)._fields:
+        before = getattr(value, name)
+        with pytest.raises(tm.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, object())
+        with pytest.raises(tm.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    assert repr(value) == text and issubclass(tm.FrozenInstanceError, AttributeError)
 
 
 @pytest.mark.parametrize("value, text, parts", VALUES, ids=[type(v).__name__ for v, _, _ in VALUES])
 class TestValueContract:
     def test_repr_equality_and_hash_are_pinned(self, value, text, parts):
-        assert repr(value) == text
-        copy = _rebuilt(value)
-        assert copy == value and copy is not value
-        assert value != fm.Atom(C("other")) and value != parts
-        # the hash of the fields, so no set order moves
-        assert hash(value) == hash(parts) == hash(copy)
+        _assert_pinned(value, text, parts)
 
     def test_every_field_is_frozen_and_there_is_no_instance_dict(self, value, text, parts):
-        for f in dataclasses.fields(value):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, f.name, getattr(value, f.name))
+        _assert_frozen(value, text)
         assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("value, text, parts", FROZEN_VALUES, ids=[type(v).__name__ for v, _, _ in FROZEN_VALUES])
+class TestFrozenRecordContract:
+    def test_repr_equality_and_hash_are_pinned(self, value, text, parts):
+        _assert_pinned(value, text, parts)
+
+    def test_every_field_is_frozen(self, value, text, parts):
+        _assert_frozen(value, text)
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_a_mutable_record_pins_its_repr_and_equality_and_is_unhashable(record, text):
+    assert repr(record) == text
+    copy = tm.replace(record)
+    assert copy == record and copy is not record and record != fm.TOP
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(record)
+
+
+def test_each_default_factory_field_is_a_fresh_object_per_instance():
+    makers = [lambda: fm.Program(Signature()), lambda: tr.Interpretation(1, frozenset()),
+              lambda: tr._Universe([], []), lambda: tr.Grounding(Signature(), 1, _UNIVERSE), tr._Explored]
+    for make in makers:
+        a, b = make(), make()
+        made = [n for n, f in type(a)._fields.items() if f.factory]
+        assert made, type(a)
+        for name in made:
+            assert getattr(a, name) == type(a)._fields[name].factory()
+            assert getattr(a, name) is not getattr(b, name), (type(a), name)
+    # a field __init__ does not take cannot be replaced either
+    with pytest.raises(TypeError):
+        tm.replace(fm.Program(Signature()), _universes={})
 
 
 def test_term_hashes_are_pinned():
