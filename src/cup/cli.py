@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from . import engine as eng
 from . import formulas as fm
@@ -58,7 +57,7 @@ def _setting(args, name: str):
     return value
 
 
-def _file(path: str, text: Optional[str] = None) -> Optional[str]:
+def _file(path: str, text: str | None = None) -> str | None:
     """Read the file an option names, or write text to it: a usage error if
     it cannot be opened or its text is not UTF-8."""
     try:
@@ -70,6 +69,19 @@ def _file(path: str, text: Optional[str] = None) -> Optional[str]:
         raise UsageError(str(exc)) from None
     except UnicodeError as exc:
         raise UsageError(f"{path}: {exc}") from None
+
+
+PROOF_STACK_LEVELS = 10_000  # the deepest `_proof` lets the recursion limit go
+
+
+def _proof(path: str, program: fm.Program) -> eng.ProofTree:
+    """The proof document at path, with the recursion limit raised for the
+    subcommand by four levels per node (per `{`), up to PROOF_STACK_LEVELS:
+    the 8 MB C stack of a Linux main thread ran out at 20 000 levels."""
+    text = _file(path)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, min(PROOF_STACK_LEVELS, limit + 4 * text.count("{"))))
+    return ps.import_proof(text, program)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -161,7 +173,7 @@ def cmd_prove(args) -> int:
     config = _search_config(args)
     store = eng.LemmaStore()
     for path in args.use_lemma or []:
-        proof = ps.import_proof(_file(path), program)
+        proof = _proof(path, program)
         hs = fm.to_h_clauses(proof.sequent.goal)
         if len(hs) != 1:
             raise CupError(f"lemma proof in {path} is not H-shaped")
@@ -172,7 +184,7 @@ def cmd_prove(args) -> int:
 
 def cmd_check_proof(args) -> int:
     program = ps.parse_program(_file(args.program))
-    tree = ps.import_proof(_file(args.proof), program)
+    tree = _proof(args.proof, program)
     ok, diag = eng.check(tree, program, _calculus(args), _setting(args, "fixbeta_bound"))
     if ok:
         # the root's non-original entries are lemmas the document assumes
@@ -195,7 +207,7 @@ def cmd_model(args) -> int:
 
     program = ps.parse_program(_file(args.program))
     depth = _setting(args, "model_depth")
-    goal_atom: Optional[tm.Term] = None
+    goal_atom: tm.Term | None = None
     if args.goal:
         f = ps.parse_goal(args.goal, program)
         if not isinstance(f, fm.Atom):
@@ -219,7 +231,7 @@ def cmd_soundness(args) -> int:
     from . import soundness as sd
 
     program = ps.parse_program(_file(args.program))
-    proof = ps.import_proof(_file(args.proof), program)
+    proof = _proof(args.proof, program)
     report = sd.audit_proof(proof, program, _setting(args, "model_depth"), _setting(args, "word_budget"))
     payload = report.to_dict(program)
     lines = [
@@ -369,7 +381,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse(argv: Optional[list[str]]):
+def _parse(argv: list[str] | None):
     """The options, or the exit code of argparse's exit: 0 after --help, 3 on a bad flag."""
     try:
         return build_arg_parser().parse_args(argv)
@@ -377,9 +389,10 @@ def _parse(argv: Optional[list[str]]):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if isinstance(args := _parse(argv), int):
         return args
+    limit = sys.getrecursionlimit()
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -392,6 +405,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ until a program-clause focus discharges it.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, Optional
+from collections.abc import Callable, Iterator
 
 from . import terms as tm
 from .errors import (
@@ -34,6 +34,7 @@ from .formulas import (
     Program,
     Top,
     classify,
+    focus_heads,
     formula_alpha_eq,
     formula_substitute,
     in_fragment,
@@ -73,7 +74,7 @@ class Entry:
 class Sequent:
     signature: Signature
     entries: tuple[Entry, ...]
-    focus: Optional[Formula]
+    focus: Formula | None
     goal: Formula
     mode: str = PLAIN
     guarded: bool = False
@@ -98,8 +99,8 @@ class Sequent:
 class ProofTree:
     sequent: Sequent
     rule: str
-    witness: Optional[Term] = None
-    eigen: Optional[str] = None
+    witness: Term | None = None
+    eigen: str | None = None
     children: tuple["ProofTree", ...] = ()
 
     def nodes(self) -> Iterator["ProofTree"]:
@@ -161,7 +162,7 @@ class SearchStats:
 
 @record(frozen=False)
 class SearchOutcome:
-    tree: Optional[ProofTree]
+    tree: ProofTree | None
     reason: str  # "proved" | "no-proof" | "depth-exceeded"
     stats: SearchStats
 
@@ -212,7 +213,7 @@ def _occurs(name: str, t: Term, s: dict[str, Term]) -> bool:
     return False
 
 
-def unify(a: Term, b: Term, s: dict[str, Term]) -> Optional[dict[str, Term]]:
+def unify(a: Term, b: Term, s: dict[str, Term]) -> dict[str, Term] | None:
     """First-order structural unification with occurs check.
 
     Binders are compared rigidly (alpha-equality after resolution);
@@ -245,7 +246,7 @@ def unify(a: Term, b: Term, s: dict[str, Term]) -> Optional[dict[str, Term]]:
     return None
 
 
-def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> Optional[dict[str, Term]]:
+def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> dict[str, Term] | None:
     """Unify up to a bounded number of fix unfoldings on either side,
     preferring the least-unfolded match: the first pair of
     `tm.UnfoldingWalk` that unifies."""
@@ -279,7 +280,7 @@ _LEFT = {
 _NO_RULE = (None, None)
 
 
-def _rule(seq: Sequent) -> Optional[str]:
+def _rule(seq: Sequent) -> str | None:
     """The one rule that applies to the sequent: co-fix on a coinductive
     sequent, else the left rule of the focus's shape (its goal must be an
     atom), else the right rule of the goal's shape.  None when no rule
@@ -294,7 +295,7 @@ def _rule(seq: Sequent) -> Optional[str]:
 
 
 def _premises(
-    seq: Sequent, eigen: Optional[str] = None, witness: Optional[Term] = None
+    seq: Sequent, eigen: str | None = None, witness: Term | None = None
 ) -> Iterator[tuple[Sequent, ...]]:
     """Each premise tuple of `_rule(seq)`, in the order search tries them.
     forall-r takes the eigenvariable, exists-r and forall-l the witness."""
@@ -359,12 +360,6 @@ class _Ctx:
         return Var(name)
 
 
-def _initial_match(ctx: _Ctx, a_focus: Term, a_goal: Term, s: dict[str, Term]) -> Optional[dict[str, Term]]:
-    if ctx.cfg.calculus.higher_order:
-        return unify_modulo(a_focus, a_goal, s, ctx.cfg.fixbeta_bound)
-    return unify(a_focus, a_goal, s)
-
-
 def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[tuple[ProofTree, dict[str, Term]]]:
     """The proofs of seq within depth, with the substitution each needs.
     Premises are solved here, not through a helper, so that a search level
@@ -377,10 +372,13 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
     if rule is None:
         return
     g, d = seq.goal, seq.focus
-    eigen = witness = None
+    eigen = witness = pred = None
     if d is not None:
         if isinstance(d, Atom):
-            s1 = _initial_match(ctx, d.term, g.term, s)
+            if ctx.cfg.calculus.higher_order:
+                s1 = unify_modulo(d.term, g.term, s, ctx.cfg.fixbeta_bound)
+            else:
+                s1 = unify(d.term, g.term, s)
             if s1 is not None:
                 yield ProofTree(seq, rule), s1
             return
@@ -396,9 +394,13 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
             raise FlexibleAtomUnsupported(f"flexible atom goal {tm.brief(g.term)}")
         if isinstance(head, Var):
             raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {tm.brief(g.term)}")
+        pred = head.name if isinstance(head, Con) else None
     for premises in _premises(seq, eigen, witness):
         if not premises:
             yield ProofTree(seq, rule), s
+            continue
+        if pred is not None and (heads := focus_heads(premises[0].focus)) is not None and pred not in heads:
+            _count_dead_focus(ctx, premises[0].focus, depth - 1)
             continue
         for t1, s1 in _solve(ctx, premises[0], depth - 1, s):
             if len(premises) == 1:
@@ -408,12 +410,29 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
                 yield ProofTree(seq, rule, witness, eigen, (t1, t2)), s2
 
 
+def _count_dead_focus(ctx: _Ctx, f: Formula, depth: int) -> None:
+    """Count, as `_solve` would, the nodes, fresh metavariables and depth cut
+    of a focus on f whose `focus_heads` lack the goal's predicate, where each
+    INITIAL fails, without building a formula; of ⊃, the focused premise."""
+    while depth > 0:
+        ctx.stats.nodes += 1
+        depth -= 1
+        if isinstance(f, Conj):
+            _count_dead_focus(ctx, f.left, depth)
+        elif isinstance(f, Forall):
+            ctx.fresh_meta(f.var, f.ty)
+        elif not isinstance(f, Impl):
+            return
+        f = f.body if isinstance(f, Forall) else f.right
+    ctx.cut = True
+
+
 # ---------------------------------------------------------------------------
 # Reification: apply final substitution, fill dangling witnesses
 # ---------------------------------------------------------------------------
 
 
-def smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Optional[Term]:
+def smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Term | None:
     """The smallest closed first-order term of the given type, if any:
     rounds of constructor application run until one adds no new type."""
     cons = sig.constructors()
@@ -437,7 +456,7 @@ def unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:
     return {n for n in tm.free_vars(resolve_term(t, s)) if tm.is_meta(n)}
 
 
-def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree]:
+def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> ProofTree | None:
     # fill metas that no rule constrained with the smallest closed terms
     dangling: set[str] = set()
     for node in tree.nodes():
@@ -472,7 +491,7 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree
             out = tuples[id(es)] = es if all(a is b for a, b in zip(new, es)) else new
         return out
 
-    def go(node: ProofTree) -> Optional[ProofTree]:
+    def go(node: ProofTree) -> ProofTree | None:
         seq = node.sequent
         new_seq = seq.with_(
             entries=entries(seq.entries),
@@ -502,7 +521,7 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> Optional[ProofTree
 # ---------------------------------------------------------------------------
 
 
-def _base_entries(program: Program, lemmas: Optional[LemmaStore] = None) -> tuple[Entry, ...]:
+def _base_entries(program: Program, lemmas: LemmaStore | None = None) -> tuple[Entry, ...]:
     entries = tuple(Entry(c, Src.ORIGINAL) for c in program.clauses)
     if lemmas is not None:
         entries += tuple(Entry(f, Src.LEMMA) for f in lemmas.formulas())
@@ -546,7 +565,7 @@ def coprove(program: Program, m: Formula, cfg: SearchConfig) -> SearchOutcome:
     return _search(ctx, child_seq, make_root)
 
 
-def prove(program: Program, lemmas: Optional[LemmaStore], g: Formula, cfg: SearchConfig) -> SearchOutcome:
+def prove(program: Program, lemmas: LemmaStore | None, g: Formula, cfg: SearchConfig) -> SearchOutcome:
     """Uniform proof search for a goal over the program plus proven lemmas."""
     if cfg.calculus not in classify(program.signature, g, "goal"):
         raise NotCoreFormula(f"the goal is not a goal formula of {cfg.calculus.value}")
@@ -574,7 +593,7 @@ def check(
     program: Program,
     calculus: Calculus,
     fixbeta_bound: int = tm.UNFOLD_BOUND,
-) -> tuple[bool, Optional[str]]:
+) -> tuple[bool, str | None]:
     """Verify that every node instantiates exactly one rule with all side
     conditions; returns (ok, first-failure diagnostic).
 
@@ -592,7 +611,7 @@ def check(
 
     base = _base_entries(program)
 
-    def go(node: ProofTree, path: str, is_root: bool) -> tuple[bool, Optional[str]]:
+    def go(node: ProofTree, path: str, is_root: bool) -> tuple[bool, str | None]:
         seq = node.sequent
         rule = node.rule
         kids = node.children

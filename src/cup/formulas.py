@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from . import terms as tm
 from .errors import CupError, IllTyped, NonHConvertibleClause, UsageError
@@ -46,14 +46,14 @@ ALL_CALCULI = frozenset(Calculus)
 # ---------------------------------------------------------------------------
 
 
-# Every formula node caches its alpha key on first request, as term nodes do
-# (see `formula_key`).  The cached field takes no part in equality, hash or
-# repr; the constructor sets it to None with the node's own fields.
+# formula nodes cache `formula_key` and `focus_heads` when first asked, outside ==, hash, repr
+_UNSEEN = object()
 
 
 @record(slots=True)
 class _FNode:
-    _ak: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _ak: str | None = field(default=None, init=False, repr=False, compare=False)
+    _fh: frozenset[str] | None = field(default=_UNSEEN, init=False, repr=False, compare=False)
 
 
 @record(slots=True)
@@ -174,6 +174,25 @@ def formula_key(f: Formula) -> str:
 def formula_alpha_eq(f: Formula, g: Formula) -> bool:
     """Identity modulo renaming of bound variables, for beta-normal atoms."""
     return f is g or formula_key(f) == formula_key(g)
+
+
+def focus_heads(f: Formula) -> frozenset[str] | None:
+    """The predicate names of the atoms a left focus on f reaches through ∀
+    bodies, ⊃ consequents and both sides of ∧ (Top, ∨ and ∃ have no left
+    rule); None if one of their heads is not a constant."""
+    if f._fh is _UNSEEN:
+        if isinstance(f, Atom):
+            head = tm.spine(f.term)[0]
+            heads = frozenset((head.name,)) if isinstance(head, Con) else None
+        elif isinstance(f, Conj):
+            left, right = focus_heads(f.left), focus_heads(f.right)
+            heads = None if left is None or right is None else left | right
+        elif isinstance(f, (Forall, Impl)):
+            heads = focus_heads(f.body if isinstance(f, Forall) else f.right)
+        else:
+            heads = frozenset()
+        object.__setattr__(f, "_fh", heads)
+    return f._fh
 
 
 def conjoin(fs: list[Formula]) -> Formula:
@@ -356,7 +375,7 @@ def h_substitute(h: HClause, binding: dict[str, Term]) -> HClause:
     return HClause(remaining, body, head)
 
 
-def ground_instances(h: HClause, universe: list[Term], limit: Optional[int] = None) -> Iterator[HClause]:
+def ground_instances(h: HClause, universe: list[Term], limit: int | None = None) -> Iterator[HClause]:
     """All closed instances of h over the given term universe, deduplicated
     modulo alpha-equivalence of the instantiating tuples."""
     if not h.universals:
@@ -391,7 +410,7 @@ class Program:
     fix_definitions: tuple[tuple[str, Term], ...] = ()
     _universes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def fix_def(self, name: str) -> Optional[Term]:
+    def fix_def(self, name: str) -> Term | None:
         for n, t in self.fix_definitions:
             if n == name:
                 return t

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Container
 from json.encoder import encode_basestring_ascii
-from typing import Container, Optional
 
 from . import engine as eng
 from . import formulas as fm
@@ -437,7 +437,7 @@ def parse_goal(text: str, program: Program, allow_fresh: bool = False) -> Formul
 # ---------------------------------------------------------------------------
 
 
-def _match_fix_def(t: Term, program: Optional[Program]) -> Optional[str]:
+def _match_fix_def(t: Term, program: Program | None) -> str | None:
     if program is None or not isinstance(t, Fix):
         return None
     for name, d in program.fix_definitions:
@@ -446,7 +446,7 @@ def _match_fix_def(t: Term, program: Optional[Program]) -> Optional[str]:
     return None
 
 
-def pp_term(t: Term, program: Optional[Program] = None) -> str:
+def pp_term(t: Term, program: Program | None = None) -> str:
     used = set(tm.free_vars(t))
 
     def clean(name: str) -> str:
@@ -501,7 +501,7 @@ def pp_term(t: Term, program: Optional[Program] = None) -> str:
     return go(t, {})
 
 
-def pp_formula(f: Formula, program: Optional[Program] = None) -> str:
+def pp_formula(f: Formula, program: Program | None = None) -> str:
     def go(g: Formula, prec: int) -> str:
         if isinstance(g, Top):
             return "true"
@@ -529,7 +529,7 @@ def pp_formula(f: Formula, program: Optional[Program] = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def export_proof(tree: eng.ProofTree, program: Optional[Program] = None) -> str:
+def export_proof(tree: eng.ProofTree, program: Program | None = None) -> str:
     """Serialize a proof tree to its JSON document form: the text
     `json.dumps(..., indent=1)` gives for one object per node whose keys
     are rule, signature_additions, program_additions, goal, guarded,
@@ -628,7 +628,7 @@ def _import_node(
     sig: Signature,
     entries: tuple[eng.Entry, ...],
     mode: str,
-    parent_rule: Optional[str],
+    parent_rule: str | None,
     memo: dict,
 ) -> eng.ProofTree:
     required = {"rule", "signature_additions", "program_additions", "goal", "guarded", "children"}
@@ -677,24 +677,16 @@ def import_proof(document: str | dict, program: Program) -> eng.ProofTree:
     """Rebuild a proof tree from its JSON document, replaying the recorded
     signature and program additions node by node."""
     try:
-        return _import_proof(document, program)
+        doc = json.loads(document) if isinstance(document, str) else document
+        if not isinstance(doc, dict):
+            raise MalformedDocument("proof document must be a JSON object")
+        entries = tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
+        mode = eng.COINDUCTIVE if doc.get("rule") == "co-fix" else eng.PLAIN
+        # one parse per distinct payload text and signature (see `_payload`)
+        return _import_node(doc, program, program.signature, entries, mode, None, {})
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"not valid JSON: {exc}") from exc
     except (RecursionError, NestingTooDeep):
-        # the stack can run out in the import's own recursion or in a
-        # payload's parse, wherever the document's nesting has left it
+        # the stack can run out in the JSON reader, in the import's own
+        # recursion or in a payload's parse, wherever the nesting has left it
         raise MalformedDocument("proof document nested too deeply") from None
-
-
-def _import_proof(document: str | dict, program: Program) -> eng.ProofTree:
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise MalformedDocument("proof document must be a JSON object")
-    entries = tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
-    mode = eng.COINDUCTIVE if doc.get("rule") == "co-fix" else eng.PLAIN
-    # one parse per distinct payload text and signature (see `_payload`)
-    return _import_node(doc, program, program.signature, entries, mode, None, {})

@@ -10,7 +10,7 @@ approximated model unchanged (conservative extension).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from . import engine as eng
 from . import formulas as fm
@@ -62,7 +62,7 @@ def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = 
 
 def _walk_root(
     proof: eng.ProofTree, program: Program, calculus: Calculus
-) -> tuple[HClause, tuple[list[str], eng.ProofTree, Optional[eng.ProofTree]], list[DeltaRecord]]:
+) -> tuple[HClause, tuple[list[str], eng.ProofTree, eng.ProofTree | None], list[DeltaRecord]]:
     """`collect_deltas` with what it finds on the way: the root's H-clause
     and its guarded segment.  It fails on the root's clause, then the check,
     then the root derivation, then a hypothesis use, so a checked root
@@ -124,7 +124,7 @@ def _thetas(
 # ---------------------------------------------------------------------------
 
 
-def _guarded_segment(proof: eng.ProofTree, m: int) -> tuple[list[str], eng.ProofTree, Optional[eng.ProofTree]]:
+def _guarded_segment(proof: eng.ProofTree, m: int) -> tuple[list[str], eng.ProofTree, eng.ProofTree | None]:
     """The eigenvariables of the root derivation's m leading universal
     steps, its guarded DECIDE node and, for rule-shaped clauses, the side
     subproof of its implication step (None for facts)."""
@@ -211,7 +211,7 @@ def verify_postfixed(
     interp: tr.Interpretation,
     program: Program,
     cfg: tr.InstanceConfig,
-) -> tuple[bool, Optional[Term]]:
+) -> tuple[bool, Term | None]:
     """Is every member a consequence of members (I included in T(I)) at this
     resolution?  Returns the first counterexample atom otherwise.  The
     grounding reads what `gfp_approx` kept for the term size."""
@@ -246,7 +246,7 @@ class HarnessReport:
     depth: int
     word_budget: int
     verified: bool
-    counterexample: Optional[Term]
+    counterexample: Term | None
     candidate_size: int
     merged_size: int
 

@@ -9,8 +9,8 @@ All values are immutable and safe to share.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator, Optional
 
 from .errors import (
     FixBodyNotAbstraction,
@@ -226,7 +226,7 @@ class _Node:
     _fix: bool = field(init=False, repr=False, compare=False)
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
     _nf: bool = field(init=False, repr=False, compare=False)
-    _ak: Optional[str] = field(init=False, repr=False, compare=False)
+    _ak: str | None = field(init=False, repr=False, compare=False)
 
 
 _HASH, _FIX, _FV, _NF, _AK = _slot_setters(_Node)
@@ -491,7 +491,7 @@ class Signature:
     def of(mapping: dict[str, SimpleType]) -> "Signature":
         return Signature(tuple(sorted(mapping.items())))
 
-    def lookup(self, name: str) -> Optional[SimpleType]:
+    def lookup(self, name: str) -> SimpleType | None:
         return self._types.get(name)
 
     def __contains__(self, name: str) -> bool:
@@ -655,7 +655,7 @@ def _ground(ty: _InfType, where: Term) -> SimpleType:
     return ty
 
 
-def typecheck(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None) -> SimpleType:
+def typecheck(sig: Signature, ctx: Context, t: Term, expected: SimpleType | None = None) -> SimpleType:
     """Infer the unique simple type of t, or raise.  The type of a closed
     term is memoised on the signature; an error is not, so it is raised
     again on every call."""
@@ -669,7 +669,7 @@ def typecheck(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleTy
     return ty
 
 
-def _inferred(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType]) -> tuple[_Infer, _InfType]:
+def _inferred(sig: Signature, ctx: Context, t: Term, expected: SimpleType | None) -> tuple[_Infer, _InfType]:
     """An inference over t, with t's type, unified with expected if given;
     its judgments hold one per subterm occurrence, t's own last."""
     inf = _Infer(sig, ctx)
@@ -708,7 +708,7 @@ def _unfold(fx: Fix) -> Term:
     return subst1(fx.body.body, fx.body.var, fx)
 
 
-def _unfold_leftmost(t: Term) -> Optional[Term]:
+def _unfold_leftmost(t: Term) -> Term | None:
     """Unfold the leftmost-outermost fix subterm once; None if there is none."""
     if isinstance(t, Fix):
         return _unfold(t)
@@ -784,7 +784,7 @@ def clash(a: Term, b: Term) -> bool:
     return _clash(a, b, {})
 
 
-def _clash(a: Term, b: Term, first: Optional[dict[str, Term]]) -> bool:
+def _clash(a: Term, b: Term, first: dict[str, Term] | None) -> bool:
     # `first` holds each metavariable's first counterpart; None binds nothing
     for x, y in ((a, b), (b, a)) if first is not None else ():
         if isinstance(x, Var) and is_meta(x.name) and first.setdefault(x.name, y) is not y:
@@ -826,7 +826,7 @@ class UnfoldingWalk:
         self._bound = bound
         self.clashed = clash(a, b)
 
-    def _term(self, side: int, k: int) -> Optional[Term]:
+    def _term(self, side: int, k: int) -> Term | None:
         chain = self.chains[side]
         if k < len(chain):
             return chain[k]
@@ -878,7 +878,7 @@ def fixbeta_equiv(t1: Term, t2: Term, bound: int = UNFOLD_BOUND) -> str:
 # ---------------------------------------------------------------------------
 
 
-def first_order(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None) -> bool:
+def first_order(sig: Signature, ctx: Context, t: Term, expected: SimpleType | None = None) -> bool:
     """The five defining conditions of first-order terms: a base type for
     the term, order 0 or 1 for its constants, base types for its variables,
     no subterm of type o and no fixed point subterm.  Every judgment is
@@ -894,7 +894,7 @@ def first_order(sig: Signature, ctx: Context, t: Term, expected: Optional[Simple
     )
 
 
-def is_first_order(sig: Signature, ctx: Context, t: Term, expected: Optional[SimpleType] = None) -> bool:
+def is_first_order(sig: Signature, ctx: Context, t: Term, expected: SimpleType | None = None) -> bool:
     """Memoised on the signature for closed terms; only verdicts are
     remembered, so an unbound name raises on every call."""
     key = None if ctx else (t, expected)

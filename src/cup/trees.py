@@ -10,7 +10,7 @@ the family of its depth truncations, with `*` leaves marking the cut.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from . import engine as eng
 from . import formulas as fm
@@ -132,7 +132,7 @@ def truncate(t: Tree, n: int) -> Tree:
     return go(t, 0)
 
 
-def _gamma(a: Tree, b: Tree, d: int) -> Optional[int]:
+def _gamma(a: Tree, b: Tree, d: int) -> int | None:
     """Least n at which the depth-n truncations differ, None if equal."""
     if a.label != b.label or len(a.children) != len(b.children):
         return d + 1
@@ -159,7 +159,7 @@ def distance(t1: Tree, t2: Tree) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def atom_to_tree(sig: Signature, atom: Term, depth: int, memo: Optional[dict] = None) -> Tree:
+def atom_to_tree(sig: Signature, atom: Term, depth: int, memo: dict | None = None) -> Tree:
     """Truncated tree of a first-order or guarded atom, built top-down in
     one walk that emits `*` at the cut.
 
@@ -306,7 +306,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _render_body(sig: Signature, b: Term, depth: int, memo: Optional[dict] = None) -> Optional[Tree]:
+def _render_body(sig: Signature, b: Term, depth: int, memo: dict | None = None) -> Tree | None:
     try:
         return atom_to_tree(sig, b, depth, memo)
     except CupError:
@@ -363,7 +363,7 @@ class _Universe:
     atoms: dict[Term, Term] = field(default_factory=dict, repr=False)
     bodies: dict[Term, tuple[tuple[Term, ...], ...]] = field(default_factory=dict, repr=False)
     explored: dict[int, _Explored] = field(default_factory=dict)
-    keys: dict[int, dict[Term, Optional[Tree]]] = field(default_factory=dict, repr=False)
+    keys: dict[int, dict[Term, Tree | None]] = field(default_factory=dict, repr=False)
 
     def clauses(self, atom: Term) -> list[RenamedClause]:
         """The renamed clauses, in order, that can match the atom: all of
@@ -395,11 +395,11 @@ class Grounding:
     sig: Signature
     depth: int
     uni: _Universe
-    keys: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
+    keys: dict[Term, Tree | None] = field(default_factory=dict, repr=False)
     memo: dict = field(default_factory=dict, repr=False)
-    kept: dict[Term, Optional[Tree]] = field(default_factory=dict, repr=False)
+    kept: dict[Term, Tree | None] = field(default_factory=dict, repr=False)
 
-    def key(self, atom: Term) -> Optional[Tree]:
+    def key(self, atom: Term) -> Tree | None:
         """The atom's truncated tree, None if it does not render; each
         distinct term is rendered once, and a kept one not at all."""
         keys = self.kept if atom in self.kept else self.keys
@@ -435,7 +435,7 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
             yield resolved
 
 
-def justify(atom: Term, interp: Interpretation, g: Grounding) -> Optional[list[Term]]:
+def justify(atom: Term, interp: Interpretation, g: Grounding) -> list[Term] | None:
     """Some clause-instance body for this head with every body atom in the
     interpretation; None when no enumerated instance works.  The bodies
     that the universe holds for the atom are read, not enumerated again,

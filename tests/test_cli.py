@@ -277,7 +277,7 @@ class TestProofPipeline:
     @pytest.mark.parametrize("subcommand", ["check-proof", "soundness", "prove"])
     def test_deeply_nested_document_is_usage(self, tmp_path, capsys, subcommand):
         out = tmp_path / "deep.json"
-        out.write_text(deep_document(900))
+        out.write_text(deep_document(cli.PROOF_STACK_LEVELS))  # past the cap: two levels a node
         reads = {
             "check-proof": ["--calculus", "co-fohc", "--proof", str(out)],
             "soundness": ["--proof", str(out)],
@@ -287,9 +287,11 @@ class TestProofPipeline:
         assert code == EXIT_USAGE
         assert "nested too deeply" in capsys.readouterr().err
 
-    def test_a_deep_proof_is_written_and_read_back_as_nested_too_deeply(self, tmp_path, capsys):
+    def test_a_deep_proof_is_written_and_read_back_valid(self, tmp_path, capsys):
         # a 722-node proof 541 nodes deep: its document is written whole,
-        # and `json.loads` needs two levels per node to read it back
+        # and read back under a recursion limit raised for the subcommand
+        # only, since `json.loads` alone needs two levels per node
+        limit = sys.getrecursionlimit()
         prog = tmp_path / "nat.cup"
         prog.write_text("const 0 : i. const s : i -> i. const nat : i -> o. nat 0. nat (s X) :- nat X.\n")
         out = tmp_path / "deep.json"
@@ -301,8 +303,24 @@ class TestProofPipeline:
         text = out.read_text()
         assert text.startswith('{\n "rule": "decide",') and text.endswith("\n}\n")
         code = run(["check-proof", "--calculus", "co-fohc", "--program", str(prog), "--proof", str(out)])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == "error: proof document nested too deeply\n"
+        assert (code, capsys.readouterr().out) == (EXIT_OK, "valid proof (722 nodes)\n")
+        assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize("depth, code", [(cli.PROOF_STACK_LEVELS // 2 - 100, EXIT_FAIL),
+                                             (cli.PROOF_STACK_LEVELS // 2 + 100, EXIT_USAGE)])
+    def test_a_document_at_the_stack_cap_is_read_or_refused_on_the_main_thread(self, tmp_path, depth, code):
+        # `json.loads` takes two levels per node: the shallower chain reads
+        # and checks invalid (its and-r nodes have one premise), the deeper
+        # one runs into the cap, in a fresh process, whose main thread's C
+        # stack must hold that deep a recursion without a crash
+        out = tmp_path / "deep.json"
+        out.write_text(deep_document(depth))
+        argv = ["check-proof", "--calculus", "co-fohc", "--program", corpus("member.cup"), "--proof", str(out)]
+        done = subprocess.run([sys.executable, "-c", "import sys; from cup.cli import main; sys.exit(main())", *argv],
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr[-300:]
+        assert done.stderr == ("error: proof document nested too deeply\n" if code == EXIT_USAGE else "")
 
     def test_soundness_subcommand(self, tmp_path, capsys):
         out = tmp_path / "p.json"

@@ -1645,6 +1645,88 @@ def test_cached_formula_keys_match_fresh_ones_and_the_reference():
     assert equal_pairs > 50
 
 
+def _reachable_heads(f):
+    """The heads of the atoms a left focus on f reaches, walked afresh."""
+    if isinstance(f, fm.Atom):
+        return [tm.spine(f.term)[0]]
+    if isinstance(f, fm.Conj):
+        return _reachable_heads(f.left) + _reachable_heads(f.right)
+    if isinstance(f, fm.Forall):
+        return _reachable_heads(f.body)
+    if isinstance(f, fm.Impl):
+        return _reachable_heads(f.right)
+    return []
+
+
+def test_cached_focus_heads_match_fresh_ones_and_the_reference():
+    objects = {}
+    for tree, back in _search_goal_round_trips((1, 2)):
+        for f in itertools.chain(_sequent_formulas(tree), _sequent_formulas(back)):
+            objects[id(f)] = f
+    # the searches cached the heads of every entry they decided on
+    cached = [f for f in objects.values() if f._fh is not fm._UNSEEN]
+    assert len(cached) > 20
+    for f in itertools.chain(cached, objects.values()):
+        heads = _reachable_heads(f)
+        want = None if any(not isinstance(h, Con) for h in heads) else frozenset(h.name for h in heads)
+        fresh = _rebuild_formula(f)
+        assert fresh._fh is fm._UNSEEN
+        assert fm.focus_heads(f) == fm.focus_heads(fresh) == want
+
+
+def _search_outputs(monkeypatch, programs, searches):
+    """The reason, node count, final bound, fresh names drawn and exported
+    document of each (program, goal, calculus, entry point, depth) search,
+    or the error it raised."""
+    supplies = []
+
+    class Recorded(tm.NameSupply):
+        def __init__(self):
+            super().__init__()
+            supplies.append(self)
+
+    monkeypatch.setattr(eng, "NameSupply", Recorded)
+    out = []
+    for name, text, calc, kind, depth in searches:
+        program = programs[name]
+        cfg = eng.SearchConfig(calculus=calc, depth_limit=depth)
+        try:
+            f = ps.parse_goal(text, program)
+            res = (eng.coprove(program, f, cfg) if kind == "coprove"
+                   else eng.prove(program, eng.LemmaStore(), f, cfg))
+        except CupError as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        doc = ps.export_proof(res.tree, program) if res.proved else None
+        out.append((res.reason, res.stats.nodes, res.stats.max_depth, supplies[-1]._next, doc))
+    return out
+
+
+def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(monkeypatch):
+    # the search-workload goals of seeds 1-3, the four regressions and the
+    # `cup examples` runs, at their own depths and at depth limits 1-6, so
+    # that the depth runs out inside skipped chains; the skip is turned off
+    # by making every focus reach every predicate
+    programs = workloads.load_programs()
+    runs = [(g.program, g.text, g.calculus, g.kind, g.depth)
+            for seed in (1, 2, 3) for g in itertools.chain(*workloads.blocks("search", seed, 4))]
+    runs += [(name, text, calc, "coprove", eng.DEPTH_LIMIT) for name, text, calc, _size in workloads.REGRESSIONS]
+    runs += [(name, text, calc, kind, eng.INCONCLUSIVE_DEPTH_LIMIT if want == "inconclusive" else eng.DEPTH_LIMIT)
+             for name, entry in cli.CORPUS.items() for kind, text, calc, want in entry["runs"]]
+    searches = list(dict.fromkeys(run[:4] + (depth,) for run in runs for depth in (run[4], *range(1, 7))))
+    assert len(searches) > 300
+    skips = []
+    count = eng._count_dead_focus
+    monkeypatch.setattr(eng, "_count_dead_focus", lambda *a: (skips.append(a[2]), count(*a)))
+    skipped = _search_outputs(monkeypatch, programs, searches)
+    # some chains are cut by the depth inside them
+    assert len(skips) > 1000 and skips.count(0) > 100
+    monkeypatch.setattr(eng, "focus_heads", lambda f: None)
+    searched = _search_outputs(monkeypatch, programs, searches)
+    assert skipped == searched
+    assert {o[0] for o in searched} == {"proved", "depth-exceeded"}
+
+
 def test_reified_proofs_share_their_unchanged_formulas(regression_proofs):
     for program, _goal, _calc, res in regression_proofs.values():
         for node in res.tree.nodes():

@@ -1,3 +1,4 @@
+import collections
 import sys
 
 import pytest
@@ -9,8 +10,8 @@ from cup import parser as ps
 from cup import terms as tm
 from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_lemma, prove
 from cup.errors import FlexibleAtomUnsupported, NotCoreFormula, ProofInvalid
-from cup.formulas import Atom, Calculus, HClause, TOP
-from cup.terms import replace
+from cup.formulas import Atom, Calculus, Conj, Disj, Exists, Forall, HClause, Impl, TOP
+from cup.terms import IOTA, Signature, replace
 
 from helpers import A, C, N_STR, V, proof_mutations, proof_paths, replace_at, scons, slist
 
@@ -461,3 +462,86 @@ class TestSearchStats:
     def test_depth_limit_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(calculus=Calculus.FOHC, depth_limit=0)
+
+
+class TestFocusHeads:
+    """`focus_heads` and the DECIDE skip it drives: a focus whose heads miss
+    the goal's predicate is counted by `_count_dead_focus`, not searched."""
+
+    SIG = Signature.of({"a": IOTA, "p": tm.fn_type(IOTA, tm.O), "q": tm.fn_type(IOTA, tm.O),
+                        "r": tm.fn_type(IOTA, tm.O)})
+
+    @staticmethod
+    def atom(pred, arg="a"):
+        return Atom(A(C(pred), C(arg) if arg == "a" else V(arg)))
+
+    def ctx(self):
+        return eng._Ctx(fm.Program(self.SIG), SearchConfig(calculus=Calculus.FOHH), tm.NameSupply(),
+                        eng.SearchStats(), {})
+
+    def test_a_conjunction_gives_the_union_of_its_sides(self):
+        f = Forall("x", IOTA, Impl(self.atom("p", "x"), Conj(self.atom("q", "x"), self.atom("r"))))
+        assert fm.focus_heads(f) == {"q", "r"}
+        # an implication's antecedent is a goal, never a focus
+        assert fm.focus_heads(Impl(self.atom("p"), self.atom("q"))) == {"q"}
+
+    @pytest.mark.parametrize("focus", [TOP, Disj(Atom(A(C("p"), C("a"))), Atom(A(C("p"), C("a")))),
+                                       Exists("x", IOTA, Atom(A(C("p"), V("x"))))],
+                             ids=["top", "or", "exists"])
+    def test_a_focus_with_no_left_rule_reaches_no_atom_and_counts_one_node(self, focus):
+        assert fm.focus_heads(focus) == frozenset()
+        seq = eng.Sequent(self.SIG, (), focus, self.atom("p"))
+        assert eng._rule(seq) is None
+        searched, counted = self.ctx(), self.ctx()
+        assert list(eng._solve(searched, seq, 3, {})) == []
+        eng._count_dead_focus(counted, focus, 3)
+        for ctx in (searched, counted):
+            assert (ctx.stats.nodes, ctx.cut, ctx.supply._next) == (1, False, 0)
+
+    @pytest.mark.parametrize("head", [V("P"), V(tm.META + "P#1"), tm.Lam("y", A(C("p"), V("y")))],
+                             ids=["variable", "metavariable", "redex"])
+    def test_a_head_that_is_not_a_constant_is_not_rigid(self, head):
+        loose = Atom(A(head, C("a")))
+        assert fm.focus_heads(loose) is None
+        assert fm.focus_heads(Conj(self.atom("q"), loose)) is None
+        assert fm.focus_heads(Forall("P", tm.fn_type(IOTA, tm.O), Impl(self.atom("q"), loose))) is None
+
+    def test_a_hypothesis_headed_by_a_metavariable_is_never_skipped(self):
+        # imp-r adds `?P#1 a`; DECIDE on it closes `p a` by binding ?P#1
+        meta = tm.META + "P#1"
+        hyp = Atom(A(V(meta), C("a")))
+        seq = eng.Sequent(self.SIG, (), None, Impl(hyp, self.atom("p")))
+        tree, s = next(eng._solve(self.ctx(), seq, 3, {}))
+        assert rules_of(tree) == ["imp-r", "decide", "initial"]
+        assert tree.children[0].sequent.entries == (eng.Entry(hyp, Src.HYPOTHESIS),)
+        assert s == {meta: C("p")}
+
+    @pytest.mark.parametrize("depth", range(8))
+    def test_the_count_of_a_dead_focus_is_that_of_its_search(self, depth):
+        # nested universals, implications and conjunctions against a goal
+        # none of whose heads is reachable: nodes, cut, fresh names and
+        # metavariable types as `_solve` leaves them, at every depth
+        f = Forall("x", IOTA, Impl(self.atom("p", "x"), Conj(
+            Forall("y", IOTA, self.atom("q", "y")),
+            Impl(self.atom("p", "x"), Forall("z", IOTA, Conj(self.atom("r", "z"), self.atom("q", "x")))))))
+        seq = eng.Sequent(self.SIG, (), f, Atom(A(C("p"), C("a"))))
+        assert "p" not in fm.focus_heads(f)
+        searched, counted = self.ctx(), self.ctx()
+        assert list(eng._solve(searched, seq, depth, {})) == []
+        eng._count_dead_focus(counted, f, depth)
+        assert (counted.stats.nodes, counted.cut, counted.supply._next, counted.meta_types) == (
+            searched.stats.nodes, searched.cut, searched.supply._next, searched.meta_types)
+        assert counted.stats.nodes == [0, 1, 2, 3, 5, 7, 8, 10][depth]
+
+    def test_a_decide_skips_each_entry_whose_heads_miss_the_goal(self, monkeypatch, member67_program):
+        # at `member` goals the `eq` clause, at `eq` goals the `member` clause
+        # and the coinductive hypothesis; the node count is SEARCH_GOLDEN's
+        skipped = collections.Counter()
+        count = eng._count_dead_focus
+        monkeypatch.setattr(eng, "_count_dead_focus",
+                            lambda ctx, f, depth: (skipped.update([ps.pp_formula(f)]), count(ctx, f, depth)))
+        res = coprove(member67_program, ps.parse_goal("member 0 [0|nil]", member67_program),
+                      SearchConfig(calculus=Calculus.FOHC))
+        assert res.proved and res.stats.nodes == TestCoproveRegressions.SEARCH_GOLDEN["member67"][0]
+        assert skipped == {"forall X. eq X X": 11, "member 0 [0|nil]": 1,
+                           "forall X Y T. member X [Y|T] /\\ eq X Y => member X [Y|T]": 2}

@@ -408,9 +408,11 @@ def test_every_exported_name_resolves_to_its_module_s_object():
 
 
 # what starting the CLI must not load: the class builders `cup` no longer
-# uses, the corpus lookup, the tree metric's numbers, and the layers only
-# `model` and `soundness` run
-NOT_AT_START = ("dataclasses", "inspect", "importlib.resources", "fractions", "cup.trees", "cup.soundness")
+# uses, the corpus lookup, the tree metric's numbers, the annotations'
+# names, which are never evaluated, and the layers only `model` and
+# `soundness` run
+NOT_AT_START = ("dataclasses", "inspect", "importlib.resources", "fractions", "typing", "cup.trees",
+                "cup.soundness")
 
 
 def _loaded_after(code: str) -> set[str]:
