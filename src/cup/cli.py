@@ -71,19 +71,6 @@ def _file(path: str, text: str | None = None) -> str | None:
         raise UsageError(f"{path}: {exc}") from None
 
 
-PROOF_STACK_LEVELS = 10_000  # the deepest `_proof` lets the recursion limit go
-
-
-def _proof(path: str, program: fm.Program) -> eng.ProofTree:
-    """The proof document at path, with the recursion limit raised for the
-    subcommand by four levels per node (per `{`), up to PROOF_STACK_LEVELS:
-    the 8 MB C stack of a Linux main thread ran out at 20 000 levels."""
-    text = _file(path)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, min(PROOF_STACK_LEVELS, limit + 4 * text.count("{"))))
-    return ps.import_proof(text, program)
-
-
 def _emit(args, payload: dict, text: str) -> None:
     try:
         print(json.dumps(payload, indent=1) if args.json else text, flush=True)
@@ -173,7 +160,7 @@ def cmd_prove(args) -> int:
     config = _search_config(args)
     store = eng.LemmaStore()
     for path in args.use_lemma or []:
-        proof = _proof(path, program)
+        proof = ps.import_proof(_file(path), program)
         hs = fm.to_h_clauses(proof.sequent.goal)
         if len(hs) != 1:
             raise CupError(f"lemma proof in {path} is not H-shaped")
@@ -184,7 +171,7 @@ def cmd_prove(args) -> int:
 
 def cmd_check_proof(args) -> int:
     program = ps.parse_program(_file(args.program))
-    tree = _proof(args.proof, program)
+    tree = ps.import_proof(_file(args.proof), program)
     ok, diag = eng.check(tree, program, _calculus(args), _setting(args, "fixbeta_bound"))
     if ok:
         # the root's non-original entries are lemmas the document assumes
@@ -231,7 +218,7 @@ def cmd_soundness(args) -> int:
     from . import soundness as sd
 
     program = ps.parse_program(_file(args.program))
-    proof = _proof(args.proof, program)
+    proof = ps.import_proof(_file(args.proof), program)
     report = sd.audit_proof(proof, program, _setting(args, "model_depth"), _setting(args, "word_budget"))
     payload = report.to_dict(program)
     lines = [
@@ -392,7 +379,6 @@ def _parse(argv: list[str] | None):
 def main(argv: list[str] | None = None) -> int:
     if isinstance(args := _parse(argv), int):
         return args
-    limit = sys.getrecursionlimit()
     try:
         return args.fn(args)
     except ParseError as exc:
@@ -405,8 +391,6 @@ def main(argv: list[str] | None = None) -> int:
     except CupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

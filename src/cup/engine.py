@@ -104,26 +104,28 @@ class ProofTree:
     children: tuple["ProofTree", ...] = ()
 
     def nodes(self) -> Iterator["ProofTree"]:
-        yield self
-        for c in self.children:
-            yield from c.nodes()
+        """The nodes in pre-order, walked on a stack of their own."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            yield node
+            todo += reversed(node.children)
 
     def size(self) -> int:
         return sum(1 for _ in self.nodes())
 
     def equal(self, other: "ProofTree") -> bool:
-        """Node-for-node equality, comparing formulas up to alpha."""
-        if self.rule != other.rule or self.eigen != other.eigen:
-            return False
-        if (self.witness is None) != (other.witness is None):
-            return False
-        if self.witness is not None and not tm.alpha_eq(self.witness, other.witness):
-            return False
-        if not _sequent_equal(self.sequent, other.sequent):
-            return False
-        if len(self.children) != len(other.children):
-            return False
-        return all(a.equal(b) for a, b in zip(self.children, other.children))
+        """Node-for-node equality, comparing formulas up to alpha: the two
+        pre-order walks stay aligned while every child count agrees."""
+        return all(map(_node_equal, self.nodes(), other.nodes()))
+
+
+def _node_equal(a: ProofTree, b: ProofTree) -> bool:
+    if a.rule != b.rule or a.eigen != b.eigen or (a.witness is None) != (b.witness is None):
+        return False
+    if a.witness is not None and not tm.alpha_eq(a.witness, b.witness):
+        return False
+    return _sequent_equal(a.sequent, b.sequent) and len(a.children) == len(b.children)
 
 
 def _sequent_equal(a: Sequent, b: Sequent) -> bool:
@@ -610,8 +612,11 @@ def check(
         return tm.alpha_eq(focus, goal)
 
     base = _base_entries(program)
-
-    def go(node: ProofTree, path: str, is_root: bool) -> tuple[bool, str | None]:
+    # pre-order on a stack of its own, so the first failure reported is the
+    # first in pre-order whatever the tree's height
+    todo = [(tree, "root", True)]
+    while todo:
+        node, path, is_root = todo.pop()
         seq = node.sequent
         rule = node.rule
         kids = node.children
@@ -672,13 +677,8 @@ def check(
         if not _grammar_ok(seq.signature, seq.goal, role, calculus):
             return fail(path, f"goal is outside the {role} grammar of {calculus.value}")
 
-        for i, kid in enumerate(kids):
-            ok, msg = go(kid, f"{path}.{i}", False)
-            if not ok:
-                return ok, msg
-        return True, None
-
-    return go(tree, "root", True)
+        todo += ((kids[i], f"{path}.{i}", False) for i in reversed(range(len(kids))))
+    return True, None
 
 
 def _witness_ok(sig: Signature, w: Term, ty: tm.SimpleType, calculus: Calculus) -> tuple[bool, str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Container
 from json.encoder import encode_basestring_ascii
 
@@ -673,11 +674,22 @@ def _import_node(
     return eng.ProofTree(seq, rule, witness, eigen, children)
 
 
+PROOF_STACK_LEVELS = 10_000  # the deepest `import_proof` lets the recursion limit go
+
+
 def import_proof(document: str | dict, program: Program) -> eng.ProofTree:
     """Rebuild a proof tree from its JSON document, replaying the recorded
-    signature and program additions node by node."""
+    signature and program additions node by node.  `json.loads` and the
+    import recurse with the document's depth, so a text document is read
+    with the recursion limit raised by four levels per node (per `{`), up
+    to PROOF_STACK_LEVELS: the 8 MB C stack of a Linux main thread ran out
+    at 20 000 levels.  A dict document is read under the caller's limit."""
+    limit = sys.getrecursionlimit()
     try:
-        doc = json.loads(document) if isinstance(document, str) else document
+        doc = document
+        if isinstance(document, str):
+            sys.setrecursionlimit(max(limit, min(PROOF_STACK_LEVELS, limit + 4 * document.count("{"))))
+            doc = json.loads(document)
         if not isinstance(doc, dict):
             raise MalformedDocument("proof document must be a JSON object")
         entries = tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
@@ -690,3 +702,5 @@ def import_proof(document: str | dict, program: Program) -> eng.ProofTree:
         # the stack can run out in the JSON reader, in the import's own
         # recursion or in a payload's parse, wherever the nesting has left it
         raise MalformedDocument("proof document nested too deeply") from None
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -5,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cup import cli
 from cup import engine as eng
 from cup import parser as ps
 from cup.formulas import Calculus
@@ -100,3 +103,19 @@ def regression_proofs(bitstream_program, from_program, comember_program, member6
         assert res.proved, f"regression proof for {name} not found"
         out[name] = (program, g, calc, res)
     return out
+
+
+@pytest.fixture(scope="session")
+def deep_nat_proof(tmp_path_factory):
+    """`cup prove --emit-proof` of `nat` on 180 nested `s` in co-fohc, run
+    once per session: a 722-node proof 541 nodes deep.  The program's path,
+    the document's path, the exit code and what the subcommand printed."""
+    where = tmp_path_factory.mktemp("nat")
+    prog, out = where / "nat.cup", where / "deep.json"
+    prog.write_text("const 0 : i. const s : i -> i. const nat : i -> o. nat 0. nat (s X) :- nat X.\n")
+    goal = "nat " + "(s " * 180 + "0" + ")" * 180
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(["prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", goal,
+                         "--depth", "5000", "--emit-proof", str(out)])
+    return prog, out, code, printed.getvalue()

@@ -277,7 +277,7 @@ class TestProofPipeline:
     @pytest.mark.parametrize("subcommand", ["check-proof", "soundness", "prove"])
     def test_deeply_nested_document_is_usage(self, tmp_path, capsys, subcommand):
         out = tmp_path / "deep.json"
-        out.write_text(deep_document(cli.PROOF_STACK_LEVELS))  # past the cap: two levels a node
+        out.write_text(deep_document(ps.PROOF_STACK_LEVELS))  # past the cap: two levels a node
         reads = {
             "check-proof": ["--calculus", "co-fohc", "--proof", str(out)],
             "soundness": ["--proof", str(out)],
@@ -287,27 +287,22 @@ class TestProofPipeline:
         assert code == EXIT_USAGE
         assert "nested too deeply" in capsys.readouterr().err
 
-    def test_a_deep_proof_is_written_and_read_back_valid(self, tmp_path, capsys):
+    def test_a_deep_proof_is_written_and_read_back_valid(self, deep_nat_proof, capsys):
         # a 722-node proof 541 nodes deep: its document is written whole,
-        # and read back under a recursion limit raised for the subcommand
-        # only, since `json.loads` alone needs two levels per node
+        # and read back under a recursion limit that `import_proof` raises
+        # for itself only, since `json.loads` alone needs two levels per node
         limit = sys.getrecursionlimit()
-        prog = tmp_path / "nat.cup"
-        prog.write_text("const 0 : i. const s : i -> i. const nat : i -> o. nat 0. nat (s X) :- nat X.\n")
-        out = tmp_path / "deep.json"
-        goal = "nat " + "(s " * 180 + "0" + ")" * 180
-        code = run(["prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", goal,
-                    "--depth", "5000", "--emit-proof", str(out)])
+        prog, out, code, printed = deep_nat_proof
         assert code == EXIT_OK
-        assert capsys.readouterr().out.startswith("proved (722 nodes;")
+        assert printed.startswith("proved (722 nodes;")
         text = out.read_text()
         assert text.startswith('{\n "rule": "decide",') and text.endswith("\n}\n")
         code = run(["check-proof", "--calculus", "co-fohc", "--program", str(prog), "--proof", str(out)])
         assert (code, capsys.readouterr().out) == (EXIT_OK, "valid proof (722 nodes)\n")
         assert sys.getrecursionlimit() == limit
 
-    @pytest.mark.parametrize("depth, code", [(cli.PROOF_STACK_LEVELS // 2 - 100, EXIT_FAIL),
-                                             (cli.PROOF_STACK_LEVELS // 2 + 100, EXIT_USAGE)])
+    @pytest.mark.parametrize("depth, code", [(ps.PROOF_STACK_LEVELS // 2 - 100, EXIT_FAIL),
+                                             (ps.PROOF_STACK_LEVELS // 2 + 100, EXIT_USAGE)])
     def test_a_document_at_the_stack_cap_is_read_or_refused_on_the_main_thread(self, tmp_path, depth, code):
         # `json.loads` takes two levels per node: the shallower chain reads
         # and checks invalid (its and-r nodes have one premise), the deeper

@@ -395,6 +395,26 @@ class TestProofTreeEqual:
         assert not no_witness.equal(node)
 
 
+class TestDeepTrees:
+    def test_a_chain_deeper_than_the_stack_is_walked_without_recursion(self):
+        # 2 000 decide -> imp-l steps over `p :- p`, each imp-l closing its
+        # focused premise at initial; the last decide has no premise
+        assert sys.getrecursionlimit() == 1000
+        program = ps.parse_program("const p : o. p :- p.")
+        clause = program.clauses[0]
+        goal = ps.parse_goal("p", program)
+        seq = eng.Sequent(program.signature, eng._base_entries(program), None, goal)
+        initial = eng.ProofTree(seq.with_(focus=clause.right), "initial")
+        tree = eng.ProofTree(seq, "decide")
+        for _ in range(2000):
+            tree = eng.ProofTree(seq, "decide", children=(
+                eng.ProofTree(seq.with_(focus=clause), "imp-l", children=(initial, tree)),))
+        assert tree.size() == 6001
+        assert tree.equal(tree)
+        assert check(tree, program, Calculus.FOHC) == (
+            False, "root" + ".0.1" * 2000 + ": decide premises do not match the rule")
+
+
 class TestSearchWitnesses:
     """Search instantiates quantifiers through metavariables bound by
     unification; the reified proof carries the resulting witnesses."""

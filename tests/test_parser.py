@@ -292,16 +292,28 @@ class TestProofDocuments:
 
     @pytest.mark.parametrize("as_text", [True, False])
     def test_deeply_nested_document_is_malformed(self, bitstream_program, as_text):
-        # deeper than the interpreter stack, as JSON text and as a parsed
-        # dict; the dict's import may run out of stack inside a formula
-        # parse, which reports the document's nesting too
-        doc = deep_document(2000)
+        # deeper than the stack: JSON text past the levels `import_proof`
+        # raises the limit to, two a node, and a parsed dict past the
+        # caller's limit; the dict's import may run out of stack inside a
+        # formula parse, which reports the document's nesting too
+        doc = deep_document(ps.PROOF_STACK_LEVELS)
         if not as_text:
             doc = json.loads(deep_document(0))
             for _ in range(2000):
                 doc = {**doc, "rule": "and-r", "children": [doc]}
         with pytest.raises(MalformedDocument, match="nested too deeply"):
             ps.import_proof(doc, bitstream_program)
+
+    def test_the_library_reads_a_deep_document_under_the_default_limit(self, deep_nat_proof):
+        # 541 nodes deep: `import_proof` raises the limit for its own reading
+        # and restores it; checking and counting take no stack per level
+        assert sys.getrecursionlimit() == 1000
+        prog, out, _code, _printed = deep_nat_proof
+        program = ps.parse_program(prog.read_text())
+        tree = ps.import_proof(out.read_text(), program)
+        assert sys.getrecursionlimit() == 1000
+        assert eng.check(tree, program, Calculus.FOHC) == (True, None)
+        assert tree.size() == 722
 
     def test_nesting_message_does_not_depend_on_where_the_stack_runs_out(self, bitstream_program):
         # every node's goal is a text of its own, so the stack runs out

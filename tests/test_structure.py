@@ -244,9 +244,10 @@ def test_handler_scanner_sees_each_form(tmp_path, monkeypatch):
     assert handled_in("a", "main") == ["ParseError", "CupError", "json.JSONDecodeError", ""]
 
 
-def open_calls() -> set[tuple[str, str]]:
-    """(module, function) of every call of the builtin `open` in `cup`, by
-    the innermost function around it, '' at module level."""
+def calls_of(callee: str) -> set[tuple[str, str]]:
+    """(module, function) of every call of callee in `cup`, a name such as
+    `open` or a dotted attribute such as `sys.setrecursionlimit`, as
+    written, by the innermost function around it, '' at module level."""
     out = set()
 
     def visit(node, module: str, where: str) -> None:
@@ -254,7 +255,7 @@ def open_calls() -> set[tuple[str, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, child.name)
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == callee:
                 out.add((module, where))
             visit(child, module, where)
 
@@ -264,7 +265,12 @@ def open_calls() -> set[tuple[str, str]]:
 
 
 def test_files_are_opened_only_in_the_cli_file_helper():
-    assert open_calls() == {("cli", "_file")}
+    assert calls_of("open") == {("cli", "_file")}
+
+
+def test_the_recursion_limit_is_set_only_by_import_proof():
+    # the one step whose stack grows with a document owns the window
+    assert calls_of("sys.setrecursionlimit") == {("parser", "import_proof")}
 
 
 def test_open_scanner_sees_each_place(tmp_path, monkeypatch):
@@ -272,9 +278,13 @@ def test_open_scanner_sees_each_place(tmp_path, monkeypatch):
         "TEXT = open('x').read()\n"
         "def outer():\n    def inner():\n        return open('y')\n    return [open(p) for p in 'z']\n"
         "def descriptor():\n    return os.open('w', 0), path.open()\n"
+        "sys.setrecursionlimit(2000)\n"
+        "def window():\n    return [sys.setrecursionlimit(n) for n in (1, 2)], setrecursionlimit(3)\n"
+        "def other():\n    return os.sys.setrecursionlimit(4), sys.getrecursionlimit()\n"
     )
     monkeypatch.setitem(globals(), "SRC", tmp_path)
-    assert open_calls() == {("a", ""), ("a", "inner"), ("a", "outer")}
+    assert calls_of("open") == {("a", ""), ("a", "inner"), ("a", "outer")}
+    assert calls_of("sys.setrecursionlimit") == {("a", ""), ("a", "window")}
 
 
 CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
