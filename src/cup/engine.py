@@ -401,8 +401,9 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
         if not premises:
             yield ProofTree(seq, rule), s
             continue
+        # a focus none of whose heads is the goal's predicate ends in no
+        # INITIAL at any depth: it is neither searched nor counted
         if pred is not None and (heads := focus_heads(premises[0].focus)) is not None and pred not in heads:
-            _count_dead_focus(ctx, premises[0].focus, depth - 1)
             continue
         for t1, s1 in _solve(ctx, premises[0], depth - 1, s):
             if len(premises) == 1:
@@ -410,23 +411,6 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
                 continue
             for t2, s2 in _solve(ctx, premises[1], depth - 1, s1):
                 yield ProofTree(seq, rule, witness, eigen, (t1, t2)), s2
-
-
-def _count_dead_focus(ctx: _Ctx, f: Formula, depth: int) -> None:
-    """Count, as `_solve` would, the nodes, fresh metavariables and depth cut
-    of a focus on f whose `focus_heads` lack the goal's predicate, where each
-    INITIAL fails, without building a formula; of ⊃, the focused premise."""
-    while depth > 0:
-        ctx.stats.nodes += 1
-        depth -= 1
-        if isinstance(f, Conj):
-            _count_dead_focus(ctx, f.left, depth)
-        elif isinstance(f, Forall):
-            ctx.fresh_meta(f.var, f.ty)
-        elif not isinstance(f, Impl):
-            return
-        f = f.body if isinstance(f, Forall) else f.right
-    ctx.cut = True
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +517,10 @@ def _base_entries(program: Program, lemmas: LemmaStore | None = None) -> tuple[E
 def _search(ctx: _Ctx, root_child: Sequent, make_root: Callable[[ProofTree], ProofTree]) -> SearchOutcome:
     limit = ctx.cfg.depth_limit
     for bound in range(1, limit + 1):
-        ctx.cut = False
-        ctx.stats.max_depth = max(ctx.stats.max_depth, bound)
+        # fresh names per bound, so a proof's names depend only on the
+        # bound that found it
+        ctx.supply, ctx.meta_types, ctx.cut = NameSupply(), {}, False
+        ctx.stats.max_depth = bound
         try:
             for tree, s in _solve(ctx, root_child, bound, {}):
                 reified = _reify(ctx, make_root(tree), s)

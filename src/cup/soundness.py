@@ -155,6 +155,7 @@ class Candidate:
     interpretation: tr.Interpretation
     side_atoms: tuple[Term, ...]  # body instances that must come from a post-fixed point
     deltas: list[DeltaRecord]
+    eigenvariables: tuple[tuple[str, tm.SimpleType], ...] = ()  # the root derivation's, with their types
 
 
 def _default_base(program: Program, eigens: list[str]) -> dict[str, Term]:
@@ -199,7 +200,8 @@ def build_candidate(
             reps.setdefault(tr.atom_to_tree(sig, inst, depth, memo), (inst,))
 
     side_atoms = fm.h_substitute(h, {x: base[c] for x, c in zip(h.universals, eigens)}).body
-    return Candidate(tr.Interpretation(depth, frozenset(reps), reps), side_atoms, deltas)
+    eigenvariables = tuple((c, decide.sequent.signature.lookup(c)) for c in eigens)
+    return Candidate(tr.Interpretation(depth, frozenset(reps), reps), side_atoms, deltas, eigenvariables)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +251,15 @@ class HarnessReport:
     counterexample: Term | None
     candidate_size: int
     merged_size: int
+    eigenvariables: tuple[tuple[str, tm.SimpleType], ...] = ()
 
     def to_dict(self, program: Program) -> dict:
         """The report with its terms in source syntax, as `pp_term` prints
-        them for the program."""
+        them for the program, and the eigenvariables they mention as a
+        proof document's signature additions declare them."""
         return {
             "coinductive_hypothesis_uses": self.uses,
+            "eigenvariables": [f"{n} : {ty!r}" for n, ty in self.eigenvariables],
             "deltas": [
                 {"index": i, "bindings": [[x, ps.pp_term(t, program)] for x, t in d.bindings]}
                 for i, d in enumerate(self.deltas, 1)
@@ -289,6 +294,7 @@ def audit_proof(
         counterexample=cex,
         candidate_size=len(cand.interpretation.atoms),
         merged_size=len(merged.atoms),
+        eigenvariables=cand.eigenvariables,
     )
 
 

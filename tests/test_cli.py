@@ -590,6 +590,32 @@ class TestSourceSyntaxInOutput:
         ((x, bound),) = json.loads(text)["deltas"][0]["bindings"]
         assert x == "x" and bound.startswith("s x")
 
+    @pytest.mark.parametrize("program, goal, calculus, eigenvariables", [
+        ("from.cup", "forall x. from x (fr_str x)", "co-hohh", ["x#1 : i"]),
+        ("comember.cup", "forall y s. bit y => comember_bit y s", "co-fohh", ["y#1 : i", "s#2 : i"]),
+    ], ids=["from", "comember"])
+    def test_soundness_json_bindings_parse_over_the_eigenvariables(self, tmp_path, capsys, program, goal,
+                                                                  calculus, eigenvariables):
+        # the eigenvariables are declared as a proof document declares them,
+        # and every binding parses back over the program so extended
+        out = tmp_path / "p.json"
+        assert run([
+            "coprove", "--calculus", calculus, "--program", corpus(program), "--goal", goal, "--emit-proof", str(out),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["soundness", "--program", corpus(program), "--proof", str(out), "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["eigenvariables"] == eigenvariables
+        prog = ps.parse_program(Path(corpus(program)).read_text())
+        sig = prog.signature
+        for text in payload["eigenvariables"]:
+            sig = sig.extend(*ps._parse_sig_addition(text))
+        extended = fm.Program(sig, prog.clauses, prog.fix_definitions)
+        bindings = [t for d in payload["deltas"] for _x, t in d["bindings"]]
+        assert bindings and any("#" in t for t in bindings)
+        for text in bindings:
+            assert ps.pp_term(ps.parse_term(text, extended, allow_fresh=True), extended) == text
+
     @pytest.mark.parametrize("command, goal", [("coprove", "bit 0 \\/ bit 1"), ("prove", "forall x. bit x")])
     def test_goal_outside_the_calculus(self, capsys, command, goal):
         code = run([command, "--calculus", "co-fohc", "--program", corpus("bitstream.cup"), "--goal", goal])

@@ -15,6 +15,7 @@ import contextlib
 import itertools
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -1674,19 +1675,27 @@ def test_cached_focus_heads_match_fresh_ones_and_the_reference():
         assert fm.focus_heads(f) == fm.focus_heads(fresh) == want
 
 
-def _search_outputs(monkeypatch, programs, searches):
-    """The reason, node count, final bound, fresh names drawn and exported
-    document of each (program, goal, calculus, entry point, depth) search,
-    or the error it raised."""
-    supplies = []
+def _canonical_steps(tree, program):
+    """The proof's pre-order (rule, eigenvariable, witness), its
+    eigenvariables renamed e1, e2, ... by first appearance."""
+    names = {}
+    for node in tree.nodes():
+        if node.eigen is not None:
+            names.setdefault(node.eigen, f"e{len(names) + 1}")
 
-    class Recorded(tm.NameSupply):
-        def __init__(self):
-            super().__init__()
-            supplies.append(self)
+    def renamed(text):
+        return re.sub(r"\w+#\d+", lambda m: names[m.group(0)], text)
 
-    monkeypatch.setattr(eng, "NameSupply", Recorded)
-    out = []
+    return [(node.rule, names.get(node.eigen),
+             None if node.witness is None else renamed(ps.pp_term(node.witness, program)))
+            for node in tree.nodes()]
+
+
+def _search_outputs(programs, searches):
+    """The reason, final bound, proof size and canonical steps of each
+    (program, goal, calculus, entry point, depth) search, or the error it
+    raised, and the node count of each."""
+    out, nodes = [], []
     for name, text, calc, kind, depth in searches:
         program = programs[name]
         cfg = eng.SearchConfig(calculus=calc, depth_limit=depth)
@@ -1696,17 +1705,20 @@ def _search_outputs(monkeypatch, programs, searches):
                    else eng.prove(program, eng.LemmaStore(), f, cfg))
         except CupError as exc:
             out.append((type(exc).__name__, str(exc)))
+            nodes.append(0)
             continue
-        doc = ps.export_proof(res.tree, program) if res.proved else None
-        out.append((res.reason, res.stats.nodes, res.stats.max_depth, supplies[-1]._next, doc))
-    return out
+        proof = (res.tree.size(), _canonical_steps(res.tree, program)) if res.proved else None
+        out.append((res.reason, res.stats.max_depth, proof))
+        nodes.append(res.stats.nodes)
+    return out, nodes
 
 
 def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(monkeypatch):
     # the search-workload goals of seeds 1-3, the four regressions and the
     # `cup examples` runs, at their own depths and at depth limits 1-6, so
-    # that the depth runs out inside skipped chains; the skip is turned off
-    # by making every focus reach every predicate
+    # that the depth runs out inside skipped chains. A skipped focus ends in
+    # no INITIAL at any depth, so the skip changes no answer, only the nodes
+    # spent; it is turned off by making every focus reach every predicate
     programs = workloads.load_programs()
     runs = [(g.program, g.text, g.calculus, g.kind, g.depth)
             for seed in (1, 2, 3) for g in itertools.chain(*workloads.blocks("search", seed, 4))]
@@ -1715,16 +1727,34 @@ def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(mon
              for name, entry in cli.CORPUS.items() for kind, text, calc, want in entry["runs"]]
     searches = list(dict.fromkeys(run[:4] + (depth,) for run in runs for depth in (run[4], *range(1, 7))))
     assert len(searches) > 300
-    skips = []
-    count = eng._count_dead_focus
-    monkeypatch.setattr(eng, "_count_dead_focus", lambda *a: (skips.append(a[2]), count(*a)))
-    skipped = _search_outputs(monkeypatch, programs, searches)
-    # some chains are cut by the depth inside them
-    assert len(skips) > 1000 and skips.count(0) > 100
+    skipped, skipped_nodes = _search_outputs(programs, searches)
     monkeypatch.setattr(eng, "focus_heads", lambda f: None)
-    searched = _search_outputs(monkeypatch, programs, searches)
+    searched, searched_nodes = _search_outputs(programs, searches)
     assert skipped == searched
     assert {o[0] for o in searched} == {"proved", "depth-exceeded"}
+    assert all(a <= b for a, b in zip(skipped_nodes, searched_nodes))
+    assert sum(skipped_nodes) < sum(searched_nodes)
+
+
+def test_the_node_count_is_the_number_of_sequents_search_expands(monkeypatch):
+    # a call of `_solve` with depth left expands its sequent; one without
+    # only marks the cut
+    programs = workloads.load_programs()
+    searches = [(g.program, g.text, g.calculus, g.kind, g.depth)
+                for g in itertools.chain(*workloads.blocks("search", 1, 4))]
+    searches += [(name, text, calc, "coprove", eng.DEPTH_LIMIT) for name, text, calc, _size in workloads.REGRESSIONS]
+    expanded = [0]
+    solve = eng._solve
+
+    def counted(ctx, seq, depth, s):
+        expanded[0] += depth > 0
+        return solve(ctx, seq, depth, s)
+
+    monkeypatch.setattr(eng, "_solve", counted)
+    for search in searches:
+        expanded[0] = 0
+        _out, (nodes,) = _search_outputs(programs, [search])
+        assert nodes == expanded[0] > 0, search
 
 
 def test_reified_proofs_share_their_unchanged_formulas(regression_proofs):

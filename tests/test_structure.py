@@ -13,7 +13,7 @@ a memo lives on an object (`Signature`, `Program`), never in a global.
 Every value the kernel builds per step is slotted: it carries no
 `__dict__` of its own. Every name the package exports resolves on first
 use, and starting the CLI loads neither `dataclasses` nor the layers only
-`model` and `soundness` run.
+`model` and `soundness` run. Only `engine._solve` counts a search node.
 """
 
 import ast
@@ -244,24 +244,36 @@ def test_handler_scanner_sees_each_form(tmp_path, monkeypatch):
     assert handled_in("a", "main") == ["ParseError", "CupError", "json.JSONDecodeError", ""]
 
 
-def calls_of(callee: str) -> set[tuple[str, str]]:
-    """(module, function) of every call of callee in `cup`, a name such as
-    `open` or a dotted attribute such as `sys.setrecursionlimit`, as
-    written, by the innermost function around it, '' at module level."""
-    out = set()
+def sites(match) -> list[tuple[str, str]]:
+    """(module, function) of every syntax node in `cup` that match accepts,
+    in source order, by the innermost function around it, '' at module
+    level."""
+    out = []
 
     def visit(node, module: str, where: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, child.name)
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == callee:
-                out.add((module, where))
+            if match(child):
+                out.append((module, where))
             visit(child, module, where)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
     return out
+
+
+def calls_of(callee: str) -> set[tuple[str, str]]:
+    """The sites of every call of callee in `cup`, a name such as `open` or
+    a dotted attribute such as `sys.setrecursionlimit`, as written."""
+    return set(sites(lambda n: isinstance(n, ast.Call) and ast.unparse(n.func) == callee))
+
+
+def writes_of(attribute: str) -> list[tuple[str, str]]:
+    """The site of each write, plain or augmented, to an attribute of that
+    name, once per write."""
+    return sites(lambda n: isinstance(n, ast.Attribute) and n.attr == attribute and isinstance(n.ctx, ast.Store))
 
 
 def test_files_are_opened_only_in_the_cli_file_helper():
@@ -285,6 +297,23 @@ def test_open_scanner_sees_each_place(tmp_path, monkeypatch):
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert calls_of("open") == {("a", ""), ("a", "inner"), ("a", "outer")}
     assert calls_of("sys.setrecursionlimit") == {("a", ""), ("a", "window")}
+
+
+def test_the_node_count_is_kept_only_by_solve():
+    # `nodes_expanded` counts the sequents search expands, and only the
+    # step that expands one may count it
+    assert writes_of("nodes") == [("engine", "_solve")]
+
+
+def test_write_scanner_sees_each_form(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text(
+        "STATS.nodes = 0\n"
+        "def solve(ctx):\n    ctx.stats.nodes += 1\n    return ctx.stats.nodes, ctx.nodes()\n"
+        "def outer(a, b):\n    def inner():\n        a.nodes, b.depth = 1, 2\n    b.max_depth = 3\n"
+        "def annotated(c):\n    c.nodes: int = 4\n    del c.nodes\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert writes_of("nodes") == [("a", ""), ("a", "solve"), ("a", "inner"), ("a", "annotated")]
 
 
 CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)

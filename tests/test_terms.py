@@ -325,10 +325,10 @@ RECORDS = [
      f"_Ctx(program={fm.Program(Signature())!r}, cfg={eng.SearchConfig(fm.Calculus.FOHC)!r}, supply={_SUPPLY!r}, "
      "stats=SearchStats(nodes=0, max_depth=0), meta_types={}, cut=False)"),
     (sd.Candidate(_INTERP, (C("p"),), []),
-     f"Candidate(interpretation={_INTERP!r}, side_atoms=(Con(name='p'),), deltas=[])"),
+     f"Candidate(interpretation={_INTERP!r}, side_atoms=(Con(name='p'),), deltas=[], eigenvariables=())"),
     (sd.HarnessReport(1, [], 2, 0, True, None, 3, 4),
      "HarnessReport(uses=1, deltas=[], depth=2, word_budget=0, verified=True, counterexample=None, "
-     "candidate_size=3, merged_size=4)"),
+     "candidate_size=3, merged_size=4, eigenvariables=())"),
     (sd.ExtensionReport(True, frozenset(), frozenset(), 3),
      "ExtensionReport(equal=True, only_in_original=frozenset(), only_in_extended=frozenset(), depth=3)"),
     (_UNIVERSE, "_Universe(pool=[Con(name='0')], renamed=[], explored={})"),
