@@ -64,13 +64,13 @@ _DECIDE_ORDER = {Src.ORIGINAL: 0, Src.LEMMA: 1, Src.HYPOTHESIS: 2, Src.COHYP: 3}
 _SAME = object()  # a field `Sequent.with_` keeps
 
 
-@record(slots=True)
+@record
 class Entry:
     formula: Formula
     src: Src
 
 
-@record(slots=True)
+@record
 class Sequent:
     signature: Signature
     entries: tuple[Entry, ...]
@@ -95,7 +95,7 @@ class Sequent:
         )
 
 
-@record(slots=True)
+@record
 class ProofTree:
     sequent: Sequent
     rule: str

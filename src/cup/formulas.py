@@ -50,49 +50,49 @@ ALL_CALCULI = frozenset(Calculus)
 _UNSEEN = object()
 
 
-@record(slots=True)
+@record
 class _FNode:
     _ak: str | None = field(default=None, init=False, repr=False, compare=False)
     _fh: frozenset[str] | None = field(default=_UNSEEN, init=False, repr=False, compare=False)
 
 
-@record(slots=True)
+@record
 class Atom(_FNode):
     term: Term
 
 
-@record(slots=True)
+@record
 class Top(_FNode):
     pass
 
 
-@record(slots=True)
+@record
 class Conj(_FNode):
     left: "Formula"
     right: "Formula"
 
 
-@record(slots=True)
+@record
 class Disj(_FNode):
     left: "Formula"
     right: "Formula"
 
 
-@record(slots=True)
+@record
 class Impl(_FNode):
     # antecedent => consequent
     left: "Formula"
     right: "Formula"
 
 
-@record(slots=True)
+@record
 class Forall(_FNode):
     var: str
     ty: SimpleType
     body: "Formula"
 
 
-@record(slots=True)
+@record
 class Exists(_FNode):
     var: str
     ty: SimpleType

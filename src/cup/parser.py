@@ -46,7 +46,7 @@ KEYWORDS = {"const", "def", "forall", "exists", "fix", "true"}
 _PUNCT = ["->", "=>", ":-", "/\\", "\\/", "(", ")", "[", "]", "|", ".", ":", ",", "=", "\\"]
 
 
-@tm.record(slots=True)
+@tm.record
 class Token:
     kind: str  # 'ident', 'punct', 'keyword', 'eof'
     text: str

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from functools import cached_property
 
 from .errors import (
     FixBodyNotAbstraction,
@@ -62,31 +61,27 @@ def _record_repr(self):
     return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
-def record(cls=None, *, frozen=True, slots=False):
+def record(cls=None, *, frozen=True):
     """`cls` as a record of the fields its annotations declare, after those
-    of the record it extends, each with its plain default or as a `field`.
-    What `cls` does not write itself it gets: an `__init__` that sets every
+    of the record it extends, each with its plain default or as a `field`;
+    its own fields are its slots, so no record has an instance dict.  What
+    `cls` does not write itself it gets: an `__init__` that sets every
     field, an init=False one only to its default, then calls
     `__post_init__` if there is one; a repr of the repr=True fields; `==`
     on the compare=True fields.  A frozen record refuses every write past
-    `__init__`, and its hash is that of those fields, or its `_hash` field
-    if it declares one; a mutable one is unhashable.  With slots, its own
-    fields are its slots, which a frozen `__init__` writes through their
-    setters.  The per-class methods, run per step, are compiled in one
-    `exec` as `dataclasses` would write them; the rest is shared."""
+    `__init__`, which writes through the slot setters, and its hash is that
+    of those fields, or its `_hash` field if it declares one; a mutable one
+    is unhashable.  The per-class methods, run per step, are compiled in
+    one `exec` as `dataclasses` would write them; the rest is shared."""
     if cls is None:
-        return lambda c: record(c, frozen=frozen, slots=slots)
+        return lambda c: record(c, frozen=frozen)
     fields, own = dict(getattr(cls, "_fields", ())), dict(vars(cls))
     mine = {n: own.pop(n, _NONE) for n in own.get("__annotations__", ())}
     fields.update((n, f if isinstance(f, field) else field(f)) for n, f in mine.items())
-    if slots:
-        own = {k: v for k, v in own.items() if k not in ("__dict__", "__weakref__")}
-        own.update(__slots__=tuple(mine), __qualname__=cls.__qualname__)
-        cls = type(cls)(cls.__name__, cls.__bases__, own)
-    else:  # a plain default stays a class attribute, a `field` does not
-        for n in [n for n, declared in mine.items() if isinstance(declared, field)]:
-            delattr(cls, n)
-    ns, params, body, src = {"_NONE": _NONE, "_set": object.__setattr__}, [], [], []
+    own = {k: v for k, v in own.items() if k not in ("__dict__", "__weakref__")}
+    own.update(__slots__=tuple(mine), __qualname__=cls.__qualname__)
+    cls = type(cls)(cls.__name__, cls.__bases__, own)
+    ns, params, body, src = {"_NONE": _NONE}, [], [], []
     for i, (n, f) in enumerate(fields.items()):
         ns[f"d{i}"], ns[f"f{i}"] = f.default, f.factory
         if f.init:
@@ -97,11 +92,11 @@ def record(cls=None, *, frozen=True, slots=False):
             value = n if f.init else f"d{i}"
         else:
             continue
-        if slots and frozen:
+        if frozen:
             ns[f"s{i}"] = getattr(cls, n).__set__
             body.append(f"s{i}(self, {value})")
         else:
-            body.append(f"_set(self, {n!r}, {value})" if frozen else f"self.{n} = {value}")
+            body.append(f"self.{n} = {value}")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     if "__init__" not in own:
@@ -145,7 +140,7 @@ def _slot_setters(cls) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@record(slots=True)
+@record
 class Base:
     """A type variable such as o or i (the individual type)."""
 
@@ -155,7 +150,7 @@ class Base:
         return self.name
 
 
-@record(slots=True)
+@record
 class Arrow:
     arg: "SimpleType"
     res: "SimpleType"
@@ -220,7 +215,7 @@ def type_mentions(ty: SimpleType, base: Base) -> bool:
 _CLOSED: frozenset[str] = frozenset()
 
 
-@record(slots=True)
+@record
 class _Node:
     _hash: int = field(init=False, repr=False, compare=False)
     _fix: bool = field(init=False, repr=False, compare=False)
@@ -232,7 +227,7 @@ class _Node:
 _HASH, _FIX, _FV, _NF, _AK = _slot_setters(_Node)
 
 
-@record(slots=True)
+@record
 class Var(_Node):
     name: str
 
@@ -245,7 +240,7 @@ class Var(_Node):
         _AK(self, None)
 
 
-@record(slots=True)
+@record
 class Con(_Node):
     name: str
 
@@ -258,7 +253,7 @@ class Con(_Node):
         _AK(self, None)
 
 
-@record(slots=True)
+@record
 class App(_Node):
     fn: "Term"
     arg: "Term"
@@ -275,7 +270,7 @@ class App(_Node):
         _AK(self, None)
 
 
-@record(slots=True)
+@record
 class Lam(_Node):
     var: str
     body: "Term"
@@ -290,7 +285,7 @@ class Lam(_Node):
         _AK(self, None)
 
 
-@record(slots=True)
+@record
 class Fix(_Node):
     body: "Term"  # must be a Lam for well-typed terms
 
@@ -477,15 +472,19 @@ class Signature:
     # `formulas.in_fragment` answers under (key, role, calculus), and
     # `guardedness.is_guarded_fixed_point` reports under (term, GuardReport);
     # and the children `extend` made, under (name, type), whose str first
-    # part no other pair key has
+    # part no other pair key has; and the first-order predicates' names
     _types: dict = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
+    _fo_preds: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_types", dict(self.constants))
         object.__setattr__(self, "_hash", hash((self.constants,)))
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_fo_preds", frozenset(
+            n for n, ty in self.constants if target_type(ty) == O and type_order(ty) <= 1
+            and not any(type_mentions(a, O) for a in argument_types(ty))))
 
     @staticmethod
     def of(mapping: dict[str, SimpleType]) -> "Signature":
@@ -505,12 +504,7 @@ class Signature:
         return child
 
     def is_first_order_predicate(self, name: str) -> bool:
-        return name in self._first_order_predicates
-
-    @cached_property
-    def _first_order_predicates(self) -> frozenset[str]:
-        return frozenset(n for n, ty in self.constants if target_type(ty) == O and type_order(ty) <= 1
-                         and not any(type_mentions(a, O) for a in argument_types(ty)))
+        return name in self._fo_preds
 
     def predicates(self) -> list[str]:
         return [n for n, ty in self.constants if target_type(ty) == O]
@@ -536,7 +530,7 @@ Context = dict[str, SimpleType]
 # ---------------------------------------------------------------------------
 
 
-@record(slots=True)
+@record
 class _TMeta:
     ident: int
 

@@ -25,7 +25,7 @@ from .formulas import HClause, Program
 # is_guarded_atom has no caller here; perfbench/tracing.py patches it under
 # this module's name
 from .guardedness import is_guarded_atom, snapshot
-from .terms import Con, DIAMOND, Fix, IOTA, Signature, Term, Var, field, record, replace
+from .terms import Con, DIAMOND, Fix, IOTA, Signature, Term, Var, field, record
 
 STAR = "*"
 
@@ -541,15 +541,14 @@ def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretat
     the universe seeds, and the program keeps the universe per term size;
     a call resumes from a copy of the state with its own seeds and keys,
     kept nowhere: the same computation as running the whole stack.  A
-    depth whose exploration raises `UniverseTooLarge` keeps nothing, so
-    every such call raises it.  Each pass then drops every key that has
-    no body with all its keys alive, until a pass drops none."""
+    depth whose exploration raises `UniverseTooLarge` keeps no state or
+    keys, so every such call raises it.  Each pass then drops every key
+    that has no body with all its keys alive, until a pass drops none."""
     g = grounding(program, cfg, depth)
-    if depth not in g.uni.explored:
-        # explored on a copy, kept once complete: a depth that raises
-        # UniverseTooLarge keeps nothing
-        uni = g.uni = replace(g.uni, atoms=dict(g.uni.atoms), bodies=dict(g.uni.bodies),
-                              explored=dict(g.uni.explored), keys=dict(g.uni.keys))
+    uni = g.uni
+    if depth not in uni.explored:
+        # seeds, interned atoms and bodies hold at every depth; the depth's
+        # state and keys are kept only once it completes
         if not uni.explored:
             uni.seeds = [uni.atoms.setdefault(a, a) for a in _universe_seeds(g)]
         explored = _Explored()
@@ -558,7 +557,7 @@ def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretat
         program._universes[cfg.term_size] = uni
         # the call's own atoms are rendered into keys that it drops
         g.kept, g.keys = g.keys, {}
-    state = g.uni.explored[depth].copy()
+    state = uni.explored[depth].copy()
     _explore(state, list(cfg.seed_atoms), g, justifications)
     alive = set(state.expansions)
     while dead := [k for k in alive if not any(alive.issuperset(b) for b in state.expansions[k])]:

@@ -644,6 +644,32 @@ class TestSourceSyntaxInOutput:
         assert capsys.readouterr().err == "error: formula is not in the clause grammar\n"
 
 
+CORPUS = ("bitstream", "comember", "fibs", "from", "member")
+
+
+@pytest.mark.parametrize("name", CORPUS)
+class TestOutputsReadBack:
+    """What `--json` prints is input again: a clause parses back as a goal,
+    and a model atom reads back as its tree."""
+
+    def test_check_syntax_clauses_parse_back_alpha_equal(self, capsys, name):
+        assert run(["check-syntax", "--program", corpus(f"{name}.cup"), "--json"]) == EXIT_OK
+        texts = json.loads(capsys.readouterr().out)["clauses"]
+        program = ps.parse_program(Path(corpus(f"{name}.cup")).read_text())
+        assert len(texts) == len(program.clauses) > 0
+        for text, clause in zip(texts, program.clauses):
+            assert fm.formula_alpha_eq(ps.parse_goal(text, program), clause), text
+
+    def test_model_atoms_read_back_as_trees(self, capsys, name):
+        for depth in (2, 3):
+            argv = ["model", "--program", corpus(f"{name}.cup"), "--model-depth", str(depth), "--json"]
+            assert run(argv) == EXIT_OK
+            atoms = json.loads(capsys.readouterr().out)["atoms"]
+            assert atoms, depth
+            for text in atoms:
+                assert tr.tree_to_text(tr.tree_from_text(text)) == text
+
+
 class TestRarePaths:
     def test_check_syntax_summary(self, capsys):
         assert run(["check-syntax", "--program", corpus("member.cup")]) == EXIT_OK

@@ -725,7 +725,7 @@ def test_justifications_unify_an_atom_only_with_its_own_predicate(monkeypatch, n
         assert calls == own, tm.brief(atom)
         # the same bodies, in the same order, as trying every clause
         with monkeypatch.context() as m:
-            m.setattr(g.uni, "clauses", lambda _atom: g.uni.renamed)
+            m.setattr(tr._Universe, "clauses", lambda _uni, _atom: g.uni.renamed)
             assert list(tr.justifications(atom, g)) == got, tm.brief(atom)
 
 
@@ -1126,9 +1126,9 @@ def test_a_depth_too_large_leaves_the_kept_universe_as_it_was(fresh_program, mon
     tr.gfp_approx(deep, 6, tr.InstanceConfig())
     deep_uni = kept_universe(deep)
     program = fresh_program("from")
-    tr.gfp_approx(program, 2, tr.InstanceConfig())
+    listing = tr.export_interpretation(tr.gfp_approx(program, 2, tr.InstanceConfig()))
     uni = kept_universe(program)
-    before = _universe_snapshot(uni)
+    bodies_before = len(uni.bodies)
     monkeypatch.setattr(tr, "MAX_ATOMS", len(deep_uni.explored[6].expansions) - 1)
     added = []
     real_bodies_of = tr._Universe.bodies_of
@@ -1143,8 +1143,17 @@ def test_a_depth_too_large_leaves_the_kept_universe_as_it_was(fresh_program, mon
             tr.gfp_approx(program, 6, tr.InstanceConfig())
     assert any(added)
     kept = kept_universe(program)
-    assert kept is uni and list(uni.keys) == [2]
-    assert _universe_snapshot(uni) == before
+    assert kept is uni and list(uni.keys) == [2] and list(uni.explored) == [2]
+    # the bodies the failed depth added stay, and no depth changes a body:
+    # each equals a fresh program's, and depth 2 lists as a fresh program's
+    assert len(uni.bodies) > bodies_before
+    fresh = fresh_program("from")
+    g = tr.grounding(fresh, tr.InstanceConfig(), 6)
+    for atom, bodies in uni.bodies.items():
+        assert bodies == tuple(tuple(body) for body in tr.justifications(atom, g)), tm.brief(atom)
+    monkeypatch.undo()
+    assert tr.export_interpretation(tr.gfp_approx(program, 2, tr.InstanceConfig())) == listing
+    assert tr.export_interpretation(tr.gfp_approx(fresh, 2, tr.InstanceConfig())) == listing
 
 
 # the depths each corpus program's universe is explored at: from and
@@ -1453,6 +1462,29 @@ def test_the_benchmark_tracer_sees_the_pool_lookups_of_warm_calls(fresh_program)
     calls = dict(zip(tracer.names, tracer.calls))
     assert calls["trees.universe_terms"] > 0 and calls["trees.justify"] > 0
     assert patched and all(getattr(obj, attr) is value for obj, attr, value in patched)
+
+
+@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
+def test_one_traced_block_calls_every_layer_its_layers_rows_name(workload):
+    # the rule perfbench/selftest.py applies to a whole traced run: every
+    # layer metric that a layers.json row says moves the workload has its
+    # calls, or its count, above 0; here on one block of seed 3
+    tracer = tracing.Tracer()
+    tracer.install(workloads)
+    try:
+        ctx = workloads.setup(workload, 3, 1)
+        for op in ctx["blocks"][0]:
+            workloads.WORKLOADS[workload].run(ctx, op)
+    finally:
+        tracer.uninstall()
+    values = {name: value for name, (value, _unit) in tracer.metrics().items()}
+    rows = json.loads((Path(tracing.__file__).parent / "layers.json").read_text(encoding="utf-8"))["rows"]
+    named = [m for row in rows if workload in row["moves"] for m in row["layer_metrics"]]
+    assert named
+    for metric in named:
+        key = f"{metric}.calls" if f"{metric}.calls" in values else metric
+        if key.endswith((".calls", "_nodes", "_atoms")):
+            assert values[key] > 0, key
 
 
 def smallest_closed_terms_reference(sig, ty, limit=64):

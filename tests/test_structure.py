@@ -10,15 +10,16 @@ exception surfaces; `cli.main` catches only `CupError` subclasses, and every
 file an option names is opened in the CLI's one file helper. No function in
 `cup` mutates a module-level dict, set or list:
 a memo lives on an object (`Signature`, `Program`), never in a global.
-Every value the kernel builds per step is slotted: it carries no
-`__dict__` of its own. Every name the package exports resolves on first
-use, and starting the CLI loads neither `dataclasses` nor the layers only
-`model` and `soundness` run. Only `engine._solve` counts a search node.
+Every record is slotted: it carries no `__dict__` of its own. Every name
+the package exports resolves on first use, and starting the CLI loads
+neither `dataclasses` nor the layers only `model` and `soundness` run.
+Only `engine._solve` counts a search node.
 """
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -396,24 +397,28 @@ def test_mutated_global_scanner_sees_each_form(tmp_path, monkeypatch):
     }
 
 
-# the values the kernel builds per step, by module; a class that lost
-# `slots=True` would give each of them a dict of its own again
-SLOTTED = {
-    "terms": ("Base", "Arrow", "_TMeta", "_Node", "Var", "Con", "App", "Lam", "Fix"),
-    "formulas": ("_FNode", "Atom", "Top", "Conj", "Disj", "Impl", "Forall", "Exists"),
-    "engine": ("Entry", "Sequent", "ProofTree"),
-    "parser": ("Token",),
-}
+def record_classes() -> set[type]:
+    """Every class a `cup` module defines that carries `_fields`, which
+    `terms.record` sets."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"cup.{path.stem}".removesuffix(".__init__"))
+        found.update(v for v in vars(module).values()
+                     if isinstance(v, type) and "_fields" in vars(v) and v.__module__ == module.__name__)
+    return found
 
 
 def test_kernel_values_declare_slots_and_have_no_instance_dict():
-    for mod, names in SLOTTED.items():
-        for name in names:
-            cls = getattr(importlib.import_module(f"cup.{mod}"), name)
-            assert "__slots__" in vars(cls), (mod, name)
-            # a layout with no dict: no instance of cls, or of a subclass
-            # with slots, has a __dict__
-            assert cls.__dictoffset__ == 0, (mod, name)
+    classes = record_classes()
+    # the scan finds the class behind every `@record` in the source
+    decorated = sum(len(re.findall(r"^@(?:tm\.)?record\b", p.read_text(encoding="utf-8"), re.M))
+                    for p in SRC.glob("*.py"))
+    assert len(classes) == decorated > 0
+    for cls in classes:
+        assert "__slots__" in vars(cls), cls
+        # a layout with no dict: no instance of cls, or of a subclass
+        # with slots, has a __dict__
+        assert cls.__dictoffset__ == 0, cls
 
 
 # every name the package exported when `cup/__init__` imported them all,
