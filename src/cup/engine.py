@@ -40,7 +40,7 @@ from .formulas import (
     in_fragment,
     map_atoms,
 )
-from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var, record
+from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var, field, record
 
 # the search depth limit when none is given, and the one at which the
 # CLI's corpus runs the goals it expects to be inconclusive: deep enough
@@ -355,6 +355,10 @@ class _Ctx:
     stats: SearchStats
     meta_types: dict[str, tm.SimpleType]
     cut: bool = False
+    # the premises built so far, by (id(seq), eigen, witness), each with its
+    # sequent, which keeps the id from naming another: a deeper bound redraws
+    # the names of the shallower one and so meets the same sequents again
+    premises: dict = field(default_factory=dict, init=False, repr=False)
 
     def fresh_meta(self, base: str, ty: tm.SimpleType) -> Var:
         name = tm.META + self.supply.fresh(base)
@@ -391,13 +395,18 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
     elif isinstance(g, Exists):
         witness = ctx.fresh_meta(g.var, g.ty)
     elif isinstance(g, Atom):
-        head, _args = tm.spine(resolve_term(g.term, s))
+        head = tm.spine(g.term)[0]
+        while isinstance(head, Var) and head.name in s:
+            head = tm.spine(s[head.name])[0]
         if isinstance(head, Var) and not tm.is_meta(head.name):
             raise FlexibleAtomUnsupported(f"flexible atom goal {tm.brief(g.term)}")
         if isinstance(head, Var):
             raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {tm.brief(g.term)}")
         pred = head.name if isinstance(head, Con) else None
-    for premises in _premises(seq, eigen, witness):
+    key = (id(seq), eigen, witness)
+    if (known := ctx.premises.get(key)) is None:
+        known = ctx.premises[key] = seq, tuple(_premises(seq, eigen, witness))
+    for premises in known[1]:
         if not premises:
             yield ProofTree(seq, rule), s
             continue

@@ -1723,10 +1723,11 @@ def _canonical_steps(tree, program):
             for node in tree.nodes()]
 
 
-def _search_outputs(programs, searches):
+def _search_outputs(programs, searches, documents=False):
     """The reason, final bound, proof size and canonical steps of each
     (program, goal, calculus, entry point, depth) search, or the error it
-    raised, and the node count of each."""
+    raised, and the node count of each.  With `documents`, each proof also
+    carries its exported document, whose text shows the fresh names drawn."""
     out, nodes = [], []
     for name, text, calc, kind, depth in searches:
         program = programs[name]
@@ -1740,18 +1741,17 @@ def _search_outputs(programs, searches):
             nodes.append(0)
             continue
         proof = (res.tree.size(), _canonical_steps(res.tree, program)) if res.proved else None
+        if proof is not None and documents:
+            proof += (ps.export_proof(res.tree, program),)
         out.append((res.reason, res.stats.max_depth, proof))
         nodes.append(res.stats.nodes)
     return out, nodes
 
 
-def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(monkeypatch):
-    # the search-workload goals of seeds 1-3, the four regressions and the
-    # `cup examples` runs, at their own depths and at depth limits 1-6, so
-    # that the depth runs out inside skipped chains. A skipped focus ends in
-    # no INITIAL at any depth, so the skip changes no answer, only the nodes
-    # spent; it is turned off by making every focus reach every predicate
-    programs = workloads.load_programs()
+def _search_set():
+    """The search-workload goals of seeds 1-3, the four regressions and the
+    `cup examples` runs, at their own depths and at depth limits 1-6, each
+    once."""
     runs = [(g.program, g.text, g.calculus, g.kind, g.depth)
             for seed in (1, 2, 3) for g in itertools.chain(*workloads.blocks("search", seed, 4))]
     runs += [(name, text, calc, "coprove", eng.DEPTH_LIMIT) for name, text, calc, _size in workloads.REGRESSIONS]
@@ -1759,6 +1759,16 @@ def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(mon
              for name, entry in cli.CORPUS.items() for kind, text, calc, want in entry["runs"]]
     searches = list(dict.fromkeys(run[:4] + (depth,) for run in runs for depth in (run[4], *range(1, 7))))
     assert len(searches) > 300
+    return searches
+
+
+def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(monkeypatch):
+    # the shallow depth limits make the depth run out inside skipped chains.
+    # A skipped focus ends in no INITIAL at any depth, so the skip changes no
+    # answer, only the nodes spent; it is turned off by making every focus
+    # reach every predicate
+    programs = workloads.load_programs()
+    searches = _search_set()
     skipped, skipped_nodes = _search_outputs(programs, searches)
     monkeypatch.setattr(eng, "focus_heads", lambda f: None)
     searched, searched_nodes = _search_outputs(programs, searches)
@@ -1766,6 +1776,25 @@ def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(mon
     assert {o[0] for o in searched} == {"proved", "depth-exceeded"}
     assert all(a <= b for a, b in zip(skipped_nodes, searched_nodes))
     assert sum(skipped_nodes) < sum(searched_nodes)
+
+
+def test_the_premise_table_changes_no_search_output(monkeypatch):
+    # a deeper bound redraws the names of the shallower one, meets its
+    # sequents again and reads their premises from the search's table. With
+    # the table emptied before every lookup, the same proofs, documents (and
+    # so the same fresh names), node counts and final bounds
+    programs = workloads.load_programs()
+    searches = _search_set()
+    tabled = _search_outputs(programs, searches, documents=True)
+    solve = eng._solve
+
+    def rebuilt(ctx, seq, depth, s):
+        ctx.premises.clear()
+        return solve(ctx, seq, depth, s)
+
+    monkeypatch.setattr(eng, "_solve", rebuilt)
+    assert _search_outputs(programs, searches, documents=True) == tabled
+    assert sum(o[0] == "proved" for o in tabled[0]) > 40
 
 
 def test_the_node_count_is_the_number_of_sequents_search_expands(monkeypatch):

@@ -103,6 +103,28 @@ class TestCoproveRegressions:
         ]),
     }
 
+    # the `_premises` calls of the member67 search, the root's included: one
+    # per distinct (sequent, eigenvariable, witness) that it expands
+    MEMBER67_PREMISE_CALLS = 13
+
+    def test_a_search_builds_the_premises_of_each_sequent_once(self, monkeypatch, member67_program):
+        # a deeper bound reads a shallower one's premises from the search's
+        # table; a second search starts a table of its own
+        calls = [0]
+        premises = eng._premises
+
+        def counted(*args):
+            calls[0] += 1
+            return premises(*args)
+
+        monkeypatch.setattr(eng, "_premises", counted)
+        goal = ps.parse_goal("member 0 [0|nil]", member67_program)
+        for _ in range(2):
+            calls[0] = 0
+            res = coprove(member67_program, goal, SearchConfig(calculus=Calculus.FOHC))
+            assert res.stats.nodes == self.SEARCH_GOLDEN["member67"][0]
+            assert calls[0] == self.MEMBER67_PREMISE_CALLS < res.stats.nodes
+
     @pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN))
     def test_search_output_pinned(self, regression_proofs, name):
         prog, _g, _calc, res = regression_proofs[name]
