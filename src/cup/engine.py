@@ -34,7 +34,7 @@ from .formulas import (
     Program,
     Top,
     classify,
-    focus_heads,
+    focus_reach,
     formula_alpha_eq,
     formula_substitute,
     in_fragment,
@@ -62,6 +62,7 @@ class Src(enum.Enum):
 _DECIDE_ORDER = {Src.ORIGINAL: 0, Src.LEMMA: 1, Src.HYPOTHESIS: 2, Src.COHYP: 3}
 
 _SAME = object()  # a field `Sequent.with_` keeps
+_NEVER = float("inf")  # the chain length of an INITIAL a focus does not reach
 
 
 @record
@@ -410,10 +411,16 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
         if not premises:
             yield ProofTree(seq, rule), s
             continue
-        # a focus none of whose heads is the goal's predicate ends in no
-        # INITIAL at any depth: it is neither searched nor counted
-        if pred is not None and (heads := focus_heads(premises[0].focus)) is not None and pred not in heads:
-            continue
+        # the focus needs n sequents below this DECIDE to reach an INITIAL
+        # that can meet the goal: with n >= depth it reaches none, so it is
+        # neither searched nor counted. Walking it would have set the cut,
+        # unless it reaches no such INITIAL at any depth
+        if pred is not None:
+            reach = focus_reach(premises[0].focus)
+            n = min(reach.get(pred, _NEVER), reach.get(None, _NEVER))
+            if n >= depth:
+                ctx.cut |= n < _NEVER
+                continue
         for t1, s1 in _solve(ctx, premises[0], depth - 1, s):
             if len(premises) == 1:
                 yield ProofTree(seq, rule, witness, eigen, (t1,)), s1

@@ -46,14 +46,14 @@ ALL_CALCULI = frozenset(Calculus)
 # ---------------------------------------------------------------------------
 
 
-# formula nodes cache `formula_key` and `focus_heads` when first asked, outside ==, hash, repr
+# formula nodes cache `formula_key` and `focus_reach` when first asked, outside ==, hash, repr
 _UNSEEN = object()
 
 
 @record
 class _FNode:
     _ak: str | None = field(default=None, init=False, repr=False, compare=False)
-    _fh: frozenset[str] | None = field(default=_UNSEEN, init=False, repr=False, compare=False)
+    _fh: dict[str | None, int] = field(default=_UNSEEN, init=False, repr=False, compare=False)
 
 
 @record
@@ -176,22 +176,25 @@ def formula_alpha_eq(f: Formula, g: Formula) -> bool:
     return f is g or formula_key(f) == formula_key(g)
 
 
-def focus_heads(f: Formula) -> frozenset[str] | None:
-    """The predicate names of the atoms a left focus on f reaches through ∀
-    bodies, ⊃ consequents and both sides of ∧ (Top, ∨ and ∃ have no left
-    rule); None if one of their heads is not a constant."""
+def focus_reach(f: Formula) -> dict[str | None, int]:
+    """The fewest sequents from a left focus on f to an INITIAL on each
+    predicate it reaches, that INITIAL included: an atom counts 1, a ∀ or ⊃
+    adds 1 to its body's or consequent's count, a ∧ to the smaller of its
+    sides' (Top, ∨ and ∃ have no left rule and reach none).  An atom whose
+    head is not a constant is keyed None."""
     if f._fh is _UNSEEN:
         if isinstance(f, Atom):
             head = tm.spine(f.term)[0]
-            heads = frozenset((head.name,)) if isinstance(head, Con) else None
+            reach = {head.name if isinstance(head, Con) else None: 1}
         elif isinstance(f, Conj):
-            left, right = focus_heads(f.left), focus_heads(f.right)
-            heads = None if left is None or right is None else left | right
+            left, right = focus_reach(f.left), focus_reach(f.right)
+            reach = {k: 1 + min(left.get(k, n), n) for k, n in right.items()}
+            reach.update((k, 1 + n) for k, n in left.items() if k not in right)
         elif isinstance(f, (Forall, Impl)):
-            heads = focus_heads(f.body if isinstance(f, Forall) else f.right)
+            reach = {k: 1 + n for k, n in focus_reach(f.body if isinstance(f, Forall) else f.right).items()}
         else:
-            heads = frozenset()
-        object.__setattr__(f, "_fh", heads)
+            reach = {}
+        object.__setattr__(f, "_fh", reach)
     return f._fh
 
 

@@ -294,7 +294,7 @@ class TestProofPipeline:
         limit = sys.getrecursionlimit()
         prog, out, code, printed = deep_nat_proof
         assert code == EXIT_OK
-        assert printed.splitlines()[0] == "proved (722 nodes; 244893 expansions)"
+        assert printed.splitlines()[0] == "proved (722 nodes; 244353 expansions)"
         text = out.read_text()
         assert text.startswith('{\n "rule": "decide",') and text.endswith("\n}\n")
         code = run(["check-proof", "--calculus", "co-fohc", "--program", str(prog), "--proof", str(out)])

@@ -1678,33 +1678,42 @@ def test_cached_formula_keys_match_fresh_ones_and_the_reference():
     assert equal_pairs > 50
 
 
-def _reachable_heads(f):
-    """The heads of the atoms a left focus on f reaches, walked afresh."""
+def _reachable_chains(f):
+    """(head, sequents from the focus to its INITIAL) for each atom a left
+    focus on f reaches, walked afresh."""
     if isinstance(f, fm.Atom):
-        return [tm.spine(f.term)[0]]
+        return [(tm.spine(f.term)[0], 1)]
     if isinstance(f, fm.Conj):
-        return _reachable_heads(f.left) + _reachable_heads(f.right)
-    if isinstance(f, fm.Forall):
-        return _reachable_heads(f.body)
-    if isinstance(f, fm.Impl):
-        return _reachable_heads(f.right)
-    return []
+        chains = _reachable_chains(f.left) + _reachable_chains(f.right)
+    elif isinstance(f, fm.Forall):
+        chains = _reachable_chains(f.body)
+    elif isinstance(f, fm.Impl):
+        chains = _reachable_chains(f.right)
+    else:
+        return []
+    return [(head, n + 1) for head, n in chains]
 
 
-def test_cached_focus_heads_match_fresh_ones_and_the_reference():
+def test_cached_focus_reach_matches_fresh_ones_and_the_reference():
     objects = {}
     for tree, back in _search_goal_round_trips((1, 2)):
         for f in itertools.chain(_sequent_formulas(tree), _sequent_formulas(back)):
             objects[id(f)] = f
-    # the searches cached the heads of every entry they decided on
+    # the searches cached the reach of every entry they decided on
     cached = [f for f in objects.values() if f._fh is not fm._UNSEEN]
     assert len(cached) > 20
+    lengths = collections.Counter()
     for f in itertools.chain(cached, objects.values()):
-        heads = _reachable_heads(f)
-        want = None if any(not isinstance(h, Con) for h in heads) else frozenset(h.name for h in heads)
+        want = {}
+        for head, n in _reachable_chains(f):
+            key = head.name if isinstance(head, Con) else None
+            want[key] = min(want.get(key, n), n)
+        lengths.update(want.values())
         fresh = _rebuild_formula(f)
         assert fresh._fh is fm._UNSEEN
-        assert fm.focus_heads(f) == fm.focus_heads(fresh) == want
+        assert fm.focus_reach(f) == fm.focus_reach(fresh) == want
+    # chains of several lengths, so a wrong count per connective shows
+    assert len(lengths) >= 4
 
 
 def _canonical_steps(tree, program):
@@ -1762,20 +1771,58 @@ def _search_set():
     return searches
 
 
+def _random_horn_program(rng):
+    """A small random first-order Horn program over unary predicates p0-p2,
+    with its text, and ground goals on each predicate. A predicate may have
+    no clause and a body may loop, so searches end in every reason."""
+    terms = ["0", "1", "X", "s X", "s 0", "Y"]
+    lines = []
+    for _ in range(rng.randint(1, 5)):
+        head = f"p{rng.randrange(3)} ({rng.choice(terms[:5])})"
+        body = [f"p{rng.randrange(3)} ({rng.choice(terms)})" for _ in range(rng.randint(0, 2))]
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    text = ("const 0 : i.\nconst 1 : i.\nconst s : i -> i.\n"
+            + "".join(f"const p{k} : i -> o.\n" for k in range(3)) + "\n".join(lines) + "\n")
+    goals = [f"p{k} {t}" for k in range(3) for t in ("0", "(s 1)")]
+    return text, goals
+
+
+def _random_horn_searches(seeds):
+    programs, searches = {}, []
+    for seed in seeds:
+        text, goals = _random_horn_program(random.Random(seed))
+        programs[seed] = ps.parse_program(text)
+        searches += [(seed, g, Calculus.FOHC, kind, depth)
+                     for g in goals for kind in ("prove", "coprove") for depth in range(1, 7)]
+    return programs, searches
+
+
 def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(monkeypatch):
     # the shallow depth limits make the depth run out inside skipped chains.
-    # A skipped focus ends in no INITIAL at any depth, so the skip changes no
-    # answer, only the nodes spent; it is turned off by making every focus
-    # reach every predicate
-    programs = workloads.load_programs()
-    searches = _search_set()
-    skipped, skipped_nodes = _search_outputs(programs, searches)
-    monkeypatch.setattr(eng, "focus_heads", lambda f: None)
-    searched, searched_nodes = _search_outputs(programs, searches)
-    assert skipped == searched
-    assert {o[0] for o in searched} == {"proved", "depth-exceeded"}
-    assert all(a <= b for a, b in zip(skipped_nodes, searched_nodes))
-    assert sum(skipped_nodes) < sum(searched_nodes)
+    # A skipped focus meets no INITIAL on the goal's predicate within the
+    # depth left, and walking it would have set the cut exactly when it has
+    # such a chain; so the skip changes no answer or proof, only the nodes
+    # spent. No eigenvariable here is drawn after a skipped entry, so the
+    # documents match too (`test_a_skipped_chain_draws_no_names` has one
+    # that is). The length test is turned off by giving every chain
+    # one sequent: a focus that reaches the goal's predicate is then always
+    # searched, and one that does not is still skipped with no cut. The
+    # seeded random programs add searches that end `no-proof`, which only a
+    # cut set rightly gives
+    corpus = (workloads.load_programs(), _search_set())
+    horn = _random_horn_searches(range(60))
+    reasons = collections.Counter()
+    for programs, searches in (corpus, horn):
+        skipped, skipped_nodes = _search_outputs(programs, searches, documents=True)
+        with monkeypatch.context() as m:
+            m.setattr(eng, "focus_reach", lambda f: dict.fromkeys(fm.focus_reach(f), 1))
+            searched, searched_nodes = _search_outputs(programs, searches, documents=True)
+        assert skipped == searched
+        assert all(a <= b for a, b in zip(skipped_nodes, searched_nodes))
+        assert sum(skipped_nodes) < sum(searched_nodes)
+        reasons.update(o[0] for o in searched)
+    assert {"proved", "no-proof", "depth-exceeded"} <= reasons.keys()
+    assert reasons["no-proof"] > 50
 
 
 def test_the_premise_table_changes_no_search_output(monkeypatch):

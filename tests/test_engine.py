@@ -73,26 +73,26 @@ class TestCoproveRegressions:
     # the search's node count and final bound: a change in search order or
     # in the fresh names drawn shows here
     SEARCH_GOLDEN = {
-        "member67": (56, 9, [
+        "member67": (42, 9, [
             ("co-fix", None, None), ("decide<>", None, None), ("forall-l<>", None, "0"),
             ("forall-l<>", None, "0"), ("forall-l<>", None, "nil"), ("imp-l<>", None, None),
             ("initial", None, None), ("and-r", None, None), ("decide", None, None),
             ("initial", None, None), ("decide", None, None), ("forall-l", None, "0"),
             ("initial", None, None),
         ]),
-        "bitstream": (34, 7, [
+        "bitstream": (27, 7, [
             ("co-fix", None, None), ("decide<>", None, None), ("forall-l<>", None, "0"),
             ("forall-l<>", None, "n_str 0"), ("imp-l<>", None, None), ("initial", None, None),
             ("and-r", None, None), ("decide", None, None), ("initial", None, None),
             ("decide", None, None), ("initial", None, None),
         ]),
-        "from": (42, 8, [
+        "from": (32, 8, [
             ("co-fix", None, None), ("forall-r<>", "x#1", None), ("decide<>", None, None),
             ("forall-l<>", None, "x#1"), ("forall-l<>", None, "fr_str (s x#1)"),
             ("imp-l<>", None, None), ("initial", None, None), ("decide", None, None),
             ("forall-l", None, "s x#1"), ("initial", None, None),
         ]),
-        "comember": (137, 14, [
+        "comember": (119, 14, [
             ("co-fix", None, None), ("forall-r<>", "y#1", None), ("forall-r<>", "s#2", None),
             ("imp-r<>", None, None), ("decide<>", None, None), ("forall-l<>", None, "y#1"),
             ("forall-l<>", None, "s#2"), ("imp-l<>", None, None), ("initial", None, None),
@@ -105,7 +105,7 @@ class TestCoproveRegressions:
 
     # the `_premises` calls of the member67 search, the root's included: one
     # per distinct (sequent, eigenvariable, witness) that it expands
-    MEMBER67_PREMISE_CALLS = 13
+    MEMBER67_PREMISE_CALLS = 10
 
     def test_a_search_builds_the_premises_of_each_sequent_once(self, monkeypatch, member67_program):
         # a deeper bound reads a shallower one's premises from the search's
@@ -507,8 +507,10 @@ class TestSearchStats:
 
 
 class TestFocusHeads:
-    """`focus_heads` and the DECIDE skip it drives: a focus whose heads miss
-    the goal's predicate is neither searched nor counted."""
+    """`focus_reach`, the heads a left focus reaches and the length of each
+    chain to them, and the DECIDE skip it drives: a focus whose chains to the
+    goal's predicate are all longer than the depth left is neither searched
+    nor counted, and sets the cut only if it has such a chain."""
 
     SIG = Signature.of({"a": IOTA, "p": tm.fn_type(IOTA, tm.O), "q": tm.fn_type(IOTA, tm.O),
                         "r": tm.fn_type(IOTA, tm.O)})
@@ -522,16 +524,21 @@ class TestFocusHeads:
                         eng.SearchStats(), {})
 
     def test_a_conjunction_gives_the_union_of_its_sides(self):
-        f = Forall("x", IOTA, Impl(self.atom("p", "x"), Conj(self.atom("q", "x"), self.atom("r"))))
-        assert fm.focus_heads(f) == {"q", "r"}
+        # each predicate's count is one more than its shorter side's
+        inner = Forall("y", IOTA, Conj(self.atom("r", "y"), self.atom("q")))
+        assert fm.focus_reach(inner) == {"r": 3, "q": 3}
+        f = Forall("x", IOTA, Impl(self.atom("p", "x"), Conj(self.atom("q", "x"), inner)))
+        assert fm.focus_reach(f) == {"q": 4, "r": 6}
+        assert fm.focus_reach(Conj(inner, self.atom("r"))) == {"q": 4, "r": 2}
         # an implication's antecedent is a goal, never a focus
-        assert fm.focus_heads(Impl(self.atom("p"), self.atom("q"))) == {"q"}
+        assert fm.focus_reach(Impl(self.atom("p"), self.atom("q"))) == {"q": 2}
 
     @pytest.mark.parametrize("focus", [TOP, Disj(Atom(A(C("p"), C("a"))), Atom(A(C("p"), C("a")))),
                                        Exists("x", IOTA, Atom(A(C("p"), V("x"))))],
                              ids=["top", "or", "exists"])
     def test_a_focus_with_no_left_rule_reaches_no_atom_and_counts_one_node(self, focus):
-        assert fm.focus_heads(focus) == frozenset()
+        assert fm.focus_reach(focus) == {}
+        assert fm.focus_reach(Forall("x", IOTA, Impl(self.atom("q"), focus))) == {}
         seq = eng.Sequent(self.SIG, (), focus, self.atom("p"))
         assert eng._rule(seq) is None
         ctx = self.ctx()
@@ -542,9 +549,9 @@ class TestFocusHeads:
                              ids=["variable", "metavariable", "redex"])
     def test_a_head_that_is_not_a_constant_is_not_rigid(self, head):
         loose = Atom(A(head, C("a")))
-        assert fm.focus_heads(loose) is None
-        assert fm.focus_heads(Conj(self.atom("q"), loose)) is None
-        assert fm.focus_heads(Forall("P", tm.fn_type(IOTA, tm.O), Impl(self.atom("q"), loose))) is None
+        assert fm.focus_reach(loose) == {None: 1}
+        assert fm.focus_reach(Conj(self.atom("q"), loose)) == {"q": 2, None: 2}
+        assert fm.focus_reach(Forall("P", tm.fn_type(IOTA, tm.O), Impl(self.atom("q"), loose))) == {None: 3}
 
     def test_a_hypothesis_headed_by_a_metavariable_is_never_skipped(self):
         # imp-r adds `?P#1 a`; DECIDE on it closes `p a` by binding ?P#1
@@ -565,7 +572,7 @@ class TestFocusHeads:
         f = Forall("x", IOTA, Impl(self.atom("p", "x"), Conj(
             Forall("y", IOTA, self.atom("q", "y")),
             Impl(self.atom("p", "x"), Forall("z", IOTA, Conj(self.atom("r", "z"), self.atom("q", "x")))))))
-        assert "p" not in fm.focus_heads(f)
+        assert fm.focus_reach(f) == {"q": 5, "r": 7}
         focused, decided = self.ctx(), self.ctx()
         assert list(eng._solve(focused, eng.Sequent(self.SIG, (), f, self.atom("p")), depth, {})) == []
         assert (focused.stats.nodes, focused.cut, focused.supply._next) == (
@@ -574,21 +581,63 @@ class TestFocusHeads:
         assert list(eng._solve(decided, seq, depth + 1, {})) == []
         assert (decided.stats.nodes, decided.cut, decided.supply._next, decided.meta_types) == (1, False, 0, {})
 
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_a_decide_skips_a_chain_longer_than_the_depth_left_and_sets_the_cut(self, depth):
+        # the one chain to `p` takes 4 sequents: forall-l, imp-l, and-l and
+        # INITIAL. Entered as a focus with fewer left, it finds nothing and
+        # runs out of depth; at a DECIDE it is skipped, only the DECIDE
+        # counts, and the cut is set as that search would have set it
+        f = Forall("x", IOTA, Impl(TOP, Conj(self.atom("q"), self.atom("p", "x"))))
+        assert fm.focus_reach(f) == {"q": 4, "p": 4}
+        focused, decided = self.ctx(), self.ctx()
+        found = list(eng._solve(focused, eng.Sequent(self.SIG, (), f, self.atom("p")), depth - 1, {}))
+        seq = eng.Sequent(self.SIG, (eng.Entry(f, Src.ORIGINAL),), None, self.atom("p"))
+        trees = [rules_of(t) for t, _s in eng._solve(decided, seq, depth, {})]
+        if depth <= 4:
+            assert (found, focused.cut) == ([], True)
+            assert (trees, decided.stats.nodes, decided.cut, decided.supply._next) == ([], 1, True, 0)
+        else:
+            assert trees == [["decide", "forall-l", "imp-l", "and-l", "initial", "top-r"]]
+            assert (decided.stats.nodes, decided.cut) == (1 + focused.stats.nodes, focused.cut)
+
+    def test_a_skipped_chain_draws_no_names(self, monkeypatch):
+        # at the bound that proves `p`, the four-∀ clause is too long for
+        # the depth left: skipped, it draws none of the names its forall-l
+        # steps would draw, so the eigenvariable drawn after it is `x#1`,
+        # not `x#4`. With every chain one sequent long it is walked; the
+        # proof is the same up to that name, found at the same bound
+        prog = ps.parse_program("const a : i. const q : i -> o. const r : i -> o. const p : o.\n"
+                                "p :- r X, r Y, r Z, r W.\np.\n")
+        goal = ps.parse_goal("p /\\ (forall x. q x => q x)", prog)
+        cfg = SearchConfig(calculus=Calculus.FOHH)
+        skipped = prove(prog, LemmaStore(), goal, cfg)
+        monkeypatch.setattr(eng, "focus_reach", lambda f: dict.fromkeys(fm.focus_reach(f), 1))
+        walked = prove(prog, LemmaStore(), goal, cfg)
+        assert rules_of(skipped.tree) == rules_of(walked.tree)
+        assert skipped.stats.max_depth == walked.stats.max_depth == 5
+        assert (skipped.stats.nodes, walked.stats.nodes) == (21, 27)
+        assert [[n.eigen for n in res.tree.nodes() if n.eigen] for res in (skipped, walked)] == [["x#1"], ["x#4"]]
+
     def test_a_decide_skips_each_entry_whose_heads_miss_the_goal(self, monkeypatch, member67_program):
         # at `member` goals the `eq` clause, at `eq` goals the `member` clause
-        # and the coinductive hypothesis; the node count is SEARCH_GOLDEN's.
-        # The goal's predicate is read from the DECIDE that asks.
+        # and the coinductive hypothesis (no chain), and each entry whose
+        # chains are longer than the depth left (a chain); the node count is
+        # SEARCH_GOLDEN's. The goal's predicate and the depth are read from
+        # the DECIDE that asks.
         skipped = collections.Counter()
 
-        def heads(f):
-            out = fm.focus_heads(f)
-            if out is not None and sys._getframe(1).f_locals["pred"] not in out:
-                skipped.update([ps.pp_formula(f)])
+        def reach(f):
+            out = fm.focus_reach(f)
+            decide = sys._getframe(1).f_locals
+            n = min(out.get(decide["pred"], eng._NEVER), out.get(None, eng._NEVER))
+            if n >= decide["depth"]:
+                skipped.update([(ps.pp_formula(f), n < eng._NEVER)])
             return out
 
-        monkeypatch.setattr(eng, "focus_heads", heads)
+        monkeypatch.setattr(eng, "focus_reach", reach)
         res = coprove(member67_program, ps.parse_goal("member 0 [0|nil]", member67_program),
                       SearchConfig(calculus=Calculus.FOHC))
         assert res.proved and res.stats.nodes == TestCoproveRegressions.SEARCH_GOLDEN["member67"][0]
-        assert skipped == {"forall X. eq X X": 11, "member 0 [0|nil]": 1,
-                           "forall X Y T. member X [Y|T] /\\ eq X Y => member X [Y|T]": 2}
+        member = "forall X Y T. member X [Y|T] /\\ eq X Y => member X [Y|T]"
+        assert skipped == {("forall X. eq X X", False): 11, ("member 0 [0|nil]", False): 1, (member, False): 2,
+                           ("forall X. eq X X", True): 1, ("member 0 [0|nil]", True): 1, (member, True): 8}
