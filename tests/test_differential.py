@@ -1808,14 +1808,20 @@ def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(mon
     # one sequent: a focus that reaches the goal's predicate is then always
     # searched, and one that does not is still skipped with no cut. The
     # seeded random programs add searches that end `no-proof`, which only a
-    # cut set rightly gives
+    # cut set rightly gives. On the corpus both skips are also turned off at
+    # once by giving every focus one sequent to every predicate: each entry
+    # is then walked, bar at depth 1, where walking it sets the cut and
+    # counts nothing
     corpus = (workloads.load_programs(), _search_set())
     horn = _random_horn_searches(range(60))
     reasons = collections.Counter()
-    for programs, searches in (corpus, horn):
+    arms = [(corpus, lambda f: dict.fromkeys(fm.focus_reach(f), 1)),
+            (corpus, lambda f: {None: 1}),
+            (horn, lambda f: dict.fromkeys(fm.focus_reach(f), 1))]
+    for (programs, searches), reach in arms:
         skipped, skipped_nodes = _search_outputs(programs, searches, documents=True)
         with monkeypatch.context() as m:
-            m.setattr(eng, "focus_reach", lambda f: dict.fromkeys(fm.focus_reach(f), 1))
+            m.setattr(eng, "focus_reach", reach)
             searched, searched_nodes = _search_outputs(programs, searches, documents=True)
         assert skipped == searched
         assert all(a <= b for a, b in zip(skipped_nodes, searched_nodes))
