@@ -14,7 +14,7 @@ _EXPORTS = {
                "promote_lemma", "prove"),
     "formulas": ("Atom", "Calculus", "Conj", "Disj", "Exists", "Forall", "Formula", "HClause", "Impl", "Program",
                  "Top", "classify", "ground_instances", "to_h_clauses"),
-    "guardedness": ("GuardReport", "is_guarded_atom", "is_guarded_fixed_point", "is_guarded_full", "snapshot"),
+    "guardedness": ("GuardReport", "is_guarded_atom", "is_guarded_fixed_point", "snapshot"),
     "parser": ("export_proof", "import_proof", "parse_goal", "parse_program", "parse_term", "pp_formula",
                "pp_term"),
     "soundness": ("DeltaRecord", "audit_proof", "build_candidate", "collect_deltas", "conservative_extension_check",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from collections.abc import Container
 from json.encoder import encode_basestring_ascii
 
@@ -531,14 +530,14 @@ def pp_formula(f: Formula, program: Program | None = None) -> str:
 
 
 def export_proof(tree: eng.ProofTree, program: Program | None = None) -> str:
-    """Serialize a proof tree to its JSON document form: the text
-    `json.dumps(..., indent=1)` gives for one object per node whose keys
-    are rule, signature_additions, program_additions, goal, guarded,
-    children, then focus and witness where present.  A node's additions
-    are what its sequent adds to its parent's; at the root they are the
-    entries not from the program.  The text is written in one pass with
-    its own stack, so a proof of any depth exports, and each formula
-    object is printed once."""
+    """Serialize a proof tree to its flat JSON document: the object
+    `{"format": "flat", "nodes": [...]}` whose nodes are listed in
+    pre-order, one a line.  Each node is the text `json.dumps` gives for a
+    dict whose keys are rule, signature_additions, program_additions, goal,
+    guarded, children (its number of premises), then focus and witness
+    where present.  A node's additions are what its sequent adds to its
+    parent's; at the root they are the entries not from the program.  Each
+    formula object is printed once."""
     printed: dict[int, str] = {}
 
     def text(f: Formula) -> str:
@@ -547,14 +546,10 @@ def export_proof(tree: eng.ProofTree, program: Program | None = None) -> str:
             s = printed[id(f)] = encode_basestring_ascii(pp_formula(f, program))
         return s
 
-    out: list[str] = []
-    todo: list = [(tree, None, 0)]  # text to write, or (node, parent, indent) to expand
+    lines: list[str] = []
+    todo: list = [(tree, None)]  # (node, parent) still to write, the next on top
     while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        node, parent, level = item
+        node, parent = todo.pop()
         seq = node.sequent
         if parent is None:
             sig_add = []
@@ -565,33 +560,18 @@ def export_proof(tree: eng.ProofTree, program: Program | None = None) -> str:
                 encode_basestring_ascii(f"{n} : {ty!r}") for n, ty in seq.signature.constants if n not in psig
             ]
             prog_add = [text(e.formula) for e in seq.entries[len(parent.sequent.entries):]]
-        pad = "\n" + " " * (level + 1)  # a key's line; a list item's is one deeper
-        kids = node.children
-        out.append(
-            f'{{{pad}"rule": {encode_basestring_ascii(node.rule)},'
-            f'{pad}"signature_additions": {_json_list(sig_add, pad)},'
-            f'{pad}"program_additions": {_json_list(prog_add, pad)},'
-            f'{pad}"goal": {text(seq.goal)},{pad}"guarded": {"true" if seq.guarded else "false"},'
-            f'{pad}"children": {"[" if kids else "[]"}'
+        line = (
+            f'{{"rule": {encode_basestring_ascii(node.rule)}, "signature_additions": [{", ".join(sig_add)}], '
+            f'"program_additions": [{", ".join(prog_add)}], "goal": {text(seq.goal)}, '
+            f'"guarded": {"true" if seq.guarded else "false"}, "children": {len(node.children)}'
         )
-        tail = pad + "]" if kids else ""
         if seq.focus is not None:
-            tail += f',{pad}"focus": {text(seq.focus)}'
+            line += f', "focus": {text(seq.focus)}'
         if node.witness is not None:
-            tail += f',{pad}"witness": {encode_basestring_ascii(pp_term(node.witness, program))}'
-        todo.append(tail + pad[:-1] + "}")
-        for i in reversed(range(len(kids))):
-            todo += ((kids[i], node, level + 2), ("," if i else "") + pad + " ")
-    return "".join(out)
-
-
-def _json_list(items: list[str], pad: str) -> str:
-    """A JSON list of encoded items, as `json.dumps` lays it out at indent
-    1 after a key on the line `pad` begins."""
-    if not items:
-        return "[]"
-    inner = pad + " "
-    return f"[{inner}{(',' + inner).join(items)}{pad}]"
+            line += f', "witness": {encode_basestring_ascii(pp_term(node.witness, program))}'
+        lines.append(line + "}")
+        todo += ((kid, node) for kid in reversed(node.children))
+    return '{"format": "flat", "nodes": [\n' + ",\n".join(lines) + "\n]}"
 
 
 def _parse_sig_addition(s: str) -> tuple[str, tm.SimpleType]:
@@ -610,28 +590,20 @@ def _payload(memo: dict, parse, text: str, shadow: Program, what: str):
     """parse(text, shadow) for `parse_goal` or `parse_term`, once per
     (parse, text, signature) and import: memo keeps what each returned.  An
     error is not kept, so it raises again each time, as a malformed
-    document naming `what` was parsed; nesting is left to `import_proof`."""
+    document naming `what` was parsed."""
     key = (parse, text, shadow.signature)
     out = memo.get(key)
     if out is None:
         try:
             out = memo[key] = parse(text, shadow, allow_fresh=True)
-        except NestingTooDeep:
-            raise
         except CupError as exc:
             raise MalformedDocument(f"unparseable {what}: {exc}") from exc
     return out
 
 
-def _import_node(
-    doc: dict,
-    program: Program,
-    sig: Signature,
-    entries: tuple[eng.Entry, ...],
-    mode: str,
-    parent_rule: str | None,
-    memo: dict,
-) -> eng.ProofTree:
+def _import_node(doc, program: Program, parent: eng.Sequent | None, parent_rule: str | None, memo: dict):
+    """One node's (rule, sequent, witness, number of premises), its sequent
+    built on its parent's, or on the program's at the root."""
     required = {"rule", "signature_additions", "program_additions", "goal", "guarded", "children"}
     if not isinstance(doc, dict) or not required.issubset(doc):
         missing = required - set(doc) if isinstance(doc, dict) else required
@@ -644,63 +616,73 @@ def _import_node(
             raise MalformedDocument(f"proof node field {key!r} must be a list of strings")
     if not isinstance(doc["guarded"], bool):
         raise MalformedDocument("proof node field 'guarded' must be a boolean")
-    if not isinstance(doc["children"], list):
-        raise MalformedDocument("proof node field 'children' must be a list")
+    count = doc["children"]
+    if type(count) is not int or count < 0:
+        raise MalformedDocument("proof node field 'children' must be a non-negative integer")
     rule = doc["rule"]
+    if parent is None:
+        sig, entries = program.signature, tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
+        mode, src = (eng.COINDUCTIVE if rule == "co-fix" else eng.PLAIN), eng.Src.LEMMA
+    else:
+        sig, entries = parent.signature, parent.entries
+        mode, src = eng.PLAIN, (eng.Src.COHYP if parent_rule == "co-fix" else eng.Src.HYPOTHESIS)
     for s in doc["signature_additions"]:
         name, ty = _parse_sig_addition(s)
         if name in sig:
             raise SignatureMismatch(f"signature addition {name!r} already declared")
         sig = sig.extend(name, ty)
-    src = eng.Src.COHYP if parent_rule == "co-fix" else (
-        eng.Src.HYPOTHESIS if parent_rule is not None else eng.Src.LEMMA
-    )
     shadow = Program(sig, program.clauses, program.fix_definitions)
     for s in doc["program_additions"]:
         entries = entries + (eng.Entry(_payload(memo, parse_goal, s, shadow, f"program addition {s!r}"), src),)
     goal = _payload(memo, parse_goal, doc["goal"], shadow, "proof payload")
     focus = _payload(memo, parse_goal, doc["focus"], shadow, "proof payload") if "focus" in doc else None
     witness = _payload(memo, parse_term, doc["witness"], shadow, "proof payload") if "witness" in doc else None
-    seq = eng.Sequent(sig, entries, focus, goal, mode, doc["guarded"])
-    child_mode = eng.PLAIN
-    children = tuple(
-        _import_node(c, program, sig, entries, child_mode, rule, memo) for c in doc["children"]
-    )
-    # the universal right rules own the eigenvariable their premise declares
-    eigen = None
-    if rule in ("forall-r", "forall-r<>") and children:
-        new = [n for n, _ in children[0].sequent.signature.constants if n not in sig]
-        eigen = new[0] if new else None
-    return eng.ProofTree(seq, rule, witness, eigen, children)
+    return rule, eng.Sequent(sig, entries, focus, goal, mode, doc["guarded"]), witness, count
 
 
-PROOF_STACK_LEVELS = 10_000  # the deepest `import_proof` lets the recursion limit go
-
-
-def import_proof(document: str | dict, program: Program) -> eng.ProofTree:
-    """Rebuild a proof tree from its JSON document, replaying the recorded
-    signature and program additions node by node.  `json.loads` and the
-    import recurse with the document's depth, so a text document is read
-    with the recursion limit raised by four levels per node (per `{`), up
-    to PROOF_STACK_LEVELS: the 8 MB C stack of a Linux main thread ran out
-    at 20 000 levels.  A dict document is read under the caller's limit."""
-    limit = sys.getrecursionlimit()
+def import_proof(document: str, program: Program) -> eng.ProofTree:
+    """Rebuild a proof tree from its flat JSON document (see
+    `export_proof`).  A forward pass reads the nodes in pre-order and
+    replays each node's signature and program additions on its parent's
+    sequent, keeping each node whose premises are still to come with how
+    many are.  A backward pass then gives each node its premises, the trees
+    it built last.  Neither pass recurses, so a proof of any depth reads."""
     try:
-        doc = document
-        if isinstance(document, str):
-            sys.setrecursionlimit(max(limit, min(PROOF_STACK_LEVELS, limit + 4 * document.count("{"))))
-            doc = json.loads(document)
-        if not isinstance(doc, dict):
-            raise MalformedDocument("proof document must be a JSON object")
-        entries = tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
-        mode = eng.COINDUCTIVE if doc.get("rule") == "co-fix" else eng.PLAIN
-        # one parse per distinct payload text and signature (see `_payload`)
-        return _import_node(doc, program, program.signature, entries, mode, None, {})
+        doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    except (RecursionError, NestingTooDeep):
-        # the stack can run out in the JSON reader, in the import's own
-        # recursion or in a payload's parse, wherever the nesting has left it
+    except RecursionError:
+        # JSON nested past the stack, such as a deep document of the nested form
         raise MalformedDocument("proof document nested too deeply") from None
-    finally:
-        sys.setrecursionlimit(limit)
+    if not isinstance(doc, dict) or doc.get("format") != "flat":
+        raise MalformedDocument('proof document must be a JSON object with "format": "flat"')
+    nodes = doc.get("nodes")
+    if not isinstance(nodes, list) or not nodes:
+        raise MalformedDocument("proof document field 'nodes' must be a non-empty list")
+    read: list[tuple] = []  # (rule, sequent, witness, number of premises) by node
+    open_: list[list[int]] = []  # [node, premises still to read] of each node not yet complete
+    memo: dict = {}  # one parse per distinct payload text and signature (see `_payload`)
+    for node in nodes:
+        if read and not open_:
+            raise MalformedDocument("proof document has nodes past its root's tree")
+        parent = open_[-1] if open_ else None
+        rule, seq = read[parent[0]][:2] if parent else (None, None)
+        read.append(_import_node(node, program, seq, rule, memo))
+        if parent:
+            parent[1] -= 1
+            if not parent[1]:
+                open_.pop()
+        if read[-1][3]:
+            open_.append([len(read) - 1, read[-1][3]])
+    if open_:
+        raise MalformedDocument("proof document ends before its nodes' premises")
+    built: list[eng.ProofTree] = []  # the trees whose parent is not built yet, the next one's first premise on top
+    for rule, seq, witness, count in reversed(read):
+        children = tuple(built.pop() for _ in range(count))
+        # the universal right rules own the eigenvariable their premise declares
+        eigen = None
+        if rule in ("forall-r", "forall-r<>") and children:
+            new = [n for n, _ in children[0].sequent.signature.constants if n not in seq.signature]
+            eigen = new[0] if new else None
+        built.append(eng.ProofTree(seq, rule, witness, eigen, children))
+    return built[0]

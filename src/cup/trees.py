@@ -25,7 +25,7 @@ from .formulas import HClause, Program
 # is_guarded_atom has no caller here; perfbench/tracing.py patches it under
 # this module's name
 from .guardedness import is_guarded_atom, snapshot
-from .terms import Con, DIAMOND, Fix, IOTA, Signature, Term, Var, field, record
+from .terms import Con, Fix, IOTA, Signature, Term, Var, field, record
 
 STAR = "*"
 
@@ -60,48 +60,6 @@ def tree_to_text(t: Tree) -> str:
     if not t.children:
         return t.label
     return f"{t.label}({','.join(tree_to_text(c) for c in t.children)})"
-
-
-def tree_from_text(s: str) -> Tree:
-    pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
-        start = pos
-        while pos < len(s) and s[pos] not in "(),":
-            pos += 1
-        label = s[start:pos].strip()
-        if not label:
-            raise ValueError(f"empty node label in {s!r}")
-        children: list[Tree] = []
-        if pos < len(s) and s[pos] == "(":
-            pos += 1
-            children.append(parse())
-            while pos < len(s) and s[pos] == ",":
-                pos += 1
-                children.append(parse())
-            if pos >= len(s) or s[pos] != ")":
-                raise ValueError(f"unbalanced parentheses in {s!r}")
-            pos += 1
-        return Tree(label, tuple(children))
-
-    out = parse()
-    if pos != len(s.strip()) and s[pos:].strip():
-        raise ValueError(f"trailing input in {s!r}")
-    return out
-
-
-def check_arities(sig: Signature, t: Tree) -> bool:
-    """Children counts must match symbol arities; `*`, the snapshot
-    placeholder, and variables are exempt leaves."""
-    if t.label in (STAR, DIAMOND):
-        return not t.children
-    ty = sig.lookup(t.label)
-    if ty is None:
-        return not t.children  # a variable leaf
-    if len(t.children) != len(tm.argument_types(ty)):
-        return False
-    return all(check_arities(sig, c) for c in t.children)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +175,6 @@ class Interpretation:
 def export_interpretation(interp: Interpretation) -> str:
     lines = sorted(tree_to_text(t) for t in interp.atoms)
     return "\n".join([f"depth {interp.depth}"] + lines) + "\n"
-
-
-def import_interpretation(text: str) -> Interpretation:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("depth "):
-        raise ValueError("interpretation listing must start with 'depth N'")
-    depth = int(lines[0].split()[1])
-    return Interpretation(depth, frozenset(tree_from_text(ln) for ln in lines[1:]))
 
 
 # ---------------------------------------------------------------------------

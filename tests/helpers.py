@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 from cup import engine as eng
@@ -250,6 +251,58 @@ def diamond_min_depth(t):
     return min(depths) if depths else None
 
 
+def tree_from_text(s: str) -> tr.Tree:
+    """Read back the text `trees.tree_to_text` writes."""
+    pos = 0
+
+    def parse() -> tr.Tree:
+        nonlocal pos
+        start = pos
+        while pos < len(s) and s[pos] not in "(),":
+            pos += 1
+        label = s[start:pos].strip()
+        if not label:
+            raise ValueError(f"empty node label in {s!r}")
+        children: list[tr.Tree] = []
+        if pos < len(s) and s[pos] == "(":
+            pos += 1
+            children.append(parse())
+            while pos < len(s) and s[pos] == ",":
+                pos += 1
+                children.append(parse())
+            if pos >= len(s) or s[pos] != ")":
+                raise ValueError(f"unbalanced parentheses in {s!r}")
+            pos += 1
+        return tr.Tree(label, tuple(children))
+
+    out = parse()
+    if pos != len(s.strip()) and s[pos:].strip():
+        raise ValueError(f"trailing input in {s!r}")
+    return out
+
+
+def check_arities(sig: Signature, t) -> bool:
+    """Children counts must match symbol arities; `*`, the snapshot
+    placeholder, and variables are exempt leaves."""
+    if t.label in (tr.STAR, tm.DIAMOND):
+        return not t.children
+    ty = sig.lookup(t.label)
+    if ty is None:
+        return not t.children  # a variable leaf
+    if len(t.children) != len(tm.argument_types(ty)):
+        return False
+    return all(check_arities(sig, c) for c in t.children)
+
+
+def import_interpretation(text: str) -> tr.Interpretation:
+    """Read back the listing `trees.export_interpretation` writes."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("depth "):
+        raise ValueError("interpretation listing must start with 'depth N'")
+    depth = int(lines[0].split()[1])
+    return tr.Interpretation(depth, frozenset(tree_from_text(ln) for ln in lines[1:]))
+
+
 def guarded_term_to_tree(sig: Signature, t, depth: int):
     """Truncated tree of a first-order or guarded full term (eigenvariables
     render as leaves), by its own snapshot-and-unfold loop."""
@@ -356,10 +409,29 @@ def proof_mutations(tree):
 
 def deep_document(depth: int) -> str:
     """The text of a proof document whose root has a chain of `depth`
-    single-child nodes below it, built without recursion."""
+    single-premise nodes below it."""
+    node = '"signature_additions": [], "program_additions": [], "goal": "true", "guarded": false'
+    chain = [f'{{"rule": "and-r", {node}, "children": 1}}'] * depth + [f'{{"rule": "top-r", {node}, "children": 0}}']
+    return '{"format": "flat", "nodes": [\n' + ",\n".join(chain) + "\n]}"
+
+
+def nested_document(depth: int) -> str:
+    """`deep_document(depth)` in the nested layout that proof documents had
+    before they were flat: each node holds its premises' objects."""
     node = '"signature_additions": [], "program_additions": [], "goal": "true", "guarded": false'
     return ('{"rule": "and-r", ' + node + ', "children": [') * depth + \
         '{"rule": "top-r", ' + node + ', "children": []}' + "]}" * depth
+
+
+def flat_document(root: dict) -> str:
+    """The document text of a proof written as nested node dicts, each
+    with its premises' dicts as its `children` list."""
+    nodes, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        nodes.append({**node, "children": len(node["children"])})
+        todo += reversed(node["children"])
+    return json.dumps({"format": "flat", "nodes": nodes})
 
 
 # ---------------------------------------------------------------------------
@@ -418,28 +490,33 @@ def tokenize_reference(text: str, allow_fresh: bool = False) -> list[tuple]:
     return toks
 
 
-def export_dict_reference(node, parent=None, program=None) -> dict:
-    """One proof node as the dict whose `json.dumps(..., indent=1)` is its
-    document: what its sequent adds to its parent's, its formulas printed
-    where they occur, the children in order."""
-    seq = node.sequent
-    if parent is None:
-        sig_add = []
-        prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries if e.src != eng.Src.ORIGINAL]
-    else:
-        psig = parent.sequent.signature
-        sig_add = [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in psig]
-        prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries[len(parent.sequent.entries):]]
-    out = {
-        "rule": node.rule,
-        "signature_additions": sig_add,
-        "program_additions": prog_add,
-        "goal": ps.pp_formula(seq.goal, program),
-        "guarded": seq.guarded,
-        "children": [export_dict_reference(c, node, program) for c in node.children],
-    }
-    if seq.focus is not None:
-        out["focus"] = ps.pp_formula(seq.focus, program)
-    if node.witness is not None:
-        out["witness"] = ps.pp_term(node.witness, program)
+def export_dict_reference(tree, program=None) -> list[dict]:
+    """The proof's nodes in pre-order, each as the dict whose `json.dumps`
+    is its line of the document: what its sequent adds to its parent's,
+    its formulas printed where they occur, its number of premises."""
+    out, todo = [], [(tree, None)]
+    while todo:
+        node, parent = todo.pop()
+        seq = node.sequent
+        if parent is None:
+            sig_add = []
+            prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries if e.src != eng.Src.ORIGINAL]
+        else:
+            psig = parent.sequent.signature
+            sig_add = [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in psig]
+            prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries[len(parent.sequent.entries):]]
+        d = {
+            "rule": node.rule,
+            "signature_additions": sig_add,
+            "program_additions": prog_add,
+            "goal": ps.pp_formula(seq.goal, program),
+            "guarded": seq.guarded,
+            "children": len(node.children),
+        }
+        if seq.focus is not None:
+            d["focus"] = ps.pp_formula(seq.focus, program)
+        if node.witness is not None:
+            d["witness"] = ps.pp_term(node.witness, program)
+        out.append(d)
+        todo += [(c, node) for c in reversed(node.children)]
     return out

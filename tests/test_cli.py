@@ -15,7 +15,7 @@ from cup.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
 from cup.errors import UsageError
 from cup.formulas import Calculus
 
-from helpers import deep_document
+from helpers import deep_document, flat_document, nested_document, tree_from_text
 
 
 def corpus(name):
@@ -236,7 +236,7 @@ class TestProofPipeline:
             "--goal", "bitstream [0|n_str 0]", "--emit-proof", str(out),
         ])
         doc = json.loads(out.read_text())
-        doc["children"][0]["rule"] = "decide"
+        doc["nodes"][1]["rule"] = "decide"
         out.write_text(json.dumps(doc))
         code = run([
             "check-proof", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
@@ -255,67 +255,89 @@ class TestProofPipeline:
         ("focus", None),
         ("witness", 0),
         ("guarded", "yes"),
+        ("children", -1),
+        ("children", True),
+        ("children", "1"),
+        ("children", [5]),
     ])
     def test_malformed_field_is_usage(self, tmp_path, capsys, field, value):
+        def edit(doc):
+            node = doc["nodes"][2]  # a forall-l<> step: it has a focus and a witness
+            assert node["rule"] == "forall-l<>" and {"focus", "witness"} <= set(node)
+            node[field] = value
+
+        code, err = self.check_edited(tmp_path, capsys, edit)
+        assert code == EXIT_USAGE and err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["nodes"].pop(), "proof document ends before its nodes' premises"),
+        (lambda doc: doc["nodes"].append(doc["nodes"][-1]), "proof document has nodes past its root's tree"),
+        (lambda doc: doc.pop("format"), 'proof document must be a JSON object with "format": "flat"'),
+        (lambda doc: doc.update(format="nested"), 'proof document must be a JSON object with "format": "flat"'),
+    ], ids=["cut-short", "trailing-node", "no-format", "unknown-format"])
+    def test_malformed_node_list_is_usage(self, tmp_path, capsys, edit, message):
+        assert self.check_edited(tmp_path, capsys, edit) == (EXIT_USAGE, f"error: {message}\n")
+
+    def check_edited(self, tmp_path, capsys, edit):
+        """check-proof's exit code and stderr on a found proof's document
+        after edit(doc) changed it in place."""
         out = tmp_path / "p.json"
         run([
             "coprove", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
             "--goal", "bitstream z_str", "--emit-proof", str(out),
         ])
         doc = json.loads(out.read_text())
-        node = doc["children"][0]["children"][0]  # a forall-l<> step: it has a focus and a witness
-        node[field] = value
+        edit(doc)
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         code = run([
             "check-proof", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
             "--proof", str(out),
         ])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
+        return code, capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth, message", [
+        (0, 'proof document must be a JSON object with "format": "flat"'),
+        (20_000, "proof document nested too deeply"),
+    ], ids=["shallow", "deep"])
     @pytest.mark.parametrize("subcommand", ["check-proof", "soundness", "prove"])
-    def test_deeply_nested_document_is_usage(self, tmp_path, capsys, subcommand):
-        out = tmp_path / "deep.json"
-        out.write_text(deep_document(ps.PROOF_STACK_LEVELS))  # past the cap: two levels a node
+    def test_an_old_nested_document_is_usage(self, tmp_path, capsys, subcommand, depth, message):
+        out = tmp_path / "nested.json"
+        out.write_text(nested_document(depth))
         reads = {
             "check-proof": ["--calculus", "co-fohc", "--proof", str(out)],
             "soundness": ["--proof", str(out)],
             "prove": ["--calculus", "co-fohc", "--goal", "true", "--use-lemma", str(out)],
         }
         code = run([subcommand, "--program", corpus("member.cup")] + reads[subcommand])
-        assert code == EXIT_USAGE
-        assert "nested too deeply" in capsys.readouterr().err
+        assert (code, capsys.readouterr().err) == (EXIT_USAGE, f"error: {message}\n")
 
     def test_a_deep_proof_is_written_and_read_back_valid(self, deep_nat_proof, capsys):
         # a 722-node proof 541 nodes deep: its document is written whole,
-        # and read back under a recursion limit that `import_proof` raises
-        # for itself only, since `json.loads` alone needs two levels per node
+        # one node a line, and read back under the default recursion limit
         limit = sys.getrecursionlimit()
         prog, out, code, printed = deep_nat_proof
         assert code == EXIT_OK
         assert printed.splitlines()[0] == "proved (722 nodes; 244353 expansions)"
         text = out.read_text()
-        assert text.startswith('{\n "rule": "decide",') and text.endswith("\n}\n")
+        assert text.startswith('{"format": "flat", "nodes": [\n{"rule": "decide", ') and text.endswith("}\n]}\n")
+        assert len(text.splitlines()) == 722 + 2 and len(text) < 700_000
         code = run(["check-proof", "--calculus", "co-fohc", "--program", str(prog), "--proof", str(out)])
         assert (code, capsys.readouterr().out) == (EXIT_OK, "valid proof (722 nodes)\n")
         assert sys.getrecursionlimit() == limit
 
-    @pytest.mark.parametrize("depth, code", [(ps.PROOF_STACK_LEVELS // 2 - 100, EXIT_FAIL),
-                                             (ps.PROOF_STACK_LEVELS // 2 + 100, EXIT_USAGE)])
-    def test_a_document_at_the_stack_cap_is_read_or_refused_on_the_main_thread(self, tmp_path, depth, code):
-        # `json.loads` takes two levels per node: the shallower chain reads
-        # and checks invalid (its and-r nodes have one premise), the deeper
-        # one runs into the cap, in a fresh process, whose main thread's C
-        # stack must hold that deep a recursion without a crash
+    def test_a_chain_four_times_the_old_cap_reads_on_the_main_thread(self, tmp_path):
+        # 20 000 nodes deep, where the nested form was refused past about
+        # 5 000: in a fresh process, the chain reads and checks invalid (its
+        # and-r nodes have one premise)
         out = tmp_path / "deep.json"
-        out.write_text(deep_document(depth))
+        out.write_text(deep_document(20_000))
         argv = ["check-proof", "--calculus", "co-fohc", "--program", corpus("member.cup"), "--proof", str(out)]
         done = subprocess.run([sys.executable, "-c", "import sys; from cup.cli import main; sys.exit(main())", *argv],
                               env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
                               capture_output=True, text=True, timeout=120)
-        assert done.returncode == code, done.stderr[-300:]
-        assert done.stderr == ("error: proof document nested too deeply\n" if code == EXIT_USAGE else "")
+        assert (done.returncode, done.stderr) == (EXIT_FAIL, "")
+        assert done.stdout.startswith("invalid proof: root: ")
 
     def test_soundness_subcommand(self, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -626,7 +648,7 @@ class TestSourceSyntaxInOutput:
 
     def test_focus_over_a_conjunction_goal(self, tmp_path, capsys):
         out = tmp_path / "p.json"
-        out.write_text(json.dumps({
+        out.write_text(flat_document({
             "rule": "initial", "signature_additions": [], "program_additions": [],
             "goal": "bit 0 /\\ bit 1", "focus": "bit 0", "guarded": False, "children": [],
         }))
@@ -667,7 +689,7 @@ class TestOutputsReadBack:
             atoms = json.loads(capsys.readouterr().out)["atoms"]
             assert atoms, depth
             for text in atoms:
-                assert tr.tree_to_text(tr.tree_from_text(text)) == text
+                assert tr.tree_to_text(tree_from_text(text)) == text
 
 
 class TestRarePaths:
@@ -707,7 +729,7 @@ class TestDanglingWitness:
         ])
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("proved (2 nodes;")
-        assert json.loads(out.read_text())["witness"] == "0"
+        assert json.loads(out.read_text())["nodes"][0]["witness"] == "0"
 
     def test_no_closed_term_means_no_proof(self, tmp_path, capsys):
         prog = tmp_path / "nobase.cup"
@@ -715,12 +737,6 @@ class TestDanglingWitness:
         code = run(["prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", "exists x. true"])
         assert code == EXIT_FAIL
         assert capsys.readouterr().out == "no proof: the finite search space is exhausted\n"
-
-
-def _doc_nodes(doc):
-    yield doc
-    for child in doc["children"]:
-        yield from _doc_nodes(child)
 
 
 def _node(rule, goal, children=(), **fields):
@@ -734,7 +750,7 @@ class TestCheckerDiagnostics:
 
     def check(self, tmp_path, capsys, doc, calculus, program):
         out = tmp_path / "t.json"
-        out.write_text(json.dumps(doc))
+        out.write_text(doc if isinstance(doc, str) else flat_document(doc))
         capsys.readouterr()
         code = run(["check-proof", "--calculus", calculus, "--program", corpus(program), "--proof", str(out)])
         return code, capsys.readouterr().out
@@ -745,7 +761,7 @@ class TestCheckerDiagnostics:
         assert run(["prove", "--calculus", "co-fohc", "--program", corpus("member.cup"),
                     "--goal", "member 0 [0|nil]", "--emit-proof", str(out)]) == EXIT_OK
         doc = json.loads(out.read_text())
-        assert doc["children"][0]["rule"] == "forall-l" and doc["children"][0]["witness"] == "0"
+        assert doc["nodes"][1]["rule"] == "forall-l" and doc["nodes"][1]["witness"] == "0"
         return doc
 
     @pytest.mark.parametrize("witness, diagnostic", [
@@ -755,11 +771,11 @@ class TestCheckerDiagnostics:
     ], ids=["missing", "another-type", "fixed-point"])
     def test_a_bad_witness(self, tmp_path, capsys, witness, diagnostic):
         doc = self.member_proof(tmp_path, capsys)
-        node = doc["children"][0]
+        node = doc["nodes"][1]
         del node["witness"]
         if witness is not None:
             node["witness"] = witness
-        assert self.check(tmp_path, capsys, doc, "co-fohc", "member.cup") == (
+        assert self.check(tmp_path, capsys, json.dumps(doc), "co-fohc", "member.cup") == (
             EXIT_FAIL, f"invalid proof: root.0: {diagnostic}\n")
 
     def test_an_imp_r_antecedent_outside_the_clause_grammar(self, tmp_path, capsys):
@@ -793,7 +809,7 @@ class TestCheckerDiagnostics:
         argv = ["--calculus", "co-fohc", "--program", str(prog)]
         assert run(["prove", *argv, "--goal", "r 0", "--emit-proof", str(out)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("proved (7 nodes;")
-        rules = [n["rule"] for n in _doc_nodes(json.loads(out.read_text()))]
+        rules = [n["rule"] for n in json.loads(out.read_text())["nodes"]]
         assert rules == ["decide", "forall-l", "imp-l", "and-l", "initial", "decide", "initial"]
         assert run(["check-proof", *argv, "--proof", str(out)]) == EXIT_OK
         assert capsys.readouterr().out == "valid proof (7 nodes)\n"

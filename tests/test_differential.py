@@ -36,6 +36,7 @@ from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 from helpers import (
     FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, export_dict_reference,
     formula_alpha_eq_reference, gen_term, guarded_term_to_tree, proof_mutations, rename_binders, slist,
+    flat_document, tree_from_text,
 )
 from test_properties import CASES
 
@@ -907,7 +908,7 @@ def test_cached_tree_hash_is_structural(bitstream_program, member_program):
         trees |= tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms
     assert trees
     for t in trees:
-        rebuilt = tr.tree_from_text(tr.tree_to_text(t))
+        rebuilt = tree_from_text(tr.tree_to_text(t))
         assert rebuilt == t and hash(rebuilt) == hash(t) and repr(rebuilt) == repr(t)
         assert all(hash(u) == hash((u.label, u.children)) for u in nodes(t))
 
@@ -1831,6 +1832,27 @@ def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(mon
     assert reasons["no-proof"] > 50
 
 
+def test_no_atom_that_search_proves_is_certainly_out_of_the_model():
+    # the paper's soundness theorem between the two halves of `cup`: a
+    # ground atom with a proof, inductive or coinductive, is in the greatest
+    # fixed point, and `gfp_approx` over-approximates that at every depth.
+    # Both sides are the code under test, so this is a check, not an oracle
+    proved = 0
+    for seed in range(60):
+        text, goals = _random_horn_program(random.Random(seed))
+        program = ps.parse_program(text)
+        cfg = eng.SearchConfig(calculus=Calculus.FOHC, depth_limit=12)
+        for goal in goals:
+            f = ps.parse_goal(goal, program)
+            if not (eng.prove(program, eng.LemmaStore(), f, cfg).proved or eng.coprove(program, f, cfg).proved):
+                continue
+            proved += 1
+            for depth in range(1, 6):
+                approx = tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=(f.term,)))
+                assert tr.member_of_model(f.term, approx, program.signature) == tr.IN_APPROX, (seed, goal, depth)
+    assert proved == 30
+
+
 def test_the_premise_table_changes_no_search_output(monkeypatch):
     # a deeper bound redraws the names of the shallower one, meets its
     # sequents again and reads their premises from the search's table. With
@@ -1898,19 +1920,24 @@ def test_a_reified_proof_shares_each_unchanged_entries_tuple_with_its_parent(reg
 
 
 def _dumped(tree, program):
-    return json.dumps(export_dict_reference(tree, None, program), indent=1)
+    """The document's lines: `json.dumps` of each node dict, in pre-order,
+    inside the document object's first and last lines."""
+    nodes = [json.dumps(d) for d in export_dict_reference(tree, program)]
+    return ['{"format": "flat", "nodes": ['] + [s + "," for s in nodes[:-1]] + nodes[-1:] + ["]}"]
 
 
 def test_the_writer_gives_json_dumps_of_the_node_dicts(regression_proofs):
     documents = 0
     for program, _goal, _calc, res in regression_proofs.values():
         for tree in [res.tree] + [t for _path, _name, t in proof_mutations(res.tree)]:
-            assert ps.export_proof(tree, program) == _dumped(tree, program)
+            assert ps.export_proof(tree, program).splitlines() == _dumped(tree, program)
             documents += 1
     # the benchmark's goals: the regression proofs, every corpus example
     # and the seeded families
     for program, _calc, tree in _search_goal_proofs((1, 2, 3)):
-        assert ps.export_proof(tree, program) == _dumped(tree, program)
+        doc = ps.export_proof(tree, program)
+        assert doc.splitlines() == _dumped(tree, program)
+        assert json.loads(doc) == {"format": "flat", "nodes": export_dict_reference(tree, program)}
         documents += 1
     assert documents > 400
 
@@ -1929,10 +1956,10 @@ def test_the_writer_escapes_strings_as_json_dumps_does():
     )
     root = eng.ProofTree(eng.Sequent(sig, root_entries, None, goal), 'r"\\\U0001f600', children=(kid, kid))
     doc = ps.export_proof(root)
-    assert doc == _dumped(root, None) and doc.isascii()
+    assert doc.splitlines() == _dumped(root, None) and doc.isascii()
     for escaped in ("\\u00e4", "\\u2028", '\\"\\\\', "\\ud83d\\ude00", "\\t\\u0001", "\\u20ac"):
         assert escaped in doc, escaped
-    assert json.loads(doc)["children"][1]["signature_additions"] == ["\u00e9\U0001f600 : i"]
+    assert json.loads(doc)["nodes"][2]["signature_additions"] == ["\u00e9\U0001f600 : i"]
 
 
 def _import_without_memo(monkeypatch, doc, program):
@@ -1968,6 +1995,22 @@ def test_memoised_import_matches_the_memo_free_one(monkeypatch, regression_proof
     assert documents > 300
 
 
+def test_the_round_trip_is_the_identity_on_document_text(regression_proofs):
+    # the regression proofs with every copy of their mutation grids, and
+    # the proofs the search set finds; `test_memo_state_does_not_change_a_verdict`
+    # checks the benchmark goals' mutation grid
+    programs = workloads.load_programs()
+    searches = _search_set()
+    outputs, _nodes = _search_outputs(programs, searches, documents=True)
+    docs = [(programs[search[0]], out[2][-1]) for search, out in zip(searches, outputs) if len(out) == 3 and out[2]]
+    for program, _goal, _calc, res in regression_proofs.values():
+        trees = [res.tree] + [t for _path, _name, t in proof_mutations(res.tree)]
+        docs += [(program, ps.export_proof(tree, program)) for tree in trees]
+    for program, doc in docs:
+        assert ps.export_proof(ps.import_proof(doc, program), program) == doc
+    assert len(docs) > 300
+
+
 def _two_signature_document(second_type):
     """A document that repeats the goal text `member k nil` under two
     signatures, twice under each: k is declared as `i` in one branch and as
@@ -1975,10 +2018,10 @@ def _two_signature_document(second_type):
     def node(sig_add, children):
         return {"rule": "decide", "signature_additions": sig_add, "program_additions": [],
                 "goal": "member k nil", "guarded": False, "children": children}
-    return {"rule": "and-r", "signature_additions": [], "program_additions": [],
-            "goal": "member 0 nil /\\ member 0 nil", "guarded": False,
-            "children": [node(["k : i"], [node([], [])]),
-                         node(["j : i", f"k : {second_type}"], [node([], [])])]}
+    return json.dumps({"format": "flat", "nodes": [
+        {"rule": "and-r", "signature_additions": [], "program_additions": [],
+         "goal": "member 0 nil /\\ member 0 nil", "guarded": False, "children": 2},
+        node(["k : i"], 1), node([], 0), node(["j : i", f"k : {second_type}"], 1), node([], 0)]})
 
 
 @pytest.mark.parametrize("second_type", ["i", "i -> i"])
@@ -2008,8 +2051,8 @@ def test_memoised_import_keys_on_the_signature(monkeypatch, member_program, seco
 
 def test_memoised_import_keys_on_what_is_parsed(monkeypatch, member_program):
     # one text as a goal and as a witness: a formula, then a term
-    doc = {"rule": "exists-r", "signature_additions": [], "program_additions": [], "goal": "eq 0 0",
-           "guarded": False, "witness": "eq 0 0", "children": []}
+    doc = flat_document({"rule": "exists-r", "signature_additions": [], "program_additions": [], "goal": "eq 0 0",
+                         "guarded": False, "witness": "eq 0 0", "children": []})
     memoised, reference = _import_both_ways(monkeypatch, doc, member_program)
     assert memoised == reference
     assert isinstance(memoised.sequent.goal, fm.Atom) and memoised.witness == A(C("eq"), C("0"), C("0"))
@@ -2025,12 +2068,6 @@ def _grammar_checks(tree):
         if seq.focus is not None:
             yield seq.focus, "clause", seq.signature
         yield seq.goal, "core" if seq.guarded or node.rule == "co-fix" else "goal", seq.signature
-
-
-def _document_nodes(doc):
-    yield doc
-    for c in doc["children"]:
-        yield from _document_nodes(c)
 
 
 def _count_grammars(monkeypatch, calls, entry):
@@ -2060,7 +2097,7 @@ def test_round_trip_parses_and_classifies_each_formula_once(monkeypatch, regress
     _count_grammars(monkeypatch, classified, lambda sig, f, role, _calc: (fm.formula_key(f), role, sig))
     back = ps.import_proof(doc, program)
     texts = set()
-    for node, tree_node in zip(_document_nodes(json.loads(doc)), back.nodes()):
+    for node, tree_node in zip(json.loads(doc)["nodes"], back.nodes(), strict=True):
         sig = tree_node.sequent.signature
         texts |= {("formula", s, sig) for s in node["program_additions"]}
         texts |= {("formula", node[k], sig) for k in ("goal", "focus") if k in node}
@@ -2276,8 +2313,10 @@ def test_memo_state_does_not_change_a_verdict():
             assert not verdict[0]
             assert eng.check(cold, program, calc) == verdict
             # the import has typed the payloads on its signatures already
-            back = ps.import_proof(ps.export_proof(mutated, program), program)
+            doc = ps.export_proof(mutated, program)
+            back = ps.import_proof(doc, program)
             assert eng.check(back, program, calc) == eng.check(_with_cold_signatures(back), program, calc)
+            assert ps.export_proof(back, program) == doc
     assert copies == 2591
 
 

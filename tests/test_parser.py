@@ -281,32 +281,26 @@ class TestProofDocuments:
     def test_tampered_rule_rejected_by_checker(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["bitstream"]
         doc = json.loads(ps.export_proof(res.tree, prog))
-        doc["children"][0]["rule"] = "decide"
+        doc["nodes"][1]["rule"] = "decide"
         tree = ps.import_proof(json.dumps(doc), prog)
         ok, diag = eng.check(tree, prog, calc)
         assert not ok and diag
 
     def test_missing_field_rejected(self, bitstream_program):
-        with pytest.raises(MalformedDocument):
-            ps.import_proof('{"rule": "co-fix"}', bitstream_program)
+        with pytest.raises(MalformedDocument, match="missing fields"):
+            ps.import_proof('{"format": "flat", "nodes": [{"rule": "co-fix"}]}', bitstream_program)
 
-    @pytest.mark.parametrize("as_text", [True, False])
-    def test_deeply_nested_document_is_malformed(self, bitstream_program, as_text):
-        # deeper than the stack: JSON text past the levels `import_proof`
-        # raises the limit to, two a node, and a parsed dict past the
-        # caller's limit; the dict's import may run out of stack inside a
-        # formula parse, which reports the document's nesting too
-        doc = deep_document(ps.PROOF_STACK_LEVELS)
-        if not as_text:
-            doc = json.loads(deep_document(0))
-            for _ in range(2000):
-                doc = {**doc, "rule": "and-r", "children": [doc]}
-        with pytest.raises(MalformedDocument, match="nested too deeply"):
-            ps.import_proof(doc, bitstream_program)
+    def test_a_chain_four_times_the_old_cap_reads_under_the_default_limit(self, bitstream_program, monkeypatch):
+        # 20 000 nodes deep, where the nested form stopped at about 5 000
+        assert sys.getrecursionlimit() == 1000
+        monkeypatch.setattr(sys, "setrecursionlimit", lambda _n: pytest.fail("the recursion limit was set"))
+        tree = ps.import_proof(deep_document(20_000), bitstream_program)
+        assert sys.getrecursionlimit() == 1000
+        assert tree.size() == 20_001 and tree.rule == "and-r"
+        assert ps.export_proof(tree, bitstream_program) == deep_document(20_000)
 
     def test_the_library_reads_a_deep_document_under_the_default_limit(self, deep_nat_proof):
-        # 541 nodes deep: `import_proof` raises the limit for its own reading
-        # and restores it; checking and counting take no stack per level
+        # 541 nodes deep: reading, checking and counting take no stack per level
         assert sys.getrecursionlimit() == 1000
         prog, out, _code, _printed = deep_nat_proof
         program = ps.parse_program(prog.read_text())
@@ -315,25 +309,11 @@ class TestProofDocuments:
         assert eng.check(tree, program, Calculus.FOHC) == (True, None)
         assert tree.size() == 722
 
-    def test_nesting_message_does_not_depend_on_where_the_stack_runs_out(self, bitstream_program):
-        # every node's goal is a text of its own, so the stack runs out
-        # inside a goal's parse; in the all-`true` chain above, every node
-        # after the first takes its goal from the import's memo, and the
-        # stack runs out between parses
-        for depth in range(1998, 2002):
-            doc = json.loads(deep_document(0))
-            for i in range(depth):
-                k = i % 7
-                goal = " " * i + "(" * k + "true" + ")" * k
-                doc = {**doc, "rule": "and-r", "goal": goal, "children": [doc]}
-            with pytest.raises(MalformedDocument, match="^proof document nested too deeply$"):
-                ps.import_proof(doc, bitstream_program)
-
     def test_payload_nested_past_the_stack_is_malformed(self, bitstream_program):
         doc = json.loads(deep_document(0))
-        doc["goal"] = "(" * 40000 + "true" + ")" * 40000
-        with pytest.raises(MalformedDocument, match="nested too deeply"):
-            ps.import_proof(doc, bitstream_program)
+        doc["nodes"][0]["goal"] = "(" * 40000 + "true" + ")" * 40000
+        with pytest.raises(MalformedDocument, match="^unparseable proof payload: nesting too deep$"):
+            ps.import_proof(json.dumps(doc), bitstream_program)
 
     @pytest.mark.parametrize("payload, message", [
         ("bit 0. junk", "trailing input 'junk'"),
@@ -341,9 +321,9 @@ class TestProofDocuments:
     ])
     def test_bad_goal_payload_is_unparseable(self, bitstream_program, payload, message):
         doc = json.loads(deep_document(0))
-        doc["goal"] = payload
+        doc["nodes"][0]["goal"] = payload
         with pytest.raises(MalformedDocument, match="^unparseable proof payload: .*" + re.escape(message)):
-            ps.import_proof(doc, bitstream_program)
+            ps.import_proof(json.dumps(doc), bitstream_program)
 
     def test_not_json_rejected(self, bitstream_program):
         with pytest.raises(MalformedDocument):
@@ -352,7 +332,7 @@ class TestProofDocuments:
     def test_duplicate_signature_addition_rejected(self, regression_proofs):
         prog, _g, _calc, res = regression_proofs["from"]
         doc = json.loads(ps.export_proof(res.tree, prog))
-        node = doc["children"][0]["children"][0]
+        node = doc["nodes"][2]
         assert node["signature_additions"]
         node["signature_additions"] = ["0 : i"]
         with pytest.raises(SignatureMismatch):
@@ -361,16 +341,12 @@ class TestProofDocuments:
     def test_document_fields_exact(self, regression_proofs):
         prog, _g, _calc, res = regression_proofs["from"]
         doc = json.loads(ps.export_proof(res.tree, prog))
-
-        def walk(node):
-            keys = set(node)
-            required = {"rule", "signature_additions", "program_additions", "goal", "guarded", "children"}
-            assert required <= keys
-            assert keys <= required | {"focus", "witness"}
-            for c in node["children"]:
-                walk(c)
-
-        walk(doc)
+        assert list(doc) == ["format", "nodes"] and doc["format"] == "flat"
+        required = {"rule", "signature_additions", "program_additions", "goal", "guarded", "children"}
+        for node in doc["nodes"]:
+            assert required <= set(node) <= required | {"focus", "witness"}
+            assert type(node["children"]) is int
+        assert [node["children"] for node in doc["nodes"]] == [len(n.children) for n in res.tree.nodes()]
 
 
 HEAD = "const 0 : i. const scons : i -> i -> i. const p : i -> o.\n"

@@ -14,9 +14,9 @@ from cup.soundness import (
     conservative_extension_check,
     verify_postfixed,
 )
-from cup.trees import InstanceConfig, Interpretation, leaf, tree_from_text
+from cup.trees import InstanceConfig, Interpretation, leaf
 
-from helpers import A, C, V, scons, theta
+from helpers import A, C, V, scons, theta, tree_from_text
 
 
 class TestCollectDeltas:

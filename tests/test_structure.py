@@ -37,10 +37,6 @@ KNOWN: set[tuple[str, str, str]] = set()
 KEPT = {
     # builds the arrow types of hand-made signatures in tests
     ("terms", "fn_type"),
-    # reads back `export_interpretation`, for the round-trip test
-    ("trees", "import_interpretation"),
-    # arity discipline of rendered trees; the renderer never builds a bad one
-    ("trees", "check_arities"),
     # the paper's immediate consequence operator T; the property budget checks
     # it is monotone and the gfp tests check I <= T(I) through it
     ("trees", "t_operator"),
@@ -281,9 +277,10 @@ def test_files_are_opened_only_in_the_cli_file_helper():
     assert calls_of("open") == {("cli", "_file")}
 
 
-def test_the_recursion_limit_is_set_only_by_import_proof():
-    # the one step whose stack grows with a document owns the window
-    assert calls_of("sys.setrecursionlimit") == {("parser", "import_proof")}
+def test_no_site_sets_the_recursion_limit():
+    # proof documents are flat and proof trees are walked on stacks, so no
+    # step's stack grows with a proof's depth
+    assert calls_of("sys.setrecursionlimit") == set()
 
 
 def test_open_scanner_sees_each_place(tmp_path, monkeypatch):
@@ -428,7 +425,7 @@ EXPORTED = {
                "promote_lemma", "prove"),
     "formulas": ("Atom", "Calculus", "Conj", "Disj", "Exists", "Forall", "Formula", "HClause", "Impl", "Program",
                  "Top", "classify", "ground_instances", "to_h_clauses"),
-    "guardedness": ("GuardReport", "is_guarded_atom", "is_guarded_fixed_point", "is_guarded_full", "snapshot"),
+    "guardedness": ("GuardReport", "is_guarded_atom", "is_guarded_fixed_point", "snapshot"),
     "parser": ("export_proof", "import_proof", "parse_goal", "parse_program", "parse_term", "pp_formula",
                "pp_term"),
     "soundness": ("DeltaRecord", "audit_proof", "build_candidate", "collect_deltas", "conservative_extension_check",

@@ -17,16 +17,16 @@ from cup.trees import (
     distance,
     export_interpretation,
     gfp_approx,
-    import_interpretation,
     leaf,
     member_of_model,
     t_operator,
     term_to_tree,
-    tree_from_text,
     truncate,
 )
 
-from helpers import A, C, FR_STR, STREAM_SIG, Z_STR, scons, slist, tree_substitute
+from helpers import (
+    A, C, FR_STR, STREAM_SIG, Z_STR, check_arities, import_interpretation, scons, slist, tree_from_text, tree_substitute,
+)
 
 
 class TestTermToTree:
@@ -44,7 +44,7 @@ class TestTermToTree:
 
     def test_arity_discipline(self):
         t = term_to_tree(STREAM_SIG, A(C("member"), C("0"), slist(C("0"), C("nil"))))
-        assert tr.check_arities(STREAM_SIG, t)
+        assert check_arities(STREAM_SIG, t)
 
     def test_fix_rejected(self):
         with pytest.raises(NotFirstOrder):
