@@ -11,6 +11,7 @@ until a program-clause focus discharges it.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections.abc import Callable, Iterator
 
 from . import terms as tm
@@ -131,12 +132,14 @@ def _node_equal(a: ProofTree, b: ProofTree) -> bool:
 
 def _sequent_equal(a: Sequent, b: Sequent) -> bool:
     # the cheap fields and the formulas a rule changes first, so a wrong
-    # premise candidate fails before the entries are compared
+    # premise candidate fails before the entries are compared. A premise
+    # built anew is most often the same formula as the one it is compared
+    # with, not only up to alpha: `==` then answers without alpha keys
     if a.mode != b.mode or a.guarded != b.guarded or (a.focus is None) != (b.focus is None):
         return False
-    if a.focus is not None and not formula_alpha_eq(a.focus, b.focus):
+    if a.focus is not None and not (a.focus == b.focus or formula_alpha_eq(a.focus, b.focus)):
         return False
-    if not formula_alpha_eq(a.goal, b.goal) or len(a.entries) != len(b.entries):
+    if not (a.goal == b.goal or formula_alpha_eq(a.goal, b.goal)) or len(a.entries) != len(b.entries):
         return False
     if a.signature != b.signature:
         return False
@@ -301,7 +304,8 @@ def _premises(
     seq: Sequent, eigen: str | None = None, witness: Term | None = None
 ) -> Iterator[tuple[Sequent, ...]]:
     """Each premise tuple of `_rule(seq)`, in the order search tries them.
-    forall-r takes the eigenvariable, exists-r and forall-l the witness."""
+    forall-r takes the eigenvariable, exists-r and forall-l the witness:
+    without it they have none."""
     rule = _rule(seq)
     if rule is None:
         return
@@ -316,7 +320,8 @@ def _premises(
             yield (seq.with_(focus=d.left),)
             yield (seq.with_(focus=d.right),)
         elif isinstance(d, Forall):
-            yield (seq.with_(focus=formula_substitute(d.body, d.var, witness)),)
+            if witness is not None:
+                yield (seq.with_(focus=formula_substitute(d.body, d.var, witness)),)
         else:
             # imp-l: the focused premise first; the guard is dropped on both
             yield seq.with_(focus=d.right, guarded=False), seq.with_(focus=None, goal=d.left, guarded=False)
@@ -330,17 +335,35 @@ def _premises(
     elif isinstance(g, Impl):
         yield (seq.with_(entries=seq.entries + (Entry(g.left, Src.HYPOTHESIS),), goal=g.right),)
     elif isinstance(g, Forall):
-        yield (seq.with_(
-            signature=seq.signature.extend(eigen, g.ty),
-            goal=formula_substitute(g.body, g.var, Con(eigen)),
-        ),)
+        if eigen is not None:
+            yield (seq.with_(
+                signature=seq.signature.extend(eigen, g.ty),
+                goal=formula_substitute(g.body, g.var, Con(eigen)),
+            ),)
     elif isinstance(g, Exists):
-        yield (seq.with_(goal=formula_substitute(g.body, g.var, witness)),)
+        if witness is not None:
+            yield (seq.with_(goal=formula_substitute(g.body, g.var, witness)),)
     else:
         # decide: the guarded form only on the original program
         for e in sorted(seq.entries, key=lambda e: _DECIDE_ORDER[e.src]):
             if not (seq.guarded and e.src != Src.ORIGINAL):
                 yield (seq.with_(focus=e.formula),)
+
+
+def premise_index(node: ProofTree) -> int | None:
+    """The index of the first premise tuple of the node's sequent, given
+    its eigenvariable and witness, whose sequents its children have; None
+    when there is none.  `check` and the proof document writer both ask."""
+    kids = [k.sequent for k in node.children]
+    for i, premises in enumerate(_premises(node.sequent, node.eigen, node.witness)):
+        if len(premises) == len(kids) and all(map(_sequent_equal, kids, premises)):
+            return i
+    return None
+
+
+def premise_tuple(seq: Sequent, eigen: str | None, witness: Term | None, index: int) -> tuple[Sequent, ...] | None:
+    """The premise tuple `premise_index` numbers index, None past the last."""
+    return next(itertools.islice(_premises(seq, eigen, witness), index, None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +658,8 @@ def check(
             return fail(path, f"the sequent requires {expected}, not {rule}")
 
         if is_root:
+            if seq.signature != program.signature:
+                return fail(path, "root signature differs from the program's")
             if len(seq.entries) < len(base):
                 return fail(path, "root sequent lost program clauses")
             for e, b in zip(seq.entries, base):
@@ -663,10 +688,7 @@ def check(
                 rel = "fix-beta equal" if calculus.higher_order else "alpha-equal"
                 return fail(path, f"initial atoms are not {rel}")
 
-        if not any(
-            len(premises) == len(kids) and all(map(_sequent_equal, (k.sequent for k in kids), premises))
-            for premises in _premises(seq, node.eigen, node.witness)
-        ):
+        if premise_index(node) is None:
             msg = f"{rule} premises do not match the rule"
             if rule == "decide<>":
                 msg += "; the guarded decide focuses only clauses of the original program"

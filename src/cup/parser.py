@@ -139,6 +139,12 @@ class _Parser:
             raise ParseError(f"expected an identifier, found {t.text!r}", t.span)
         return self.next()
 
+    def declaration(self) -> tuple[Token, tm.SimpleType]:
+        """`name : type`, in a `const` declaration or a signature addition."""
+        name = self.ident()
+        self.eat(":")
+        return name, self.type_()
+
     def name(self, text: str, span: tuple) -> Term:
         if text in self.bound:
             return Var(text)
@@ -184,8 +190,7 @@ class _Parser:
             self.next()
             var = self.ident().text
             self.eat(".")
-            outer = self.bound
-            self.bound = outer | {var}
+            outer, self.bound = self.bound, self.bound | {var}
             body = self.term()
             self.bound = outer
             return Lam(var, body)
@@ -235,8 +240,7 @@ class _Parser:
             while self.peek().kind == "ident":
                 names.append(self.next().text)
             self.eat(".")
-            outer = self.bound
-            self.bound = outer | set(names)
+            outer, self.bound = self.bound, self.bound | set(names)
             f = self.formula()
             self.bound = outer
             for n in reversed(names):
@@ -334,10 +338,8 @@ def _parse_program(text: str) -> Program:
     while p.peek().kind != "eof":
         if p.at("const"):
             p.next()
-            name_tok = p.ident()
+            name_tok, ty = p.declaration()
             name = name_tok.text
-            p.eat(":")
-            ty = p.type_()
             p.eat(".")
             if name in sig_map or name in fix_defs:
                 raise ParseError(f"{name!r} declared twice", name_tok.span)
@@ -440,10 +442,7 @@ def parse_goal(text: str, program: Program, allow_fresh: bool = False) -> Formul
 def _match_fix_def(t: Term, program: Program | None) -> str | None:
     if program is None or not isinstance(t, Fix):
         return None
-    for name, d in program.fix_definitions:
-        if tm.alpha_eq(t, d):
-            return name
-    return None
+    return next((name for name, d in program.fix_definitions if tm.alpha_eq(t, d)), None)
 
 
 def pp_term(t: Term, program: Program | None = None) -> str:
@@ -453,8 +452,7 @@ def pp_term(t: Term, program: Program | None = None) -> str:
         if tm.FRESH_MARK not in name:
             return name
         base = name.split(tm.FRESH_MARK, 1)[0] or "x"
-        cand = base
-        n = 0
+        cand, n = base, 0
         while cand in used:
             n += 1
             cand = f"{base}{n}"
@@ -462,11 +460,8 @@ def pp_term(t: Term, program: Program | None = None) -> str:
 
     def atom_str(u: Term, ren: dict[str, str]) -> str:
         s = go(u, ren)
-        if isinstance(u, (Var, Con)) or s.startswith("["):
+        if isinstance(u, (Var, Con)) or s.startswith("[") or _match_fix_def(u, program) is not None:
             return s
-        name = _match_fix_def(u, program)
-        if name is not None:
-            return name
         return f"({s})"
 
     def go(u: Term, ren: dict[str, str]) -> str:
@@ -480,15 +475,13 @@ def pp_term(t: Term, program: Program | None = None) -> str:
         if isinstance(u, App):
             head, args = tm.spine(u)
             if isinstance(head, Con) and head.name == "scons" and len(args) == 2:
-                items = [args[0]]
-                tail = args[1]
+                items, tail = [args[0]], args[1]
                 while True:
                     h2, a2 = tm.spine(tail)
-                    if isinstance(h2, Con) and h2.name == "scons" and len(a2) == 2 and _match_fix_def(tail, program) is None:
-                        items.append(a2[0])
-                        tail = a2[1]
-                    else:
+                    if not (isinstance(h2, Con) and h2.name == "scons" and len(a2) == 2) or _match_fix_def(tail, program):
                         break
+                    items.append(a2[0])
+                    tail = a2[1]
                 inner = "|".join(go(x, ren) for x in items) + "|" + go(tail, ren)
                 return f"[{inner}]"
             return " ".join([atom_str(head, ren)] + [atom_str(a, ren) for a in args])
@@ -509,8 +502,7 @@ def pp_formula(f: Formula, program: Program | None = None) -> str:
             return pp_term(g.term, program)
         if isinstance(g, (Forall, Exists)):
             kw = "forall" if isinstance(g, Forall) else "exists"
-            names = [g.var]
-            body = g.body
+            names, body = [g.var], g.body
             while isinstance(body, type(g)):
                 names.append(body.var)
                 body = body.body
@@ -529,124 +521,154 @@ def pp_formula(f: Formula, program: Program | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def export_proof(tree: eng.ProofTree, program: Program | None = None) -> str:
+# the keys that state a sequent, the first four on every node that does
+_STATED = ("signature_additions", "program_additions", "goal", "guarded", "program_removals", "mode", "focus")
+_SOURCES = {src.value: src for src in eng.Src}
+
+
+def _base(rule: str, parent: tuple | None, program: Program) -> tuple:
+    """What a stated node's sequent is written against, its parent's (rule,
+    sequent)'s signature and entries or at the root the program's, then the
+    source of its program additions and its mode where it names none."""
+    if parent is None:
+        entries = tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
+        return program.signature, entries, eng.Src.LEMMA, (eng.COINDUCTIVE if rule == "co-fix" else eng.PLAIN)
+    src = eng.Src.COHYP if parent[0] == "co-fix" else eng.Src.HYPOTHESIS
+    return parent[1].signature, parent[1].entries, src, eng.PLAIN
+
+
+def _stated(node: eng.ProofTree, parent: eng.ProofTree | None, program: Program, text) -> str:
+    """The keys, signature_additions to mode, of a node that states its
+    sequent: what it adds to `_base` once the last program_removals entries
+    are dropped.  An addition is its formula, or [source, formula] where the
+    source is not the default; mode is written where it is not."""
+    seq = node.sequent
+    sig, base, src, mode = _base(node.rule, parent and (parent.rule, parent.sequent), program)
+    same = [e.src == b.src and fm.formula_alpha_eq(e.formula, b.formula) for e, b in zip(seq.entries, base)]
+    kept = same.index(False) if False in same else len(same)
+    sig_add = [] if seq.signature is sig else [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in sig]
+    adds = [text(e.formula) if e.src == src else f'["{e.src.value}", {text(e.formula)}]' for e in seq.entries[kept:]]
+    out = f', "signature_additions": [{", ".join(map(encode_basestring_ascii, sig_add))}], "program_additions": '
+    out += f'[{", ".join(adds)}]' + (f', "program_removals": {len(base) - kept}' if kept < len(base) else "")
+    out += f', "goal": {text(seq.goal)}' + ("" if seq.focus is None else f', "focus": {text(seq.focus)}')
+    out += f', "guarded": {"true" if seq.guarded else "false"}'
+    return out if seq.mode == mode else out + f', "mode": "{seq.mode}"'
+
+
+def export_proof(tree: eng.ProofTree, program: Program) -> str:
     """Serialize a proof tree to its flat JSON document: the object
     `{"format": "flat", "nodes": [...]}` whose nodes are listed in
     pre-order, one a line.  Each node is the text `json.dumps` gives for a
-    dict whose keys are rule, signature_additions, program_additions, goal,
-    guarded, children (its number of premises), then focus and witness
-    where present.  A node's additions are what its sequent adds to its
-    parent's; at the root they are the entries not from the program.  Each
-    formula object is printed once."""
+    dict of rule, children (its number of premises), `_stated` where it
+    states its sequent, then witness, eigen and premises where present:
+    premises is the index of the premise tuple its children's sequents are
+    (`engine.premise_index`), so only they state none.  Each formula object
+    is printed once."""
     printed: dict[int, str] = {}
 
     def text(f: Formula) -> str:
-        s = printed.get(id(f))
-        if s is None:
-            s = printed[id(f)] = encode_basestring_ascii(pp_formula(f, program))
-        return s
+        return printed.get(id(f)) or printed.setdefault(id(f), encode_basestring_ascii(pp_formula(f, program)))
 
     lines: list[str] = []
-    todo: list = [(tree, None)]  # (node, parent) still to write, the next on top
+    todo: list = [(tree, None, False)]  # (node, parent, is its sequent derived) still to write, the next on top
     while todo:
-        node, parent = todo.pop()
-        seq = node.sequent
-        if parent is None:
-            sig_add = []
-            prog_add = [text(e.formula) for e in seq.entries if e.src != eng.Src.ORIGINAL]
-        else:
-            psig = parent.sequent.signature
-            sig_add = [] if seq.signature is psig else [
-                encode_basestring_ascii(f"{n} : {ty!r}") for n, ty in seq.signature.constants if n not in psig
-            ]
-            prog_add = [text(e.formula) for e in seq.entries[len(parent.sequent.entries):]]
-        line = (
-            f'{{"rule": {encode_basestring_ascii(node.rule)}, "signature_additions": [{", ".join(sig_add)}], '
-            f'"program_additions": [{", ".join(prog_add)}], "goal": {text(seq.goal)}, '
-            f'"guarded": {"true" if seq.guarded else "false"}, "children": {len(node.children)}'
-        )
-        if seq.focus is not None:
-            line += f', "focus": {text(seq.focus)}'
+        node, parent, derived = todo.pop()
+        line = f'{{"rule": {encode_basestring_ascii(node.rule)}, "children": {len(node.children)}'
+        if not derived:
+            line += _stated(node, parent, program, text)
         if node.witness is not None:
             line += f', "witness": {encode_basestring_ascii(pp_term(node.witness, program))}'
-        lines.append(line + "}")
-        todo += ((kid, node) for kid in reversed(node.children))
+        if node.eigen is not None:
+            line += f', "eigen": {encode_basestring_ascii(node.eigen)}'
+        index = eng.premise_index(node)
+        lines.append(line + ("}" if index is None else f', "premises": {index}}}'))
+        todo += ((kid, node, index is not None) for kid in reversed(node.children))
     return '{"format": "flat", "nodes": [\n' + ",\n".join(lines) + "\n]}"
 
 
-def _parse_sig_addition(s: str) -> tuple[str, tm.SimpleType]:
-    if ":" not in s:
-        raise MalformedDocument(f"bad signature addition {s!r}")
-    name, tytext = s.split(":", 1)
-    name = name.strip()
-    p = _Parser(tokenize(tytext.strip(), allow_fresh=True), (), {})
-    ty = p.type_()
-    if p.peek().kind != "eof":
-        raise MalformedDocument(f"bad type in signature addition {s!r}")
-    return name, ty
+def _parse_sig_addition(s: str, addition: bool = True):
+    """A signature addition's (name, type), or without `addition` the identifier s is."""
+    try:
+        p = _Parser(tokenize(s, allow_fresh=True), (), {})
+        name, ty = p.declaration() if addition else (p.ident(), None)
+        if p.peek().kind == "eof":
+            return (name.text, ty) if addition else name.text
+    except ParseError:
+        pass
+    raise MalformedDocument(f"bad {'signature addition' if addition else 'eigenvariable'} {s!r}")
 
 
-def _payload(memo: dict, parse, text: str, shadow: Program, what: str):
-    """parse(text, shadow) for `parse_goal` or `parse_term`, once per
-    (parse, text, signature) and import: memo keeps what each returned.  An
-    error is not kept, so it raises again each time, as a malformed
-    document naming `what` was parsed."""
-    key = (parse, text, shadow.signature)
+def _payload(memo: dict, parse, text: str, sig: Signature, program: Program, what: str):
+    """parse(text) for `parse_goal` or `parse_term` over the program with
+    signature sig, kept in memo once per (parse, text, sig) and import; an
+    error is not kept, and raises as a malformed document naming `what`."""
+    key = (parse, text, sig)
     out = memo.get(key)
     if out is None:
         try:
-            out = memo[key] = parse(text, shadow, allow_fresh=True)
+            out = memo[key] = parse(text, Program(sig, program.clauses, program.fix_definitions), allow_fresh=True)
         except CupError as exc:
             raise MalformedDocument(f"unparseable {what}: {exc}") from exc
     return out
 
 
-def _import_node(doc, program: Program, parent: eng.Sequent | None, parent_rule: str | None, memo: dict):
-    """One node's (rule, sequent, witness, number of premises), its sequent
-    built on its parent's, or on the program's at the root."""
-    required = {"rule", "signature_additions", "program_additions", "goal", "guarded", "children"}
+# what each node field must be, and the test of it
+_FIELDS = {
+    **dict.fromkeys(("rule", "goal", "focus", "witness", "eigen", "mode"), ("a string", lambda v: isinstance(v, str))),
+    "signature_additions": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "program_additions": ("a list of strings and [source, string] pairs", lambda v: isinstance(v, list) and all(
+        isinstance(a, str) or (type(a) is list and len(a) == 2 and a[0] in _SOURCES and type(a[1]) is str) for a in v)),
+    "guarded": ("a boolean", lambda v: isinstance(v, bool)),
+    **dict.fromkeys(("children", "premises", "program_removals"),
+                    ("a non-negative integer", lambda v: type(v) is int and v >= 0)),
+}
+
+
+def _import_node(doc, program: Program, parent: tuple | None, derived: eng.Sequent | None, memo: dict):
+    """One node's (rule, sequent, witness, eigenvariable, number of
+    premises, the premise tuple its premises index names or None), its
+    sequent `derived` from its parent's premise tuple or else stated."""
+    required = {"rule", "children"} if derived else {"rule", "children", *_STATED[:4]}
     if not isinstance(doc, dict) or not required.issubset(doc):
         missing = required - set(doc) if isinstance(doc, dict) else required
         raise MalformedDocument(f"proof node missing fields: {sorted(missing)}")
-    for key in ("rule", "goal", "focus", "witness"):
-        if key in doc and not isinstance(doc[key], str):
-            raise MalformedDocument(f"proof node field {key!r} must be a string")
-    for key in ("signature_additions", "program_additions"):
-        if not isinstance(doc[key], list) or not all(isinstance(x, str) for x in doc[key]):
-            raise MalformedDocument(f"proof node field {key!r} must be a list of strings")
-    if not isinstance(doc["guarded"], bool):
-        raise MalformedDocument("proof node field 'guarded' must be a boolean")
-    count = doc["children"]
-    if type(count) is not int or count < 0:
-        raise MalformedDocument("proof node field 'children' must be a non-negative integer")
-    rule = doc["rule"]
-    if parent is None:
-        sig, entries = program.signature, tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
-        mode, src = (eng.COINDUCTIVE if rule == "co-fix" else eng.PLAIN), eng.Src.LEMMA
-    else:
-        sig, entries = parent.signature, parent.entries
-        mode, src = eng.PLAIN, (eng.Src.COHYP if parent_rule == "co-fix" else eng.Src.HYPOTHESIS)
-    for s in doc["signature_additions"]:
-        name, ty = _parse_sig_addition(s)
-        if name in sig:
-            raise SignatureMismatch(f"signature addition {name!r} already declared")
-        sig = sig.extend(name, ty)
-    shadow = Program(sig, program.clauses, program.fix_definitions)
-    for s in doc["program_additions"]:
-        entries = entries + (eng.Entry(_payload(memo, parse_goal, s, shadow, f"program addition {s!r}"), src),)
-    goal = _payload(memo, parse_goal, doc["goal"], shadow, "proof payload")
-    focus = _payload(memo, parse_goal, doc["focus"], shadow, "proof payload") if "focus" in doc else None
-    witness = _payload(memo, parse_term, doc["witness"], shadow, "proof payload") if "witness" in doc else None
-    return rule, eng.Sequent(sig, entries, focus, goal, mode, doc["guarded"]), witness, count
+    if derived and not doc.keys().isdisjoint(_STATED):
+        raise MalformedDocument("proof node states a sequent that its parent's premises give")
+    for key, (kind, test) in _FIELDS.items():
+        if key in doc and not test(doc[key]):
+            raise MalformedDocument(f"proof node field {key!r} must be {kind}")
+    rule, count, seq = doc["rule"], doc["children"], derived
+    if seq is None:
+        sig, entries, src, mode = _base(rule, parent, program)
+        mode, removals = doc.get("mode", mode), doc.get("program_removals", 0)
+        if mode not in (eng.PLAIN, eng.COINDUCTIVE) or removals > len(entries):
+            raise MalformedDocument(f"proof node has a bad mode or more than {len(entries)} program removals")
+        for s in doc["signature_additions"]:
+            name, ty = _parse_sig_addition(s)
+            if name in sig:
+                raise SignatureMismatch(f"signature addition {name!r} already declared")
+            sig = sig.extend(name, ty)
+        entries = entries[:len(entries) - removals]
+        for a in doc["program_additions"]:
+            source, s = (src, a) if isinstance(a, str) else (_SOURCES[a[0]], a[1])
+            entries += (eng.Entry(_payload(memo, parse_goal, s, sig, program, f"program addition {s!r}"), source),)
+        goal = _payload(memo, parse_goal, doc["goal"], sig, program, "proof payload")
+        focus = _payload(memo, parse_goal, doc["focus"], sig, program, "proof payload") if "focus" in doc else None
+        seq = eng.Sequent(sig, entries, focus, goal, mode, doc["guarded"])
+    witness = _payload(memo, parse_term, doc["witness"], seq.signature, program, "proof payload") \
+        if "witness" in doc else None
+    eigen = _parse_sig_addition(doc["eigen"], addition=False) if "eigen" in doc else None
+    premises = eng.premise_tuple(seq, eigen, witness, doc["premises"]) if "premises" in doc else None
+    if "premises" in doc and (premises is None or len(premises) != count):
+        raise MalformedDocument(f"proof node field 'premises' names no premise tuple of {count} sequents")
+    return rule, seq, witness, eigen, count, premises
 
 
 def import_proof(document: str, program: Program) -> eng.ProofTree:
     """Rebuild a proof tree from its flat JSON document (see
-    `export_proof`).  A forward pass reads the nodes in pre-order and
-    replays each node's signature and program additions on its parent's
-    sequent, keeping each node whose premises are still to come with how
-    many are.  A backward pass then gives each node its premises, the trees
-    it built last.  Neither pass recurses, so a proof of any depth reads."""
+    `export_proof`).  A forward pass reads the nodes in pre-order; a
+    backward pass gives each node its premises, the trees it built last.
+    Neither pass recurses, so a proof of any depth reads."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -659,30 +681,24 @@ def import_proof(document: str, program: Program) -> eng.ProofTree:
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise MalformedDocument("proof document field 'nodes' must be a non-empty list")
-    read: list[tuple] = []  # (rule, sequent, witness, number of premises) by node
-    open_: list[list[int]] = []  # [node, premises still to read] of each node not yet complete
+    read: list[tuple] = []  # (rule, sequent, witness, eigenvariable, number of premises) by node
+    # [(rule, sequent), sequents of its premise tuple or None, premises to come] by open node, root's parent first
+    open_: list[list] = [[None, None, 1]]
     memo: dict = {}  # one parse per distinct payload text and signature (see `_payload`)
     for node in nodes:
-        if read and not open_:
+        if not open_:
             raise MalformedDocument("proof document has nodes past its root's tree")
-        parent = open_[-1] if open_ else None
-        rule, seq = read[parent[0]][:2] if parent else (None, None)
-        read.append(_import_node(node, program, seq, rule, memo))
-        if parent:
-            parent[1] -= 1
-            if not parent[1]:
-                open_.pop()
-        if read[-1][3]:
-            open_.append([len(read) - 1, read[-1][3]])
+        top = open_[-1]
+        rule, seq, witness, eigen, count, premises = _import_node(node, program, top[0], top[1] and next(top[1]), memo)
+        read.append((rule, seq, witness, eigen, count))
+        top[2] -= 1
+        if not top[2]:
+            open_.pop()
+        if count:
+            open_.append([(rule, seq), premises and iter(premises), count])
     if open_:
         raise MalformedDocument("proof document ends before its nodes' premises")
     built: list[eng.ProofTree] = []  # the trees whose parent is not built yet, the next one's first premise on top
-    for rule, seq, witness, count in reversed(read):
-        children = tuple(built.pop() for _ in range(count))
-        # the universal right rules own the eigenvariable their premise declares
-        eigen = None
-        if rule in ("forall-r", "forall-r<>") and children:
-            new = [n for n, _ in children[0].sequent.signature.constants if n not in seq.signature]
-            eigen = new[0] if new else None
-        built.append(eng.ProofTree(seq, rule, witness, eigen, children))
+    for rule, seq, witness, eigen, count in reversed(read):
+        built.append(eng.ProofTree(seq, rule, witness, eigen, tuple(built.pop() for _ in range(count))))
     return built[0]

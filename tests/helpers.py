@@ -411,7 +411,7 @@ def deep_document(depth: int) -> str:
     """The text of a proof document whose root has a chain of `depth`
     single-premise nodes below it."""
     node = '"signature_additions": [], "program_additions": [], "goal": "true", "guarded": false'
-    chain = [f'{{"rule": "and-r", {node}, "children": 1}}'] * depth + [f'{{"rule": "top-r", {node}, "children": 0}}']
+    chain = [f'{{"rule": "and-r", "children": 1, {node}}}'] * depth + [f'{{"rule": "top-r", "children": 0, {node}, "premises": 0}}']
     return '{"format": "flat", "nodes": [\n' + ",\n".join(chain) + "\n]}"
 
 
@@ -490,33 +490,56 @@ def tokenize_reference(text: str, allow_fresh: bool = False) -> list[tuple]:
     return toks
 
 
-def export_dict_reference(tree, program=None) -> list[dict]:
+def export_dict_reference(tree, program, derive: bool = True) -> list[dict]:
     """The proof's nodes in pre-order, each as the dict whose `json.dumps`
-    is its line of the document: what its sequent adds to its parent's,
-    its formulas printed where they occur, its number of premises."""
-    out, todo = [], [(tree, None)]
+    is its line of the document: its rule and number of premises; where
+    its parent's premises do not give its sequent (or without `derive`),
+    what the sequent adds to its parent's, or at the root to the
+    program's, after dropping its last program_removals entries there, its
+    formulas printed where they occur; its witness and eigenvariable; with
+    `derive`, the index of the first premise tuple its children's
+    sequents are."""
+    out, todo = [], [(tree, None, False)]
     while todo:
-        node, parent = todo.pop()
+        node, parent, derived = todo.pop()
         seq = node.sequent
-        if parent is None:
-            sig_add = []
-            prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries if e.src != eng.Src.ORIGINAL]
-        else:
-            psig = parent.sequent.signature
-            sig_add = [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in psig]
-            prog_add = [ps.pp_formula(e.formula, program) for e in seq.entries[len(parent.sequent.entries):]]
-        d = {
-            "rule": node.rule,
-            "signature_additions": sig_add,
-            "program_additions": prog_add,
-            "goal": ps.pp_formula(seq.goal, program),
-            "guarded": seq.guarded,
-            "children": len(node.children),
-        }
-        if seq.focus is not None:
-            d["focus"] = ps.pp_formula(seq.focus, program)
+        d = {"rule": node.rule, "children": len(node.children)}
+        if not derived:
+            if parent is None:
+                sig, base = program.signature, [eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses]
+                src, mode = eng.Src.LEMMA, eng.COINDUCTIVE if node.rule == "co-fix" else eng.PLAIN
+            else:
+                sig, base = parent.sequent.signature, parent.sequent.entries
+                src, mode = eng.Src.COHYP if parent.rule == "co-fix" else eng.Src.HYPOTHESIS, eng.PLAIN
+            kept = 0
+            while (kept < min(len(base), len(seq.entries)) and base[kept].src == seq.entries[kept].src
+                   and fm.formula_alpha_eq(base[kept].formula, seq.entries[kept].formula)):
+                kept += 1
+            d["signature_additions"] = [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in sig]
+            d["program_additions"] = [ps.pp_formula(e.formula, program) if e.src == src
+                                      else [e.src.value, ps.pp_formula(e.formula, program)] for e in seq.entries[kept:]]
+            if kept < len(base):
+                d["program_removals"] = len(base) - kept
+            d["goal"] = ps.pp_formula(seq.goal, program)
+            if seq.focus is not None:
+                d["focus"] = ps.pp_formula(seq.focus, program)
+            d["guarded"] = seq.guarded
+            if seq.mode != mode:
+                d["mode"] = seq.mode
         if node.witness is not None:
             d["witness"] = ps.pp_term(node.witness, program)
+        if node.eigen is not None:
+            d["eigen"] = node.eigen
+        kids = [k.sequent for k in node.children]
+        matches = [i for i, premises in enumerate(eng._premises(seq, node.eigen, node.witness))
+                   if len(premises) == len(kids) and all(map(eng._sequent_equal, kids, premises))]
+        if derive and matches:
+            d["premises"] = matches[0]
         out.append(d)
-        todo += [(c, node) for c in reversed(node.children)]
+        todo += [(c, node, derive and bool(matches)) for c in reversed(node.children)]
     return out
+
+
+def stated_document(tree, program) -> str:
+    """The document text of a proof in which every node states its sequent."""
+    return json.dumps({"format": "flat", "nodes": export_dict_reference(tree, program, derive=False)})

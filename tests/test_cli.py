@@ -15,7 +15,7 @@ from cup.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
 from cup.errors import UsageError
 from cup.formulas import Calculus
 
-from helpers import deep_document, flat_document, nested_document, tree_from_text
+from helpers import deep_document, flat_document, nested_document, stated_document, tree_from_text
 
 
 def corpus(name):
@@ -259,15 +259,69 @@ class TestProofPipeline:
         ("children", True),
         ("children", "1"),
         ("children", [5]),
+        ("signature_additions", [": i"]),
+        ("signature_additions", ["x y : i"]),
+        ("signature_additions", ["true : i"]),
+        ("signature_additions", ["x : i ->"]),
     ])
     def test_malformed_field_is_usage(self, tmp_path, capsys, field, value):
         def edit(doc):
+            # every node states its sequent, so that node 2 has every field
+            program = ps.parse_program(Path(corpus("bitstream.cup")).read_text())
+            doc["nodes"] = json.loads(stated_document(ps.import_proof(json.dumps(doc), program), program))["nodes"]
             node = doc["nodes"][2]  # a forall-l<> step: it has a focus and a witness
             assert node["rule"] == "forall-l<>" and {"focus", "witness"} <= set(node)
             node[field] = value
 
         code, err = self.check_edited(tmp_path, capsys, edit)
         assert code == EXIT_USAGE and err.startswith("error: ")
+        if field == "signature_additions" and isinstance(value, list) and isinstance(value[0], str):
+            assert err == f"error: bad signature addition {value[0]!r}\n"
+
+    def test_a_name_the_lexer_reads_as_one_identifier_is_a_signature_addition(self, tmp_path, capsys):
+        # `0x` is one identifier, as in the program text `const 0x : i.`
+        def edit(doc):
+            doc["nodes"][0]["signature_additions"] = ["0x : i"]
+
+        code, out = self.check_edited(tmp_path, capsys, edit, stream="out")
+        assert (code, out) == (EXIT_FAIL, "invalid proof: root: root signature differs from the program's\n")
+
+    @pytest.mark.parametrize("node, field, value, message", [
+        (7, "premises", -1, "proof node field 'premises' must be a non-negative integer"),
+        (7, "premises", True, "proof node field 'premises' must be a non-negative integer"),
+        (7, "premises", "0", "proof node field 'premises' must be a non-negative integer"),
+        (7, "premises", 99, "proof node field 'premises' names no premise tuple of 1 sequents"),
+        (5, "children", 1, "proof node field 'premises' names no premise tuple of 1 sequents"),
+        (2, "goal", "bitstream z_str", "proof node states a sequent that its parent's premises give"),
+        (2, "eigen", "x y", "bad eigenvariable 'x y'"),
+    ], ids=["negative", "bool", "string", "out-of-range", "length", "stated-under-derived", "eigen"])
+    def test_a_malformed_derivation_is_usage(self, tmp_path, capsys, node, field, value, message):
+        def edit(doc):
+            # node 7 is a decide step, node 5 an initial leaf, node 2 a
+            # forall-l<> step: each below a parent that derives its sequent
+            assert [doc["nodes"][i]["rule"] for i in (2, 5, 7)] == ["forall-l<>", "initial", "decide"]
+            assert "goal" not in doc["nodes"][2] and "premises" in doc["nodes"][1]
+            doc["nodes"][node][field] = value
+
+        assert self.check_edited(tmp_path, capsys, edit) == (EXIT_USAGE, f"error: {message}\n")
+
+    def test_a_root_signature_beyond_the_program_is_invalid(self, tmp_path, capsys):
+        # `exists x. p x` has no proof over a program without constants; a
+        # proof found where `c` is declared, its root declaring `c` itself,
+        # must not check over it
+        bare, with_c = tmp_path / "bare.cup", tmp_path / "with_c.cup"
+        bare.write_text("const p : i -> o. p X.\n")
+        with_c.write_text("const c : i. const p : i -> o. p X.\n")
+        assert run(["prove", "--calculus", "co-fohh", "--program", str(bare), "--goal", "exists x. p x"]) == EXIT_FAIL
+        out = tmp_path / "p.json"
+        argv = ["--calculus", "co-fohh", "--goal", "exists x. p x", "--emit-proof", str(out)]
+        assert run(["prove", "--program", str(with_c)] + argv) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["nodes"][0]["signature_additions"] = ["c : i"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["check-proof", "--calculus", "co-fohh", "--program", str(bare), "--proof", str(out)])
+        assert (code, capsys.readouterr().out) == (EXIT_FAIL, "invalid proof: root: root signature differs from the program's\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["nodes"].pop(), "proof document ends before its nodes' premises"),
@@ -278,9 +332,9 @@ class TestProofPipeline:
     def test_malformed_node_list_is_usage(self, tmp_path, capsys, edit, message):
         assert self.check_edited(tmp_path, capsys, edit) == (EXIT_USAGE, f"error: {message}\n")
 
-    def check_edited(self, tmp_path, capsys, edit):
-        """check-proof's exit code and stderr on a found proof's document
-        after edit(doc) changed it in place."""
+    def check_edited(self, tmp_path, capsys, edit, stream="err"):
+        """check-proof's exit code and stderr (or `stream`) on a found
+        proof's document after edit(doc) changed it in place."""
         out = tmp_path / "p.json"
         run([
             "coprove", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
@@ -294,7 +348,7 @@ class TestProofPipeline:
             "check-proof", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
             "--proof", str(out),
         ])
-        return code, capsys.readouterr().err
+        return code, getattr(capsys.readouterr(), stream)
 
     @pytest.mark.parametrize("depth, message", [
         (0, 'proof document must be a JSON object with "format": "flat"'),
@@ -320,8 +374,11 @@ class TestProofPipeline:
         assert code == EXIT_OK
         assert printed.splitlines()[0] == "proved (722 nodes; 244353 expansions)"
         text = out.read_text()
-        assert text.startswith('{"format": "flat", "nodes": [\n{"rule": "decide", ') and text.endswith("}\n]}\n")
-        assert len(text.splitlines()) == 722 + 2 and len(text) < 700_000
+        assert text.startswith('{"format": "flat", "nodes": [\n{"rule": "decide", "children": 1, "signature_additions": [], '
+                               '"program_additions": [], "goal": "nat ') and text.endswith("}\n]}\n")
+        assert len(text.splitlines()) == 722 + 2 and len(text) < 150_000
+        # only the root states its sequent
+        assert [i for i, line in enumerate(text.splitlines()) if '"goal"' in line] == [1]
         code = run(["check-proof", "--calculus", "co-fohc", "--program", str(prog), "--proof", str(out)])
         assert (code, capsys.readouterr().out) == (EXIT_OK, "valid proof (722 nodes)\n")
         assert sys.getrecursionlimit() == limit
@@ -760,7 +817,9 @@ class TestCheckerDiagnostics:
         out = tmp_path / "p.json"
         assert run(["prove", "--calculus", "co-fohc", "--program", corpus("member.cup"),
                     "--goal", "member 0 [0|nil]", "--emit-proof", str(out)]) == EXIT_OK
-        doc = json.loads(out.read_text())
+        # every node states its sequent, so that a tampered step's premises are still read
+        program = ps.parse_program(Path(corpus("member.cup")).read_text())
+        doc = json.loads(stated_document(ps.import_proof(out.read_text(), program), program))
         assert doc["nodes"][1]["rule"] == "forall-l" and doc["nodes"][1]["witness"] == "0"
         return doc
 

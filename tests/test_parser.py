@@ -22,7 +22,7 @@ from cup.errors import (
 )
 from cup.formulas import Atom, Calculus, Exists, Forall
 
-from helpers import PUNCT, A, C, L, V, deep_document, scons, tokenize_reference
+from helpers import PUNCT, A, C, L, V, deep_document, scons, stated_document, tokenize_reference
 
 
 class TestParseProgram:
@@ -331,7 +331,7 @@ class TestProofDocuments:
 
     def test_duplicate_signature_addition_rejected(self, regression_proofs):
         prog, _g, _calc, res = regression_proofs["from"]
-        doc = json.loads(ps.export_proof(res.tree, prog))
+        doc = json.loads(stated_document(res.tree, prog))
         node = doc["nodes"][2]
         assert node["signature_additions"]
         node["signature_additions"] = ["0 : i"]
@@ -342,10 +342,15 @@ class TestProofDocuments:
         prog, _g, _calc, res = regression_proofs["from"]
         doc = json.loads(ps.export_proof(res.tree, prog))
         assert list(doc) == ["format", "nodes"] and doc["format"] == "flat"
-        required = {"rule", "signature_additions", "program_additions", "goal", "guarded", "children"}
-        for node in doc["nodes"]:
-            assert required <= set(node) <= required | {"focus", "witness"}
-            assert type(node["children"]) is int
+        root, *below = doc["nodes"]
+        assert list(root) == ["rule", "children", "signature_additions", "program_additions", "goal", "guarded", "premises"]
+        for node in below:
+            assert {"rule", "children", "premises"} <= set(node) <= {"rule", "children", "witness", "eigen", "premises"}
+            assert type(node["children"]) is int and type(node["premises"]) is int
+        # the universal right rules name their eigenvariable, and only they
+        eigens = [(node.rule, node.eigen) for node in res.tree.nodes()]
+        assert [(n["rule"], n.get("eigen")) for n in doc["nodes"]] == eigens
+        assert {rule for rule, eigen in eigens if eigen} == {"forall-r<>"}
         assert [node["children"] for node in doc["nodes"]] == [len(n.children) for n in res.tree.nodes()]
 
 
