@@ -615,6 +615,11 @@ def _grammar_ok(sig: Signature, f: Formula, role: str, calc: Calculus) -> bool:
         return False
 
 
+# the rules whose node names a witness, and those whose node names an eigenvariable
+_WITNESS_RULES = ("exists-r", "forall-l", "forall-l<>")
+_EIGEN_RULES = ("forall-r", "forall-r<>")
+
+
 def check(
     tree: ProofTree,
     program: Program,
@@ -656,6 +661,10 @@ def check(
             return fail(path, f"no rule applies to the {'guarded' if seq.focus is None else 'focused'} sequent")
         elif rule != expected:
             return fail(path, f"the sequent requires {expected}, not {rule}")
+        if node.witness is not None and rule not in _WITNESS_RULES:
+            return fail(path, f"{rule} takes no witness")
+        if node.eigen is not None and rule not in _EIGEN_RULES:
+            return fail(path, f"{rule} takes no eigenvariable")
 
         if is_root:
             if seq.signature != program.signature:
@@ -671,10 +680,10 @@ def check(
 
         # side conditions
         principal = seq.goal if seq.focus is None else seq.focus
-        if rule in ("forall-r", "forall-r<>"):
+        if rule in _EIGEN_RULES:
             if node.eigen is None or node.eigen in seq.signature:
                 return fail(path, "forall-r eigenvariable missing or not fresh")
-        elif rule in ("exists-r", "forall-l", "forall-l<>"):
+        elif rule in _WITNESS_RULES:
             if node.witness is None:
                 return fail(path, f"{rule} needs a witness")
             ok, msg = _witness_ok(seq.signature, node.witness, principal.ty, calculus)
@@ -735,6 +744,10 @@ def promote_lemma(
     ok, diag = check(proof, program, Calculus.HOHH, fixbeta_bound)
     if not ok:
         raise ProofInvalid(f"lemma proof does not check: {diag}")
+    # `check` takes the root's entries past the program's clauses as given
+    assumed = len(proof.sequent.entries) - len(program.clauses)
+    if assumed:
+        raise ProofInvalid(f"lemma proof assumes {assumed} unproven root lemma(s)")
     if proof.sequent.mode != COINDUCTIVE:
         raise ProofInvalid("lemma proof must be a coinductive proof")
     if not formula_alpha_eq(lemma.to_formula(), proof.sequent.goal):

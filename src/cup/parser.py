@@ -279,40 +279,24 @@ class _Parser:
 
     # ---- clauses ----
 
-    def has_neck(self) -> bool:
-        """Does `:-` come before the dot that closes the clause?  A binder's
-        own dot, right after `\\ x` or after `forall`/`exists` and their
-        names, closes nothing."""
-        toks, i = self.toks, self.pos
-        while toks[i].kind != "eof" and toks[i].text != ".":
-            if toks[i].text == ":-":
-                return True
-            binder = toks[i].text
-            if binder in ("\\", "forall", "exists"):
-                j = i + 1
-                while toks[j].kind == "ident" and (binder != "\\" or j == i + 1):
-                    j += 1
-                if j > i + 1 and toks[j].text == ".":
-                    i = j
-            i += 1
-        return False
-
     def clause(self) -> Formula:
-        """One clause, up to its closing dot: Prolog-style sugar when `:-`
-        comes before that dot or the clause is a bare atom, whose
-        capitalised unknown names are universally quantified; explicit
-        formula syntax otherwise."""
-        sugar = self.has_neck()
+        """One clause, up to its closing dot: explicit formula syntax, or
+        Prolog-style sugar when `:-` follows the formula or the clause is a
+        bare atom.  Sugar's head is read again from the clause's start as a
+        term, and its capitalised unknown names are universally quantified."""
+        pos, unknown = self.pos, len(self.unknown)
+        f = self.formula()
+        sugar = self.at(":-")
         if sugar:
+            self.pos = pos
+            del self.unknown[unknown:]
             head = Atom(self.term())
             self.eat(":-")
             body = [Atom(self.term())]
             while self.at(","):
                 self.next()
                 body.append(Atom(self.term()))
-            f: Formula = Impl(fm.conjoin(body), head)
-        else:
-            f = self.formula()
+            f = Impl(fm.conjoin(body), head)
         for v in reversed(self.resolved(implicit=sugar or isinstance(f, Atom))):
             f = Forall(v, IOTA, f)
         return f
@@ -537,7 +521,7 @@ def _base(rule: str, parent: tuple | None, program: Program) -> tuple:
     return parent[1].signature, parent[1].entries, src, eng.PLAIN
 
 
-def _stated(node: eng.ProofTree, parent: eng.ProofTree | None, program: Program, text) -> str:
+def _stated(node: eng.ProofTree, parent: eng.ProofTree | None, program: Program) -> str:
     """The keys, signature_additions to mode, of a node that states its
     sequent: what it adds to `_base` once the last program_removals entries
     are dropped.  An addition is its formula, or [source, formula] where the
@@ -547,10 +531,15 @@ def _stated(node: eng.ProofTree, parent: eng.ProofTree | None, program: Program,
     same = [e.src == b.src and fm.formula_alpha_eq(e.formula, b.formula) for e, b in zip(seq.entries, base)]
     kept = same.index(False) if False in same else len(same)
     sig_add = [] if seq.signature is sig else [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in sig]
-    adds = [text(e.formula) if e.src == src else f'["{e.src.value}", {text(e.formula)}]' for e in seq.entries[kept:]]
+    adds = []
+    for e in seq.entries[kept:]:
+        text = encode_basestring_ascii(pp_formula(e.formula, program))
+        adds.append(text if e.src == src else f'["{e.src.value}", {text}]')
     out = f', "signature_additions": [{", ".join(map(encode_basestring_ascii, sig_add))}], "program_additions": '
     out += f'[{", ".join(adds)}]' + (f', "program_removals": {len(base) - kept}' if kept < len(base) else "")
-    out += f', "goal": {text(seq.goal)}' + ("" if seq.focus is None else f', "focus": {text(seq.focus)}')
+    out += f', "goal": {encode_basestring_ascii(pp_formula(seq.goal, program))}'
+    if seq.focus is not None:
+        out += f', "focus": {encode_basestring_ascii(pp_formula(seq.focus, program))}'
     out += f', "guarded": {"true" if seq.guarded else "false"}'
     return out if seq.mode == mode else out + f', "mode": "{seq.mode}"'
 
@@ -562,20 +551,14 @@ def export_proof(tree: eng.ProofTree, program: Program) -> str:
     dict of rule, children (its number of premises), `_stated` where it
     states its sequent, then witness, eigen and premises where present:
     premises is the index of the premise tuple its children's sequents are
-    (`engine.premise_index`), so only they state none.  Each formula object
-    is printed once."""
-    printed: dict[int, str] = {}
-
-    def text(f: Formula) -> str:
-        return printed.get(id(f)) or printed.setdefault(id(f), encode_basestring_ascii(pp_formula(f, program)))
-
+    (`engine.premise_index`), so only they state none."""
     lines: list[str] = []
     todo: list = [(tree, None, False)]  # (node, parent, is its sequent derived) still to write, the next on top
     while todo:
         node, parent, derived = todo.pop()
         line = f'{{"rule": {encode_basestring_ascii(node.rule)}, "children": {len(node.children)}'
         if not derived:
-            line += _stated(node, parent, program, text)
+            line += _stated(node, parent, program)
         if node.witness is not None:
             line += f', "witness": {encode_basestring_ascii(pp_term(node.witness, program))}'
         if node.eigen is not None:
@@ -598,18 +581,13 @@ def _parse_sig_addition(s: str, addition: bool = True):
     raise MalformedDocument(f"bad {'signature addition' if addition else 'eigenvariable'} {s!r}")
 
 
-def _payload(memo: dict, parse, text: str, sig: Signature, program: Program, what: str):
+def _payload(parse, text: str, sig: Signature, program: Program, what: str):
     """parse(text) for `parse_goal` or `parse_term` over the program with
-    signature sig, kept in memo once per (parse, text, sig) and import; an
-    error is not kept, and raises as a malformed document naming `what`."""
-    key = (parse, text, sig)
-    out = memo.get(key)
-    if out is None:
-        try:
-            out = memo[key] = parse(text, Program(sig, program.clauses, program.fix_definitions), allow_fresh=True)
-        except CupError as exc:
-            raise MalformedDocument(f"unparseable {what}: {exc}") from exc
-    return out
+    signature sig; an error raises as a malformed document naming `what`."""
+    try:
+        return parse(text, Program(sig, program.clauses, program.fix_definitions), allow_fresh=True)
+    except CupError as exc:
+        raise MalformedDocument(f"unparseable {what}: {exc}") from exc
 
 
 # what each node field must be, and the test of it
@@ -624,7 +602,7 @@ _FIELDS = {
 }
 
 
-def _import_node(doc, program: Program, parent: tuple | None, derived: eng.Sequent | None, memo: dict):
+def _import_node(doc, program: Program, parent: tuple | None, derived: eng.Sequent | None):
     """One node's (rule, sequent, witness, eigenvariable, number of
     premises, the premise tuple its premises index names or None), its
     sequent `derived` from its parent's premise tuple or else stated."""
@@ -651,11 +629,11 @@ def _import_node(doc, program: Program, parent: tuple | None, derived: eng.Seque
         entries = entries[:len(entries) - removals]
         for a in doc["program_additions"]:
             source, s = (src, a) if isinstance(a, str) else (_SOURCES[a[0]], a[1])
-            entries += (eng.Entry(_payload(memo, parse_goal, s, sig, program, f"program addition {s!r}"), source),)
-        goal = _payload(memo, parse_goal, doc["goal"], sig, program, "proof payload")
-        focus = _payload(memo, parse_goal, doc["focus"], sig, program, "proof payload") if "focus" in doc else None
+            entries += (eng.Entry(_payload(parse_goal, s, sig, program, f"program addition {s!r}"), source),)
+        goal = _payload(parse_goal, doc["goal"], sig, program, "proof payload")
+        focus = _payload(parse_goal, doc["focus"], sig, program, "proof payload") if "focus" in doc else None
         seq = eng.Sequent(sig, entries, focus, goal, mode, doc["guarded"])
-    witness = _payload(memo, parse_term, doc["witness"], seq.signature, program, "proof payload") \
+    witness = _payload(parse_term, doc["witness"], seq.signature, program, "proof payload") \
         if "witness" in doc else None
     eigen = _parse_sig_addition(doc["eigen"], addition=False) if "eigen" in doc else None
     premises = eng.premise_tuple(seq, eigen, witness, doc["premises"]) if "premises" in doc else None
@@ -684,12 +662,11 @@ def import_proof(document: str, program: Program) -> eng.ProofTree:
     read: list[tuple] = []  # (rule, sequent, witness, eigenvariable, number of premises) by node
     # [(rule, sequent), sequents of its premise tuple or None, premises to come] by open node, root's parent first
     open_: list[list] = [[None, None, 1]]
-    memo: dict = {}  # one parse per distinct payload text and signature (see `_payload`)
     for node in nodes:
         if not open_:
             raise MalformedDocument("proof document has nodes past its root's tree")
         top = open_[-1]
-        rule, seq, witness, eigen, count, premises = _import_node(node, program, top[0], top[1] and next(top[1]), memo)
+        rule, seq, witness, eigen, count, premises = _import_node(node, program, top[0], top[1] and next(top[1]))
         read.append((rule, seq, witness, eigen, count))
         top[2] -= 1
         if not top[2]:

@@ -40,11 +40,6 @@ class Tree:
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.label, self.children)))
 
-    def positions(self, prefix: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], str]]:
-        yield prefix, self.label
-        for i, c in enumerate(self.children):
-            yield from c.positions(prefix + (i,))
-
     def __repr__(self):
         return tree_to_text(self)
 

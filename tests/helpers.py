@@ -239,6 +239,14 @@ def tree_substitute(t, name: str, s):
     return tr.Tree(t.label, tuple(tree_substitute(c, name, s) for c in t.children))
 
 
+def positions(t, prefix=()):
+    """(position, label) of every node of a tree, in pre-order; a position
+    is the child indices from the root."""
+    yield prefix, t.label
+    for i, c in enumerate(t.children):
+        yield from positions(c, prefix + (i,))
+
+
 def tree_height(t) -> int:
     """Length of the longest root-to-leaf path of a tree."""
     return 1 + max(tree_height(c) for c in t.children) if t.children else 0
@@ -247,7 +255,7 @@ def tree_height(t) -> int:
 def diamond_min_depth(t):
     """Depth of the shallowest snapshot placeholder in a tree, None if it has
     none."""
-    depths = [len(pos) for pos, label in t.positions() if label == tm.DIAMOND]
+    depths = [len(pos) for pos, label in positions(t) if label == tm.DIAMOND]
     return min(depths) if depths else None
 
 

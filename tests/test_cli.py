@@ -458,6 +458,26 @@ class TestProofPipeline:
         assert "lemma proof does not check: root.0.0.0: initial atoms are not fix-beta equal" in capsys.readouterr().err
 
 
+    def test_a_lemma_proof_resting_on_a_root_lemma_is_refused(self, tmp_path, capsys):
+        # a proof found over member.cup plus `member X nil`, which then
+        # assumes that clause as a root lemma: it checks over member.cup only
+        # given the lemma, so it may not prove `member 0 [1|nil]`, which
+        # needs `member 0 nil`
+        extended = tmp_path / "p2.cup"
+        extended.write_text(Path(corpus("member.cup")).read_text() + "member X nil.\n")
+        lemma = tmp_path / "l.json"
+        assert run(["coprove", "--program", str(extended), "--calculus", "co-fohh",
+                    "--goal", "forall x. member x [1|nil]", "--emit-proof", str(lemma)]) == EXIT_OK
+        doc = json.loads(lemma.read_text())
+        doc["nodes"][0]["program_additions"] = ["forall x. member x nil"]
+        lemma.write_text(json.dumps(doc))
+        member = ["--program", corpus("member.cup"), "--calculus", "co-fohh"]
+        assert run(["check-proof", *member, "--proof", str(lemma)]) == EXIT_INCONCLUSIVE
+        capsys.readouterr()
+        assert run(["prove", *member, "--use-lemma", str(lemma), "--goal", "member 0 [1|nil]"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: lemma proof assumes 1 unproven root lemma(s)\n"
+
+
 class TestModel:
     def test_membership_evidence(self, capsys):
         code = run([
@@ -836,6 +856,20 @@ class TestCheckerDiagnostics:
             node["witness"] = witness
         assert self.check(tmp_path, capsys, json.dumps(doc), "co-fohc", "member.cup") == (
             EXIT_FAIL, f"invalid proof: root.0: {diagnostic}\n")
+
+    @pytest.mark.parametrize("field, value, diagnostic", [
+        ("witness", "0", "initial<> takes no witness"),
+        ("eigen", "zz", "initial<> takes no eigenvariable"),
+    ], ids=["witness", "eigen"])
+    def test_a_stray_witness_or_eigenvariable(self, tmp_path, capsys, field, value, diagnostic):
+        out = tmp_path / "m.json"
+        assert run(["coprove", "--program", corpus("member.cup"), "--calculus", "co-fohc",
+                    "--goal", "member 0 [0|nil]", "--emit-proof", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["nodes"][-1]["rule"] == "initial<>" and len(doc["nodes"]) == 5
+        doc["nodes"][-1][field] = value
+        assert self.check(tmp_path, capsys, json.dumps(doc), "co-fohc", "member.cup") == (
+            EXIT_FAIL, f"invalid proof: root.0.0.0.0: {diagnostic}\n")
 
     def test_an_imp_r_antecedent_outside_the_clause_grammar(self, tmp_path, capsys):
         doc = _node("imp-r", "bit 0 \\/ bit 1 => bit 0")

@@ -2,7 +2,7 @@
 and formulas, the lazy `unify_modulo` and `fixbeta_equiv`, the occurs check,
 the one-walk renderer of guarded atoms, the render memo of `gfp_approx`, the
 smallest closed term of reification, the proof round trip's memos
-(formula keys, import parses, check's grammar answers) and its writer
+(formula keys, check's grammar answers), its parses and its writer
 against straightforward reference code kept here or in `helpers`.
 
 The term checks replay the seeded generator stream of the beta
@@ -11,7 +11,6 @@ already draws and leave the 10,000-case property budget unchanged.
 """
 
 import collections
-import contextlib
 import itertools
 import json
 import random
@@ -1552,7 +1551,7 @@ def test_smallest_closed_term_is_the_first_of_the_reference_pool(
 
 
 # ---------------------------------------------------------------------------
-# the proof round trip's memos: formula keys, import parses, check grammar
+# the proof round trip's memos (formula keys, check grammar) and its parses
 # ---------------------------------------------------------------------------
 
 
@@ -1963,37 +1962,18 @@ def test_the_writer_escapes_strings_as_json_dumps_does():
     assert json.loads(doc)["nodes"][2]["signature_additions"] == ["\u00e9\U0001f600 : i"]
 
 
-def _import_without_memo(monkeypatch, doc, program):
-    """The node-by-node import, every payload text parsed where it occurs:
-    each `_payload` call gets an empty memo of its own."""
-    real = ps._payload
-    with monkeypatch.context() as m:
-        m.setattr(ps, "_payload", lambda _memo, *args: real({}, *args))
-        return ps.import_proof(doc, program)
+def _counted_parses(monkeypatch):
+    """The (production, text, signature) of each `_parse_with` call from
+    now on, in order."""
+    parsed = []
+    real = ps._parse_with
 
+    def counting(text, program, production, allow_fresh=False):
+        parsed.append((production, text, program.signature))
+        return real(text, program, production, allow_fresh)
 
-def _import_both_ways(monkeypatch, doc, program):
-    """(memoised, memo-free) imports of doc: trees, or error type and text."""
-    out = []
-    for run in (lambda: ps.import_proof(doc, program), lambda: _import_without_memo(monkeypatch, doc, program)):
-        try:
-            out.append(run())
-        except CupError as exc:
-            out.append((type(exc), str(exc)))
-    return out
-
-
-def test_memoised_import_matches_the_memo_free_one(monkeypatch, regression_proofs):
-    documents = 0
-    for program, _goal, _calc, res in regression_proofs.values():
-        trees = [res.tree] + [t for _path, _name, t in proof_mutations(res.tree)]
-        for tree in trees:
-            doc = ps.export_proof(tree, program)
-            memoised, reference = _import_both_ways(monkeypatch, doc, program)
-            # structural equality: binder names, signatures and sources too
-            assert memoised == reference
-            documents += 1
-    assert documents > 300
+    monkeypatch.setattr(ps, "_parse_with", counting)
+    return parsed
 
 
 def test_the_round_trip_is_the_identity_on_document_text(regression_proofs):
@@ -2035,35 +2015,26 @@ def _two_signature_document(second_type):
 @pytest.mark.parametrize("second_type", ["i", "i -> i"])
 def test_memoised_import_keys_on_the_signature(monkeypatch, member_program, second_type):
     doc = _two_signature_document(second_type)
-    memoised, reference = _import_both_ways(monkeypatch, doc, member_program)
-    assert memoised == reference
+    parsed = _counted_parses(monkeypatch)
     if second_type == "i":
-        assert isinstance(memoised, eng.ProofTree)
+        assert isinstance(ps.import_proof(doc, member_program), eng.ProofTree)
     else:
         # k : i -> i makes `member k nil` ill-typed in the second branch only
-        assert memoised[0] is MalformedDocument and "unparseable proof payload" in memoised[1]
-    parsed = []
-    real = ps._parse_with
-
-    def counting(text, program, production, allow_fresh=False):
-        parsed.append(text)
-        return real(text, program, production, allow_fresh)
-
-    monkeypatch.setattr(ps, "_parse_with", counting)
-    with pytest.raises(MalformedDocument) if second_type != "i" else contextlib.nullcontext():
-        ps.import_proof(doc, member_program)
-    # once per signature: the second branch's text is parsed anew, and
+        with pytest.raises(MalformedDocument, match="unparseable proof payload"):
+            ps.import_proof(doc, member_program)
+    # once per occurrence: the second branch's text is parsed anew, and
     # its error is raised, not taken from the first branch's parse
-    assert parsed.count("member k nil") == 2
+    assert [text for _production, text, _sig in parsed].count("member k nil") == (4 if second_type == "i" else 3)
 
 
 def test_memoised_import_keys_on_what_is_parsed(monkeypatch, member_program):
     # one text as a goal and as a witness: a formula, then a term
     doc = flat_document({"rule": "exists-r", "signature_additions": [], "program_additions": [], "goal": "eq 0 0",
                          "guarded": False, "witness": "eq 0 0", "children": []})
-    memoised, reference = _import_both_ways(monkeypatch, doc, member_program)
-    assert memoised == reference
-    assert isinstance(memoised.sequent.goal, fm.Atom) and memoised.witness == A(C("eq"), C("0"), C("0"))
+    parsed = _counted_parses(monkeypatch)
+    back = ps.import_proof(doc, member_program)
+    assert isinstance(back.sequent.goal, fm.Atom) and back.witness == A(C("eq"), C("0"), C("0"))
+    assert [production for production, _text, _sig in parsed] == ["formula", "term"]
 
 
 def _grammar_checks(tree):
@@ -2094,24 +2065,18 @@ def test_round_trip_parses_and_classifies_each_formula_once(monkeypatch, regress
     # a new program, whose signatures have classified nothing yet
     program = workloads.load_programs()["comember"]
     doc = ps.export_proof(res.tree, program)
-    parsed, classified = [], []
-    real_parse = ps._parse_with
-
-    def counting_parse(text, prog, production, allow_fresh=False):
-        parsed.append((production, text, prog.signature))
-        return real_parse(text, prog, production, allow_fresh)
-
-    monkeypatch.setattr(ps, "_parse_with", counting_parse)
+    classified = []
+    parsed = _counted_parses(monkeypatch)
     _count_grammars(monkeypatch, classified, lambda sig, f, role, _calc: (fm.formula_key(f), role, sig))
     back = ps.import_proof(doc, program)
-    texts = set()
+    # one parse per payload field, in the order the node lists them
+    fields = []
     for node, tree_node in zip(json.loads(doc)["nodes"], back.nodes(), strict=True):
         sig = tree_node.sequent.signature
-        texts |= {("formula", s, sig) for s in node.get("program_additions", [])}
-        texts |= {("formula", node[k], sig) for k in ("goal", "focus") if k in node}
-        texts |= {("term", node["witness"], sig)} if "witness" in node else set()
-    assert len(parsed) == len(set(parsed)) == len(texts)
-    assert set(parsed) == texts
+        fields += [("formula", a if isinstance(a, str) else a[1], sig) for a in node.get("program_additions", [])]
+        fields += [("formula", node[k], sig) for k in ("goal", "focus") if k in node]
+        fields += [("term", node["witness"], sig)] if "witness" in node else []
+    assert parsed == fields
     assert eng.check(back, program, calc) == (True, None)
     checks = [(fm.formula_key(f), role, sig) for f, role, sig in _grammar_checks(back)]
     assert len(classified) == len(set(classified)) == len(set(checks)) < len(checks)

@@ -307,6 +307,24 @@ class TestChecker:
                 cases += 1
         assert cases > 40
 
+    def test_a_stray_witness_or_eigenvariable_is_rejected(self, regression_proofs):
+        # every node of every regression proof whose rule takes none, given
+        # a witness or an eigenvariable
+        cases = 0
+        for name, (prog, _g, calc, res) in regression_proofs.items():
+            for path, node in proof_paths(res.tree):
+                where = ".".join(["root", *map(str, path)])
+                strays = []
+                if node.rule not in ("exists-r", "forall-l", "forall-l<>"):
+                    strays.append((replace(node, witness=C(prog.signature.constants[0][0])), "witness"))
+                if node.rule not in ("forall-r", "forall-r<>"):
+                    strays.append((replace(node, eigen="stray"), "eigenvariable"))
+                for stray, what in strays:
+                    got = check(replace_at(res.tree, path, stray), prog, calc)
+                    assert got == (False, f"{where}: {node.rule} takes no {what}"), (name, path)
+                    cases += 1
+        assert cases > 80
+
     def test_mutation_grid_rejected(self, regression_proofs):
         # every node of every regression proof, broken one way at a time
         kinds = set()

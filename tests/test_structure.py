@@ -3,13 +3,14 @@
 No module of `cup` uses another module's private names, either as
 `from .x import _y` or as `alias._y` on a `cup` module alias. Every
 module-level function, class and assigned name is mentioned somewhere in
-`cup` other than in its own statement and the package's re-exports, apart
-from the listed names kept for tests. No handler in `cup` catches every
-exception, so only `CupError` subclasses become verdicts and any other
-exception surfaces; `cli.main` catches only `CupError` subclasses, and every
-file an option names is opened in the CLI's one file helper. No function in
-`cup` mutates a module-level dict, set or list:
-a memo lives on an object (`Signature`, `Program`), never in a global.
+`cup` other than in its own statement and the package's re-exports, and
+every public method of a module-level class is mentioned as an attribute
+outside its own body, apart from the listed names kept for tests. No
+handler in `cup` catches every exception, so only `CupError` subclasses
+become verdicts and any other exception surfaces; `cli.main` catches only
+`CupError` subclasses, and every file an option names is opened in the
+CLI's one file helper. No function in `cup` mutates a module-level dict,
+set or list: a memo lives on an object (`Signature`, `Program`), never in a global.
 Every record is slotted: it carries no `__dict__` of its own. Every name
 the package exports resolves on first use, and starting the CLI loads
 neither `dataclasses` nor the layers only `model` and `soundness` run.
@@ -17,6 +18,7 @@ Only `engine._solve` counts a search node.
 """
 
 import ast
+import collections
 import importlib
 import os
 import re
@@ -55,6 +57,9 @@ KEPT = {
     # the paper's Delta records on their own; `build_candidate` takes them
     # with the root clause and segment from the one walk both share
     ("soundness", "collect_deltas"),
+    # a fixed-point definition by name; the acceptance gate reads the
+    # corpus definitions through it
+    ("formulas", "Program.fix_def"),
 }
 
 
@@ -123,30 +128,48 @@ def _own_names(stmt) -> set[str]:
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
+def _public_methods(stmt) -> list:
+    """The defs in a class statement's body whose names take no underscore."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [m for m in stmt.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and m.name[0] != "_"]
+
+
 def unreferenced_definitions() -> set[tuple[str, str]]:
     """(module, name) of every module-level def, class or assigned name
     that no name, attribute or import alias in `cup` mentions outside its
-    own statement; a re-export in `__init__.py` is not a use."""
+    own statement, and (module, "Class.method") of every public method of
+    a module-level class that no attribute in `cup` mentions outside the
+    method's own body; a re-export in `__init__.py` is not a use."""
     defined = set()
     mentioned = set()
+    methods = []  # (module, class name, def statement)
+    attributes = collections.defaultdict(list)  # the attribute nodes of each name
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             own = _own_names(stmt)
             defined |= {(path.stem, name) for name in own}
+            methods += [(path.stem, stmt.name, m) for m in _public_methods(stmt)]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
+                    attributes[name].append(node)
                 elif isinstance(node, ast.alias):
                     name = node.name
                 else:
                     continue
                 if name not in own:
                     mentioned.add(name)
-    return {(mod, name) for mod, name in defined if name not in mentioned}
+    unused = {(mod, name) for mod, name in defined if name not in mentioned}
+    for mod, cls, method in methods:
+        body = set(map(id, ast.walk(method)))
+        if all(id(node) in body for node in attributes[method.name]):
+            unused.add((mod, f"{cls}.{method.name}"))
+    return unused
 
 
 def test_every_definition_is_used_beyond_the_kept():
@@ -169,6 +192,29 @@ def test_definition_scanner_sees_each_kind_of_mention(tmp_path, monkeypatch):
     assert unreferenced_definitions() == {
         ("a", "recursive"), ("a", "Unused"), ("a", "x"), ("a", "SELF"), ("a", "PAIR"), ("a", "COUNT"),
         ("c", "only_reexported"),
+    }
+
+
+def test_definition_scanner_sees_each_mention_of_a_method(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text(
+        "class K:\n"
+        "    def by_attribute(self): return 0\n"
+        "    def recursive(self): return self.recursive()\n"
+        "    @property\n    def prop(self): return 1\n"
+        "    def by_name_only(self): pass\n"
+        "    def _private(self): pass\n"
+        "    def __repr__(self): return ''\n"
+        "X = K().by_attribute(), K.prop\n"
+        "def f(by_name_only): return by_name_only\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import f, X\n"
+        "class L:\n    def in_another_module(self): pass\n    def unused(self): pass\n"
+        "class M(L):\n    def walk(self): return self.in_another_module()\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert unreferenced_definitions() == {
+        ("a", "K.recursive"), ("a", "K.by_name_only"), ("b", "L.unused"), ("b", "M"), ("b", "M.walk"),
     }
 
 

@@ -25,14 +25,15 @@ from cup.trees import (
 )
 
 from helpers import (
-    A, C, FR_STR, STREAM_SIG, Z_STR, check_arities, import_interpretation, scons, slist, tree_from_text, tree_substitute,
+    A, C, FR_STR, STREAM_SIG, Z_STR, check_arities, import_interpretation, positions, scons, slist, tree_from_text,
+    tree_substitute,
 )
 
 
 class TestTermToTree:
     def test_position_map(self):
         t = term_to_tree(STREAM_SIG, scons(C("0"), C("nil")))
-        assert dict(t.positions()) == {(): "scons", (0,): "0", (1,): "nil"}
+        assert dict(positions(t)) == {(): "scons", (0,): "0", (1,): "nil"}
 
     def test_single_node(self):
         assert term_to_tree(STREAM_SIG, C("0")) == leaf("0")
@@ -61,7 +62,7 @@ class TestGuardedAtomToTree:
         for depth in (3, 5, 9):
             out = atom_to_tree(STREAM_SIG, atom, depth)
             assert out == term_to_tree(STREAM_SIG, atom)
-            assert all(label != tr.STAR for _pos, label in out.positions())
+            assert all(label != tr.STAR for _pos, label in positions(out))
 
     def test_from_depth_three(self):
         out = atom_to_tree(STREAM_SIG, A(C("from"), C("0"), A(FR_STR, C("0"))), 3)
@@ -112,7 +113,7 @@ class TestTreeSubstitute:
     def test_graft_closes_the_tree(self):
         t = self._open_stream(4)
         out = tree_substitute(t, "x", leaf("0"))
-        assert all(label != "x" for _pos, label in out.positions())
+        assert all(label != "x" for _pos, label in positions(out))
         expected = STAR_LEAF
         for _ in range(4):
             expected = Tree("scons", (leaf("0"), expected))
@@ -126,7 +127,7 @@ class TestTreeSubstitute:
         t = Tree("scons", (leaf("x"), leaf("x")))
         graft = Tree("s", (leaf("0"),))
         out = tree_substitute(t, "x", graft)
-        n_positions = sum(1 for _ in out.positions())
+        n_positions = sum(1 for _ in positions(out))
         # two occurrences replaced by a 2-node tree: 3 - 2 + 2*2
         assert n_positions == 3 - 2 + 2 * 2
 
