@@ -174,9 +174,7 @@ def cmd_check_proof(args) -> int:
     tree = ps.import_proof(_file(args.proof), program)
     ok, diag = eng.check(tree, program, _calculus(args), _setting(args, "fixbeta_bound"))
     if ok:
-        # the root's non-original entries are lemmas the document assumes
-        # and `check` takes as given: with any, the proof shows nothing alone
-        lemmas = [ps.pp_formula(e.formula, program) for e in tree.sequent.entries if e.src != eng.Src.ORIGINAL]
+        lemmas = [ps.pp_formula(f, program) for f in eng.assumed_lemmas(tree)]
         text = f"valid proof ({tree.size()} nodes)"
         if lemmas:
             _emit(args, {"result": "inconclusive", "nodes": tree.size(), "assumed_lemmas": lemmas},

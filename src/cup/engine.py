@@ -731,6 +731,13 @@ def _witness_ok(sig: Signature, w: Term, ty: tm.SimpleType, calculus: Calculus) 
 # ---------------------------------------------------------------------------
 
 
+def assumed_lemmas(proof: ProofTree) -> list[Formula]:
+    """The formulas of the root entries that are not original clauses: in a
+    proof that `check` accepts, the lemmas past the program's clauses that
+    it takes as given, so that the proof shows nothing alone."""
+    return [e.formula for e in proof.sequent.entries if e.src != Src.ORIGINAL]
+
+
 def promote_lemma(
     program: Program,
     lemma: HClause,
@@ -744,10 +751,9 @@ def promote_lemma(
     ok, diag = check(proof, program, Calculus.HOHH, fixbeta_bound)
     if not ok:
         raise ProofInvalid(f"lemma proof does not check: {diag}")
-    # `check` takes the root's entries past the program's clauses as given
-    assumed = len(proof.sequent.entries) - len(program.clauses)
+    assumed = assumed_lemmas(proof)
     if assumed:
-        raise ProofInvalid(f"lemma proof assumes {assumed} unproven root lemma(s)")
+        raise ProofInvalid(f"lemma proof assumes {len(assumed)} unproven root lemma(s)")
     if proof.sequent.mode != COINDUCTIVE:
         raise ProofInvalid("lemma proof must be a coinductive proof")
     if not formula_alpha_eq(lemma.to_formula(), proof.sequent.goal):

@@ -280,24 +280,29 @@ class _Parser:
     # ---- clauses ----
 
     def clause(self) -> Formula:
-        """One clause, up to its closing dot: explicit formula syntax, or
-        Prolog-style sugar when `:-` follows the formula or the clause is a
-        bare atom.  Sugar's head is read again from the clause's start as a
-        term, and its capitalised unknown names are universally quantified."""
-        pos, unknown = self.pos, len(self.unknown)
+        """One clause, up to its closing dot: sugar when `:-` follows its
+        head, read again from its start as a term (which reads `(p) X`
+        further than a formula), or when it is a bare atom, whose capitalised
+        unknown names are then universally quantified; else explicit syntax."""
+        start = self.pos
         f = self.formula()
-        sugar = self.at(":-")
-        if sugar:
-            self.pos = pos
-            del self.unknown[unknown:]
-            head = Atom(self.term())
-            self.eat(":-")
+        end, read, head = self.pos, self.unknown, None
+        if not self.at("."):
+            self.pos, self.unknown = start, []
+            try:
+                head = Atom(self.term())
+                self.eat(":-")
+            except ParseError:
+                if self.toks[end].text == ":-":
+                    raise
+                self.pos, self.unknown, head = end, read, None  # the formula's own error follows
+        if head is not None:
             body = [Atom(self.term())]
             while self.at(","):
                 self.next()
                 body.append(Atom(self.term()))
             f = Impl(fm.conjoin(body), head)
-        for v in reversed(self.resolved(implicit=sugar or isinstance(f, Atom))):
+        for v in reversed(self.resolved(implicit=head is not None or isinstance(f, Atom))):
             f = Forall(v, IOTA, f)
         return f
 
@@ -531,15 +536,11 @@ def _stated(node: eng.ProofTree, parent: eng.ProofTree | None, program: Program)
     same = [e.src == b.src and fm.formula_alpha_eq(e.formula, b.formula) for e, b in zip(seq.entries, base)]
     kept = same.index(False) if False in same else len(same)
     sig_add = [] if seq.signature is sig else [f"{n} : {ty!r}" for n, ty in seq.signature.constants if n not in sig]
-    adds = []
-    for e in seq.entries[kept:]:
-        text = encode_basestring_ascii(pp_formula(e.formula, program))
-        adds.append(text if e.src == src else f'["{e.src.value}", {text}]')
+    text = lambda f: encode_basestring_ascii(pp_formula(f, program))
+    adds = [text(e.formula) if e.src == src else f'["{e.src.value}", {text(e.formula)}]' for e in seq.entries[kept:]]
     out = f', "signature_additions": [{", ".join(map(encode_basestring_ascii, sig_add))}], "program_additions": '
     out += f'[{", ".join(adds)}]' + (f', "program_removals": {len(base) - kept}' if kept < len(base) else "")
-    out += f', "goal": {encode_basestring_ascii(pp_formula(seq.goal, program))}'
-    if seq.focus is not None:
-        out += f', "focus": {encode_basestring_ascii(pp_formula(seq.focus, program))}'
+    out += f', "goal": {text(seq.goal)}' + ("" if seq.focus is None else f', "focus": {text(seq.focus)}')
     out += f', "guarded": {"true" if seq.guarded else "false"}'
     return out if seq.mode == mode else out + f', "mode": "{seq.mode}"'
 

@@ -91,6 +91,32 @@ class TestParseProgram:
         fact = ps.parse_program(base + "p ((\\y. y) c).")
         assert fact.clauses[0] == Atom(A(C("p"), C("c")))
 
+    @pytest.mark.parametrize("head, atom", [("(p) X", "p X"), ("((p)) X", "p X"), ("(r c) [X|c]", "r c [X|c]")])
+    def test_sugar_head_may_start_with_a_parenthesised_function(self, head, atom):
+        # read as a formula the head stops after its parentheses, as a term
+        # it reaches the `:-`
+        base = "const c : i. const scons : i -> i -> i. const p : i -> o. const q : i -> o. const r : i -> i -> o.\n"
+        sugar = ps.parse_program(base + head + " :- q X.")
+        explicit = ps.parse_program(base + f"forall X. q X => {atom}.")
+        assert fm.formula_alpha_eq(sugar.clauses[0], explicit.clauses[0])
+        # a lambda at the head's head parses, then is outside the clause grammar
+        with pytest.raises(SourceTypeError, match="^clause is outside the first-order clause grammar$"):
+            ps.parse_program(base + "(\\y. p y) X :- q X.")
+
+    @pytest.mark.parametrize("text, message", [
+        # a formula followed by neither `.` nor a sugar neck: the formula's error
+        ("(p) X.", "expected '.', found 'X'"),
+        ("(p) X /\\ q X :- q c.", "expected '.', found 'X'"),
+        ("(p) y :- q c.", "unknown identifier 'y'"),
+        ("(p /\\ q c) X :- q X.", "expected '.', found 'X'"),
+        # at the formula's `:-` the head's error, as when it is read as a term
+        ("(p) => q c :- q c.", "expected ':-', found '=>'"),
+    ])
+    def test_a_parenthesised_head_without_a_neck_reports_the_formula_error(self, text, message):
+        base = "const c : i. const p : i -> o. const q : i -> o.\n"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ps.parse_program(base + text)
+
     def test_clause_outside_first_order_grammar(self):
         text = (
             "const 0 : i. const scons : i -> i -> i. const bitstream : i -> o.\n"
