@@ -11,7 +11,6 @@ until a program-clause focus discharges it.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Callable, Iterator
 
 from . import terms as tm
@@ -80,6 +79,9 @@ class Sequent:
     goal: Formula
     mode: str = PLAIN
     guarded: bool = False
+    # the premise tuples `_derive` built, by (eigenvariable, witness): a
+    # pure function of the frozen fields, so it can never disagree with them
+    _derived: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def with_(
         self, signature=_SAME, entries=_SAME, focus=_SAME, goal=_SAME, mode=_SAME, guarded=_SAME
@@ -131,10 +133,12 @@ def _node_equal(a: ProofTree, b: ProofTree) -> bool:
 
 
 def _sequent_equal(a: Sequent, b: Sequent) -> bool:
-    # the cheap fields and the formulas a rule changes first, so a wrong
-    # premise candidate fails before the entries are compared. A premise
-    # built anew is most often the same formula as the one it is compared
-    # with, not only up to alpha: `==` then answers without alpha keys
+    # a premise is most often the derived sequent itself; else the cheap
+    # fields and the formulas a rule changes first, so a wrong candidate
+    # fails before the entries are compared. A formula built anew is most
+    # often `==` the one it is compared with, which needs no alpha keys
+    if a is b:
+        return True
     if a.mode != b.mode or a.guarded != b.guarded or (a.focus is None) != (b.focus is None):
         return False
     if a.focus is not None and not (a.focus == b.focus or formula_alpha_eq(a.focus, b.focus)):
@@ -350,20 +354,32 @@ def _premises(
                 yield (seq.with_(focus=e.formula),)
 
 
+def _derive(seq: Sequent, eigen: str | None = None, witness: Term | None = None) -> tuple[tuple[Sequent, ...], ...]:
+    """`_premises(seq, eigen, witness)` as a tuple, built once and kept on
+    the sequent, where search, reification, import and check all read it."""
+    memo = seq._derived
+    if memo is None:
+        memo = {}
+        object.__setattr__(seq, "_derived", memo)
+    known = memo.get((eigen, witness))
+    if known is None:
+        known = memo[eigen, witness] = tuple(_premises(seq, eigen, witness))
+    return known
+
+
 def premise_index(node: ProofTree) -> int | None:
     """The index of the first premise tuple of the node's sequent, given
     its eigenvariable and witness, whose sequents its children have; None
     when there is none.  `check` and the proof document writer both ask."""
     kids = [k.sequent for k in node.children]
-    for i, premises in enumerate(_premises(node.sequent, node.eigen, node.witness)):
-        if len(premises) == len(kids) and all(map(_sequent_equal, kids, premises)):
-            return i
-    return None
+    found = enumerate(_derive(node.sequent, node.eigen, node.witness))
+    return next((i for i, p in found if len(p) == len(kids) and all(map(_sequent_equal, kids, p))), None)
 
 
 def premise_tuple(seq: Sequent, eigen: str | None, witness: Term | None, index: int) -> tuple[Sequent, ...] | None:
     """The premise tuple `premise_index` numbers index, None past the last."""
-    return next(itertools.islice(_premises(seq, eigen, witness), index, None), None)
+    known = _derive(seq, eigen, witness)
+    return known[index] if index < len(known) else None
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +395,6 @@ class _Ctx:
     stats: SearchStats
     meta_types: dict[str, tm.SimpleType]
     cut: bool = False
-    # the premises built so far, by (id(seq), eigen, witness), each with its
-    # sequent, which keeps the id from naming another: a deeper bound redraws
-    # the names of the shallower one and so meets the same sequents again
-    premises: dict = field(default_factory=dict, init=False, repr=False)
 
     def fresh_meta(self, base: str, ty: tm.SimpleType) -> Var:
         name = tm.META + self.supply.fresh(base)
@@ -427,10 +439,9 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
         if isinstance(head, Var):
             raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {tm.brief(g.term)}")
         pred = head.name if isinstance(head, Con) else None
-    key = (id(seq), eigen, witness)
-    if (known := ctx.premises.get(key)) is None:
-        known = ctx.premises[key] = seq, tuple(_premises(seq, eigen, witness))
-    for premises in known[1]:
+    # a deeper bound redraws the names of the shallower one and so meets
+    # the same sequents, with the same eigenvariables and witnesses, again
+    for premises in _derive(seq, eigen, witness):
         if not premises:
             yield ProofTree(seq, rule), s
             continue
@@ -482,13 +493,13 @@ def unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:
 
 
 def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> ProofTree | None:
-    # fill metas that no rule constrained with the smallest closed terms
+    # fill metas that no rule constrained with the smallest closed terms. A
+    # meta enters a sequent only as a forall-l or exists-r witness, and the
+    # sequents below derive from it: the witnesses hold every goal's metas
     dangling: set[str] = set()
     for node in tree.nodes():
         if node.witness is not None:
             dangling |= unresolved_metas(node.witness, s)
-        if isinstance(node.sequent.goal, Atom):
-            dangling |= unresolved_metas(node.sequent.goal.term, s)
     for name in sorted(dangling):
         ty = ctx.meta_types.get(name, IOTA)
         t = smallest_closed_term(ctx.program.signature, ty)
@@ -497,32 +508,11 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> ProofTree | None:
         s = {**s, name: t}
 
     fo = not ctx.cfg.calculus.higher_order
-    # the tree shares formulas and entries tuples across nodes: each
-    # distinct one, by identity, is resolved once, and comes back itself
-    # when s changes nothing in it, with its cached keys
-    formulas: dict[int, Formula] = {}
-    tuples: dict[int, tuple[Entry, ...]] = {}
 
-    def formula(f: Formula) -> Formula:
-        out = formulas.get(id(f))
-        if out is None:
-            out = formulas[id(f)] = map_atoms(f, lambda t: tm.beta_normalize(resolve_term(t, s)))
-        return out
-
-    def entries(es: tuple[Entry, ...]) -> tuple[Entry, ...]:
-        out = tuples.get(id(es))
-        if out is None:
-            new = tuple(e if (f := formula(e.formula)) is e.formula else Entry(f, e.src) for e in es)
-            out = tuples[id(es)] = es if all(a is b for a, b in zip(new, es)) else new
-        return out
-
-    def go(node: ProofTree) -> ProofTree | None:
-        seq = node.sequent
-        new_seq = seq.with_(
-            entries=entries(seq.entries),
-            focus=None if seq.focus is None else formula(seq.focus),
-            goal=formula(seq.goal),
-        )
+    def go(node: ProofTree, seq: Sequent) -> ProofTree | None:
+        # seq is the node's sequent reified; its children are the premises
+        # it derives at the place search took, which the first child names:
+        # each premise search built is a sequent of its own
         witness = None
         if node.witness is not None:
             witness = tm.beta_normalize(resolve_term(node.witness, s))
@@ -531,14 +521,28 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> ProofTree | None:
             if fo and not tm.is_first_order(seq.signature, {}, witness):
                 return None
         children = []
-        for c in node.children:
-            rc = go(c)
-            if rc is None:
-                return None
-            children.append(rc)
-        return ProofTree(new_seq, node.rule, witness, node.eigen, tuple(children))
+        if node.children:
+            first = node.children[0].sequent
+            found = _derive(node.sequent, node.eigen, node.witness)
+            index = next(i for i, p in enumerate(found) if p and p[0] is first)
+            for c, premise in zip(node.children, _derive(seq, node.eigen, witness)[index]):
+                rc = go(c, premise)
+                if rc is None:
+                    return None
+                children.append(rc)
+        return ProofTree(seq, node.rule, witness, node.eigen, tuple(children))
 
-    return go(tree)
+    # the root resolved: each part s changes nothing in comes back itself
+    def formula(f: Formula) -> Formula:
+        return map_atoms(f, lambda t: tm.beta_normalize(resolve_term(t, s)))
+
+    root = tree.sequent
+    entries = tuple(e if (f := formula(e.formula)) is e.formula else Entry(f, e.src) for e in root.entries)
+    return go(tree, root.with_(
+        entries=root.entries if all(a is b for a, b in zip(entries, root.entries)) else entries,
+        focus=None if root.focus is None else formula(root.focus),
+        goal=formula(root.goal),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +587,7 @@ def coprove(program: Program, m: Formula, cfg: SearchConfig) -> SearchOutcome:
         raise NotCoreFormula(f"the goal is not a core formula of {cfg.calculus.value}")
     entries = _base_entries(program)
     root_seq = Sequent(program.signature, entries, None, m, COINDUCTIVE, False)
-    (child_seq,) = next(_premises(root_seq))
+    ((child_seq,),) = _derive(root_seq)
     ctx = _Ctx(program, cfg, NameSupply(), SearchStats(), {})
 
     def make_root(child: ProofTree) -> ProofTree:

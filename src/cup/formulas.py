@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 from . import terms as tm
 from .errors import CupError, IllTyped, NonHConvertibleClause, UsageError
-from .terms import App, Con, Context, IOTA, Lam, O, Signature, SimpleType, Term, Var, field, record
+from .terms import Con, Context, IOTA, O, Signature, SimpleType, Term, Var, field, record
 
 
 class Calculus(enum.Enum):
@@ -151,24 +151,34 @@ def map_atoms(f: Formula, fn) -> Formula:
     return f if body is f.body else type(f)(f.var, f.ty, body)
 
 
-def _as_term(f: Formula) -> Term:
-    """f encoded as a term whose alpha key is f's: connectives become
-    constants whose names no signature can hold, and a quantifier becomes
-    its tag applied to a lambda, the binder's type part of the tag."""
-    if isinstance(f, Atom):
-        return f.term
-    if isinstance(f, Top):
-        return Con(" Top")
-    if isinstance(f, (Conj, Disj, Impl)):
-        return tm.app(Con(" " + type(f).__name__), _as_term(f.left), _as_term(f.right))
-    return App(Con(f" {type(f).__name__} {f.ty!r}"), Lam(f.var, _as_term(f.body)))
+# the tags of formula keys; no term key starts with one (see `terms.alpha_key`)
+_TAGS = {Top: "T", Conj: "&", Disj: "|", Impl: ">", Forall: "A", Exists: "E"}
 
 
 def formula_key(f: Formula) -> str:
-    """The alpha key of f encoded as a term; computed once per node."""
+    """The alpha key of f, computed once per node: an atom's is its term's,
+    any other formula's its tag, then a quantifier's binder type, then its
+    parts' keys.  Prefix-free, as the term keys are."""
     if f._ak is None:
-        object.__setattr__(f, "_ak", tm.alpha_key(_as_term(f)))
+        object.__setattr__(f, "_ak", _key(f, {}, 0))
     return f._ak
+
+
+def _key(f: Formula, env: dict[str, int], depth: int) -> str:
+    # f's key inside `depth` binders, env mapping each variable they bind
+    # to its binder's depth; a part under no binder keys as a formula of
+    # its own, so it reads, or caches, its own key
+    if isinstance(f, Atom):
+        return tm.alpha_key_within(f.term, env, depth)
+    tag = _TAGS[type(f)]
+    if isinstance(f, Top):
+        return tag
+    if isinstance(f, (Conj, Disj, Impl)):
+        if not env:
+            return tag + formula_key(f.left) + formula_key(f.right)
+        return tag + _key(f.left, env, depth) + _key(f.right, env, depth)
+    ty = repr(f.ty)
+    return f"{tag}{len(ty)}:{ty}" + _key(f.body, {**env, f.var: depth}, depth + 1)
 
 
 def formula_alpha_eq(f: Formula, g: Formula) -> bool:

@@ -424,10 +424,12 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 def alpha_key(t: Term) -> str:
     """A de Bruijn rendering of t, equal for two terms exactly when they are
     alpha-equal; computed once per node."""
-    return _de_bruijn(t, {}, 0) if t._ak is None else t._ak
+    return alpha_key_within(t, {}, 0) if t._ak is None else t._ak
 
 
-def _de_bruijn(t: Term, env: dict[str, int], depth: int) -> str:
+def alpha_key_within(t: Term, env: dict[str, int], depth: int) -> str:
+    """The alpha key of t inside `depth` binders, env mapping each variable
+    they bind to its binder's depth; with none, `alpha_key(t)`."""
     # prefix notation; a name is written with its length, so no name can run
     # into the next token.  A subterm with no variable bound here reads the
     # same as on its own: it shares that node's cached key, or computes and
@@ -441,11 +443,11 @@ def _de_bruijn(t: Term, env: dict[str, int], depth: int) -> str:
     if isinstance(t, Con):
         return f"c{len(t.name)}:{t.name}"
     if isinstance(t, App):
-        key = "@" + _de_bruijn(t.fn, env, depth) + _de_bruijn(t.arg, env, depth)
+        key = "@" + alpha_key_within(t.fn, env, depth) + alpha_key_within(t.arg, env, depth)
     elif isinstance(t, Lam):
-        key = "l" + _de_bruijn(t.body, {**env, t.var: depth}, depth + 1)
+        key = "l" + alpha_key_within(t.body, {**env, t.var: depth}, depth + 1)
     else:
-        key = "f" + _de_bruijn(t.body, env, depth)
+        key = "f" + alpha_key_within(t.body, env, depth)
     if own:
         _AK(t, key)
     return key
@@ -858,7 +860,11 @@ def fixbeta_equiv(t1: Term, t2: Term, bound: int = UNFOLD_BOUND) -> str:
     clash ended the walk or the last unfoldings of the two sides clash;
     Unknown otherwise.
     """
-    walk = UnfoldingWalk(beta_normalize(t1), beta_normalize(t2), bound)
+    a, b = beta_normalize(t1), beta_normalize(t2)
+    if alpha_key(a) == alpha_key(b):
+        # the walk's first pair: alpha-equal terms never clash
+        return EQUAL
+    walk = UnfoldingWalk(a, b, bound)
     for a, b in walk:
         if alpha_key(a) == alpha_key(b):
             return EQUAL

@@ -107,6 +107,33 @@ def formula_alpha_eq_reference(f, g) -> bool:
     return False
 
 
+def formula_as_term(f) -> tm.Term:
+    """f encoded as a term whose alpha key partitions formulas as alpha
+    equivalence does: connectives become constants whose names no
+    signature can hold, and a quantifier becomes its tag applied to a
+    lambda, the binder's type part of the tag.  The reference for the
+    partition `formulas.formula_key` makes."""
+    if isinstance(f, fm.Atom):
+        return f.term
+    if isinstance(f, fm.Top):
+        return Con(" Top")
+    if isinstance(f, (fm.Conj, fm.Disj, fm.Impl)):
+        return tm.app(Con(" " + type(f).__name__), formula_as_term(f.left), formula_as_term(f.right))
+    return App(Con(f" {type(f).__name__} {f.ty!r}"), Lam(f.var, formula_as_term(f.body)))
+
+
+def fixbeta_equiv_walk(t1, t2, bound: int) -> str:
+    """`terms.fixbeta_equiv` that always walks the unfolding pairs, with no
+    answer before the walk for alpha-equal terms."""
+    walk = tm.UnfoldingWalk(tm.beta_normalize(t1), tm.beta_normalize(t2), bound)
+    for a, b in walk:
+        if tm.alpha_key(a) == tm.alpha_key(b):
+            return tm.EQUAL
+    if walk.clashed or tm.clash(walk.chains[0][-1], walk.chains[1][-1]):
+        return tm.NOT_EQUAL
+    return tm.UNKNOWN
+
+
 # ---------------------------------------------------------------------------
 # Brute-force greatest fixed point over a finite atom space
 # ---------------------------------------------------------------------------
@@ -413,6 +440,69 @@ def proof_mutations(tree):
     for path, node in proof_paths(tree):
         for name, mutated in node_mutations(node):
             yield path, name, replace_at(tree, path, mutated)
+
+
+def unshared_copy(tree):
+    """The proof tree rebuilt node by node, each sequent a new `Sequent`
+    with a new entries tuple of new entries: no sequent or entry is shared
+    with the tree or between nodes, and none has premises memoised."""
+    def go(node):
+        seq = node.sequent
+        entries = tuple([eng.Entry(e.formula, e.src) for e in seq.entries])
+        copy = eng.Sequent(seq.signature, entries, seq.focus, seq.goal, seq.mode, seq.guarded)
+        return eng.ProofTree(copy, node.rule, node.witness, node.eigen, tuple(go(c) for c in node.children))
+
+    return go(tree)
+
+
+def reify_reference(ctx, tree, s):
+    """Reification as each node's sequent resolved on its own: each
+    distinct formula and entries tuple of the found tree, by identity,
+    through the final substitution, with dangling metavariables (those
+    of witnesses and goal atoms) filled first.  The reference for
+    `engine._reify`, which derives each child from its reified parent."""
+    dangling = set()
+    for node in tree.nodes():
+        if node.witness is not None:
+            dangling |= eng.unresolved_metas(node.witness, s)
+        if isinstance(node.sequent.goal, fm.Atom):
+            dangling |= eng.unresolved_metas(node.sequent.goal.term, s)
+    for name in sorted(dangling):
+        t = eng.smallest_closed_term(ctx.program.signature, ctx.meta_types.get(name, IOTA))
+        if t is None:
+            return None
+        s = {**s, name: t}
+    fo = not ctx.cfg.calculus.higher_order
+    formulas, tuples = {}, {}
+
+    def formula(f):
+        if id(f) not in formulas:
+            formulas[id(f)] = fm.map_atoms(f, lambda t: tm.beta_normalize(eng.resolve_term(t, s)))
+        return formulas[id(f)]
+
+    def entries(es):
+        if id(es) not in tuples:
+            new = tuple(e if (f := formula(e.formula)) is e.formula else eng.Entry(f, e.src) for e in es)
+            tuples[id(es)] = es if all(a is b for a, b in zip(new, es)) else new
+        return tuples[id(es)]
+
+    def go(node):
+        seq = node.sequent
+        new_seq = seq.with_(entries=entries(seq.entries), focus=None if seq.focus is None else formula(seq.focus),
+                            goal=formula(seq.goal))
+        witness = None
+        if node.witness is not None:
+            witness = tm.beta_normalize(eng.resolve_term(node.witness, s))
+            if any(tm.is_meta(n) for n in tm.free_vars(witness)):
+                return None
+            if fo and not tm.is_first_order(seq.signature, {}, witness):
+                return None
+        children = [go(c) for c in node.children]
+        if None in children:
+            return None
+        return eng.ProofTree(new_seq, node.rule, witness, node.eigen, tuple(children))
+
+    return go(tree)
 
 
 def deep_document(depth: int) -> str:

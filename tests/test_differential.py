@@ -34,8 +34,8 @@ from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
 from helpers import (
     FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, export_dict_reference,
-    formula_alpha_eq_reference, gen_term, guarded_term_to_tree, proof_mutations, rename_binders, slist,
-    flat_document, tree_from_text,
+    fixbeta_equiv_walk, formula_alpha_eq_reference, formula_as_term, gen_term, guarded_term_to_tree,
+    proof_mutations, reify_reference, rename_binders, slist, flat_document, tree_from_text, unshared_copy,
 )
 from test_properties import CASES
 
@@ -1654,11 +1654,15 @@ def test_cached_formula_keys_match_fresh_ones_and_the_reference():
     for f in cached:
         fresh = _rebuild_formula(f)
         assert fresh._ak is None
-        assert f._ak == fm.formula_key(fresh) == tm.alpha_key(fm._as_term(f))
+        assert f._ak == fm.formula_key(fresh)
     rng = random.Random(12)
     pool = list(dict.fromkeys(formulas))
     pool += [rename_formula_binders(rng, f) for f in pool]
     assert len(pool) > 150
+    # the keys partition the pool as the keys of the formulas encoded as
+    # terms do: each class of one is a class of the other
+    pairs = {(fm.formula_key(f), tm.alpha_key(formula_as_term(f))) for f in pool}
+    assert len(pairs) == len({a for a, _b in pairs}) == len({b for _a, b in pairs})
     # alpha-equal formulas share a shape, so only pairs of one shape can
     # be equal; across shapes the keys must differ
     by_shape = collections.defaultdict(list)
@@ -1854,8 +1858,8 @@ def test_no_atom_that_search_proves_is_certainly_out_of_the_model():
 
 def test_the_premise_table_changes_no_search_output(monkeypatch):
     # a deeper bound redraws the names of the shallower one, meets its
-    # sequents again and reads their premises from the search's table. With
-    # the table emptied before every lookup, the same proofs, documents (and
+    # sequents again and reads their premises from what each sequent keeps.
+    # With that emptied before every lookup, the same proofs, documents (and
     # so the same fresh names), node counts and final bounds
     programs = workloads.load_programs()
     searches = _search_set()
@@ -1863,12 +1867,113 @@ def test_the_premise_table_changes_no_search_output(monkeypatch):
     solve = eng._solve
 
     def rebuilt(ctx, seq, depth, s):
-        ctx.premises.clear()
+        object.__setattr__(seq, "_derived", None)
         return solve(ctx, seq, depth, s)
 
     monkeypatch.setattr(eng, "_solve", rebuilt)
     assert _search_outputs(programs, searches, documents=True) == tabled
     assert sum(o[0] == "proved" for o in tabled[0]) > 40
+
+
+def _proofs(programs, searches):
+    """(program, calculus, proof) of each search that finds one."""
+    for name, text, calc, kind, depth in searches:
+        program = programs[name]
+        cfg = eng.SearchConfig(calculus=calc, depth_limit=depth)
+        try:
+            f = ps.parse_goal(text, program)
+            res = (eng.coprove(program, f, cfg) if kind == "coprove"
+                   else eng.prove(program, eng.LemmaStore(), f, cfg))
+        except CupError:
+            continue
+        if res.proved:
+            yield program, calc, res.tree
+
+
+def test_reification_by_derivation_is_reification_by_resolution(monkeypatch):
+    # each child of a reified node is derived from its reified parent: the
+    # sequent every node gets is the one resolving its own formulas gives,
+    # equal and not only alpha-equal, so proofs and documents stay the same
+    compared = []
+    reify = eng._reify
+
+    def both(ctx, tree, s):
+        out = reify(ctx, tree, s)
+        want = reify_reference(ctx, tree, s)
+        assert (out is None) == (want is None)
+        if out is not None:
+            assert out == want
+            compared.extend((a.sequent, b.sequent) for a, b in zip(out.nodes(), want.nodes()))
+        return out
+
+    monkeypatch.setattr(eng, "_reify", both)
+    horn = _random_horn_searches(range(200))
+    proofs = [*_proofs(workloads.load_programs(), _search_set()), *_proofs(*horn)]
+    assert all(a == b for a, b in compared)
+    # the sequents below the proofs' roots: those derived from a parent
+    assert (len(proofs), len(compared) - len(proofs)) == (1251, 3425)
+
+
+def test_fixbeta_equiv_answers_as_the_unfolding_walk():
+    # alpha-equal terms answer Equal before any walk is built: they are the
+    # walk's first pair, and never clash. The pairs: every INITIAL of the
+    # search set's proofs, every fold candidate `is_guarded_atom` meets on
+    # the search workload's goals, and pairs that stay undecided or clash
+    # up to the bound
+    pairs = []
+    programs = workloads.load_programs()
+    for _program, _calc, tree in _proofs(programs, _search_set()):
+        pairs += [(n.sequent.focus.term, n.sequent.goal.term, tm.UNFOLD_BOUND)
+                  for n in tree.nodes() if n.rule in ("initial", "initial<>")]
+    initials = len(pairs)
+    real = tm.fixbeta_equiv
+
+    def record(t1, t2, bound=tm.UNFOLD_BOUND):
+        pairs.append((t1, t2, bound))
+        return real(t1, t2, bound)
+
+    fresh = workloads.load_programs()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tm, "fixbeta_equiv", record)
+        for seed in (1, 2, 3):
+            for goal in itertools.chain(*workloads.blocks("search", seed, 4)):
+                program = fresh[goal.program]
+                f = ps.parse_goal(goal.text, program)
+                if isinstance(f, fm.Atom) and not tm.free_vars(f.term):
+                    gd.is_guarded_atom(program.signature, f.term)
+    folds = len(pairs) - initials
+    zeros_twice = Fix(L("y", slist(C("0"), C("0"), Z_STR)))
+    for bound in range(4):
+        pairs += [(Z_STR, ZEROS, bound), (Z_STR, zeros_twice, bound), (ZEROS, Z_STR, bound), (Z_STR, Z_STR, bound)]
+    verdicts = collections.Counter()
+    for t1, t2, bound in pairs:
+        want = fixbeta_equiv_walk(t1, t2, bound)
+        verdicts[want] += 1
+        assert tm.fixbeta_equiv(t1, t2, bound) == want, (t1, t2, bound)
+    assert initials > 80 and folds > 50
+    assert verdicts[tm.EQUAL] and verdicts[tm.NOT_EQUAL] and verdicts[tm.UNKNOWN], verdicts
+
+
+def test_identity_decides_no_verdict_and_no_document(regression_proofs):
+    # a tree whose every node is a new sequent, none shared and none with
+    # premises kept, checks and exports as the tree does: the regression
+    # proofs, the search set's proofs and both mutation grids
+    programs = workloads.load_programs()
+    trees = [(program, calc, res.tree) for program, _goal, calc, res in regression_proofs.values()]
+    grids = [(program, calc, t) for program, calc, tree in trees for _path, _name, t in proof_mutations(tree)]
+    grids += [(program, calc, t) for program, calc, tree in _search_goal_proofs(range(1, 9))
+              for _path, _name, t in proof_mutations(tree)]
+    assert len(grids) == 382 + 2591
+    trees += list(_proofs(programs, _search_set())) + grids
+    verdicts = collections.Counter()
+    for program, calc, tree in trees:
+        copy = unshared_copy(tree)
+        assert copy == tree
+        verdict = eng.check(tree, program, calc)
+        assert eng.check(copy, program, calc) == verdict
+        assert ps.export_proof(copy, program) == ps.export_proof(tree, program)
+        verdicts[verdict[0]] += 1
+    assert verdicts[True] > 50 and verdicts[False] == len(grids)
 
 
 def test_the_node_count_is_the_number_of_sequents_search_expands(monkeypatch):

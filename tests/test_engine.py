@@ -106,10 +106,52 @@ class TestCoproveRegressions:
     # the `_premises` calls of the member67 search, the root's included: one
     # per distinct (sequent, eigenvariable, witness) that it expands
     MEMBER67_PREMISE_CALLS = 10
+    # and those of its reification: one per inner node of the proof, whose
+    # reified sequent derives its children
+    MEMBER67_REIFY_PREMISE_CALLS = 10
 
     def test_a_search_builds_the_premises_of_each_sequent_once(self, monkeypatch, member67_program):
-        # a deeper bound reads a shallower one's premises from the search's
-        # table; a second search starts a table of its own
+        # a deeper bound reads a shallower one's premises from the sequents
+        # it meets again; a second search starts from sequents of its own
+        calls = collections.Counter()
+        phase = ["search"]
+        premises, reify = eng._premises, eng._reify
+
+        def counted(*args):
+            calls[phase[0]] += 1
+            return premises(*args)
+
+        def reifying(*args):
+            phase[0] = "reify"
+            try:
+                return reify(*args)
+            finally:
+                phase[0] = "search"
+
+        monkeypatch.setattr(eng, "_premises", counted)
+        monkeypatch.setattr(eng, "_reify", reifying)
+        goal = ps.parse_goal("member 0 [0|nil]", member67_program)
+        for _ in range(2):
+            calls.clear()
+            res = coprove(member67_program, goal, SearchConfig(calculus=Calculus.FOHC))
+            assert res.stats.nodes == self.SEARCH_GOLDEN["member67"][0]
+            assert calls["search"] == self.MEMBER67_PREMISE_CALLS < res.stats.nodes
+            inner = sum(1 for node in res.tree.nodes() if node.children)
+            assert calls["reify"] == self.MEMBER67_REIFY_PREMISE_CALLS == inner
+
+    # (nodes, leaves) of each regression proof: every node's document line
+    # carries its premises index, and reification derives the premises of
+    # every node but the leaves
+    ROUND_TRIP_SHAPES = {"member67": (13, 3), "bitstream": (11, 3), "from": (10, 2), "comember": (19, 4)}
+
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_SHAPES))
+    def test_a_round_trip_builds_the_premises_of_each_node_once(self, monkeypatch, regression_proofs, name):
+        # a proof found afresh, as no other test has exported or checked it:
+        # export builds the premises of the leaves only, import those of
+        # each node, and check none, since each child it meets is the
+        # derived sequent itself
+        program, goal, calc, _res = regression_proofs[name]
+        tree = coprove(program, goal, SearchConfig(calculus=calc)).tree
         calls = [0]
         premises = eng._premises
 
@@ -118,12 +160,16 @@ class TestCoproveRegressions:
             return premises(*args)
 
         monkeypatch.setattr(eng, "_premises", counted)
-        goal = ps.parse_goal("member 0 [0|nil]", member67_program)
-        for _ in range(2):
-            calls[0] = 0
-            res = coprove(member67_program, goal, SearchConfig(calculus=Calculus.FOHC))
-            assert res.stats.nodes == self.SEARCH_GOLDEN["member67"][0]
-            assert calls[0] == self.MEMBER67_PREMISE_CALLS < res.stats.nodes
+        nodes, leaves = self.ROUND_TRIP_SHAPES[name]
+        doc = ps.export_proof(tree, program)
+        assert (calls[0], tree.size()) == (leaves, nodes)
+        assert sum("premises" in line for line in doc.splitlines()) == nodes
+        calls[0] = 0
+        back = ps.import_proof(doc, program)
+        assert calls[0] == nodes
+        calls[0] = 0
+        assert check(back, program, calc) == (True, None)
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN))
     def test_search_output_pinned(self, regression_proofs, name):
