@@ -11,7 +11,7 @@ until a program-clause focus discharges it.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from . import terms as tm
 from .errors import (
@@ -40,7 +40,7 @@ from .formulas import (
     in_fragment,
     map_atoms,
 )
-from .terms import App, Con, Fix, IOTA, Lam, NameSupply, Signature, Term, Var, field, record
+from .terms import App, Con, Fix, Lam, NameSupply, Signature, Term, Var, field, record
 
 # the search depth limit when none is given, and the one at which the
 # CLI's corpus runs the goals it expects to be inconclusive: deep enough
@@ -79,7 +79,7 @@ class Sequent:
     goal: Formula
     mode: str = PLAIN
     guarded: bool = False
-    # the premise tuples `_derive` built, by (eigenvariable, witness): a
+    # the premise tuples `premises` built, by (eigenvariable, witness): a
     # pure function of the frozen fields, so it can never disagree with them
     _derived: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -354,7 +354,7 @@ def _premises(
                 yield (seq.with_(focus=e.formula),)
 
 
-def _derive(seq: Sequent, eigen: str | None = None, witness: Term | None = None) -> tuple[tuple[Sequent, ...], ...]:
+def premises(seq: Sequent, eigen: str | None = None, witness: Term | None = None) -> tuple[tuple[Sequent, ...], ...]:
     """`_premises(seq, eigen, witness)` as a tuple, built once and kept on
     the sequent, where search, reification, import and check all read it."""
     memo = seq._derived
@@ -372,14 +372,8 @@ def premise_index(node: ProofTree) -> int | None:
     its eigenvariable and witness, whose sequents its children have; None
     when there is none.  `check` and the proof document writer both ask."""
     kids = [k.sequent for k in node.children]
-    found = enumerate(_derive(node.sequent, node.eigen, node.witness))
+    found = enumerate(premises(node.sequent, node.eigen, node.witness))
     return next((i for i, p in found if len(p) == len(kids) and all(map(_sequent_equal, kids, p))), None)
-
-
-def premise_tuple(seq: Sequent, eigen: str | None, witness: Term | None, index: int) -> tuple[Sequent, ...] | None:
-    """The premise tuple `premise_index` numbers index, None past the last."""
-    known = _derive(seq, eigen, witness)
-    return known[index] if index < len(known) else None
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +383,10 @@ def premise_tuple(seq: Sequent, eigen: str | None, witness: Term | None, index: 
 
 @record(frozen=False)
 class _Ctx:
-    program: Program
     cfg: SearchConfig
     supply: NameSupply
     stats: SearchStats
-    meta_types: dict[str, tm.SimpleType]
     cut: bool = False
-
-    def fresh_meta(self, base: str, ty: tm.SimpleType) -> Var:
-        name = tm.META + self.supply.fresh(base)
-        self.meta_types[name] = ty
-        return Var(name)
 
 
 def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[tuple[ProofTree, dict[str, Term]]]:
@@ -425,11 +412,11 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
                 yield ProofTree(seq, rule), s1
             return
         if isinstance(d, Forall):
-            witness = ctx.fresh_meta(d.var, d.ty)
+            witness = Var(tm.META + ctx.supply.fresh(d.var))
     elif isinstance(g, Forall):
         eigen = ctx.supply.fresh(g.var)
     elif isinstance(g, Exists):
-        witness = ctx.fresh_meta(g.var, g.ty)
+        witness = Var(tm.META + ctx.supply.fresh(g.var))
     elif isinstance(g, Atom):
         head = tm.spine(g.term)[0]
         while isinstance(head, Var) and head.name in s:
@@ -441,8 +428,8 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
         pred = head.name if isinstance(head, Con) else None
     # a deeper bound redraws the names of the shallower one and so meets
     # the same sequents, with the same eigenvariables and witnesses, again
-    for premises in _derive(seq, eigen, witness):
-        if not premises:
+    for seqs in premises(seq, eigen, witness):
+        if not seqs:
             yield ProofTree(seq, rule), s
             continue
         # the focus needs n sequents below this DECIDE to reach an INITIAL
@@ -450,16 +437,16 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
         # neither searched nor counted. Walking it would have set the cut,
         # unless it reaches no such INITIAL at any depth
         if pred is not None:
-            reach = focus_reach(premises[0].focus)
+            reach = focus_reach(seqs[0].focus)
             n = min(reach.get(pred, _NEVER), reach.get(None, _NEVER))
             if n >= depth:
                 ctx.cut |= n < _NEVER
                 continue
-        for t1, s1 in _solve(ctx, premises[0], depth - 1, s):
-            if len(premises) == 1:
+        for t1, s1 in _solve(ctx, seqs[0], depth - 1, s):
+            if len(seqs) == 1:
                 yield ProofTree(seq, rule, witness, eigen, (t1,)), s1
                 continue
-            for t2, s2 in _solve(ctx, premises[1], depth - 1, s1):
+            for t2, s2 in _solve(ctx, seqs[1], depth - 1, s1):
                 yield ProofTree(seq, rule, witness, eigen, (t1, t2)), s2
 
 
@@ -492,22 +479,29 @@ def unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:
     return {n for n in tm.free_vars(resolve_term(t, s)) if tm.is_meta(n)}
 
 
-def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> ProofTree | None:
-    # fill metas that no rule constrained with the smallest closed terms. A
-    # meta enters a sequent only as a forall-l or exists-r witness, and the
-    # sequents below derive from it: the witnesses hold every goal's metas
+def _reify(tree: ProofTree, s: dict[str, Term], calculus: Calculus) -> ProofTree | None:
+    # fill metas that no rule constrained with the smallest closed terms of
+    # their types. A meta enters a sequent only as a forall-l or exists-r
+    # witness, and the sequents below derive from it: the witnesses hold
+    # every goal's metas, each of the type of the binder, the focus's or
+    # the goal's, of the node that drew it. s binds metas only at the
+    # INITIALs of the path that found the tree, all of whose nodes are in
+    # the tree, so a meta missing from the table is a search bug, and
+    # indexing the table makes it raise
     dangling: set[str] = set()
+    types: dict[str, tm.SimpleType] = {}
     for node in tree.nodes():
         if node.witness is not None:
+            seq = node.sequent
+            types[node.witness.name] = (seq.goal if seq.focus is None else seq.focus).ty
             dangling |= unresolved_metas(node.witness, s)
     for name in sorted(dangling):
-        ty = ctx.meta_types.get(name, IOTA)
-        t = smallest_closed_term(ctx.program.signature, ty)
+        t = smallest_closed_term(tree.sequent.signature, types[name])
         if t is None:
             return None
         s = {**s, name: t}
 
-    fo = not ctx.cfg.calculus.higher_order
+    fo = not calculus.higher_order
 
     def go(node: ProofTree, seq: Sequent) -> ProofTree | None:
         # seq is the node's sequent reified; its children are the premises
@@ -523,9 +517,9 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> ProofTree | None:
         children = []
         if node.children:
             first = node.children[0].sequent
-            found = _derive(node.sequent, node.eigen, node.witness)
+            found = premises(node.sequent, node.eigen, node.witness)
             index = next(i for i, p in enumerate(found) if p and p[0] is first)
-            for c, premise in zip(node.children, _derive(seq, node.eigen, witness)[index]):
+            for c, premise in zip(node.children, premises(seq, node.eigen, witness)[index]):
                 rc = go(c, premise)
                 if rc is None:
                     return None
@@ -550,23 +544,30 @@ def _reify(ctx: _Ctx, tree: ProofTree, s: dict[str, Term]) -> ProofTree | None:
 # ---------------------------------------------------------------------------
 
 
-def _base_entries(program: Program, lemmas: LemmaStore | None = None) -> tuple[Entry, ...]:
+def base_entries(program: Program, lemmas: LemmaStore | None = None) -> tuple[Entry, ...]:
+    """The entries of a root sequent: the program's clauses, then the lemmas."""
     entries = tuple(Entry(c, Src.ORIGINAL) for c in program.clauses)
     if lemmas is not None:
         entries += tuple(Entry(f, Src.LEMMA) for f in lemmas.formulas())
     return entries
 
 
-def _search(ctx: _Ctx, root_child: Sequent, make_root: Callable[[ProofTree], ProofTree]) -> SearchOutcome:
-    limit = ctx.cfg.depth_limit
-    for bound in range(1, limit + 1):
+def _search(cfg: SearchConfig, root: Sequent) -> SearchOutcome:
+    """Iterative deepening from the root. A coinductive root's co-fix is
+    not searched: its one premise is, and each proof found of it is
+    wrapped in the co-fix node."""
+    ctx = _Ctx(cfg, NameSupply(), SearchStats())
+    start = premises(root)[0][0] if root.mode == COINDUCTIVE else root
+    for bound in range(1, cfg.depth_limit + 1):
         # fresh names per bound, so a proof's names depend only on the
         # bound that found it
-        ctx.supply, ctx.meta_types, ctx.cut = NameSupply(), {}, False
+        ctx.supply, ctx.cut = NameSupply(), False
         ctx.stats.max_depth = bound
         try:
-            for tree, s in _solve(ctx, root_child, bound, {}):
-                reified = _reify(ctx, make_root(tree), s)
+            for tree, s in _solve(ctx, start, bound, {}):
+                if start is not root:
+                    tree = ProofTree(root, "co-fix", children=(tree,))
+                reified = _reify(tree, s, cfg.calculus)
                 if reified is not None:
                     return SearchOutcome(reified, "proved", ctx.stats)
         except RecursionError:
@@ -585,25 +586,14 @@ def coprove(program: Program, m: Formula, cfg: SearchConfig) -> SearchOutcome:
     """
     if cfg.calculus not in classify(program.signature, m, "core"):
         raise NotCoreFormula(f"the goal is not a core formula of {cfg.calculus.value}")
-    entries = _base_entries(program)
-    root_seq = Sequent(program.signature, entries, None, m, COINDUCTIVE, False)
-    ((child_seq,),) = _derive(root_seq)
-    ctx = _Ctx(program, cfg, NameSupply(), SearchStats(), {})
-
-    def make_root(child: ProofTree) -> ProofTree:
-        return ProofTree(root_seq, "co-fix", children=(child,))
-
-    return _search(ctx, child_seq, make_root)
+    return _search(cfg, Sequent(program.signature, base_entries(program), None, m, COINDUCTIVE))
 
 
 def prove(program: Program, lemmas: LemmaStore | None, g: Formula, cfg: SearchConfig) -> SearchOutcome:
     """Uniform proof search for a goal over the program plus proven lemmas."""
     if cfg.calculus not in classify(program.signature, g, "goal"):
         raise NotCoreFormula(f"the goal is not a goal formula of {cfg.calculus.value}")
-    entries = _base_entries(program, lemmas)
-    root_seq = Sequent(program.signature, entries, None, g, PLAIN, False)
-    ctx = _Ctx(program, cfg, NameSupply(), SearchStats(), {})
-    return _search(ctx, root_seq, lambda child: child)
+    return _search(cfg, Sequent(program.signature, base_entries(program, lemmas), None, g))
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +635,7 @@ def check(
             return tm.fixbeta_equiv(focus, goal, fixbeta_bound) == tm.EQUAL
         return tm.alpha_eq(focus, goal)
 
-    base = _base_entries(program)
+    base = base_entries(program)
     # pre-order on a stack of its own, so the first failure reported is the
     # first in pre-order whatever the tree's height
     todo = [(tree, "root", True)]

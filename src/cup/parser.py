@@ -520,8 +520,8 @@ def _base(rule: str, parent: tuple | None, program: Program) -> tuple:
     sequent)'s signature and entries or at the root the program's, then the
     source of its program additions and its mode where it names none."""
     if parent is None:
-        entries = tuple(eng.Entry(c, eng.Src.ORIGINAL) for c in program.clauses)
-        return program.signature, entries, eng.Src.LEMMA, (eng.COINDUCTIVE if rule == "co-fix" else eng.PLAIN)
+        mode = eng.COINDUCTIVE if rule == "co-fix" else eng.PLAIN
+        return program.signature, eng.base_entries(program), eng.Src.LEMMA, mode
     src = eng.Src.COHYP if parent[0] == "co-fix" else eng.Src.HYPOTHESIS
     return parent[1].signature, parent[1].entries, src, eng.PLAIN
 
@@ -637,9 +637,12 @@ def _import_node(doc, program: Program, parent: tuple | None, derived: eng.Seque
     witness = _payload(parse_term, doc["witness"], seq.signature, program, "proof payload") \
         if "witness" in doc else None
     eigen = _parse_sig_addition(doc["eigen"], addition=False) if "eigen" in doc else None
-    premises = eng.premise_tuple(seq, eigen, witness, doc["premises"]) if "premises" in doc else None
-    if "premises" in doc and (premises is None or len(premises) != count):
-        raise MalformedDocument(f"proof node field 'premises' names no premise tuple of {count} sequents")
+    premises = None
+    if "premises" in doc:
+        known, index = eng.premises(seq, eigen, witness), doc["premises"]
+        if index >= len(known) or len(known[index]) != count:
+            raise MalformedDocument(f"proof node field 'premises' names no premise tuple of {count} sequents")
+        premises = known[index]
     return rule, seq, witness, eigen, count, premises
 
 

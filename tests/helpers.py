@@ -455,24 +455,28 @@ def unshared_copy(tree):
     return go(tree)
 
 
-def reify_reference(ctx, tree, s):
+def reify_reference(tree, s, calculus):
     """Reification as each node's sequent resolved on its own: each
     distinct formula and entries tuple of the found tree, by identity,
     through the final substitution, with dangling metavariables (those
-    of witnesses and goal atoms) filled first.  The reference for
+    of witnesses and goal atoms) filled first, each with the smallest
+    closed term of the type of the binder that drew it.  The reference for
     `engine._reify`, which derives each child from its reified parent."""
-    dangling = set()
+    dangling, types = set(), {}
     for node in tree.nodes():
+        seq = node.sequent
         if node.witness is not None:
+            types[node.witness.name] = (seq.goal if seq.focus is None else seq.focus).ty
             dangling |= eng.unresolved_metas(node.witness, s)
-        if isinstance(node.sequent.goal, fm.Atom):
-            dangling |= eng.unresolved_metas(node.sequent.goal.term, s)
+        if isinstance(seq.goal, fm.Atom):
+            dangling |= eng.unresolved_metas(seq.goal.term, s)
     for name in sorted(dangling):
-        t = eng.smallest_closed_term(ctx.program.signature, ctx.meta_types.get(name, IOTA))
+        # indexed, not defaulted: a metavariable no node drew raises
+        t = eng.smallest_closed_term(tree.sequent.signature, types[name])
         if t is None:
             return None
         s = {**s, name: t}
-    fo = not ctx.cfg.calculus.higher_order
+    fo = not calculus.higher_order
     formulas, tuples = {}, {}
 
     def formula(f):

@@ -816,6 +816,36 @@ class TestDanglingWitness:
         assert capsys.readouterr().out == "no proof: the finite search space is exhausted\n"
 
 
+class TestAProvedAtomIsInTheModel:
+    """`t 0` holds through a body-only variable whose one witness,
+    s (s (s (s 0))), is bigger than any term of the model's term pool. By
+    the soundness theorem an atom that search proves lies in the greatest
+    model, so `cup model` must not refute it."""
+
+    TEXT = ("const 0 : i. const s : i -> i. const q : i -> o. const t : i -> o.\n"
+            "q (s (s (s (s 0)))).\nt 0 :- q X.\n")
+
+    @pytest.fixture
+    def program(self, tmp_path):
+        path = tmp_path / "t0.cup"
+        path.write_text(self.TEXT)
+        return str(path)
+
+    @pytest.mark.parametrize("command, size", [("prove", 6), ("coprove", 7)])
+    def test_search_proves_it(self, program, capsys, command, size):
+        code = run([command, "--calculus", "co-fohc", "--program", program, "--goal", "t 0"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"proved ({size} nodes; 14 expansions)\n")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 21: gfp_approx draws the body-only X from a term pool without s (s (s (s 0))), "
+        "so the model answers CertainlyOut (exit 1)"))
+    @pytest.mark.parametrize("depth", [2, 4, 6])
+    def test_the_model_does_not_refute_it(self, program, capsys, depth):
+        code = run(["model", "--program", program, "--goal", "t 0", "--model-depth", str(depth)])
+        assert (code, capsys.readouterr().out.split()[0]) == (EXIT_OK, "InApprox")
+
+
 def _node(rule, goal, children=(), **fields):
     return {"rule": rule, "signature_additions": [], "program_additions": [], "goal": goal,
             "guarded": False, "children": list(children), **fields}

@@ -1897,9 +1897,9 @@ def test_reification_by_derivation_is_reification_by_resolution(monkeypatch):
     compared = []
     reify = eng._reify
 
-    def both(ctx, tree, s):
-        out = reify(ctx, tree, s)
-        want = reify_reference(ctx, tree, s)
+    def both(tree, s, calculus):
+        out = reify(tree, s, calculus)
+        want = reify_reference(tree, s, calculus)
         assert (out is None) == (want is None)
         if out is not None:
             assert out == want

@@ -1,4 +1,5 @@
 import collections
+import math
 import sys
 
 import pytest
@@ -489,7 +490,7 @@ class TestDeepTrees:
         program = ps.parse_program("const p : o. p :- p.")
         clause = program.clauses[0]
         goal = ps.parse_goal("p", program)
-        seq = eng.Sequent(program.signature, eng._base_entries(program), None, goal)
+        seq = eng.Sequent(program.signature, eng.base_entries(program), None, goal)
         initial = eng.ProofTree(seq.with_(focus=clause.right), "initial")
         tree = eng.ProofTree(seq, "decide")
         for _ in range(2000):
@@ -499,6 +500,37 @@ class TestDeepTrees:
         assert tree.equal(tree)
         assert check(tree, program, Calculus.FOHC) == (
             False, "root" + ".0.1" * 2000 + ": decide premises do not match the rule")
+
+
+class TestCostsAsCounts:
+    """Costs pinned as call counts, which a fixed program makes exact, and
+    bounded by their growth exponent, never by an absolute count."""
+
+    NAT = "const 0 : i. const s : i -> i. const nat : i -> o. nat 0. nat (s X) :- nat X.\n"
+
+    def test_import_and_check_of_the_nat_chain_type_at_most_quadratically(self, monkeypatch):
+        # the `nat` proof of n nested `s`, found and exported, then read and
+        # checked over a freshly parsed program, whose signature has typed
+        # nothing yet. Its document grows by 2.26 and 2.51 per doubling, and
+        # the type inferences by 2^1.92 and 2^1.96 (1 336, 5 056, 19 696)
+        infer, counts = tm._Infer.infer, []
+
+        def counted(self, *args):
+            counts[-1] += 1
+            return infer(self, *args)
+
+        for n in (20, 40, 80):
+            program = ps.parse_program(self.NAT)
+            goal = ps.parse_goal("nat " + "(s " * n + "0" + ")" * n, program)
+            res = prove(program, None, goal, SearchConfig(calculus=Calculus.FOHC, depth_limit=5000))
+            doc = ps.export_proof(res.tree, program)
+            fresh = ps.parse_program(self.NAT)
+            counts.append(0)
+            monkeypatch.setattr(tm._Infer, "infer", counted)
+            assert check(ps.import_proof(doc, fresh), fresh, Calculus.FOHC) == (True, None)
+            monkeypatch.setattr(tm._Infer, "infer", infer)
+        exponents = [math.log2(b / a) for a, b in zip(counts, counts[1:])]
+        assert all(e <= 2.05 for e in exponents), (counts, exponents)
 
 
 class TestSearchWitnesses:
@@ -529,6 +561,16 @@ class TestSearchWitnesses:
         ]
         assert [n.witness for n in uses] == [A(C("s"), C(eigen))]
 
+    @pytest.mark.parametrize("calc", list(Calculus), ids=lambda c: c.value)
+    def test_a_dangling_witness_takes_the_type_of_the_binder_that_drew_it(self, calc):
+        # no closed term has type i -> i here, so there is no proof; were the
+        # witness of `f` taken to be of type i, 0 would fill it and prove it
+        program = ps.parse_program("const 0 : i. const s : i -> i.")
+        cfg = SearchConfig(calculus=calc)
+        assert prove(program, None, Exists("f", tm.fn_type(IOTA, IOTA), TOP), cfg).reason == "no-proof"
+        res = prove(program, None, Exists("x", IOTA, TOP), cfg)
+        assert res.proved and res.tree.witness == C("0")
+
 
 class TestPromoteLemma:
     def test_corrupted_proof_rejected(self, regression_proofs):
@@ -555,7 +597,7 @@ class TestPromoteLemma:
         # a promoted lemma may be decided on, but never under the guard
         prog, goal, calc, res = regression_proofs["bitstream"]
         store = promote_lemma(prog, HClause((), (), goal.term), res.tree, LemmaStore())
-        entries = eng._base_entries(prog, store)
+        entries = eng.base_entries(prog, store)
         assert [e.src for e in entries].count(Src.LEMMA) == 1
 
 
@@ -584,8 +626,7 @@ class TestFocusHeads:
         return Atom(A(C(pred), C(arg) if arg == "a" else V(arg)))
 
     def ctx(self):
-        return eng._Ctx(fm.Program(self.SIG), SearchConfig(calculus=Calculus.FOHH), tm.NameSupply(),
-                        eng.SearchStats(), {})
+        return eng._Ctx(SearchConfig(calculus=Calculus.FOHH), tm.NameSupply(), eng.SearchStats())
 
     def test_a_conjunction_gives_the_union_of_its_sides(self):
         # each predicate's count is one more than its shorter side's
@@ -643,7 +684,7 @@ class TestFocusHeads:
             [0, 1, 2, 3, 5, 7, 8, 10][depth], depth < 7, [0, 1, 1, 1, 2, 3, 3, 3][depth])
         seq = eng.Sequent(self.SIG, (eng.Entry(f, Src.ORIGINAL),), None, self.atom("p"))
         assert list(eng._solve(decided, seq, depth + 1, {})) == []
-        assert (decided.stats.nodes, decided.cut, decided.supply._next, decided.meta_types) == (1, False, 0, {})
+        assert (decided.stats.nodes, decided.cut, decided.supply._next) == (1, False, 0)
 
     @pytest.mark.parametrize("depth", range(1, 8))
     def test_a_decide_skips_a_chain_longer_than_the_depth_left_and_sets_the_cut(self, depth):

@@ -316,9 +316,9 @@ RECORDS = [
     (eng.SearchStats(3, 2), "SearchStats(nodes=3, max_depth=2)"),
     (eng.SearchOutcome(None, "no-proof", eng.SearchStats()),
      "SearchOutcome(tree=None, reason='no-proof', stats=SearchStats(nodes=0, max_depth=0))"),
-    (eng._Ctx(fm.Program(Signature()), eng.SearchConfig(fm.Calculus.FOHC), _SUPPLY, eng.SearchStats(), {}),
-     f"_Ctx(program={fm.Program(Signature())!r}, cfg={eng.SearchConfig(fm.Calculus.FOHC)!r}, supply={_SUPPLY!r}, "
-     "stats=SearchStats(nodes=0, max_depth=0), meta_types={}, cut=False)"),
+    (eng._Ctx(eng.SearchConfig(fm.Calculus.FOHC), _SUPPLY, eng.SearchStats()),
+     f"_Ctx(cfg={eng.SearchConfig(fm.Calculus.FOHC)!r}, supply={_SUPPLY!r}, "
+     "stats=SearchStats(nodes=0, max_depth=0), cut=False)"),
     (sd.Candidate(_INTERP, (C("p"),), []),
      f"Candidate(interpretation={_INTERP!r}, side_atoms=(Con(name='p'),), deltas=[], eigenvariables=())"),
     (sd.HarnessReport(1, [], 2, 0, True, None, 3, 4),
