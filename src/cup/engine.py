@@ -38,7 +38,6 @@ from .formulas import (
     formula_alpha_eq,
     formula_substitute,
     in_fragment,
-    map_atoms,
 )
 from .terms import App, Con, Fix, Lam, NameSupply, Signature, Term, Var, field, record
 
@@ -456,13 +455,13 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
 
 
 def smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Term | None:
-    """The smallest closed first-order term of the given type, if any:
-    rounds of constructor application run until one adds no new type."""
+    """The smallest closed term of the given type built from the
+    signature's constants, if any: a constant of that type, else rounds of
+    constructor application run until one adds no new type."""
     cons = sig.constructors()
     first: dict[tm.SimpleType, Term] = {}
     for n, t in cons:
-        if isinstance(t, tm.Base):
-            first.setdefault(t, Con(n))
+        first.setdefault(t, Con(n))
     while True:
         new: dict[tm.SimpleType, Term] = {}
         for name, cty in cons:
@@ -506,12 +505,11 @@ def _reify(tree: ProofTree, s: dict[str, Term], calculus: Calculus) -> ProofTree
     def go(node: ProofTree, seq: Sequent) -> ProofTree | None:
         # seq is the node's sequent reified; its children are the premises
         # it derives at the place search took, which the first child names:
-        # each premise search built is a sequent of its own
+        # each premise search built is a sequent of its own. Every meta of
+        # a witness is now bound to a closed term, so the witness is closed
         witness = None
         if node.witness is not None:
             witness = tm.beta_normalize(resolve_term(node.witness, s))
-            if any(tm.is_meta(n) for n in tm.free_vars(witness)):
-                return None
             if fo and not tm.is_first_order(seq.signature, {}, witness):
                 return None
         children = []
@@ -526,17 +524,11 @@ def _reify(tree: ProofTree, s: dict[str, Term], calculus: Calculus) -> ProofTree
                 children.append(rc)
         return ProofTree(seq, node.rule, witness, node.eigen, tuple(children))
 
-    # the root resolved: each part s changes nothing in comes back itself
-    def formula(f: Formula) -> Formula:
-        return map_atoms(f, lambda t: tm.beta_normalize(resolve_term(t, s)))
-
-    root = tree.sequent
-    entries = tuple(e if (f := formula(e.formula)) is e.formula else Entry(f, e.src) for e in root.entries)
-    return go(tree, root.with_(
-        entries=root.entries if all(a is b for a, b in zip(entries, root.entries)) else entries,
-        focus=None if root.focus is None else formula(root.focus),
-        goal=formula(root.goal),
-    ))
+    # search's own root: it holds no meta, since `coprove` and `prove` take
+    # only a goal `classify` types and its entries are program clauses and
+    # proven lemmas. So the nodes above the first witness keep the premises
+    # search derived
+    return go(tree, tree.sequent)
 
 
 # ---------------------------------------------------------------------------

@@ -57,22 +57,19 @@ class Token:
         return (self.line, self.col)
 
 
-def _lexer(ident: str) -> re.Pattern:
-    """One token, newline or stretch of blanks or `%` comment per match; a
-    character no token starts with is `bad`.  `[\\w']` is `str.isalnum`
-    plus `_'`, and `[^\\S\\n]` is `str.isspace` but for the newline."""
-    punct = "|".join(map(re.escape, _PUNCT))
-    return re.compile(rf"(?P<nl>\n)|[^\S\n]+|%[^\n]*|(?P<ident>{ident}+)|(?P<punct>{punct})|(?P<bad>.)", re.S)
-
-
-# by `allow_fresh`: identifiers take the fresh mark only where it is allowed
-_LEXERS = (_lexer(r"[\w']"), _lexer(rf"[\w'{re.escape(tm.FRESH_MARK)}]"))
+# One token, newline or stretch of blanks or `%` comment per match; a
+# character no token starts with is `bad`.  `[\w']` is `str.isalnum` plus
+# `_'`, and `[^\S\n]` is `str.isspace` but for the newline.  Identifiers
+# may hold the fresh mark, which `tokenize` rejects unless `allow_fresh`
+_LEXER = re.compile(
+    rf"(?P<nl>\n)|[^\S\n]+|%[^\n]*|(?P<ident>[\w'{re.escape(tm.FRESH_MARK)}]+)"
+    rf"|(?P<punct>{'|'.join(map(re.escape, _PUNCT))})|(?P<bad>.)", re.S)
 
 
 def tokenize(text: str, allow_fresh: bool = False) -> list[Token]:
     toks: list[Token] = []
     line, start = 1, 0  # the current line and the offset it starts at
-    for m in _LEXERS[allow_fresh].finditer(text):
+    for m in _LEXER.finditer(text):
         kind = m.lastgroup
         if kind is None:
             continue
@@ -81,11 +78,12 @@ def tokenize(text: str, allow_fresh: bool = False) -> list[Token]:
             continue
         word, col = m.group(), m.start() - start + 1
         if kind == "ident":
+            if not allow_fresh and tm.FRESH_MARK in word:
+                at = col + word.index(tm.FRESH_MARK)
+                raise ParseError(f"reserved marker {tm.FRESH_MARK!r} in identifier", (line, at))
             toks.append(Token("keyword" if word in KEYWORDS else "ident", word, line, col))
         elif kind == "punct":
             toks.append(Token("punct", word, line, col))
-        elif word == tm.FRESH_MARK:
-            raise ParseError(f"reserved marker {tm.FRESH_MARK!r} in identifier", (line, col))
         else:
             raise ParseError(f"unexpected character {word!r}", (line, col))
     # a comment leaves the column where it starts: on the last line, at its `%`
@@ -320,7 +318,9 @@ def parse_program(text: str) -> Program:
 
 
 def _parse_program(text: str) -> Program:
+    # one signature per `const`: the later definitions and clauses share it
     sig_map: dict[str, tm.SimpleType] = {}
+    sig = Signature.of(sig_map)
     fix_defs: dict[str, Term] = {}
     p = _Parser(tokenize(text), sig_map, fix_defs)
     clauses: list[Formula] = []
@@ -333,8 +333,9 @@ def _parse_program(text: str) -> Program:
             if name in sig_map or name in fix_defs:
                 raise ParseError(f"{name!r} declared twice", name_tok.span)
             sig_map[name] = ty
+            sig = Signature.of(sig_map)
             try:
-                Signature.of(sig_map).check_first_order()
+                sig.check_first_order()
             except tm.NonFirstOrderSignature as exc:
                 raise SourceTypeError(str(exc), name_tok.span) from exc
             continue
@@ -346,7 +347,6 @@ def _parse_program(text: str) -> Program:
             body = p.term()
             p.eat(".")
             p.resolved(implicit=False)
-            sig = Signature.of(sig_map)
             # only a body that type-checks is beta-normalised, which then
             # terminates; the normal form is checked again, since a vanished
             # argument may have been all that fixed a binder's type
@@ -373,7 +373,6 @@ def _parse_program(text: str) -> Program:
         start = p.peek()
         f = p.clause()
         p.eat(".")
-        sig = Signature.of(sig_map)
         try:
             first_order = fm.in_fragment(sig, f, "clause", fm.Calculus.FOHC)
         except CupError as exc:
@@ -382,7 +381,7 @@ def _parse_program(text: str) -> Program:
             raise SourceTypeError("clause is outside the first-order clause grammar", start.span)
         # after the type check, so beta-normalising terminates
         clauses.append(fm.map_atoms(f, tm.beta_normalize))
-    return Program(Signature.of(sig_map), tuple(clauses), tuple(fix_defs.items()))
+    return Program(sig, tuple(clauses), tuple(fix_defs.items()))
 
 
 def _parse_with(text: str, program: Program, production: str, allow_fresh: bool = False):

@@ -9,10 +9,11 @@ import pytest
 from cup import cli
 from cup import engine as eng
 from cup import formulas as fm
+from cup import guardedness as gd
 from cup import parser as ps
 from cup import trees as tr
 from cup.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
-from cup.errors import UsageError
+from cup.errors import CupError, UsageError
 from cup.formulas import Calculus
 
 from helpers import deep_document, flat_document, nested_document, stated_document, tree_from_text
@@ -844,6 +845,121 @@ class TestAProvedAtomIsInTheModel:
     def test_the_model_does_not_refute_it(self, program, capsys, depth):
         code = run(["model", "--program", program, "--goal", "t 0", "--model-depth", str(depth)])
         assert (code, capsys.readouterr().out.split()[0]) == (EXIT_OK, "InApprox")
+
+
+class TestADeepWitnessAtomIsInTheModel:
+    """The head atom holds with X = s (s (s 0)), a witness bigger than any
+    term of the model's size-3 term pool, so `cup model` must not refute it
+    either."""
+
+    TEXT = "const 0 : i. const s : i -> i. const p0 : i -> o. p0 (s (s (s (s 0)))) :- p0 (s X).\n"
+    GOAL = "p0 (s (s (s (s 0))))"
+
+    @pytest.fixture
+    def program(self, tmp_path):
+        path = tmp_path / "p0.cup"
+        path.write_text(self.TEXT)
+        return str(path)
+
+    def test_search_proves_it(self, program, capsys):
+        code = run(["coprove", "--calculus", "co-fohc", "--program", program, "--goal", self.GOAL])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("proved (7 nodes;")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 21: the witness s (s (s 0)) is larger than any term in the size-3 pool, "
+        "so the model answers CertainlyOut (exit 1)"))
+    @pytest.mark.parametrize("depth", [5, 6])
+    def test_the_model_does_not_refute_it(self, program, capsys, depth):
+        code = run(["model", "--program", program, "--goal", self.GOAL, "--model-depth", str(depth)])
+        assert (code, capsys.readouterr().out.split()[0]) == (EXIT_OK, "InApprox")
+
+
+class TestTheUnfoldingBoundOverstates:
+    """A bounded test that runs out of fix unfoldings answers as a clash
+    would: search says `no proof`, `check` rejects a proof that checks at a
+    larger bound, and guardedness says False. Each must instead prove,
+    stay inconclusive or, for guardedness, answer anything but False."""
+
+    STREAM = ("const 0 : i. const scons : i -> i -> i. const p : i -> o.\n"
+              "def z_str = fix \\x. scons 0 x.\n")
+    P_TEXT = STREAM + "p [0|0|0|0|0|0|0|0|0|0|X].\n"
+    EQ_TEXT = P_TEXT + "const eq : i -> i -> o.\neq X X.\n"
+    REASON = "ROADMAP item 2: the fixβ unfolding bound is read as a clash, not as an unknown answer"
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "stream.cup"
+        path.write_text(text)
+        return str(path)
+
+    def prove_at_bound_12(self, tmp_path, capsys):
+        proof = tmp_path / "p.json"
+        code = run(["coprove", "--calculus", "co-hohh", "--program", self.write(tmp_path, self.P_TEXT),
+                    "--goal", "p z_str", "--fixbeta-bound", "12", "--emit-proof", str(proof)])
+        return code, capsys.readouterr().out, str(proof)
+
+    def test_a_larger_bound_proves_and_checks_it(self, tmp_path, capsys):
+        code, out, proof = self.prove_at_bound_12(tmp_path, capsys)
+        assert code == EXIT_OK and out.startswith("proved (4 nodes;")
+        code = run(["check-proof", "--calculus", "co-hohh", "--program", str(tmp_path / "stream.cup"),
+                    "--proof", proof, "--fixbeta-bound", "12"])
+        assert (code, capsys.readouterr().out) == (EXIT_OK, "valid proof (4 nodes)\n")
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_search_at_the_default_bound_is_not_refuted(self, tmp_path, capsys):
+        code = run(["coprove", "--calculus", "co-hohh", "--program", self.write(tmp_path, self.P_TEXT),
+                    "--goal", "p z_str"])
+        assert code in (EXIT_OK, EXIT_INCONCLUSIVE), capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_the_proof_is_not_invalid_at_the_default_bound(self, tmp_path, capsys):
+        _code, _out, proof = self.prove_at_bound_12(tmp_path, capsys)
+        code = run(["check-proof", "--calculus", "co-hohh", "--program", str(tmp_path / "stream.cup"),
+                    "--proof", proof])
+        assert code in (EXIT_OK, EXIT_INCONCLUSIVE), capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_a_stream_equal_to_its_unfolding_is_not_refuted(self, tmp_path, capsys):
+        code = run(["coprove", "--calculus", "co-hohh", "--program", self.write(tmp_path, self.EQ_TEXT),
+                    "--goal", "eq z_str (scons 0 z_str)", "--fixbeta-bound", "40"])
+        assert code in (EXIT_OK, EXIT_INCONCLUSIVE), capsys.readouterr().out
+
+    def guarded(self, zeros):
+        program = ps.parse_program(Path(corpus("bitstream.cup")).read_text())
+        atom = ps.parse_term("bitstream [" + "0|" * zeros + "z_str]", program)
+        try:
+            return gd.is_guarded_atom(program.signature, atom)
+        except CupError as exc:
+            return exc
+
+    def test_a_short_prefix_of_a_guarded_stream_is_guarded(self):
+        assert self.guarded(8) is True
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    @pytest.mark.parametrize("zeros", [9, 12])
+    def test_a_long_prefix_of_a_guarded_stream_is_not_called_unguarded(self, zeros):
+        answer = self.guarded(zeros)
+        assert answer is not False and (not isinstance(answer, CupError) or "bound" in str(answer))
+
+
+class TestAFalseGoalThatOnlyRepeatsIsRefuted:
+    """Each goal is false, and its search meets the same goals again and
+    again until the depth bound cuts it, so it ends inconclusive (exit 2)
+    where a loop check would answer `no proof`."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 18: without a loop check the repeating search reaches the depth bound "
+        "and exits 2 (inconclusive)"))
+    @pytest.mark.parametrize("with_s, program, goal", [
+        (False, "member.cup", "member 1 [0|nil]"),
+        (True, "bitstream.cup", "bitstream (fix \\x. scons (s 0) x)"),
+        (True, "bitstream.cup", "bitstream [0|[1|[s 0|z_str]]]"),
+    ], ids=["member", "constant-stream", "prefix"])
+    def test_coprove_answers_no_proof(self, tmp_path, capsys, with_s, program, goal):
+        path = tmp_path / program
+        path.write_text(Path(corpus(program)).read_text() + ("const s : i -> i.\n" if with_s else ""))
+        code = run(["coprove", "--calculus", "co-hohh", "--program", str(path), "--goal", goal])
+        assert (code, capsys.readouterr().out.split(":")[0]) == (EXIT_FAIL, "no proof")
 
 
 def _node(rule, goal, children=(), **fields):

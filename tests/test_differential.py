@@ -1488,12 +1488,13 @@ def test_one_traced_block_calls_every_layer_its_layers_rows_name(workload):
 
 
 def smallest_closed_terms_reference(sig, ty, limit=64):
-    """Closed first-order terms of the given type, smallest first: up to
-    `limit` a type, in rounds until one adds no term, each round applying
-    every constructor to the first four terms of each argument type."""
+    """Closed terms of the given type, smallest first: every constant that
+    is no predicate, then, up to `limit` a type, in rounds until one adds no
+    term, each round applying every constructor to the first four terms of
+    each argument type."""
     by_ty = {}
     cons = sig.constructors()
-    frontier = [(Con(n), t) for n, t in cons if isinstance(t, tm.Base)]
+    frontier = [(Con(n), t) for n, t in cons]
     for t, t_ty in frontier:
         by_ty.setdefault(t_ty, []).append(t)
     seen = {tm.alpha_key(t) for t, _ty in frontier}

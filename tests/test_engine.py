@@ -107,9 +107,10 @@ class TestCoproveRegressions:
     # the `_premises` calls of the member67 search, the root's included: one
     # per distinct (sequent, eigenvariable, witness) that it expands
     MEMBER67_PREMISE_CALLS = 10
-    # and those of its reification: one per inner node of the proof, whose
-    # reified sequent derives its children
-    MEMBER67_REIFY_PREMISE_CALLS = 10
+    # and those of its reification: one per inner node at or below a node
+    # that names a witness, whose reified sequent or witness is new; above
+    # them reification keeps the sequents and premise tuples search built
+    MEMBER67_REIFY_PREMISE_CALLS = 8
 
     def test_a_search_builds_the_premises_of_each_sequent_once(self, monkeypatch, member67_program):
         # a deeper bound reads a shallower one's premises from the sequents
@@ -137,7 +138,12 @@ class TestCoproveRegressions:
             res = coprove(member67_program, goal, SearchConfig(calculus=Calculus.FOHC))
             assert res.stats.nodes == self.SEARCH_GOLDEN["member67"][0]
             assert calls["search"] == self.MEMBER67_PREMISE_CALLS < res.stats.nodes
-            inner = sum(1 for node in res.tree.nodes() if node.children)
+            todo, inner = [(res.tree, False)], 0
+            while todo:
+                node, below = todo.pop()
+                below = below or node.witness is not None
+                inner += below and bool(node.children)
+                todo += ((c, below) for c in node.children)
             assert calls["reify"] == self.MEMBER67_REIFY_PREMISE_CALLS == inner
 
     # (nodes, leaves) of each regression proof: every node's document line
@@ -563,11 +569,20 @@ class TestSearchWitnesses:
 
     @pytest.mark.parametrize("calc", list(Calculus), ids=lambda c: c.value)
     def test_a_dangling_witness_takes_the_type_of_the_binder_that_drew_it(self, calc):
-        # no closed term has type i -> i here, so there is no proof; were the
-        # witness of `f` taken to be of type i, 0 would fill it and prove it
-        program = ps.parse_program("const 0 : i. const s : i -> i.")
+        # over `const 0 : i.` no closed term has type i -> i, so there is no
+        # proof; were the witness of `f` taken to be of type i, 0 would fill
+        # it and prove it
+        fn_goal = Exists("f", tm.fn_type(IOTA, IOTA), TOP)
         cfg = SearchConfig(calculus=calc)
-        assert prove(program, None, Exists("f", tm.fn_type(IOTA, IOTA), TOP), cfg).reason == "no-proof"
+        assert prove(ps.parse_program("const 0 : i."), None, fn_goal, cfg).reason == "no-proof"
+        # with s : i -> i the constant s fills it, a witness that only the
+        # higher-order calculi take
+        program = ps.parse_program("const 0 : i. const s : i -> i.")
+        res = prove(program, None, fn_goal, cfg)
+        if calc.higher_order:
+            assert res.proved and res.tree.witness == C("s")
+        else:
+            assert res.reason == "no-proof"
         res = prove(program, None, Exists("x", IOTA, TOP), cfg)
         assert res.proved and res.tree.witness == C("0")
 
