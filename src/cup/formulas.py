@@ -247,80 +247,56 @@ def _typecheck_formula(sig: Signature, ctx: Context, f: Formula) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _atom_admitted(sig: Signature, ctx: Context, t: Term, calc: Calculus, clause_side: bool) -> bool:
-    """Does the calculus admit t, a term of type o (every caller type-checks
-    the whole formula first), as an atom on this side?"""
-    head, _args = tm.spine(t)
-    if isinstance(head, Var):
-        # flexible atoms: higher-order goals only
-        return calc.higher_order and not clause_side
-    if not isinstance(head, Con):
-        return False
-    return calc.higher_order or tm.is_first_order_atom(sig, ctx, t)
+_HIGHER_ORDER = frozenset(c for c in Calculus if c.higher_order)
+_HEREDITARY = frozenset(c for c in Calculus if c.hereditary)
+# an implication's antecedent: a clause's is a goal, a goal's a clause
+_DUAL = {"clause": "goal", "goal": "clause", "core": "core"}
 
 
-def _clause_in(sig, ctx, f: Formula, calc: Calculus) -> bool:
+def _calculi(sig: Signature, ctx: Context, f: Formula, role: str) -> frozenset[Calculus]:
+    """The calculi whose clause/goal/core grammar generates f in the role,
+    f a part of a formula that type-checks: the intersection of what f's
+    own connective admits and what its parts' walks return."""
     if isinstance(f, Atom):
-        return _atom_admitted(sig, ctx, f.term, calc, clause_side=True)
-    if isinstance(f, Conj):
-        return _clause_in(sig, ctx, f.left, calc) and _clause_in(sig, ctx, f.right, calc)
-    if isinstance(f, Impl):
-        return _goal_in(sig, ctx, f.left, calc) and _clause_in(sig, ctx, f.right, calc)
-    if isinstance(f, Forall):
-        return _clause_in(sig, {**ctx, f.var: f.ty}, f.body, calc)
-    return False
-
-
-def _goal_in(sig, ctx, f: Formula, calc: Calculus) -> bool:
+        head = tm.spine(f.term)[0]
+        if isinstance(head, Var):
+            # flexible atoms: higher-order goals only
+            return _HIGHER_ORDER if role == "goal" else frozenset()
+        if not isinstance(head, Con):
+            return frozenset()
+        return ALL_CALCULI if tm.is_first_order_atom(sig, ctx, f.term) else _HIGHER_ORDER
+    if isinstance(f, (Top, Disj, Exists)) and role != "goal":
+        # ⊤, ∨ and ∃ occur only in goals
+        return frozenset()
     if isinstance(f, Top):
-        return True
-    if isinstance(f, Atom):
-        return _atom_admitted(sig, ctx, f.term, calc, clause_side=False)
-    if isinstance(f, (Conj, Disj)):
-        return _goal_in(sig, ctx, f.left, calc) and _goal_in(sig, ctx, f.right, calc)
-    if isinstance(f, Exists):
-        return _goal_in(sig, {**ctx, f.var: f.ty}, f.body, calc)
-    if isinstance(f, Impl):
-        return calc.hereditary and _clause_in(sig, ctx, f.left, calc) and _goal_in(sig, ctx, f.right, calc)
-    if isinstance(f, Forall):
-        return calc.hereditary and _goal_in(sig, {**ctx, f.var: f.ty}, f.body, calc)
-    return False
+        return ALL_CALCULI
+    # ⊃ and ∀ outside a clause need a hereditary calculus
+    calculi = _HEREDITARY if isinstance(f, (Impl, Forall)) and role != "clause" else ALL_CALCULI
+    if isinstance(f, (Forall, Exists)):
+        return calculi & _calculi(sig, {**ctx, f.var: f.ty}, f.body, role)
+    calculi &= _calculi(sig, ctx, f.left, _DUAL[role] if isinstance(f, Impl) else role)
+    return calculi and calculi & _calculi(sig, ctx, f.right, role)
 
 
-def _core_in(sig, ctx, f: Formula, calc: Calculus) -> bool:
-    if isinstance(f, Atom):
-        return _atom_admitted(sig, ctx, f.term, calc, clause_side=True)
-    if isinstance(f, Conj):
-        return _core_in(sig, ctx, f.left, calc) and _core_in(sig, ctx, f.right, calc)
-    if isinstance(f, Impl):
-        return calc.hereditary and _core_in(sig, ctx, f.left, calc) and _core_in(sig, ctx, f.right, calc)
-    if isinstance(f, Forall):
-        return calc.hereditary and _core_in(sig, {**ctx, f.var: f.ty}, f.body, calc)
-    return False
-
-
-_GRAMMARS = {"clause": _clause_in, "goal": _goal_in, "core": _core_in}
-
-
-def in_fragment(sig: Signature, f: Formula, role: str, calc: Calculus) -> bool:
-    """Does calc's clause/goal/core grammar generate the closed formula f?
-    f is type-checked first, and the answer is remembered on the signature
-    under f's alpha key, the role and calc; an ill-typed f raises IllTyped
-    on every call."""
-    key = (formula_key(f), role, calc)
-    ok = sig._memo.get(key)
-    if ok is None:
+def classify(sig: Signature, f: Formula, role: str) -> frozenset[Calculus]:
+    """The set of calculi whose clause/goal/core grammar generates the
+    closed formula f.  f is type-checked first, and the set is remembered
+    on the signature under f's alpha key and the role; an ill-typed f
+    raises IllTyped on every call."""
+    key = (formula_key(f), role)
+    calculi = sig._memo.get(key)
+    if calculi is None:
         try:
             typecheck_formula(sig, f)
         except CupError as exc:
             raise IllTyped(str(exc)) from exc
-        ok = sig._memo[key] = _GRAMMARS[role](sig, {}, f, calc)
-    return ok
+        calculi = sig._memo[key] = _calculi(sig, {}, f, role)
+    return calculi
 
 
-def classify(sig: Signature, f: Formula, role: str) -> frozenset[Calculus]:
-    """The set of calculi whose clause/goal/core grammar generates f."""
-    return frozenset(c for c in Calculus if in_fragment(sig, f, role, c))
+def in_fragment(sig: Signature, f: Formula, role: str, calc: Calculus) -> bool:
+    """Does calc's clause/goal/core grammar generate the closed formula f?"""
+    return calc in classify(sig, f, role)
 
 
 # ---------------------------------------------------------------------------

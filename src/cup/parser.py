@@ -2,7 +2,8 @@
 and proof-tree serialization.
 
 Program files use: `const c : i -> i.` declarations, `def name = fix \\x. ...`
-fixed-point definitions, explicit clauses (`forall x. G => H.`), and
+fixed-point definitions, explicit clauses (`forall x. G => H.`, whose
+binders are of type i unless a type follows them, `forall f : i -> i. G`), and
 Prolog-style sugar (`head :- body.` with uppercase variables implicitly
 universally quantified).
 """
@@ -237,12 +238,17 @@ class _Parser:
             names = [self.ident().text]
             while self.peek().kind == "ident":
                 names.append(self.next().text)
+            # one optional type for all the names, else i
+            ty = IOTA
+            if self.at(":"):
+                self.next()
+                ty = self.type_()
             self.eat(".")
             outer, self.bound = self.bound, self.bound | set(names)
             f = self.formula()
             self.bound = outer
             for n in reversed(names):
-                f = quant(n, IOTA, f)
+                f = quant(n, ty, f)
             return f
         return self.binary(0)
 
@@ -490,11 +496,13 @@ def pp_formula(f: Formula, program: Program | None = None) -> str:
             return pp_term(g.term, program)
         if isinstance(g, (Forall, Exists)):
             kw = "forall" if isinstance(g, Forall) else "exists"
+            # one group of binders per type; a type other than i is written
             names, body = [g.var], g.body
-            while isinstance(body, type(g)):
+            while isinstance(body, type(g)) and body.ty == g.ty:
                 names.append(body.var)
                 body = body.body
-            s = f"{kw} {' '.join(names)}. {go(body, 0)}"
+            typed = "" if g.ty == IOTA else f" : {g.ty!r}"
+            s = f"{kw} {' '.join(names)}{typed}. {go(body, 0)}"
             return f"({s})" if prec > 0 else s
         for level, (ctor, op) in enumerate(_CONNECTIVES, 1):
             if isinstance(g, ctor):

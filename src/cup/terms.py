@@ -471,10 +471,11 @@ class Signature:
     # closed terms and formulas, successes only: `is_first_order` verdicts
     # under (term, expected), `typecheck` types under the term, True under
     # the `formulas.formula_key` of a formula that type-checks,
-    # `formulas.in_fragment` answers under (key, role, calculus), and
+    # `formulas.classify`'s sets of calculi under (key, role), and
     # `guardedness.is_guarded_fixed_point` reports under (term, GuardReport);
-    # and the children `extend` made, under (name, type), whose str first
-    # part no other pair key has; and the first-order predicates' names
+    # and the children `extend` made, under (name, type), which no other
+    # pair key equals: a term's pairs start with the term, a formula's end
+    # in its role; and the first-order predicates' names
     _types: dict = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)

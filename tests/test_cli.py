@@ -744,6 +744,33 @@ class TestSourceSyntaxInOutput:
         assert capsys.readouterr().err == "error: formula is not in the clause grammar\n"
 
 
+class TestABinderOfFunctionType:
+    """A goal may bind a variable of a type other than i: only a
+    higher-order calculus proves `exists f : i -> i. true`, and its proof
+    document keeps the type, so the proof checks again."""
+
+    GOAL = "exists f : i -> i. true"
+
+    @pytest.fixture
+    def program(self, tmp_path):
+        path = tmp_path / "s.cup"
+        path.write_text("const 0 : i. const s : i -> i.\n")
+        return str(path)
+
+    def test_a_higher_order_calculus_proves_it_and_the_proof_checks(self, tmp_path, capsys, program):
+        proof = tmp_path / "p.json"
+        code = run(["prove", "--calculus", "co-hohh", "--program", program, "--goal", self.GOAL,
+                    "--emit-proof", str(proof)])
+        assert (code, capsys.readouterr().out.splitlines()[0]) == (EXIT_OK, "proved (2 nodes; 3 expansions)")
+        assert json.loads(proof.read_text())["nodes"][0]["goal"] == self.GOAL
+        code = run(["check-proof", "--calculus", "co-hohh", "--program", program, "--proof", str(proof)])
+        assert (code, capsys.readouterr().out) == (EXIT_OK, "valid proof (2 nodes)\n")
+
+    def test_a_first_order_calculus_has_no_proof(self, capsys, program):
+        code = run(["prove", "--calculus", "co-fohc", "--program", program, "--goal", self.GOAL])
+        assert (code, capsys.readouterr().out) == (EXIT_FAIL, "no proof: the finite search space is exhausted\n")
+
+
 CORPUS = ("bitstream", "comember", "fibs", "from", "member")
 
 
@@ -878,8 +905,9 @@ class TestADeepWitnessAtomIsInTheModel:
 class TestTheUnfoldingBoundOverstates:
     """A bounded test that runs out of fix unfoldings answers as a clash
     would: search says `no proof`, `check` rejects a proof that checks at a
-    larger bound, and guardedness says False. Each must instead prove,
-    stay inconclusive or, for guardedness, answer anything but False."""
+    larger bound, the audit calls that proof a usage error and takes no
+    bound, and guardedness says False. Each must instead prove, stay
+    inconclusive or, for guardedness, answer anything but False."""
 
     STREAM = ("const 0 : i. const scons : i -> i -> i. const p : i -> o.\n"
               "def z_str = fix \\x. scons 0 x.\n")
@@ -923,6 +951,20 @@ class TestTheUnfoldingBoundOverstates:
         code = run(["coprove", "--calculus", "co-hohh", "--program", self.write(tmp_path, self.EQ_TEXT),
                     "--goal", "eq z_str (scons 0 z_str)", "--fixbeta-bound", "40"])
         assert code in (EXIT_OK, EXIT_INCONCLUSIVE), capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_the_audit_at_the_default_bound_is_no_usage_error(self, tmp_path, capsys):
+        # a bound that ran out says nothing against the proof or its use
+        _code, _out, proof = self.prove_at_bound_12(tmp_path, capsys)
+        code = run(["soundness", "--program", str(tmp_path / "stream.cup"), "--proof", proof])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_INCONCLUSIVE), capsys.readouterr().err
+
+    @pytest.mark.xfail(strict=True, reason=REASON)
+    def test_the_audit_takes_the_bound_that_proved_it(self, tmp_path, capsys):
+        _code, _out, proof = self.prove_at_bound_12(tmp_path, capsys)
+        code = run(["soundness", "--program", str(tmp_path / "stream.cup"), "--proof", proof,
+                    "--fixbeta-bound", "12"])
+        assert code in (EXIT_OK, EXIT_FAIL), capsys.readouterr().err
 
     def guarded(self, zeros):
         program = ps.parse_program(Path(corpus("bitstream.cup")).read_text())

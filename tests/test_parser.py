@@ -223,6 +223,24 @@ class TestPrettyRoundTrip:
             again = ps.parse_goal(ps.pp_formula(f, prog), prog)
             assert fm.formula_alpha_eq(f, again)
 
+    def test_a_binder_type_applies_to_every_name_and_i_is_the_default(self, member_program):
+        typed = ps.parse_goal("forall x y : i. member x y", member_program)
+        assert typed == ps.parse_goal("forall x y. member x y", member_program)
+        f = ps.parse_goal("exists x. exists f g : i -> i. exists y. member (f x) (g y)", member_program)
+        binders = []
+        while isinstance(f, Exists):
+            binders.append((f.var, repr(f.ty)))
+            f = f.body
+        assert binders == [("x", "i"), ("f", "i -> i"), ("g", "i -> i"), ("y", "i")]
+
+    def test_binders_are_grouped_by_type_and_a_type_other_than_i_is_written(self, member_program):
+        fn = tm.fn_type(tm.IOTA, tm.IOTA)
+        body = fm.Atom(A(C("member"), A(V("f"), V("x")), A(V("g"), V("y"))))
+        f = Forall("x", tm.IOTA, Forall("f", fn, Forall("g", fn, Forall("y", tm.IOTA, body))))
+        text = ps.pp_formula(f, member_program)
+        assert text == "forall x. forall f g : i -> i. forall y. member (f x) (g y)"
+        assert ps.parse_goal(text, member_program) == f
+
     def test_fresh_binders_print_clean(self, bitstream_program):
         t = tm.Fix(tm.Lam("x#7", scons(C("0"), V("x#7"))))
         text = ps.pp_term(t, None)
@@ -295,6 +313,17 @@ class TestProofDocuments:
         leaves = [n for n in res.tree.nodes() if not n.children]
         assert len(leaves) == 3
         assert all(n.rule.startswith("initial") for n in leaves)
+
+    def test_a_binder_of_function_type_survives_the_document(self):
+        prog = ps.parse_program("const 0 : i. const s : i -> i.")
+        goal = Exists("f", tm.fn_type(tm.IOTA, tm.IOTA), fm.TOP)
+        res = eng.prove(prog, eng.LemmaStore(), goal, eng.SearchConfig(calculus=Calculus.HOHH))
+        assert res.proved and res.tree.witness == C("s")
+        doc = ps.export_proof(res.tree, prog)
+        assert json.loads(doc)["nodes"][0]["goal"] == "exists f : i -> i. true"
+        back = ps.import_proof(doc, prog)
+        assert res.tree.equal(back)
+        assert eng.check(back, prog, Calculus.HOHH) == (True, None)
 
     def test_single_top_node(self, bitstream_program):
         prog = bitstream_program
@@ -401,6 +430,9 @@ ERROR_ROWS = [
     ("program", HEAD + "forall . p 0.", ParseError, "expected an identifier, found '.'", (2, 8)),
     ("program", HEAD + "p ().", ParseError, "expected a term, found ')'", (2, 4)),
     ("program", HEAD + "p 0 :- .", ParseError, "expected a term, found '.'", (2, 8)),
+    # a binder type after a colon is a type
+    ("goal", "exists f : . true", ParseError, "expected an identifier, found '.'", (1, 12)),
+    ("goal", "forall x : (i -> i. true", ParseError, "expected ')', found '.'", (1, 19)),
     ("goal", "member 0 [0]", ParseError, "bracket sugar needs [head|tail]", (1, 10)),
     ("program", HEAD + "p [X] :- p X.", ParseError, "bracket sugar needs [head|tail]", (2, 3)),
     # a lowercase name in sugar; a capitalised one in explicit syntax

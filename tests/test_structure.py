@@ -51,9 +51,6 @@ KEPT = {
     # the paper's conservative-extension check for lemma instances, part of
     # the acceptance gate
     ("soundness", "conservative_extension_check"),
-    # every calculus, the fragment table's answer for a formula in all of
-    # them; the acceptance gate imports it
-    ("formulas", "ALL_CALCULI"),
     # the paper's Delta records on their own; `build_candidate` takes them
     # with the root clause and segment from the one walk both share
     ("soundness", "collect_deltas"),
