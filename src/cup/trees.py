@@ -347,10 +347,10 @@ class Grounding:
     def key(self, atom: Term) -> Tree | None:
         """The atom's truncated tree, None if it does not render; each
         distinct term is rendered once, and a kept one not at all."""
-        keys = self.kept if atom in self.kept else self.keys
-        if atom not in keys:
-            keys[atom] = _render_body(self.sig, atom, self.depth, self.memo)
-        return keys[atom]
+        # a key is a tree or None, never the label STAR: one lookup a table
+        if (tree := self.kept.get(atom, STAR)) is STAR and (tree := self.keys.get(atom, STAR)) is STAR:
+            tree = self.keys[atom] = _render_body(self.sig, atom, self.depth, self.memo)
+        return tree
 
 
 def grounding(program: Program, cfg: InstanceConfig, depth: int) -> Grounding:
@@ -371,7 +371,8 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
         if s is None:
             continue
         unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]
-        partial = [eng.resolve_term(b, {k: v for k, v in s.items() if k not in unbound}) for b in body]
+        bound = {k: v for k, v in s.items() if k not in unbound}
+        partial = [eng.resolve_term(b, bound) for b in body]
         for combo in itertools.product(g.uni.pool[:BODY_VAR_POOL], repeat=len(unbound)):
             values = dict(zip(unbound, combo))
             resolved = [tm.beta_normalize(eng.resolve_term(b, values)) for b in partial]
@@ -412,27 +413,26 @@ def _universe_seeds(g: Grounding) -> list[Term]:
 @record(frozen=False)
 class _Explored:
     """The state of `gfp_approx`'s worklist: per key, its representatives
-    by alpha key in the order seen; the atoms reached through clause bodies
-    per key; and each key's body expansions."""
+    by alpha key in the order seen, how many came through clause bodies,
+    and its distinct bodies, each the frozenset of its body keys.
+    A kept state's per-key containers are replaced, never changed in place,
+    so a copy copies the three tables and never a key's entries."""
 
     reps: dict[Tree, dict[str, Term]] = field(default_factory=dict)
     derived_count: dict[Tree, int] = field(default_factory=dict)
-    expansions: dict[Tree, list[list[Tree]]] = field(default_factory=dict)
+    expansions: dict[Tree, set[frozenset[Tree]]] = field(default_factory=dict)
 
     def copy(self) -> "_Explored":
-        # a body's key list is never appended to once stored
-        return _Explored(
-            {k: dict(v) for k, v in self.reps.items()},
-            dict(self.derived_count),
-            {k: list(v) for k, v in self.expansions.items()},
-        )
+        return _Explored(dict(self.reps), dict(self.derived_count), dict(self.expansions))
 
 
-def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
+def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies, kept: _Explored | None = None) -> None:
     """Run the worklist from the seeds until it is empty, last seed first,
-    each atom reached through a body in `bodies(atom, g)` pushed on top."""
+    each atom reached through a body in `bodies(atom, g)` pushed on top; a
+    key holding `kept`'s containers gets copies before its first addition."""
     work: list[tuple[Term, bool]] = [(a, True) for a in seeds]
     reps, derived_count, expansions = state.reps, state.derived_count, state.expansions
+    shared = {} if kept is None else kept.reps
     while work:
         a, is_seed = work.pop()
         key = g.key(a)
@@ -452,23 +452,22 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies) -> None:
                 raise UniverseTooLarge(
                     f"atom space exceeded {MAX_ATOMS} truncated atoms; shrink the depth or the universe"
                 )
-            reps[key] = {}
-            expansions[key] = []
+            reps[key], expansions[key] = {}, set()
+        elif reps[key] is shared.get(key):
+            reps[key], expansions[key] = dict(reps[key]), set(expansions[key])
         reps[key][alpha] = a
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
         for body in bodies(a, g):
             keys = []
-            ok = True
             for b in body:
                 k = g.key(b)
                 if k is None:
-                    ok = False
                     break
                 keys.append(k)
                 work.append((b, False))
-            if ok:
-                expansions[key].append(keys)
+            else:
+                expansions[key].add(frozenset(keys))
 
 
 def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretation:
@@ -484,11 +483,12 @@ def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretat
     program, the depth and the term size only.  The universe keeps it per
     depth, with the keys it rendered, the first explored depth computing
     the universe seeds, and the program keeps the universe per term size;
-    a call resumes from a copy of the state with its own seeds and keys,
-    kept nowhere: the same computation as running the whole stack.  A
-    depth whose exploration raises `UniverseTooLarge` keeps no state or
-    keys, so every such call raises it.  Each pass then drops every key
-    that has no body with all its keys alive, until a pass drops none."""
+    a call resumes from a copy of the state's three tables, never of a
+    key's entries, with its own seeds and keys, kept nowhere: the same
+    computation as running the whole stack.  A depth whose exploration
+    raises `UniverseTooLarge` keeps no state or keys, so every such call
+    raises it.  Each pass then drops every key that has no body with all
+    its keys alive, until a pass drops none."""
     g = grounding(program, cfg, depth)
     uni = g.uni
     if depth not in uni.explored:
@@ -503,9 +503,9 @@ def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretat
         # the call's own atoms are rendered into keys that it drops
         g.kept, g.keys = g.keys, {}
     state = uni.explored[depth].copy()
-    _explore(state, list(cfg.seed_atoms), g, justifications)
+    _explore(state, list(cfg.seed_atoms), g, justifications, uni.explored[depth])
     alive = set(state.expansions)
-    while dead := [k for k in alive if not any(alive.issuperset(b) for b in state.expansions[k])]:
+    while dead := [k for k in alive if not any(map(alive.issuperset, state.expansions[k]))]:
         alive.difference_update(dead)
     return Interpretation(depth, frozenset(alive), {k: tuple(state.reps[k].values()) for k in alive})
 

@@ -1077,7 +1077,7 @@ def _snapshot(explored):
     return (
         {k: tuple(v.items()) for k, v in explored.reps.items()},
         dict(explored.derived_count),
-        {k: tuple(tuple(body) for body in v) for k, v in explored.expansions.items()},
+        {k: frozenset(v) for k, v in explored.expansions.items()},
     )
 
 
@@ -1093,21 +1093,75 @@ def _universe_snapshot(uni):
     )
 
 
-def test_gfp_approx_leaves_the_explored_universe_unchanged(fresh_program):
-    program = fresh_program("member")
-    assert len(tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms) == 21
+def _copied_states(monkeypatch):
+    """The states `gfp_approx` copies from a kept one, as the calls leave
+    them."""
+    states = []
+    real_copy = tr._Explored.copy
+    monkeypatch.setattr(tr._Explored, "copy", lambda self: states.append(real_copy(self)) or states[-1])
+    return states
+
+
+def _grown_keys(kept, state):
+    """The keys of a kept state's snapshot to which `state` adds a
+    representative or a body."""
+    reps, _counts, expansions = kept
+    now = _snapshot(state)
+    return [k for k in reps if now[0][k] != reps[k] or now[2][k] != expansions[k]]
+
+
+# per program a depth, a seed whose exploration adds a representative or a
+# body to a key that the depth's kept state holds, and the atoms listed
+# without and with it; the bitstream seed adds two keys as well
+GROWING_SEEDS = {
+    "bitstream": (4, "bitstream [0|1|1|z_str]", 4, 6),
+    "comember": (2, "comember_bit 0 [1|0|0]", 14, 14),
+    "from": (3, "from 0 [0|fr_str 0]", 5, 5),
+    "member": (2, "member 0 [1|1|0|nil]", 7, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWING_SEEDS))
+def test_gfp_approx_leaves_the_explored_universe_unchanged(name, fresh_program, monkeypatch):
+    depth, text, plain, seeded = GROWING_SEEDS[name]
+    program = fresh_program(name)
+    assert len(tr.gfp_approx(program, depth, tr.InstanceConfig()).atoms) == plain
     uni = kept_universe(program)
     (explored,) = uni.explored.values()
-    assert list(uni.explored) == [4]
+    assert list(uni.explored) == [depth]
     before = _universe_snapshot(uni)
-    seed = ps.parse_goal(SECOND_SEEDS["member"], program).term
-    assert len(tr.gfp_approx(program, 4, tr.InstanceConfig(seed_atoms=(seed,))).atoms) == 23
-    assert len(tr.gfp_approx(program, 4, tr.InstanceConfig()).atoms) == 21
+    seed = ps.parse_goal(text, program).term
+    cfg = tr.InstanceConfig(seed_atoms=(seed,))
+    expected = _listing(tr.gfp_approx(fresh_program(name), depth, cfg))
+    states = _copied_states(monkeypatch)
+    got = tr.gfp_approx(program, depth, cfg)
+    assert len(got.atoms) == seeded and _listing(got) == expected
+    assert _grown_keys(before[0][depth], states[0])
+    assert len(tr.gfp_approx(program, depth, tr.InstanceConfig()).atoms) == plain
     kept = kept_universe(program)
-    assert kept is uni and list(uni.explored.items()) == [(4, explored)]
+    assert kept is uni and list(uni.explored.items()) == [(depth, explored)]
     # the seeded call neither read nor filled the universe's bodies
     assert _universe_snapshot(uni) == before
     assert seed not in uni.atoms
+
+
+def test_a_seeded_call_that_raises_leaves_the_universe_as_it_was(fresh_program, monkeypatch):
+    # at depth 4 the seed adds to kept keys and meets two keys that the
+    # depth does not keep, one more than the cap lets in
+    program = fresh_program("bitstream")
+    tr.gfp_approx(program, 4, tr.InstanceConfig())
+    uni = kept_universe(program)
+    before = _universe_snapshot(uni)
+    cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(GROWING_SEEDS["bitstream"][1], program).term,))
+    states = _copied_states(monkeypatch)
+    monkeypatch.setattr(tr, "MAX_ATOMS", len(uni.explored[4].expansions) + 1)
+    for _ in range(2):
+        with pytest.raises(UniverseTooLarge):
+            tr.gfp_approx(program, 4, cfg)
+    assert len(states) == 2 and all(_grown_keys(before[0][4], state) for state in states)
+    assert _universe_snapshot(uni) == before
+    monkeypatch.undo()
+    assert _listing(tr.gfp_approx(program, 4, cfg)) == _listing(tr.gfp_approx(fresh_program("bitstream"), 4, cfg))
 
 
 def test_universe_too_large_is_raised_on_every_call(fresh_program, monkeypatch):
