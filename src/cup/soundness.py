@@ -177,7 +177,9 @@ def build_candidate(
     """Atoms of the root derivation's side subproof plus the coinductive
     conclusion, instantiated along every word up to the budget and rendered
     as depth-truncated trees; also the body instances that a supplied
-    post-fixed point must cover."""
+    post-fixed point must cover.  The atoms are rendered through the memo,
+    not the keys, of a grounding at the default term size, which the
+    interpretation carries to the merge."""
     h, (eigens, decide, side), deltas = _walk_root(proof, program, calculus)
     # once the word substitutions are applied, every atom is closed over the
     # base signature; eigenvariables never reach the model side
@@ -193,15 +195,15 @@ def build_candidate(
                 atoms_c.setdefault(tm.alpha_key(node.sequent.goal.term), node.sequent.goal.term)
 
     reps: dict[tr.Tree, tuple[Term, ...]] = {}
-    memo: dict = {}
+    g = tr.grounding(program, tr.InstanceConfig(), depth)
     for _w, th in _thetas(deltas, eigens, base, word_budget):
         for a in atoms_c.values():
             inst = tm.beta_normalize(replace_cons(a, th))
-            reps.setdefault(tr.atom_to_tree(sig, inst, depth, memo), (inst,))
+            reps.setdefault(tr.atom_to_tree(sig, inst, depth, g.memo), (inst,))
 
     side_atoms = fm.h_substitute(h, {x: base[c] for x, c in zip(h.universals, eigens)}).body
     eigenvariables = tuple((c, decide.sequent.signature.lookup(c)) for c in eigens)
-    return Candidate(tr.Interpretation(depth, frozenset(reps), reps), side_atoms, deltas, eigenvariables)
+    return Candidate(tr.Interpretation(depth, frozenset(reps), reps, g), side_atoms, deltas, eigenvariables)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +211,12 @@ def build_candidate(
 # ---------------------------------------------------------------------------
 
 
-def verify_postfixed(
-    interp: tr.Interpretation,
-    program: Program,
-    cfg: tr.InstanceConfig,
-) -> tuple[bool, Term | None]:
+def verify_postfixed(interp: tr.Interpretation, program: Program, cfg: tr.InstanceConfig) -> tuple[bool, Term | None]:
     """Is every member a consequence of members (I included in T(I)) at this
     resolution?  Returns the first counterexample atom otherwise.  The
-    grounding reads what `gfp_approx` kept for the term size."""
-    g = tr.grounding(program, cfg, interp.depth)
+    grounding, the interpretation's if `grounding` takes it, reads what
+    `gfp_approx` kept for the term size."""
+    g = tr.grounding(program, cfg, interp.depth, interp.grounding)
     for tree in sorted(interp.atoms, key=tr.tree_to_text):
         reps = interp.reps.get(tree, ())
         if not reps:
@@ -234,11 +233,12 @@ def merge_with_model(cand: Candidate, program: Program, cfg: tr.InstanceConfig) 
     else the candidate's.  No candidate representative is lost: the
     approximation is seeded with every one, and `gfp_approx`'s worklist
     skips a seed only when an alpha-equal atom is already listed under its
-    key, so a key the approximation keeps lists each of them."""
+    key, so a key the approximation keeps lists each of them.  It runs on
+    the candidate's grounding if `grounding` takes it, reading its renders."""
     interp = cand.interpretation
     seeds = tuple(t for reps in interp.reps.values() for t in reps) + cand.side_atoms
-    approx = tr.gfp_approx(program, interp.depth, replace(cfg, seed_atoms=seeds))
-    return tr.Interpretation(interp.depth, interp.atoms | approx.atoms, {**interp.reps, **approx.reps})
+    approx = tr.gfp_approx(program, interp.depth, replace(cfg, seed_atoms=seeds), interp.grounding)
+    return replace(approx, atoms=interp.atoms | approx.atoms, reps={**interp.reps, **approx.reps})
 
 
 @record(frozen=False)

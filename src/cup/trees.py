@@ -15,12 +15,7 @@ from collections.abc import Iterator
 from . import engine as eng
 from . import formulas as fm
 from . import terms as tm
-from .errors import (
-    CupError,
-    DepthUnreachable,
-    NotFirstOrder,
-    UniverseTooLarge,
-)
+from .errors import CupError, DepthUnreachable, NotFirstOrder, UniverseTooLarge
 from .formulas import HClause, Program
 # is_guarded_atom has no caller here; perfbench/tracing.py patches it under
 # this module's name
@@ -120,16 +115,21 @@ def atom_to_tree(sig: Signature, atom: Term, depth: int, memo: dict | None = Non
     covers every later unfolding: a guarded fixed point applied to
     first-order arguments unfolds to one constructor over first-order
     arguments and one new guarded call.  So the walk unfolds a fix-headed
-    position once, only above the cut; `DepthUnreachable` means an
-    unfolding exposed no constructor head.  A first-order atom that is not
-    β-normal raises `NotFirstOrder`, as in `term_to_tree`.  `memo` maps
-    (subterm, remaining depth) to its tree and each tree to its one copy."""
+    position only above the cut; `DepthUnreachable` means an unfolding
+    exposed no constructor head.  A first-order atom that is not β-normal
+    raises `NotFirstOrder`, as in `term_to_tree`.  `memo` maps (subterm,
+    remaining depth) to its tree, each tree to its one copy and each
+    fix-headed subterm to its unfolding's spine, so a memo unfolds each
+    distinct fix-headed subterm once; an atom it holds at the depth is
+    returned with no second snapshot, and no failure is ever stored."""
+    memo = {} if memo is None else memo
+    if (tree := memo.get((atom, depth))) is not None:
+        return tree
     if not tm.is_first_order_atom(sig, {}, atom):
         atom = tm.beta_normalize(atom)
         snapshot(sig, atom)
     elif tm.beta_normalize(atom) is not atom:
         return truncate(term_to_tree(sig, atom), depth)
-    memo = {} if memo is None else memo
 
     def walk(u: Term, n: int) -> Tree:
         if n <= 0:
@@ -138,9 +138,12 @@ def atom_to_tree(sig: Signature, atom: Term, depth: int, memo: dict | None = Non
         if tree is None:
             head, args = tm.spine(u)
             if isinstance(head, Fix):
-                head, args = tm.spine(tm.fair_unfold(u))
-                if not isinstance(head, Con):
-                    raise DepthUnreachable(f"unfolding {tm.brief(u)} exposes no constructor")
+                if u not in memo:
+                    head, args = tm.spine(tm.fair_unfold(u))
+                    if not isinstance(head, Con):
+                        raise DepthUnreachable(f"unfolding {tm.brief(u)} exposes no constructor")
+                    memo[u] = head, args
+                head, args = memo[u]
             tree = Tree(head.name, tuple(walk(a, n - 1) for a in args))
             tree = memo[u, n] = memo.setdefault(tree, tree)
         return tree
@@ -160,11 +163,13 @@ class Interpretation:
     stored exactly, which truncation already guarantees).
 
     Distinct atoms may truncate to the same tree; `reps` keeps the known
-    term representatives behind each member."""
+    term representatives behind each member, and `grounding` the grounding
+    that rendered them, for later calls to render through."""
 
     depth: int
     atoms: frozenset[Tree]
     reps: dict[Tree, tuple[Term, ...]] = field(default_factory=dict, compare=False, repr=False)
+    grounding: Grounding | None = field(default=None, compare=False, repr=False)
 
 
 def export_interpretation(interp: Interpretation) -> str:
@@ -330,14 +335,15 @@ class _Universe:
 
 @record(frozen=False)
 class Grounding:
-    """One depth's view of a universe: the truncated key of every atom it
-    rendered (`keys`), with `atom_to_tree`'s memo behind them, and the keys
-    the universe keeps for the depth (`kept`), which it reads and never
-    renders again.  Its keys and memo are its own, so nothing a call
-    renders outlives it unless `gfp_approx` keeps the keys of a newly
-    explored depth, which the memo's interning keeps small."""
+    """One depth's view of a program's universe of one term size: the
+    truncated key of every atom it rendered (`keys`), with `atom_to_tree`'s
+    memo behind them, and the keys the universe keeps for the depth
+    (`kept`), which it reads and never renders again.  Nothing it renders
+    outlives it unless `gfp_approx` keeps the keys of a newly explored
+    depth, which the memo's interning keeps small."""
 
-    sig: Signature
+    program: Program
+    term_size: int
     depth: int
     uni: _Universe
     keys: dict[Term, Tree | None] = field(default_factory=dict, repr=False)
@@ -349,17 +355,22 @@ class Grounding:
         distinct term is rendered once, and a kept one not at all."""
         # a key is a tree or None, never the label STAR: one lookup a table
         if (tree := self.kept.get(atom, STAR)) is STAR and (tree := self.keys.get(atom, STAR)) is STAR:
-            tree = self.keys[atom] = _render_body(self.sig, atom, self.depth, self.memo)
+            tree = self.keys[atom] = _render_body(self.program.signature, atom, self.depth, self.memo)
         return tree
 
 
-def grounding(program: Program, cfg: InstanceConfig, depth: int) -> Grounding:
+def grounding(program: Program, cfg: InstanceConfig, depth: int, g: Grounding | None = None) -> Grounding:
     """A grounding at the depth over the universe the program keeps for
     the term size, reading the keys it keeps for the depth, or else over a
-    new universe that nothing keeps; the only place a universe is built."""
+    new universe that nothing keeps, the only place one is built; or `g`, if
+    it is one for the program, term size and depth over such a universe."""
+    kept_uni = program._universes.get(cfg.term_size)
+    same = g is not None and g.program is program and (g.term_size, g.depth) == (cfg.term_size, depth)
+    if same and (kept_uni or g.uni) is g.uni:
+        return g
     pool = universe_terms(program, cfg)
-    uni = program._universes.get(cfg.term_size) or _Universe(pool, _clauses_with_metas(program.h_clauses()))
-    return Grounding(program.signature, depth, uni, kept=uni.keys.get(depth, {}))
+    uni = kept_uni or _Universe(pool, _clauses_with_metas(program.h_clauses()))
+    return Grounding(program, cfg.term_size, depth, uni, kept=uni.keys.get(depth, {}))
 
 
 def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
@@ -399,10 +410,10 @@ def justify(atom: Term, interp: Interpretation, g: Grounding) -> list[Term] | No
 
 def _universe_seeds(g: Grounding) -> list[Term]:
     """Predicate atoms over the grounding's pool."""
-    seeds = []
-    for p in g.sig.predicates():
+    seeds, sig = [], g.program.signature
+    for p in sig.predicates():
         head = Con(p)
-        arity = len(tm.argument_types(g.sig.lookup(p)))
+        arity = len(tm.argument_types(sig.lookup(p)))
         for combo in itertools.product(g.uni.pool, repeat=arity):
             seeds.append(tm.app(head, *combo))
             if len(seeds) >= MAX_UNIVERSE_ATOMS:
@@ -470,7 +481,7 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies, kept: _E
                 expansions[key].add(frozenset(keys))
 
 
-def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretation:
+def gfp_approx(program: Program, depth: int, cfg: InstanceConfig, g: Grounding | None = None) -> Interpretation:
     """Downward iteration to a fixed point over the atom space reachable
     from the seeds; an over-approximation of the greatest fixed point at
     this resolution, so absence certifies non-membership over the
@@ -488,26 +499,28 @@ def gfp_approx(program: Program, depth: int, cfg: InstanceConfig) -> Interpretat
     computation as running the whole stack.  A depth whose exploration
     raises `UniverseTooLarge` keeps no state or keys, so every such call
     raises it.  Each pass then drops every key that has no body with all
-    its keys alive, until a pass drops none."""
-    g = grounding(program, cfg, depth)
+    its keys alive, until a pass drops none.  The interpretation carries
+    the grounding, `g` if `grounding` takes it."""
+    g = grounding(program, cfg, depth, g)
     uni = g.uni
     if depth not in uni.explored:
         # seeds, interned atoms and bodies hold at every depth; the depth's
-        # state and keys are kept only once it completes
+        # state and its exploration's own keys are kept once it completes
         if not uni.explored:
             uni.seeds = [uni.atoms.setdefault(a, a) for a in _universe_seeds(g)]
+        own, g.keys = g.keys, {}
         explored = _Explored()
         _explore(explored, uni.seeds, g, uni.bodies_of)
         uni.explored[depth], uni.keys[depth] = explored, g.keys
         program._universes[cfg.term_size] = uni
-        # the call's own atoms are rendered into keys that it drops
-        g.kept, g.keys = g.keys, {}
+        # atoms not of the exploration are rendered into keys never kept
+        g.kept, g.keys = g.keys, own
     state = uni.explored[depth].copy()
     _explore(state, list(cfg.seed_atoms), g, justifications, uni.explored[depth])
     alive = set(state.expansions)
     while dead := [k for k in alive if not any(map(alive.issuperset, state.expansions[k]))]:
         alive.difference_update(dead)
-    return Interpretation(depth, frozenset(alive), {k: tuple(state.reps[k].values()) for k in alive})
+    return Interpretation(depth, frozenset(alive), {k: tuple(state.reps[k].values()) for k in alive}, g)
 
 
 IN_APPROX = "InApprox"
@@ -516,6 +529,8 @@ CERTAINLY_OUT = "CertainlyOut"
 
 def member_of_model(atom: Term, approx: Interpretation, sig: Signature) -> str:
     """Membership of a closed first-order or guarded atom in the
-    approximated coinductive model."""
-    key = atom_to_tree(sig, atom, approx.depth)
+    approximated coinductive model, read through the approximation's
+    render memo where it has one of this signature."""
+    g = approx.grounding
+    key = atom_to_tree(sig, atom, approx.depth, g.memo if g is not None and g.program.signature is sig else None)
     return IN_APPROX if key in approx.atoms else CERTAINLY_OUT

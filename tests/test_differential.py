@@ -28,7 +28,16 @@ from cup import parser as ps
 from cup import soundness as sd
 from cup import terms as tm
 from cup import trees as tr
-from cup.errors import CupError, IllTyped, MalformedDocument, TypeMismatch, UniverseTooLarge
+from cup.errors import (
+    CupError,
+    DepthUnreachable,
+    IllTyped,
+    MalformedDocument,
+    NotFirstOrder,
+    PreconditionViolated,
+    TypeMismatch,
+    UniverseTooLarge,
+)
 from cup.formulas import Calculus
 from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
@@ -679,20 +688,63 @@ def _argumentwise_reference(sig):
     return reference
 
 
+# the guarded atoms of the model and audit workloads: bitstream prefixes over
+# z_str, n_str 0 and n_str 1, and from k (fr_str m)
+WORKLOAD_ATOMS = {
+    "bitstream": [f"bitstream [{bits}|{tail}]" if bits else f"bitstream ({tail})"
+                  for bits in ("", "0", "1|0", "0|1|1") for tail in ("z_str", "n_str 0", "n_str 1")],
+    "from": [f"from {k} (fr_str {m})" for k in ("0", "(s 0)", "(s (s 0))") for m in ("0", "(s 0)", "(s (s 0))")],
+}
+ONES = "fix \\x. scons 1 x"
+# atoms over the bitstream signature that do not render, with the class of
+# their error; the `ONES` atom raises only while no unfolding exposes a
+# constructor, which the test brings about
+ERROR_ATOMS = [
+    ("bitstream (fix \\x. x)", PreconditionViolated),
+    ("bitstream [0|fix \\x. x]", PreconditionViolated),
+    (A(C("bit"), A(L("x", V("x")), C("0"))), NotFirstOrder),
+    (f"bitstream ({ONES})", DepthUnreachable),
+]
+
+
+def _alike_through_one_memo(sig, atom, depth, memo):
+    """The atom's outcome through the memo, asserted equal on a second call
+    through it and on a call through a fresh memo."""
+    got = _outcome(lambda: tr.atom_to_tree(sig, atom, depth, memo))
+    assert _outcome(lambda: tr.atom_to_tree(sig, atom, depth, memo)) == got, (tm.brief(atom), depth)
+    assert _outcome(lambda: tr.atom_to_tree(sig, atom, depth)) == got, (tm.brief(atom), depth)
+    return got
+
+
 @pytest.mark.parametrize("name", CORPUS)
-def test_memoised_walk_matches_the_references_on_universe_atoms(name, fresh_program):
-    # one memo per depth across all the atoms, as a grounding shares it
+def test_memoised_walk_matches_the_references_on_universe_atoms(name, fresh_program, monkeypatch):
+    # one memo per depth across all the atoms, as a grounding shares it; each
+    # atom rendered twice through it and once through a fresh memo
     program = fresh_program(name)
     sig = program.signature
     reference = _argumentwise_reference(sig)
     atoms = tr._universe_seeds(tr.grounding(program, tr.InstanceConfig(), 0))
     if name in TWO_DEPTHS_GOAL:
         atoms = [ps.parse_goal(TWO_DEPTHS_GOAL[name], program).term] + atoms
+    guarded = [ps.parse_goal(text, program).term for text in WORKLOAD_ATOMS.get(name, ())]
     for depth in range(9):
         memo = {}
-        for atom in atoms:
-            got = _outcome(lambda: tr.atom_to_tree(sig, atom, depth, memo))
+        for atom in atoms + (guarded if 1 <= depth <= 6 else []):
+            got = _alike_through_one_memo(sig, atom, depth, memo)
             assert got == reference(atom, depth), (tm.brief(atom), depth)
+        if name == "bitstream" and 1 <= depth <= 6:
+            # a failure is raised alike on every call and stored nowhere
+            for text, error in ERROR_ATOMS:
+                atom = ps.parse_goal(text, program).term if isinstance(text, str) else text
+                with monkeypatch.context() as m:
+                    # no unfolding exposes a constructor
+                    m.setattr(tm, "fair_unfold", lambda t: t)
+                    got = _alike_through_one_memo(sig, atom, depth, memo)
+                raised = got[0] if isinstance(got, tuple) else None
+                assert raised is (None if error is DepthUnreachable and depth == 1 else error), (tm.brief(atom), depth)
+                # once unfoldings expose one, only the ONES atom renders
+                got = _alike_through_one_memo(sig, atom, depth, memo)
+                assert isinstance(got, tr.Tree) == (error is DepthUnreachable), (tm.brief(atom), depth)
         if name in TWO_DEPTHS_GOAL and depth >= 3:
             s0 = A(C("s"), C("0"))
             assert {k[1] for k in memo if isinstance(k, tuple) and k[0] == s0} >= {depth - 1, depth - 2}
@@ -1294,8 +1346,10 @@ def test_verify_postfixed_builds_its_pool_once(monkeypatch, regression_proofs):
 
     for name in ("universe_terms", "justify"):
         monkeypatch.setattr(tr, name, counted(name))
+    # through the merge's grounding no pool is built, through a new one once
     assert sd.verify_postfixed(merged, program, cfg) == (True, None)
-    assert calls["justify"] > 1
+    assert calls["justify"] > 1 and calls["universe_terms"] == 0
+    assert sd.verify_postfixed(tm.replace(merged, grounding=None), program, cfg) == (True, None)
     assert calls["universe_terms"] == 1
 
 
@@ -1348,6 +1402,33 @@ def test_verify_postfixed_reads_the_universe_gfp_approx_kept(monkeypatch, name, 
     assert not set(justified) & uni.bodies.keys()
     # the universe's own atoms are among the representatives justified
     assert {r for reps in merged.reps.values() for r in reps} & uni.bodies.keys()
+
+
+@pytest.mark.parametrize("name", ["member67", "bitstream", "from", "comember"])
+def test_an_audit_keeps_in_the_universe_what_gfp_approx_alone_keeps(name, regression_proofs, fresh_program):
+    # depth 2 explored first; the audit at depth 3 explores it through the
+    # candidate's grounding, the one at depth 2 reads what the depth kept
+    _session_program, _goal, calc, res = regression_proofs[name]
+    program, plain, cfg = fresh_program(name), fresh_program(name), tr.InstanceConfig()
+    for p in (program, plain):
+        tr.gfp_approx(p, 2, cfg)
+    for depth in (3, 2):
+        assert sd.audit_proof(res.tree, program, depth, 2, calc).verified, depth
+    tr.gfp_approx(plain, 3, cfg)
+    assert _universe_snapshot(kept_universe(program)) == _universe_snapshot(kept_universe(plain))
+
+
+def test_a_candidate_checked_before_its_merge_keeps_nothing_in_the_universe(regression_proofs, fresh_program):
+    # the check renders into the candidate's grounding before the merge
+    # explores the depth through it; the depth keeps its exploration's keys
+    _session_program, _goal, calc, res = regression_proofs["bitstream"]
+    program, plain, cfg = fresh_program("bitstream"), fresh_program("bitstream"), tr.InstanceConfig()
+    cand = sd.build_candidate(res.tree, program, 4, 2, calc)
+    sd.verify_postfixed(cand.interpretation, program, cfg)
+    assert cand.interpretation.grounding.keys and not program._universes
+    assert sd.verify_postfixed(sd.merge_with_model(cand, program, cfg), program, cfg) == (True, None)
+    tr.gfp_approx(plain, 4, cfg)
+    assert _universe_snapshot(kept_universe(program)) == _universe_snapshot(kept_universe(plain))
 
 
 def test_verify_postfixed_on_kept_state_matches_a_program_that_kept_nothing(regression_proofs, fresh_program):

@@ -8,7 +8,9 @@ from cup import cli
 from cup import engine as eng
 from cup import formulas as fm
 from cup import parser as ps
+from cup import soundness as sd
 from cup import terms as tm
+from cup import trees as tr
 from cup.engine import LemmaStore, SearchConfig, Src, check, coprove, promote_lemma, prove
 from cup.errors import FlexibleAtomUnsupported, NotCoreFormula, ProofInvalid
 from cup.formulas import Atom, Calculus, Conj, Disj, Exists, Forall, HClause, Impl, TOP
@@ -537,6 +539,45 @@ class TestCostsAsCounts:
             monkeypatch.setattr(tm._Infer, "infer", infer)
         exponents = [math.log2(b / a) for a, b in zip(counts, counts[1:])]
         assert all(e <= 2.05 for e in exponents), (counts, exponents)
+
+
+class TestRenderCostsAsCounts:
+    """Renders pinned as absolute call counts, which a fixed atom or a fixed
+    proof over a fixed program makes exact: one render memo unfolds each
+    distinct fix-headed subterm once, and one audit renders each distinct
+    atom once, through one grounding."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = collections.Counter()
+        for module, name in ((tm, "fair_unfold"), (tm, "is_first_order_atom"), (tr, "snapshot")):
+            def run(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, run)
+        return calls
+
+    def test_a_render_unfolds_the_zero_stream_once(self, monkeypatch, fresh_program):
+        # z_str unfolds to scons 0 z_str, the same subterm at every depth
+        program = fresh_program("bitstream")
+        atom = ps.parse_goal("bitstream z_str", program).term
+        calls = self.counted(monkeypatch)
+        assert tr.tree_to_text(tr.atom_to_tree(program.signature, atom, 6)) == (
+            "bitstream(scons(0,scons(0,scons(0,scons(0,scons(*,*))))))")
+        assert calls["fair_unfold"] <= 1
+
+    def test_a_warm_audit_renders_each_atom_once(self, monkeypatch, regression_proofs, fresh_program):
+        # the merge and the check read what the candidate rendered
+        _program, _goal, calc, res = regression_proofs["bitstream"]
+        program = fresh_program("bitstream")
+        cold = sd.audit_proof(res.tree, program, 5, 3, calc)
+        calls = self.counted(monkeypatch)
+        warm = sd.audit_proof(res.tree, program, 5, 3, calc)
+        assert warm.to_dict(program) == cold.to_dict(program) and warm.verified
+        assert calls["fair_unfold"] <= 3, calls
+        assert calls["is_first_order_atom"] <= 4, calls
+        assert calls["snapshot"] <= 3, calls
 
 
 class TestSearchWitnesses:

@@ -310,6 +310,7 @@ VALUES = [
 
 _SUPPLY = tm.NameSupply()
 _UNIVERSE = tr._Universe([C("0")], [])
+_PROGRAM = fm.Program(Signature())
 
 # (mutable record, its repr)
 RECORDS = [
@@ -327,7 +328,8 @@ RECORDS = [
     (sd.ExtensionReport(True, frozenset(), frozenset(), 3),
      "ExtensionReport(equal=True, only_in_original=frozenset(), only_in_extended=frozenset(), depth=3)"),
     (_UNIVERSE, "_Universe(pool=[Con(name='0')], renamed=[], explored={})"),
-    (tr.Grounding(Signature(), 2, _UNIVERSE), f"Grounding(sig=Signature(constants=()), depth=2, uni={_UNIVERSE!r})"),
+    (tr.Grounding(_PROGRAM, 3, 2, _UNIVERSE),
+     f"Grounding(program={_PROGRAM!r}, term_size=3, depth=2, uni={_UNIVERSE!r})"),
     (tr._Explored(), "_Explored(reps={}, derived_count={}, expansions={})"),
 ]
 
@@ -376,7 +378,7 @@ def test_a_mutable_record_pins_its_repr_and_equality_and_is_unhashable(record, t
 
 def test_each_default_factory_field_is_a_fresh_object_per_instance():
     makers = [lambda: fm.Program(Signature()), lambda: tr.Interpretation(1, frozenset()),
-              lambda: tr._Universe([], []), lambda: tr.Grounding(Signature(), 1, _UNIVERSE), tr._Explored]
+              lambda: tr._Universe([], []), lambda: tr.Grounding(_PROGRAM, 3, 1, _UNIVERSE), tr._Explored]
     for make in makers:
         a, b = make(), make()
         made = [n for n, f in type(a)._fields.items() if f.factory]
