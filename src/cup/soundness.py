@@ -196,7 +196,8 @@ def build_candidate(
 
     reps: dict[tr.Tree, tuple[Term, ...]] = {}
     g = tr.grounding(program, tr.InstanceConfig(), depth)
-    for _w, th in _thetas(deltas, eigens, base, word_budget):
+    # with no eigenvariables every word's substitution is the empty one
+    for _w, th in _thetas(deltas, eigens, base, word_budget if eigens else 0):
         for a in atoms_c.values():
             inst = tm.beta_normalize(replace_cons(a, th))
             reps.setdefault(tr.atom_to_tree(sig, inst, depth, g.memo), (inst,))

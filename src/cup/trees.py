@@ -20,7 +20,7 @@ from .formulas import HClause, Program
 # is_guarded_atom has no caller here; perfbench/tracing.py patches it under
 # this module's name
 from .guardedness import is_guarded_atom, snapshot
-from .terms import Con, Fix, IOTA, Signature, Term, Var, field, record
+from .terms import App, Con, Fix, IOTA, Signature, Term, Var, field, record
 
 STAR = "*"
 
@@ -373,17 +373,36 @@ def grounding(program: Program, cfg: InstanceConfig, depth: int, g: Grounding | 
     return Grounding(program, cfg.term_size, depth, uni, kept=uni.keys.get(depth, {}))
 
 
+def _match(p: Term, t: Term, s: dict[str, Term]) -> dict[str, Term] | None:
+    """`eng.unify(p, t, s)` for a closed, fix-free, beta-normal t, binding into s in place."""
+    if isinstance(p, App):
+        return _match(p.arg, t.arg, s) if isinstance(t, App) and _match(p.fn, t.fn, s) is not None else None
+    if isinstance(p, Var) and tm.is_meta(p.name):
+        # a repeated metavariable's two closed terms unify when alpha-equal
+        return s if (u := s.setdefault(p.name, t)) is t or tm.alpha_eq(u, t) else None
+    if isinstance(p, Con):
+        return s if isinstance(t, Con) and p.name == t.name else None
+    # a rigid variable matches no closed term; a lambda compares as in unify
+    return s if not isinstance(p, Var) and type(p) is type(t) and tm.alpha_eq(eng.resolve_term(p, s), t) else None
+
+
 def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
     """Bodies of clause instances whose head matches the atom, the few body
     variables that the head leaves open enumerated over the pool: a body is
-    resolved once per match, and then only those variables per pool value."""
+    resolved once per match, and then only those variables per pool value.
+    One-way matching serves a closed, fix-free atom and a fix-free head,
+    both beta-normal: there `unify_modulo` is `unify(head, atom, {})`, which
+    binds only head metavariables, each to a closed subterm of the atom.  A
+    guarded atom or a fix-headed lemma needs the unfolding walk.  No atom
+    holds a metavariable, so no binding does: the open ones are the unbound."""
+    closed = not (atom._fv or atom._fix) and atom._nf
     for head, body, metas in g.uni.clauses(atom):
-        s = eng.unify_modulo(head, atom, {}, tm.UNFOLD_BOUND)
+        s = (_match(head, atom, {}) if closed and head._nf and not head._fix
+             else eng.unify_modulo(head, atom, {}, tm.UNFOLD_BOUND))
         if s is None:
             continue
-        unbound = [m for m in metas if eng.unresolved_metas(Var(m), s)]
-        bound = {k: v for k, v in s.items() if k not in unbound}
-        partial = [eng.resolve_term(b, bound) for b in body]
+        unbound = [m for m in metas if m not in s]
+        partial = [eng.resolve_term(b, s) for b in body]
         for combo in itertools.product(g.uni.pool[:BODY_VAR_POOL], repeat=len(unbound)):
             values = dict(zip(unbound, combo))
             resolved = [tm.beta_normalize(eng.resolve_term(b, values)) for b in partial]

@@ -471,6 +471,34 @@ def _recorded_calls(monkeypatch, run):
     return calls
 
 
+def _head_matches(monkeypatch, run):
+    """(head, atom, path) of each head match that `justifications` makes
+    while run() runs, in order: path "match" for the one-way matcher,
+    whose recursion goes through the patched name too and is left out, and
+    "modulo" for `unify_modulo`."""
+    calls, nesting = [], [0]
+    real_match, real_modulo = tr._match, eng.unify_modulo
+
+    def match(p, t, s):
+        if not nesting[0]:
+            calls.append((p, t, "match"))
+        nesting[0] += 1
+        try:
+            return real_match(p, t, s)
+        finally:
+            nesting[0] -= 1
+
+    def modulo(a, b, s, bound):
+        calls.append((a, b, "modulo"))
+        return real_modulo(a, b, s, bound)
+
+    with monkeypatch.context() as m:
+        m.setattr(tr, "_match", match)
+        m.setattr(eng, "unify_modulo", modulo)
+        run()
+    return calls
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_lazy_unify_modulo_matches_eager_at_the_bound(k):
     # a pattern k cells deep matches a stream only after k unfoldings
@@ -759,20 +787,13 @@ def test_justifications_unify_an_atom_only_with_its_own_predicate(monkeypatch, n
     program = fresh_program(name)
     g = tr.grounding(program, tr.InstanceConfig(), 3)
     heads = [tm.spine(head)[0] for head, _body, _metas in g.uni.renamed]
-    calls = []
-    real_unify_modulo = eng.unify_modulo
-
-    def counted_unify_modulo(head, atom, *rest):
-        calls.append(tm.spine(head)[0])
-        return real_unify_modulo(head, atom, *rest)
-
-    monkeypatch.setattr(eng, "unify_modulo", counted_unify_modulo)
     # a flexible atom falls back to every clause
     atoms = tr._universe_seeds(g) + [A(V("P"), C("0"))]
     for atom in atoms:
         head = tm.spine(atom)[0]
-        calls.clear()
-        got = list(tr.justifications(atom, g))
+        got = []
+        # every head match, one way or through unify_modulo
+        calls = [tm.spine(h)[0] for h, _atom, _path in _head_matches(monkeypatch, lambda: got.extend(tr.justifications(atom, g)))]
         own = [h for h in heads if h == head] if isinstance(head, Con) else heads
         assert calls == own, tm.brief(atom)
         # the same bodies, in the same order, as trying every clause
@@ -840,19 +861,68 @@ def test_lazy_unify_modulo_matches_eager_on_gfp_atoms(monkeypatch, name, goal, d
     program = fresh_program(name)
     atom = ps.parse_goal(goal, program).term
     cfg = tr.InstanceConfig(seed_atoms=(atom,))
-    calls = _recorded_calls(monkeypatch, lambda: tr.gfp_approx(program, depth, cfg))
+    calls = _head_matches(monkeypatch, lambda: tr.gfp_approx(program, depth, cfg))
     assert calls
-    heads = {a for a, _b, _s, _bound in calls}
-    atoms = {b for _a, b, _s, _bound in calls}
-    bound = calls[0][3]
+    heads = {a for a, _b, _path in calls}
+    atoms = {b for _a, b, _path in calls}
+    bound = tm.UNFOLD_BOUND
+    # the fix-free programs match every head one way, so the matcher stands
+    # in for unify_modulo there
+    fix_free = name in ("member", "comember")
+    assert {path for _a, _b, path in calls} == ({"match"} if fix_free else {"match", "modulo"})
+    unify = (lambda head, a: tr._match(head, a, {})) if fix_free else (lambda head, a: eng.unify_modulo(head, a, {}, bound))
     matched = 0
     # every corpus clause head against every atom gfp_approx tried to justify
     for head in heads:
         for a in atoms:
-            got = eng.unify_modulo(head, a, {}, bound)
+            got = unify(head, a)
             assert got == unify_modulo_reference(head, a, {}, bound), (head, a)
             matched += got is not None
     assert matched > 0
+
+
+def _meta_occurrences(t):
+    """The metavariable occurrences of a first-order term, left to right."""
+    if isinstance(t, tm.App):
+        return _meta_occurrences(t.fn) + _meta_occurrences(t.arg)
+    return [t.name] if isinstance(t, Var) and tm.is_meta(t.name) else []
+
+
+# the predicates of each fix-free program's heads with a repeated
+# metavariable: drop X [X|T] T, eq X X and member X [X|T]
+NONLINEAR = {"member67": {"eq"}, "member": {"eq", "member"}, "comember": {"drop"}}
+
+
+@pytest.mark.parametrize("name", NONLINEAR)
+def test_the_matcher_is_unify_modulo_on_every_pair_gfp_approx_tries(monkeypatch, name, fresh_program):
+    # every (renamed head, atom) pair of the fix-free programs at depths 2-4
+    # takes the matcher, whose substitution is the eager reference's
+    program = fresh_program(name)
+    calls = []
+    for depth in (2, 3, 4):
+        calls += _head_matches(monkeypatch, lambda: tr.gfp_approx(program, depth, tr.InstanceConfig()))
+    assert calls and {path for _h, _a, path in calls} == {"match"}
+    outcomes = collections.Counter()
+    for head, atom, _path in set(calls):
+        got = tr._match(head, atom, {})
+        assert got == unify_modulo_reference(head, atom, {}, tm.UNFOLD_BOUND), (head, atom)
+        metas = _meta_occurrences(head)
+        if len(set(metas)) < len(metas):
+            outcomes[tm.spine(head)[0].name, got is not None] += 1
+    # each non-linear head both admits and rejects some atom
+    assert {p for p, _ok in outcomes} == NONLINEAR[name]
+    assert all(outcomes[p, True] and outcomes[p, False] for p in NONLINEAR[name]), outcomes
+
+
+def test_a_fix_headed_lemma_keeps_unify_modulo(monkeypatch, fresh_program):
+    # the lemma's head holds n_str's fix: only the unfolding walk matches it
+    program = fresh_program("bitstream")
+    lemma = fm.HClause((), (), ps.parse_goal("bitstream [0|n_str 0]", program).term)
+    reports = []
+    calls = _head_matches(monkeypatch, lambda: reports.append(sd.conservative_extension_check(program, [lemma], 4)))
+    paths = {path for head, _atom, path in calls if head == lemma.head}
+    assert tm.has_fix(lemma.head) and paths == {"modulo"}
+    assert reports[0].equal and not (reports[0].only_in_original or reports[0].only_in_extended)
 
 
 @pytest.mark.parametrize("name,goal,calc", [

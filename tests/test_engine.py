@@ -548,9 +548,9 @@ class TestRenderCostsAsCounts:
     atom once, through one grounding."""
 
     @staticmethod
-    def counted(monkeypatch):
+    def counted(monkeypatch, targets=((tm, "fair_unfold"), (tm, "is_first_order_atom"), (tr, "snapshot"))):
         calls = collections.Counter()
-        for module, name in ((tm, "fair_unfold"), (tm, "is_first_order_atom"), (tr, "snapshot")):
+        for module, name in targets:
             def run(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -578,6 +578,36 @@ class TestRenderCostsAsCounts:
         assert calls["fair_unfold"] <= 3, calls
         assert calls["is_first_order_atom"] <= 4, calls
         assert calls["snapshot"] <= 3, calls
+
+    def test_a_candidate_with_no_eigenvariables_renders_each_atom_once(self, monkeypatch, regression_proofs, fresh_program):
+        # member67's root has no eigenvariable, so every word up to the
+        # budget gives the empty substitution: its two atoms, member 0
+        # [0|nil] and eq 0 0, are rendered for the empty word alone
+        _program, _goal, calc, res = regression_proofs["member67"]
+        program = fresh_program("member67")
+        calls = self.counted(monkeypatch, ((tr, "atom_to_tree"),))
+        cand = sd.build_candidate(res.tree, program, 3, 3, calc)
+        assert not cand.eigenvariables and cand.deltas
+        assert len(cand.interpretation.atoms) == 2
+        assert calls["atom_to_tree"] == 2, calls
+
+
+class TestHeadMatchCostsAsCounts:
+    """The model side's head matches pinned as calls of `engine.unify` and
+    `engine.unify_modulo` in one cold `gfp_approx` on a fresh program:
+    closed, fix-free atoms are matched one way, with neither."""
+
+    def test_a_fix_free_program_makes_no_unify_call(self, monkeypatch, fresh_program):
+        program = fresh_program("comember")
+        calls = TestRenderCostsAsCounts.counted(monkeypatch, ((eng, "unify"), (eng, "unify_modulo")))
+        assert tr.gfp_approx(program, 2, tr.InstanceConfig()).atoms
+        assert calls["unify"] == calls["unify_modulo"] == 0, calls
+
+    def test_guarded_atoms_keep_unify_modulo(self, monkeypatch, fresh_program):
+        program = fresh_program("bitstream")
+        calls = TestRenderCostsAsCounts.counted(monkeypatch, ((eng, "unify"), (eng, "unify_modulo")))
+        assert tr.gfp_approx(program, 2, tr.InstanceConfig()).atoms
+        assert calls["unify_modulo"] > 0 and calls["unify"] > 0, calls
 
 
 class TestSearchWitnesses:
