@@ -79,7 +79,8 @@ class Sequent:
     mode: str = PLAIN
     guarded: bool = False
     # the premise tuples `premises` built, by (eigenvariable, witness): a
-    # pure function of the frozen fields, so it can never disagree with them
+    # pure function of the frozen fields, so it can never disagree with
+    # them; and the name each search drew for it, by that search's supply
     _derived: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def with_(
@@ -385,7 +386,23 @@ class _Ctx:
     cfg: SearchConfig
     supply: NameSupply
     stats: SearchStats
-    cut: bool = False
+    need: float = _NEVER  # the least extra depth any cut of this bound needs
+
+
+def _draw(ctx: _Ctx, seq: Sequent, var: str, meta: bool) -> str | Var:
+    """The eigenvariable, or with `meta` the witness metavariable, that seq
+    draws for its binder var once per search, kept in its premise table
+    under the search's supply: a deeper bound meets the same sequents with
+    the same names and reads their premise tuples. Sound, as each sequent
+    object hangs from one premise tuple of one parent, so two draws in one
+    proof are two sequents; and the substitution is persistent, so a reused
+    name never carries a binding from another path."""
+    memo = seq._derived or {}
+    name = memo.get(ctx.supply)
+    if name is None:
+        name = memo[ctx.supply] = Var(tm.META + ctx.supply.fresh(var)) if meta else ctx.supply.fresh(var)
+        object.__setattr__(seq, "_derived", memo)
+    return name
 
 
 def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[tuple[ProofTree, dict[str, Term]]]:
@@ -393,7 +410,7 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
     Premises are solved here, not through a helper, so that a search level
     costs one generator frame of the interpreter stack."""
     if depth <= 0:
-        ctx.cut = True
+        ctx.need = 1  # the least any cut needs
         return
     ctx.stats.nodes += 1
     rule = _rule(seq)
@@ -411,11 +428,11 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
                 yield ProofTree(seq, rule), s1
             return
         if isinstance(d, Forall):
-            witness = Var(tm.META + ctx.supply.fresh(d.var))
+            witness = _draw(ctx, seq, d.var, True)
     elif isinstance(g, Forall):
-        eigen = ctx.supply.fresh(g.var)
+        eigen = _draw(ctx, seq, g.var, False)
     elif isinstance(g, Exists):
-        witness = Var(tm.META + ctx.supply.fresh(g.var))
+        witness = _draw(ctx, seq, g.var, True)
     elif isinstance(g, Atom):
         head = tm.spine(g.term)[0]
         while isinstance(head, Var) and head.name in s:
@@ -425,21 +442,19 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
         if isinstance(head, Var):
             raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {tm.brief(g.term)}")
         pred = head.name if isinstance(head, Con) else None
-    # a deeper bound redraws the names of the shallower one and so meets
-    # the same sequents, with the same eigenvariables and witnesses, again
     for seqs in premises(seq, eigen, witness):
         if not seqs:
             yield ProofTree(seq, rule), s
             continue
         # the focus needs n sequents below this DECIDE to reach an INITIAL
         # that can meet the goal: with n >= depth it reaches none, so it is
-        # neither searched nor counted. Walking it would have set the cut,
-        # unless it reaches no such INITIAL at any depth
+        # neither searched nor counted, and it is first searched at the
+        # bound n - depth + 1 deeper; never, if it reaches no such INITIAL
         if pred is not None:
             reach = focus_reach(seqs[0].focus)
             n = min(reach.get(pred, _NEVER), reach.get(None, _NEVER))
             if n >= depth:
-                ctx.cut |= n < _NEVER
+                ctx.need = min(ctx.need, n - depth + 1)
                 continue
         for t1, s1 in _solve(ctx, seqs[0], depth - 1, s):
             if len(seqs) == 1:
@@ -486,11 +501,17 @@ def _reify(tree: ProofTree, s: dict[str, Term], calculus: Calculus) -> ProofTree
     # the goal's, of the node that drew it. s binds metas only at the
     # INITIALs of the path that found the tree, all of whose nodes are in
     # the tree, so a meta missing from the table is a search bug, and
-    # indexing the table makes it raise
+    # indexing the table makes it raise. Each eigenvariable is renamed
+    # canonically: the n-th node in pre-order that draws a name draws
+    # number n, so a proof's text depends on the proof alone
     dangling: set[str] = set()
     types: dict[str, tm.SimpleType] = {}
+    canon, names = NameSupply(), {}
     for node in tree.nodes():
-        if node.witness is not None:
+        if node.eigen is not None:
+            names[node.eigen] = canon.fresh(node.eigen)
+        elif node.witness is not None:
+            canon.fresh("")  # its metavariable is resolved away
             seq = node.sequent
             types[node.witness.name] = (seq.goal if seq.focus is None else seq.focus).ty
             dangling |= unresolved_metas(node.witness, s)
@@ -507,22 +528,26 @@ def _reify(tree: ProofTree, s: dict[str, Term], calculus: Calculus) -> ProofTree
         # it derives at the place search took, which the first child names:
         # each premise search built is a sequent of its own. Every meta of
         # a witness is now bound to a closed term, so the witness is closed
-        witness = None
+        witness, eigen = None, names.get(node.eigen)
         if node.witness is not None:
-            witness = tm.beta_normalize(resolve_term(node.witness, s))
-            if fo and not tm.is_first_order(seq.signature, {}, witness):
+            # an eigenvariable outside the node's signature, drawn below it,
+            # turns into a free variable: `check` would refuse the witness
+            sig = node.sequent.signature
+            witness = tm.replace_cons(tm.beta_normalize(resolve_term(node.witness, s)), {
+                old: Con(new) if old in sig else Var(old) for old, new in names.items()})
+            if tm.free_vars(witness) or fo and not tm.is_first_order(seq.signature, {}, witness):
                 return None
         children = []
         if node.children:
             first = node.children[0].sequent
             found = premises(node.sequent, node.eigen, node.witness)
             index = next(i for i, p in enumerate(found) if p and p[0] is first)
-            for c, premise in zip(node.children, premises(seq, node.eigen, witness)[index]):
+            for c, premise in zip(node.children, premises(seq, eigen, witness)[index]):
                 rc = go(c, premise)
                 if rc is None:
                     return None
                 children.append(rc)
-        return ProofTree(seq, node.rule, witness, node.eigen, tuple(children))
+        return ProofTree(seq, node.rule, witness, eigen, tuple(children))
 
     # search's own root: it holds no meta, since `coprove` and `prove` take
     # only a goal `classify` types and its entries are program clauses and
@@ -545,15 +570,14 @@ def base_entries(program: Program, lemmas: LemmaStore | None = None) -> tuple[En
 
 
 def _search(cfg: SearchConfig, root: Sequent) -> SearchOutcome:
-    """Iterative deepening from the root. A coinductive root's co-fix is
-    not searched: its one premise is, and each proof found of it is
-    wrapped in the co-fix node."""
+    """Iterative deepening from the root, under one name supply. A
+    coinductive root's co-fix is not searched: its one premise is, and
+    each proof found of it is wrapped in the co-fix node."""
     ctx = _Ctx(cfg, NameSupply(), SearchStats())
     start = premises(root)[0][0] if root.mode == COINDUCTIVE else root
-    for bound in range(1, cfg.depth_limit + 1):
-        # fresh names per bound, so a proof's names depend only on the
-        # bound that found it
-        ctx.supply, ctx.cut = NameSupply(), False
+    bound = 1
+    while bound <= cfg.depth_limit:
+        ctx.need = _NEVER
         ctx.stats.max_depth = bound
         try:
             for tree, s in _solve(ctx, start, bound, {}):
@@ -565,8 +589,12 @@ def _search(cfg: SearchConfig, root: Sequent) -> SearchOutcome:
         except RecursionError:
             # the interpreter stack bounds the depth too
             return SearchOutcome(None, "depth-exceeded", ctx.stats)
-        if not ctx.cut:
+        if ctx.need == _NEVER:
             return SearchOutcome(None, "no-proof", ctx.stats)
+        # every bound short of bound + need repeats this one node for node
+        # (IDA*'s next threshold, Korf, AIJ 1985)
+        bound += ctx.need
+    ctx.stats.max_depth = cfg.depth_limit
     return SearchOutcome(None, "depth-exceeded", ctx.stats)
 
 

@@ -19,7 +19,7 @@ from . import terms as tm
 from . import trees as tr
 from .errors import BodyNotInModel, MissingEigenvariableBinding, NotHShapedRoot, ProofInvalid
 from .formulas import Calculus, HClause, Program, formula_alpha_eq
-from .terms import App, Con, Fix, Lam, Term, Var, record, replace
+from .terms import Term, record, replace, replace_cons
 
 
 @record
@@ -29,20 +29,6 @@ class DeltaRecord:
     mention eigenvariables)."""
 
     bindings: tuple[tuple[str, Term], ...]
-
-
-def replace_cons(t: Term, values: dict[str, Term]) -> Term:
-    """Substitute terms for constants in one walk; eigenvariables are
-    constants that the model construction treats as free variables."""
-    if isinstance(t, Con):
-        return values.get(t.name, t)
-    if isinstance(t, Var) or not values:
-        return t
-    if isinstance(t, App):
-        return App(replace_cons(t.fn, values), replace_cons(t.arg, values))
-    if isinstance(t, Lam):
-        return Lam(t.var, replace_cons(t.body, values))
-    return Fix(replace_cons(t.body, values))
 
 
 def _root_h_clause(proof: eng.ProofTree) -> HClause:

@@ -406,6 +406,20 @@ def subst1(t: Term, name: str, value: Term) -> Term:
     return Lam(t.var, subst1(t.body, name, value))
 
 
+def replace_cons(t: Term, values: dict[str, Term]) -> Term:
+    """Substitute terms for constants in one walk: the model construction
+    treats eigenvariables as free variables, and reification renames them."""
+    if isinstance(t, Con):
+        return values.get(t.name, t)
+    if isinstance(t, Var) or not values:
+        return t
+    if isinstance(t, App):
+        return App(replace_cons(t.fn, values), replace_cons(t.arg, values))
+    if isinstance(t, Lam):
+        return Lam(t.var, replace_cons(t.body, values))
+    return Fix(replace_cons(t.body, values))
+
+
 Substitution = list[tuple[str, Term]]
 
 

@@ -455,13 +455,34 @@ def unshared_copy(tree):
     return go(tree)
 
 
+def rename_constants(t, names: dict):
+    """t with each constant named in names renamed to its value."""
+    if isinstance(t, Con):
+        return Con(names.get(t.name, t.name))
+    if isinstance(t, App):
+        return App(rename_constants(t.fn, names), rename_constants(t.arg, names))
+    if isinstance(t, Lam):
+        return Lam(t.var, rename_constants(t.body, names))
+    if isinstance(t, Fix):
+        return Fix(rename_constants(t.body, names))
+    return t
+
+
 def reify_reference(tree, s, calculus):
     """Reification as each node's sequent resolved on its own: each
     distinct formula and entries tuple of the found tree, by identity,
     through the final substitution, with dangling metavariables (those
     of witnesses and goal atoms) filled first, each with the smallest
-    closed term of the type of the binder that drew it.  The reference for
-    `engine._reify`, which derives each child from its reified parent."""
+    closed term of the type of the binder that drew it; and with each
+    eigenvariable renamed canonically, after the number of its node among
+    the proof's nodes that draw a name, in pre-order.  A witness naming a
+    constant outside its node's signature gives no proof.  The reference
+    for `engine._reify`, which derives each child from its reified parent."""
+    names, drawn = {}, 0
+    for node in tree.nodes():
+        drawn += node.eigen is not None or node.witness is not None
+        if node.eigen is not None:
+            names[node.eigen] = f"{node.eigen.split(tm.FRESH_MARK)[0]}{tm.FRESH_MARK}{drawn}"
     dangling, types = set(), {}
     for node in tree.nodes():
         seq = node.sequent
@@ -479,9 +500,12 @@ def reify_reference(tree, s, calculus):
     fo = not calculus.higher_order
     formulas, tuples = {}, {}
 
+    def term(t):
+        return rename_constants(tm.beta_normalize(eng.resolve_term(t, s)), names)
+
     def formula(f):
         if id(f) not in formulas:
-            formulas[id(f)] = fm.map_atoms(f, lambda t: tm.beta_normalize(eng.resolve_term(t, s)))
+            formulas[id(f)] = fm.map_atoms(f, term)
         return formulas[id(f)]
 
     def entries(es):
@@ -492,21 +516,50 @@ def reify_reference(tree, s, calculus):
 
     def go(node):
         seq = node.sequent
-        new_seq = seq.with_(entries=entries(seq.entries), focus=None if seq.focus is None else formula(seq.focus),
-                            goal=formula(seq.goal))
+        sig = Signature.of({names.get(n, n): ty for n, ty in seq.signature.constants})
+        new_seq = seq.with_(signature=sig, entries=entries(seq.entries),
+                            focus=None if seq.focus is None else formula(seq.focus), goal=formula(seq.goal))
         witness = None
         if node.witness is not None:
             witness = tm.beta_normalize(eng.resolve_term(node.witness, s))
             if any(tm.is_meta(n) for n in tm.free_vars(witness)):
                 return None
-            if fo and not tm.is_first_order(seq.signature, {}, witness):
+            if any(isinstance(u, Con) and u.name not in seq.signature for u in tm.subterms(witness)):
+                return None
+            witness = rename_constants(witness, names)
+            if fo and not tm.is_first_order(sig, {}, witness):
                 return None
         children = [go(c) for c in node.children]
         if None in children:
             return None
-        return eng.ProofTree(new_seq, node.rule, witness, node.eigen, tuple(children))
+        return eng.ProofTree(new_seq, node.rule, witness, names.get(node.eigen), tuple(children))
 
     return go(tree)
+
+
+def search_reference(cfg, root):
+    """Plain iterative deepening: the bound one step at a time from 1, each
+    bound drawing its names from a supply of its own. The reference for
+    `engine._search`, which goes straight to IDA*'s next bound and draws
+    each sequent's names once per search: the same reasons, final bounds
+    and proofs, in no more expansions than this one counts."""
+    ctx = eng._Ctx(cfg, tm.NameSupply(), eng.SearchStats())
+    start = eng.premises(root)[0][0] if root.mode == eng.COINDUCTIVE else root
+    for bound in range(1, cfg.depth_limit + 1):
+        ctx.supply, ctx.need = tm.NameSupply(), eng._NEVER
+        ctx.stats.max_depth = bound
+        try:
+            for tree, s in eng._solve(ctx, start, bound, {}):
+                if start is not root:
+                    tree = eng.ProofTree(root, "co-fix", children=(tree,))
+                reified = eng._reify(tree, s, cfg.calculus)
+                if reified is not None:
+                    return eng.SearchOutcome(reified, "proved", ctx.stats)
+        except RecursionError:
+            return eng.SearchOutcome(None, "depth-exceeded", ctx.stats)
+        if ctx.need == eng._NEVER:
+            return eng.SearchOutcome(None, "no-proof", ctx.stats)
+    return eng.SearchOutcome(None, "depth-exceeded", ctx.stats)
 
 
 def deep_document(depth: int) -> str:

@@ -44,7 +44,8 @@ from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 from helpers import (
     FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, export_dict_reference,
     fixbeta_equiv_walk, formula_alpha_eq_reference, formula_as_term, gen_term, guarded_term_to_tree,
-    proof_mutations, reify_reference, rename_binders, slist, flat_document, tree_from_text, unshared_copy,
+    proof_mutations, reify_reference, rename_binders, search_reference, slist, flat_document, tree_from_text,
+    unshared_copy,
 )
 from test_properties import CASES
 
@@ -2111,6 +2112,51 @@ def test_the_premise_table_changes_no_search_output(monkeypatch):
     assert sum(o[0] == "proved" for o in tabled[0]) > 40
 
 
+def test_deepening_to_the_next_bound_answers_as_plain_iterative_deepening(monkeypatch):
+    # search goes from a bound straight to the next one at which some cut
+    # can be passed, and draws each sequent's names once; plain iterative
+    # deepening steps the bound by one and draws names afresh at each. The
+    # same reasons, final bounds, proofs and documents, the last through
+    # reification's canonical names, in never more expansions
+    horn = _random_horn_searches(range(360))
+    for programs, searches in ((workloads.load_programs(), _search_set()), horn):
+        jumped, jumped_nodes = _search_outputs(programs, searches, documents=True)
+        with monkeypatch.context() as m:
+            m.setattr(eng, "_search", search_reference)
+            stepped, stepped_nodes = _search_outputs(programs, searches, documents=True)
+        assert jumped == stepped
+        assert all(a <= b for a, b in zip(jumped_nodes, stepped_nodes))
+        assert sum(jumped_nodes) < sum(stepped_nodes)
+    assert {o[0] for o in stepped} == {"proved", "no-proof", "depth-exceeded"}
+
+
+def test_a_larger_depth_limit_keeps_each_proof_and_each_no_proof():
+    # ROADMAP item 26's law on the random Horn programs, `deep` on the odd
+    # seeds: a search that ends before the limit, with a proof or with
+    # `no-proof`, ends the same way, at the same bound and with the same
+    # document, under every larger limit; one that reaches the limit names
+    # it as its bound. The law alone holds for any bound schedule that does
+    # not depend on the limit; the reasons counted are plain iterative
+    # deepening's, so a jump past the bound where a proof first appears
+    # shows there
+    reasons = collections.Counter()
+    for seed in range(360):
+        text, goals = _random_horn_program(random.Random(seed), deep=seed % 2 == 1)
+        program = ps.parse_program(text)
+        for goal in goals:
+            f = ps.parse_goal(goal, program)
+            for search in (eng.coprove, lambda p, f, cfg: eng.prove(p, None, f, cfg)):
+                before = None
+                for limit in range(1, 13):
+                    res = search(program, f, eng.SearchConfig(Calculus.FOHC, limit))
+                    now = (res.reason, res.stats.max_depth, res.proved and ps.export_proof(res.tree, program))
+                    assert res.reason != "depth-exceeded" or res.stats.max_depth == limit
+                    assert before is None or before[0] == "depth-exceeded" or now == before, (seed, goal, limit)
+                    before = now
+                    reasons[now[0]] += 1
+    assert reasons == {"no-proof": 36250, "depth-exceeded": 10010, "proved": 5580}
+
+
 def _proofs(programs, searches):
     """(program, calculus, proof) of each search that finds one."""
     for name, text, calc, kind, depth in searches:
@@ -2148,6 +2194,28 @@ def test_reification_by_derivation_is_reification_by_resolution(monkeypatch):
     assert all(a == b for a, b in compared)
     # the sequents below the proofs' roots: those derived from a parent
     assert (len(proofs), len(compared) - len(proofs)) == (1251, 3425)
+
+
+def test_reification_names_and_refuses_as_the_reference(monkeypatch):
+    # trees whose search names are not the canonical ones, since a failed
+    # disjunct drew first, and trees whose witness names an eigenvariable
+    # drawn below it, which no proof may hold
+    reify, seen = eng._reify, collections.Counter()
+
+    def both(tree, s, calculus):
+        out = reify(tree, s, calculus)
+        assert out == reify_reference(tree, s, calculus)
+        seen["refused" if out is None else "renamed" if any(
+            a.eigen != b.eigen for a, b in zip(tree.nodes(), out.nodes())) else "kept"] += 1
+        return out
+
+    monkeypatch.setattr(eng, "_reify", both)
+    program = ps.parse_program("const a : i. const p : i -> i -> o. const q : i -> o. p X X.")
+    for goal in ("(exists z. q z) \\/ (forall x. forall y. p x x /\\ p y y)", "exists z. forall x. p z x",
+                 "forall x. exists z. p z x", "forall x. exists z. forall y. p z y"):
+        for calc in (Calculus.FOHH, Calculus.HOHH):
+            eng.prove(program, None, ps.parse_goal(goal, program), eng.SearchConfig(calc))
+    assert seen == {"renamed": 2, "refused": 4, "kept": 2}
 
 
 def test_fixbeta_equiv_answers_as_the_unfolding_walk():

@@ -76,26 +76,26 @@ class TestCoproveRegressions:
     # the search's node count and final bound: a change in search order or
     # in the fresh names drawn shows here
     SEARCH_GOLDEN = {
-        "member67": (42, 9, [
+        "member67": (38, 9, [
             ("co-fix", None, None), ("decide<>", None, None), ("forall-l<>", None, "0"),
             ("forall-l<>", None, "0"), ("forall-l<>", None, "nil"), ("imp-l<>", None, None),
             ("initial", None, None), ("and-r", None, None), ("decide", None, None),
             ("initial", None, None), ("decide", None, None), ("forall-l", None, "0"),
             ("initial", None, None),
         ]),
-        "bitstream": (27, 7, [
+        "bitstream": (24, 7, [
             ("co-fix", None, None), ("decide<>", None, None), ("forall-l<>", None, "0"),
             ("forall-l<>", None, "n_str 0"), ("imp-l<>", None, None), ("initial", None, None),
             ("and-r", None, None), ("decide", None, None), ("initial", None, None),
             ("decide", None, None), ("initial", None, None),
         ]),
-        "from": (32, 8, [
+        "from": (19, 8, [
             ("co-fix", None, None), ("forall-r<>", "x#1", None), ("decide<>", None, None),
             ("forall-l<>", None, "x#1"), ("forall-l<>", None, "fr_str (s x#1)"),
             ("imp-l<>", None, None), ("initial", None, None), ("decide", None, None),
             ("forall-l", None, "s x#1"), ("initial", None, None),
         ]),
-        "comember": (119, 14, [
+        "comember": (77, 14, [
             ("co-fix", None, None), ("forall-r<>", "y#1", None), ("forall-r<>", "s#2", None),
             ("imp-r<>", None, None), ("decide<>", None, None), ("forall-l<>", None, "y#1"),
             ("forall-l<>", None, "s#2"), ("imp-l<>", None, None), ("initial", None, None),
@@ -657,6 +657,31 @@ class TestSearchWitnesses:
         res = prove(program, None, Exists("x", IOTA, TOP), cfg)
         assert res.proved and res.tree.witness == C("0")
 
+    def test_a_proof_names_its_eigenvariables_by_itself(self):
+        # the left disjunct draws z's witness before it fails; the proof's
+        # first node that draws a name is its forall-r, so that is `x#1`
+        # (plain iterative deepening's own numbering named it `x#2`)
+        program = ps.parse_program("const a : i. const p : i -> o. const q : i -> o. p X.")
+        goal = ps.parse_goal("(exists z. q z) \\/ (forall x. p x)", program)
+        res = prove(program, None, goal, SearchConfig(calculus=Calculus.FOHH))
+        assert [(n.rule, n.eigen, n.witness) for n in res.tree.nodes()] == [
+            ("or-r", None, None), ("forall-r", "x#1", None), ("decide", None, None),
+            ("forall-l", None, C("x#1")), ("initial", None, None)]
+        assert check(res.tree, program, Calculus.FOHH) == (True, None)
+
+    @pytest.mark.parametrize("calc", [Calculus.FOHH, Calculus.HOHH], ids=lambda c: c.value)
+    def test_a_witness_never_names_an_eigenvariable_drawn_below_it(self, calc):
+        # `p X X` unifies z's witness with the eigenvariable of the forall-r
+        # under it, which `check` refuses: no proof. With the quantifiers
+        # the other way round the witness is the eigenvariable above it
+        program = ps.parse_program("const a : i. const p : i -> i -> o. p X X.")
+        cfg = SearchConfig(calculus=calc)
+        escaping = prove(program, None, ps.parse_goal("exists z. forall x. p z x", program), cfg)
+        assert escaping.reason == "no-proof"
+        res = prove(program, None, ps.parse_goal("forall x. exists z. p z x", program), cfg)
+        assert [n.witness for n in res.tree.nodes() if n.witness] == [C("x#1"), C("x#1")]
+        assert res.tree.size() == 5 and check(res.tree, program, calc) == (True, None)
+
 
 class TestPromoteLemma:
     def test_corrupted_proof_rejected(self, regression_proofs):
@@ -702,7 +727,8 @@ class TestFocusHeads:
     """`focus_reach`, the heads a left focus reaches and the length of each
     chain to them, and the DECIDE skip it drives: a focus whose chains to the
     goal's predicate are all longer than the depth left is neither searched
-    nor counted, and sets the cut only if it has such a chain."""
+    nor counted, and asks for the depth its shortest such chain needs, if it
+    has one."""
 
     SIG = Signature.of({"a": IOTA, "p": tm.fn_type(IOTA, tm.O), "q": tm.fn_type(IOTA, tm.O),
                         "r": tm.fn_type(IOTA, tm.O)})
@@ -734,7 +760,7 @@ class TestFocusHeads:
         assert eng._rule(seq) is None
         ctx = self.ctx()
         assert list(eng._solve(ctx, seq, 3, {})) == []
-        assert (ctx.stats.nodes, ctx.cut, ctx.supply._next) == (1, False, 0)
+        assert (ctx.stats.nodes, ctx.need, ctx.supply._next) == (1, eng._NEVER, 0)
 
     @pytest.mark.parametrize("head", [V("P"), V(tm.META + "P#1"), tm.Lam("y", A(C("p"), V("y")))],
                              ids=["variable", "metavariable", "redex"])
@@ -758,26 +784,28 @@ class TestFocusHeads:
     def test_the_count_of_a_dead_focus_is_that_of_its_search(self, depth):
         # nested universals, implications and conjunctions against a goal
         # none of whose heads is reachable: entered as a focus, the chain is
-        # searched and counted node by node until the depth runs out; at a
-        # DECIDE it is skipped, and only the DECIDE counts, with no cut
+        # searched and counted node by node until the depth runs out, which
+        # asks for one level more; at a DECIDE it is skipped, and only the
+        # DECIDE counts, asking for no deeper bound
         f = Forall("x", IOTA, Impl(self.atom("p", "x"), Conj(
             Forall("y", IOTA, self.atom("q", "y")),
             Impl(self.atom("p", "x"), Forall("z", IOTA, Conj(self.atom("r", "z"), self.atom("q", "x")))))))
         assert fm.focus_reach(f) == {"q": 5, "r": 7}
         focused, decided = self.ctx(), self.ctx()
         assert list(eng._solve(focused, eng.Sequent(self.SIG, (), f, self.atom("p")), depth, {})) == []
-        assert (focused.stats.nodes, focused.cut, focused.supply._next) == (
-            [0, 1, 2, 3, 5, 7, 8, 10][depth], depth < 7, [0, 1, 1, 1, 2, 3, 3, 3][depth])
+        assert (focused.stats.nodes, focused.need, focused.supply._next) == (
+            [0, 1, 2, 3, 5, 7, 8, 10][depth], 1 if depth < 7 else eng._NEVER, [0, 1, 1, 1, 2, 3, 3, 3][depth])
         seq = eng.Sequent(self.SIG, (eng.Entry(f, Src.ORIGINAL),), None, self.atom("p"))
         assert list(eng._solve(decided, seq, depth + 1, {})) == []
-        assert (decided.stats.nodes, decided.cut, decided.supply._next) == (1, False, 0)
+        assert (decided.stats.nodes, decided.need, decided.supply._next) == (1, eng._NEVER, 0)
 
     @pytest.mark.parametrize("depth", range(1, 8))
     def test_a_decide_skips_a_chain_longer_than_the_depth_left_and_sets_the_cut(self, depth):
         # the one chain to `p` takes 4 sequents: forall-l, imp-l, and-l and
         # INITIAL. Entered as a focus with fewer left, it finds nothing and
-        # runs out of depth; at a DECIDE it is skipped, only the DECIDE
-        # counts, and the cut is set as that search would have set it
+        # runs out of depth, asking for one level more; at a DECIDE it is
+        # skipped, only the DECIDE counts, and it asks for the bound at which
+        # the chain first fits, 5 - depth levels deeper
         f = Forall("x", IOTA, Impl(TOP, Conj(self.atom("q"), self.atom("p", "x"))))
         assert fm.focus_reach(f) == {"q": 4, "p": 4}
         focused, decided = self.ctx(), self.ctx()
@@ -785,18 +813,20 @@ class TestFocusHeads:
         seq = eng.Sequent(self.SIG, (eng.Entry(f, Src.ORIGINAL),), None, self.atom("p"))
         trees = [rules_of(t) for t, _s in eng._solve(decided, seq, depth, {})]
         if depth <= 4:
-            assert (found, focused.cut) == ([], True)
-            assert (trees, decided.stats.nodes, decided.cut, decided.supply._next) == ([], 1, True, 0)
+            assert (found, focused.need) == ([], 1)
+            assert (trees, decided.stats.nodes, decided.need, decided.supply._next) == ([], 1, 5 - depth, 0)
         else:
             assert trees == [["decide", "forall-l", "imp-l", "and-l", "initial", "top-r"]]
-            assert (decided.stats.nodes, decided.cut) == (1 + focused.stats.nodes, focused.cut)
+            assert (decided.stats.nodes, decided.need) == (1 + focused.stats.nodes, focused.need) == (
+                1 + focused.stats.nodes, eng._NEVER)
 
     def test_a_skipped_chain_draws_no_names(self, monkeypatch):
         # at the bound that proves `p`, the four-∀ clause is too long for
         # the depth left: skipped, it draws none of the names its forall-l
-        # steps would draw, so the eigenvariable drawn after it is `x#1`,
-        # not `x#4`. With every chain one sequent long it is walked; the
-        # proof is the same up to that name, found at the same bound
+        # steps would draw. With every chain one sequent long it is walked
+        # and draws them; the proof is the same, found at the same bound,
+        # and its eigenvariable is `x#1` either way, since reification names
+        # by the proof alone
         prog = ps.parse_program("const a : i. const q : i -> o. const r : i -> o. const p : o.\n"
                                 "p :- r X, r Y, r Z, r W.\np.\n")
         goal = ps.parse_goal("p /\\ (forall x. q x => q x)", prog)
@@ -807,7 +837,7 @@ class TestFocusHeads:
         assert rules_of(skipped.tree) == rules_of(walked.tree)
         assert skipped.stats.max_depth == walked.stats.max_depth == 5
         assert (skipped.stats.nodes, walked.stats.nodes) == (21, 27)
-        assert [[n.eigen for n in res.tree.nodes() if n.eigen] for res in (skipped, walked)] == [["x#1"], ["x#4"]]
+        assert [[n.eigen for n in res.tree.nodes() if n.eigen] for res in (skipped, walked)] == [["x#1"], ["x#1"]]
 
     def test_a_decide_skips_each_entry_whose_heads_miss_the_goal(self, monkeypatch, member67_program):
         # at `member` goals the `eq` clause, at `eq` goals the `member` clause
@@ -830,5 +860,5 @@ class TestFocusHeads:
                       SearchConfig(calculus=Calculus.FOHC))
         assert res.proved and res.stats.nodes == TestCoproveRegressions.SEARCH_GOLDEN["member67"][0]
         member = "forall X Y T. member X [Y|T] /\\ eq X Y => member X [Y|T]"
-        assert skipped == {("forall X. eq X X", False): 11, ("member 0 [0|nil]", False): 1, (member, False): 2,
-                           ("forall X. eq X X", True): 1, ("member 0 [0|nil]", True): 1, (member, True): 8}
+        assert skipped == {("forall X. eq X X", False): 7, ("member 0 [0|nil]", False): 1, (member, False): 2,
+                           ("forall X. eq X X", True): 1, ("member 0 [0|nil]", True): 1, (member, True): 4}

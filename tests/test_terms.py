@@ -319,7 +319,7 @@ RECORDS = [
      "SearchOutcome(tree=None, reason='no-proof', stats=SearchStats(nodes=0, max_depth=0))"),
     (eng._Ctx(eng.SearchConfig(fm.Calculus.FOHC), _SUPPLY, eng.SearchStats()),
      f"_Ctx(cfg={eng.SearchConfig(fm.Calculus.FOHC)!r}, supply={_SUPPLY!r}, "
-     "stats=SearchStats(nodes=0, max_depth=0), cut=False)"),
+     "stats=SearchStats(nodes=0, max_depth=0), need=inf)"),
     (sd.Candidate(_INTERP, (C("p"),), []),
      f"Candidate(interpretation={_INTERP!r}, side_atoms=(Con(name='p'),), deltas=[], eigenvariables=())"),
     (sd.HarnessReport(1, [], 2, 0, True, None, 3, 4),
