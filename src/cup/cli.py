@@ -26,6 +26,15 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+# each search reason's verdict, exit code and text; a proof's text is its own
+_VERDICTS = {
+    "proved": ("proved", EXIT_OK, None),
+    "depth-exceeded": ("inconclusive", EXIT_INCONCLUSIVE, "inconclusive: the depth bound was reached on some branch.\n"
+                       "This can mean the goal needs a more general coinductive hypothesis,\n"
+                       "or that the property lies outside the four calculi (see README)."),
+    "no-proof": ("no-proof", EXIT_FAIL, "no proof: the finite search space is exhausted"),
+}
+
 # flag, environment variable, default (an int default makes an int setting),
 # least value and help; SearchConfig checks the depth's least, 1, itself
 SETTINGS = {
@@ -92,32 +101,21 @@ def _search_config(args) -> eng.SearchConfig:
 
 
 def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program) -> int:
+    verdict, code, text = _VERDICTS[outcome.reason]
     stats = {"nodes_expanded": outcome.stats.nodes, "max_depth": outcome.stats.max_depth}
+    payload = {"result": verdict, "stats": stats}
     if outcome.proved:
         doc = ps.export_proof(outcome.tree, program)
+        payload["proof_nodes"] = outcome.tree.size()
+        text = f"proved ({outcome.tree.size()} nodes; {stats['nodes_expanded']} expansions)"
         emit = _setting(args, "emit_proof")
         if emit:
             _file(emit, doc + "\n")
-        payload = {"result": "proved", "stats": stats, "proof_nodes": outcome.tree.size()}
-        text = f"proved ({outcome.tree.size()} nodes; {stats['nodes_expanded']} expansions)"
-        if emit:
             text += f"\nproof written to {emit}"
         elif not args.json:
             text += "\n" + doc
-        _emit(args, payload, text)
-        return EXIT_OK
-    if outcome.reason == "depth-exceeded":
-        payload = {"result": "inconclusive", "stats": stats}
-        _emit(
-            args,
-            payload,
-            "inconclusive: the depth bound was reached on some branch.\n"
-            "This can mean the goal needs a more general coinductive hypothesis,\n"
-            "or that the property lies outside the four calculi (see README).",
-        )
-        return EXIT_INCONCLUSIVE
-    _emit(args, {"result": "no-proof", "stats": stats}, "no proof: the finite search space is exhausted")
-    return EXIT_FAIL
+    _emit(args, payload, text)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +294,7 @@ def cmd_examples(args) -> int:
             goal = ps.parse_goal(goal_text, program)
             limit = min(depth, eng.INCONCLUSIVE_DEPTH_LIMIT) if want == "inconclusive" else depth
             outcome = eng.coprove(program, goal, eng.SearchConfig(calc, limit))
-            got = {"proved": "proved", "depth-exceeded": "inconclusive", "no-proof": "no-proof"}[outcome.reason]
+            got = _VERDICTS[outcome.reason][0]
             results[f"{n}: {kind} {goal_text}"] = {"expected": want, "got": got, "ok": got == want}
     text = "\n".join(
         f"[{'PASS' if v['ok'] else 'FAIL'}] {k} -> {v['got']} (expected {v['expected']})"

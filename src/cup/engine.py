@@ -645,7 +645,29 @@ def check(
 
     The premises a rule allows come from `_premises`, as in search; the
     side conditions, the INITIAL match and the grammar checks are the
-    checker's own."""
+    checker's own.
+
+    The grammar is checked only where a formula enters the proof: the
+    root's goal and focus, the focus of each DECIDE premise, which takes
+    a clause, a root lemma, a hypothesis or the coinductive hypothesis,
+    and, in the higher-order calculi, the formula a witness rule
+    substituted into. Every other formula is in its grammar, by induction
+    on the tree, once each node's children are a premise tuple of it:
+    - the premises of and, or, imp and co-fix take subformulas in their
+      roles, which the uniform-proof grammars are closed under (Miller,
+      Nadathur, Pfenning & Scedrov, APAL 1991); a guarded goal stays a
+      core formula, and core is inside both clause and goal, so the
+      coinductive hypothesis is a clause. imp-r's antecedent, which
+      becomes a hypothesis, is checked as its side condition;
+    - forall-r substitutes an eigenvariable constant of the binder's
+      type, which only widens a grammar: a flexible atom becomes rigid;
+    - a first-order witness, which `_witness_ok` requires in the
+      first-order calculi, keeps each atom first order. A λ or fixed-point
+      witness can give a flexible atom a head no grammar admits, so the
+      higher-order calculi check that premise.
+    So checking every node's goal and focus finds no other first failure:
+    a derived formula out of its grammar derives from one out of its
+    grammar above it, and the first in pre-order is where a formula enters."""
 
     def fail(path: str, msg: str) -> tuple[bool, str]:
         return False, f"{path}: {msg}"
@@ -660,7 +682,8 @@ def check(
     # first in pre-order whatever the tree's height
     todo = [(tree, "root", True)]
     while todo:
-        node, path, is_root = todo.pop()
+        node, path, enters = todo.pop()
+        is_root = path == "root"
         seq = node.sequent
         rule = node.rule
         kids = node.children
@@ -717,14 +740,15 @@ def check(
                 msg += "; the guarded decide focuses only clauses of the original program"
             return fail(path, msg)
 
-        # formulas of this node must fit the calculus's grammars
-        if seq.focus is not None and not _grammar_ok(seq.signature, seq.focus, "clause", calculus):
+        # the formulas that enter the proof here must fit the calculus's grammars
+        if enters and seq.focus is not None and not _grammar_ok(seq.signature, seq.focus, "clause", calculus):
             return fail(path, f"focus is outside the clause grammar of {calculus.value}")
         role = "core" if seq.guarded or expected == "co-fix" else "goal"
-        if not _grammar_ok(seq.signature, seq.goal, role, calculus):
+        if enters and (is_root or seq.focus is None) and not _grammar_ok(seq.signature, seq.goal, role, calculus):
             return fail(path, f"goal is outside the {role} grammar of {calculus.value}")
 
-        todo += ((kids[i], f"{path}.{i}", False) for i in reversed(range(len(kids))))
+        enters = rule in ("decide", "decide<>") or calculus.higher_order and rule in _WITNESS_RULES
+        todo += ((kids[i], f"{path}.{i}", enters) for i in reversed(range(len(kids))))
     return True, None
 
 

@@ -562,6 +562,89 @@ def search_reference(cfg, root):
     return eng.SearchOutcome(None, "depth-exceeded", ctx.stats)
 
 
+def check_reference(tree, program, calculus, fixbeta_bound=tm.UNFOLD_BOUND):
+    """The checker that classifies the goal and the focus of every node.
+    The reference for `engine.check`, which classifies them only where a
+    formula enters the proof: the same verdict and the same diagnostic."""
+
+    def fail(path, msg):
+        return False, f"{path}: {msg}"
+
+    def initial_ok(focus, goal):
+        if calculus.higher_order:
+            return tm.fixbeta_equiv(focus, goal, fixbeta_bound) == tm.EQUAL
+        return tm.alpha_eq(focus, goal)
+
+    base = eng.base_entries(program)
+    todo = [(tree, "root", True)]
+    while todo:
+        node, path, is_root = todo.pop()
+        seq = node.sequent
+        rule = node.rule
+        kids = node.children
+        expected = eng._rule(seq)
+
+        if expected == "co-fix":
+            if not is_root or rule != "co-fix":
+                return fail(path, "coinductive sequents may only appear at a co-fix root")
+            if seq.guarded or seq.focus is not None:
+                return fail(path, "malformed coinductive root sequent")
+        elif expected is None:
+            return fail(path, f"no rule applies to the {'guarded' if seq.focus is None else 'focused'} sequent")
+        elif rule != expected:
+            return fail(path, f"the sequent requires {expected}, not {rule}")
+        if node.witness is not None and rule not in eng._WITNESS_RULES:
+            return fail(path, f"{rule} takes no witness")
+        if node.eigen is not None and rule not in eng._EIGEN_RULES:
+            return fail(path, f"{rule} takes no eigenvariable")
+
+        if is_root:
+            if seq.signature != program.signature:
+                return fail(path, "root signature differs from the program's")
+            if len(seq.entries) < len(base):
+                return fail(path, "root sequent lost program clauses")
+            for e, b in zip(seq.entries, base):
+                if e.src != eng.Src.ORIGINAL or not fm.formula_alpha_eq(e.formula, b.formula):
+                    return fail(path, "root program entries differ from the program")
+            for e in seq.entries[len(base):]:
+                if e.src == eng.Src.ORIGINAL:
+                    return fail(path, "unexpected extra original clause at the root")
+
+        principal = seq.goal if seq.focus is None else seq.focus
+        if rule in eng._EIGEN_RULES:
+            if node.eigen is None or node.eigen in seq.signature:
+                return fail(path, "forall-r eigenvariable missing or not fresh")
+        elif rule in eng._WITNESS_RULES:
+            if node.witness is None:
+                return fail(path, f"{rule} needs a witness")
+            ok, msg = eng._witness_ok(seq.signature, node.witness, principal.ty, calculus)
+            if not ok:
+                return fail(path, msg)
+        elif rule in ("imp-r", "imp-r<>"):
+            if not eng._grammar_ok(seq.signature, principal.left, "clause", calculus):
+                return fail(path, "imp-r antecedent is not a program clause of the calculus")
+        elif rule in ("initial", "initial<>"):
+            if not initial_ok(principal.term, seq.goal.term):
+                rel = "fix-beta equal" if calculus.higher_order else "alpha-equal"
+                return fail(path, f"initial atoms are not {rel}")
+
+        if eng.premise_index(node) is None:
+            msg = f"{rule} premises do not match the rule"
+            if rule == "decide<>":
+                msg += "; the guarded decide focuses only clauses of the original program"
+            return fail(path, msg)
+
+        # every node's formulas, whether or not they enter the proof here
+        if seq.focus is not None and not eng._grammar_ok(seq.signature, seq.focus, "clause", calculus):
+            return fail(path, f"focus is outside the clause grammar of {calculus.value}")
+        role = "core" if seq.guarded or expected == "co-fix" else "goal"
+        if not eng._grammar_ok(seq.signature, seq.goal, role, calculus):
+            return fail(path, f"goal is outside the {role} grammar of {calculus.value}")
+
+        todo += ((kids[i], f"{path}.{i}", False) for i in reversed(range(len(kids))))
+    return True, None
+
+
 def deep_document(depth: int) -> str:
     """The text of a proof document whose root has a chain of `depth`
     single-premise nodes below it."""

@@ -1102,6 +1102,43 @@ class TestCheckerDiagnostics:
         assert self.check(tmp_path, capsys, doc, "co-fohc", "comember.cup") == (
             EXIT_FAIL, "invalid proof: root.0: focus is outside the clause grammar of co-fohc\n")
 
+    @pytest.mark.parametrize("calculus, want", [
+        ("co-fohh", (EXIT_OK, "valid proof (3 nodes)\n")),
+        ("co-fohc", (EXIT_FAIL, "invalid proof: root: goal is outside the goal grammar of co-fohc\n")),
+    ])
+    def test_a_root_goal_outside_the_goal_grammar(self, tmp_path, capsys, calculus, want):
+        # imp-r, then decide and initial on the clause `bit 0`: an
+        # implication is a goal of the hereditary calculi only
+        doc = {"format": "flat", "nodes": [
+            {"rule": "imp-r", "children": 1, "signature_additions": [], "program_additions": [],
+             "goal": "bit 1 => bit 0", "guarded": False, "premises": 0},
+            {"rule": "decide", "children": 1, "premises": 1}, {"rule": "initial", "children": 0, "premises": 0}]}
+        assert self.check(tmp_path, capsys, json.dumps(doc), calculus, "comember.cup") == want
+
+    def test_an_unused_root_lemma_outside_the_clause_grammar_is_only_assumed(self, tmp_path, capsys):
+        # the lemma never becomes a focus, so no grammar is asked of it: the
+        # proof is valid, assuming the lemma
+        lemma = "(bit 1 => bit 0) => bit 0"
+        doc = _node("decide", "bit 0", [_node("initial", "bit 0", focus="bit 0")], program_additions=[lemma])
+        assert self.check(tmp_path, capsys, doc, "co-fohc", "comember.cup") == (
+            EXIT_INCONCLUSIVE, f"inconclusive: valid proof (2 nodes) assuming 1 unproven root lemma(s):\n  {lemma}\n")
+
+    def test_a_witness_that_puts_a_goal_outside_the_goal_grammar(self, tmp_path, capsys):
+        # a fixed-point witness makes `X 0` an atom whose head is a fixed
+        # point, which no grammar admits, though the INITIAL below it holds
+        # modulo fix-beta: the goal of the exists-r premise is checked
+        prog = tmp_path / "p.cup"
+        prog.write_text("const 0 : i. const p : i -> o. p 0.\n")
+        doc = json.dumps({"format": "flat", "nodes": [
+            {"rule": "exists-r", "children": 1, "signature_additions": [], "program_additions": [],
+             "goal": "exists X : i -> o. X 0", "guarded": False, "witness": "fix \\f. \\y. p y", "premises": 0},
+            {"rule": "decide", "children": 1, "premises": 0}, {"rule": "initial", "children": 0, "premises": 0}]})
+        (tmp_path / "t.json").write_text(doc)
+        capsys.readouterr()
+        code = run(["check-proof", "--calculus", "co-hohh", "--program", str(prog), "--proof", str(tmp_path / "t.json")])
+        assert (code, capsys.readouterr().out) == (
+            EXIT_FAIL, "invalid proof: root.0: goal is outside the goal grammar of co-hohh\n")
+
     def test_a_lemma_proof_must_be_coinductive(self, tmp_path, capsys):
         lemma = tmp_path / "lemma.json"
         argv = ["prove", "--calculus", "co-fohc", "--program", corpus("comember.cup")]

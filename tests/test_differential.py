@@ -42,7 +42,7 @@ from cup.formulas import Calculus
 from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
 
 from helpers import (
-    FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, debruijn, export_dict_reference,
+    FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, check_reference, debruijn, export_dict_reference,
     fixbeta_equiv_walk, formula_alpha_eq_reference, formula_as_term, gen_term, guarded_term_to_tree,
     proof_mutations, reify_reference, rename_binders, search_reference, slist, flat_document, tree_from_text,
     unshared_copy,
@@ -1804,7 +1804,12 @@ def _search_goal_proofs(seeds):
 def _search_goal_round_trips(seeds):
     """(found proof, re-imported proof) for each proved goal of the four
     blocks a benchmark search run draws for each seed."""
-    for program, calc, tree in _search_goal_proofs(seeds):
+    return _round_trips(_search_goal_proofs(seeds))
+
+
+def _round_trips(proofs):
+    """(found proof, re-imported proof) for each (program, calculus, proof)."""
+    for program, calc, tree in proofs:
         back = ps.import_proof(ps.export_proof(tree, program), program)
         assert eng.check(back, program, calc) == (True, None)
         assert tree.equal(back)
@@ -1850,8 +1855,11 @@ def test_a_second_search_round_interns_no_extension():
 
 
 def test_cached_formula_keys_match_fresh_ones_and_the_reference():
+    # the search workload's proofs and the search set's: `check` keys only
+    # the formulas that enter a proof, so one set caches too few keys
     objects = {}
-    for tree, back in _search_goal_round_trips((1, 2)):
+    proofs = itertools.chain(_search_goal_proofs((1, 2)), _proofs(workloads.load_programs(), _search_set()))
+    for tree, back in _round_trips(proofs):
         for f in itertools.chain(_sequent_formulas(tree), _sequent_formulas(back)):
             objects[id(f)] = f
     formulas = list(objects.values())
@@ -2258,16 +2266,24 @@ def test_fixbeta_equiv_answers_as_the_unfolding_walk():
     assert verdicts[tm.EQUAL] and verdicts[tm.NOT_EQUAL] and verdicts[tm.UNKNOWN], verdicts
 
 
+def _mutation_grids(regression_proofs):
+    """(program, calculus, copy) of each mutation copy of the regression
+    proofs, then of the search workload's proofs of seeds 1-8."""
+    grids = [(program, calc, t) for program, _goal, calc, res in regression_proofs.values()
+             for _path, _name, t in proof_mutations(res.tree)]
+    grids += [(program, calc, t) for program, calc, tree in _search_goal_proofs(range(1, 9))
+              for _path, _name, t in proof_mutations(tree)]
+    assert len(grids) == 382 + 2591
+    return grids
+
+
 def test_identity_decides_no_verdict_and_no_document(regression_proofs):
     # a tree whose every node is a new sequent, none shared and none with
     # premises kept, checks and exports as the tree does: the regression
     # proofs, the search set's proofs and both mutation grids
     programs = workloads.load_programs()
     trees = [(program, calc, res.tree) for program, _goal, calc, res in regression_proofs.values()]
-    grids = [(program, calc, t) for program, calc, tree in trees for _path, _name, t in proof_mutations(tree)]
-    grids += [(program, calc, t) for program, calc, tree in _search_goal_proofs(range(1, 9))
-              for _path, _name, t in proof_mutations(tree)]
-    assert len(grids) == 382 + 2591
+    grids = _mutation_grids(regression_proofs)
     trees += list(_proofs(programs, _search_set())) + grids
     verdicts = collections.Counter()
     for program, calc, tree in trees:
@@ -2278,6 +2294,37 @@ def test_identity_decides_no_verdict_and_no_document(regression_proofs):
         assert ps.export_proof(copy, program) == ps.export_proof(tree, program)
         verdicts[verdict[0]] += 1
     assert verdicts[True] > 50 and verdicts[False] == len(grids)
+
+
+def test_check_answers_as_the_per_node_reference(regression_proofs):
+    # `check` classifies a formula only where it enters the proof, the
+    # reference the goal and the focus of every node: the same verdict and
+    # diagnostic, in the calculus each proof was found in, on both mutation
+    # grids and on the proofs of the search set and the random Horn programs
+    grids = _mutation_grids(regression_proofs)
+    proofs = [*_proofs(workloads.load_programs(), _search_set()), *_proofs(*_random_horn_searches(range(60)))]
+    verdicts = collections.Counter()
+    for program, calc, tree in grids + proofs:
+        verdict = eng.check(tree, program, calc)
+        assert verdict == check_reference(tree, program, calc), verdict
+        verdicts[verdict[0]] += 1
+    assert verdicts == {True: len(proofs), False: len(grids)}
+
+
+def test_a_proof_checks_in_every_larger_calculus():
+    # ROADMAP item 26's nesting law: co-fohc lies in co-fohh and in
+    # co-hohc, and both in co-hohh. Each grammar lies in the larger
+    # calculus's, alpha-equal atoms are fix-beta equal, and a higher-order
+    # calculus takes every well-typed witness, so a proof that search finds
+    # in a calculus checks in each larger one
+    proofs = [*_proofs(workloads.load_programs(), _search_set()), *_proofs(*_random_horn_searches(range(60)))]
+    checks = collections.Counter()
+    for program, calc, tree in proofs:
+        for wider in Calculus:
+            if wider != calc and wider.higher_order >= calc.higher_order and wider.hereditary >= calc.hereditary:
+                assert eng.check(tree, program, wider) == (True, None), (calc, wider)
+                checks[calc, wider] += 1
+    assert sum(checks.values()) == 742 and len(checks) == 5, checks
 
 
 def test_the_node_count_is_the_number_of_sequents_search_expands(monkeypatch):
@@ -2446,16 +2493,23 @@ def test_memoised_import_keys_on_what_is_parsed(monkeypatch, member_program):
     assert [production for production, _text, _sig in parsed] == ["formula", "term"]
 
 
-def _grammar_checks(tree):
+def _grammar_checks(tree, calculus):
     """(formula, role, signature) of every grammar check `check` makes on
-    a valid proof, node by node."""
-    for node in tree.nodes():
+    a valid proof: each imp-r antecedent, and each formula that enters the
+    proof, at the root, at a DECIDE premise, and in the higher-order
+    calculi at a witness premise."""
+    todo = [(tree, True)]
+    while todo:
+        node, enters = todo.pop()
         seq = node.sequent
         if node.rule in ("imp-r", "imp-r<>"):
             yield seq.goal.left, "clause", seq.signature
-        if seq.focus is not None:
+        if enters and seq.focus is not None:
             yield seq.focus, "clause", seq.signature
-        yield seq.goal, "core" if seq.guarded or node.rule == "co-fix" else "goal", seq.signature
+        if enters and (node is tree or seq.focus is None):
+            yield seq.goal, "core" if seq.guarded or node.rule == "co-fix" else "goal", seq.signature
+        enters = node.rule in ("decide", "decide<>") or calculus.higher_order and node.rule in eng._WITNESS_RULES
+        todo += ((kid, enters) for kid in node.children)
 
 
 def _count_walks(monkeypatch, calls, entry):
@@ -2493,7 +2547,7 @@ def test_round_trip_parses_and_classifies_each_formula_once(monkeypatch, regress
         fields += [("term", node["witness"], sig)] if "witness" in node else []
     assert parsed == fields
     assert eng.check(back, program, calc) == (True, None)
-    checks = [(fm.formula_key(f), role, sig) for f, role, sig in _grammar_checks(back)]
+    checks = [(fm.formula_key(f), role, sig) for f, role, sig in _grammar_checks(back, calc)]
     assert len(classified) == len(set(classified)) == len(set(checks)) < len(checks)
     assert set(classified) == set(checks)
 
@@ -2754,6 +2808,7 @@ def test_every_memo_key_has_one_of_six_shapes():
 def test_one_round_trip_type_checks_each_formula_once_per_signature(monkeypatch):
     # new programs, so that no signature has typed anything before
     programs = workloads.load_programs()
+    typed = {}
     for name, goal, calc, _size in workloads.REGRESSIONS:
         program = programs[name]
         res = eng.coprove(program, ps.parse_goal(goal, program), eng.SearchConfig(calculus=calc))
@@ -2776,10 +2831,15 @@ def test_one_round_trip_type_checks_each_formula_once_per_signature(monkeypatch)
             back = ps.import_proof(doc, program)
             imported = len(checked)
             assert eng.check(back, program, calc) == (True, None)
-        assert len(checked) == len(set(checked)) > 0, name
+        assert len(checked) == len(set(checked)), name
         # the document states only the root's sequent, whose goal the search
-        # typed: the import types nothing, and check each derived formula once
+        # typed: the import types nothing, and check each formula that
+        # enters the proof once. A proof may have none to type: member67's
+        # foci are its program's clauses and its root goal, on the program's
+        # signature, which the parse and the search typed
         assert imported == 0, name
+        typed[name] = len(checked)
+    assert sum(typed.values()) > 0, typed
 
 
 def _with_cold_signatures(tree):

@@ -520,7 +520,9 @@ class TestCostsAsCounts:
         # the `nat` proof of n nested `s`, found and exported, then read and
         # checked over a freshly parsed program, whose signature has typed
         # nothing yet. Its document grows by 2.26 and 2.51 per doubling, and
-        # the type inferences by 2^1.92 and 2^1.96 (1 336, 5 056, 19 696)
+        # the type inferences by 2^1.93 and 2^1.97 (440, 1 680, 6 560), all
+        # of them the witnesses' now that only the formulas that enter the
+        # proof are classified
         infer, counts = tm._Infer.infer, []
 
         def counted(self, *args):
@@ -539,6 +541,34 @@ class TestCostsAsCounts:
             monkeypatch.setattr(tm._Infer, "infer", infer)
         exponents = [math.log2(b / a) for a, b in zip(counts, counts[1:])]
         assert all(e <= 2.05 for e in exponents), (counts, exponents)
+
+    def test_check_of_the_nat_chain_classifies_as_many_formulas_at_every_length(self, monkeypatch):
+        # `check` classifies only the formulas that enter the proof: the
+        # root goal, and the clause each DECIDE premise focuses, which the
+        # program's parse classified. The top-level fragment walks on the
+        # chain's proof at n = 20, 40 and 80: 1, 1 and 1, where checking
+        # every node's goal and focus walked 61, 121 and 241
+        walk, counts, depth = fm._calculi, [], [0]
+
+        def counted(sig, ctx, f, role):
+            counts[-1] += not depth[0]
+            depth[0] += 1
+            try:
+                return walk(sig, ctx, f, role)
+            finally:
+                depth[0] -= 1
+
+        for n in (20, 40, 80):
+            program = ps.parse_program(self.NAT)
+            goal = ps.parse_goal("nat " + "(s " * n + "0" + ")" * n, program)
+            res = prove(program, None, goal, SearchConfig(calculus=Calculus.FOHC, depth_limit=5000))
+            fresh = ps.parse_program(self.NAT)
+            back = ps.import_proof(ps.export_proof(res.tree, program), fresh)
+            counts.append(0)
+            monkeypatch.setattr(fm, "_calculi", counted)
+            assert check(back, fresh, Calculus.FOHC) == (True, None)
+            monkeypatch.setattr(fm, "_calculi", walk)
+        assert counts[0] == counts[1] == counts[2], counts
 
 
 class TestRenderCostsAsCounts:
