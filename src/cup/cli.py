@@ -18,7 +18,7 @@ from . import engine as eng
 from . import formulas as fm
 from . import parser as ps
 from . import terms as tm
-from .errors import CupError, ParseError, UniverseTooLarge, UsageError
+from .errors import CupError, NotHShapedRoot, ParseError, UniverseTooLarge, UsageError
 from .formulas import Calculus
 
 EXIT_OK = 0
@@ -92,7 +92,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _calculus(args) -> Calculus:
     name = _setting(args, "calculus")
     if name is None:
-        raise CupError("--calculus is required (or set CUP_CALCULUS)")
+        raise UsageError("--calculus is required (or set CUP_CALCULUS)")
     return Calculus.parse(name)
 
 
@@ -161,7 +161,7 @@ def cmd_prove(args) -> int:
         proof = ps.import_proof(_file(path), program)
         hs = fm.to_h_clauses(proof.sequent.goal)
         if len(hs) != 1:
-            raise CupError(f"lemma proof in {path} is not H-shaped")
+            raise NotHShapedRoot(f"lemma proof in {path} is not H-shaped")
         store = eng.promote_lemma(program, hs[0], proof, store, config.fixbeta_bound)
     outcome = eng.prove(program, store, goal, config)
     return _report_search(args, outcome, program)
@@ -194,7 +194,7 @@ def cmd_model(args) -> int:
     if args.goal:
         f = ps.parse_goal(args.goal, program)
         if not isinstance(f, fm.Atom):
-            raise CupError("model membership queries take a single atom")
+            raise UsageError("model membership queries take a single atom")
         goal_atom = f.term
     seeds = () if goal_atom is None else (goal_atom,)
     approx = tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=seeds))
@@ -270,7 +270,7 @@ def corpus_path(name: str) -> str:
 
 def cmd_examples(args) -> int:
     if args.name and args.name not in CORPUS:
-        raise CupError(f"unknown example {args.name!r}; known: {', '.join(CORPUS)}")
+        raise UsageError(f"unknown example {args.name!r}; known: {', '.join(CORPUS)}")
     names = [args.name] if args.name else list(CORPUS)
     if args.list or not (args.run or args.name):
         payload = {

@@ -259,16 +259,14 @@ def unify(a: Term, b: Term, s: dict[str, Term]) -> dict[str, Term] | None:
 def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> dict[str, Term] | None:
     """Unify up to a bounded number of fix unfoldings on either side,
     preferring the least-unfolded match: the first pair of
-    `tm.UnfoldingWalk` that unifies."""
+    `tm.UnfoldingWalk` that unifies.  None both when a clash ended the
+    walk and when the bound did."""
     a, b = tm.beta_normalize(resolve_term(a, s)), tm.beta_normalize(resolve_term(b, s))
     if not (tm.has_fix(a) or tm.has_fix(b)):
         # the walk's one pair, or none if they clash, which unify rejects
         return unify(a, b, s)
-    for va, vb in tm.UnfoldingWalk(a, b, bound):
-        s1 = unify(va, vb, s)
-        if s1 is not None:
-            return s1
-    return None
+    s1 = tm.UnfoldingWalk(a, b, bound).first(lambda va, vb: unify(va, vb, s))
+    return None if s1 is tm.UNKNOWN else s1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ class CupError(Exception):
 
 class UsageError(CupError, ValueError):
     """A bad setting or option value: an unknown calculus, a depth limit
-    below one, a non-integer numeric setting."""
+    below one, a non-integer numeric setting, a missing `--calculus`, a
+    `model --goal` that is not an atom, an unknown example."""
 
 
 # --- terms ---------------------------------------------------------------

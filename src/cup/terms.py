@@ -9,7 +9,7 @@ All values are immutable and safe to share.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable
 
 from .errors import (
     FixBodyNotAbstraction,
@@ -163,14 +163,6 @@ SimpleType = Base | Arrow
 
 O = Base("o")
 IOTA = Base("i")
-
-
-def fn_type(*parts: SimpleType) -> SimpleType:
-    """Build arg1 -> ... -> argn -> target from its parts."""
-    ty = parts[-1]
-    for p in reversed(parts[:-1]):
-        ty = Arrow(p, ty)
-    return ty
 
 
 def type_order(ty: SimpleType) -> int:
@@ -823,7 +815,7 @@ def _undetermined(head: Term) -> bool:
 
 class UnfoldingWalk:
     """The pairs of i and j fair unfoldings of two beta-normal terms, at
-    most `bound` per side, in (i + j, i, j) order.
+    most `bound` per side, in (i + j, i, j) order, read by `first`.
 
     Each unfolding is built when a pair first needs it, into `chains`.  A
     side's chain ends at an unfolding with no fix.  The walk ends at an
@@ -850,42 +842,40 @@ class UnfoldingWalk:
         chain.append(nxt)
         return nxt
 
-    def __iter__(self) -> Iterator[tuple[Term, Term]]:
+    def first(self, test: Callable[[Term, Term], object]) -> object:
+        """test's first answer other than None on the walk's pairs; else
+        None if a clash ended the walk or the two last unfoldings clash,
+        which refutes every pair, and UNKNOWN if the bound ended it."""
         for total in range(2 * self._bound + 1):
             tried = False
             for i in range(total + 1):
                 a = self._term(0, i)
                 b = None if a is None else self._term(1, total - i)
                 if self.clashed:
-                    return
+                    return None
                 if a is None:
                     break
                 if b is not None:
                     tried = True
-                    yield a, b
+                    answer = test(a, b)
+                    if answer is not None:
+                        return answer
             if not tried:
                 # both chains have ended: no pair has a larger sum either
-                return
+                break
+        return None if clash(self.chains[0][-1], self.chains[1][-1]) else UNKNOWN
 
 
 def fixbeta_equiv(t1: Term, t2: Term, bound: int = UNFOLD_BOUND) -> str:
-    """Three-valued bounded test for fix-beta equivalence.
-
-    Equal if some pair of the unfolding walk is alpha-equal; NotEqual if a
-    clash ended the walk or the last unfoldings of the two sides clash;
-    Unknown otherwise.
-    """
+    """Three-valued bounded test for fix-beta equivalence: Equal if some
+    pair of the unfolding walk is alpha-equal, else NotEqual on a clash
+    and Unknown at the bound (see `UnfoldingWalk.first`)."""
     a, b = beta_normalize(t1), beta_normalize(t2)
     if alpha_key(a) == alpha_key(b):
         # the walk's first pair: alpha-equal terms never clash
         return EQUAL
-    walk = UnfoldingWalk(a, b, bound)
-    for a, b in walk:
-        if alpha_key(a) == alpha_key(b):
-            return EQUAL
-    if walk.clashed or clash(walk.chains[0][-1], walk.chains[1][-1]):
-        return NOT_EQUAL
-    return UNKNOWN
+    answer = UnfoldingWalk(a, b, bound).first(lambda x, y: EQUAL if alpha_key(x) == alpha_key(y) else None)
+    return NOT_EQUAL if answer is None else answer
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from cup import terms as tm
 from cup import trees as tr
 from cup.errors import MissingEigenvariableBinding, ParseError
 from cup.guardedness import _snap_term
-from cup.terms import App, Arrow, Con, Fix, IOTA, Lam, O, Signature, Var, fn_type, replace
+from cup.terms import App, Arrow, Con, Fix, IOTA, Lam, O, Signature, Var, replace
 
 V = Var
 C = Con
@@ -29,6 +29,14 @@ def L(v, body):
 
 def F(body):
     return Fix(body)
+
+
+def fn_type(*parts):
+    """Build arg1 -> ... -> argn -> target from its parts."""
+    ty = parts[-1]
+    for p in reversed(parts[:-1]):
+        ty = Arrow(p, ty)
+    return ty
 
 
 STREAM_SIG = Signature.of(
@@ -126,12 +134,8 @@ def fixbeta_equiv_walk(t1, t2, bound: int) -> str:
     """`terms.fixbeta_equiv` that always walks the unfolding pairs, with no
     answer before the walk for alpha-equal terms."""
     walk = tm.UnfoldingWalk(tm.beta_normalize(t1), tm.beta_normalize(t2), bound)
-    for a, b in walk:
-        if tm.alpha_key(a) == tm.alpha_key(b):
-            return tm.EQUAL
-    if walk.clashed or tm.clash(walk.chains[0][-1], walk.chains[1][-1]):
-        return tm.NOT_EQUAL
-    return tm.UNKNOWN
+    answer = walk.first(lambda a, b: tm.EQUAL if tm.alpha_key(a) == tm.alpha_key(b) else None)
+    return tm.NOT_EQUAL if answer is None else answer
 
 
 # ---------------------------------------------------------------------------

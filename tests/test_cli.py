@@ -743,6 +743,15 @@ class TestSourceSyntaxInOutput:
         assert run(argv + ["--goal", "true", "--use-lemma", str(lemma)]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: formula is not in the clause grammar\n"
 
+    def test_a_lemma_proof_that_is_not_h_shaped(self, tmp_path, capsys):
+        # a conjunction splits into two H-formulae, not the one a lemma is
+        lemma = tmp_path / "lemma.json"
+        argv = ["prove", "--calculus", "co-fohc", "--program", corpus("member.cup")]
+        assert run(argv + ["--goal", "member 0 [0|nil] /\\ member 1 [1|nil]", "--emit-proof", str(lemma)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(argv + ["--goal", "true", "--use-lemma", str(lemma)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: lemma proof in {lemma} is not H-shaped\n"
+
 
 class TestABinderOfFunctionType:
     """A goal may bind a variable of a type other than i: only a

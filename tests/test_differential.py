@@ -39,11 +39,11 @@ from cup.errors import (
     UniverseTooLarge,
 )
 from cup.formulas import Calculus
-from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var, fn_type
+from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var
 
 from helpers import (
     FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, check_reference, debruijn, export_dict_reference,
-    fixbeta_equiv_walk, formula_alpha_eq_reference, formula_as_term, gen_term, guarded_term_to_tree,
+    fixbeta_equiv_walk, fn_type, formula_alpha_eq_reference, formula_as_term, gen_term, guarded_term_to_tree,
     proof_mutations, reify_reference, rename_binders, search_reference, slist, flat_document, tree_from_text,
     unshared_copy,
 )
@@ -61,7 +61,7 @@ def replayed_terms():
     rng = random.Random(102)
     out = []
     for _ in range(CASES["type_preservation"] // 3):
-        ty = rng.choice([IOTA, tm.fn_type(IOTA, IOTA)])
+        ty = rng.choice([IOTA, fn_type(IOTA, IOTA)])
         t = gen_term(rng, ty, {}, rng.randint(0, 4))
         nf = tm.beta_normalize(t)
         out += [(t, ty), (nf, ty)]
@@ -371,7 +371,7 @@ def test_memoised_first_order_agrees_with_report():
     # a signature without s makes some generated terms raise UnboundConstant
     small = Signature.of({n: ty for n, ty in GEN_SIG.constants if n != "s"})
     extra = [(Fix(Lam("x", Var("x"))), None), (Var("y"), None), (Var("y"), IOTA),
-             (Con("0"), IOTA), (Con("0"), tm.fn_type(IOTA, IOTA)), (Con("scons"), None)]
+             (Con("0"), IOTA), (Con("0"), fn_type(IOTA, IOTA)), (Con("scons"), None)]
     raised = 0
     for sig in (Signature.of(dict(GEN_SIG.constants)), small):
         for t, ty in replayed_terms() + extra:
@@ -438,7 +438,8 @@ def test_resolve_keeps_every_inferred_type_and_returns_an_unchanged_one_itself()
 
 def unify_modulo_reference(a, b, s, bound):
     """Build both unfolding chains, then try every pair in (i + j, i, j)
-    order."""
+    order: the first unifier; else None if some pair clashes, which refutes
+    every pair, and UNKNOWN if none does."""
 
     def chain(t):
         out = [tm.beta_normalize(t)]
@@ -455,7 +456,19 @@ def unify_modulo_reference(a, b, s, bound):
         s1 = eng.unify(va[i], vb[j], s)
         if s1 is not None:
             return s1
-    return None
+    return None if any(tm.clash(x, y) for x in va for y in vb) else tm.UNKNOWN
+
+
+def matched(answer):
+    """A three-valued answer as `unify_modulo` gives it: UNKNOWN is no match."""
+    return None if answer is tm.UNKNOWN else answer
+
+
+def walk_unify(a, b, s, bound):
+    """The unfolding walk's one reader with `unify`: a unifier, None or
+    UNKNOWN."""
+    a, b = (tm.beta_normalize(eng.resolve_term(t, s)) for t in (a, b))
+    return tm.UnfoldingWalk(a, b, bound).first(lambda x, y: eng.unify(x, y, s))
 
 
 def _recorded_calls(monkeypatch, run):
@@ -508,10 +521,10 @@ def test_lazy_unify_modulo_matches_eager_at_the_bound(k):
         atom = A(C("bitstream"), stream)
         for bound in (k - 1, k, k + 1):
             got = eng.unify_modulo(pattern, atom, {}, bound)
-            assert got == unify_modulo_reference(pattern, atom, {}, bound), (k, bound)
+            assert got == matched(unify_modulo_reference(pattern, atom, {}, bound)), (k, bound)
             assert (got is not None) == (bound >= k), (k, bound)
             # and from the other side
-            assert eng.unify_modulo(atom, pattern, {}, bound) == unify_modulo_reference(atom, pattern, {}, bound)
+            assert eng.unify_modulo(atom, pattern, {}, bound) == matched(unify_modulo_reference(atom, pattern, {}, bound))
 
 
 # (pattern, stream): the stream's k-th fair unfolding is the first to
@@ -540,11 +553,14 @@ def test_unify_modulo_ends_a_chain_at_a_stable_clash(monkeypatch, k, pattern, st
     for bound in (1, 2, 3, 8):
         for a, b in ((pattern, stream), (stream, pattern)):
             want = unify_modulo_reference(a, b, {}, bound)
-            assert (want is not None) == (k is None and bound >= 2), (a, b, bound)
+            assert (matched(want) is not None) == (k is None and bound >= 2), (a, b, bound)
+            # a clash within the bound is refuted, not undecided
+            assert (want is None) == (k is not None and bound >= k), (a, b, bound)
+            assert walk_unify(a, b, {}, bound) == want, (a, b, bound)
             unfolds.clear()
             with monkeypatch.context() as m:
                 m.setattr(tm, "fair_unfold", counted)
-                assert eng.unify_modulo(a, b, {}, bound) == want, (a, b, bound)
+                assert eng.unify_modulo(a, b, {}, bound) == matched(want), (a, b, bound)
             # the stream is unfolded up to the clash, not up to the bound
             assert len(unfolds) <= min(bound, k or 2), (a, b, bound)
 
@@ -601,7 +617,7 @@ def test_nonlinear_heads_match_eager_and_fail_after_one_unfolding(monkeypatch, f
     for head, atom, s in cases:
         for bound in (1, 2, 3, 8):
             for a, b in ((head, atom), (atom, head)):
-                want = unify_modulo_reference(a, b, s, bound)
+                want = matched(unify_modulo_reference(a, b, s, bound))
                 unfolds.clear()
                 unifies.clear()
                 with monkeypatch.context() as m:
@@ -629,11 +645,13 @@ def test_unfolding_walk_tells_a_clash_from_the_bound():
     # unfolding, which is a clash
     program = ps.parse_program(WALK_PROGRAM)
     p_head, q_head = _heads(program)
-    for head, goal, pairs, clashed in ((p_head, "p z_str", 9, False), (q_head, "q 1 z_str", 1, True)):
+    for head, goal, pairs, answer in ((p_head, "p z_str", 9, tm.UNKNOWN), (q_head, "q 1 z_str", 1, None)):
         atom = ps.parse_goal(goal, program).term
         for a, b in ((head, atom), (atom, head)):
-            walk = tm.UnfoldingWalk(a, b, 8)
-            assert (len(list(walk)), walk.clashed) == (pairs, clashed), (goal, a)
+            seen = []
+            # a test that answers None on every pair counts the pairs the walk reads
+            got = tm.UnfoldingWalk(a, b, 8).first(lambda x, y: seen.append((x, y)))
+            assert (len(seen), got) == (pairs, answer), (goal, a)
 
 
 TWO_STREAMS = """
@@ -872,14 +890,16 @@ def test_lazy_unify_modulo_matches_eager_on_gfp_atoms(monkeypatch, name, goal, d
     fix_free = name in ("member", "comember")
     assert {path for _a, _b, path in calls} == ({"match"} if fix_free else {"match", "modulo"})
     unify = (lambda head, a: tr._match(head, a, {})) if fix_free else (lambda head, a: eng.unify_modulo(head, a, {}, bound))
-    matched = 0
     # every corpus clause head against every atom gfp_approx tried to justify
+    answers = collections.Counter()
     for head in heads:
         for a in atoms:
-            got = unify(head, a)
-            assert got == unify_modulo_reference(head, a, {}, bound), (head, a)
-            matched += got is not None
-    assert matched > 0
+            want = unify_modulo_reference(head, a, {}, bound)
+            assert unify(head, a) == matched(want), (head, a)
+            # the walk's reader gives the reference's third answer too
+            assert walk_unify(head, a, {}, bound) == want, (head, a)
+            answers["match" if isinstance(want, dict) else want] += 1
+    assert answers["match"] > 0 and answers[None] > 0, answers
 
 
 def _meta_occurrences(t):
@@ -906,7 +926,9 @@ def test_the_matcher_is_unify_modulo_on_every_pair_gfp_approx_tries(monkeypatch,
     outcomes = collections.Counter()
     for head, atom, _path in set(calls):
         got = tr._match(head, atom, {})
-        assert got == unify_modulo_reference(head, atom, {}, tm.UNFOLD_BOUND), (head, atom)
+        # the matcher is exact: the reference never answers UNKNOWN here
+        want = unify_modulo_reference(head, atom, {}, tm.UNFOLD_BOUND)
+        assert got == want == walk_unify(head, atom, {}, tm.UNFOLD_BOUND), (head, atom)
         metas = _meta_occurrences(head)
         if len(set(metas)) < len(metas):
             outcomes[tm.spine(head)[0].name, got is not None] += 1
@@ -937,7 +959,9 @@ def test_lazy_unify_modulo_matches_eager_in_search(monkeypatch, name, goal, calc
     calls = _recorded_calls(monkeypatch, lambda: eng.coprove(program, g, eng.SearchConfig(calculus=calc)))
     assert any(s for _a, _b, s, _bound in calls)
     for a, b, s, bound in calls:
-        assert eng.unify_modulo(a, b, s, bound) == unify_modulo_reference(a, b, s, bound), (a, b, s)
+        want = unify_modulo_reference(a, b, s, bound)
+        assert eng.unify_modulo(a, b, s, bound) == matched(want), (a, b, s)
+        assert walk_unify(a, b, s, bound) == want, (a, b, s)
 
 
 # ---------------------------------------------------------------------------
@@ -978,9 +1002,11 @@ def test_fixbeta_equiv_unfolds_only_as_far_as_a_match(monkeypatch):
     assert len(unfolds) <= 2
 
 
-def test_fixbeta_equiv_matches_reference_on_fold_candidates(monkeypatch, fresh_program):
-    # every fixbeta_equiv call of _fold_candidates on the gfp atoms of the
-    # model cases and on their first two unfoldings, which fold back
+def _fold_candidate_pairs(fresh_program):
+    """(t1, t2, bound) of every fixbeta_equiv call of _fold_candidates on
+    the gfp atoms of the model cases and on their first two unfoldings,
+    which fold back, then pairs that stay undecided, or meet only after
+    unfolding both sides, one of them up to the bound."""
     calls = []
     real = tm.fixbeta_equiv
 
@@ -988,25 +1014,27 @@ def test_fixbeta_equiv_matches_reference_on_fold_candidates(monkeypatch, fresh_p
         calls.append((t1, t2, bound))
         return real(t1, t2, bound)
 
-    monkeypatch.setattr(tm, "fixbeta_equiv", record)
-    for name, goal, depth in MODEL_CASES:
-        program = fresh_program(name)
-        cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
-        for reps in tr.gfp_approx(program, depth, cfg).reps.values():
-            for atom in reps:
-                for _ in range(3):
-                    gd.is_guarded_atom(program.signature, atom)
-                    if not tm.has_fix(atom):
-                        break
-                    atom = tm.fair_unfold(atom)
-    monkeypatch.undo()
-    # and pairs that stay undecided, or meet only after unfolding both
-    # sides, one of them up to the bound
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tm, "fixbeta_equiv", record)
+        for name, goal, depth in MODEL_CASES:
+            program = fresh_program(name)
+            cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
+            for reps in tr.gfp_approx(program, depth, cfg).reps.values():
+                for atom in reps:
+                    for _ in range(3):
+                        gd.is_guarded_atom(program.signature, atom)
+                        if not tm.has_fix(atom):
+                            break
+                        atom = tm.fair_unfold(atom)
     zeros_twice = Fix(L("y", slist(C("0"), C("0"), Z_STR)))
     for bound in range(4):
         calls += [(Z_STR, ZEROS, bound), (Z_STR, zeros_twice, bound), (zeros_twice, Z_STR, bound)]
+    return calls
+
+
+def test_fixbeta_equiv_matches_reference_on_fold_candidates(fresh_program):
     verdicts = collections.Counter()
-    for t1, t2, bound in calls:
+    for t1, t2, bound in _fold_candidate_pairs(fresh_program):
         want = fixbeta_equiv_reference(t1, t2, bound)
         verdicts[want] += 1
         assert tm.fixbeta_equiv(t1, t2, bound) == want, (t1, t2)
@@ -2226,17 +2254,21 @@ def test_reification_names_and_refuses_as_the_reference(monkeypatch):
     assert seen == {"renamed": 2, "refused": 4, "kept": 2}
 
 
+def _initial_pairs():
+    """(focus, goal, bound) of every INITIAL of the search set's proofs."""
+    programs = workloads.load_programs()
+    return [(n.sequent.focus.term, n.sequent.goal.term, tm.UNFOLD_BOUND)
+            for _program, _calc, tree in _proofs(programs, _search_set())
+            for n in tree.nodes() if n.rule in ("initial", "initial<>")]
+
+
 def test_fixbeta_equiv_answers_as_the_unfolding_walk():
     # alpha-equal terms answer Equal before any walk is built: they are the
     # walk's first pair, and never clash. The pairs: every INITIAL of the
     # search set's proofs, every fold candidate `is_guarded_atom` meets on
     # the search workload's goals, and pairs that stay undecided or clash
     # up to the bound
-    pairs = []
-    programs = workloads.load_programs()
-    for _program, _calc, tree in _proofs(programs, _search_set()):
-        pairs += [(n.sequent.focus.term, n.sequent.goal.term, tm.UNFOLD_BOUND)
-                  for n in tree.nodes() if n.rule in ("initial", "initial<>")]
+    pairs = _initial_pairs()
     initials = len(pairs)
     real = tm.fixbeta_equiv
 
@@ -2264,6 +2296,23 @@ def test_fixbeta_equiv_answers_as_the_unfolding_walk():
         assert tm.fixbeta_equiv(t1, t2, bound) == want, (t1, t2, bound)
     assert initials > 80 and folds > 50
     assert verdicts[tm.EQUAL] and verdicts[tm.NOT_EQUAL] and verdicts[tm.UNKNOWN], verdicts
+
+
+def test_the_reader_with_unify_answers_as_fixbeta_equiv_without_metavariables(fresh_program):
+    # on meta-free pairs `unify` is alpha-equality, so the walk's one reader
+    # answers as fixbeta_equiv: a unifier is Equal, None is NotEqual and
+    # UNKNOWN is Unknown. The pairs: every INITIAL of the seeded search set's
+    # proofs and every pair of the fold-candidate reference test
+    pairs = _initial_pairs() + _fold_candidate_pairs(fresh_program)
+    verdicts = collections.Counter()
+    for t1, t2, bound in pairs:
+        assert not any(tm.is_meta(v) for t in (t1, t2) for v in tm.free_vars(t)), (t1, t2)
+        answer = walk_unify(t1, t2, {}, bound)
+        assert answer in (None, tm.UNKNOWN) or answer == {}, answer
+        got = tm.NOT_EQUAL if answer is None else tm.UNKNOWN if answer is tm.UNKNOWN else tm.EQUAL
+        assert got == tm.fixbeta_equiv(t1, t2, bound), (t1, t2, bound)
+        verdicts[got] += 1
+    assert verdicts[tm.EQUAL] > 80 and verdicts[tm.NOT_EQUAL] and verdicts[tm.UNKNOWN], verdicts
 
 
 def _mutation_grids(regression_proofs):

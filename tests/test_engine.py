@@ -16,7 +16,7 @@ from cup.errors import FlexibleAtomUnsupported, NotCoreFormula, ProofInvalid
 from cup.formulas import Atom, Calculus, Conj, Disj, Exists, Forall, HClause, Impl, TOP
 from cup.terms import IOTA, Signature, replace
 
-from helpers import A, C, N_STR, V, proof_mutations, proof_paths, replace_at, scons, slist
+from helpers import A, C, N_STR, V, fn_type, proof_mutations, proof_paths, replace_at, scons, slist
 
 
 def rules_of(tree):
@@ -275,7 +275,7 @@ class TestProve:
         assert res.reason == "no-proof"
 
     def test_flexible_atom_rejected_at_search(self, bitstream_program):
-        g = fm.Exists("p", tm.fn_type(tm.IOTA, tm.O), Atom(A(V("p"), C("0"))))
+        g = fm.Exists("p", fn_type(tm.IOTA, tm.O), Atom(A(V("p"), C("0"))))
         with pytest.raises(FlexibleAtomUnsupported):
             prove(bitstream_program, None, g, SearchConfig(calculus=Calculus.HOHH))
 
@@ -673,7 +673,7 @@ class TestSearchWitnesses:
         # over `const 0 : i.` no closed term has type i -> i, so there is no
         # proof; were the witness of `f` taken to be of type i, 0 would fill
         # it and prove it
-        fn_goal = Exists("f", tm.fn_type(IOTA, IOTA), TOP)
+        fn_goal = Exists("f", fn_type(IOTA, IOTA), TOP)
         cfg = SearchConfig(calculus=calc)
         assert prove(ps.parse_program("const 0 : i."), None, fn_goal, cfg).reason == "no-proof"
         # with s : i -> i the constant s fills it, a witness that only the
@@ -760,8 +760,8 @@ class TestFocusHeads:
     nor counted, and asks for the depth its shortest such chain needs, if it
     has one."""
 
-    SIG = Signature.of({"a": IOTA, "p": tm.fn_type(IOTA, tm.O), "q": tm.fn_type(IOTA, tm.O),
-                        "r": tm.fn_type(IOTA, tm.O)})
+    SIG = Signature.of({"a": IOTA, "p": fn_type(IOTA, tm.O), "q": fn_type(IOTA, tm.O),
+                        "r": fn_type(IOTA, tm.O)})
 
     @staticmethod
     def atom(pred, arg="a"):
@@ -798,7 +798,7 @@ class TestFocusHeads:
         loose = Atom(A(head, C("a")))
         assert fm.focus_reach(loose) == {None: 1}
         assert fm.focus_reach(Conj(self.atom("q"), loose)) == {"q": 2, None: 2}
-        assert fm.focus_reach(Forall("P", tm.fn_type(IOTA, tm.O), Impl(self.atom("q"), loose))) == {None: 3}
+        assert fm.focus_reach(Forall("P", fn_type(IOTA, tm.O), Impl(self.atom("q"), loose))) == {None: 3}
 
     def test_a_hypothesis_headed_by_a_metavariable_is_never_skipped(self):
         # imp-r adds `?P#1 a`; DECIDE on it closes `p a` by binding ?P#1

@@ -21,7 +21,7 @@ from cup.formulas import (
 )
 from cup.terms import IOTA
 
-from helpers import A, C, FR_STR, N_STR, STREAM_SIG, V, scons, slist
+from helpers import A, C, FR_STR, N_STR, STREAM_SIG, V, fn_type, scons, slist
 
 FO = Calculus.FOHC
 FH = Calculus.FOHH
@@ -84,10 +84,10 @@ class TestClassify:
         assert classify(STREAM_SIG, g, "core") == frozenset()
 
     def test_flexible_atom_goal_higher_order_only(self):
-        g = Exists("x", tm.fn_type(IOTA, tm.O), Atom(A(V("x"), C("0"))))
+        g = Exists("x", fn_type(IOTA, tm.O), Atom(A(V("x"), C("0"))))
         assert classify(STREAM_SIG, g, "goal") == {HO, HH}
         # clauses and core formulae need rigid atoms in every calculus
-        d = Forall("x", tm.fn_type(IOTA, tm.O), Atom(A(V("x"), C("0"))))
+        d = Forall("x", fn_type(IOTA, tm.O), Atom(A(V("x"), C("0"))))
         assert classify(STREAM_SIG, d, "clause") == set()
         assert classify(STREAM_SIG, d, "core") == set()
 

@@ -22,7 +22,7 @@ from cup.errors import (
 )
 from cup.formulas import Atom, Calculus, Exists, Forall
 
-from helpers import PUNCT, A, C, L, V, deep_document, scons, stated_document, tokenize_reference
+from helpers import PUNCT, A, C, L, V, deep_document, fn_type, scons, stated_document, tokenize_reference
 
 
 class TestParseProgram:
@@ -234,7 +234,7 @@ class TestPrettyRoundTrip:
         assert binders == [("x", "i"), ("f", "i -> i"), ("g", "i -> i"), ("y", "i")]
 
     def test_binders_are_grouped_by_type_and_a_type_other_than_i_is_written(self, member_program):
-        fn = tm.fn_type(tm.IOTA, tm.IOTA)
+        fn = fn_type(tm.IOTA, tm.IOTA)
         body = fm.Atom(A(C("member"), A(V("f"), V("x")), A(V("g"), V("y"))))
         f = Forall("x", tm.IOTA, Forall("f", fn, Forall("g", fn, Forall("y", tm.IOTA, body))))
         text = ps.pp_formula(f, member_program)
@@ -316,7 +316,7 @@ class TestProofDocuments:
 
     def test_a_binder_of_function_type_survives_the_document(self):
         prog = ps.parse_program("const 0 : i. const s : i -> i.")
-        goal = Exists("f", tm.fn_type(tm.IOTA, tm.IOTA), fm.TOP)
+        goal = Exists("f", fn_type(tm.IOTA, tm.IOTA), fm.TOP)
         res = eng.prove(prog, eng.LemmaStore(), goal, eng.SearchConfig(calculus=Calculus.HOHH))
         assert res.proved and res.tree.witness == C("s")
         doc = ps.export_proof(res.tree, prog)

@@ -16,6 +16,7 @@ from cup.terms import App, Fix, IOTA, Lam
 from helpers import (
     GEN_SIG,
     alpha_eq_oracle,
+    fn_type,
     gen_term,
     gen_tree,
     random_propositional_program,
@@ -44,7 +45,7 @@ class TestTypePreservation:
         rng = random.Random(101)
         n = CASES["type_preservation"] // 3
         for _ in range(n):
-            ty = rng.choice([IOTA, tm.fn_type(IOTA, IOTA)])
+            ty = rng.choice([IOTA, fn_type(IOTA, IOTA)])
             t = gen_term(rng, ty, {"x": IOTA}, rng.randint(0, 3))
             value = gen_term(rng, IOTA, {}, rng.randint(0, 2))
             before = tm.typecheck(GEN_SIG, {"x": IOTA}, t, expected=ty)
@@ -56,7 +57,7 @@ class TestTypePreservation:
         rng = random.Random(102)
         n = CASES["type_preservation"] // 3
         for _ in range(n):
-            ty = rng.choice([IOTA, tm.fn_type(IOTA, IOTA)])
+            ty = rng.choice([IOTA, fn_type(IOTA, IOTA)])
             t = gen_term(rng, ty, {}, rng.randint(0, 4))
             before = tm.typecheck(GEN_SIG, {}, t, expected=ty)
             after = tm.typecheck(GEN_SIG, {}, tm.beta_normalize(t), expected=ty)
@@ -67,7 +68,7 @@ class TestTypePreservation:
         n = CASES["type_preservation"] // 3
         done = 0
         while done < n:
-            ty = rng.choice([IOTA, tm.fn_type(IOTA, IOTA)])
+            ty = rng.choice([IOTA, fn_type(IOTA, IOTA)])
             t = gen_term(rng, ty, {}, rng.randint(1, 4))
             t = tm.beta_normalize(t)
             if not tm.has_fix(t):
@@ -84,7 +85,7 @@ class TestAlphaCongruence:
         rng = random.Random(104)
         n = CASES["alpha_congruence"]
         for i in range(n):
-            ty = rng.choice([IOTA, tm.fn_type(IOTA, IOTA)])
+            ty = rng.choice([IOTA, fn_type(IOTA, IOTA)])
             t = gen_term(rng, ty, {}, rng.randint(0, 3))
             t2 = rename_binders(rng, t)
             t3 = rename_binders(rng, t2)
@@ -94,7 +95,7 @@ class TestAlphaCongruence:
             assert tm.alpha_eq(t, t3)
             # congruence for application, abstraction, fix
             u = gen_term(rng, IOTA, {}, 1)
-            if ty == tm.fn_type(IOTA, IOTA):
+            if ty == fn_type(IOTA, IOTA):
                 assert tm.alpha_eq(App(t, u), App(t2, u))
                 assert tm.alpha_eq(Fix(t), Fix(t2))
             assert tm.alpha_eq(Lam("q", t), Lam("q", t2))
@@ -109,7 +110,7 @@ class TestBetaIdempotence:
     def test_idempotent(self):
         rng = random.Random(105)
         for _ in range(CASES["beta_idempotence"]):
-            ty = rng.choice([IOTA, tm.fn_type(IOTA, IOTA)])
+            ty = rng.choice([IOTA, fn_type(IOTA, IOTA)])
             t = gen_term(rng, ty, {}, rng.randint(0, 4))
             nf = tm.beta_normalize(t)
             assert tm.beta_normalize(nf) == nf

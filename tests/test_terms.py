@@ -28,10 +28,9 @@ from cup.terms import (
     NOT_EQUAL,
     O,
     Signature,
-    fn_type,
 )
 
-from helpers import A, C, FR_STR, L, N_STR, STREAM_SIG, V, Z_STR, alpha_eq_oracle, scons, tree_height
+from helpers import A, C, FR_STR, L, N_STR, STREAM_SIG, V, Z_STR, alpha_eq_oracle, fn_type, scons, tree_height
 
 
 class TestTypeOrder:
