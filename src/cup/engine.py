@@ -262,9 +262,6 @@ def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> dict[str, 
     `tm.UnfoldingWalk` that unifies.  None both when a clash ended the
     walk and when the bound did."""
     a, b = tm.beta_normalize(resolve_term(a, s)), tm.beta_normalize(resolve_term(b, s))
-    if not (tm.has_fix(a) or tm.has_fix(b)):
-        # the walk's one pair, or none if they clash, which unify rejects
-        return unify(a, b, s)
     s1 = tm.UnfoldingWalk(a, b, bound).first(lambda va, vb: unify(va, vb, s))
     return None if s1 is tm.UNKNOWN else s1
 

@@ -141,11 +141,7 @@ def _fold_candidates(sig: Signature, t: Term) -> bool:
 def is_guarded_full_ext(sig: Signature, t: Term) -> bool:
     """Guarded full, possibly after folding back a bounded number of
     fix unfoldings (the fix-beta-equivalence allowance on guarded atoms)."""
-    if is_guarded_full(sig, t):
-        return True
-    if not tm.has_fix(t):
-        return False
-    return _fold_candidates(sig, t)
+    return is_guarded_full(sig, t) or _fold_candidates(sig, t)
 
 
 def atom_parts(sig: Signature, t: Term) -> tuple[str, list[Term]]:

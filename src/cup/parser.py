@@ -180,7 +180,10 @@ class _Parser:
             ty = self.type_()
             self.eat(")")
             return ty
-        return Base(self.ident().text)
+        name = self.ident()
+        if name.text not in ("i", "o"):
+            raise SourceTypeError(f"unknown base type {name.text!r}", name.span)
+        return Base(name.text)
 
     # ---- terms ----
 

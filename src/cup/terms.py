@@ -871,9 +871,6 @@ def fixbeta_equiv(t1: Term, t2: Term, bound: int = UNFOLD_BOUND) -> str:
     pair of the unfolding walk is alpha-equal, else NotEqual on a clash
     and Unknown at the bound (see `UnfoldingWalk.first`)."""
     a, b = beta_normalize(t1), beta_normalize(t2)
-    if alpha_key(a) == alpha_key(b):
-        # the walk's first pair: alpha-equal terms never clash
-        return EQUAL
     answer = UnfoldingWalk(a, b, bound).first(lambda x, y: EQUAL if alpha_key(x) == alpha_key(y) else None)
     return NOT_EQUAL if answer is None else answer
 

@@ -298,33 +298,20 @@ def _clauses_with_metas(clauses: list[HClause]) -> list[RenamedClause]:
 
 @record(frozen=False)
 class _Universe:
-    """What every call at one term size shares: the term pool, the clauses
-    renamed apart and, per predicate constant, those that can match it
-    (`by_head`); once `gfp_approx` explores a depth, which keeps the
-    universe on the `Program`, also its seeds, one object per distinct seed
-    or body atom (`atoms`), each such atom's clause-instance bodies, which
-    no depth changes, and per explored depth its state and the key of every
-    atom that exploring it rendered."""
+    """What every call at one term size shares: the term pool and the
+    clauses renamed apart; once `gfp_approx` explores a depth, which keeps
+    the universe on the `Program`, also its seeds, one object per distinct
+    seed or body atom (`atoms`), each such atom's clause-instance bodies,
+    which no depth changes, and per explored depth its state and the key of
+    every atom that exploring it rendered."""
 
     pool: list[Term]
     renamed: list[RenamedClause]
-    by_head: dict[Con, list[RenamedClause]] = field(default_factory=dict, repr=False)
     seeds: list[Term] = field(default_factory=list, repr=False)
     atoms: dict[Term, Term] = field(default_factory=dict, repr=False)
     bodies: dict[Term, tuple[tuple[Term, ...], ...]] = field(default_factory=dict, repr=False)
     explored: dict[int, _Explored] = field(default_factory=dict)
     keys: dict[int, dict[Term, Tree | None]] = field(default_factory=dict, repr=False)
-
-    def clauses(self, atom: Term) -> list[RenamedClause]:
-        """The renamed clauses, in order, that can match the atom: all of
-        them when its head is not a constant, else those whose head is that
-        constant or not a constant."""
-        head = tm.spine(atom)[0]
-        if not isinstance(head, Con):
-            return self.renamed
-        if head not in self.by_head:
-            self.by_head[head] = [c for c in self.renamed if not isinstance(h := tm.spine(c[0])[0], Con) or h == head]
-        return self.by_head[head]
 
     def bodies_of(self, atom: Term, g: Grounding) -> tuple[tuple[Term, ...], ...]:
         if atom not in self.bodies:
@@ -387,16 +374,17 @@ def _match(p: Term, t: Term, s: dict[str, Term]) -> dict[str, Term] | None:
 
 
 def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
-    """Bodies of clause instances whose head matches the atom, the few body
-    variables that the head leaves open enumerated over the pool: a body is
-    resolved once per match, and then only those variables per pool value.
-    One-way matching serves a closed, fix-free atom and a fix-free head,
-    both beta-normal: there `unify_modulo` is `unify(head, atom, {})`, which
-    binds only head metavariables, each to a closed subterm of the atom.  A
-    guarded atom or a fix-headed lemma needs the unfolding walk.  No atom
-    holds a metavariable, so no binding does: the open ones are the unbound."""
-    closed = not (atom._fv or atom._fix) and atom._nf
-    for head, body, metas in g.uni.clauses(atom):
+    """Bodies of clause instances whose head matches the atom, each clause
+    tried in order, the few body variables that the head leaves open
+    enumerated over the pool: a body is resolved once per match, and then
+    only those variables per pool value.  One-way matching serves a closed,
+    fix-free atom and a fix-free head, both beta-normal: there `unify_modulo`
+    is `unify(head, atom, {})`, which binds only head metavariables, each to
+    a closed subterm of the atom.  A guarded atom or a fix-headed lemma needs
+    the unfolding walk.  No atom holds a metavariable, so no binding does:
+    the open ones are the unbound."""
+    closed = not (atom._fv or tm.has_fix(atom)) and atom._nf
+    for head, body, metas in g.uni.renamed:
         s = (_match(head, atom, {}) if closed and head._nf and not head._fix
              else eng.unify_modulo(head, atom, {}, tm.UNFOLD_BOUND))
         if s is None:

@@ -47,13 +47,13 @@ class TestExitCodes:
         ])
         assert code == EXIT_INCONCLUSIVE
 
-    def test_a_witness_four_constructors_deep(self, tmp_path, capsys):
+    def test_a_base_type_other_than_i_and_o_is_usage(self, tmp_path, capsys):
         prog = tmp_path / "chain.cup"
         prog.write_text("const ca : a. const fb : a -> b. const fc : b -> c. const fd : c -> d. "
                         "const fi : d -> i. const p : o. p.\n")
         code = run(["prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", "exists x. true"])
-        assert code == EXIT_OK
-        assert '"witness": "fi (fd (fc (fb ca)))"' in capsys.readouterr().out
+        assert code == EXIT_USAGE
+        assert "error at 1:12: unknown base type 'a'" in capsys.readouterr().err
 
     def test_prove_definite_failure(self, tmp_path, capsys):
         prog = tmp_path / "tiny.cup"
@@ -591,6 +591,17 @@ class TestClassifyAndExamples:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_the_output_dump_prints_its_cheapest_section(self, capsys):
+        # tests/dump_outputs.py as a script, on the section it prints first:
+        # what `examples --run --json` prints in process, with no path of
+        # the checkout
+        script = Path(__file__).parent / "dump_outputs.py"
+        done = subprocess.run([sys.executable, str(script), "examples"], capture_output=True, text=True, timeout=120)
+        assert run(["examples", "--run", "--json"]) == EXIT_OK
+        want = f"## examples\n$ cup examples --run --json\n{capsys.readouterr().out}stderr: ''\nexit 0\n"
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+        assert str(script.parent.parent) not in want
 
     def test_examples_list(self, capsys):
         assert run(["examples", "--list"]) == EXIT_OK

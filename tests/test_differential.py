@@ -802,30 +802,30 @@ def test_memoised_walk_matches_the_references_on_universe_atoms(name, fresh_prog
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_justifications_unify_an_atom_only_with_its_own_predicate(monkeypatch, name, fresh_program):
+def test_justifications_tries_every_clause_in_order(monkeypatch, name, fresh_program):
     program = fresh_program(name)
     g = tr.grounding(program, tr.InstanceConfig(), 3)
-    heads = [tm.spine(head)[0] for head, _body, _metas in g.uni.renamed]
-    # a flexible atom falls back to every clause
+    # a flexible atom, which no one-way match serves
     atoms = tr._universe_seeds(g) + [A(V("P"), C("0"))]
     for atom in atoms:
-        head = tm.spine(atom)[0]
         got = []
         # every head match, one way or through unify_modulo
-        calls = [tm.spine(h)[0] for h, _atom, _path in _head_matches(monkeypatch, lambda: got.extend(tr.justifications(atom, g)))]
-        own = [h for h in heads if h == head] if isinstance(head, Con) else heads
-        assert calls == own, tm.brief(atom)
-        # the same bodies, in the same order, as trying every clause
-        with monkeypatch.context() as m:
-            m.setattr(tr._Universe, "clauses", lambda _uni, _atom: g.uni.renamed)
-            assert list(tr.justifications(atom, g)) == got, tm.brief(atom)
+        calls = _head_matches(monkeypatch, lambda: got.extend(tr.justifications(atom, g)))
+        assert [h for h, _atom, _path in calls] == [head for head, _body, _metas in g.uni.renamed], tm.brief(atom)
+        # one-way matching for closed fix-free pairs, unify_modulo for the rest
+        closed = not (tm.free_vars(atom) or tm.has_fix(atom)) and tm.beta_normalize(atom) == atom
+        for head, _atom, path in calls:
+            one_way = closed and not tm.has_fix(head) and tm.beta_normalize(head) == head
+            assert path == ("match" if one_way else "modulo"), (tm.brief(atom), tm.brief(head))
+        # the same bodies, in the same order, as the reference
+        assert got == [body for body, _open in justifications_reference(atom, g)], tm.brief(atom)
 
 
 def justifications_reference(atom, g):
     """(body, whether the head left a body variable open) of each clause
     instance, each body resolved from the clause under the head's
     substitution with the open variables bound to one pool combination."""
-    for head, body, metas in g.uni.clauses(atom):
+    for head, body, metas in g.uni.renamed:
         s = eng.unify_modulo(head, atom, {}, tm.UNFOLD_BOUND)
         if s is None:
             continue
@@ -2191,6 +2191,34 @@ def test_a_larger_depth_limit_keeps_each_proof_and_each_no_proof():
                     before = now
                     reasons[now[0]] += 1
     assert reasons == {"no-proof": 36250, "depth-exceeded": 10010, "proved": 5580}
+
+
+def test_the_calculus_and_the_clause_order_keep_each_reason_and_final_bound():
+    # ROADMAP item 26's other two laws, on the search set and the random
+    # Horn programs (`deep` on the odd seeds, limits 1-6 by seed). At the
+    # same limit, co-fohc and co-hohh give the same reason and final bound
+    # on each goal both accept, and the same proof and document too; co-hohh
+    # matches its INITIAL atoms, all fix-free here, through the unfolding
+    # walk. Shuffling a program's clauses keeps each search's reason and
+    # final bound, since a bound holds a proof or a cut whatever the order
+    horn, horn_searches = {}, []
+    for seed in range(360):
+        text, goals = _random_horn_program(random.Random(seed), deep=seed % 2 == 1)
+        horn[seed] = ps.parse_program(text)
+        horn_searches += [(seed, g, Calculus.FOHC, kind, 1 + seed % 6) for g in goals for kind in ("prove", "coprove")]
+    rng, reasons, both = random.Random(0), collections.Counter(), 0
+    for programs, searches in ((workloads.load_programs(), _search_set()), (horn, horn_searches)):
+        shuffled = {name: fm.Program(p.signature, tuple(rng.sample(p.clauses, len(p.clauses))), p.fix_definitions)
+                    for name, p in programs.items()}
+        assert [o[:2] for o in _search_outputs(shuffled, searches)[0]] == [
+            o[:2] for o in _search_outputs(programs, searches)[0]]
+        fo, ho = (_search_outputs(programs, [(n, t, calc, k, d) for n, t, _c, k, d in searches], documents=True)[0]
+                  for calc in (Calculus.FOHC, Calculus.HOHH))
+        accepted = [(a, b) for a, b in zip(fo, ho) if len(a) == len(b) == 3]
+        assert all(a == b for a, b in accepted)
+        both += len(accepted)
+        reasons.update(a[0] for a, _b in accepted)
+    assert (both, reasons) == (4446, {"no-proof": 2574, "depth-exceeded": 1491, "proved": 381})
 
 
 def _proofs(programs, searches):

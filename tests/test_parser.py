@@ -433,6 +433,10 @@ ERROR_ROWS = [
     # a binder type after a colon is a type
     ("goal", "exists f : . true", ParseError, "expected an identifier, found '.'", (1, 12)),
     ("goal", "forall x : (i -> i. true", ParseError, "expected ')', found '.'", (1, 19)),
+    # the only base types are i and o
+    ("program", "const c : foo.", SourceTypeError, "unknown base type 'foo'", (1, 11)),
+    ("goal", "exists x : foo. true", SourceTypeError, "unknown base type 'foo'", (1, 12)),
+    ("goal", "forall f : i -> foo. true", SourceTypeError, "unknown base type 'foo'", (1, 17)),
     ("goal", "member 0 [0]", ParseError, "bracket sugar needs [head|tail]", (1, 10)),
     ("program", HEAD + "p [X] :- p X.", ParseError, "bracket sugar needs [head|tail]", (2, 3)),
     # a lowercase name in sugar; a capitalised one in explicit syntax
