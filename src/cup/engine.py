@@ -259,10 +259,9 @@ def unify(a: Term, b: Term, s: dict[str, Term]) -> dict[str, Term] | None:
 def unify_modulo(a: Term, b: Term, s: dict[str, Term], bound: int) -> dict[str, Term] | None:
     """Unify up to a bounded number of fix unfoldings on either side,
     preferring the least-unfolded match: the first pair of
-    `tm.UnfoldingWalk` that unifies.  None both when a clash ended the
-    walk and when the bound did."""
-    a, b = tm.beta_normalize(resolve_term(a, s)), tm.beta_normalize(resolve_term(b, s))
-    s1 = tm.UnfoldingWalk(a, b, bound).first(lambda va, vb: unify(va, vb, s))
+    `tm.unfolding_walk` that unifies.  None both when the walk refutes
+    every pair and when the bound cut a chain (UNKNOWN)."""
+    s1 = tm.unfolding_walk(resolve_term(a, s), resolve_term(b, s), bound, lambda va, vb: unify(va, vb, s))
     return None if s1 is tm.UNKNOWN else s1
 
 

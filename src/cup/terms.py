@@ -813,65 +813,51 @@ def _undetermined(head: Term) -> bool:
     return isinstance(head, Fix) or (isinstance(head, Var) and is_meta(head.name))
 
 
-class UnfoldingWalk:
-    """The pairs of i and j fair unfoldings of two beta-normal terms, at
-    most `bound` per side, in (i + j, i, j) order, read by `first`.
+def unfolding_walk(a: Term, b: Term, bound: int, test: Callable[[Term, Term], object]) -> object:
+    """test's first answer other than None on the pairs of i and j fair
+    unfoldings of a's and b's beta-normal forms, at most `bound` per side,
+    in (i + j, i, j) order; else None if the walk refutes every pair, and
+    UNKNOWN only if the bound cut a chain.
 
-    Each unfolding is built when a pair first needs it, into `chains`.  A
-    side's chain ends at an unfolding with no fix.  The walk ends at an
-    unfolding that clashes with the other side's first term, which sets
-    `clashed`: a clash refutes every later pair too (see `clash`); the
-    bound never sets it.  Two first terms that clash give no pairs.
+    Each unfolding is built when a pair first needs it.  A side's chain
+    ends at an unfolding with no fix.  The walk stops with None at an
+    unfolding that clashes with the other side's first term: a clash
+    refutes every later pair too (see `clash`).  Two first terms that
+    clash give no pairs.  After the walk, a chain still ends in a fix only
+    if the bound cut it; the answer is then UNKNOWN unless the two last
+    unfoldings clash.  Two chains that both ended answer None.
     """
-
-    def __init__(self, a: Term, b: Term, bound: int):
-        self.chains = ([a], [b])
-        self._bound = bound
-        self.clashed = clash(a, b)
-
-    def _term(self, side: int, k: int) -> Term | None:
-        chain = self.chains[side]
-        if k < len(chain):
-            return chain[k]
-        if k > len(chain) or k > self._bound or not has_fix(chain[-1]):
-            return None
-        nxt = fair_unfold(chain[-1])
-        self.clashed = clash(nxt, self.chains[1 - side][0])
-        if self.clashed:
-            return None
-        chain.append(nxt)
-        return nxt
-
-    def first(self, test: Callable[[Term, Term], object]) -> object:
-        """test's first answer other than None on the walk's pairs; else
-        None if a clash ended the walk or the two last unfoldings clash,
-        which refutes every pair, and UNKNOWN if the bound ended it."""
-        for total in range(2 * self._bound + 1):
-            tried = False
-            for i in range(total + 1):
-                a = self._term(0, i)
-                b = None if a is None else self._term(1, total - i)
-                if self.clashed:
-                    return None
-                if a is None:
-                    break
-                if b is not None:
-                    tried = True
-                    answer = test(a, b)
-                    if answer is not None:
-                        return answer
-            if not tried:
-                # both chains have ended: no pair has a larger sum either
+    chains = ([beta_normalize(a)], [beta_normalize(b)])
+    if clash(chains[0][0], chains[1][0]):
+        return None
+    for total in range(2 * bound + 1):
+        tried = False
+        for i in range(total + 1):
+            for side, k in ((0, i), (1, total - i)):
+                chain = chains[side]
+                if k == len(chain) and k <= bound and has_fix(chain[-1]):
+                    chain.append(fair_unfold(chain[-1]))
+                    if clash(chain[-1], chains[1 - side][0]):
+                        return None
+            if i == len(chains[0]):
                 break
-        return None if clash(self.chains[0][-1], self.chains[1][-1]) else UNKNOWN
+            if total - i < len(chains[1]):
+                tried = True
+                answer = test(chains[0][i], chains[1][total - i])
+                if answer is not None:
+                    return answer
+        if not tried:
+            # both chains have ended: no pair has a larger sum either
+            break
+    last = chains[0][-1], chains[1][-1]
+    return UNKNOWN if (has_fix(last[0]) or has_fix(last[1])) and not clash(*last) else None
 
 
 def fixbeta_equiv(t1: Term, t2: Term, bound: int = UNFOLD_BOUND) -> str:
     """Three-valued bounded test for fix-beta equivalence: Equal if some
-    pair of the unfolding walk is alpha-equal, else NotEqual on a clash
-    and Unknown at the bound (see `UnfoldingWalk.first`)."""
-    a, b = beta_normalize(t1), beta_normalize(t2)
-    answer = UnfoldingWalk(a, b, bound).first(lambda x, y: EQUAL if alpha_key(x) == alpha_key(y) else None)
+    pair of `unfolding_walk` is alpha-equal, else NotEqual where the walk
+    refutes every pair and Unknown where the bound cut a chain."""
+    answer = unfolding_walk(t1, t2, bound, lambda x, y: EQUAL if alpha_key(x) == alpha_key(y) else None)
     return NOT_EQUAL if answer is None else answer
 
 

@@ -130,14 +130,6 @@ def formula_as_term(f) -> tm.Term:
     return App(Con(f" {type(f).__name__} {f.ty!r}"), Lam(f.var, formula_as_term(f.body)))
 
 
-def fixbeta_equiv_walk(t1, t2, bound: int) -> str:
-    """`terms.fixbeta_equiv` that always walks the unfolding pairs, with no
-    answer before the walk for alpha-equal terms."""
-    walk = tm.UnfoldingWalk(tm.beta_normalize(t1), tm.beta_normalize(t2), bound)
-    answer = walk.first(lambda a, b: tm.EQUAL if tm.alpha_key(a) == tm.alpha_key(b) else None)
-    return tm.NOT_EQUAL if answer is None else answer
-
-
 # ---------------------------------------------------------------------------
 # Brute-force greatest fixed point over a finite atom space
 # ---------------------------------------------------------------------------

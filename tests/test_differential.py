@@ -43,7 +43,7 @@ from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var
 
 from helpers import (
     FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, check_reference, debruijn, export_dict_reference,
-    fixbeta_equiv_walk, fn_type, formula_alpha_eq_reference, formula_as_term, gen_term, guarded_term_to_tree,
+    fn_type, formula_alpha_eq_reference, formula_as_term, gen_term, guarded_term_to_tree,
     proof_mutations, reify_reference, rename_binders, search_reference, slist, flat_document, tree_from_text,
     unshared_copy,
 )
@@ -438,13 +438,17 @@ def test_resolve_keeps_every_inferred_type_and_returns_an_unchanged_one_itself()
 
 def unify_modulo_reference(a, b, s, bound):
     """Build both unfolding chains, then try every pair in (i + j, i, j)
-    order: the first unifier; else None if some pair clashes, which refutes
-    every pair, and UNKNOWN if none does."""
+    order: the first unifier; else None if neither chain ends in a fix,
+    since no bound cut either; else None if some pair clashes, which
+    refutes every pair, and UNKNOWN if none does: the bound cut a chain."""
+
+    def fixed(t):
+        return any(isinstance(u, Fix) for u in tm.subterms(t))
 
     def chain(t):
         out = [tm.beta_normalize(t)]
         for _ in range(bound):
-            if not any(isinstance(u, Fix) for u in tm.subterms(out[-1])):
+            if not fixed(out[-1]):
                 break
             out.append(tm.fair_unfold(out[-1]))
         return out
@@ -456,6 +460,8 @@ def unify_modulo_reference(a, b, s, bound):
         s1 = eng.unify(va[i], vb[j], s)
         if s1 is not None:
             return s1
+    if not (fixed(va[-1]) or fixed(vb[-1])):
+        return None
     return None if any(tm.clash(x, y) for x in va for y in vb) else tm.UNKNOWN
 
 
@@ -465,10 +471,8 @@ def matched(answer):
 
 
 def walk_unify(a, b, s, bound):
-    """The unfolding walk's one reader with `unify`: a unifier, None or
-    UNKNOWN."""
-    a, b = (tm.beta_normalize(eng.resolve_term(t, s)) for t in (a, b))
-    return tm.UnfoldingWalk(a, b, bound).first(lambda x, y: eng.unify(x, y, s))
+    """The unfolding walk read with `unify`: a unifier, None or UNKNOWN."""
+    return tm.unfolding_walk(eng.resolve_term(a, s), eng.resolve_term(b, s), bound, lambda x, y: eng.unify(x, y, s))
 
 
 def _recorded_calls(monkeypatch, run):
@@ -650,8 +654,37 @@ def test_unfolding_walk_tells_a_clash_from_the_bound():
         for a, b in ((head, atom), (atom, head)):
             seen = []
             # a test that answers None on every pair counts the pairs the walk reads
-            got = tm.UnfoldingWalk(a, b, 8).first(lambda x, y: seen.append((x, y)))
+            got = tm.unfolding_walk(a, b, 8, lambda x, y: seen.append((x, y)))
             assert (len(seen), got) == (pairs, answer), (goal, a)
+
+
+# (a, b, answer): each pair fails `unify` only by the occurs check, which
+# `clash` cannot see. The first two walks end within the bound, s ?x being
+# fix-free and (fix \f. \y. s y) ?x fix-free after one unfolding, so
+# nothing is left undecided: None. z_str never ends, so the bound cuts the
+# last walk: UNKNOWN, though no unfolding would ever match
+FIX_S = Fix(L("f", L("y", A(C("s"), V("y")))))
+ENDED_OR_CUT = [
+    (V("?x"), A(C("s"), V("?x")), None),
+    (V("?x"), A(FIX_S, V("?x")), None),
+    (A(C("p"), V("?x"), Z_STR), A(C("p"), A(C("s"), V("?x")), Z_STR), tm.UNKNOWN),
+]
+
+
+@pytest.mark.parametrize("a,b,answer", ENDED_OR_CUT)
+def test_the_walk_answers_unknown_only_where_the_bound_cut_a_chain(a, b, answer):
+    for x, y in ((a, b), (b, a)):
+        assert walk_unify(x, y, {}, 8) is unify_modulo_reference(x, y, {}, 8) is answer, (x, y)
+        assert eng.unify_modulo(x, y, {}, 8) is None, (x, y)
+
+
+def test_a_fix_free_walk_clashes_once_and_unfolds_nothing(monkeypatch):
+    calls = []
+    real_clash, real_unfold = tm.clash, tm.fair_unfold
+    monkeypatch.setattr(tm, "clash", lambda x, y: calls.append("clash") or real_clash(x, y))
+    monkeypatch.setattr(tm, "fair_unfold", lambda t: calls.append("unfold") or real_unfold(t))
+    assert walk_unify(V("?x"), A(C("s"), V("?x")), {}, 8) is None
+    assert calls == ["clash"]
 
 
 TWO_STREAMS = """
@@ -896,7 +929,7 @@ def test_lazy_unify_modulo_matches_eager_on_gfp_atoms(monkeypatch, name, goal, d
         for a in atoms:
             want = unify_modulo_reference(head, a, {}, bound)
             assert unify(head, a) == matched(want), (head, a)
-            # the walk's reader gives the reference's third answer too
+            # the walk read with `unify` gives the reference's third answer too
             assert walk_unify(head, a, {}, bound) == want, (head, a)
             answers["match" if isinstance(want, dict) else want] += 1
     assert answers["match"] > 0 and answers[None] > 0, answers
@@ -2291,11 +2324,11 @@ def _initial_pairs():
 
 
 def test_fixbeta_equiv_answers_as_the_unfolding_walk():
-    # alpha-equal terms answer Equal before any walk is built: they are the
-    # walk's first pair, and never clash. The pairs: every INITIAL of the
-    # search set's proofs, every fold candidate `is_guarded_atom` meets on
-    # the search workload's goals, and pairs that stay undecided or clash
-    # up to the bound
+    # the lazy walk answers as the eager reference, which builds both
+    # chains and compares every pair by the alpha oracle. The pairs: every
+    # INITIAL of the search set's proofs, every fold candidate
+    # `is_guarded_atom` meets on the search workload's goals, and pairs
+    # that stay undecided or clash up to the bound
     pairs = _initial_pairs()
     initials = len(pairs)
     real = tm.fixbeta_equiv
@@ -2319,7 +2352,7 @@ def test_fixbeta_equiv_answers_as_the_unfolding_walk():
         pairs += [(Z_STR, ZEROS, bound), (Z_STR, zeros_twice, bound), (ZEROS, Z_STR, bound), (Z_STR, Z_STR, bound)]
     verdicts = collections.Counter()
     for t1, t2, bound in pairs:
-        want = fixbeta_equiv_walk(t1, t2, bound)
+        want = fixbeta_equiv_reference(t1, t2, bound)
         verdicts[want] += 1
         assert tm.fixbeta_equiv(t1, t2, bound) == want, (t1, t2, bound)
     assert initials > 80 and folds > 50
@@ -2327,10 +2360,11 @@ def test_fixbeta_equiv_answers_as_the_unfolding_walk():
 
 
 def test_the_reader_with_unify_answers_as_fixbeta_equiv_without_metavariables(fresh_program):
-    # on meta-free pairs `unify` is alpha-equality, so the walk's one reader
-    # answers as fixbeta_equiv: a unifier is Equal, None is NotEqual and
-    # UNKNOWN is Unknown. The pairs: every INITIAL of the seeded search set's
-    # proofs and every pair of the fold-candidate reference test
+    # on meta-free pairs `unify` is alpha-equality, so the walk read with
+    # `unify` answers as fixbeta_equiv: a unifier is Equal, None is
+    # NotEqual and UNKNOWN is Unknown. The pairs: every INITIAL of the
+    # seeded search set's proofs and every pair of the fold-candidate
+    # reference test
     pairs = _initial_pairs() + _fold_candidate_pairs(fresh_program)
     verdicts = collections.Counter()
     for t1, t2, bound in pairs:

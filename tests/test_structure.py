@@ -14,8 +14,7 @@ set or list: a memo lives on an object (`Signature`, `Program`), never in a glob
 Every record is slotted: it carries no `__dict__` of its own. Every name
 the package exports resolves on first use, and starting the CLI loads
 neither `dataclasses` nor the layers only `model` and `soundness` run.
-Only `engine._solve` counts a search node. A fix unfolding walk is read
-through its one reader, `UnfoldingWalk.first`, and no `raise` in `cup`
+Only `engine._solve` counts a search node, and no `raise` in `cup`
 names `CupError` itself rather than a subclass.
 """
 
@@ -355,52 +354,6 @@ def test_write_scanner_sees_each_form(tmp_path, monkeypatch):
     )
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert writes_of("nodes") == [("a", ""), ("a", "solve"), ("a", "inner"), ("a", "annotated")]
-
-
-def _builds_walk(node) -> bool:
-    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "UnfoldingWalk"
-
-
-def second_readings() -> list[tuple[str, str]]:
-    """The site of each `UnfoldingWalk(...)` in `cup` that is not at once
-    the receiver of a call of its one reader, `first` (a walk kept in a
-    name, iterated or read another way), then of each read of a walk's
-    `chains` or `clashed` outside `terms`."""
-    read = []  # the receivers of each call of `first`, compared by identity
-
-    def unread(node) -> bool:
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "first":
-            # `sites` visits a call before its receiver
-            read.append(node.func.value)
-        return _builds_walk(node) and not any(node is r for r in read)
-
-    state = sites(lambda n: isinstance(n, ast.Attribute) and n.attr in ("chains", "clashed"))
-    return sites(unread) + [(module, where) for module, where in state if module != "terms"]
-
-
-def test_the_unfolding_walk_has_one_reader():
-    # fixbeta_equiv and unify_modulo read a walk through `first` only, which
-    # answers a match, a clash (None) or the bound (UNKNOWN); a second reading
-    # of the walk would be a second place to tell those apart
-    assert second_readings() == []
-
-
-def test_walk_scanner_sees_each_form(tmp_path, monkeypatch):
-    (tmp_path / "a.py").write_text(
-        "def ok(a, b):\n    return tm.UnfoldingWalk(a, b, 8).first(f), UnfoldingWalk(a, b, 1).first(g)\n"
-        "def kept(a, b):\n    w = tm.UnfoldingWalk(a, b, 8)\n    return w.first(f), w.chains, w.clashed\n"
-        "def iterated(a, b):\n    return [p for p in UnfoldingWalk(a, b, 8)], UnfoldingWalk(a, b, 8).clashed\n"
-        "def other(x):\n    return x.first(f), x.chain\n"
-    )
-    (tmp_path / "terms.py").write_text(
-        "class UnfoldingWalk:\n    def first(self, t):\n        return self.chains, self.clashed\n"
-        "def peek(a, b):\n    return UnfoldingWalk(a, b, 8).chains\n"
-    )
-    monkeypatch.setitem(globals(), "SRC", tmp_path)
-    assert second_readings() == [
-        ("a", "kept"), ("a", "iterated"), ("a", "iterated"), ("terms", "peek"),
-        ("a", "kept"), ("a", "kept"), ("a", "iterated"),
-    ]
 
 
 def bare_cup_errors() -> list[tuple[str, str]]:
