@@ -13,12 +13,11 @@ _EXPORTS = {
     "engine": ("LemmaStore", "ProofTree", "SearchConfig", "SearchOutcome", "Sequent", "check", "coprove",
                "promote_lemma", "prove"),
     "formulas": ("Atom", "Calculus", "Conj", "Disj", "Exists", "Forall", "Formula", "HClause", "Impl", "Program",
-                 "Top", "classify", "ground_instances", "to_h_clauses"),
+                 "Top", "classify", "to_h_clauses"),
     "guardedness": ("GuardReport", "is_guarded_atom", "is_guarded_fixed_point", "snapshot"),
     "parser": ("export_proof", "import_proof", "parse_goal", "parse_program", "parse_term", "pp_formula",
                "pp_term"),
-    "soundness": ("DeltaRecord", "audit_proof", "build_candidate", "collect_deltas", "conservative_extension_check",
-                  "verify_postfixed"),
+    "soundness": ("DeltaRecord", "audit_proof", "build_candidate", "conservative_extension_check", "verify_postfixed"),
     "terms": ("Signature", "Term", "alpha_eq", "beta_normalize", "fixbeta_equiv", "fixbeta_unfold", "free_vars",
               "is_first_order", "substitute", "subterms", "typecheck", "type_order"),
     "trees": ("InstanceConfig", "Interpretation", "Tree", "atom_to_tree", "distance", "gfp_approx",

@@ -464,23 +464,12 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
 
 
 def smallest_closed_term(sig: Signature, ty: tm.SimpleType) -> Term | None:
-    """The smallest closed term of the given type built from the
-    signature's constants, if any: a constant of that type, else rounds of
-    constructor application run until one adds no new type."""
-    cons = sig.constructors()
-    first: dict[tm.SimpleType, Term] = {}
-    for n, t in cons:
-        first.setdefault(t, Con(n))
-    while True:
-        new: dict[tm.SimpleType, Term] = {}
-        for name, cty in cons:
-            args = tm.argument_types(cty)
-            if args and all(a in first for a in args):
-                new.setdefault(tm.target_type(cty), tm.app(Con(name), *(first[a] for a in args)))
-        if new.keys() <= first.keys():
-            return first.get(ty)
-        for t_ty, t in new.items():
-            first.setdefault(t_ty, t)
+    """The smallest closed term of the given type that fully applied
+    constants build, if any: the first constant of that type that is no
+    predicate.  A parsed signature gives every other constant a type
+    i -> ... -> i, so an application has type i, and a smallest one would
+    have a smaller closed argument of type i."""
+    return next((Con(n) for n, t in sig.constructors() if t == ty), None)
 
 
 def unresolved_metas(t: Term, s: dict[str, Term]) -> set[str]:

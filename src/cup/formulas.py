@@ -8,8 +8,6 @@ implications and universal quantifiers.
 from __future__ import annotations
 
 import enum
-import itertools
-from collections.abc import Iterator
 
 from . import terms as tm
 from .errors import CupError, IllTyped, NonHConvertibleClause, UsageError
@@ -362,25 +360,6 @@ def h_substitute(h: HClause, binding: dict[str, Term]) -> HClause:
     body = tuple(tm.beta_normalize(tm.substitute(b, subs)) for b in h.body)
     head = tm.beta_normalize(tm.substitute(h.head, subs))
     return HClause(remaining, body, head)
-
-
-def ground_instances(h: HClause, universe: list[Term], limit: int | None = None) -> Iterator[HClause]:
-    """All closed instances of h over the given term universe, deduplicated
-    modulo alpha-equivalence of the instantiating tuples."""
-    if not h.universals:
-        yield h
-        return
-    count = 0
-    seen: set[tuple] = set()
-    for combo in itertools.product(universe, repeat=len(h.universals)):
-        key = tuple(tm.alpha_key(t) for t in combo)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield h_substitute(h, dict(zip(h.universals, combo)))
-        count += 1
-        if limit is not None and count >= limit:
-            return
 
 
 # ---------------------------------------------------------------------------

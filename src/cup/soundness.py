@@ -40,20 +40,15 @@ def _root_h_clause(proof: eng.ProofTree) -> HClause:
     return hs[0]
 
 
-def collect_deltas(proof: eng.ProofTree, program: Program, calculus: Calculus = Calculus.HOHH) -> list[DeltaRecord]:
-    """One record per DECIDE on the coinductive hypothesis, bindings read
-    off the universal-instantiation chain at that site."""
-    return _walk_root(proof, program, calculus)[2]
-
-
 def _walk_root(
     proof: eng.ProofTree, program: Program, calculus: Calculus
 ) -> tuple[HClause, tuple[list[str], eng.ProofTree, eng.ProofTree | None], list[DeltaRecord]]:
-    """`collect_deltas` with what it finds on the way: the root's H-clause
-    and its guarded segment.  It fails on the root's clause, then the check,
-    then the root derivation, then a hypothesis use, so a checked root
-    whose universals are not all leading is blamed for that
-    (`NotHShapedRoot`), not the uses under it."""
+    """The root's H-clause, its guarded segment and one Delta record per
+    DECIDE on the coinductive hypothesis, bindings read off the
+    universal-instantiation chain at that site.  It fails on the root's
+    clause, then the check, then the root derivation, then a hypothesis
+    use, so a checked root whose universals are not all leading is blamed
+    for that (`NotHShapedRoot`), not the uses under it."""
     h = _root_h_clause(proof)
     ok, diag = eng.check(proof, program, calculus)
     if not ok:

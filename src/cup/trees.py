@@ -20,7 +20,7 @@ from .formulas import HClause, Program
 # is_guarded_atom has no caller here; perfbench/tracing.py patches it under
 # this module's name
 from .guardedness import is_guarded_atom, snapshot
-from .terms import App, Con, Fix, IOTA, Signature, Term, Var, field, record
+from .terms import App, Con, Fix, Signature, Term, Var, field, record
 
 STAR = "*"
 
@@ -202,34 +202,26 @@ class InstanceConfig:
 def universe_terms(program: Program, cfg: InstanceConfig) -> list[Term]:
     """Closed terms of the individual type: first-order terms up to the
     configured size, then the named fixed-point definitions applied to
-    them.  The pool a program keeps for the term size, if any, is returned
-    as it is: callers never change it."""
+    them.  Every constant that is no predicate has a type i -> ... -> i,
+    so the terms of one size are one list.  The pool a program keeps for
+    the term size, if any, is returned as it is: callers never change it."""
     uni = program._universes.get(cfg.term_size)
     if uni is not None:
         return uni.pool
     sig = program.signature
-    by_size: dict[int, dict[tm.SimpleType, list[Term]]] = {}
-    cons = sig.constructors()
+    by_size: list[list[Term]] = [[]]
     for size in range(1, cfg.term_size + 1):
-        layer: dict[tm.SimpleType, list[Term]] = {}
-        for name, cty in cons:
-            args = tm.argument_types(cty)
-            target = tm.target_type(cty)
-            if not args:
+        layer: list[Term] = []
+        for name, cty in sig.constructors():
+            arity = len(tm.argument_types(cty))
+            if not arity:
                 if size == 1:
-                    layer.setdefault(target, []).append(Con(name))
+                    layer.append(Con(name))
                 continue
-            for split in _compositions(size - 1, len(args)):
-                pools = [by_size.get(s, {}).get(a, []) for s, a in zip(split, args)]
-                for combo in itertools.product(*pools):
-                    layer.setdefault(target, []).append(tm.app(Con(name), *combo))
-        by_size[size] = layer
-    out: list[Term] = []
-    for size in range(1, cfg.term_size + 1):
-        out.extend(by_size.get(size, {}).get(IOTA, []))
-        if len(out) >= MAX_TERMS:
-            out = out[:MAX_TERMS]
-            break
+            for split in _compositions(size - 1, arity):
+                layer.extend(tm.app(Con(name), *combo) for combo in itertools.product(*(by_size[n] for n in split)))
+        by_size.append(layer)
+    out = [t for layer in by_size for t in layer][:MAX_TERMS]
     extra: list[Term] = []
     for _name, d in program.fix_definitions:
         arity = len(tm.argument_types(tm.typecheck(sig, {}, d)))
@@ -266,14 +258,17 @@ def _render_body(sig: Signature, b: Term, depth: int, memo: dict | None = None) 
 def t_operator(program: Program, interp: Interpretation, cfg: InstanceConfig) -> Interpretation:
     """Heads of all enumerated tree-form ground clause instances whose
     truncated bodies the interpretation contains.  The instances range
-    over the pool; their atoms render through one grounding at the
-    interpretation's depth, so each distinct atom is rendered once."""
+    over the pool, at most `MAX_INSTANCES` a clause, in the clauses the
+    universe renamed apart; their atoms render through one grounding at
+    the interpretation's depth, so each distinct atom is rendered once."""
     g = grounding(program, cfg, interp.depth)
     atoms: set[Tree] = set()
-    for h in program.h_clauses():
-        for inst in fm.ground_instances(h, g.uni.pool, MAX_INSTANCES):
-            if all(g.key(b) in interp.atoms for b in inst.body) and (head := g.key(inst.head)) is not None:
-                atoms.add(head)
+    for head, body, metas in g.uni.renamed:
+        for combo in itertools.islice(itertools.product(g.uni.pool, repeat=len(metas)), MAX_INSTANCES):
+            s = dict(zip(metas, combo))
+            if (all(g.key(tm.beta_normalize(eng.resolve_term(b, s))) in interp.atoms for b in body)
+                    and (key := g.key(tm.beta_normalize(eng.resolve_term(head, s)))) is not None):
+                atoms.add(key)
     return Interpretation(interp.depth, frozenset(atoms))
 
 

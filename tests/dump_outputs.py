@@ -20,6 +20,11 @@ the same inputs are equal exactly when the programs answer alike:
     model       the model workload's queries of seeds 0-29: verdict and
                 the approximation's listing
     check       check's (ok, diagnostic) on both mutation grids
+    t-operator  T's listing over the gfp approximation and over the empty
+                interpretation, of the five corpus programs at term sizes
+                2-3 (fibs: 2) and depths 1-3
+    pools       the pool's alpha keys, in order, of the five corpus
+                programs at term sizes 1-4
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from cup import cli  # noqa: E402
 from cup import engine as eng  # noqa: E402
 from cup import parser as ps  # noqa: E402
 from cup import soundness as sd  # noqa: E402
+from cup import terms as tm  # noqa: E402
 from cup import trees as tr  # noqa: E402
 
 import test_differential as td  # noqa: E402
@@ -104,8 +110,30 @@ def check():
         yield json.dumps([calc.value, *eng.check(tree, program, calc)])
 
 
+def t_operator():
+    programs = workloads.load_programs()
+    for name in CORPUS:
+        program = programs[name]
+        # fibs at term size 3 costs several times all the other cases
+        for size in (2,) if name == "fibs" else (2, 3):
+            cfg = tr.InstanceConfig(term_size=size)
+            for depth in (1, 2, 3):
+                for label, over in (("gfp", tr.gfp_approx(program, depth, cfg)),
+                                    ("empty", tr.Interpretation(depth, frozenset()))):
+                    listing = tr.export_interpretation(tr.t_operator(program, over, cfg))
+                    yield f"{name} {size} {depth} {label}\n{listing}"
+
+
+def pools():
+    programs = workloads.load_programs()
+    for name in CORPUS:
+        for size in (1, 2, 3, 4):
+            pool = tr.universe_terms(programs[name], tr.InstanceConfig(term_size=size))
+            yield f"{name} {size} " + json.dumps([tm.alpha_key(t) for t in pool])
+
+
 SECTIONS = {"examples": examples, "model-cli": model_cli, "audit": audit, "search": search,
-            "model": model, "check": check}
+            "model": model, "check": check, "t-operator": t_operator, "pools": pools}
 
 
 def main(names: list[str]) -> int:

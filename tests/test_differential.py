@@ -39,7 +39,7 @@ from cup.errors import (
     UniverseTooLarge,
 )
 from cup.formulas import Calculus
-from cup.terms import IOTA, O, Base, Con, Fix, Lam, Signature, Var
+from cup.terms import IOTA, O, Con, Fix, Lam, Signature, Var
 
 from helpers import (
     FR_STR, GEN_SIG, N_STR, Z_STR, C, V, A, L, alpha_eq_oracle, check_reference, debruijn, export_dict_reference,
@@ -1683,10 +1683,15 @@ def test_a_kept_pool_is_the_pool_of_its_term_size(name, fresh_program, monkeypat
 
 
 def t_operator_reference(program, interp, cfg):
-    """T with no grounding: every atom of every instance rendered anew."""
-    atoms = set()
+    """T with no grounding: each clause's universals range over every pool
+    tuple, at most `MAX_INSTANCES` a clause, and every atom of every
+    instance is rendered anew."""
+    atoms, pool = set(), tr.universe_terms(program, cfg)
     for h in program.h_clauses():
-        for inst in fm.ground_instances(h, tr.universe_terms(program, cfg), tr.MAX_INSTANCES):
+        for n, combo in enumerate(itertools.product(pool, repeat=len(h.universals))):
+            if n == tr.MAX_INSTANCES:
+                break
+            inst = fm.h_substitute(h, dict(zip(h.universals, combo)))
             trees = [tr._render_body(program.signature, b, interp.depth) for b in inst.body + (inst.head,)]
             if None not in trees and all(t in interp.atoms for t in trees[:-1]):
                 atoms.add(trees[-1])
@@ -1787,19 +1792,9 @@ def smallest_closed_terms_reference(sig, ty, limit=64):
     return by_ty.get(ty, [])
 
 
-BJ, BK, BL, BM = Base("j"), Base("k"), Base("l"), Base("m")
-HAND_MADE_SIGNATURES = [
-    # j has a term at once (two nullary candidates), i from round 1 (two
-    # constructor candidates), k from round 2, l from round 3 and m from
-    # round 4
-    Signature.of({
-        "a_pair": fn_type(IOTA, BJ, IOTA), "a_two": fn_type(BJ, BJ, IOTA), "b_wrap": fn_type(BJ, IOTA),
-        "c": BJ, "c2": BJ,
-        "d_up": fn_type(IOTA, BK), "e_up": fn_type(BK, BL), "f_up": fn_type(BL, BM),
-        "p": fn_type(IOTA, O),
-    }),
-    # no closed term of type i at all
+NO_CLOSED_INDIVIDUAL_SIGNATURES = [
     Signature.of({"s": fn_type(IOTA, IOTA), "scons": fn_type(IOTA, IOTA, IOTA), "p": fn_type(IOTA, O)}),
+    ps.parse_program("const s : i -> i. const scons : i -> i -> i. const p : i -> o.\np (s X) :- p X.").signature,
 ]
 
 
@@ -1807,7 +1802,7 @@ def test_smallest_closed_term_is_the_first_of_the_reference_pool(
         member_program, bitstream_program, from_program, comember_program, fibs_program):
     cases = 0
     for sig in [p.signature for p in (member_program, bitstream_program, from_program,
-                                      comember_program, fibs_program)] + HAND_MADE_SIGNATURES:
+                                      comember_program, fibs_program)] + NO_CLOSED_INDIVIDUAL_SIGNATURES:
         types = {IOTA}
         for _name, ty in sig.constants:
             types |= {ty, tm.target_type(ty), *tm.argument_types(ty)}
@@ -1815,7 +1810,55 @@ def test_smallest_closed_term_is_the_first_of_the_reference_pool(
             pool = smallest_closed_terms_reference(sig, ty)
             assert eng.smallest_closed_term(sig, ty) == (pool[0] if pool else None), (sig, ty)
             cases += 1
+    for sig in NO_CLOSED_INDIVIDUAL_SIGNATURES:
+        assert eng.smallest_closed_term(sig, IOTA) is None
     assert cases > 15
+
+
+def universe_terms_reference(program, size):
+    """The pool's order derived by sorting: the first-order terms up to the
+    size by size, then by their head's place in the signature, then by
+    their arguments' sizes, then by their arguments' own places; then each
+    fixed-point definition, in order, applied to every tuple of the first
+    eight first-order terms, β-normalised."""
+    cons = program.signature.constructors()
+    ranked = []  # (term, size), in pool order
+    for n in range(1, size + 1):
+        found = []
+        for k, (name, ty) in enumerate(cons):
+            arity = len(tm.argument_types(ty))
+            if not arity:
+                if n == 1:
+                    found.append(((k,), Con(name)))
+                continue
+            for places in itertools.product(range(len(ranked)), repeat=arity):
+                sizes = tuple(ranked[i][1] for i in places)
+                if 1 + sum(sizes) == n:
+                    found.append(((k, sizes, places), tm.app(Con(name), *(ranked[i][0] for i in places))))
+        ranked += [(t, n) for _key, t in sorted(found, key=lambda f: f[0])]
+    first_order = [t for t, _n in ranked][:tr.MAX_TERMS]
+    out = list(first_order)
+    for _name, d in program.fix_definitions:
+        arity = len(tm.argument_types(tm.typecheck(program.signature, {}, d)))
+        out += [tm.beta_normalize(tm.app(d, *combo)) for combo in itertools.product(first_order[:8], repeat=arity)]
+    return out
+
+
+# the pool's length per corpus program at term sizes 1-4
+POOL_LENGTHS = {"member": (3, 3, 12, 12), "bitstream": (5, 5, 13, 13), "from": (2, 4, 8, 16),
+                "comember": (2, 4, 10, 24), "fibs": (2, 6, 30, 76)}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_LENGTHS))
+def test_the_pool_order_is_pinned_at_term_sizes_1_to_4(name, fresh_program):
+    # `universe_terms`' first eight terms are what the fixed-point
+    # definitions are applied to, and the pool's first BODY_VAR_POOL are
+    # what `justifications` tries, so its order is part of every model
+    program = fresh_program(name)
+    for size, length in zip((1, 2, 3, 4), POOL_LENGTHS[name]):
+        pool = [tm.alpha_key(t) for t in tr.universe_terms(program, tr.InstanceConfig(term_size=size))]
+        assert pool == [tm.alpha_key(t) for t in universe_terms_reference(program, size)], (name, size)
+        assert len(pool) == length == len(set(pool)), (name, size)
 
 
 # ---------------------------------------------------------------------------

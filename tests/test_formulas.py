@@ -16,7 +16,6 @@ from cup.formulas import (
     Top,
     classify,
     conjoin,
-    ground_instances,
     to_h_clauses,
 )
 from cup.terms import IOTA
@@ -206,36 +205,6 @@ class TestToHClauses:
             hs = to_h_clauses(d)
             back = conjoin([h.to_formula() for h in hs])
             assert classify(STREAM_SIG, d, "clause") == classify(STREAM_SIG, back, "clause")
-
-
-class TestGroundInstances:
-    def test_exhaustive_enumeration(self):
-        h = HClause(("x",), (), A(C("eq"), V("x"), V("x")))
-        uni = [C("0"), A(C("s"), C("0"))]
-        out = list(ground_instances(h, uni))
-        heads = {i.head for i in out}
-        assert heads == {A(C("eq"), C("0"), C("0")), A(C("eq"), A(C("s"), C("0")), A(C("s"), C("0")))}
-
-    def test_no_universals(self):
-        h = HClause((), (), A(C("bit"), C("0")))
-        assert list(ground_instances(h, [C("0")])) == [h]
-
-    def test_fix_definitions_in_universe(self):
-        h = HClause(
-            ("x", "y"),
-            (A(C("bitstream"), V("y")), A(C("bit"), V("x"))),
-            A(C("bitstream"), scons(V("x"), V("y"))),
-        )
-        uni = [C("0"), A(N_STR, C("0"))]
-        heads = [i.head for i in ground_instances(h, uni)]
-        assert any(tm.alpha_eq(hd, A(C("bitstream"), scons(C("0"), A(N_STR, C("0"))))) for hd in heads)
-
-    def test_alpha_deduplication(self):
-        h = HClause(("x",), (), A(C("bit"), V("x")))
-        variant_a = tm.beta_normalize(A(N_STR, C("0")))
-        variant_b = tm.Fix(tm.Lam("g", tm.Lam("m", scons(V("m"), A(V("g"), V("m"))))))
-        out = list(ground_instances(h, [variant_a, A(variant_b, C("0"))]))
-        assert len(out) == 1
 
 
 def _parts(f):

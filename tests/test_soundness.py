@@ -10,7 +10,6 @@ from cup.formulas import Calculus, HClause
 from cup.soundness import (
     audit_proof,
     build_candidate,
-    collect_deltas,
     conservative_extension_check,
     verify_postfixed,
 )
@@ -22,13 +21,13 @@ from helpers import A, C, V, scons, theta, tree_from_text
 class TestCollectDeltas:
     def test_ground_hypothesis_single_use(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["member67"]
-        deltas = collect_deltas(res.tree, prog, calc)
+        deltas = build_candidate(res.tree, prog, 2, 0, calc).deltas
         assert len(deltas) == 1
         assert deltas[0].bindings == ()
 
     def test_from_delta_is_successor(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["from"]
-        deltas = collect_deltas(res.tree, prog, calc)
+        deltas = build_candidate(res.tree, prog, 2, 0, calc).deltas
         assert len(deltas) == 1
         ((x, bound),) = deltas[0].bindings
         eigen = res.tree.children[0].eigen
@@ -36,7 +35,7 @@ class TestCollectDeltas:
 
     def test_comember_delta(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["comember"]
-        deltas = collect_deltas(res.tree, prog, calc)
+        deltas = build_candidate(res.tree, prog, 2, 0, calc).deltas
         assert len(deltas) == 1
         names = [x for x, _t in deltas[0].bindings]
         assert len(names) == 2
@@ -46,20 +45,20 @@ class TestCollectDeltas:
         g = ps.parse_goal("p 0", prog)
         res = eng.coprove(prog, g, eng.SearchConfig(calculus=Calculus.FOHC))
         assert res.proved
-        assert collect_deltas(res.tree, prog, Calculus.FOHC) == []
+        assert build_candidate(res.tree, prog, 2, 0, Calculus.FOHC).deltas == []
 
     def test_non_h_shaped_root_rejected(self, bitstream_program):
         g = ps.parse_goal("bit 0 /\\ bit 1", bitstream_program)
         res = eng.coprove(bitstream_program, g, eng.SearchConfig(calculus=Calculus.FOHC))
         assert res.proved
         with pytest.raises(NotHShapedRoot):
-            collect_deltas(res.tree, bitstream_program, Calculus.FOHC)
+            build_candidate(res.tree, bitstream_program, 2, 0, Calculus.FOHC)
 
     def test_invalid_proof_rejected(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["from"]
         broken = eng.ProofTree(res.tree.sequent, "co-fix", children=())
         with pytest.raises(ProofInvalid):
-            collect_deltas(broken, prog, calc)
+            build_candidate(broken, prog, 2, 0, calc)
 
 
 def _bound_trees(sig, subst, depth):
@@ -77,7 +76,7 @@ def theta_for(word, deltas, eigens, base):
 class TestTheta:
     def _from_setup(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["from"]
-        deltas = collect_deltas(res.tree, prog, calc)
+        deltas = build_candidate(res.tree, prog, 2, 0, calc).deltas
         eigen = res.tree.children[0].eigen
         return prog, res, deltas, eigen
 

@@ -50,9 +50,6 @@ KEPT = {
     # the paper's conservative-extension check for lemma instances, part of
     # the acceptance gate
     ("soundness", "conservative_extension_check"),
-    # the paper's Delta records on their own; `build_candidate` takes them
-    # with the root clause and segment from the one walk both share
-    ("soundness", "collect_deltas"),
     # a fixed-point definition by name; the acceptance gate reads the
     # corpus definitions through it
     ("formulas", "Program.fix_def"),
@@ -495,12 +492,11 @@ EXPORTED = {
     "engine": ("LemmaStore", "ProofTree", "SearchConfig", "SearchOutcome", "Sequent", "check", "coprove",
                "promote_lemma", "prove"),
     "formulas": ("Atom", "Calculus", "Conj", "Disj", "Exists", "Forall", "Formula", "HClause", "Impl", "Program",
-                 "Top", "classify", "ground_instances", "to_h_clauses"),
+                 "Top", "classify", "to_h_clauses"),
     "guardedness": ("GuardReport", "is_guarded_atom", "is_guarded_fixed_point", "snapshot"),
     "parser": ("export_proof", "import_proof", "parse_goal", "parse_program", "parse_term", "pp_formula",
                "pp_term"),
-    "soundness": ("DeltaRecord", "audit_proof", "build_candidate", "collect_deltas", "conservative_extension_check",
-                  "verify_postfixed"),
+    "soundness": ("DeltaRecord", "audit_proof", "build_candidate", "conservative_extension_check", "verify_postfixed"),
     "terms": ("Signature", "Term", "alpha_eq", "beta_normalize", "fixbeta_equiv", "fixbeta_unfold", "free_vars",
               "is_first_order", "substitute", "subterms", "typecheck", "type_order"),
     "trees": ("InstanceConfig", "Interpretation", "Tree", "atom_to_tree", "distance", "gfp_approx",

@@ -152,6 +152,25 @@ class TestTOperator:
         large = Interpretation(1, frozenset({leaf("r"), leaf("q")}))
         assert t_operator(prog, small, InstanceConfig()).atoms <= t_operator(prog, large, InstanceConfig()).atoms
 
+    def test_ranges_over_every_pool_tuple(self):
+        # the pool at term size 2 is 0 and s 0
+        prog = ps.parse_program("const 0 : i. const s : i -> i. const eq : i -> i -> o. const r : i -> i -> o.\n"
+                                "eq X X.\nr X Y.")
+        out = t_operator(prog, Interpretation(3, frozenset()), InstanceConfig(term_size=2))
+        assert out.atoms == {tree_from_text(t) for t in ("eq(0,0)", "eq(s(0),s(0))", "r(0,0)", "r(0,s(0))",
+                                                          "r(s(0),0)", "r(s(0),s(0))")}
+
+    def test_the_pools_fixed_point_applications_reach_the_heads(self, bitstream_program):
+        # the first-order terms of bitstream's pool at term size 2 are 0 and
+        # 1, so only a fixed-point application, here n_str 1, makes a head
+        # whose stream is two cells deep
+        cfg = InstanceConfig(term_size=2)
+        approx = gfp_approx(bitstream_program, 4, cfg)
+        head = atom_to_tree(bitstream_program.signature,
+                            ps.parse_goal("bitstream [0|n_str 1]", bitstream_program).term, 4)
+        assert head == tree_from_text("bitstream(scons(0,scons(1,scons(*,*))))")
+        assert head in t_operator(bitstream_program, approx, cfg).atoms
+
 
 class TestGfpApprox:
     def test_self_supporting_survives(self):
