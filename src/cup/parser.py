@@ -356,6 +356,8 @@ def _parse_program(text: str) -> Program:
             body = p.term()
             p.eat(".")
             p.resolved(implicit=False)
+            if name in sig_map or name in fix_defs:
+                raise ParseError(f"{name!r} declared twice", name_tok.span)
             # only a body that type-checks is beta-normalised, which then
             # terminates; the normal form is checked again, since a vanished
             # argument may have been all that fixed a binder's type
@@ -375,8 +377,6 @@ def _parse_program(text: str) -> Program:
                 tm.typecheck(sig, {}, body)
             except CupError as exc:
                 raise SourceTypeError(str(exc), name_tok.span) from exc
-            if name in sig_map or name in fix_defs:
-                raise ParseError(f"{name!r} declared twice", name_tok.span)
             fix_defs[name] = body
             continue
         start = p.peek()

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from . import engine as eng
 from . import formulas as fm
 from . import terms as tm
-from .errors import CupError, DepthUnreachable, NotFirstOrder, UniverseTooLarge
+from .errors import DepthUnreachable, NotFirstOrder, UniverseTooLarge
 from .formulas import HClause, Program
 # is_guarded_atom has no caller here; perfbench/tracing.py patches it under
 # this module's name
@@ -248,13 +248,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _render_body(sig: Signature, b: Term, depth: int, memo: dict | None = None) -> Tree | None:
-    try:
-        return atom_to_tree(sig, b, depth, memo)
-    except CupError:
-        return None
-
-
 def t_operator(program: Program, interp: Interpretation, cfg: InstanceConfig) -> Interpretation:
     """Heads of all enumerated tree-form ground clause instances whose
     truncated bodies the interpretation contains.  The instances range
@@ -266,9 +259,8 @@ def t_operator(program: Program, interp: Interpretation, cfg: InstanceConfig) ->
     for head, body, metas in g.uni.renamed:
         for combo in itertools.islice(itertools.product(g.uni.pool, repeat=len(metas)), MAX_INSTANCES):
             s = dict(zip(metas, combo))
-            if (all(g.key(tm.beta_normalize(eng.resolve_term(b, s))) in interp.atoms for b in body)
-                    and (key := g.key(tm.beta_normalize(eng.resolve_term(head, s)))) is not None):
-                atoms.add(key)
+            if all(g.key(tm.beta_normalize(eng.resolve_term(b, s))) in interp.atoms for b in body):
+                atoms.add(g.key(tm.beta_normalize(eng.resolve_term(head, s))))
     return Interpretation(interp.depth, frozenset(atoms))
 
 
@@ -306,7 +298,7 @@ class _Universe:
     atoms: dict[Term, Term] = field(default_factory=dict, repr=False)
     bodies: dict[Term, tuple[tuple[Term, ...], ...]] = field(default_factory=dict, repr=False)
     explored: dict[int, _Explored] = field(default_factory=dict)
-    keys: dict[int, dict[Term, Tree | None]] = field(default_factory=dict, repr=False)
+    keys: dict[int, dict[Term, Tree]] = field(default_factory=dict, repr=False)
 
     def bodies_of(self, atom: Term, g: Grounding) -> tuple[tuple[Term, ...], ...]:
         if atom not in self.bodies:
@@ -320,7 +312,9 @@ class Grounding:
     """One depth's view of a program's universe of one term size: the
     truncated key of every atom it rendered (`keys`), with `atom_to_tree`'s
     memo behind them, and the keys the universe keeps for the depth
-    (`kept`), which it reads and never renders again.  Nothing it renders
+    (`kept`), which it reads and never renders again.  An atom that does
+    not render raises `atom_to_tree`'s error, so every key is a tree and no
+    atom leaves the model side by failing to render.  Nothing it renders
     outlives it unless `gfp_approx` keeps the keys of a newly explored
     depth, which the memo's interning keeps small."""
 
@@ -328,16 +322,15 @@ class Grounding:
     term_size: int
     depth: int
     uni: _Universe
-    keys: dict[Term, Tree | None] = field(default_factory=dict, repr=False)
+    keys: dict[Term, Tree] = field(default_factory=dict, repr=False)
     memo: dict = field(default_factory=dict, repr=False)
-    kept: dict[Term, Tree | None] = field(default_factory=dict, repr=False)
+    kept: dict[Term, Tree] = field(default_factory=dict, repr=False)
 
-    def key(self, atom: Term) -> Tree | None:
-        """The atom's truncated tree, None if it does not render; each
-        distinct term is rendered once, and a kept one not at all."""
-        # a key is a tree or None, never the label STAR: one lookup a table
-        if (tree := self.kept.get(atom, STAR)) is STAR and (tree := self.keys.get(atom, STAR)) is STAR:
-            tree = self.keys[atom] = _render_body(self.program.signature, atom, self.depth, self.memo)
+    def key(self, atom: Term) -> Tree:
+        """The atom's truncated tree; each distinct term is rendered once,
+        and a kept one not at all."""
+        if (tree := self.kept.get(atom)) is None and (tree := self.keys.get(atom)) is None:
+            tree = self.keys[atom] = atom_to_tree(self.program.signature, atom, self.depth, self.memo)
         return tree
 
 
@@ -377,7 +370,8 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
     is `unify(head, atom, {})`, which binds only head metavariables, each to
     a closed subterm of the atom.  A guarded atom or a fix-headed lemma needs
     the unfolding walk.  No atom holds a metavariable, so no binding does:
-    the open ones are the unbound."""
+    the open ones are the unbound, and no resolved body holds one.  An atom
+    that does hold one raises `UnboundVariable` when its key is rendered."""
     closed = not (atom._fv or tm.has_fix(atom)) and atom._nf
     for head, body, metas in g.uni.renamed:
         s = (_match(head, atom, {}) if closed and head._nf and not head._fix
@@ -388,10 +382,7 @@ def justifications(atom: Term, g: Grounding) -> Iterator[list[Term]]:
         partial = [eng.resolve_term(b, s) for b in body]
         for combo in itertools.product(g.uni.pool[:BODY_VAR_POOL], repeat=len(unbound)):
             values = dict(zip(unbound, combo))
-            resolved = [tm.beta_normalize(eng.resolve_term(b, values)) for b in partial]
-            if any(tm.is_meta(n) for r in resolved for n in tm.free_vars(r)):
-                continue
-            yield resolved
+            yield [tm.beta_normalize(eng.resolve_term(b, values)) for b in partial]
 
 
 def justify(atom: Term, interp: Interpretation, g: Grounding) -> list[Term] | None:
@@ -404,7 +395,6 @@ def justify(atom: Term, interp: Interpretation, g: Grounding) -> list[Term] | No
         raise ValueError(f"a grounding at depth {g.depth} cannot justify at depth {interp.depth}")
     bodies = g.uni.bodies.get(atom)
     for body in justifications(atom, g) if bodies is None else bodies:
-        # an atom that does not render has the key None, never a member
         if all(g.key(b) in interp.atoms for b in body):
             return list(body)
     return None
@@ -449,8 +439,6 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies, kept: _E
     while work:
         a, is_seed = work.pop()
         key = g.key(a)
-        if key is None:
-            continue
         # distinct atoms can truncate to the same key; their expansions are
         # unioned.  Seeds are always processed; atoms discovered through
         # clause bodies are capped per key, since body chains can produce
@@ -472,15 +460,8 @@ def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies, kept: _E
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
         for body in bodies(a, g):
-            keys = []
-            for b in body:
-                k = g.key(b)
-                if k is None:
-                    break
-                keys.append(k)
-                work.append((b, False))
-            else:
-                expansions[key].add(frozenset(keys))
+            expansions[key].add(frozenset(map(g.key, body)))
+            work += [(b, False) for b in body]
 
 
 def gfp_approx(program: Program, depth: int, cfg: InstanceConfig, g: Grounding | None = None) -> Interpretation:
@@ -500,9 +481,10 @@ def gfp_approx(program: Program, depth: int, cfg: InstanceConfig, g: Grounding |
     key's entries, with its own seeds and keys, kept nowhere: the same
     computation as running the whole stack.  A depth whose exploration
     raises `UniverseTooLarge` keeps no state or keys, so every such call
-    raises it.  Each pass then drops every key that has no body with all
-    its keys alive, until a pass drops none.  The interpretation carries
-    the grounding, `g` if `grounding` takes it."""
+    raises it.  A seed or body atom that does not render raises, as the
+    grounding's keys do.  Each pass then drops every key that has no body
+    with all its keys alive, until a pass drops none.  The interpretation
+    carries the grounding, `g` if `grounding` takes it."""
     g = grounding(program, cfg, depth, g)
     uni = g.uni
     if depth not in uni.explored:

@@ -12,6 +12,9 @@ the same inputs are equal exactly when the programs answer alike:
 
     examples    stdout, stderr and exit code of `cup examples --run --json`
     model-cli   `cup model --json` of the five corpus programs at depths 2-4
+    model-errors  stdout, stderr and exit code of `cup model --goal` at
+                depths 0, 2 and 4 of three bitstream atoms that do not
+                render as written; the parser beta-normalises the third
     audit       the audit reports of the four regression proofs at depths
                 2-6 and word budgets 0-3
     search      reason, final bound, proof size, canonical steps, document
@@ -74,6 +77,13 @@ def model_cli():
             yield _cli(["model", "--program", f"src/cup/corpus/{name}.cup", "--model-depth", str(depth), "--json"])
 
 
+def model_errors():
+    program = "src/cup/corpus/bitstream.cup"
+    for goal in ("bitstream (fix \\x. x)", "bitstream [0|fix \\x. x]", "bit ((\\x. x) 0)"):
+        for depth in (0, 2, 4):
+            yield _cli(["model", "--program", program, "--goal", goal, "--model-depth", str(depth)])
+
+
 def audit():
     programs = workloads.load_programs()
     for name, (tree, calc) in workloads.find_regression_proofs(programs).items():
@@ -132,8 +142,8 @@ def pools():
             yield f"{name} {size} " + json.dumps([tm.alpha_key(t) for t in pool])
 
 
-SECTIONS = {"examples": examples, "model-cli": model_cli, "audit": audit, "search": search,
-            "model": model, "check": check, "t-operator": t_operator, "pools": pools}
+SECTIONS = {"examples": examples, "model-cli": model_cli, "model-errors": model_errors, "audit": audit,
+            "search": search, "model": model, "check": check, "t-operator": t_operator, "pools": pools}
 
 
 def main(names: list[str]) -> int:

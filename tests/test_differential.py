@@ -36,6 +36,7 @@ from cup.errors import (
     NotFirstOrder,
     PreconditionViolated,
     TypeMismatch,
+    UnboundVariable,
     UniverseTooLarge,
 )
 from cup.formulas import Calculus
@@ -834,6 +835,20 @@ def test_memoised_walk_matches_the_references_on_universe_atoms(name, fresh_prog
                 assert reference(atom, depth) == _outcome(lambda: guarded_term_to_tree(sig, atom, depth))
 
 
+@pytest.mark.parametrize("depth", [0, 2, 4])
+def test_gfp_approx_raises_the_render_error_of_a_seed(depth, fresh_program):
+    # an atom that does not render is never dropped from the approximation:
+    # it raises what `atom_to_tree` raises for it, and so does an open atom
+    program = fresh_program("bitstream")
+    cases = [(text, error) for text, error in ERROR_ATOMS if error is not DepthUnreachable]
+    for text, error in cases + [(A(C("bitstream"), V(f"{tm.META}x")), UnboundVariable)]:
+        atom = ps.parse_goal(text, program).term if isinstance(text, str) else text
+        with pytest.raises(error):
+            tr.atom_to_tree(program.signature, atom, depth)
+        with pytest.raises(error):
+            tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=(atom,)))
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_justifications_tries_every_clause_in_order(monkeypatch, name, fresh_program):
     program = fresh_program(name)
@@ -1107,9 +1122,7 @@ def gfp_approx_reference(program, depth, cfg):
     work = [(a, True) for a in list(cfg.seed_atoms) + tr._universe_seeds(g)]
     while work:
         a, is_seed = work.pop()
-        key = tr._render_body(sig, a, depth)
-        if key is None:
-            continue
+        key = tr.atom_to_tree(sig, a, depth)
         reps_here = reps_seen.setdefault(key, [])
         # the encodings of reps_here, in its order
         codes_here = codes_seen.setdefault(key, [])
@@ -1126,17 +1139,8 @@ def gfp_approx_reference(program, depth, cfg):
         if not is_seed:
             derived_count[key] = derived_count.get(key, 0) + 1
         for body in tr.justifications(a, g):
-            keys = []
-            ok = True
-            for b in body:
-                k = tr._render_body(sig, b, depth)
-                if k is None:
-                    ok = False
-                    break
-                keys.append(k)
-                work.append((b, False))
-            if ok:
-                expansions[key].append(keys)
+            expansions[key].append([tr.atom_to_tree(sig, b, depth) for b in body])
+            work.extend((b, False) for b in body)
     alive = set(nodes)
     changed = True
     while changed:
@@ -1172,7 +1176,7 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, fresh_pr
     program = fresh_program(name)
     cfg = tr.InstanceConfig(seed_atoms=(ps.parse_goal(goal, program).term,))
     rendered = []
-    real_render = tr._render_body
+    real_render = tr.atom_to_tree
 
     def counted_render(sig, atom, depth, memo=None):
         rendered.append(atom)
@@ -1183,7 +1187,7 @@ def test_memoised_gfp_approx_matches_reference(monkeypatch, name, goal, fresh_pr
         expected = gfp_approx_reference(program, depth, cfg)
         rendered.clear()
         with monkeypatch.context() as m:
-            m.setattr(tr, "_render_body", counted_render)
+            m.setattr(tr, "atom_to_tree", counted_render)
             got = tr.gfp_approx(program, depth, cfg)
         assert (set(got.atoms), got.reps) == expected, (name, depth)
         # each distinct term is rendered at most once per call
@@ -1513,7 +1517,7 @@ def test_a_warm_gfp_approx_renders_only_what_the_depth_did_not_keep(monkeypatch,
         seed = ps.parse_goal(text, program).term
         cfg = tr.InstanceConfig(seed_atoms=(seed,))
         with monkeypatch.context() as m:
-            _counted(m, "_render_body", rendered, at=1)
+            _counted(m, "atom_to_tree", rendered, at=1)
             got = _listing(tr.gfp_approx(program, depth, cfg))
         assert got == _listing(tr.gfp_approx(fresh_program(name), depth, cfg)), text
     assert rendered and not set(rendered) & uni.keys[depth].keys()
@@ -1527,7 +1531,7 @@ def test_verify_postfixed_reads_the_universe_gfp_approx_kept(monkeypatch, name, 
     merged = sd.merge_with_model(sd.build_candidate(res.tree, program, depth, 2, calc), program, cfg)
     uni = kept_universe(program)
     rendered, justified = [], []
-    _counted(monkeypatch, "_render_body", rendered, at=1)
+    _counted(monkeypatch, "atom_to_tree", rendered, at=1)
     _counted(monkeypatch, "justifications", justified)
     assert sd.verify_postfixed(merged, program, cfg) == (True, None)
     assert not set(rendered) & uni.keys[depth].keys()
@@ -1692,8 +1696,8 @@ def t_operator_reference(program, interp, cfg):
             if n == tr.MAX_INSTANCES:
                 break
             inst = fm.h_substitute(h, dict(zip(h.universals, combo)))
-            trees = [tr._render_body(program.signature, b, interp.depth) for b in inst.body + (inst.head,)]
-            if None not in trees and all(t in interp.atoms for t in trees[:-1]):
+            trees = [tr.atom_to_tree(program.signature, b, interp.depth) for b in inst.body + (inst.head,)]
+            if all(t in interp.atoms for t in trees[:-1]):
                 atoms.add(trees[-1])
     return tr.Interpretation(interp.depth, frozenset(atoms))
 
@@ -1711,7 +1715,7 @@ def test_t_operator_renders_each_distinct_atom_at_most_once_per_call(name, fresh
         for target in (fresh_program(name), program):
             rendered = []
             with monkeypatch.context() as m:
-                _counted(m, "_render_body", rendered, at=1)
+                _counted(m, "atom_to_tree", rendered, at=1)
                 assert tr.t_operator(target, approx, cfg) == want, (name, depth)
             assert rendered and len(rendered) == len(set(rendered)), (name, depth)
         assert not set(rendered) & program._universes[3].keys[depth].keys()

@@ -23,6 +23,14 @@ def rules_of(tree):
     return [n.rule for n in tree.nodes()]
 
 
+def stack_depth():
+    """The number of frames on the interpreter stack at the caller."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 class TestCoproveRegressions:
     def test_member_regression_shape(self, regression_proofs):
         prog, _g, calc, res = regression_proofs["member67"]
@@ -193,11 +201,8 @@ class TestCoproveRegressions:
     def test_search_deeper_than_the_stack_is_depth_exceeded(self, from_program):
         # the interpreter stack bounds the search like the depth limit does
         g = ps.parse_goal("from 0 (fr_str 0)", from_program)
-        frame, depth = sys._getframe(), 0
-        while frame is not None:
-            frame, depth = frame.f_back, depth + 1
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 200)
+        sys.setrecursionlimit(stack_depth() + 200)
         try:
             res = coprove(from_program, g, SearchConfig(calculus=Calculus.HOHC, depth_limit=2000))
         finally:
@@ -273,6 +278,23 @@ class TestProve:
         g = ps.parse_goal("q", prog)
         res = prove(prog, None, g, SearchConfig(calculus=Calculus.FOHC, depth_limit=16))
         assert res.reason == "no-proof"
+
+    def test_a_proof_deeper_than_the_stack_is_depth_exceeded(self):
+        # the `nat` chain of 120 nested `s` needs more frames than the
+        # lowered limit leaves; the search answers, and nothing raises
+        program = ps.parse_program(TestCostsAsCounts.NAT)
+        goal = ps.parse_goal("nat " + "(s " * 120 + "0" + ")" * 120, program)
+        cfg = SearchConfig(calculus=Calculus.FOHC, depth_limit=5000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 250)
+        try:
+            res = prove(program, None, goal, cfg)
+        finally:
+            sys.setrecursionlimit(limit)
+        # only the stack's answer stops short of the depth limit
+        assert (res.reason, res.tree) == ("depth-exceeded", None)
+        assert res.stats.max_depth < cfg.depth_limit
+        assert prove(program, None, goal, cfg).proved
 
     def test_flexible_atom_rejected_at_search(self, bitstream_program):
         g = fm.Exists("p", fn_type(tm.IOTA, tm.O), Atom(A(V("p"), C("0"))))

@@ -190,6 +190,10 @@ class TestToHClauses:
         assert len(hs) == 1
         assert set(hs[0].body) == {A(C("bit"), C("0")), A(C("bit"), C("1"))}
 
+    def test_a_universal_an_outer_binder_took_is_renamed(self):
+        d = Forall("x", IOTA, Impl(atom(C("p"), V("x")), Forall("x", IOTA, atom(C("q"), V("x"), V("x")))))
+        assert to_h_clauses(d) == [HClause(("x", "x#1"), (A(C("p"), V("x")),), A(C("q"), V("x#1"), V("x#1")))]
+
     def test_disjunctive_body_rejected(self):
         d = Impl(Disj(atom(C("bit"), C("0")), atom(C("bit"), C("1"))), atom(C("eq"), C("0"), C("0")))
         with pytest.raises(NonHConvertibleClause):

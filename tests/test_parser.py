@@ -455,6 +455,8 @@ ERROR_ROWS = [
     ("program", "const 0 : i. const 0 : i.", ParseError, "'0' declared twice", (1, 20)),
     ("program", HEAD + "def z = fix \\x. scons 0 x.\ndef z = fix \\x. scons 0 x.", ParseError,
      "'z' declared twice", (3, 5)),
+    # the name clash is found before the second body's guardedness
+    ("program", HEAD + "def z = fix \\x. scons 0 x.\ndef z = fix \\x. x.", ParseError, "'z' declared twice", (3, 5)),
     ("program", HEAD + "def p = fix \\x. scons 0 x.", ParseError, "'p' declared twice", (2, 5)),
     ("program", HEAD + "def z = fix \\x. x.", GuardednessError,
      "definition 'z' is not a guarded fixed point term: body head is not a constant", (2, 5)),

@@ -5,7 +5,7 @@ from cup import parser as ps
 from cup import soundness as sd
 from cup import terms as tm
 from cup import trees as tr
-from cup.errors import BodyNotInModel, NotHShapedRoot, ProofInvalid
+from cup.errors import BodyNotInModel, NotHShapedRoot, PreconditionViolated, ProofInvalid
 from cup.formulas import Calculus, HClause
 from cup.soundness import (
     audit_proof,
@@ -211,6 +211,13 @@ class TestConservativeExtension:
         bad = HClause((), (A(C("bit"), scons(C("0"), C("0"))),), A(C("bit"), C("0")))
         with pytest.raises(BodyNotInModel):
             conservative_extension_check(bitstream_program, [bad], 3)
+
+    def test_unrenderable_instance_raises(self, fresh_program):
+        # an atom the model cannot represent gives no vacuous `equal`
+        program = fresh_program("bitstream")
+        atom = ps.parse_goal("bitstream (fix \\x. x)", program).term
+        with pytest.raises(PreconditionViolated):
+            conservative_extension_check(program, [HClause((), (), atom)], 3)
 
     def test_non_ground_instance_rejected(self, bitstream_program):
         h = HClause(("x",), (), A(C("bit"), V("x")))
