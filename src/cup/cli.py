@@ -26,13 +26,21 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-# each search reason's verdict, exit code and text; a proof's text is its own
+# the exit code of each result word: every cmd_* function returns (word,
+# --json payload, text), and `main` prints the payload or the text
+_CODES = {
+    **dict.fromkeys(("proved", "valid", "InApprox", "verified", "ok"), EXIT_OK),
+    **dict.fromkeys(("no-proof", "invalid", "CertainlyOut", "unverified", "failed"), EXIT_FAIL),
+    "inconclusive": EXIT_INCONCLUSIVE, "usage": EXIT_USAGE,
+}
+
+# each search reason's result word and text; a proof's text is its own
 _VERDICTS = {
-    "proved": ("proved", EXIT_OK, None),
-    "depth-exceeded": ("inconclusive", EXIT_INCONCLUSIVE, "inconclusive: the depth bound was reached on some branch.\n"
+    "proved": ("proved", None),
+    "depth-exceeded": ("inconclusive", "inconclusive: the depth bound was reached on some branch.\n"
                        "This can mean the goal needs a more general coinductive hypothesis,\n"
                        "or that the property lies outside the four calculi (see README)."),
-    "no-proof": ("no-proof", EXIT_FAIL, "no proof: the finite search space is exhausted"),
+    "no-proof": ("no-proof", "no proof: the finite search space is exhausted"),
 }
 
 # flag, environment variable, default (an int default makes an int setting),
@@ -100,8 +108,8 @@ def _search_config(args) -> eng.SearchConfig:
     return eng.SearchConfig(_calculus(args), _setting(args, "depth"), _setting(args, "fixbeta_bound"))
 
 
-def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program) -> int:
-    verdict, code, text = _VERDICTS[outcome.reason]
+def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program):
+    verdict, text = _VERDICTS[outcome.reason]
     stats = {"nodes_expanded": outcome.stats.nodes, "max_depth": outcome.stats.max_depth}
     payload = {"result": verdict, "stats": stats}
     if outcome.proved:
@@ -114,8 +122,7 @@ def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program) -> int
             text += f"\nproof written to {emit}"
         elif not args.json:
             text += "\n" + doc
-    _emit(args, payload, text)
-    return code
+    return verdict, payload, text
 
 
 # ---------------------------------------------------------------------------
@@ -123,36 +130,33 @@ def _report_search(args, outcome: eng.SearchOutcome, program: fm.Program) -> int
 # ---------------------------------------------------------------------------
 
 
-def cmd_check_syntax(args) -> int:
+def cmd_check_syntax(args):
     program = ps.parse_program(_file(args.program))
     payload = {
         "constants": {n: repr(t) for n, t in program.signature.constants},
         "fix_definitions": [n for n, _ in program.fix_definitions],
         "clauses": [ps.pp_formula(c, program) for c in program.clauses],
     }
-    _emit(args, payload, f"ok: {len(program.clauses)} clauses, "
-          f"{len(program.fix_definitions)} fix definitions, "
-          f"{len(program.signature.constants)} constants")
-    return EXIT_OK
+    return "ok", payload, (f"ok: {len(program.clauses)} clauses, {len(program.fix_definitions)} fix definitions, "
+                           f"{len(program.signature.constants)} constants")
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     program = ps.parse_program(_file(args.program))
     f = ps.parse_goal(args.goal, program)
     members = fm.classify(program.signature, f, args.role)
     names = sorted(c.value for c in members)
-    _emit(args, {"role": args.role, "fragments": names}, f"{args.role}: {', '.join(names) or '(none)'}")
-    return EXIT_OK
+    return "ok", {"role": args.role, "fragments": names}, f"{args.role}: {', '.join(names) or '(none)'}"
 
 
-def cmd_coprove(args) -> int:
+def cmd_coprove(args):
     program = ps.parse_program(_file(args.program))
     goal = ps.parse_goal(args.goal, program)
     outcome = eng.coprove(program, goal, _search_config(args))
     return _report_search(args, outcome, program)
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args):
     program = ps.parse_program(_file(args.program))
     goal = ps.parse_goal(args.goal, program)
     config = _search_config(args)
@@ -167,25 +171,21 @@ def cmd_prove(args) -> int:
     return _report_search(args, outcome, program)
 
 
-def cmd_check_proof(args) -> int:
+def cmd_check_proof(args):
     program = ps.parse_program(_file(args.program))
     tree = ps.import_proof(_file(args.proof), program)
     ok, diag = eng.check(tree, program, _calculus(args), _setting(args, "fixbeta_bound"))
-    if ok:
-        lemmas = [ps.pp_formula(f, program) for f in eng.assumed_lemmas(tree)]
-        text = f"valid proof ({tree.size()} nodes)"
-        if lemmas:
-            _emit(args, {"result": "inconclusive", "nodes": tree.size(), "assumed_lemmas": lemmas},
-                  f"inconclusive: {text} assuming {len(lemmas)} unproven root lemma(s):\n"
-                  + "\n".join(f"  {f}" for f in lemmas))
-            return EXIT_INCONCLUSIVE
-        _emit(args, {"result": "valid", "nodes": tree.size()}, text)
-        return EXIT_OK
-    _emit(args, {"result": "invalid", "diagnostic": diag}, f"invalid proof: {diag}")
-    return EXIT_FAIL
+    if not ok:
+        return "invalid", {"result": "invalid", "diagnostic": diag}, f"invalid proof: {diag}"
+    lemmas = [ps.pp_formula(f, program) for f in eng.assumed_lemmas(tree)]
+    text = f"valid proof ({tree.size()} nodes)"
+    if not lemmas:
+        return "valid", {"result": "valid", "nodes": tree.size()}, text
+    return "inconclusive", {"result": "inconclusive", "nodes": tree.size(), "assumed_lemmas": lemmas}, (
+        f"inconclusive: {text} assuming {len(lemmas)} unproven root lemma(s):\n" + "\n".join(f"  {f}" for f in lemmas))
 
 
-def cmd_model(args) -> int:
+def cmd_model(args):
     from . import trees as tr
 
     program = ps.parse_program(_file(args.program))
@@ -201,16 +201,13 @@ def cmd_model(args) -> int:
     caveat = ("membership is evidence at this truncation depth over a bounded universe; "
               "absence certifies non-membership over that universe")
     if goal_atom is None:
-        listing = tr.export_interpretation(approx)
-        _emit(args, {"depth": depth, "atoms": sorted(tr.tree_to_text(t) for t in approx.atoms),
-                     "caveat": caveat}, listing + caveat)
-        return EXIT_OK
+        return "ok", {"depth": depth, "atoms": sorted(tr.tree_to_text(t) for t in approx.atoms),
+                      "caveat": caveat}, tr.export_interpretation(approx) + caveat
     verdict = tr.member_of_model(goal_atom, approx, program.signature)
-    _emit(args, {"depth": depth, "verdict": verdict, "caveat": caveat}, f"{verdict} (depth {depth}; {caveat})")
-    return EXIT_OK if verdict == tr.IN_APPROX else EXIT_FAIL
+    return verdict, {"depth": depth, "verdict": verdict, "caveat": caveat}, f"{verdict} (depth {depth}; {caveat})"
 
 
-def cmd_soundness(args) -> int:
+def cmd_soundness(args):
     from . import soundness as sd
 
     program = ps.parse_program(_file(args.program))
@@ -225,8 +222,7 @@ def cmd_soundness(args) -> int:
     ]
     if report.counterexample is not None:
         lines.append(f"counterexample atom: {ps.pp_term(report.counterexample, program)}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if report.verified else EXIT_FAIL
+    return "verified" if report.verified else "unverified", payload, "\n".join(lines)
 
 
 CORPUS = {
@@ -268,7 +264,7 @@ def corpus_path(name: str) -> str:
     return os.path.join(os.path.dirname(__file__), "corpus", name)
 
 
-def cmd_examples(args) -> int:
+def cmd_examples(args):
     if args.name and args.name not in CORPUS:
         raise UsageError(f"unknown example {args.name!r}; known: {', '.join(CORPUS)}")
     names = [args.name] if args.name else list(CORPUS)
@@ -284,8 +280,7 @@ def cmd_examples(args) -> int:
             )
             for n in names
         )
-        _emit(args, payload, text)
-        return EXIT_OK
+        return "ok", payload, text
     results = {}
     depth = _setting(args, "depth")
     for n in names:
@@ -300,8 +295,7 @@ def cmd_examples(args) -> int:
         f"[{'PASS' if v['ok'] else 'FAIL'}] {k} -> {v['got']} (expected {v['expected']})"
         for k, v in results.items()
     )
-    _emit(args, results, text)
-    return EXIT_OK if all(v["ok"] for v in results.values()) else EXIT_FAIL
+    return "ok" if all(v["ok"] for v in results.values()) else "failed", results, text
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +370,15 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(args := _parse(argv), int):
         return args
     try:
-        return args.fn(args)
-    except ParseError as exc:
-        where = f" at {exc.span[0]}:{exc.span[1]}" if exc.span else ""
-        print(f"error{where}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UniverseTooLarge as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        word, payload, text = args.fn(args)
     except CupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a universe too large for the model is a resource bound, any other error the input's
+        word = "inconclusive" if isinstance(exc, UniverseTooLarge) else "usage"
+        where = f" at {exc.span[0]}:{exc.span[1]}" if isinstance(exc, ParseError) and exc.span else ""
+        print(f"{'error' if word == 'usage' else word}{where}: {exc}", file=sys.stderr)
+    else:
+        _emit(args, payload, text)
+    return _CODES[word]
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ prints names a path of the checkout, so the outputs of two checkouts on
 the same inputs are equal exactly when the programs answer alike:
 
     examples    stdout, stderr and exit code of `cup examples --run --json`
+    cli         stdout, stderr and exit code of each row of test_cli.py's
+                WORD_ROWS, a run per result word, in text and in --json;
+                the rows' scratch directory prints as $TMP
     model-cli   `cup model --json` of the five corpus programs at depths 2-4
     model-errors  stdout, stderr and exit code of `cup model --goal` at
                 depths 0, 2 and 4 of three bitstream atoms that do not
@@ -37,6 +40,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,6 +57,7 @@ from cup import soundness as sd  # noqa: E402
 from cup import terms as tm  # noqa: E402
 from cup import trees as tr  # noqa: E402
 
+import test_cli  # noqa: E402
 import test_differential as td  # noqa: E402
 import workloads  # noqa: E402
 
@@ -69,6 +74,13 @@ def _cli(argv: list[str]) -> str:
 
 def examples():
     yield _cli(["examples", "--run", "--json"])
+
+
+def cli_rows():
+    with tempfile.TemporaryDirectory() as tmp:
+        for _word, argv in test_cli.word_rows("src/cup/corpus", tmp):
+            for flags in ([], ["--json"]):
+                yield _cli(argv + flags).replace(tmp, "$TMP")
 
 
 def model_cli():
@@ -142,7 +154,7 @@ def pools():
             yield f"{name} {size} " + json.dumps([tm.alpha_key(t) for t in pool])
 
 
-SECTIONS = {"examples": examples, "model-cli": model_cli, "model-errors": model_errors, "audit": audit,
+SECTIONS = {"examples": examples, "cli": cli_rows, "model-cli": model_cli, "model-errors": model_errors, "audit": audit,
             "search": search, "model": model, "check": check, "t-operator": t_operator, "pools": pools}
 
 

@@ -647,16 +647,22 @@ class TestFilesAndStreams:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "can't decode" in err
 
-    def test_a_closed_output_keeps_the_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("argv, code", [
+        (["prove", "--calculus", "co-fohc", "--program", "{tmp}/andl.cup", "--goal", "q 0"], EXIT_OK),
+        (["prove", "--calculus", "co-fohc", "--program", corpus("member.cup"), "--goal", "member 0 nil"], EXIT_FAIL),
+        (["coprove", "--calculus", "co-hohc", "--program", corpus("from.cup"), "--goal", "from 0 (fr_str 0)",
+          "--depth", "10"], EXIT_INCONCLUSIVE),
+    ], ids=["proved", "no-proof", "inconclusive"])
+    def test_a_closed_output_keeps_the_exit_code(self, tmp_path, argv, code):
         prog = tmp_path / "andl.cup"
         prog.write_text(AND_L)
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "cup.cli", "prove", "--calculus", "co-fohc", "--program", str(prog), "--goal", "q 0"],
+            [sys.executable, "-m", "cup.cli", *(a.replace("{tmp}", str(tmp_path)) for a in argv)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         proc.stdout.close()
         _out, err = proc.communicate(timeout=120)
-        assert (proc.returncode, err) == (EXIT_OK, b"")
+        assert (proc.returncode, err) == (code, b"")
 
 
 class TestEnvironmentOverrides:
@@ -840,6 +846,81 @@ class TestRarePaths:
         monkeypatch.delenv("CUP_CALCULUS", raising=False)
         assert run(["coprove", "--program", corpus("member.cup"), "--goal", "member 0 [0|nil]"]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: --calculus is required (or set CUP_CALCULUS)\n"
+
+
+# a proof of `forall x. member x [1|nil]` over member.cup that assumes the
+# false root lemma `forall x. member x nil`, as in
+# test_a_lemma_proof_resting_on_a_root_lemma_is_refused: it checks only given
+# the lemma, and its audit finds `member 0 nil` unjustified
+ROOT_LEMMA_DOC = json.dumps({"format": "flat", "nodes": [
+    {"rule": "co-fix", "children": 1, "signature_additions": [], "program_additions": ["forall x. member x nil"],
+     "goal": "forall x. member x [1|nil]", "guarded": False, "premises": 0},
+    {"rule": "forall-r<>", "children": 1, "eigen": "x#1", "premises": 0},
+    {"rule": "decide<>", "children": 1, "premises": 3},
+    {"rule": "forall-l<>", "children": 1, "witness": "x#1", "premises": 0},
+    {"rule": "forall-l<>", "children": 1, "witness": "1", "premises": 0},
+    {"rule": "forall-l<>", "children": 1, "witness": "nil", "premises": 0},
+    {"rule": "imp-l<>", "children": 2, "premises": 0},
+    {"rule": "initial", "children": 0, "premises": 0},
+    {"rule": "decide", "children": 1, "premises": 4},
+    {"rule": "forall-l", "children": 1, "witness": "x#1", "premises": 0},
+    {"rule": "initial", "children": 0, "premises": 0},
+]})
+
+MEMBER, COMEMBER = "--program={corpus}/member.cup", "--program={corpus}/comember.cup"
+
+# each result word of `cli._CODES` with the argv of one or more runs that
+# answer it, drawn from the tests above: {corpus} is the corpus directory
+# and {tmp} a directory that holds ROOT_LEMMA_DOC as lemma.json. A row may
+# read a proof that an earlier row writes
+WORD_ROWS = [
+    ("ok", ["check-syntax", MEMBER]),
+    ("ok", ["classify", "--program={corpus}/from.cup", "--goal", "forall x. from x (fr_str x)", "--role", "core"]),
+    ("ok", ["model", "--program={corpus}/bitstream.cup", "--model-depth", "2"]),
+    ("ok", ["examples", "--list"]),
+    ("proved", ["coprove", "--calculus", "co-fohc", MEMBER, "--goal", "member 0 [0|nil]",
+                "--emit-proof", "{tmp}/member.json"]),
+    ("proved", ["coprove", "--calculus", "co-fohh", COMEMBER, "--goal", "forall y s. bit y => comember_bit y s",
+                "--emit-proof", "{tmp}/comember.json"]),
+    ("valid", ["check-proof", "--calculus", "co-fohc", MEMBER, "--proof", "{tmp}/member.json"]),
+    ("invalid", ["check-proof", "--calculus", "co-fohc", COMEMBER, "--proof", "{tmp}/comember.json"]),
+    ("inconclusive", ["check-proof", "--calculus", "co-fohh", MEMBER, "--proof", "{tmp}/lemma.json"]),
+    ("verified", ["soundness", COMEMBER, "--proof", "{tmp}/comember.json", "--model-depth", "3", "--word-budget", "1"]),
+    ("unverified", ["soundness", MEMBER, "--proof", "{tmp}/lemma.json"]),
+    ("InApprox", ["model", "--program={corpus}/bitstream.cup", "--goal", "bitstream z_str", "--model-depth", "4"]),
+    ("CertainlyOut", ["model", MEMBER, "--goal", "member 1 [0|nil]"]),
+    ("no-proof", ["prove", "--calculus", "co-fohc", MEMBER, "--goal", "member 0 nil"]),
+    ("inconclusive", ["coprove", "--calculus", "co-hohc", "--program={corpus}/from.cup", "--goal", "from 0 (fr_str 0)",
+                      "--depth", "10"]),
+    ("inconclusive", ["coprove", "--calculus", "co-hohh", MEMBER, "--goal", "member 1 [0|nil]"]),
+    ("failed", ["examples", "--run", "--depth", "1"]),
+    ("usage", ["classify", MEMBER, "--goal", "member 0 ("]),
+    ("usage", ["model", MEMBER, "--goal", "member 0 nil /\\ true"]),
+]
+
+
+def word_rows(corpus_dir: str, tmp: str) -> list[tuple[str, list[str]]]:
+    """WORD_ROWS with their directories filled in, once lemma.json is in tmp."""
+    Path(tmp, "lemma.json").write_text(ROOT_LEMMA_DOC)
+    return [(word, [a.replace("{corpus}", corpus_dir).replace("{tmp}", tmp) for a in argv]) for word, argv in WORD_ROWS]
+
+
+class TestResultWords:
+    def test_the_exit_code_follows_from_the_word(self, tmp_path, monkeypatch, capsys):
+        # every row answers its word, `main` looks that word up alone, and
+        # every word of the table is answered by some row
+        codes, looked_up = dict(cli._CODES), []
+
+        class Codes(dict):
+            def __getitem__(self, word):
+                looked_up.append(word)
+                return super().__getitem__(word)
+
+        monkeypatch.setattr(cli, "_CODES", Codes(codes))
+        for word, argv in word_rows(os.path.dirname(corpus("member.cup")), str(tmp_path)):
+            looked_up.clear()
+            assert (run(argv), looked_up) == (codes[word], [word]), argv
+        assert {word for word, _ in WORD_ROWS} == set(codes)
 
 
 class TestDanglingWitness:

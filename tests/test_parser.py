@@ -416,63 +416,74 @@ class TestProofDocuments:
 HEAD = "const 0 : i. const scons : i -> i -> i. const p : i -> o.\n"
 DEEP = "(" * 40000 + "{}" + ")" * 40000
 
-# (entry point, text, error class, message, span): one or more rows for
+# (id, entry point, text, error class, message, span): one or more rows for
 # each place tokenising, parsing or resolving a name raises.  A goal or
 # term is read over the member program.
 ERROR_ROWS = [
-    ("program", "const x#1 : i.", ParseError, "reserved marker '#' in identifier", (1, 8)),
-    ("goal", "member 0 nil #", ParseError, "reserved marker '#' in identifier", (1, 14)),
-    ("program", "const 0 : i.\np ~ 0.", ParseError, "unexpected character '~'", (2, 3)),
-    ("program", "const 0 i.", ParseError, "expected ':', found 'i'", (1, 9)),
-    ("program", HEAD + "forall x. p x", ParseError, "expected '.', found ''", (2, 14)),
-    ("program", HEAD + "p 0 :- p 0 :- p 0.", ParseError, "expected '.', found ':-'", (2, 12)),
-    ("program", "const : i.", ParseError, "expected an identifier, found ':'", (1, 7)),
-    ("program", HEAD + "forall . p 0.", ParseError, "expected an identifier, found '.'", (2, 8)),
-    ("program", HEAD + "p ().", ParseError, "expected a term, found ')'", (2, 4)),
-    ("program", HEAD + "p 0 :- .", ParseError, "expected a term, found '.'", (2, 8)),
+    ("marker-in-program", "program", "const x#1 : i.", ParseError, "reserved marker '#' in identifier", (1, 8)),
+    ("marker-in-goal", "goal", "member 0 nil #", ParseError, "reserved marker '#' in identifier", (1, 14)),
+    ("unexpected-character", "program", "const 0 : i.\np ~ 0.", ParseError, "unexpected character '~'", (2, 3)),
+    ("missing-colon", "program", "const 0 i.", ParseError, "expected ':', found 'i'", (1, 9)),
+    ("missing-final-dot", "program", HEAD + "forall x. p x", ParseError, "expected '.', found ''", (2, 14)),
+    ("second-neck", "program", HEAD + "p 0 :- p 0 :- p 0.", ParseError, "expected '.', found ':-'", (2, 12)),
+    ("declared-name-missing", "program", "const : i.", ParseError, "expected an identifier, found ':'", (1, 7)),
+    ("binder-name-missing", "program", HEAD + "forall . p 0.", ParseError, "expected an identifier, found '.'", (2, 8)),
+    ("empty-parentheses", "program", HEAD + "p ().", ParseError, "expected a term, found ')'", (2, 4)),
+    ("empty-body", "program", HEAD + "p 0 :- .", ParseError, "expected a term, found '.'", (2, 8)),
     # a binder type after a colon is a type
-    ("goal", "exists f : . true", ParseError, "expected an identifier, found '.'", (1, 12)),
-    ("goal", "forall x : (i -> i. true", ParseError, "expected ')', found '.'", (1, 19)),
+    ("binder-type-missing", "goal", "exists f : . true", ParseError, "expected an identifier, found '.'", (1, 12)),
+    ("unclosed-binder-type", "goal", "forall x : (i -> i. true", ParseError, "expected ')', found '.'", (1, 19)),
     # the only base types are i and o
-    ("program", "const c : foo.", SourceTypeError, "unknown base type 'foo'", (1, 11)),
-    ("goal", "exists x : foo. true", SourceTypeError, "unknown base type 'foo'", (1, 12)),
-    ("goal", "forall f : i -> foo. true", SourceTypeError, "unknown base type 'foo'", (1, 17)),
-    ("goal", "member 0 [0]", ParseError, "bracket sugar needs [head|tail]", (1, 10)),
-    ("program", HEAD + "p [X] :- p X.", ParseError, "bracket sugar needs [head|tail]", (2, 3)),
+    ("unknown-base-type-in-declaration", "program", "const c : foo.", SourceTypeError,
+     "unknown base type 'foo'", (1, 11)),
+    ("unknown-base-type-of-binder", "goal", "exists x : foo. true", SourceTypeError,
+     "unknown base type 'foo'", (1, 12)),
+    ("unknown-base-type-in-arrow", "goal", "forall f : i -> foo. true", SourceTypeError,
+     "unknown base type 'foo'", (1, 17)),
+    ("sugar-without-tail-in-goal", "goal", "member 0 [0]", ParseError, "bracket sugar needs [head|tail]", (1, 10)),
+    ("sugar-without-tail-in-clause", "program", HEAD + "p [X] :- p X.", ParseError,
+     "bracket sugar needs [head|tail]", (2, 3)),
     # a lowercase name in sugar; a capitalised one in explicit syntax
-    ("program", HEAD + "p [X|T] :- p T, q X.", SourceTypeError, "unknown identifier 'q'", (2, 17)),
-    ("program", HEAD + "forall x. p X => p x.", SourceTypeError, "unknown identifier 'X'", (2, 13)),
+    ("unknown-lowercase-name", "program", HEAD + "p [X|T] :- p T, q X.", SourceTypeError,
+     "unknown identifier 'q'", (2, 17)),
+    ("unknown-capitalised-name", "program", HEAD + "forall x. p X => p x.", SourceTypeError,
+     "unknown identifier 'X'", (2, 13)),
     # a syntax error later in the clause is reported first
-    ("program", HEAD + "p q :- p (.", ParseError, "expected a term, found '.'", (2, 11)),
-    ("program", HEAD + "def z = fix \\x. scons y x.", SourceTypeError, "unknown identifier 'y'", (2, 23)),
-    ("program", "const 0 : i.\ndef z = fix \\x. scons 0 x.", SourceTypeError, "unknown identifier 'scons'", (2, 17)),
+    ("later-syntax-error-first", "program", HEAD + "p q :- p (.", ParseError, "expected a term, found '.'", (2, 11)),
+    ("unknown-name-in-definition", "program", HEAD + "def z = fix \\x. scons y x.", SourceTypeError,
+     "unknown identifier 'y'", (2, 23)),
+    ("unknown-scons-in-definition", "program", "const 0 : i.\ndef z = fix \\x. scons 0 x.", SourceTypeError,
+     "unknown identifier 'scons'", (2, 17)),
     # bracket sugar names `scons` at its `[`, before the items
-    ("program", "const 0 : i. const p : i -> o.\np [qqq|0].", SourceTypeError, "unknown identifier 'scons'", (2, 3)),
+    ("unknown-scons-of-sugar", "program", "const 0 : i. const p : i -> o.\np [qqq|0].", SourceTypeError,
+     "unknown identifier 'scons'", (2, 3)),
     # read twice: in the failed attempt at `(formula)`, then as a term
-    ("goal", "((member qqq) 0) nil", SourceTypeError, "unknown identifier 'qqq'", (1, 10)),
-    ("goal", "member 0 nil )", ParseError, "trailing input ')'", (1, 14)),
-    ("term", "0 0 ]", ParseError, "trailing input ']'", (1, 5)),
-    ("program", "const 0 : i. const 0 : i.", ParseError, "'0' declared twice", (1, 20)),
-    ("program", HEAD + "def z = fix \\x. scons 0 x.\ndef z = fix \\x. scons 0 x.", ParseError,
-     "'z' declared twice", (3, 5)),
+    ("unknown-name-read-twice", "goal", "((member qqq) 0) nil", SourceTypeError, "unknown identifier 'qqq'", (1, 10)),
+    ("trailing-parenthesis", "goal", "member 0 nil )", ParseError, "trailing input ')'", (1, 14)),
+    ("trailing-bracket", "term", "0 0 ]", ParseError, "trailing input ']'", (1, 5)),
+    ("constant-declared-twice", "program", "const 0 : i. const 0 : i.", ParseError, "'0' declared twice", (1, 20)),
+    ("definition-declared-twice", "program", HEAD + "def z = fix \\x. scons 0 x.\ndef z = fix \\x. scons 0 x.",
+     ParseError, "'z' declared twice", (3, 5)),
     # the name clash is found before the second body's guardedness
-    ("program", HEAD + "def z = fix \\x. scons 0 x.\ndef z = fix \\x. x.", ParseError, "'z' declared twice", (3, 5)),
-    ("program", HEAD + "def p = fix \\x. scons 0 x.", ParseError, "'p' declared twice", (2, 5)),
-    ("program", HEAD + "def z = fix \\x. x.", GuardednessError,
+    ("definition-clash-before-guardedness", "program", HEAD + "def z = fix \\x. scons 0 x.\ndef z = fix \\x. x.",
+     ParseError, "'z' declared twice", (3, 5)),
+    ("definition-names-a-constant", "program", HEAD + "def p = fix \\x. scons 0 x.", ParseError,
+     "'p' declared twice", (2, 5)),
+    ("unguarded-definition", "program", HEAD + "def z = fix \\x. x.", GuardednessError,
      "definition 'z' is not a guarded fixed point term: body head is not a constant", (2, 5)),
-    ("program", "const apply : (i -> i) -> i.", SourceTypeError, "constant apply has order 2 type (i -> i) -> i",
-     (1, 7)),
-    ("program", HEAD + "p p.", SourceTypeError,
+    ("second-order-constant", "program", "const apply : (i -> i) -> i.", SourceTypeError,
+     "constant apply has order 2 type (i -> i) -> i", (1, 7)),
+    ("ill-typed-clause", "program", HEAD + "p p.", SourceTypeError,
      "ill-typed clause: cannot match i with i -> o at p p", (2, 1)),
-    ("program", HEAD + "p (fix \\x. scons 0 x).", SourceTypeError, "clause is outside the first-order clause grammar",
-     (2, 1)),
-    ("program", HEAD + DEEP.format("p 0") + ".", NestingTooDeep, "nesting too deep", None),
-    ("goal", DEEP.format("true"), NestingTooDeep, "nesting too deep", None),
-    ("term", DEEP.format("0"), NestingTooDeep, "nesting too deep", None),
+    ("clause-outside-first-order-grammar", "program", HEAD + "p (fix \\x. scons 0 x).", SourceTypeError,
+     "clause is outside the first-order clause grammar", (2, 1)),
+    ("program-nesting-too-deep", "program", HEAD + DEEP.format("p 0") + ".", NestingTooDeep, "nesting too deep", None),
+    ("goal-nesting-too-deep", "goal", DEEP.format("true"), NestingTooDeep, "nesting too deep", None),
+    ("term-nesting-too-deep", "term", DEEP.format("0"), NestingTooDeep, "nesting too deep", None),
 ]
 
 
-@pytest.mark.parametrize("entry, text, cls, message, span", ERROR_ROWS, ids=[r[3][:40] for r in ERROR_ROWS])
+@pytest.mark.parametrize("entry, text, cls, message, span", [r[1:] for r in ERROR_ROWS], ids=[r[0] for r in ERROR_ROWS])
 def test_error_class_message_and_span(member_program, entry, text, cls, message, span):
     parse = {
         "program": ps.parse_program,
