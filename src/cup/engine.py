@@ -381,6 +381,7 @@ class _Ctx:
     supply: NameSupply
     stats: SearchStats
     need: float = _NEVER  # the least extra depth any cut of this bound needs
+    branch: set = field(default_factory=set, repr=False)  # the `_loop_key`s of the branch being searched
 
 
 def _draw(ctx: _Ctx, seq: Sequent, var: str, meta: bool) -> str | Var:
@@ -399,14 +400,34 @@ def _draw(ctx: _Ctx, seq: Sequent, var: str, meta: bool) -> str | Var:
     return name
 
 
+def _loop_key(seq: Sequent, s: dict[str, Term]) -> tuple | None:
+    """The key of an unfocused plain sequent whose atomic goal, resolved and
+    beta-normal, has no metavariable; else None. Search ends a sequent whose
+    key is on its own branch with no proof and no depth cut (loop checking
+    by equality; Bol, Apt & Klop, TCS 1991): a rule application depends only
+    on its sequent, so a repeat's upper subtree can give way to its lower
+    one, a smaller proof of the same root. So a bound whose only cuts are
+    repeats leaves no proof at any depth. The entries, which only grow on a
+    branch, count by identity: one key is one sequent under any binding."""
+    if seq.focus is None and seq.mode == PLAIN and isinstance(seq.goal, Atom):
+        goal = tm.beta_normalize(resolve_term(seq.goal.term, s))
+        if not tm.free_vars(goal):
+            return id(seq.entries), seq.signature, seq.guarded, goal
+    return None
+
+
 def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[tuple[ProofTree, dict[str, Term]]]:
     """The proofs of seq within depth, with the substitution each needs.
     Premises are solved here, not through a helper, so that a search level
     costs one generator frame of the interpreter stack."""
+    key = _loop_key(seq, s)
     if depth <= 0:
-        ctx.need = 1  # the least any cut needs
+        if key not in ctx.branch:
+            ctx.need = 1  # the least any cut needs
         return
     ctx.stats.nodes += 1
+    if key in ctx.branch:
+        return
     rule = _rule(seq)
     if rule is None:
         return
@@ -436,26 +457,35 @@ def _solve(ctx: _Ctx, seq: Sequent, depth: int, s: dict[str, Term]) -> Iterator[
         if isinstance(head, Var):
             raise FlexibleAtomUnsupported(f"goal head is an unresolved witness in {tm.brief(g.term)}")
         pred = head.name if isinstance(head, Con) else None
-    for seqs in premises(seq, eigen, witness):
-        if not seqs:
-            yield ProofTree(seq, rule), s
-            continue
-        # the focus needs n sequents below this DECIDE to reach an INITIAL
-        # that can meet the goal: with n >= depth it reaches none, so it is
-        # neither searched nor counted, and it is first searched at the
-        # bound n - depth + 1 deeper; never, if it reaches no such INITIAL
-        if pred is not None:
-            reach = focus_reach(seqs[0].focus)
-            n = min(reach.get(pred, _NEVER), reach.get(None, _NEVER))
-            if n >= depth:
-                ctx.need = min(ctx.need, n - depth + 1)
+        if key is not None:
+            ctx.branch.add(key)
+    try:
+        for seqs in premises(seq, eigen, witness):
+            if not seqs:
+                yield ProofTree(seq, rule), s
                 continue
-        for t1, s1 in _solve(ctx, seqs[0], depth - 1, s):
-            if len(seqs) == 1:
-                yield ProofTree(seq, rule, witness, eigen, (t1,)), s1
-                continue
-            for t2, s2 in _solve(ctx, seqs[1], depth - 1, s1):
-                yield ProofTree(seq, rule, witness, eigen, (t1, t2)), s2
+            # the focus needs n sequents below this DECIDE to reach an INITIAL
+            # that can meet the goal: with n >= depth it reaches none, so it is
+            # neither searched nor counted, and it is first searched at the
+            # bound n - depth + 1 deeper; never, if it reaches no such INITIAL
+            if pred is not None:
+                reach = focus_reach(seqs[0].focus)
+                n = min(reach.get(pred, _NEVER), reach.get(None, _NEVER))
+                if n >= depth:
+                    ctx.need = min(ctx.need, n - depth + 1)
+                    continue
+            for t1, s1 in _solve(ctx, seqs[0], depth - 1, s):
+                if len(seqs) == 1:
+                    # while suspended it is no ancestor of what runs next; a keyed sequent yields only here
+                    ctx.branch.discard(key)
+                    yield ProofTree(seq, rule, witness, eigen, (t1,)), s1
+                    if key is not None:
+                        ctx.branch.add(key)
+                    continue
+                for t2, s2 in _solve(ctx, seqs[1], depth - 1, s1):
+                    yield ProofTree(seq, rule, witness, eigen, (t1, t2)), s2
+    finally:
+        ctx.branch.discard(key)
 
 
 # ---------------------------------------------------------------------------

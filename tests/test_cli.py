@@ -892,7 +892,7 @@ WORD_ROWS = [
     ("no-proof", ["prove", "--calculus", "co-fohc", MEMBER, "--goal", "member 0 nil"]),
     ("inconclusive", ["coprove", "--calculus", "co-hohc", "--program={corpus}/from.cup", "--goal", "from 0 (fr_str 0)",
                       "--depth", "10"]),
-    ("inconclusive", ["coprove", "--calculus", "co-hohh", MEMBER, "--goal", "member 1 [0|nil]"]),
+    ("no-proof", ["coprove", "--calculus", "co-hohh", MEMBER, "--goal", "member 1 [0|nil]"]),
     ("failed", ["examples", "--run", "--depth", "1"]),
     ("usage", ["classify", MEMBER, "--goal", "member 0 ("]),
     ("usage", ["model", MEMBER, "--goal", "member 0 nil /\\ true"]),
@@ -1115,12 +1115,9 @@ class TestTheUnfoldingBoundOverstates:
 
 class TestAFalseGoalThatOnlyRepeatsIsRefuted:
     """Each goal is false, and its search meets the same goals again and
-    again until the depth bound cuts it, so it ends inconclusive (exit 2)
-    where a loop check would answer `no proof`."""
+    again: the loop check ends each repeat with no depth cut, so search
+    answers `no proof` (exit 1) at a finite bound (ROADMAP item 18)."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 18: without a loop check the repeating search reaches the depth bound "
-        "and exits 2 (inconclusive)"))
     @pytest.mark.parametrize("with_s, program, goal", [
         (False, "member.cup", "member 1 [0|nil]"),
         (True, "bitstream.cup", "bitstream (fix \\x. scons (s 0) x)"),
@@ -1131,6 +1128,24 @@ class TestAFalseGoalThatOnlyRepeatsIsRefuted:
         path.write_text(Path(corpus(program)).read_text() + ("const s : i -> i.\n" if with_s else ""))
         code = run(["coprove", "--calculus", "co-hohh", "--program", str(path), "--goal", goal])
         assert (code, capsys.readouterr().out.split(":")[0]) == (EXIT_FAIL, "no proof")
+
+    def test_no_proof_is_about_the_calculus_not_about_truth(self, capsys):
+        # `bitstream [0|[1|z_str]]` holds, but with an atomic coinductive
+        # hypothesis its search only repeats (ROADMAP item 28 proves it)
+        code = run(["coprove", "--calculus", "co-hohc", "--program", corpus("bitstream.cup"),
+                    "--goal", "bitstream [0|[1|z_str]]", "--json"])
+        assert (code, json.loads(capsys.readouterr().out)) == (
+            EXIT_FAIL, {"result": "no-proof", "stats": {"nodes_expanded": 84, "max_depth": 15}})
+
+    @pytest.mark.parametrize("program, goal", [
+        ("from.cup", "from 0 (fr_str 0)"),
+        ("const 0 : i. const s : i -> i. const p : i -> o. const q : i -> o.\np X :- p (s X), q X.\n", "p 0"),
+    ], ids=["from", "p-chain"])
+    def test_a_goal_whose_chain_never_repeats_stays_inconclusive(self, tmp_path, capsys, program, goal):
+        path = tmp_path / "chain.cup"
+        path.write_text(Path(corpus(program)).read_text() if program.endswith(".cup") else program)
+        code = run(["coprove", "--calculus", "co-hohh", "--program", str(path), "--goal", goal, "--depth", "12"])
+        assert (code, capsys.readouterr().out.split(":")[0]) == (EXIT_INCONCLUSIVE, "inconclusive")
 
 
 def _node(rule, goal, children=(), **fields):

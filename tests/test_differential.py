@@ -2270,7 +2270,7 @@ def test_a_larger_depth_limit_keeps_each_proof_and_each_no_proof():
                     assert before is None or before[0] == "depth-exceeded" or now == before, (seed, goal, limit)
                     before = now
                     reasons[now[0]] += 1
-    assert reasons == {"no-proof": 36250, "depth-exceeded": 10010, "proved": 5580}
+    assert reasons == {"no-proof": 37211, "depth-exceeded": 9049, "proved": 5580}
 
 
 def test_the_calculus_and_the_clause_order_keep_each_reason_and_final_bound():
@@ -2298,7 +2298,7 @@ def test_the_calculus_and_the_clause_order_keep_each_reason_and_final_bound():
         assert all(a == b for a, b in accepted)
         both += len(accepted)
         reasons.update(a[0] for a, _b in accepted)
-    assert (both, reasons) == (4446, {"no-proof": 2574, "depth-exceeded": 1491, "proved": 381})
+    assert (both, reasons) == (4446, {"no-proof": 2592, "depth-exceeded": 1473, "proved": 381})
 
 
 def _proofs(programs, searches):
@@ -2504,6 +2504,27 @@ def test_the_node_count_is_the_number_of_sequents_search_expands(monkeypatch):
         expanded[0] = 0
         _out, (nodes,) = _search_outputs(programs, [search])
         assert nodes == expanded[0] > 0, search
+
+
+def test_the_loop_check_ends_only_searches_that_have_no_proof(monkeypatch):
+    # ROADMAP item 18's differential arm, on the search set and the random
+    # Horn programs: with the loop check off, each search answers the same,
+    # bound, proof and document included, but for one that the check ends
+    # `no-proof` where it was `depth-exceeded`, which no larger limit proves
+    # either; and the check never expands more sequents
+    moved = 0
+    for programs, searches in ((workloads.load_programs(), _search_set()), _random_horn_searches(range(360))):
+        on, on_nodes = _search_outputs(programs, searches, documents=True)
+        with monkeypatch.context() as m:
+            m.setattr(eng, "_loop_key", lambda seq, s: None)
+            off, off_nodes = _search_outputs(programs, searches, documents=True)
+            ended = [search[:4] + (40,) for search, a, b in zip(searches, on, off) if a != b]
+            deeper = _search_outputs(programs, ended)[0]
+        assert all(a == b or (a[0], a[2], b[0]) == ("no-proof", None, "depth-exceeded") for a, b in zip(on, off))
+        assert all(o[0] == "depth-exceeded" for o in deeper), ended
+        assert all(a <= b for a, b in zip(on_nodes, off_nodes))
+        moved += len(ended)
+    assert moved == 103
 
 
 def test_reified_proofs_share_their_unchanged_formulas(regression_proofs):

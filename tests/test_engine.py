@@ -775,6 +775,35 @@ class TestSearchStats:
             SearchConfig(calculus=Calculus.FOHC, depth_limit=0)
 
 
+class TestLoopCheck:
+    """The key under which search ends a sequent that repeats one on its own
+    branch (ROADMAP item 18): only an unfocused plain sequent with an atomic
+    goal has one, and only once its goal, resolved, holds no metavariable,
+    so two sequents of one key are equal under every later binding."""
+
+    PROGRAM = "const 0 : i. const 1 : i. const p : i -> o. const q : i -> o.\np 0 :- p Y, q Y.\np 1.\nq 1.\n"
+
+    def test_a_goal_has_a_key_only_once_its_metavariables_are_bound(self):
+        program = ps.parse_program(self.PROGRAM)
+        open_goal, closed_goal = Atom(A(C("p"), V("?y"))), Atom(A(C("p"), C("0")))
+        seq = eng.Sequent(program.signature, eng.base_entries(program), None, open_goal)
+        assert eng._loop_key(seq, {}) is None
+        key = eng._loop_key(seq, {"?y": C("0")})
+        assert key is not None and key == eng._loop_key(seq.with_(goal=closed_goal), {})
+        assert eng._loop_key(seq.with_(goal=closed_goal, guarded=True), {}) not in (None, key)
+        for other in (seq.with_(goal=closed_goal, mode=eng.COINDUCTIVE),
+                      seq.with_(goal=closed_goal, focus=program.clauses[1]),
+                      seq.with_(goal=Conj(closed_goal, closed_goal))):
+            assert eng._loop_key(other, {}) is None
+
+    def test_a_goal_that_meets_its_ancestor_only_under_a_later_binding_is_searched(self):
+        # the body goal `p ?y` of `p 0` has no key when it is searched, though
+        # `p 0 :- ...` binds it to its ancestor `p 0`; the clause `p 1` proves it
+        program = ps.parse_program(self.PROGRAM)
+        res = prove(program, None, ps.parse_goal("p 0", program), SearchConfig(calculus=Calculus.FOHC))
+        assert res.proved and [n.witness for n in res.tree.nodes() if n.witness is not None] == [C("1")]
+
+
 class TestFocusHeads:
     """`focus_reach`, the heads a left focus reaches and the length of each
     chain to them, and the DECIDE skip it drives: a focus whose chains to the
