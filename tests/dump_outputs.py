@@ -12,8 +12,8 @@ the same inputs are equal exactly when the programs answer alike:
 
     examples    stdout, stderr and exit code of `cup examples --run --json`
     cli         stdout, stderr and exit code of each row of test_cli.py's
-                WORD_ROWS, a run per result word, in text and in --json;
-                the rows' scratch directory prints as $TMP
+                WORD_ROWS, runs that answer each result word, in text
+                and in --json; the rows' scratch directory prints as $TMP
     model-cli   `cup model --json` of the five corpus programs at depths 2-4
     model-errors  stdout, stderr and exit code of `cup model --goal` at
                 depths 0, 2 and 4 of three bitstream atoms that do not
