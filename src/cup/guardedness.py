@@ -107,7 +107,7 @@ def _violations(sig: Signature, t: Term) -> list[tuple[object, str]]:
 def is_guarded_full(sig: Signature, t: Term) -> bool:
     """First-order term, or a guarded fixed-point term fully applied to
     first-order arguments of type i."""
-    if tm.is_first_order(sig, {}, t, expected=IOTA):
+    if tm.is_first_order(sig, {}, t):
         return True
     head, args = tm.spine(t)
     if not isinstance(head, Fix) or not is_guarded_fixed_point(sig, head).verdict:
@@ -117,9 +117,7 @@ def is_guarded_full(sig: Signature, t: Term) -> bool:
         head_ty = tm.typecheck(sig, {}, head)
     except CupError:
         return False
-    return len(args) == len(tm.argument_types(head_ty)) and all(
-        tm.is_first_order(sig, {}, a, expected=IOTA) for a in args
-    )
+    return len(args) == len(tm.argument_types(head_ty)) and all(tm.is_first_order(sig, {}, a) for a in args)
 
 
 def _fold_candidates(sig: Signature, t: Term) -> bool:
@@ -128,7 +126,7 @@ def _fold_candidates(sig: Signature, t: Term) -> bool:
     fixes = [u for u in subs if isinstance(u, Fix) and is_guarded_fixed_point(sig, u).verdict]
     if not fixes:
         return False
-    pool = [u for u in subs if not tm.free_vars(u) and tm.is_first_order(sig, {}, u, expected=IOTA)]
+    pool = [u for u in subs if not tm.free_vars(u) and tm.is_first_order(sig, {}, u)]
     for fx in fixes:
         arity = len(tm.argument_types(tm.typecheck(sig, {}, fx)))
         for combo in itertools.product(pool, repeat=arity):
@@ -167,7 +165,7 @@ def is_guarded_atom(sig: Signature, t: Term) -> bool:
 
 
 def _snap_term(sig: Signature, t: Term) -> Term:
-    if tm.is_first_order(sig, {}, t, expected=IOTA):
+    if tm.is_first_order(sig, {}, t):
         return t
     if is_guarded_full(sig, t):
         return Con(DIAMOND)

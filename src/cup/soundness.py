@@ -158,13 +158,11 @@ def build_candidate(
     """Atoms of the root derivation's side subproof plus the coinductive
     conclusion, instantiated along every word up to the budget and rendered
     as depth-truncated trees; also the body instances that a supplied
-    post-fixed point must cover.  The atoms are rendered through the memo,
-    not the keys, of a grounding at the default term size, which the
-    interpretation carries to the merge."""
+    post-fixed point must cover.  The atoms are keyed by a grounding at the
+    default term size, which the interpretation carries to the merge."""
     h, (eigens, decide, side), deltas = _walk_root(proof, program, calculus)
     # once the word substitutions are applied, every atom is closed over the
     # base signature; eigenvariables never reach the model side
-    sig = program.signature
     base = _default_base(program, eigens)
 
     # one atom per alpha key, the guarded goal's first
@@ -181,7 +179,7 @@ def build_candidate(
     for _w, th in _thetas(deltas, eigens, base, word_budget if eigens else 0):
         for a in atoms_c.values():
             inst = tm.beta_normalize(replace_cons(a, th))
-            reps.setdefault(tr.atom_to_tree(sig, inst, depth, g.memo), (inst,))
+            reps.setdefault(g.key(inst), (inst,))
 
     side_atoms = fm.h_substitute(h, {x: base[c] for x, c in zip(h.universals, eigens)}).body
     eigenvariables = tuple((c, decide.sequent.signature.lookup(c)) for c in eigens)

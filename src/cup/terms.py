@@ -475,7 +475,7 @@ class Signature:
     constants: tuple[tuple[str, SimpleType], ...] = ()
     # built once: the types by name, the hash, and the memo of facts about
     # closed terms and formulas, successes only: `is_first_order` verdicts
-    # under (term, expected), `typecheck` types under the term, True under
+    # under (term, None), `typecheck` types under the term, True under
     # the `formulas.formula_key` of a formula that type-checks,
     # `formulas.classify`'s sets of calculi under (key, role), and
     # `guardedness.is_guarded_fixed_point` reports under (term, GuardReport);
@@ -866,12 +866,14 @@ def fixbeta_equiv(t1: Term, t2: Term, bound: int = UNFOLD_BOUND) -> str:
 # ---------------------------------------------------------------------------
 
 
-def first_order(sig: Signature, ctx: Context, t: Term, expected: SimpleType | None = None) -> bool:
-    """The five defining conditions of first-order terms: a base type for
-    the term, order 0 or 1 for its constants, base types for its variables,
-    no subterm of type o and no fixed point subterm.  Every judgment is
-    grounded before any is tested."""
-    inf, _ty = _inferred(sig, ctx, t, expected)
+def first_order(sig: Signature, ctx: Context, t: Term) -> bool:
+    """The five defining conditions of first-order terms, tested on grounded
+    judgments: a base type for the term, order 0 or 1 for its constants,
+    base types for its variables, no subterm of type o, no fix subterm.  An
+    expected type would change no verdict: the only base types are i and o,
+    and the term is its own subterm, so a first-order term has type i; any
+    other would raise `TypeMismatch`, which `is_first_order` reads as False."""
+    inf, _ty = _inferred(sig, ctx, t, None)
     judgments = [(u, _ground(inf.resolve(ty), u)) for u, ty in inf.judgments]
     return type_order(judgments[-1][1]) == 0 and not any(
         isinstance(u, Fix)
@@ -882,14 +884,14 @@ def first_order(sig: Signature, ctx: Context, t: Term, expected: SimpleType | No
     )
 
 
-def is_first_order(sig: Signature, ctx: Context, t: Term, expected: SimpleType | None = None) -> bool:
-    """Memoised on the signature for closed terms; only verdicts are
-    remembered, so an unbound name raises on every call."""
-    key = None if ctx else (t, expected)
+def is_first_order(sig: Signature, ctx: Context, t: Term) -> bool:
+    """Memoised on the signature for closed terms, one verdict per term;
+    only verdicts are remembered, so an unbound name raises on every call."""
+    key = None if ctx else (t, None)
     verdict = sig._memo.get(key)
     if verdict is None:
         try:
-            verdict = first_order(sig, ctx, t, expected)
+            verdict = first_order(sig, ctx, t)
         except TypeMismatch:
             # underconstrained terms (a bare unapplied fix, say) have no
             # unique type; they are never first order

@@ -120,11 +120,9 @@ def atom_to_tree(sig: Signature, atom: Term, depth: int, memo: dict | None = Non
     raises `NotFirstOrder`, as in `term_to_tree`.  `memo` maps (subterm,
     remaining depth) to its tree, each tree to its one copy and each
     fix-headed subterm to its unfolding's spine, so a memo unfolds each
-    distinct fix-headed subterm once; an atom it holds at the depth is
-    returned with no second snapshot, and no failure is ever stored."""
+    distinct fix-headed subterm once; no failure is ever stored.  An atom
+    is rendered once per grounding: `Grounding.key` answers before this."""
     memo = {} if memo is None else memo
-    if (tree := memo.get((atom, depth))) is not None:
-        return tree
     if not tm.is_first_order_atom(sig, {}, atom):
         atom = tm.beta_normalize(atom)
         snapshot(sig, atom)
@@ -429,13 +427,16 @@ class _Explored:
         return _Explored(dict(self.reps), dict(self.derived_count), dict(self.expansions))
 
 
-def _explore(state: _Explored, seeds: list[Term], g: Grounding, bodies, kept: _Explored | None = None) -> None:
+def _explore(state: _Explored, seeds: list[Term], g: Grounding) -> None:
     """Run the worklist from the seeds until it is empty, last seed first,
-    each atom reached through a body in `bodies(atom, g)` pushed on top; a
-    key holding `kept`'s containers gets copies before its first addition."""
+    each atom reached through a body pushed on top.  The universe keeps the
+    depth's state once its exploration completes; until then the bodies are
+    the universe's, after that a call's own, and a key holding the kept
+    state's containers gets copies before its first addition."""
+    kept = g.uni.explored.get(g.depth)
+    bodies, shared = (g.uni.bodies_of, {}) if kept is None else (justifications, kept.reps)
     work: list[tuple[Term, bool]] = [(a, True) for a in seeds]
     reps, derived_count, expansions = state.reps, state.derived_count, state.expansions
-    shared = {} if kept is None else kept.reps
     while work:
         a, is_seed = work.pop()
         key = g.key(a)
@@ -494,13 +495,13 @@ def gfp_approx(program: Program, depth: int, cfg: InstanceConfig, g: Grounding |
             uni.seeds = [uni.atoms.setdefault(a, a) for a in _universe_seeds(g)]
         own, g.keys = g.keys, {}
         explored = _Explored()
-        _explore(explored, uni.seeds, g, uni.bodies_of)
+        _explore(explored, uni.seeds, g)
         uni.explored[depth], uni.keys[depth] = explored, g.keys
         program._universes[cfg.term_size] = uni
         # atoms not of the exploration are rendered into keys never kept
         g.kept, g.keys = g.keys, own
     state = uni.explored[depth].copy()
-    _explore(state, list(cfg.seed_atoms), g, justifications, uni.explored[depth])
+    _explore(state, list(cfg.seed_atoms), g)
     alive = set(state.expansions)
     while dead := [k for k in alive if not any(map(alive.issuperset, state.expansions[k]))]:
         alive.difference_update(dead)
@@ -513,8 +514,8 @@ CERTAINLY_OUT = "CertainlyOut"
 
 def member_of_model(atom: Term, approx: Interpretation, sig: Signature) -> str:
     """Membership of a closed first-order or guarded atom in the
-    approximated coinductive model, read through the approximation's
-    render memo where it has one of this signature."""
+    approximated coinductive model, keyed by the approximation's grounding
+    where it has one of this signature, else rendered afresh."""
     g = approx.grounding
-    key = atom_to_tree(sig, atom, approx.depth, g.memo if g is not None and g.program.signature is sig else None)
+    key = g.key(atom) if g is not None and g.program.signature is sig else atom_to_tree(sig, atom, approx.depth)
     return IN_APPROX if key in approx.atoms else CERTAINLY_OUT

@@ -210,7 +210,7 @@ class TestFirstOrder:
         assert not tm.first_order(STREAM_SIG, {}, Z_STR)
 
     def test_functional_type_violates_condition_one(self):
-        assert not tm.first_order(STREAM_SIG, {}, L("x", V("x")), expected=fn_type(IOTA, IOTA))
+        assert not tm.first_order(STREAM_SIG, {}, L("x", A(C("scons"), C("0"), V("x"))))
 
     def test_atom_is_not_a_first_order_term(self):
         # atoms have type o, which condition four forbids in subterm types
