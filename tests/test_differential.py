@@ -2129,7 +2129,18 @@ def _random_horn_searches(seeds):
     return programs, searches
 
 
-def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(monkeypatch):
+@pytest.fixture(scope="session")
+def unpatched_runs():
+    """(programs, searches, outputs, node counts) of one unpatched run, with
+    documents, of the search set on the corpus and of the random Horn
+    searches of seeds 0-359; the differential arms below each compare a
+    patched run on the same programs against it."""
+    return {name: (programs, searches, *_search_outputs(programs, searches, documents=True))
+            for name, (programs, searches) in (("corpus", (workloads.load_programs(), _search_set())),
+                                               ("horn", _random_horn_searches(range(360))))}
+
+
+def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(monkeypatch, unpatched_runs):
     # the shallow depth limits make the depth run out inside skipped chains.
     # A skipped focus meets no INITIAL on the goal's predicate within the
     # depth left, and walking it would have set the cut exactly when it has
@@ -2144,14 +2155,16 @@ def test_skipping_decides_that_cannot_meet_the_goal_changes_no_search_output(mon
     # once by giving every focus one sequent to every predicate: each entry
     # is then walked, bar at depth 1, where walking it sets the cut and
     # counts nothing
-    corpus = (workloads.load_programs(), _search_set())
-    horn = _random_horn_searches(range(60))
+    corpus = unpatched_runs["corpus"]
+    # seeds 0-59 are the first searches of the Horn list
+    programs, searches, outputs, nodes = unpatched_runs["horn"]
+    n = sum(search[0] < 60 for search in searches)
+    horn = (programs, searches[:n], outputs[:n], nodes[:n])
     reasons = collections.Counter()
     arms = [(corpus, lambda f: dict.fromkeys(fm.focus_reach(f), 1)),
             (corpus, lambda f: {None: 1}),
             (horn, lambda f: dict.fromkeys(fm.focus_reach(f), 1))]
-    for (programs, searches), reach in arms:
-        skipped, skipped_nodes = _search_outputs(programs, searches, documents=True)
+    for (programs, searches, skipped, skipped_nodes), reach in arms:
         with monkeypatch.context() as m:
             m.setattr(eng, "focus_reach", reach)
             searched, searched_nodes = _search_outputs(programs, searches, documents=True)
@@ -2211,14 +2224,12 @@ def test_no_deep_witness_atom_that_search_proves_is_certainly_out_of_the_model()
     assert refuted == []
 
 
-def test_the_premise_table_changes_no_search_output(monkeypatch):
+def test_the_premise_table_changes_no_search_output(monkeypatch, unpatched_runs):
     # a deeper bound redraws the names of the shallower one, meets its
     # sequents again and reads their premises from what each sequent keeps.
     # With that emptied before every lookup, the same proofs, documents (and
     # so the same fresh names), node counts and final bounds
-    programs = workloads.load_programs()
-    searches = _search_set()
-    tabled = _search_outputs(programs, searches, documents=True)
+    programs, searches, outputs, nodes = unpatched_runs["corpus"]
     solve = eng._solve
 
     def rebuilt(ctx, seq, depth, s):
@@ -2226,19 +2237,17 @@ def test_the_premise_table_changes_no_search_output(monkeypatch):
         return solve(ctx, seq, depth, s)
 
     monkeypatch.setattr(eng, "_solve", rebuilt)
-    assert _search_outputs(programs, searches, documents=True) == tabled
-    assert sum(o[0] == "proved" for o in tabled[0]) > 40
+    assert _search_outputs(programs, searches, documents=True) == (outputs, nodes)
+    assert sum(o[0] == "proved" for o in outputs) > 40
 
 
-def test_deepening_to_the_next_bound_answers_as_plain_iterative_deepening(monkeypatch):
+def test_deepening_to_the_next_bound_answers_as_plain_iterative_deepening(monkeypatch, unpatched_runs):
     # search goes from a bound straight to the next one at which some cut
     # can be passed, and draws each sequent's names once; plain iterative
     # deepening steps the bound by one and draws names afresh at each. The
     # same reasons, final bounds, proofs and documents, the last through
     # reification's canonical names, in never more expansions
-    horn = _random_horn_searches(range(360))
-    for programs, searches in ((workloads.load_programs(), _search_set()), horn):
-        jumped, jumped_nodes = _search_outputs(programs, searches, documents=True)
+    for programs, searches, jumped, jumped_nodes in unpatched_runs.values():
         with monkeypatch.context() as m:
             m.setattr(eng, "_search", search_reference)
             stepped, stepped_nodes = _search_outputs(programs, searches, documents=True)
@@ -2508,15 +2517,14 @@ def test_the_node_count_is_the_number_of_sequents_search_expands(monkeypatch):
         assert nodes == expanded[0] > 0, search
 
 
-def test_the_loop_check_ends_only_searches_that_have_no_proof(monkeypatch):
+def test_the_loop_check_ends_only_searches_that_have_no_proof(monkeypatch, unpatched_runs):
     # ROADMAP item 18's differential arm, on the search set and the random
     # Horn programs: with the loop check off, each search answers the same,
     # bound, proof and document included, but for one that the check ends
     # `no-proof` where it was `depth-exceeded`, which no larger limit proves
     # either; and the check never expands more sequents
     moved = 0
-    for programs, searches in ((workloads.load_programs(), _search_set()), _random_horn_searches(range(360))):
-        on, on_nodes = _search_outputs(programs, searches, documents=True)
+    for programs, searches, on, on_nodes in unpatched_runs.values():
         with monkeypatch.context() as m:
             m.setattr(eng, "_loop_key", lambda seq, s: None)
             off, off_nodes = _search_outputs(programs, searches, documents=True)
