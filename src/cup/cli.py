@@ -203,7 +203,7 @@ def cmd_model(args):
     if goal_atom is None:
         return "ok", {"depth": depth, "atoms": sorted(tr.tree_to_text(t) for t in approx.atoms),
                       "caveat": caveat}, tr.export_interpretation(approx) + caveat
-    verdict = tr.member_of_model(goal_atom, approx, program.signature)
+    verdict = tr.model_verdict(program, goal_atom, approx)
     return verdict, {"depth": depth, "verdict": verdict, "caveat": caveat}, f"{verdict} (depth {depth}; {caveat})"
 
 

@@ -301,8 +301,8 @@ def conservative_extension_check(
 ) -> ExtensionReport:
     """Model approximations of the program and of the program extended with
     ground lemma instances must coincide at this resolution; instance bodies
-    must already hold in the approximated model."""
-    sig = program.signature
+    must already hold in the model: a body that `model_verdict` refutes
+    raises `BodyNotInModel`."""
     seeds: list[Term] = []
     for h in lemma_instances:
         if h.universals:
@@ -313,7 +313,7 @@ def conservative_extension_check(
     base = tr.gfp_approx(program, depth, seeded)
     for h in lemma_instances:
         for b in h.body:
-            if tr.member_of_model(b, base, sig) != tr.IN_APPROX:
+            if tr.model_verdict(program, b, base) == tr.CERTAINLY_OUT:
                 raise BodyNotInModel(f"lemma instance body {tm.brief(b)} is not in the approximated model")
     # explored as its own program, whose universe is dropped with it
     lemmas = tuple(h.to_formula() for h in lemma_instances)

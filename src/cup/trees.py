@@ -519,3 +519,62 @@ def member_of_model(atom: Term, approx: Interpretation, sig: Signature) -> str:
     g = approx.grounding
     key = g.key(atom) if g is not None and g.program.signature is sig else atom_to_tree(sig, atom, approx.depth)
     return IN_APPROX if key in approx.atoms else CERTAINLY_OUT
+
+
+# `refute`'s rank cap and its budget of explored atoms
+MAX_RANK, REFUTE_BUDGET = 12, 2000
+
+
+def _instances(atom: Term, renamed: list[RenamedClause]) -> list[tuple[Term, ...]] | None:
+    """The bodies of the clause instances whose head matches the closed
+    atom, None if the atom is incomplete: a match that the unfolding bound
+    ended, or a body-only variable left open."""
+    closed = not (atom._fv or atom._fix) and atom._nf
+    out = []
+    for head, body, _metas in renamed:
+        s = (_match(head, atom, {}) if closed and head._nf and not head._fix
+             else tm.unfolding_walk(head, atom, tm.UNFOLD_BOUND, lambda a, b: eng.unify(a, b, {})))
+        if s is tm.UNKNOWN:
+            return None
+        if s is not None:
+            out.append(tuple(tm.beta_normalize(eng.resolve_term(b, s)) for b in body))
+    return None if any(b._fv for body in out for b in body) else out
+
+
+def refute(program: Program, atom: Term) -> int | None:
+    """The rank at which finite failure refutes a closed atom, or None.
+    A complete atom (`_instances`) has rank r when each of its instances
+    has a body atom of rank below r, so rank 1 when it has none.  By
+    induction on r no ranked atom lies in gfp T: the match binds each head
+    variable to a subterm of the atom and no body variable stays open, so
+    every ground instance with the atom as head is an enumerated one up to
+    fix-beta-equality, with a body atom outside gfp T = T(gfp T).  This is
+    finite failure, dual to the least fixed point (Apt & van Emden, JACM
+    1982; Lassez & Maher, TCS 1984).  Ranks are computed as that least
+    fixed point over the atoms within `MAX_RANK` levels of the goal,
+    explored breadth first, at most `REFUTE_BUDGET` of them."""
+    renamed = _clauses_with_metas(program.h_clauses())
+    goal = tm.beta_normalize(atom)
+    bodies: dict[Term, list[tuple[Term, ...]] | None] = {}
+    level = [goal]
+    for _ in range(MAX_RANK):
+        nxt = []
+        for a in level:
+            if a not in bodies and len(bodies) < REFUTE_BUDGET:
+                bodies[a] = _instances(a, renamed)
+                nxt += [b for body in bodies[a] or () for b in body]
+        level = nxt
+    rank: dict[Term, int] = {}
+    for r in range(1, MAX_RANK + 1):
+        ranked = [a for a, insts in bodies.items() if a not in rank and insts is not None
+                  and all(any(rank.get(b, r) < r for b in body) for body in insts)]
+        rank.update(dict.fromkeys(ranked, r))
+    return rank.get(goal)
+
+
+def model_verdict(program: Program, atom: Term, approx: Interpretation) -> str:
+    """`member_of_model`'s answer, but `CertainlyOut` only with a rank from
+    `refute`: the approximation alone drops an atom whose body-only
+    variable's witness lies outside the term pool."""
+    out = member_of_model(atom, approx, program.signature) == CERTAINLY_OUT and refute(program, atom) is not None
+    return CERTAINLY_OUT if out else IN_APPROX

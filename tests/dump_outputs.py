@@ -25,6 +25,10 @@ the same inputs are equal exactly when the programs answer alike:
                 the random Horn programs of seeds 0-359
     model       the model workload's queries of seeds 0-29: verdict and
                 the approximation's listing
+    refute      `refute`'s rank, or none, and the verdict `cup model`
+                gives at depth 4, of test_trees.py's Baseline atoms, then
+                the same at the query's depth for the model workload's
+                queries of seeds 0-29
     check       check's (ok, diagnostic) on both mutation grids
     t-operator  T's listing over the gfp approximation and over the empty
                 interpretation, of the five corpus programs at term sizes
@@ -58,6 +62,7 @@ from cup import terms as tm  # noqa: E402
 from cup import trees as tr  # noqa: E402
 
 import test_cli  # noqa: E402
+import test_trees  # noqa: E402
 import test_differential as td  # noqa: E402
 import workloads  # noqa: E402
 
@@ -123,6 +128,18 @@ def model():
             yield f"{seed} {q.program} {q.atom!r} {q.depth} {verdict}\n{tr.export_interpretation(approx)}"
 
 
+def refute():
+    programs = workloads.load_programs()
+    rows = [(ps.parse_program(text), goal, 4) for text, goal, _rank in test_trees.BASELINE_RANKS]
+    rows += [(programs[q.program], q.atom, q.depth)
+             for seed in range(30) for q in workloads.blocks("model", seed, 1)[0]]
+    for program, goal, depth in rows:
+        atom = ps.parse_goal(goal, program).term
+        approx = tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=(atom,)))
+        rank = tr.refute(program, atom)
+        yield f"{goal!r} {depth} {'none' if rank is None else rank} {tr.model_verdict(program, atom, approx)}"
+
+
 def check():
     programs = workloads.load_programs()
     # `_mutation_grids` reads (program, goal, calculus, result) of each
@@ -155,7 +172,8 @@ def pools():
 
 
 SECTIONS = {"examples": examples, "cli": cli_rows, "model-cli": model_cli, "model-errors": model_errors, "audit": audit,
-            "search": search, "model": model, "check": check, "t-operator": t_operator, "pools": pools}
+            "search": search, "model": model, "refute": refute, "check": check, "t-operator": t_operator,
+            "pools": pools}
 
 
 def main(names: list[str]) -> int:

@@ -994,9 +994,6 @@ class TestAProvedAtomIsInTheModel:
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith(f"proved ({size} nodes; 12 expansions)\n")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 21: gfp_approx draws the body-only X from a term pool without s (s (s (s 0))), "
-        "so the model answers CertainlyOut (exit 1)"))
     @pytest.mark.parametrize("depth", [2, 4, 6])
     def test_the_model_does_not_refute_it(self, program, capsys, depth):
         code = run(["model", "--program", program, "--goal", "t 0", "--model-depth", str(depth)])
@@ -1022,9 +1019,6 @@ class TestADeepWitnessAtomIsInTheModel:
         assert code == EXIT_OK
         assert capsys.readouterr().out.startswith("proved (7 nodes;")
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 21: the witness s (s (s 0)) is larger than any term in the size-3 pool, "
-        "so the model answers CertainlyOut (exit 1)"))
     @pytest.mark.parametrize("depth", [5, 6])
     def test_the_model_does_not_refute_it(self, program, capsys, depth):
         code = run(["model", "--program", program, "--goal", self.GOAL, "--model-depth", str(depth)])

@@ -2197,12 +2197,12 @@ def test_no_atom_that_search_proves_is_certainly_out_of_the_model():
     assert proved == 30
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 21: a key dies when a body-only variable's witness lies outside the term pool, "
-    "so the model refutes atoms that search proves"))
 def test_no_deep_witness_atom_that_search_proves_is_certainly_out_of_the_model():
     # the check above on programs whose proofs may need deep witnesses; the
-    # goals are the shallow ones and every ground clause head
+    # goals are the shallow ones and every ground clause head. A key dies
+    # when a body-only variable's witness lies outside the term pool, so
+    # `member_of_model` alone puts some of these atoms out; the verdict that
+    # `cup model` gives needs a rank from `refute` too
     proved, refuted = 0, []
     for seed in range(300):
         text, goals = _random_horn_program(random.Random(seed), deep=True)
@@ -2217,11 +2217,40 @@ def test_no_deep_witness_atom_that_search_proves_is_certainly_out_of_the_model()
             proved += 1
             for depth in range(1, 6):
                 approx = tr.gfp_approx(program, depth, tr.InstanceConfig(seed_atoms=(atom,)))
-                if tr.member_of_model(atom, approx, program.signature) == tr.CERTAINLY_OUT:
+                if tr.model_verdict(program, atom, approx) == tr.CERTAINLY_OUT:
                     refuted.append((seed, ps.pp_term(atom), depth))
                     break
     assert proved == 494
     assert refuted == []
+
+
+def test_no_atom_that_search_proves_gets_a_rank(unpatched_runs):
+    # the soundness theorem against `refute`: a proved closed atom lies in
+    # gfp T, and finite failure ranks no atom there. The proved atomic goals
+    # of the search set and of the random Horn programs of seeds 0-59
+    proved = set()
+    for programs, searches, outputs, _nodes in unpatched_runs.values():
+        for (name, text, *_rest), out in zip(searches, outputs):
+            if out[0] == "proved" and (isinstance(name, str) or name < 60):
+                f = ps.parse_goal(text, programs[name])
+                if isinstance(f, fm.Atom) and (name, text) not in proved:
+                    proved.add((name, text))
+                    assert tr.refute(programs[name], f.term) is None, (name, text)
+    assert sum(isinstance(name, str) for name, _text in proved) >= 20
+    assert sum(isinstance(name, int) for name, _text in proved) >= 25
+
+
+def test_refute_ranks_each_known_non_member_of_the_model_workload_and_no_member():
+    # the model workload's known answers, seeds 0-29: every query known
+    # `CertainlyOut` at its depth has a rank, and no member has one
+    programs = workloads.load_programs()
+    answers = collections.Counter()
+    for seed in range(30):
+        for q in workloads.blocks("model", seed, 1)[0]:
+            rank = tr.refute(programs[q.program], ps.parse_goal(q.atom, programs[q.program]).term)
+            known = "member" if q.member else "out" if q.depth >= q.out_from else "open"
+            answers[known, rank is not None] += 1
+    assert set(answers) - {("open", False), ("open", True)} == {("member", False), ("out", True)}, answers
 
 
 def test_the_premise_table_changes_no_search_output(monkeypatch, unpatched_runs):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +238,55 @@ class TestMemberOfModel:
         atom = ps.parse_goal("bit 0", bitstream_program).term
         approx = gfp_approx(bitstream_program, 2, InstanceConfig(term_size=1))
         assert member_of_model(atom, approx, bitstream_program.signature) == IN_APPROX
+
+
+CORPUS = Path(__file__).parent.parent / "src" / "cup" / "corpus"
+BITSTREAM_S = (CORPUS / "bitstream.cup").read_text() + "const s : i -> i.\n"
+# ROADMAP item 21's Baseline atoms, each with its program's text and its
+# rank, None where finite failure finds none: the first four are false,
+# `t 0` holds through a witness outside the term pool, the rest hold too
+BASELINE_RANKS = [
+    ((CORPUS / "member.cup").read_text(), "member 1 [0|nil]", 2),
+    (BITSTREAM_S, "bitstream (fix \\x. scons (s 0) x)", 2),
+    (BITSTREAM_S, "bitstream [0|[1|[s 0|z_str]]]", 4),
+    ("const 0 : i. const s : i -> i. const p : i -> o. const q : i -> o.\np X :- p (s X), q X.\n", "p 0", 2),
+    ("const 0 : i. const s : i -> i. const q : i -> o. const t : i -> o.\nq (s (s (s (s 0)))).\nt 0 :- q X.\n",
+     "t 0", None),
+    ((CORPUS / "from.cup").read_text(), "from 0 (fr_str 0)", None),
+    ((CORPUS / "bitstream.cup").read_text(), "bitstream z_str", None),
+    ((CORPUS / "bitstream.cup").read_text(), "bitstream [0|[1|z_str]]", None),
+    ((CORPUS / "member.cup").read_text(), "member 0 [1|1|0|nil]", None),
+]
+
+
+class TestRefute:
+    """Finite-failure ranks: rank 1 for a complete atom with no clause
+    instance, r for one each of whose instances has a body atom below r."""
+
+    @pytest.mark.parametrize("text, goal, rank", BASELINE_RANKS, ids=[row[1] for row in BASELINE_RANKS])
+    def test_a_baseline_atom_gets_its_rank(self, text, goal, rank):
+        program = ps.parse_program(text)
+        assert tr.refute(program, ps.parse_goal(goal, program).term) == rank
+
+    def test_an_open_body_only_variable_blocks_a_rank(self):
+        # `t 0` is false here, since no clause has a q head, and each q
+        # atom has rank 1; but the instance's X is not fixed by the head,
+        # so the argument cannot see every ground instance of the clause
+        prog = ps.parse_program("const 0 : i. const q : i -> o. const t : i -> o.\nt 0 :- q X.\n")
+        assert tr.refute(prog, ps.parse_goal("q 0", prog).term) == 1
+        assert tr.refute(prog, ps.parse_goal("t 0", prog).term) is None
+
+    @pytest.mark.parametrize("zeros, rank", [(2, 2), (10, None)])
+    def test_a_match_that_the_bound_ends_blocks_a_rank(self, zeros, rank):
+        # the head needs the stream unfolded once per leading 0: within the
+        # unfolding bound the match binds X and `q X` fails, past it the
+        # walk answers Unknown and the atom is incomplete
+        head = "[0|" * zeros + "X" + "]" * zeros
+        text = f"const p : i -> o. const q : i -> o.\np {head} :- q X.\n"
+        prog = ps.parse_program((CORPUS / "bitstream.cup").read_text() + text)
+        atom = ps.parse_goal("p z_str", prog).term
+        assert (tr._instances(atom, tr._clauses_with_metas(prog.h_clauses())) is None) == (rank is None)
+        assert tr.refute(prog, atom) == rank
 
 
 class TestInterpretationListing:
