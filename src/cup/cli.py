@@ -222,7 +222,12 @@ def cmd_soundness(args):
     ]
     if report.counterexample is not None:
         lines.append(f"counterexample atom: {ps.pp_term(report.counterexample, program)}")
-    return "verified" if report.verified else "unverified", payload, "\n".join(lines)
+    # as in check-proof, a proof that assumes root lemmas shows nothing alone
+    if lemmas := [ps.pp_formula(f, program) for f in eng.assumed_lemmas(proof)]:
+        payload["assumed_lemmas"] = lemmas
+        lines += [f"assuming {len(lemmas)} unproven root lemma(s):"] + [f"  {f}" for f in lemmas]
+    word = "unverified" if not report.verified else "inconclusive" if lemmas else "verified"
+    return word, payload, "\n".join(lines)
 
 
 CORPUS = {

@@ -923,6 +923,38 @@ class TestResultWords:
         assert {word for word, _ in WORD_ROWS} == set(codes)
 
 
+class TestAnAuditNamesTheRootLemmasItAssumes:
+    """`cup soundness` lists the root lemmas a proof assumes, as
+    `check-proof` does: a proof that rests on one shows nothing alone, so
+    an audit that verifies it is inconclusive (exit 2)."""
+
+    # ROOT_LEMMA_DOC's shape, for the true `forall x. member x [1|x|nil]`
+    # from the true root lemma `forall x. member x [x|nil]`
+    DOC = ROOT_LEMMA_DOC.replace("member x nil", "member x [x|nil]").replace(
+        "member x [1|nil]", "member x [1|x|nil]").replace('"witness": "nil"', '"witness": "[x#1|nil]"')
+
+    def test_a_verified_audit_of_a_proof_resting_on_a_true_root_lemma_is_inconclusive(self, tmp_path, capsys):
+        path = tmp_path / "lemma.json"
+        path.write_text(self.DOC)
+        argv = ["soundness", "--program", corpus("member.cup"), "--proof", str(path)]
+        assert run(["check-proof", "--calculus", "co-fohh", *argv[1:]]) == EXIT_INCONCLUSIVE
+        capsys.readouterr()
+        assert run(argv) == EXIT_INCONCLUSIVE
+        out = capsys.readouterr().out
+        assert "post-fixed point verified: True\n" in out
+        assert out.endswith("\nassuming 1 unproven root lemma(s):\n  forall x. member x [x|nil]\n")
+        assert run(argv + ["--json"]) == EXIT_INCONCLUSIVE
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verified"], payload["assumed_lemmas"]) == (True, ["forall x. member x [x|nil]"])
+
+    def test_an_unverified_audit_names_the_lemma_too(self, tmp_path, capsys):
+        path = tmp_path / "lemma.json"
+        path.write_text(ROOT_LEMMA_DOC)
+        assert run(["soundness", "--program", corpus("member.cup"), "--proof", str(path)]) == EXIT_FAIL
+        assert capsys.readouterr().out.endswith(
+            "counterexample atom: member 0 nil\nassuming 1 unproven root lemma(s):\n  forall x. member x nil\n")
+
+
 class TestDanglingWitness:
     """A witness that no rule constrains is filled with the smallest closed
     term of its type, and without one the proof is dropped."""
